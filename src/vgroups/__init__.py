@@ -13,8 +13,8 @@ from .quantale import (Quantale, boolean, builtin_quantale, lawvere_chain,
                        ultrametric_chain, validate_quantale)
 from .vrel import VRel, vrel_compose
 from .groups import FiniteGroup, group_isomorphism, quotient_group, subgroup_group
-from .vgroup import (ObjectClass, VGroup, VHom, are_isomorphic, classify_hom,
-                     classify_object, cokernel, coequalizer, discrete_vgroup,
+from .vgroup import (ObjectClass, VGroup, VHom, classify_hom, classify_object,
+                     cokernel, coequalizer, discrete_vgroup,
                      enumerate_homs, enumerate_structures, equalizer,
                      identity_hom, image_factorize, indiscrete_vgroup,
                      is_isomorphism, kernel, product, pullback,

@@ -10,14 +10,15 @@ as exit code 1.
 from dataclasses import dataclass, field
 from itertools import product as iproduct
 
+from . import laws
 from .builders import standard_suite
 from .descent import descent_cover, kernel_pair_groupoid, verify_cover_window
 from .errors import TheoremCheckError
 from .factorization import (cached_decomposition, classify_morphism, is_covering,
                             monotone_light_factorize, reflective_factorize)
 from .quantale import validate_quantale
-from .torsion import (default_test_family, is_null_object,
-                      pretorsion_decompose, symmetric_coreflect)
+from .torsion import (default_test_family, is_null_object, pretorsion_decompose,
+                      reflected_map, symmetric_coreflect)
 from .vgroup import (VHom, classify_hom, classify_object,
                      enumerate_structures, factorization_middle_iso,
                      image_factorize, is_isomorphism, kernel, pullback,
@@ -58,24 +59,13 @@ def check_quantale_laws(suite):
 
 # -- shift route versus compatibility route ---------------------------------
 
-def _route_flags(group, q, flat):
+def _route_flags(group, q, a):
     """(reflexive+transitive+shifted, reflexive+compatible) for one matrix."""
-    n = group.size
-    rng = range(n)
-    leq, ten, op = q.leq, q.tensor, group.op
-    k = q.unit
-    if not all(leq(k, flat[x * n + x]) for x in rng):
+    if laws.reflexivity(q, a) is not None:
         return False, False
-    t_ok = all(leq(ten(flat[x * n + y], flat[y * n + z]), flat[x * n + z])
-               for x in rng for y in rng for z in rng)
-    shift_ok = t_ok and all(
-        flat[x * n + y] == flat[op(x, s) * n + op(y, s)]
-        for s in rng for x in rng for y in rng)
-    functor_ok = all(
-        leq(ten(flat[x1 * n + x2], flat[y1 * n + y2]),
-            flat[op(x1, y1) * n + op(x2, y2)])
-        for x1 in rng for x2 in rng for y1 in rng for y2 in rng)
-    return (t_ok and shift_ok), functor_ok
+    shift_ok = laws.transitivity(q, a) is None and \
+        laws.shift_invariance(a, group.op) is None
+    return shift_ok, laws.addition_compatibility(q, a, group.op) is None
 
 
 def route_agreement_counts(group, q, matrix_cap=MATRIX_ENUMERATION_CAP):
@@ -87,23 +77,18 @@ def route_agreement_counts(group, q, matrix_cap=MATRIX_ENUMERATION_CAP):
     counted, on a nonabelian one it is recorded as a finding.
     """
     n = group.size
+    rng = range(n)
     abelian = group.is_abelian
     candidates = disagreements = findings = 0
     if q.size ** (n * n) <= matrix_cap:
-        source = iproduct(range(q.size), repeat=n * n)
-        spread = False
+        rows = list(iproduct(range(q.size), repeat=n))
+        source = iproduct(rows, repeat=n)
     else:
-        source = iproduct(range(q.size), repeat=n)
-        spread = True
-    for item in source:
-        if spread:
-            delta = item
-            flat = tuple(delta[group.sub(y, x)]
-                         for x in range(n) for y in range(n))
-        else:
-            flat = item
+        source = (tuple(tuple(delta[group.sub(y, x)] for y in rng) for x in rng)
+                  for delta in iproduct(range(q.size), repeat=n))
+    for matrix in source:
         candidates += 1
-        shift_route, functor_route = _route_flags(group, q, flat)
+        shift_route, functor_route = _route_flags(group, q, matrix)
         if shift_route != functor_route:
             if abelian:
                 disagreements += 1
@@ -240,13 +225,13 @@ def check_image_factorization(suite, uniqueness_cap=300):
             continue
         if dom.vgroup.size > 4 or uniqueness_checked >= uniqueness_cap:
             continue
+        dom_idx = suite.objects.index(dom)
+        cod_idx = suite.objects.index(cod)
         for i, alt in enumerate(suite.objects):
             if alt.quantale_name != dom.quantale_name:
                 continue
             if alt.vgroup.size != mid.size:
                 continue
-            dom_idx = suite.objects.index(dom)
-            cod_idx = suite.objects.index(cod)
             hs_e = suite.homs_between(dom_idx, i)
             hs_m = suite.homs_between(i, cod_idx)
             if hs_e is None or hs_m is None or hs_e.truncated or hs_m.truncated:
@@ -338,10 +323,7 @@ def check_reflection_naturality(suite):
         checked += 1
         dd = cached_decomposition(f.dom)
         cd = cached_decomposition(f.cod)
-        reflected_map = [0] * dd.quotient.size
-        for x in range(f.dom.size):
-            reflected_map[dd.projection(x)] = cd.projection(f(x))
-        reflected = VHom(dd.quotient, cd.quotient, reflected_map)
+        reflected = reflected_map(f, dd, cd)
         if not validate_hom(reflected).ok:
             failures.append((dom.name, cod.name, f.mapping, "reflected invalid"))
         if dd.projection.then(reflected) != f.then(cd.projection):

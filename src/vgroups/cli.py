@@ -112,28 +112,14 @@ def _bundle_ok(bundle):
                for rep in bundle.get("morphisms", {}).values())
 
 
-def _require_valid(docs):
-    """Pre-flight for computing commands: algebra must hold before we compute."""
+def _validate_documents(docs):
+    """The report of the validate command on the inputs."""
     bundles = [_validation_bundle(doc) for doc in docs]
-    if all(_bundle_ok(b) for b in bundles):
-        return None
-    return {"command": "validate", "documents": bundles, "ok": False}
+    return {"command": "validate", "documents": bundles,
+            "ok": all(_bundle_ok(b) for b in bundles)}
 
 
-def cmd_validate(args, out):
-    docs = _load_inputs(args)
-    bundles = [_validation_bundle(doc) for doc in docs]
-    ok = all(_bundle_ok(b) for b in bundles)
-    _emit({"command": "validate", "documents": bundles, "ok": ok}, args.format, out)
-    return 0 if ok else MATH_FAILURE
-
-
-def cmd_classify(args, out):
-    docs = _load_inputs(args)
-    failed = _require_valid(docs)
-    if failed is not None:
-        _emit(failed, args.format, out)
-        return MATH_FAILURE
+def cmd_classify(args, docs, out):
     if args.morphism:
         hom = _find_morphism(docs, args.morphism)
         report = {
@@ -149,34 +135,19 @@ def cmd_classify(args, out):
     return 0
 
 
-def cmd_decompose(args, out):
-    docs = _load_inputs(args)
-    failed = _require_valid(docs)
-    if failed is not None:
-        _emit(failed, args.format, out)
-        return MATH_FAILURE
+def cmd_decompose(args, docs, out):
     dec = decompose(docs[0].vgroup)
     _emit({"command": "decompose", "decomposition": dec.as_dict()}, args.format, out)
     return 0
 
 
-def cmd_pretorsion(args, out):
-    docs = _load_inputs(args)
-    failed = _require_valid(docs)
-    if failed is not None:
-        _emit(failed, args.format, out)
-        return MATH_FAILURE
+def cmd_pretorsion(args, docs, out):
     dec = pretorsion_decompose(docs[0].vgroup)
     _emit({"command": "pretorsion", "decomposition": dec.as_dict()}, args.format, out)
     return 0
 
 
-def _cmd_factorize(args, out, which):
-    docs = _load_inputs(args)
-    failed = _require_valid(docs)
-    if failed is not None:
-        _emit(failed, args.format, out)
-        return MATH_FAILURE
+def _cmd_factorize(args, docs, out, which):
     hom = _find_morphism(docs, args.morphism)
     fact = reflective_factorize(hom) if which == "reflective" \
         else monotone_light_factorize(hom)
@@ -186,19 +157,15 @@ def _cmd_factorize(args, out, which):
     return 0
 
 
-def cmd_cover(args, out):
-    docs = _load_inputs(args)
-    failed = _require_valid(docs)
-    if failed is not None:
-        _emit(failed, args.format, out)
-        return MATH_FAILURE
+def cmd_cover(args, docs, out):
     hom = _find_morphism(docs, args.morphism)
     ker_obj, _ = kernel(hom)
+    covering = is_covering(hom)
     report = {
         "command": "cover",
         "morphism": args.morphism,
-        "is_covering": is_covering(hom),
-        "is_locally_semisimple_covering": is_covering(hom),
+        "is_covering": covering,
+        "is_locally_semisimple_covering": covering,
         "kernel_carrier": list(ker_obj.group.names),
         "kernel_class": classify_object(ker_obj).as_dict(),
     }
@@ -206,12 +173,7 @@ def cmd_cover(args, out):
     return 0
 
 
-def cmd_descent(args, out):
-    docs = _load_inputs(args)
-    failed = _require_valid(docs)
-    if failed is not None:
-        _emit(failed, args.format, out)
-        return MATH_FAILURE
+def cmd_descent(args, docs, out):
     cover, projection = descent_cover(docs[0].vgroup)
     window_report = verify_cover_window(cover, args.window)
     groupoid_report = kernel_pair_groupoid(cover, args.window)
@@ -251,19 +213,25 @@ def run(argv=None, out=None):
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return INPUT_ERROR if exc.code else 0
-    handlers = {
-        "validate": cmd_validate,
+    computing = {
         "classify": cmd_classify,
         "decompose": cmd_decompose,
         "pretorsion": cmd_pretorsion,
-        "factorize": lambda a, o: _cmd_factorize(a, o, "reflective"),
-        "ml-factorize": lambda a, o: _cmd_factorize(a, o, "monotone_light"),
+        "factorize": lambda a, d, o: _cmd_factorize(a, d, o, "reflective"),
+        "ml-factorize": lambda a, d, o: _cmd_factorize(a, d, o, "monotone_light"),
         "cover": cmd_cover,
         "descent": cmd_descent,
-        "suite": cmd_suite,
     }
     try:
-        return handlers[args.command](args, out)
+        if args.command == "suite":
+            return cmd_suite(args, out)
+        docs = _load_inputs(args)
+        # computing commands need the algebra to hold before they compute
+        validation = _validate_documents(docs)
+        if args.command == "validate" or not validation["ok"]:
+            _emit(validation, args.format, out)
+            return 0 if validation["ok"] else MATH_FAILURE
+        return computing[args.command](args, docs, out)
     except (StructuralError, NonIntegralQuantaleError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return INPUT_ERROR

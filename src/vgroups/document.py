@@ -149,7 +149,11 @@ def _emit_quantale(doc):
         if "m" in spec:
             out["m"] = spec["m"]
         return out
-    q = doc.quantale
+    return _quantale_tables(doc.quantale)
+
+
+def _quantale_tables(q):
+    """A quantale as explicit order and tensor tables, by label."""
     return {
         "elements": list(q.labels),
         "leq": [list(row) for row in q.leq_table],
@@ -203,13 +207,5 @@ def document_from_vgroup(vg, quantale_spec=None):
     """
     group, structure = _emit_object(vg)
     if quantale_spec is None:
-        q = vg.quantale
-        quantale_spec = {
-            "elements": list(q.labels),
-            "leq": [list(row) for row in q.leq_table],
-            "tensor": [[q.labels[v] for v in row] for row in q.tensor_table],
-            "unit": q.labels[q.unit],
-            "bottom": q.labels[q.bottom],
-            "top": q.labels[q.top],
-        }
+        quantale_spec = _quantale_tables(vg.quantale)
     return {"quantale": quantale_spec, "group": group, "structure": structure}

@@ -19,7 +19,7 @@ output classes and composite instead of assuming them.
 from dataclasses import dataclass, field
 
 from .errors import NonIntegralQuantaleError, StructuralError, TheoremCheckError
-from .torsion import decompose
+from .torsion import decompose, reflected_map, torsion_members
 from .vgroup import (VGroup, VHom, classify_hom, classify_object, is_isomorphism,
                      kernel, pullback, pullback_comparison, quotient_vgroup,
                      validate_hom)
@@ -34,14 +34,6 @@ def cached_decomposition(g):
         d = decompose(g)
         _DECOMPOSE_CACHE[g] = d
     return d
-
-
-def reflected_morphism(f, dom_dec, cod_dec):
-    """The induced map between separated quotients (coset to coset)."""
-    mapping = [0] * dom_dec.quotient.size
-    for x in range(f.dom.size):
-        mapping[dom_dec.projection(x)] = cod_dec.projection(f(x))
-    return VHom(dom_dec.quotient, cod_dec.quotient, mapping)
 
 
 @dataclass
@@ -89,7 +81,7 @@ def classify_morphism(f):
     cod_dec = cached_decomposition(f.cod)
     n_dom = set(dom_dec.injection.mapping)
     n_cod = set(cod_dec.injection.mapping)
-    reflected = reflected_morphism(f, dom_dec, cod_dec)
+    reflected = reflected_map(f, dom_dec, cod_dec)
 
     # Left class, definitional route.
     inverted_def = is_isomorphism(reflected)
@@ -104,7 +96,7 @@ def classify_morphism(f):
     inverted_char = cond_a and cond_b and cond_c
     if inverted_def != inverted_char:
         raise TheoremCheckError(
-            "left-class routes disagree: "
+            f"left-class routes disagree for {f!r}: "
             f"definitional={inverted_def} characterization={inverted_char}")
 
     # Right class, definitional route: the naturality square is a pullback.
@@ -125,7 +117,7 @@ def classify_morphism(f):
     trivial_char = restriction_is_iso and structure_meet
     if trivial_def != trivial_char:
         raise TheoremCheckError(
-            "right-class routes disagree: "
+            f"right-class routes disagree for {f!r}: "
             f"definitional={trivial_def} characterization={trivial_char}")
 
     ker_obj, _ = kernel(f)
@@ -140,7 +132,8 @@ def classify_morphism(f):
         "trivial_covering_implies_covering": (not trivial_def) or covering,
     }
     if not all(cross.values()):
-        raise TheoremCheckError(f"class containment cross-check failed: {cross}")
+        raise TheoremCheckError(
+            f"class containment cross-check failed for {f!r}: {cross}")
     return MorphismClassReport(
         reflector_inverted=inverted_def, trivial_covering=trivial_def,
         stably_inverted=stably_inverted, covering=covering, cross_checks=cross)
@@ -188,20 +181,24 @@ def reflective_factorize(f):
     """
     dom_dec = cached_decomposition(f.dom)
     cod_dec = cached_decomposition(f.cod)
-    reflected = reflected_morphism(f, dom_dec, cod_dec)
+    reflected = reflected_map(f, dom_dec, cod_dec)
     p, to_cod, to_refl = pullback(cod_dec.projection, reflected)
     e = pullback_comparison(p, to_cod, to_refl, f, dom_dec.projection)
     m = to_cod
     if e.then(m) != f:
-        raise TheoremCheckError("reflective factorization does not compose to f")
+        raise TheoremCheckError(
+            f"reflective factorization of {f!r} does not compose to it")
     if not validate_hom(e).ok or not validate_hom(m).ok:
-        raise TheoremCheckError("reflective factorization produced an invalid leg")
+        raise TheoremCheckError(
+            f"reflective factorization of {f!r} produced an invalid leg")
     report_e = classify_morphism(e)
     report_m = classify_morphism(m)
     if not report_e.reflector_inverted:
-        raise TheoremCheckError("left leg is not inverted by the reflector")
+        raise TheoremCheckError(
+            f"left leg {e!r} of {f!r} is not inverted by the reflector")
     if not report_m.trivial_covering:
-        raise TheoremCheckError("right leg is not a trivial covering")
+        raise TheoremCheckError(
+            f"right leg {m!r} of {f!r} is not a trivial covering")
     return Factorization(e=e, middle=p, m=m, system="reflective")
 
 
@@ -218,18 +215,13 @@ def monotone_light_factorize(f):
     """
     if not f.dom.quantale.is_integral:
         raise NonIntegralQuantaleError("stabilized factorization needs an integral quantale")
-    q = f.dom.quantale
     dom = f.dom
-    e_id = dom.group.identity
-    k = q.unit
-    ker_members = [x for x in range(dom.size) if f(x) == f.cod.group.identity]
-    torsion_of_kernel = tuple(sorted(
-        x for x in ker_members
-        if q.leq(k, dom.entry(e_id, x)) and q.leq(k, dom.entry(x, e_id))))
+    torsion_of_kernel = torsion_members(
+        dom, [x for x in range(dom.size) if f(x) == f.cod.group.identity])
     witness = dom.group.normality_witness(torsion_of_kernel)
     if witness is not None:
         raise TheoremCheckError(
-            "torsion part of the kernel is not normal in the domain, "
+            f"torsion part of the kernel of {f!r} is not normal in the domain, "
             f"witness {witness}")
     middle, e = quotient_vgroup(dom, torsion_of_kernel)
     mapping = [0] * middle.size
@@ -237,13 +229,16 @@ def monotone_light_factorize(f):
         mapping[e(x)] = f(x)
     m = VHom(middle, f.cod, mapping)
     if e.then(m) != f:
-        raise TheoremCheckError("stabilized factorization does not compose to f")
+        raise TheoremCheckError(
+            f"stabilized factorization of {f!r} does not compose to it")
     if not validate_hom(m).ok:
-        raise TheoremCheckError("stabilized factorization produced an invalid leg")
+        raise TheoremCheckError(
+            f"stabilized factorization of {f!r} produced an invalid leg")
     report_e = classify_morphism(e)
     report_m = classify_morphism(m)
     if not report_e.stably_inverted:
-        raise TheoremCheckError("left leg is not a normal epi with indiscrete kernel")
+        raise TheoremCheckError(
+            f"left leg {e!r} of {f!r} is not a normal epi with indiscrete kernel")
     if not report_m.covering:
-        raise TheoremCheckError("right leg is not a covering")
+        raise TheoremCheckError(f"right leg {m!r} of {f!r} is not a covering")
     return Factorization(e=e, middle=middle, m=m, system="monotone_light")

@@ -6,7 +6,7 @@ Group laws are checked exhaustively at construction; carriers stay small
 enough (at most a few dozen elements) that cubic scans are free.
 """
 
-from itertools import permutations, product
+from itertools import permutations
 
 from .errors import StructuralError
 
@@ -232,15 +232,16 @@ def quotient_group(group, normal_subset):
     return quotient, projection
 
 
-def group_isomorphism(g, h):
-    """A group isomorphism g -> h as an index mapping, or None.
+def group_isomorphisms(g, h):
+    """Every group isomorphism g -> h as an index mapping, in the order of
+    the permutations of h's non-identity elements.
 
     Brute force over bijections; fine for the carriers this workbench
     handles (<= 8 elements).
     """
     n = g.size
     if n != h.size:
-        return None
+        return
     others = [x for x in range(n) if x != g.identity]
     targets = [y for y in range(n) if y != h.identity]
     for perm in permutations(targets):
@@ -250,10 +251,9 @@ def group_isomorphism(g, h):
             mapping[x] = y
         if all(mapping[g.op(x, y)] == h.op(mapping[x], mapping[y])
                for x in range(n) for y in range(n)):
-            return tuple(mapping)
-    return None
+            yield tuple(mapping)
 
 
-def elements_product(*sizes):
-    """Index tuples of a product carrier, in lexicographic order."""
-    return list(product(*map(range, sizes)))
+def group_isomorphism(g, h):
+    """A group isomorphism g -> h as an index mapping, or None."""
+    return next(group_isomorphisms(g, h), None)

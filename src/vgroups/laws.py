@@ -1,0 +1,67 @@
+"""First-witness scanners for the laws of a quantale-valued structure.
+
+Each scanner walks a square matrix ``a`` of quantale indices (``a[x][y]``
+is the value from x to y) in lexicographic order of its witness tuple and
+returns the first index tuple that violates its law, or None when the law
+holds.  The shift and compatibility scanners also take the group
+operation ``op``.  Callers map the indices back to labels or elements.
+"""
+
+
+def reflexivity(q, a):
+    """First (x,) with the unit not below a(x, x)."""
+    above_unit = q.leq_table[q.unit]
+    for x, row in enumerate(a):
+        if not above_unit[row[x]]:
+            return (x,)
+    return None
+
+
+def transitivity(q, a):
+    """First (x, y, z) with a(x, y) (x) a(y, z) not below a(x, z)."""
+    leq, ten = q.leq_table, q.tensor_table
+    for x, ax in enumerate(a):
+        for y, axy in enumerate(ax):
+            times = ten[axy]
+            for z, ayz in enumerate(a[y]):
+                if not leq[times[ayz]][ax[z]]:
+                    return (x, y, z)
+    return None
+
+
+def separation(q, a):
+    """First (x, y), x != y, with the unit below a(x, y) and a(y, x)."""
+    above_unit = q.leq_table[q.unit]
+    for x, ax in enumerate(a):
+        for y, axy in enumerate(ax):
+            if x != y and above_unit[axy] and above_unit[a[y][x]]:
+                return (x, y)
+    return None
+
+
+def shift_invariance(a, op):
+    """First (s, x, y) with a(x, y) != a(x + s, y + s)."""
+    rng = range(len(a))
+    for s in rng:
+        for x in rng:
+            ax, shifted = a[x], a[op(x, s)]
+            for y in rng:
+                if ax[y] != shifted[op(y, s)]:
+                    return (s, x, y)
+    return None
+
+
+def addition_compatibility(q, a, op):
+    """First (x1, x2, y1, y2) with a(x1, x2) (x) a(y1, y2) not below
+    a(x1 + y1, x2 + y2)."""
+    leq, ten = q.leq_table, q.tensor_table
+    rng = range(len(a))
+    for x1 in rng:
+        for x2 in rng:
+            times = ten[a[x1][x2]]
+            for y1 in rng:
+                ay1, target = a[y1], a[op(x1, y1)]
+                for y2 in rng:
+                    if not leq[times[ay1[y2]]][target[op(x2, y2)]]:
+                        return (x1, x2, y1, y2)
+    return None

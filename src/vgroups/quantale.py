@@ -12,7 +12,7 @@ laws is the job of :func:`validate_quantale`, which names each violated
 law together with a witness tuple.
 """
 
-from .errors import StructuralError
+from .errors import CapacityError, StructuralError
 from .reports import ValidationReport
 
 
@@ -182,21 +182,23 @@ def ultrametric_chain(m):
 
 
 BUILTIN_KINDS = ("boolean", "lawvere_chain", "ultrametric_chain")
+# Building a chain is quartic in its length; the suites use m <= 3.
+BUILTIN_CHAIN_CAP = 16
 
 
 def builtin_quantale(kind, m=None):
     """Dispatch over the shipped families by name."""
     if kind == "boolean":
         return boolean()
-    if kind == "lawvere_chain":
-        if m is None:
-            raise StructuralError("lawvere_chain requires a length m")
-        return lawvere_chain(m)
-    if kind == "ultrametric_chain":
-        if m is None:
-            raise StructuralError("ultrametric_chain requires a length m")
-        return ultrametric_chain(m)
-    raise StructuralError(f"unknown builtin quantale kind: {kind!r}")
+    chains = {"lawvere_chain": lawvere_chain, "ultrametric_chain": ultrametric_chain}
+    if kind not in chains:
+        raise StructuralError(f"unknown builtin quantale kind: {kind!r}")
+    if m is None:
+        raise StructuralError(f"{kind} requires a length m")
+    if m > BUILTIN_CHAIN_CAP:
+        raise CapacityError(
+            f"builtin chain length {m} exceeds the cap of {BUILTIN_CHAIN_CAP}")
+    return chains[kind](m)
 
 
 def validate_quantale(q):

@@ -29,24 +29,29 @@ from .vgroup import (VGroup, VHom, classify_hom, classify_object,
 from .vrel import VRel
 
 
+def torsion_members(g, elements):
+    """The given elements that are related to the identity at unit level
+    both ways, sorted."""
+    q = g.quantale
+    e = g.group.identity
+    k = q.unit
+    return tuple(sorted(x for x in elements
+                        if q.leq(k, g.entry(e, x)) and q.leq(k, g.entry(x, e))))
+
+
 def torsion_part(g):
     """Elements related to the identity at unit level both ways.
 
     Works over any quantale.  The result is re-verified to be a normal
     subgroup; a failure would contradict the theory and raises.
     """
-    q = g.quantale
-    e = g.group.identity
-    k = q.unit
-    members = tuple(sorted(
-        x for x in range(g.size)
-        if q.leq(k, g.entry(e, x)) and q.leq(k, g.entry(x, e))))
+    members = torsion_members(g, range(g.size))
     if not g.group.is_subgroup(members):
-        raise TheoremCheckError("torsion part is not a subgroup")
+        raise TheoremCheckError(f"torsion part of {g!r} is not a subgroup")
     witness = g.group.normality_witness(members)
     if witness is not None:
         raise TheoremCheckError(
-            f"torsion part is not normal, witness {witness}")
+            f"torsion part of {g!r} is not normal, witness {witness}")
     return members
 
 
@@ -106,17 +111,19 @@ def decompose(g):
     quotient, projection = quotient_vgroup(g, members)
 
     if not classify_hom(injection).normal_mono:
-        raise TheoremCheckError("torsion injection is not a normal monomorphism")
+        raise TheoremCheckError(
+            f"torsion injection of {g!r} is not a normal monomorphism")
     if not classify_hom(projection).regular_epi:
-        raise TheoremCheckError("torsion projection is not a regular epimorphism")
+        raise TheoremCheckError(
+            f"torsion projection of {g!r} is not a regular epimorphism")
     if not _check_induced_structure(injection):
-        raise TheoremCheckError("kernel structure equation failed")
+        raise TheoremCheckError(f"kernel structure equation failed for {g!r}")
     if not _check_final_structure(projection):
-        raise TheoremCheckError("cokernel structure equation failed")
+        raise TheoremCheckError(f"cokernel structure equation failed for {g!r}")
     if not classify_object(torsion).indiscrete:
-        raise TheoremCheckError("torsion part is not indiscrete")
+        raise TheoremCheckError(f"torsion part of {g!r} is not indiscrete")
     if not classify_object(quotient).separated:
-        raise TheoremCheckError("torsion-free quotient is not separated")
+        raise TheoremCheckError(f"torsion-free quotient of {g!r} is not separated")
 
     return TorsionDecomposition(
         object=g, torsion=torsion, injection=injection,
@@ -136,14 +143,18 @@ def coreflect(g):
     return d.torsion, d.injection
 
 
+def reflected_map(f, dom_dec, cod_dec):
+    """The map between the separated quotients of two decompositions
+    that f induces (coset to coset)."""
+    mapping = [0] * dom_dec.quotient.size
+    for x in range(f.dom.size):
+        mapping[dom_dec.projection(x)] = cod_dec.projection(f(x))
+    return VHom(dom_dec.quotient, cod_dec.quotient, mapping)
+
+
 def reflect_morphism(f):
     """The induced map between separated reflections (coset to coset)."""
-    dom_q, dom_proj = reflect(f.dom)
-    cod_q, cod_proj = reflect(f.cod)
-    mapping = [0] * dom_q.size
-    for x in range(f.dom.size):
-        mapping[dom_proj(x)] = cod_proj(f(x))
-    return VHom(dom_q, cod_q, mapping)
+    return reflected_map(f, decompose(f.dom), decompose(f.cod))
 
 
 def coreflect_morphism(f):
@@ -156,7 +167,7 @@ def coreflect_morphism(f):
         y = f(x)
         if y not in pos:
             raise TheoremCheckError(
-                "homomorphism does not restrict to the torsion parts")
+                f"homomorphism {f!r} does not restrict to the torsion parts")
         mapping.append(pos[y])
     return VHom(dom_t, cod_t, mapping)
 
@@ -166,9 +177,9 @@ def symmetric_coreflect(g):
     hat = g.structure.meet(g.structure.converse())
     out = VGroup(g.group, g.quantale, hat)
     if not validate_vgroup(out).ok:
-        raise TheoremCheckError("symmetrized structure failed validation")
+        raise TheoremCheckError(f"symmetrized structure of {g!r} failed validation")
     if not classify_object(out).symmetric:
-        raise TheoremCheckError("symmetrized structure is not symmetric")
+        raise TheoremCheckError(f"symmetrized structure of {g!r} is not symmetric")
     return out
 
 
@@ -195,17 +206,6 @@ def is_null_morphism(f):
     verdict = is_null_object(middle)
     return {"is_null": verdict, "method": "via-image",
             "image_is_null": verdict}
-
-
-def _family_budget(test_objects, inner_sizes, cap):
-    total = 0
-    for w in test_objects:
-        for s in inner_sizes:
-            total += s ** w.size
-    if total > cap:
-        raise CapacityError(
-            f"universal-property quantification needs {total} candidates, "
-            f"over the cap of {cap}")
 
 
 def default_test_family(*objects):
@@ -237,65 +237,59 @@ def verify_pretorsion_kernel(candidate, of, test_objects=None, cap=10 ** 6):
     """
     if candidate.cod != of.dom:
         raise StructuralError("candidate kernel must land in the domain of 'of'")
-    report = ValidationReport(subject="pretorsion-kernel")
-    if not is_null_morphism(candidate.then(of))["is_null"]:
-        report.add("composite-in-null-ideal", ())
-        return report
-    if test_objects is None:
-        test_objects = default_test_family(candidate.dom, of.dom, of.cod)
-    _family_budget(test_objects, (of.dom.size, candidate.dom.size), cap)
-    for w_index, w in enumerate(test_objects):
-        into_a = enumerate_homs(w, of.dom, cap=cap)
-        into_k = None
-        for alpha in into_a:
-            if not is_null_morphism(alpha.then(of))["is_null"]:
-                continue
-            if into_k is None:
-                into_k = enumerate_homs(w, candidate.dom, cap=cap)
-            matches = [phi for phi in into_k
-                       if phi.then(candidate) == alpha]
-            if len(matches) == 0:
-                report.add("factorization-exists",
-                           (w_index, alpha.mapping))
-            elif len(matches) > 1:
-                report.add("factorization-unique",
-                           (w_index, alpha.mapping))
-    return report
+    return _verify_relative(candidate, of, False, test_objects,
+                            (candidate.dom, of.dom, of.cod), cap)
 
 
 def verify_pretorsion_cokernel(candidate, of, test_objects=None, cap=10 ** 6):
     """Dual check: ``candidate``: B -> C as cokernel of ``of``: A -> B."""
     if of.cod != candidate.dom:
         raise StructuralError("candidate cokernel must start at the codomain of 'of'")
-    report = ValidationReport(subject="pretorsion-cokernel")
-    if not is_null_morphism(of.then(candidate))["is_null"]:
+    return _verify_relative(candidate, of, True, test_objects,
+                            (of.dom, of.cod, candidate.cod), cap)
+
+
+def _verify_relative(candidate, of, dual, test_objects, family, cap):
+    """The kernel property of ``candidate``, read in the opposite category
+    when ``dual`` (which makes it the cokernel property).
+
+    ``then(u, v)`` composes u first and ``homs(w, x)`` lists the maps from
+    a test object w to x, both in the category read; ``near`` is the end
+    ``candidate`` shares with ``of`` and ``far`` its other end.
+    """
+    near, far = (candidate.dom, candidate.cod) if dual else (candidate.cod, candidate.dom)
+
+    def then(u, v):
+        return v.then(u) if dual else u.then(v)
+
+    def homs(w, x):
+        return enumerate_homs(x, w, cap=cap) if dual else enumerate_homs(w, x, cap=cap)
+
+    report = ValidationReport(
+        subject="pretorsion-cokernel" if dual else "pretorsion-kernel")
+    if not is_null_morphism(then(candidate, of))["is_null"]:
         report.add("composite-in-null-ideal", ())
         return report
     if test_objects is None:
-        test_objects = default_test_family(of.dom, of.cod, candidate.cod)
-    total = 0
-    for w in test_objects:
-        total += w.size ** candidate.dom.size + w.size ** candidate.cod.size
+        test_objects = default_test_family(*family)
+    total = sum(w.size ** x.size if dual else x.size ** w.size
+                for w in test_objects for x in (near, far))
     if total > cap:
         raise CapacityError(
             f"universal-property quantification needs {total} candidates, "
             f"over the cap of {cap}")
     for w_index, w in enumerate(test_objects):
-        from_b = enumerate_homs(candidate.dom, w, cap=cap)
-        from_c = None
-        for alpha in from_b:
-            if not is_null_morphism(of.then(alpha))["is_null"]:
+        through = None
+        for alpha in homs(w, near):
+            if not is_null_morphism(then(alpha, of))["is_null"]:
                 continue
-            if from_c is None:
-                from_c = enumerate_homs(candidate.cod, w, cap=cap)
-            matches = [phi for phi in from_c
-                       if candidate.then(phi) == alpha]
+            if through is None:
+                through = homs(w, far)
+            matches = [phi for phi in through if then(phi, candidate) == alpha]
             if len(matches) == 0:
-                report.add("factorization-exists",
-                           (w_index, alpha.mapping))
+                report.add("factorization-exists", (w_index, alpha.mapping))
             elif len(matches) > 1:
-                report.add("factorization-unique",
-                           (w_index, alpha.mapping))
+                report.add("factorization-unique", (w_index, alpha.mapping))
     return report
 
 
@@ -336,9 +330,10 @@ def pretorsion_decompose(g, test_objects=None, cap=10 ** 6):
     members = torsion_part(g)
     quotient, projection = quotient_vgroup(g, members)
     if not classify_object(quotient).separated:
-        raise TheoremCheckError("pretorsion quotient is not separated")
+        raise TheoremCheckError(f"pretorsion quotient of {g!r} is not separated")
     if not sym.structure.leq(g.structure):
-        raise TheoremCheckError("symmetrized structure is not below the original")
+        raise TheoremCheckError(
+            f"symmetrized structure of {g!r} is not below the original")
 
     if test_objects is None:
         test_objects = default_test_family(g, quotient)
@@ -348,7 +343,7 @@ def pretorsion_decompose(g, test_objects=None, cap=10 ** 6):
         projection, comparison, test_objects=test_objects, cap=cap)
     if not kernel_report.ok or not cokernel_report.ok:
         raise TheoremCheckError(
-            "pretorsion sequence failed a relative universal property: "
+            f"pretorsion sequence of {g!r} failed a relative universal property: "
             f"{kernel_report.laws_violated() + cokernel_report.laws_violated()}")
 
     checked = 0
@@ -363,8 +358,8 @@ def pretorsion_decompose(g, test_objects=None, cap=10 ** 6):
                 checked += 1
                 if not is_null_morphism(hom)["is_null"]:
                     raise TheoremCheckError(
-                        "found a non-null morphism from a symmetric object "
-                        "to a separated one")
+                        f"found a non-null morphism {hom!r} from a symmetric "
+                        f"object {t!r} to a separated one {f_obj!r}")
     return PretorsionDecomposition(
         object=g, symmetric_part=sym, comparison=comparison,
         quotient=quotient, projection=projection,

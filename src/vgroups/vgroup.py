@@ -16,8 +16,9 @@ Everything is exhaustive at desk scale.  Enumerators are deterministic
 from dataclasses import dataclass
 from itertools import product as iproduct
 
+from . import laws
 from .errors import CapacityError, StructuralError, TheoremCheckError
-from .groups import FiniteGroup, quotient_group, subgroup_group
+from .groups import FiniteGroup, group_isomorphisms, quotient_group, subgroup_group
 from .reports import ValidationReport
 from .vrel import VRel
 
@@ -198,64 +199,17 @@ def validate_vgroup(g):
     flags that in ``notes`` as a finding rather than resolving it.
     """
     report = ValidationReport(subject="vgroup")
-    q = g.quantale
-    grp = g.group
-    a = g.structure.entries
-    n = grp.size
-    rng = range(n)
-    lab = grp.names
-
-    r_ok = True
-    for x in rng:
-        if not q.leq(q.unit, a[x][x]):
-            report.add("reflexivity", (lab[x],))
-            r_ok = False
-            break
-
-    t_ok = True
-    for x in rng:
-        for y in rng:
-            for z in rng:
-                if not q.leq(q.tensor(a[x][y], a[y][z]), a[x][z]):
-                    report.add("transitivity", (lab[x], lab[y], lab[z]))
-                    t_ok = False
-                    break
-            if not t_ok:
-                break
-        if not t_ok:
-            break
-
-    shift_ok = True
-    for s in rng:
-        for x in rng:
-            for y in rng:
-                if a[x][y] != a[grp.op(x, s)][grp.op(y, s)]:
-                    report.add("shift-invariance", (lab[s], lab[x], lab[y]))
-                    shift_ok = False
-                    break
-            if not shift_ok:
-                break
-        if not shift_ok:
-            break
-
-    functor_ok = True
-    for x1 in rng:
-        for x2 in rng:
-            v1 = a[x1][x2]
-            for y1 in rng:
-                for y2 in rng:
-                    if not q.leq(q.tensor(v1, a[y1][y2]),
-                                 a[grp.op(x1, y1)][grp.op(x2, y2)]):
-                        report.add("addition-compatibility",
-                                   (lab[x1], lab[x2], lab[y1], lab[y2]))
-                        functor_ok = False
-                        break
-                if not functor_ok:
-                    break
-            if not functor_ok:
-                break
-        if not functor_ok:
-            break
+    q, grp, a = g.quantale, g.group, g.structure.entries
+    witnesses = {
+        "reflexivity": laws.reflexivity(q, a),
+        "transitivity": laws.transitivity(q, a),
+        "shift-invariance": laws.shift_invariance(a, grp.op),
+        "addition-compatibility": laws.addition_compatibility(q, a, grp.op),
+    }
+    for law, witness in witnesses.items():
+        if witness is not None:
+            report.add(law, (grp.names[x] for x in witness))
+    r_ok, t_ok, shift_ok, functor_ok = (w is None for w in witnesses.values())
 
     shift_route = r_ok and t_ok and shift_ok
     functor_route = r_ok and functor_ok
@@ -286,9 +240,7 @@ def classify_object(g):
     sep_reduced = all(x == e
                       for x in rng
                       if q.leq(k, a[x][e]) and q.leq(k, a[e][x]))
-    sep_full = all(x == y
-                   for x in rng for y in rng
-                   if q.leq(k, a[x][y]) and q.leq(k, a[y][x]))
+    sep_full = laws.separation(q, a) is None
     if sep_reduced != sep_full:
         raise TheoremCheckError(
             "one-variable and two-variable separation checks disagree")
@@ -348,12 +300,17 @@ def subobject(g, subset, name=None):
 def quotient_vgroup(g, normal_subset, name=None):
     """Quotient carrier with the final structure (join over coset pairs)."""
     quotient, projection = quotient_group(g.group, normal_subset)
-    cosets = g.group.cosets(normal_subset)
-    q = g.quantale
-    entries = [[q.join_all(g.entry(x, y) for x in c for y in d)
-                for d in cosets] for c in cosets]
-    obj = VGroup(quotient, q, VRel(q, entries), name=name)
+    entries = _final_structure(g, g.group.cosets(normal_subset))
+    obj = VGroup(quotient, g.quantale, VRel(g.quantale, entries), name=name)
     return obj, VHom(g, obj, projection)
+
+
+def _final_structure(g, classes):
+    """The rows of the join of g's structure over each pair of classes:
+    the final structure along a map whose fibers are ``classes``."""
+    q = g.quantale
+    for c in classes:
+        yield tuple(q.join_all(g.entry(x, y) for x in c for y in d) for d in classes)
 
 
 def kernel(f):
@@ -452,27 +409,20 @@ def image_factorize(f):
     sub = subgroup_group(f.cod.group, image)
     pos = {y: i for i, y in enumerate(image)}
     q = f.dom.quantale
-    fibers = [[x for x in range(f.dom.size) if f(x) == y] for y in image]
-    entries = [[q.join_all(f.dom.entry(x1, x2) for x1 in fibers[i] for x2 in fibers[j])
-                for j in range(len(image))] for i in range(len(image))]
-    middle = VGroup(sub, q, VRel(q, entries))
+    middle = VGroup(sub, q, VRel(q, _final_structure(f.dom, _fibers(f, image))))
     e = VHom(f.dom, middle, [pos[f(x)] for x in range(f.dom.size)])
     m = VHom(middle, f.cod, image)
     return e, middle, m
 
 
+def _fibers(f, targets):
+    return [[x for x in range(f.dom.size) if f(x) == y] for y in targets]
+
+
 def is_final(f):
     """b(y1, y2) equals the join of a over the fibers, at every pair."""
-    q = f.dom.quantale
-    fibers = [[x for x in range(f.dom.size) if f(x) == y]
-              for y in range(f.cod.size)]
-    for y1 in range(f.cod.size):
-        for y2 in range(f.cod.size):
-            j = q.join_all(f.dom.entry(x1, x2)
-                           for x1 in fibers[y1] for x2 in fibers[y2])
-            if j != f.cod.entry(y1, y2):
-                return False
-    return True
+    joins = _final_structure(f.dom, _fibers(f, range(f.cod.size)))
+    return all(row == b for row, b in zip(joins, f.cod.structure.entries))
 
 
 def classify_hom(f):
@@ -558,29 +508,16 @@ def enumerate_homs(dom, cod, cap=ENUMERATION_CAP):
 
 
 def vgroup_isomorphism(g, h):
-    """An isomorphism g -> h, or None.  Brute force over group bijections."""
-    if g.quantale != h.quantale or g.size != h.size:
+    """An isomorphism g -> h, or None: the first structure-preserving one
+    among the group isomorphisms."""
+    if g.quantale != h.quantale:
         return None
-    from itertools import permutations
     n = g.size
-    others = [x for x in range(n) if x != g.group.identity]
-    targets = [y for y in range(n) if y != h.group.identity]
-    for perm in permutations(targets):
-        mapping = [0] * n
-        mapping[g.group.identity] = h.group.identity
-        for x, y in zip(others, perm):
-            mapping[x] = y
-        if not all(mapping[g.group.op(x, y)] == h.group.op(mapping[x], mapping[y])
-                   for x in range(n) for y in range(n)):
-            continue
+    for mapping in group_isomorphisms(g.group, h.group):
         if all(g.entry(x, y) == h.entry(mapping[x], mapping[y])
                for x in range(n) for y in range(n)):
             return VHom(g, h, mapping)
     return None
-
-
-def are_isomorphic(g, h):
-    return vgroup_isomorphism(g, h) is not None
 
 
 def factorization_middle_iso(e1, m1, e2, m2):

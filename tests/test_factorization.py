@@ -1,8 +1,10 @@
 import itertools
+import re
 
 import pytest
 
-from vgroups import (FiniteGroup, NonIntegralQuantaleError, VHom,
+from vgroups import factorization
+from vgroups import (FiniteGroup, NonIntegralQuantaleError, TheoremCheckError, VHom,
                      classify_morphism, classify_object, discrete_vgroup,
                      enumerate_homs, enumerate_structures, identity_hom,
                      is_covering, is_isomorphism, kernel,
@@ -157,3 +159,12 @@ class TestStability:
         for g in enumerate_homs(prod, prod):
             p, pi1, pi2 = pullback(inc, g)
             assert classify_morphism(pi2).trivial_covering
+
+
+@pytest.mark.parametrize("factorize", ["reflective_factorize",
+                                       "monotone_light_factorize"])
+def test_failed_post_check_names_the_morphism(monkeypatch, quotient_to_z2, factorize):
+    refuted = factorization.MorphismClassReport(False, False, False, False)
+    monkeypatch.setattr(factorization, "classify_morphism", lambda f: refuted)
+    with pytest.raises(TheoremCheckError, match=re.escape(repr(quotient_to_z2))):
+        getattr(factorization, factorize)(quotient_to_z2)
