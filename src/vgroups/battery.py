@@ -19,8 +19,9 @@ from .factorization import (cached_decomposition, classify_morphism, is_covering
 from .quantale import validate_quantale
 from .torsion import (default_test_family, is_null_object, pretorsion_decompose,
                       reflected_map, symmetric_coreflect)
-from .vgroup import (VHom, classify_hom, classify_object,
-                     enumerate_structures, factorization_middle_iso,
+from .vgroup import (classify_hom, classify_object, cokernel,
+                     enumerate_structures, factor_through_epi,
+                     factor_through_mono, factorization_middle_iso,
                      image_factorize, is_isomorphism, kernel, pullback,
                      pullback_comparison, quotient_vgroup, subobject,
                      validate_hom, validate_vgroup, zero_hom)
@@ -137,31 +138,26 @@ def check_kernel_cokernel_roundtrips(suite):
     checked = 0
     for dom, cod, f in suite.all_homs():
         cls = classify_hom(f)
+        canonicals = []
         if cls.regular_epi:
-            checked += 1
-            _, inclusion = kernel(f)
-            quotient, projection = quotient_vgroup(
-                f.dom, inclusion.mapping)
-            mapping = [0] * quotient.size
-            for x in range(f.dom.size):
-                mapping[projection(x)] = f(x)
-            canonical = VHom(quotient, f.cod, mapping)
-            if not (validate_hom(canonical).ok and is_isomorphism(canonical)):
-                failures.append((dom.name, cod.name, f.mapping, "cokernel-of-kernel"))
+            _, projection = cokernel(kernel(f)[1])
+            canonicals.append((factor_through_epi(projection, f), "cokernel-of-kernel"))
         if cls.normal_mono:
+            _, inclusion = kernel(cokernel(f)[1])
+            canonicals.append((factor_through_mono(f, inclusion), "kernel-of-cokernel"))
+        for canonical, roundtrip in canonicals:
             checked += 1
-            coker, projection = quotient_vgroup(f.cod, f.image_set())
-            ker_obj, ker_inc = kernel(VHom(f.cod, coker, projection.mapping))
-            pos = {x: i for i, x in enumerate(ker_inc.mapping)}
-            try:
-                canonical = VHom(f.dom, ker_obj,
-                                 [pos[f(x)] for x in range(f.dom.size)])
-            except KeyError:
-                failures.append((dom.name, cod.name, f.mapping, "kernel-of-cokernel"))
-                continue
-            if not (validate_hom(canonical).ok and is_isomorphism(canonical)):
-                failures.append((dom.name, cod.name, f.mapping, "kernel-of-cokernel"))
+            if canonical is None or not (validate_hom(canonical).ok
+                                         and is_isomorphism(canonical)):
+                failures.append((dom.name, cod.name, f.mapping, roundtrip))
     return _result("kernel_cokernel_roundtrips", failures, checked=checked)
+
+
+def _exact_sequences(g):
+    """(normal subgroup, its inclusion, the projection onto the quotient by
+    it) for each normal subgroup of g."""
+    return [(n, subobject(g, n)[1], quotient_vgroup(g, n)[1])
+            for n in g.group.all_normal_subgroups()]
 
 
 def check_ses_morphism_pullback(suite, max_carrier=4):
@@ -169,31 +165,20 @@ def check_ses_morphism_pullback(suite, max_carrier=4):
     exactly when the induced map between quotients is injective."""
     failures = []
     checked = 0
+    sequences = {i: _exact_sequences(obj.vgroup) for i, obj in enumerate(suite.objects)
+                 if obj.vgroup.size <= max_carrier}
     for hs in suite.hom_sets:
-        if hs.truncated:
+        if hs.truncated or hs.dom not in sequences or hs.cod not in sequences:
             continue
-        x_obj = suite.objects[hs.dom].vgroup
-        y_obj = suite.objects[hs.cod].vgroup
-        if x_obj.size > max_carrier or y_obj.size > max_carrier:
-            continue
-        x_normals = x_obj.group.all_normal_subgroups()
-        y_normals = y_obj.group.all_normal_subgroups()
         for b in hs.homs:
-            for nx in x_normals:
-                tx, inc_x = subobject(x_obj, nx)
-                fx, proj_x = quotient_vgroup(x_obj, nx)
-                for ny in y_normals:
-                    if any(b(v) not in set(ny) for v in nx):
+            for nx, inc_x, proj_x in sequences[hs.dom]:
+                for ny, inc_y, proj_y in sequences[hs.cod]:
+                    a_vert = factor_through_mono(inc_x.then(b), inc_y)
+                    if a_vert is None:
                         continue
-                    ty, inc_y = subobject(y_obj, ny)
-                    fy, proj_y = quotient_vgroup(y_obj, ny)
-                    pos = {v: i for i, v in enumerate(ny)}
-                    a_vert = VHom(tx, ty, [pos[b(v)] for v in nx])
-                    c_map = [0] * fx.size
-                    for v in range(x_obj.size):
-                        c_map[proj_x(v)] = proj_y(b(v))
-                    c_vert = VHom(fx, fy, c_map)
-                    if not (validate_hom(a_vert).ok and validate_hom(c_vert).ok):
+                    c_vert = factor_through_epi(proj_x, b.then(proj_y))
+                    if c_vert is None or not (validate_hom(a_vert).ok
+                                              and validate_hom(c_vert).ok):
                         continue
                     checked += 1
                     p, to_ty, to_x = pullback(inc_y, b)
@@ -285,11 +270,9 @@ def check_torsion_theory(suite, uniqueness_max_carrier=4):
             failures.append((obj.name, "quotient not separated"))
         if obj.vgroup.size <= uniqueness_max_carrier:
             canonical = set(dec.injection.mapping)
-            for alt in obj.vgroup.group.all_normal_subgroups():
-                t_alt, _ = subobject(obj.vgroup, alt)
-                f_alt, _ = quotient_vgroup(obj.vgroup, alt)
-                if classify_object(t_alt).indiscrete and \
-                        classify_object(f_alt).separated and \
+            for alt, inclusion, projection in _exact_sequences(obj.vgroup):
+                if classify_object(inclusion.dom).indiscrete and \
+                        classify_object(projection.cod).separated and \
                         set(alt) != canonical:
                     failures.append((obj.name, "alternative sequence", alt))
     vanish_checked = 0
@@ -328,11 +311,8 @@ def check_reflection_naturality(suite):
             failures.append((dom.name, cod.name, f.mapping, "reflected invalid"))
         if dd.projection.then(reflected) != f.then(cd.projection):
             failures.append((dom.name, cod.name, f.mapping, "unit naturality"))
-        pos = {x: i for i, x in enumerate(cd.injection.mapping)}
-        try:
-            restricted = VHom(dd.torsion, cd.torsion,
-                              [pos[f(x)] for x in dd.injection.mapping])
-        except KeyError:
+        restricted = factor_through_mono(dd.injection.then(f), cd.injection)
+        if restricted is None:
             failures.append((dom.name, cod.name, f.mapping,
                              "torsion restriction missing"))
             continue
@@ -356,9 +336,10 @@ def check_morphism_classification(suite):
             failures.append((dom.name, cod.name, f.mapping, str(exc)))
             continue
         ker_obj, _ = kernel(f)
-        if is_covering(f) != classify_object(ker_obj).separated:
+        covering = is_covering(f)
+        if covering != classify_object(ker_obj).separated:
             failures.append((dom.name, cod.name, f.mapping, "covering-kernel"))
-        if report.covering != is_covering(f):
+        if report.covering != covering:
             failures.append((dom.name, cod.name, f.mapping, "covering-flag"))
     return _result("morphism_classification", failures, checked=checked)
 

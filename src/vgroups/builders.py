@@ -8,6 +8,7 @@ that need totality skip marked sets.
 """
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .groups import FiniteGroup
 from .quantale import boolean, lawvere_chain, ultrametric_chain
@@ -65,14 +66,17 @@ class Suite:
     hom_sets: list
     caps: dict = field(default_factory=dict)
 
+    @cached_property
+    def _hom_set_at(self):
+        # Built on first lookup: the suite that check_objects regenerates is
+        # never queried, and indexing it too costs 2.6 MB of peak memory at full.
+        return {(hs.dom, hs.cod): hs for hs in self.hom_sets}
+
     def objects_over(self, quantale_name):
         return [o for o in self.objects if o.quantale_name == quantale_name]
 
     def homs_between(self, i, j):
-        for hs in self.hom_sets:
-            if hs.dom == i and hs.cod == j:
-                return hs
-        return None
+        return self._hom_set_at.get((i, j))
 
     def all_homs(self):
         """Every enumerated morphism with its endpoint objects."""

@@ -178,24 +178,17 @@ def verify_cover_window(cover, radius):
     if witness is not None:
         report.add("window-transitivity", (elems[i] for i in witness))
 
-    done = False
-    for shift in elems:
-        for p in elems:
-            ps = cover.op(p, shift)
-            if abs(ps[0]) > radius:
-                continue
-            for r in elems:
-                rs = cover.op(r, shift)
-                if abs(rs[0]) > radius:
-                    continue
-                if rel(p, r) != rel(ps, rs):
-                    report.add("window-shift-invariance", (shift, p, r))
-                    done = True
-                    break
-            if done:
-                break
-        if done:
-            break
+    n, gop = base.size, base.group.op
+
+    def shifted(i, s):
+        """The window index of elems[i] + elems[s], or None outside the
+        window; elements are level-major, so (z, x) sits at (z + radius) * n + x."""
+        (z, x), (sz, sx) = elems[i], elems[s]
+        return (z + sz + radius) * n + gop(x, sx) if abs(z + sz) <= radius else None
+
+    witness = laws.shift_invariance(window.matrix, shifted)
+    if witness is not None:
+        report.add("window-shift-invariance", (elems[i] for i in witness))
 
     ident = cover.identity
     for p in elems:

@@ -20,9 +20,9 @@ from dataclasses import dataclass, field
 
 from .errors import NonIntegralQuantaleError, StructuralError, TheoremCheckError
 from .torsion import decompose, reflected_map, torsion_members
-from .vgroup import (VGroup, VHom, classify_hom, classify_object, is_isomorphism,
-                     kernel, pullback, pullback_comparison, quotient_vgroup,
-                     validate_hom)
+from .vgroup import (VGroup, VHom, classify_hom, classify_object,
+                     factor_through_epi, is_isomorphism, kernel, pullback,
+                     pullback_comparison, quotient_vgroup, validate_hom)
 
 _DECOMPOSE_CACHE = {}
 
@@ -224,10 +224,10 @@ def monotone_light_factorize(f):
             f"torsion part of the kernel of {f!r} is not normal in the domain, "
             f"witness {witness}")
     middle, e = quotient_vgroup(dom, torsion_of_kernel)
-    mapping = [0] * middle.size
-    for x in range(dom.size):
-        mapping[e(x)] = f(x)
-    m = VHom(middle, f.cod, mapping)
+    m = factor_through_epi(e, f)
+    if m is None:
+        raise TheoremCheckError(
+            f"stabilized factorization of {f!r} has no induced right leg")
     if e.then(m) != f:
         raise TheoremCheckError(
             f"stabilized factorization of {f!r} does not compose to it")

@@ -94,17 +94,7 @@ class FiniteGroup:
 
     @classmethod
     def direct_product(cls, a, b):
-        na, nb = a.size, b.size
-        def idx(i, j):
-            return i * nb + j
-        table = [[0] * (na * nb) for _ in range(na * nb)]
-        for i1 in range(na):
-            for j1 in range(nb):
-                for i2 in range(na):
-                    for j2 in range(nb):
-                        table[idx(i1, j1)][idx(i2, j2)] = idx(a.op(i1, i2), b.op(j1, j2))
-        names = [f"({a.names[i]},{b.names[j]})" for i in range(na) for j in range(nb)]
-        return cls(table, names=names)
+        return pair_group(a, b, [(i, j) for i in range(a.size) for j in range(b.size)])
 
     @classmethod
     def symmetric3(cls):
@@ -208,6 +198,19 @@ def subgroup_group(group, subset):
     pos = {x: i for i, x in enumerate(subset)}
     table = [[pos[group.op(x, y)] for y in subset] for x in subset]
     return FiniteGroup(table, names=[group.names[x] for x in subset])
+
+
+def pair_group(a, b, pairs):
+    """The subgroup of the direct product of a and b on a list of pairs
+    (i, j), in list order, with the operation taken componentwise and
+    elements named "(a,b)"."""
+    pos = {pair: k for k, pair in enumerate(pairs)}
+    try:
+        table = [[pos[a.op(i1, i2), b.op(j1, j2)] for i2, j2 in pairs]
+                 for i1, j1 in pairs]
+    except KeyError:
+        raise StructuralError("subset is not a subgroup") from None
+    return FiniteGroup(table, names=[f"({a.names[i]},{b.names[j]})" for i, j in pairs])
 
 
 def quotient_group(group, normal_subset):

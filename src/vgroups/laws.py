@@ -40,13 +40,17 @@ def separation(q, a):
 
 
 def shift_invariance(a, op):
-    """First (s, x, y) with a(x, y) != a(x + s, y + s)."""
+    """First (s, x, y) with a(x, y) != a(x + s, y + s), skipping x and y
+    whose shift ``op`` leaves undefined (None)."""
     rng = range(len(a))
     for s in rng:
+        moved = [op(x, s) for x in rng]
         for x in rng:
-            ax, shifted = a[x], a[op(x, s)]
+            if moved[x] is None:
+                continue
+            ax, shifted = a[x], a[moved[x]]
             for y in rng:
-                if ax[y] != shifted[op(y, s)]:
+                if moved[y] is not None and ax[y] != shifted[moved[y]]:
                     return (s, x, y)
     return None
 

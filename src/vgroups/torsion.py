@@ -24,8 +24,9 @@ from .errors import (CapacityError, NonIntegralQuantaleError, StructuralError,
                      TheoremCheckError)
 from .reports import ValidationReport
 from .vgroup import (VGroup, VHom, classify_hom, classify_object,
-                     enumerate_homs, image_factorize, quotient_vgroup,
-                     subobject, trivial_vgroup, validate_vgroup)
+                     enumerate_homs, factor_through_epi, factor_through_mono,
+                     image_factorize, quotient_vgroup, subobject,
+                     trivial_vgroup, validate_vgroup)
 from .vrel import VRel
 
 
@@ -146,10 +147,11 @@ def coreflect(g):
 def reflected_map(f, dom_dec, cod_dec):
     """The map between the separated quotients of two decompositions
     that f induces (coset to coset)."""
-    mapping = [0] * dom_dec.quotient.size
-    for x in range(f.dom.size):
-        mapping[dom_dec.projection(x)] = cod_dec.projection(f(x))
-    return VHom(dom_dec.quotient, cod_dec.quotient, mapping)
+    reflected = factor_through_epi(dom_dec.projection, f.then(cod_dec.projection))
+    if reflected is None:
+        raise TheoremCheckError(
+            f"homomorphism {f!r} does not induce a map between the separated quotients")
+    return reflected
 
 
 def reflect_morphism(f):
@@ -159,17 +161,13 @@ def reflect_morphism(f):
 
 def coreflect_morphism(f):
     """The restriction of a map to the torsion parts."""
-    dom_t, dom_inj = coreflect(f.dom)
-    cod_t, cod_inj = coreflect(f.cod)
-    pos = {x: i for i, x in enumerate(cod_inj.mapping)}
-    mapping = []
-    for x in dom_inj.mapping:
-        y = f(x)
-        if y not in pos:
-            raise TheoremCheckError(
-                f"homomorphism {f!r} does not restrict to the torsion parts")
-        mapping.append(pos[y])
-    return VHom(dom_t, cod_t, mapping)
+    _, dom_inj = coreflect(f.dom)
+    _, cod_inj = coreflect(f.cod)
+    restricted = factor_through_mono(dom_inj.then(f), cod_inj)
+    if restricted is None:
+        raise TheoremCheckError(
+            f"homomorphism {f!r} does not restrict to the torsion parts")
+    return restricted
 
 
 def symmetric_coreflect(g):

@@ -18,7 +18,8 @@ from itertools import product as iproduct
 
 from . import laws
 from .errors import CapacityError, StructuralError, TheoremCheckError
-from .groups import FiniteGroup, group_isomorphisms, quotient_group, subgroup_group
+from .groups import (FiniteGroup, group_isomorphisms, pair_group, quotient_group,
+                     subgroup_group)
 from .reports import ValidationReport
 from .vrel import VRel
 
@@ -220,7 +221,7 @@ def validate_vgroup(g):
     report.notes["nonabelian_shift_finding"] = (not agree) and not abelian
     if not agree and abelian:
         raise TheoremCheckError(
-            "shift route and compatibility route disagree on an abelian carrier")
+            f"shift route and compatibility route disagree on an abelian carrier: {g!r}")
     return report
 
 
@@ -243,7 +244,7 @@ def classify_object(g):
     sep_full = laws.separation(q, a) is None
     if sep_reduced != sep_full:
         raise TheoremCheckError(
-            "one-variable and two-variable separation checks disagree")
+            f"one-variable and two-variable separation checks disagree for {g!r}")
     symmetric = all(a[x][y] == a[y][x] for x in rng for y in rng)
     ident = VRel.identity(q, n)
     discrete = g.structure == ident
@@ -314,10 +315,8 @@ def _final_structure(g, classes):
 
 
 def kernel(f):
-    """Kernel subobject: group kernel with the restricted structure."""
-    ker = tuple(sorted(x for x in range(f.dom.size)
-                       if f(x) == f.cod.group.identity))
-    return subobject(f.dom, ker)
+    """Kernel subobject: the equalizer of f and the zero map."""
+    return equalizer(f, zero_hom(f.dom, f.cod))
 
 
 def cokernel(f):
@@ -340,47 +339,66 @@ def cokernel(f):
 
 
 def product(g, h):
-    """Binary product: product group, entrywise meet structure."""
-    grp = FiniteGroup.direct_product(g.group, h.group)
-    q = g.quantale
-    if h.quantale != q:
+    """Binary product: the pullback over the one-point object, so every
+    pair of elements, in lexicographic order."""
+    if h.quantale != g.quantale:
         raise StructuralError("product needs a shared quantale")
-    nb = h.size
-    entries = [[q.meet(g.entry(i1, i2), h.entry(j1, j2))
-                for i2 in range(g.size) for j2 in range(nb)]
-               for i1 in range(g.size) for j1 in range(nb)]
-    return VGroup(grp, q, VRel(q, entries))
+    point = trivial_vgroup(g.quantale)
+    return pullback(zero_hom(g, point), zero_hom(h, point))[0]
 
 
 def pullback(f, g):
     """Pullback of a cospan f: X -> Z, g: W -> Z.
 
-    The carrier is the subgroup of pairs agreeing in Z, the structure the
-    entrywise meet restricted there.  Returns (P, to_dom_of_f, to_dom_of_g).
+    The carrier is the subgroup of pairs agreeing in Z, in lexicographic
+    order, the structure the entrywise meet restricted there.  Returns
+    (P, to_dom_of_f, to_dom_of_g).
     """
     if f.cod != g.cod:
         raise StructuralError("pullback needs a common codomain")
-    prod = product(f.dom, g.dom)
-    nb = g.dom.size
-    subset = [i * nb + j
-              for i in range(f.dom.size) for j in range(nb)
-              if f(i) == g(j)]
-    p, include = subobject(prod, subset)
-    pi1 = VHom(p, f.dom, [s // nb for s in include.mapping])
-    pi2 = VHom(p, g.dom, [s % nb for s in include.mapping])
-    return p, pi1, pi2
+    x, w, q = f.dom, g.dom, f.cod.quantale
+    pairs = [(i, j) for i in range(x.size) for j in range(w.size) if f(i) == g(j)]
+    entries = [[q.meet(x.entry(i1, i2), w.entry(j1, j2)) for i2, j2 in pairs]
+               for i1, j1 in pairs]
+    p = VGroup(pair_group(x.group, w.group, pairs), q, VRel(q, entries))
+    return p, VHom(p, x, [i for i, _ in pairs]), VHom(p, w, [j for _, j in pairs])
 
 
 def pullback_comparison(p, pi1, pi2, u1, u2):
     """The universal map into a pullback, given a commuting cone (u1, u2)."""
+    hits = {}
+    for i in range(p.size):
+        hits.setdefault((pi1(i), pi2(i)), []).append(i)
     mapping = []
     for x in range(u1.dom.size):
-        hits = [i for i in range(p.size)
-                if pi1(i) == u1(x) and pi2(i) == u2(x)]
-        if len(hits) != 1:
-            raise TheoremCheckError("pullback comparison is not well-defined")
-        mapping.append(hits[0])
+        found = hits.get((u1(x), u2(x)), ())
+        if len(found) != 1:
+            raise TheoremCheckError(
+                f"pullback comparison is not well-defined at element "
+                f"{u1.dom.group.names[x]!r} of {u1.dom!r}: {len(found)} hits")
+        mapping.append(found[0])
     return VHom(u1.dom, p, mapping)
+
+
+def factor_through_mono(f, m):
+    """The map h with h.then(m) == f, or None when f does not land in the
+    image of the monomorphism m."""
+    pos = {y: i for i, y in enumerate(m.mapping)}
+    mapping = [pos.get(y) for y in f.mapping]
+    if None in mapping:
+        return None
+    return VHom(f.dom, m.dom, mapping)
+
+
+def factor_through_epi(e, f):
+    """The map h with e.then(h) == f, or None when f is not constant on the
+    fibres of the epimorphism e."""
+    mapping = [None] * e.cod.size
+    for v, y in zip(e.mapping, f.mapping):
+        if mapping[v] not in (None, y):
+            return None
+        mapping[v] = y
+    return VHom(e.cod, f.cod, mapping)
 
 
 def equalizer(f, g):
@@ -407,12 +425,10 @@ def image_factorize(f):
     """
     image = f.image_set()
     sub = subgroup_group(f.cod.group, image)
-    pos = {y: i for i, y in enumerate(image)}
     q = f.dom.quantale
     middle = VGroup(sub, q, VRel(q, _final_structure(f.dom, _fibers(f, image))))
-    e = VHom(f.dom, middle, [pos[f(x)] for x in range(f.dom.size)])
     m = VHom(middle, f.cod, image)
-    return e, middle, m
+    return factor_through_mono(f, m), middle, m
 
 
 def _fibers(f, targets):

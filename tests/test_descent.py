@@ -1,9 +1,13 @@
+import random
+
 import pytest
 
 from vgroups import (FiniteGroup, NonIntegralQuantaleError, StructuralError,
-                     VHom, Window, action_of_covering, descent_cover,
-                     discrete_vgroup, enumerate_structures, identity_hom,
-                     kernel_pair_groupoid, verify_cover_window)
+                     VGroup, VHom, VRel, Window, action_of_covering,
+                     descent_cover, discrete_vgroup, enumerate_structures,
+                     identity_hom, kernel_pair_groupoid, lawvere_chain,
+                     standard_suite, structure_from_delta,
+                     verify_cover_window)
 from vgroups.descent import require_clean
 from vgroups.errors import TheoremCheckError
 
@@ -144,3 +148,41 @@ def test_require_clean_raises():
     rep.add("some-law", (1,))
     with pytest.raises(TheoremCheckError):
         require_clean(rep)
+
+
+def first_shift_witness(cover, radius):
+    """The right-shift scan of a window, read off the lazy formula."""
+    elems = cover.window_elements(radius)
+    for shift in elems:
+        for p in elems:
+            ps = cover.op(p, shift)
+            if abs(ps[0]) > radius:
+                continue
+            for r in elems:
+                rs = cover.op(r, shift)
+                if abs(rs[0]) <= radius and \
+                        cover.relation(p, r) != cover.relation(ps, rs):
+                    return (shift, p, r)
+    return None
+
+
+def test_window_shift_scan_matches_the_formula():
+    rng = random.Random(0)
+    q = lawvere_chain(2)
+    groups = [FiniteGroup.cyclic(2), FiniteGroup.cyclic(3), FiniteGroup.symmetric3()]
+    lawless = [VGroup(grp, q, VRel(q, [[rng.randrange(q.size) for _ in range(grp.size)]
+                                       for _ in range(grp.size)]))
+               for grp in groups for _ in range(4)]
+    # invariant under right shifts but not under left shifts
+    one_sided = structure_from_delta(FiniteGroup.symmetric3(), q, (0, 1, 2, 2, 2, 2))
+    bases = [o.vgroup for o in standard_suite("smoke").objects] + lawless + [one_sided]
+    found = 0
+    for base in bases:
+        cover, _ = descent_cover(base)
+        for radius in (1, 2):
+            shift = [v.witness for v in verify_cover_window(cover, radius).violations
+                     if v.law == "window-shift-invariance"]
+            want = first_shift_witness(cover, radius)
+            assert shift == ([] if want is None else [want])
+            found += want is not None
+    assert found > 0

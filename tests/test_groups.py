@@ -1,6 +1,7 @@
 import pytest
 
 from vgroups import FiniteGroup, StructuralError, group_isomorphism, quotient_group, subgroup_group
+from vgroups.groups import pair_group
 
 
 class TestConstruction:
@@ -28,6 +29,19 @@ class TestConstruction:
         assert k4.size == 4
         assert k4.is_abelian
         assert all(k4.op(x, x) == k4.identity for x in range(4))
+
+    def test_direct_product_table_and_names(self):
+        z2x3 = FiniteGroup.direct_product(FiniteGroup.cyclic(2), FiniteGroup.cyclic(3))
+        # element (i, j) sits at 3 * i + j
+        assert z2x3.table == ((0, 1, 2, 3, 4, 5), (1, 2, 0, 4, 5, 3),
+                              (2, 0, 1, 5, 3, 4), (3, 4, 5, 0, 1, 2),
+                              (4, 5, 3, 1, 2, 0), (5, 3, 4, 2, 0, 1))
+        assert z2x3.names == ("(0,0)", "(0,1)", "(0,2)", "(1,0)", "(1,1)", "(1,2)")
+
+    def test_pair_group_rejects_unclosed_pairs(self):
+        z2 = FiniteGroup.cyclic(2)
+        with pytest.raises(StructuralError, match="subset is not a subgroup"):
+            pair_group(z2, z2, [(0, 0), (1, 0), (0, 1)])
 
     def test_rejects_non_associative(self):
         with pytest.raises(StructuralError):

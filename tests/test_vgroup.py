@@ -1,17 +1,21 @@
 import itertools
+import re
+from collections import defaultdict
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from vgroups import (CapacityError, FiniteGroup, StructuralError, VHom, VRel,
-                     classify_hom, classify_object, cokernel, coequalizer,
-                     discrete_vgroup, enumerate_homs, enumerate_structures,
-                     equalizer, identity_hom, image_factorize,
-                     indiscrete_vgroup, is_isomorphism, kernel, product,
-                     pullback, structure_from_delta, trivial_vgroup,
-                     validate_hom, validate_vgroup, vgroup_isomorphism,
-                     zero_hom)
-from vgroups.vgroup import is_final, pullback_comparison
+from vgroups import (CapacityError, FiniteGroup, StructuralError,
+                     TheoremCheckError, VGroup, VHom, VRel, classify_hom,
+                     classify_object, cokernel, coequalizer, discrete_vgroup,
+                     enumerate_homs, enumerate_structures, equalizer,
+                     identity_hom, image_factorize, indiscrete_vgroup,
+                     is_isomorphism, kernel, lawvere_chain, product, pullback,
+                     standard_suite, structure_from_delta, subobject,
+                     trivial_vgroup, validate_hom, validate_vgroup,
+                     vgroup_isomorphism, zero_hom)
+from vgroups.vgroup import (factor_through_epi, factor_through_mono, is_final,
+                            pullback_comparison)
 
 
 class TestValidation:
@@ -201,6 +205,72 @@ class TestLimits:
         p, pi1, pi2 = pullback(ident, ident)
         u = pullback_comparison(p, pi1, pi2, ident, ident)
         assert is_isomorphism(u)
+
+    def test_pullback_comparison_names_the_cone_element(self, z4_bool):
+        ident = identity_hom(z4_bool)
+        p, pi1, pi2 = pullback(ident, ident)
+        # (identity, zero) does not commute: element 1 goes to (1, 0),
+        # which no pair of the diagonal pullback hits.
+        message = f"at element '1' of {z4_bool!r}: 0 hits"
+        with pytest.raises(TheoremCheckError, match=re.escape(message)):
+            pullback_comparison(p, pi1, pi2, ident, zero_hom(z4_bool, z4_bool))
+
+
+def reference_product(g, h):
+    """The product as built before pullbacks were built from pair lists."""
+    q = g.quantale
+    entries = [[q.meet(g.entry(i1, i2), h.entry(j1, j2))
+                for i2 in range(g.size) for j2 in range(h.size)]
+               for i1 in range(g.size) for j1 in range(h.size)]
+    return VGroup(FiniteGroup.direct_product(g.group, h.group), q, VRel(q, entries))
+
+
+def test_pullback_matches_subobject_of_product():
+    """Over every cospan among the smoke objects and among the
+    endomorphisms of one lawvere-chain object on S3, the pullback equals
+    the subobject of the product on the agreeing pairs, legs and names
+    included.  Each distinct (domains, agreeing pairs) reference is built
+    once."""
+    into = defaultdict(list)
+    for _, cod, f in standard_suite("smoke").all_homs():
+        into[cod.name].append(f)
+    s3 = structure_from_delta(FiniteGroup.symmetric3(), lawvere_chain(2),
+                              (0, 1, 1, 2, 2, 1))
+    assert validate_vgroup(s3).ok
+    into["s3"] = enumerate_homs(s3, s3)
+    products, expected = {}, {}
+    for homs in into.values():
+        for f, g in itertools.product(homs, repeat=2):
+            x, w = f.dom, g.dom
+            nb = w.size
+            subset = tuple(i * nb + j for i in range(x.size) for j in range(nb)
+                           if f(i) == g(j))
+            key = (x, w, subset)
+            if key not in expected:
+                if (x, w) not in products:
+                    products[x, w] = reference_product(x, w)
+                    assert product(x, w) == products[x, w]
+                p, include = subobject(products[x, w], subset)
+                expected[key] = (p, VHom(p, x, [s // nb for s in include.mapping]),
+                                 VHom(p, w, [s % nb for s in include.mapping]))
+            got = pullback(f, g)
+            assert got == expected[key]
+            assert got[0].group.names == expected[key][0].group.names
+    assert len(products) > 400
+
+
+class TestInducedMaps:
+    def test_into_subobject(self, z4_bool, z2_discrete):
+        _, inc = subobject(z4_bool, (0, 2))
+        assert factor_through_mono(identity_hom(z4_bool), inc) is None
+        zero = zero_hom(z2_discrete, z4_bool)
+        h = factor_through_mono(zero, inc)
+        assert h.then(inc) == zero
+
+    def test_out_of_quotient(self, z4_bool, quotient_to_z2):
+        assert factor_through_epi(quotient_to_z2, identity_hom(z4_bool)) is None
+        h = factor_through_epi(quotient_to_z2, quotient_to_z2)
+        assert h == identity_hom(quotient_to_z2.cod)
 
 
 class TestImageFactorization:
