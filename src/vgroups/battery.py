@@ -14,7 +14,7 @@ from . import laws
 from .builders import standard_suite
 from .descent import descent_cover, kernel_pair_groupoid, verify_cover_window
 from .errors import TheoremCheckError
-from .factorization import (cached_decomposition, classify_morphism, is_covering,
+from .factorization import (cached_decomposition, is_covering,
                             monotone_light_factorize, reflective_factorize)
 from .quantale import validate_quantale
 from .torsion import (default_test_family, is_null_object, pretorsion_decompose,
@@ -260,7 +260,7 @@ def check_torsion_theory(suite, uniqueness_max_carrier=4):
     failures = []
     for obj in suite.objects:
         try:
-            dec = cached_decomposition(obj.vgroup)
+            dec = cached_decomposition(obj.vgroup, suite.cache)
         except TheoremCheckError as exc:
             failures.append((obj.name, f"decompose: {exc}"))
             continue
@@ -304,8 +304,8 @@ def check_reflection_naturality(suite):
     checked = 0
     for dom, cod, f in suite.all_homs():
         checked += 1
-        dd = cached_decomposition(f.dom)
-        cd = cached_decomposition(f.cod)
+        dd = cached_decomposition(f.dom, suite.cache)
+        cd = cached_decomposition(f.cod, suite.cache)
         reflected = reflected_map(f, dd, cd)
         if not validate_hom(reflected).ok:
             failures.append((dom.name, cod.name, f.mapping, "reflected invalid"))
@@ -331,7 +331,7 @@ def check_morphism_classification(suite):
     for dom, cod, f in suite.all_homs():
         checked += 1
         try:
-            report = classify_morphism(f)
+            report = suite.cache.report(f)
         except TheoremCheckError as exc:
             failures.append((dom.name, cod.name, f.mapping, str(exc)))
             continue
@@ -350,8 +350,8 @@ def check_factorizations(suite, uniqueness_cap=200):
     for dom, cod, f in suite.all_homs():
         checked += 1
         try:
-            refl = reflective_factorize(f)
-            light = monotone_light_factorize(f)
+            refl = reflective_factorize(f, suite.cache)
+            light = monotone_light_factorize(f, suite.cache)
         except TheoremCheckError as exc:
             failures.append((dom.name, cod.name, f.mapping, str(exc)))
             continue
@@ -372,8 +372,8 @@ def check_factorizations(suite, uniqueness_cap=200):
                     for m2 in hs_m.homs:
                         if e2.then(m2) != f:
                             continue
-                        rep_e = classify_morphism(e2)
-                        rep_m = classify_morphism(m2)
+                        rep_e = suite.cache.report(e2)
+                        rep_m = suite.cache.report(m2)
                         if side == "reflective":
                             matching = rep_e.reflector_inverted and rep_m.trivial_covering
                         else:
@@ -394,14 +394,14 @@ def check_stable_class_pullbacks(suite, cap=250):
     checked = 0
     homs = suite.all_homs()
     for dom, cod, f in homs:
-        if not classify_morphism(f).stably_inverted:
+        if not suite.cache.report(f).stably_inverted:
             continue
         for dom2, cod2, g in homs:
             if cod2.vgroup != cod.vgroup or checked >= cap:
                 continue
             checked += 1
             _, _, pulled = pullback(f, g)
-            if not classify_morphism(pulled).reflector_inverted:
+            if not suite.cache.report(pulled).reflector_inverted:
                 failures.append((dom.name, f.mapping, dom2.name, g.mapping))
     return _result("stable_class_pullbacks", failures, pullbacks=checked)
 

@@ -10,6 +10,7 @@ that need totality skip marked sets.
 from dataclasses import dataclass, field
 from functools import cached_property
 
+from .factorization import ClassCache
 from .groups import FiniteGroup
 from .quantale import boolean, lawvere_chain, ultrametric_chain
 from .vgroup import enumerate_homs, enumerate_structures
@@ -65,6 +66,9 @@ class Suite:
     objects: list
     hom_sets: list
     caps: dict = field(default_factory=dict)
+    # Decompositions and class reports, shared by every check of one run.
+    cache: ClassCache = field(default_factory=ClassCache, compare=False,
+                              repr=False)
 
     @cached_property
     def _hom_set_at(self):

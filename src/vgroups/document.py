@@ -90,11 +90,13 @@ def _parse_object(group_spec, structure_spec, quantale):
     return VGroup(group, quantale, VRel(quantale, entries))
 
 
-def parse_document(data, base_dir=None):
+def parse_document(data, base_dir=None, loading=()):
     """Build the in-memory objects from a parsed JSON value.
 
     Cross-references and index ranges are checked here; algebraic laws
-    are not (run the validators for those).
+    are not (run the validators for those).  ``loading`` holds the
+    resolved paths of the documents that reference this one, so that a
+    reference cycle is reported instead of followed.
     """
     try:
         jsonschema.validate(data, SCHEMA)
@@ -110,7 +112,7 @@ def parse_document(data, base_dir=None):
                 raise StructuralError(
                     f"morphism {spec['name']!r} references a file but no base "
                     "directory is known")
-            ref = load_document(Path(base_dir) / target)
+            ref = load_document(Path(base_dir) / target, loading)
             if ref.quantale != quantale:
                 raise StructuralError(
                     f"morphism {spec['name']!r}: target document uses a "
@@ -129,17 +131,24 @@ def parse_document(data, base_dir=None):
                              morphism_specs=list(data.get("morphisms", ())))
 
 
-def load_document(path):
+def load_document(path, loading=()):
     path = Path(path)
+    resolved = path.resolve()
+    if resolved in loading:
+        chain = " -> ".join(str(p) for p in (*loading, resolved))
+        raise StructuralError(f"{path} is part of a document reference cycle: {chain}")
     try:
         text = path.read_text(encoding="utf-8")
     except OSError as exc:
         raise StructuralError(f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise StructuralError(f"{path} is not UTF-8 text: {exc}") from exc
     try:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise StructuralError(f"{path} is not valid JSON: {exc}") from exc
-    return parse_document(data, base_dir=path.parent)
+    return parse_document(data, base_dir=path.parent,
+                          loading=(*loading, resolved))
 
 
 def _emit_quantale(doc):

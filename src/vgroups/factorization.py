@@ -17,6 +17,7 @@ output classes and composite instead of assuming them.
 """
 
 from dataclasses import dataclass, field
+from types import MappingProxyType
 
 from .errors import NonIntegralQuantaleError, StructuralError, TheoremCheckError
 from .torsion import decompose, reflected_map, torsion_members
@@ -24,19 +25,57 @@ from .vgroup import (VGroup, VHom, classify_hom, classify_object,
                      factor_through_epi, is_isomorphism, kernel, pullback,
                      pullback_comparison, quotient_vgroup, validate_hom)
 
-_DECOMPOSE_CACHE = {}
+
+class ClassCache:
+    """Torsion decompositions and morphism class reports, kept for one run.
+
+    Decompositions are keyed by object.  A report is keyed by the cached
+    objects that are its domain and codomain, plus its mapping, so the
+    cache holds no object that it has not decomposed; morphisms with the
+    same flags share one report object.  Entries are read-only.
+    """
+
+    __slots__ = ("decompositions", "reports", "_shared")
+
+    def __init__(self):
+        self.decompositions = {}
+        self.reports = {}
+        self._shared = {}
+
+    def _report_key(self, f):
+        """The report key of f, or None while an endpoint is undecomposed."""
+        dom_dec = self.decompositions.get(f.dom)
+        cod_dec = self.decompositions.get(f.cod)
+        if dom_dec is None or cod_dec is None:
+            return None
+        return dom_dec.object, cod_dec.object, f.mapping
+
+    def report(self, f):
+        """The class report of f, classified on the first request only."""
+        report = self.reports.get(self._report_key(f))
+        if report is None:
+            report = classify_morphism(f, self)
+        return report
+
+    def _record(self, f, report):
+        flags = (report.reflector_inverted, report.trivial_covering,
+                 report.stably_inverted, report.covering,
+                 tuple(sorted(report.cross_checks.items())))
+        report = self._shared.setdefault(flags, report)
+        self.reports[self._report_key(f)] = report
+        return report
 
 
-def cached_decomposition(g):
-    """Torsion decomposition memoized by object; treat results as read-only."""
-    d = _DECOMPOSE_CACHE.get(g)
+def cached_decomposition(g, cache):
+    """The torsion decomposition of g, computed once per cache."""
+    d = cache.decompositions.get(g)
     if d is None:
         d = decompose(g)
-        _DECOMPOSE_CACHE[g] = d
+        cache.decompositions[g] = d
     return d
 
 
-@dataclass
+@dataclass(frozen=True)
 class MorphismClassReport:
     reflector_inverted: bool       # the reflector sends the morphism to an iso
     trivial_covering: bool         # reflection naturality square is a pullback
@@ -54,7 +93,7 @@ class MorphismClassReport:
         }
 
 
-def classify_morphism(f):
+def classify_morphism(f, cache=None):
     """Total class flags for a morphism, each computed twice.
 
     Left-class flag: definitionally the reflected morphism must be an
@@ -67,7 +106,9 @@ def classify_morphism(f):
     parts and that the structure is the meet of the two pulled-back
     ones.  The stabilized flags are computed from the kernel; their
     containment in the unstabilized classes is recorded as a cross
-    check.  Any route disagreement raises.
+    check.  Any route disagreement raises.  The decompositions come
+    from ``cache`` (a fresh one when omitted), and the report is recorded
+    there; ``cache.report(f)`` looks it up before classifying again.
     """
     if not f.dom.quantale.is_integral:
         raise NonIntegralQuantaleError(
@@ -76,9 +117,11 @@ def classify_morphism(f):
     if not validate_hom(f).ok:
         raise StructuralError("cannot classify an invalid homomorphism")
 
+    if cache is None:
+        cache = ClassCache()
     q = f.dom.quantale
-    dom_dec = cached_decomposition(f.dom)
-    cod_dec = cached_decomposition(f.cod)
+    dom_dec = cached_decomposition(f.dom, cache)
+    cod_dec = cached_decomposition(f.cod, cache)
     n_dom = set(dom_dec.injection.mapping)
     n_cod = set(cod_dec.injection.mapping)
     reflected = reflected_map(f, dom_dec, cod_dec)
@@ -134,9 +177,10 @@ def classify_morphism(f):
     if not all(cross.values()):
         raise TheoremCheckError(
             f"class containment cross-check failed for {f!r}: {cross}")
-    return MorphismClassReport(
+    return cache._record(f, MorphismClassReport(
         reflector_inverted=inverted_def, trivial_covering=trivial_def,
-        stably_inverted=stably_inverted, covering=covering, cross_checks=cross)
+        stably_inverted=stably_inverted, covering=covering,
+        cross_checks=MappingProxyType(cross)))
 
 
 def is_covering(f):
@@ -170,17 +214,20 @@ class Factorization:
         }
 
 
-def reflective_factorize(f):
+def reflective_factorize(f, cache=None):
     """Split f through the pullback of its reflection against the unit.
 
     The middle is the pullback of the reflected morphism along the
     codomain's projection; the left leg is the induced comparison, the
     right leg the pullback projection.  Post-verifies that the left leg
     is inverted by the reflector, the right leg is a trivial covering,
-    and the composite is f; any failure raises.
+    and the composite is f; any failure raises.  Decompositions and leg
+    reports come from ``cache``, a fresh one when omitted.
     """
-    dom_dec = cached_decomposition(f.dom)
-    cod_dec = cached_decomposition(f.cod)
+    if cache is None:
+        cache = ClassCache()
+    dom_dec = cached_decomposition(f.dom, cache)
+    cod_dec = cached_decomposition(f.cod, cache)
     reflected = reflected_map(f, dom_dec, cod_dec)
     p, to_cod, to_refl = pullback(cod_dec.projection, reflected)
     e = pullback_comparison(p, to_cod, to_refl, f, dom_dec.projection)
@@ -191,8 +238,8 @@ def reflective_factorize(f):
     if not validate_hom(e).ok or not validate_hom(m).ok:
         raise TheoremCheckError(
             f"reflective factorization of {f!r} produced an invalid leg")
-    report_e = classify_morphism(e)
-    report_m = classify_morphism(m)
+    report_e = cache.report(e)
+    report_m = cache.report(m)
     if not report_e.reflector_inverted:
         raise TheoremCheckError(
             f"left leg {e!r} of {f!r} is not inverted by the reflector")
@@ -202,7 +249,7 @@ def reflective_factorize(f):
     return Factorization(e=e, middle=p, m=m, system="reflective")
 
 
-def monotone_light_factorize(f):
+def monotone_light_factorize(f, cache=None):
     """Split f through the quotient by the torsion part of its kernel.
 
     The subgroup being quotiented is normal in the whole domain (the
@@ -211,10 +258,13 @@ def monotone_light_factorize(f):
     codomain is well-defined because the quotiented subgroup sits inside
     the kernel.  Post-verifies the class membership of both legs and the
     composite; a failure here would be a finding about the construction,
-    not a tolerated state, so it raises.
+    not a tolerated state, so it raises.  Leg reports come from
+    ``cache``, a fresh one when omitted.
     """
     if not f.dom.quantale.is_integral:
         raise NonIntegralQuantaleError("stabilized factorization needs an integral quantale")
+    if cache is None:
+        cache = ClassCache()
     dom = f.dom
     torsion_of_kernel = torsion_members(
         dom, [x for x in range(dom.size) if f(x) == f.cod.group.identity])
@@ -234,8 +284,8 @@ def monotone_light_factorize(f):
     if not validate_hom(m).ok:
         raise TheoremCheckError(
             f"stabilized factorization of {f!r} produced an invalid leg")
-    report_e = classify_morphism(e)
-    report_m = classify_morphism(m)
+    report_e = cache.report(e)
+    report_m = cache.report(m)
     if not report_e.stably_inverted:
         raise TheoremCheckError(
             f"left leg {e!r} of {f!r} is not a normal epi with indiscrete kernel")

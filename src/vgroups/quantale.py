@@ -139,7 +139,8 @@ class Quantale:
                 self.unit, self.bottom, self.top)
 
     def __eq__(self, other):
-        return isinstance(other, Quantale) and self._key() == other._key()
+        return self is other or (isinstance(other, Quantale)
+                                 and self._key() == other._key())
 
     def __hash__(self):
         return hash(self._key())

@@ -27,7 +27,7 @@ ENUMERATION_CAP = 10 ** 6
 
 
 class VGroup:
-    __slots__ = ("group", "quantale", "structure", "name")
+    __slots__ = ("group", "quantale", "structure", "name", "_hash")
 
     def __init__(self, group, quantale, structure, name=None):
         if not isinstance(structure, VRel):
@@ -41,6 +41,7 @@ class VGroup:
         self.quantale = quantale
         self.structure = structure
         self.name = name
+        self._hash = None
 
     @property
     def size(self):
@@ -57,10 +58,16 @@ class VGroup:
         return (self.group, self.quantale, self.structure)
 
     def __eq__(self, other):
-        return isinstance(other, VGroup) and self._key() == other._key()
+        if self is other:
+            return True
+        return (isinstance(other, VGroup) and hash(self) == hash(other)
+                and self._key() == other._key())
 
     def __hash__(self):
-        return hash(self._key())
+        # Computed on first use: the key is fixed once the object exists.
+        if self._hash is None:
+            self._hash = hash(self._key())
+        return self._hash
 
     def __repr__(self):
         tag = self.name or f"order {self.size}"

@@ -18,6 +18,14 @@ def invoke(*argv):
     return code, out.getvalue()
 
 
+def referencing_document(target):
+    """Z2 over the booleans with one morphism whose target is a file path."""
+    return {"quantale": {"builtin": "boolean"},
+            "group": {"elements": ["0", "1"], "table": [["0", "1"], ["1", "0"]]},
+            "structure": [["top", "bot"], ["bot", "top"]],
+            "morphisms": [{"name": "f", "target": target, "map": ["0", "1"]}]}
+
+
 class TestValidate:
     def test_shipped_documents_pass(self):
         code, text = invoke("validate",
@@ -51,6 +59,29 @@ class TestValidate:
         path.write_text("{\"quantale\": {\"builtin\": \"boolean\"}}", encoding="utf-8")
         code, _ = invoke("validate", "--input", str(path))
         assert code == 2
+
+    def test_non_utf8_document_exits_two(self, tmp_path):
+        path = tmp_path / "bad.json"
+        path.write_bytes(b"\xff\xfe{")
+        code, text = invoke("validate", "--input", str(path))
+        assert (code, text) == (2, "")
+
+    def test_self_referencing_target_exits_two(self, tmp_path, capsys):
+        path = tmp_path / "self.json"
+        path.write_text(canonical_json(referencing_document("self.json")),
+                        encoding="utf-8")
+        assert invoke("validate", "--input", str(path))[0] == 2
+        assert "self.json is part of a document reference cycle" in \
+            capsys.readouterr().err
+
+    def test_two_file_reference_cycle_exits_two(self, tmp_path, capsys):
+        for name, other in (("a.json", "b.json"), ("b.json", "a.json")):
+            (tmp_path / name).write_text(
+                canonical_json(referencing_document(other)), encoding="utf-8")
+        assert invoke("validate", "--input", str(tmp_path / "a.json"))[0] == 2
+        err = capsys.readouterr().err
+        assert "a.json is part of a document reference cycle" in err
+        assert "b.json ->" in err
 
     def test_missing_input_exits_two(self):
         code, _ = invoke("classify")

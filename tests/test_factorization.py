@@ -1,15 +1,19 @@
+import dataclasses
 import itertools
 import re
 
 import pytest
 
 from vgroups import factorization
-from vgroups import (FiniteGroup, NonIntegralQuantaleError, TheoremCheckError, VHom,
+from vgroups import (FiniteGroup, NonIntegralQuantaleError, StructuralError,
+                     TheoremCheckError, VHom,
                      classify_morphism, classify_object, discrete_vgroup,
                      enumerate_homs, enumerate_structures, identity_hom,
                      is_covering, is_isomorphism, kernel,
                      monotone_light_factorize, product, pullback,
-                     reflective_factorize, trivial_vgroup, zero_hom)
+                     reflective_factorize, run_battery, standard_suite,
+                     trivial_vgroup, zero_hom)
+from vgroups.factorization import ClassCache
 from vgroups.vgroup import factorization_middle_iso
 
 
@@ -165,6 +169,74 @@ class TestStability:
                                        "monotone_light_factorize"])
 def test_failed_post_check_names_the_morphism(monkeypatch, quotient_to_z2, factorize):
     refuted = factorization.MorphismClassReport(False, False, False, False)
-    monkeypatch.setattr(factorization, "classify_morphism", lambda f: refuted)
+    monkeypatch.setattr(factorization, "classify_morphism",
+                        lambda f, cache=None: refuted)
     with pytest.raises(TheoremCheckError, match=re.escape(repr(quotient_to_z2))):
         getattr(factorization, factorize)(quotient_to_z2)
+
+
+class TestClassCache:
+    @pytest.fixture(scope="class")
+    def factorized_smoke(self):
+        """The smoke suite's cache after both factorizations of every
+        morphism, and each distinct morphism and leg they touched."""
+        suite = standard_suite("smoke")
+        touched = {}
+        for _, _, f in suite.all_homs():
+            touched[f] = None
+            for fact in (reflective_factorize(f, suite.cache),
+                         monotone_light_factorize(f, suite.cache)):
+                touched[fact.e] = touched[fact.m] = None
+        return suite.cache, list(touched)
+
+    def test_cached_report_matches_fresh_classification(self, factorized_smoke):
+        cache, morphisms = factorized_smoke
+        for f in morphisms:
+            report = cache.report(f)
+            assert cache.report(f) is report
+            assert report.as_dict() == classify_morphism(f).as_dict()
+
+    def test_one_report_object_per_flag_set(self, factorized_smoke):
+        cache, morphisms = factorized_smoke
+        for f in morphisms:
+            cache.report(f)
+        reports = {id(r): r for r in cache.reports.values()}
+        flag_sets = {repr(r.as_dict()) for r in reports.values()}
+        assert len(reports) == len(flag_sets)
+
+    def test_report_keys_are_decomposed_objects(self, factorized_smoke):
+        cache, _ = factorized_smoke
+        held = {id(d.object) for d in cache.decompositions.values()}
+        assert held == {id(g) for g in cache.decompositions}
+        for dom, cod, _ in cache.reports:
+            assert id(dom) in held and id(cod) in held
+
+    def test_lookup_raises_like_an_uncached_call(self, non_integral_q, z2,
+                                                 quotient_to_z2):
+        cache = ClassCache()
+        cache.report(quotient_to_z2)  # both endpoints are now decomposed
+        not_a_hom = VHom(quotient_to_z2.dom, quotient_to_z2.cod, [0, 1, 1, 0])
+        non_integral = identity_hom(discrete_vgroup(z2, non_integral_q))
+        for f, error in ((not_a_hom, StructuralError),
+                         (non_integral, NonIntegralQuantaleError)):
+            with pytest.raises(error) as uncached:
+                classify_morphism(f)
+            with pytest.raises(error) as cached:
+                cache.report(f)
+            assert str(cached.value) == str(uncached.value)
+            assert len(cache.reports) == 1
+
+    def test_report_is_frozen(self, quotient_to_z2):
+        report = classify_morphism(quotient_to_z2)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            report.covering = not report.covering
+        with pytest.raises(TypeError):
+            report.cross_checks["left_routes_agree"] = False
+
+    def test_battery_runs_do_not_share_state(self):
+        first = [r.as_dict() for r in run_battery("smoke")]
+        assert [r.as_dict() for r in run_battery("smoke")] == first
+        assert not hasattr(factorization, "_DECOMPOSE_CACHE")
+        assert not [name for name, value in vars(factorization).items()
+                    if isinstance(value, (dict, list, set))
+                    and not name.startswith("__")]
