@@ -8,7 +8,7 @@ as exit code 1.
 """
 
 from dataclasses import dataclass, field
-from itertools import product as iproduct
+from itertools import islice, product as iproduct
 
 from . import laws
 from .builders import standard_suite
@@ -171,6 +171,7 @@ def check_ses_morphism_pullback(suite, max_carrier=4):
         if hs.truncated or hs.dom not in sequences or hs.cod not in sequences:
             continue
         for b in hs.homs:
+            pulled = {}  # pullback(inc_y, b) by ny; it does not depend on nx
             for nx, inc_x, proj_x in sequences[hs.dom]:
                 for ny, inc_y, proj_y in sequences[hs.cod]:
                     a_vert = factor_through_mono(inc_x.then(b), inc_y)
@@ -181,7 +182,9 @@ def check_ses_morphism_pullback(suite, max_carrier=4):
                                               and validate_hom(c_vert).ok):
                         continue
                     checked += 1
-                    p, to_ty, to_x = pullback(inc_y, b)
+                    if ny not in pulled:
+                        pulled[ny] = pullback(inc_y, b)
+                    p, to_ty, to_x = pulled[ny]
                     try:
                         comparison = pullback_comparison(
                             p, to_ty, to_x, a_vert, inc_x)
@@ -237,20 +240,24 @@ def check_image_factorization(suite, uniqueness_cap=300):
 
 # -- pullback stability -------------------------------------------------------
 
+def _pulled_back(suite, keep, cap):
+    """(f, g, the pullback of f along g) for each morphism f that ``keep``
+    accepts and each morphism g into the codomain of f, in suite order,
+    for the first ``cap`` such cospans."""
+    homs = [f for _, _, f in suite.all_homs()]
+    cospans = ((f, g) for f in homs if keep(f) for g in homs if g.cod == f.cod)
+    for f, g in islice(cospans, cap):
+        yield f, g, pullback(f, g)[2]
+
+
 def check_regular_epi_stability(suite, cospan_cap=400):
     failures = []
     checked = 0
-    homs = suite.all_homs()
-    for dom, cod, f in homs:
-        if not classify_hom(f).regular_epi:
-            continue
-        for dom2, cod2, g in homs:
-            if cod2.vgroup != cod.vgroup or checked >= cospan_cap:
-                continue
-            checked += 1
-            _, _, pulled = pullback(f, g)
-            if not classify_hom(pulled).regular_epi:
-                failures.append((dom.name, cod.name, f.mapping, g.mapping))
+    for f, g, pulled in _pulled_back(suite, lambda f: classify_hom(f).regular_epi,
+                                     cospan_cap):
+        checked += 1
+        if not classify_hom(pulled).regular_epi:
+            failures.append((f.dom.name, f.cod.name, f.mapping, g.mapping))
     return _result("regular_epi_pullback_stability", failures, cospans=checked)
 
 
@@ -392,17 +399,11 @@ def check_stable_class_pullbacks(suite, cap=250):
     """Morphisms flagged stably-inverted stay reflector-inverted under pullback."""
     failures = []
     checked = 0
-    homs = suite.all_homs()
-    for dom, cod, f in homs:
-        if not suite.cache.report(f).stably_inverted:
-            continue
-        for dom2, cod2, g in homs:
-            if cod2.vgroup != cod.vgroup or checked >= cap:
-                continue
-            checked += 1
-            _, _, pulled = pullback(f, g)
-            if not suite.cache.report(pulled).reflector_inverted:
-                failures.append((dom.name, f.mapping, dom2.name, g.mapping))
+    for f, g, pulled in _pulled_back(
+            suite, lambda f: suite.cache.report(f).stably_inverted, cap):
+        checked += 1
+        if not suite.cache.report(pulled).reflector_inverted:
+            failures.append((f.dom.name, f.mapping, g.dom.name, g.mapping))
     return _result("stable_class_pullbacks", failures, pullbacks=checked)
 
 

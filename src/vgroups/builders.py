@@ -65,7 +65,6 @@ class Suite:
     groups: list
     objects: list
     hom_sets: list
-    caps: dict = field(default_factory=dict)
     # Decompositions and class reports, shared by every check of one run.
     cache: ClassCache = field(default_factory=ClassCache, compare=False,
                               repr=False)
@@ -104,8 +103,7 @@ class Suite:
                 for obj in self.objects}
 
 
-def standard_suite(level="smoke", per_pair_cap=PER_PAIR_HOM_CAP,
-                   total_budget=TOTAL_HOM_BUDGET):
+def standard_suite(level="smoke", per_pair_cap=PER_PAIR_HOM_CAP):
     """The fixture battery: builtin quantales x small groups x all structures.
 
     smoke: boolean and the 3-element truncated-sum chain, over the
@@ -136,7 +134,7 @@ def standard_suite(level="smoke", per_pair_cap=PER_PAIR_HOM_CAP,
                                            group_name=gname, vgroup=vg))
 
     hom_sets = []
-    budget = total_budget
+    budget = TOTAL_HOM_BUDGET
     for i, a in enumerate(objects):
         for j, b in enumerate(objects):
             if a.quantale_name != b.quantale_name:
@@ -152,6 +150,4 @@ def standard_suite(level="smoke", per_pair_cap=PER_PAIR_HOM_CAP,
                                    truncated=False, candidates=candidates))
 
     return Suite(level=level, quantales=quantales, groups=groups,
-                 objects=objects, hom_sets=hom_sets,
-                 caps={"per_pair_hom_cap": per_pair_cap,
-                       "total_hom_budget": total_budget})
+                 objects=objects, hom_sets=hom_sets)

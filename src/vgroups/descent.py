@@ -86,11 +86,13 @@ def _guard(what, count, cap):
         raise CapacityError(f"a {what} of {count} elements exceeds the cap of {cap}")
 
 
-def _pair_structure(cover, e1, e2):
-    """The meet structure on kernel-pair elements (level, level, point)."""
+def _pair_structure(window, e1, e2):
+    """The meet structure on kernel-pair elements (level, level, point),
+    read off the window matrix."""
     (a1, b1, x1), (a2, b2, x2) = e1, e2
-    rel = cover.relation
-    return cover.quantale.meet(rel((a1, x1), (a2, x2)), rel((b1, x1), (b2, x2)))
+    w, at = window.matrix, window.index
+    return window.cover.quantale.meet(w[at(a1, x1)][at(a2, x2)],
+                                      w[at(b1, x1)][at(b2, x2)])
 
 
 def _separation_witness(q, elements, matrix):
@@ -130,11 +132,15 @@ class Window:
     def __post_init__(self):
         if self.radius < 1:
             raise StructuralError("window radius must be at least 1")
-        _guard("window", (2 * self.radius + 1) * self.cover.base.size,
-               WINDOW_ELEMENT_CAP)
+        self.width = self.cover.base.size
+        _guard("window", (2 * self.radius + 1) * self.width, WINDOW_ELEMENT_CAP)
         self.elements = self.cover.window_elements(self.radius)
         self.matrix = [[self.cover.relation(p, q) for q in self.elements]
                        for p in self.elements]
+
+    def index(self, z, x):
+        """The position of (z, x) in ``elements``, which are level-major."""
+        return (z + self.radius) * self.width + x
 
     def agrees_with_formula(self):
         return all(self.matrix[i][j] == self.cover.relation(p, q)
@@ -178,13 +184,12 @@ def verify_cover_window(cover, radius):
     if witness is not None:
         report.add("window-transitivity", (elems[i] for i in witness))
 
-    n, gop = base.size, base.group.op
+    gop = base.group.op
 
     def shifted(i, s):
-        """The window index of elems[i] + elems[s], or None outside the
-        window; elements are level-major, so (z, x) sits at (z + radius) * n + x."""
+        """The window index of elems[i] + elems[s], or None outside the window."""
         (z, x), (sz, sx) = elems[i], elems[s]
-        return (z + sz + radius) * n + gop(x, sx) if abs(z + sz) <= radius else None
+        return window.index(z + sz, gop(x, sx)) if abs(z + sz) <= radius else None
 
     witness = laws.shift_invariance(window.matrix, shifted)
     if witness is not None:
@@ -199,15 +204,10 @@ def verify_cover_window(cover, radius):
     if witness is not None:
         report.add("window-separation", witness)
 
-    for p in elems:
-        broke = False
-        for r in elems:
-            if not q.leq(rel(p, r), base.entry(p[1], r[1])):
-                report.add("projection-compatibility", (p, r))
-                broke = True
-                break
-        if broke:
-            break
+    witness = laws.compatibility(q, window.matrix, base.structure.entries,
+                                 [cover.projection(p) for p in elems])
+    if witness is not None:
+        report.add("projection-compatibility", (elems[i] for i in witness))
 
     for x in range(base.size):
         if cover.projection(cover.section(x)) != x:
@@ -251,41 +251,27 @@ def kernel_pair_groupoid(cover, radius):
     report = ValidationReport(subject=f"kernel-pair-groupoid-r{radius}")
     base = cover.base
     q = base.quantale
-    rel = cover.relation
-    levels = 2 * radius + 1
-    _guard("window", levels * base.size, WINDOW_ELEMENT_CAP)
-    _guard("kernel pair", levels * levels * base.size, KERNEL_PAIR_ELEMENT_CAP)
-    carrier = [(z1, z2, x)
-               for z1 in range(-radius, radius + 1)
-               for z2 in range(-radius, radius + 1)
-               for x in range(base.size)]
-    matrix = [[_pair_structure(cover, e1, e2) for e2 in carrier] for e1 in carrier]
+    window = Window(cover, radius)
+    levels = range(-radius, radius + 1)
+    _guard("kernel pair", len(levels) ** 2 * base.size, KERNEL_PAIR_ELEMENT_CAP)
+    carrier = [(z1, z2, x) for z1 in levels for z2 in levels for x in range(base.size)]
+    matrix = [[_pair_structure(window, e1, e2) for e2 in carrier] for e1 in carrier]
 
-    done = False
-    for e1, row in zip(carrier, matrix):
-        for e2, v in zip(carrier, row):
-            if not q.leq(v, rel((e1[0], e1[2]), (e2[0], e2[2]))):
-                report.add("first-projection-compatibility", (e1, e2))
-                done = True
-                break
-            if not q.leq(v, rel((e1[1], e1[2]), (e2[1], e2[2]))):
-                report.add("second-projection-compatibility", (e1, e2))
-                done = True
-                break
-        if done:
-            break
+    first, second = (laws.compatibility(q, matrix, window.matrix,
+                                        [window.index(e[k], e[2]) for e in carrier])
+                     for k in (0, 1))
+    # one witness for both projections: the first in carrier order, the
+    # first projection's on a tie
+    if first is not None and (second is None or first <= second):
+        report.add("first-projection-compatibility", (carrier[i] for i in first))
+    elif second is not None:
+        report.add("second-projection-compatibility", (carrier[i] for i in second))
 
-    for p in cover.window_elements(radius):
-        broke = False
-        for r in cover.window_elements(radius):
-            d1 = (p[0], p[0], p[1])
-            d2 = (r[0], r[0], r[1])
-            if _pair_structure(cover, d1, d2) != rel(p, r):
-                report.add("diagonal-embedding", (p, r))
-                broke = True
-                break
-        if broke:
-            break
+    position = {e: i for i, e in enumerate(carrier)}
+    witness = laws.reflection(window.matrix, matrix,
+                              [position[(z, z, x)] for z, x in window.elements])
+    if witness is not None:
+        report.add("diagonal-embedding", (window.elements[i] for i in witness))
 
     witness = _separation_witness(q, carrier, matrix)
     if witness is not None:
@@ -312,20 +298,20 @@ def action_of_covering(alpha, cover, radius):
         raise StructuralError(
             "not a covering: the kernel is not separated")
     report = ValidationReport(subject=f"action-r{radius}")
-    base = cover.base
+    window = Window(cover, radius)
     dom = alpha.dom
-    q = base.quantale
-    rel = cover.relation
+    q = cover.quantale
     levels = range(-radius, radius + 1)
     carrier = [(z, a) for z in levels for a in range(dom.size)]
+    position = {w: i for i, w in enumerate(carrier)}
 
     def anchor(w):
         return (w[0], alpha(w[1]))
 
-    def carrier_structure(w1, w2):
-        return q.meet(rel(anchor(w1), anchor(w2)), dom.entry(w1[1], w2[1]))
-
-    matrix = [[carrier_structure(w1, w2) for w2 in carrier] for w1 in carrier]
+    anchors = [window.index(*anchor(w)) for w in carrier]
+    matrix = [[q.meet(window.matrix[i1][i2], dom.entry(w1[1], w2[1]))
+               for i2, w2 in zip(anchors, carrier)]
+              for i1, w1 in zip(anchors, carrier)]
 
     # acting arrows: (z1, z2, x) with x a base point; composable with w when
     # the second level and the anchored point match.
@@ -376,32 +362,24 @@ def action_of_covering(alpha, cover, radius):
         if broke:
             break
 
-    done = False
-    for w1, row in zip(carrier, matrix):
-        for w2, v in zip(carrier, row):
-            if not q.leq(v, rel(anchor(w1), anchor(w2))):
-                report.add("anchor-compatibility", (w1, w2))
-                done = True
-                break
-        if done:
-            break
+    witness = laws.compatibility(q, matrix, window.matrix, anchors)
+    if witness is not None:
+        report.add("anchor-compatibility", (carrier[i] for i in witness))
 
     # the action map itself must be structure-compatible: composable pairs
-    # carry the meet of the acting-arrow structure and the carrier structure
+    # carry the meet of the acting-arrow structure and the carrier structure.
+    # Their matrix is read lazily, so the scan stops at its first witness.
     composable = [((z1, z2, alpha(a)), (z2, a))
                   for z1 in levels for z2 in levels for a in range(dom.size)]
-    done = False
-    for arrow1, w1 in composable:
-        for arrow2, w2 in composable:
-            before = q.meet(_pair_structure(cover, arrow1, arrow2),
-                            carrier_structure(w1, w2))
-            after = carrier_structure(action(arrow1, w1), action(arrow2, w2))
-            if not q.leq(before, after):
-                report.add("action-map-compatibility", (arrow1, w1, arrow2, w2))
-                done = True
-                break
-        if done:
-            break
+    before = ((q.meet(_pair_structure(window, arrow1, arrow2),
+                      matrix[position[w1]][position[w2]])
+               for arrow2, w2 in composable)
+              for arrow1, w1 in composable)
+    witness = laws.compatibility(q, before, matrix,
+                                 [position[action(*pair)] for pair in composable])
+    if witness is not None:
+        (arrow1, w1), (arrow2, w2) = (composable[i] for i in witness)
+        report.add("action-map-compatibility", (arrow1, w1, arrow2, w2))
 
     witness = _separation_witness(q, carrier, matrix)
     if witness is not None:

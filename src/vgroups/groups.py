@@ -8,6 +8,7 @@ enough (at most a few dozen elements) that cubic scans are free.
 
 from itertools import permutations
 
+from . import laws
 from .errors import StructuralError
 
 
@@ -252,8 +253,7 @@ def group_isomorphisms(g, h):
         mapping[g.identity] = h.identity
         for x, y in zip(others, perm):
             mapping[x] = y
-        if all(mapping[g.op(x, y)] == h.op(mapping[x], mapping[y])
-               for x in range(n) for y in range(n)):
+        if laws.homomorphism(g.table, h.table, mapping) is None:
             yield tuple(mapping)
 
 

@@ -1,10 +1,16 @@
-"""First-witness scanners for the laws of a quantale-valued structure.
+"""First-witness scanners for the laws of a quantale-valued structure
+and of the maps between such structures.
 
 Each scanner walks a square matrix ``a`` of quantale indices (``a[x][y]``
 is the value from x to y) in lexicographic order of its witness tuple and
 returns the first index tuple that violates its law, or None when the law
-holds.  The shift and compatibility scanners also take the group
-operation ``op``.  Callers map the indices back to labels or elements.
+holds.  The shift and addition-compatibility scanners also take the group
+operation ``op``.  The morphism scanners ``compatibility`` and
+``reflection`` take a second matrix ``b`` and an index map ``m`` from the
+rows of ``a`` to the rows of ``b``; they read ``a`` one row and one entry
+at a time, so its rows may be generators and nothing past the first
+witness is computed.  ``homomorphism`` reads two Cayley tables along
+``m`` instead.  Callers map the indices back to labels or elements.
 """
 
 
@@ -68,4 +74,36 @@ def addition_compatibility(q, a, op):
                 for y2 in rng:
                     if not leq[times[ay1[y2]]][target[op(x2, y2)]]:
                         return (x1, x2, y1, y2)
+    return None
+
+
+def homomorphism(op_a, op_b, m):
+    """First (x, y) with m(x + y) != m(x) + m(y), over the Cayley tables
+    ``op_a`` and ``op_b``."""
+    for x, (row, mx) in enumerate(zip(op_a, m)):
+        target = op_b[mx]
+        for y, xy in enumerate(row):
+            if m[xy] != target[m[y]]:
+                return (x, y)
+    return None
+
+
+def compatibility(q, a, b, m):
+    """First (x, y) with a(x, y) not below b(m x, m y)."""
+    leq = q.leq_table
+    for x, ax in enumerate(a):
+        bx = b[m[x]]
+        for y, axy in enumerate(ax):
+            if not leq[axy][bx[m[y]]]:
+                return (x, y)
+    return None
+
+
+def reflection(a, b, m):
+    """First (x, y) with a(x, y) != b(m x, m y)."""
+    for x, ax in enumerate(a):
+        bx = b[m[x]]
+        for y, axy in enumerate(ax):
+            if axy != bx[m[y]]:
+                return (x, y)
     return None

@@ -20,6 +20,7 @@ from . import laws
 from .errors import CapacityError, StructuralError, TheoremCheckError
 from .groups import (FiniteGroup, group_isomorphisms, pair_group, quotient_group,
                      subgroup_group)
+from .quantale import validate_quantale
 from .reports import ValidationReport
 from .vrel import VRel
 
@@ -204,7 +205,9 @@ def validate_vgroup(g):
     three are its classical reformulation, provably equivalent for
     abelian carriers.  For nonabelian carriers right-shift invariance
     plus transitivity can hold while compatibility fails; the report
-    flags that in ``notes`` as a finding rather than resolving it.
+    flags that in ``notes`` as a finding rather than resolving it.  The
+    equivalence needs the quantale's own laws, so over a lawless quantale
+    a disagreement is left in ``notes`` as ``routes_agree: false``.
     """
     report = ValidationReport(subject="vgroup")
     q, grp, a = g.quantale, g.group, g.structure.entries
@@ -226,7 +229,7 @@ def validate_vgroup(g):
     report.notes["routes_agree"] = agree
     report.notes["abelian"] = abelian
     report.notes["nonabelian_shift_finding"] = (not agree) and not abelian
-    if not agree and abelian:
+    if not agree and abelian and validate_quantale(q).ok:
         raise TheoremCheckError(
             f"shift route and compatibility route disagree on an abelian carrier: {g!r}")
     return report
@@ -263,26 +266,15 @@ def validate_hom(f):
     """Group-homomorphism law plus structure compatibility, with witnesses."""
     report = ValidationReport(subject="hom")
     dom, cod, m = f.dom, f.cod, f.mapping
-    q = dom.quantale
     gl, hl = dom.group.names, cod.group.names
-    for x in range(dom.size):
-        for y in range(dom.size):
-            if m[dom.group.op(x, y)] != cod.group.op(m[x], m[y]):
-                report.add("group-homomorphism", (gl[x], gl[y]))
-                break
-        else:
-            continue
-        break
-    for x in range(dom.size):
-        broke = False
-        for y in range(dom.size):
-            if not q.leq(dom.entry(x, y), cod.entry(m[x], m[y])):
-                report.add("structure-compatibility",
-                           (gl[x], gl[y], hl[m[x]], hl[m[y]]))
-                broke = True
-                break
-        if broke:
-            break
+    witness = laws.homomorphism(dom.group.table, cod.group.table, m)
+    if witness is not None:
+        report.add("group-homomorphism", (gl[x] for x in witness))
+    witness = laws.compatibility(dom.quantale, dom.structure.entries,
+                                 cod.structure.entries, m)
+    if witness is not None:
+        x, y = witness
+        report.add("structure-compatibility", (gl[x], gl[y], hl[m[x]], hl[m[y]]))
     return report
 
 
@@ -290,8 +282,8 @@ def is_isomorphism(f):
     """Bijective and structure-reflecting; the inverse is then a hom too."""
     if not (f.is_injective() and f.is_surjective()):
         return False
-    return all(f.dom.entry(x, y) == f.cod.entry(f(x), f(y))
-               for x in range(f.dom.size) for y in range(f.dom.size))
+    return laws.reflection(f.dom.structure.entries, f.cod.structure.entries,
+                           f.mapping) is None
 
 
 # -- limits, colimits, factorization ---------------------------------------
@@ -462,8 +454,8 @@ def classify_hom(f):
     regular_epi = epi and is_final(f)
     normal_mono = (mono
                    and f.cod.group.is_normal_subgroup(f.image_set())
-                   and all(f.dom.entry(x, y) == f.cod.entry(f(x), f(y))
-                           for x in range(f.dom.size) for y in range(f.dom.size)))
+                   and laws.reflection(f.dom.structure.entries,
+                                       f.cod.structure.entries, f.mapping) is None)
     alias = regular_epi and f.dom.quantale.is_integral
     return HomClassification(mono=mono, epi=epi, regular_epi=regular_epi,
                              normal_mono=normal_mono, normal_epi_alias=alias)
@@ -513,21 +505,14 @@ def enumerate_homs(dom, cod, cap=ENUMERATION_CAP):
         raise CapacityError(
             f"{count} candidate maps exceed the cap of {cap}")
     q = dom.quantale
-    n, m = dom.size, cod.size
-    gop, hop = dom.group.op, cod.group.op
+    ta, tb = dom.group.table, cod.group.table
     a, b = dom.structure.entries, cod.structure.entries
-    out = []
-    for mapping in iproduct(range(m), repeat=n):
-        if mapping[dom.group.identity] != cod.group.identity:
-            continue
-        if not all(mapping[gop(x, y)] == hop(mapping[x], mapping[y])
-                   for x in range(n) for y in range(n)):
-            continue
-        if not all(q.leq(a[x][y], b[mapping[x]][mapping[y]])
-                   for x in range(n) for y in range(n)):
-            continue
-        out.append(VHom(dom, cod, mapping))
-    return out
+    ea, eb = dom.group.identity, cod.group.identity
+    return [VHom(dom, cod, mapping)
+            for mapping in iproduct(range(cod.size), repeat=dom.size)
+            if mapping[ea] == eb
+            and laws.homomorphism(ta, tb, mapping) is None
+            and laws.compatibility(q, a, b, mapping) is None]
 
 
 def vgroup_isomorphism(g, h):
@@ -535,10 +520,8 @@ def vgroup_isomorphism(g, h):
     among the group isomorphisms."""
     if g.quantale != h.quantale:
         return None
-    n = g.size
     for mapping in group_isomorphisms(g.group, h.group):
-        if all(g.entry(x, y) == h.entry(mapping[x], mapping[y])
-               for x in range(n) for y in range(n)):
+        if laws.reflection(g.structure.entries, h.structure.entries, mapping) is None:
             return VHom(g, h, mapping)
     return None
 

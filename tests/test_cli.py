@@ -4,8 +4,10 @@ from pathlib import Path
 
 import pytest
 
+from vgroups import discrete_vgroup, laws, validate_vgroup
 from vgroups.cli import run
 from vgroups.document import canonical_json
+from vgroups.errors import TheoremCheckError
 
 DOCS = Path(__file__).parent.parent / "documents"
 TEST_DOCS = Path(__file__).parent / "documents"
@@ -113,6 +115,34 @@ class TestValidate:
         code, text = invoke("decompose", "--input", str(path), "--format", "json")
         assert code == 1
         assert json.loads(text)["ok"] is False
+
+    def test_route_disagreement_over_a_lawless_quantale_is_reported(self, tmp_path,
+                                                                   capsys):
+        # the route equivalence is a theorem over lawful quantales only
+        doc = {
+            "quantale": {"elements": ["e0", "e1"],
+                         "leq": [[True, True], [True, True]],
+                         "tensor": [["e0", "e0"], ["e0", "e0"]],
+                         "unit": "e1", "bottom": "e0", "top": "e1"},
+            "group": {"elements": ["0", "1", "2"],
+                      "table": [["0", "1", "2"], ["1", "2", "0"], ["2", "0", "1"]]},
+            "structure": [["e1", "e1", "e1"], ["e0", "e1", "e0"], ["e1", "e0", "e0"]],
+        }
+        path = tmp_path / "lawless_quantale.json"
+        path.write_text(canonical_json(doc), encoding="utf-8")
+        code, text = invoke("validate", "--input", str(path), "--format", "json")
+        assert code == 1
+        report = json.loads(text)["documents"][0]
+        assert report["quantale"]["ok"] is False
+        assert report["structure"]["notes"]["routes_agree"] is False
+        assert "theorem check failed" not in capsys.readouterr().err
+
+    def test_route_disagreement_over_a_lawful_quantale_raises(self, monkeypatch, bool_q,
+                                                              z2):
+        monkeypatch.setattr(laws, "addition_compatibility",
+                            lambda q, a, op: (0, 0, 0, 0))
+        with pytest.raises(TheoremCheckError):
+            validate_vgroup(discrete_vgroup(z2, bool_q))
 
     def test_invalid_inline_target_detected(self, tmp_path):
         doc = {

@@ -2,8 +2,8 @@ import random
 
 import pytest
 
-from vgroups import (FiniteGroup, NonIntegralQuantaleError, StructuralError,
-                     VGroup, VHom, VRel, Window, action_of_covering,
+from vgroups import (FiniteGroup, NonIntegralQuantaleError, Quantale,
+                     StructuralError, VGroup, VHom, VRel, Window, action_of_covering,
                      descent_cover, discrete_vgroup, enumerate_structures,
                      identity_hom, kernel_pair_groupoid, lawvere_chain,
                      standard_suite, structure_from_delta,
@@ -186,3 +186,110 @@ def test_window_shift_scan_matches_the_formula():
             assert shift == ([] if want is None else [want])
             found += want is not None
     assert found > 0
+
+
+MATRIX_LAWS = ("projection-compatibility", "first-projection-compatibility",
+               "second-projection-compatibility", "diagonal-embedding",
+               "anchor-compatibility", "action-map-compatibility")
+
+
+def reference_pair_structure(cover, e1, e2):
+    (a1, b1, x1), (a2, b2, x2) = e1, e2
+    rel = cover.relation
+    return cover.quantale.meet(rel((a1, x1), (a2, x2)), rel((b1, x1), (b2, x2)))
+
+
+def reference_witnesses(cover, radius, alpha):
+    """The projection, diagonal-embedding, anchor and action-map scans,
+    written as loops over the lazy formula."""
+    base, q, rel = cover.base, cover.quantale, cover.relation
+    elems = cover.window_elements(radius)
+    levels = range(-radius, radius + 1)
+    out = {}
+
+    def scan(law, pairs, fails):
+        for pair in pairs:
+            if fails(*pair):
+                out[law] = pair
+                return
+
+    scan("projection-compatibility", ((p, r) for p in elems for r in elems),
+         lambda p, r: not q.leq(rel(p, r), base.entry(p[1], r[1])))
+    carrier = [(z1, z2, x) for z1 in levels for z2 in levels for x in range(base.size)]
+    for e1 in carrier:
+        for e2 in carrier:
+            v = reference_pair_structure(cover, e1, e2)
+            if not q.leq(v, rel((e1[0], e1[2]), (e2[0], e2[2]))):
+                out["first-projection-compatibility"] = (e1, e2)
+            elif not q.leq(v, rel((e1[1], e1[2]), (e2[1], e2[2]))):
+                out["second-projection-compatibility"] = (e1, e2)
+            else:
+                continue
+            break
+        else:
+            continue
+        break
+    scan("diagonal-embedding", ((p, r) for p in elems for r in elems),
+         lambda p, r: reference_pair_structure(
+             cover, (p[0], p[0], p[1]), (r[0], r[0], r[1])) != rel(p, r))
+
+    dom = alpha.dom
+    actions = [(z, a) for z in levels for a in range(dom.size)]
+
+    def anchor(w):
+        return (w[0], alpha(w[1]))
+
+    def structure(w1, w2):
+        return q.meet(rel(anchor(w1), anchor(w2)), dom.entry(w1[1], w2[1]))
+
+    scan("anchor-compatibility", ((w1, w2) for w1 in actions for w2 in actions),
+         lambda w1, w2: not q.leq(structure(w1, w2), rel(anchor(w1), anchor(w2))))
+    composable = [((z1, z2, alpha(a)), (z2, a))
+                  for z1 in levels for z2 in levels for a in range(dom.size)]
+    scan("action-map-compatibility",
+         (c1 + c2 for c1 in composable for c2 in composable),
+         lambda arrow1, w1, arrow2, w2: not q.leq(
+             q.meet(reference_pair_structure(cover, arrow1, arrow2), structure(w1, w2)),
+             structure((arrow1[0], w1[1]), (arrow2[0], w2[1]))))
+    return out
+
+
+def integral_order(leq, rows):
+    """A three-element quantale on an arbitrary order, with unit = top, and
+    a structure over it."""
+    q = Quantale(labels=["0", "1", "2"], leq=leq,
+                 tensor=[[min(u, v) for v in range(3)] for u in range(3)],
+                 unit=2, bottom=0, top=2)
+    return q, VRel(q, rows)
+
+
+def test_descent_matrix_scans_match_the_formula():
+    rng = random.Random(1)
+    q = lawvere_chain(2)
+    groups = [FiniteGroup.cyclic(2), FiniteGroup.cyclic(3), FiniteGroup.symmetric3()]
+    lawless = [VGroup(grp, q, VRel(q, [[rng.randrange(q.size) for _ in range(grp.size)]
+                                       for _ in range(grp.size)]))
+               for grp in groups for _ in range(3)]
+    # below the unit on the diagonal: the projection is not compatible
+    non_reflexive = VGroup(groups[0], q, VRel(q, [[1, 2], [0, 1]]))
+    # integral orders that are not partial orders.  A meet that is not
+    # idempotent (1 ^ 1 = 0) breaks the diagonal embedding; a cyclic order
+    # (1 <= 0 <= 2 <= 1) breaks the compatibility of the action map.
+    odd_meet = VGroup(groups[0], *integral_order([[1, 1, 1], [0, 0, 1], [0, 0, 1]],
+                                                 [[2, 1], [1, 2]]))
+    cyclic = VGroup(groups[0], *integral_order([[1, 0, 1], [1, 1, 0], [0, 1, 1]],
+                                               [[0, 0], [0, 1]]))
+    bases = [o.vgroup for o in standard_suite("smoke").objects] + lawless + \
+        [non_reflexive, odd_meet, cyclic]
+    checked = set()
+    for base in bases:
+        cover, _ = descent_cover(base)
+        for radius in (1, 2):
+            got = {v.law: v.witness for report in (
+                verify_cover_window(cover, radius), kernel_pair_groupoid(cover, radius),
+                action_of_covering(identity_hom(base), cover, radius))
+                for v in report.violations if v.law in MATRIX_LAWS}
+            assert got == reference_witnesses(cover, radius, identity_hom(base))
+            checked.update(got)
+    assert checked == {"projection-compatibility", "diagonal-embedding",
+                       "action-map-compatibility"}
