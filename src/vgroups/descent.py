@@ -15,10 +15,17 @@ has a finite witness, the pair of levels 0 and 1, whose join already
 realizes the base value.  Window checks are expected to pass at every
 radius; a failure is a loud theorem-check failure, not a report state.
 
-The kernel-pair data and covering actions this module produces are
-object-level constructions with their laws verified on windows.  No
-claim is made about the induced equivalence of categories over the
-infinite site; that is deliberately out of reach of a finite check.
+On a window the checks cover the cover's structure laws, the
+compatibility and finality of its projection, the diagonal embedding
+and separation of the kernel-pair groupoid, and the compatibility of a
+covering's action map and the separation of its carrier.  What holds by
+construction on every input is not re-tested: the section splits the
+projection, the levels (0, 1) realize each base value, the action's
+unit, associativity and fibration laws follow from its formula, and the
+projections and the anchor map are compatible because each entry they
+read is a meet, which ``Quantale.meet`` only ever picks below both of
+its arguments.  The induced equivalence of categories over the infinite
+site stays out of reach of a finite check.
 
 Evaluation is a pure function of the formula; no caching, safe to share.
 """
@@ -62,9 +69,6 @@ class IntegerIndexedCover:
 
     def op(self, p, q):
         return (p[0] + q[0], self.base.group.op(p[1], q[1]))
-
-    def neg(self, p):
-        return (-p[0], self.base.group.inv(p[1]))
 
     @property
     def identity(self):
@@ -163,10 +167,9 @@ def verify_cover_window(cover, radius):
     Scans reflexivity, transitivity on in-window triples, invariance
     under right shifts that stay in the window, separation (against the
     identity, and over all window pairs), compatibility of the
-    projection, split surjectivity through the canonical section, and
-    finality of the projection: for every base pair the single witness
-    at levels (0, 1) must already give the base value, the window join
-    must equal it, and the join must not grow at radius + 1.
+    projection, and finality of the projection: for every base pair the
+    window join must equal the base value and must not grow at
+    radius + 1.
     """
     report = ValidationReport(subject=f"cover-window-r{radius}")
     window = Window(cover, radius)
@@ -209,16 +212,9 @@ def verify_cover_window(cover, radius):
     if witness is not None:
         report.add("projection-compatibility", (elems[i] for i in witness))
 
-    for x in range(base.size):
-        if cover.projection(cover.section(x)) != x:
-            report.add("section-splits-projection", (x,))
-            break
-
     finality = []
     for x1 in range(base.size):
         for x2 in range(base.size):
-            want = base.entry(x1, x2)
-            witness = rel((0, x1), (1, x2))
             window_join = q.join_all(
                 rel((z1, x1), (z2, x2))
                 for z1 in range(-radius, radius + 1)
@@ -228,9 +224,7 @@ def verify_cover_window(cover, radius):
                 for z1 in range(-radius - 1, radius + 2)
                 for z2 in range(-radius - 1, radius + 2))
             finality.append(window_join)
-            if witness != want:
-                report.add("finality-witness", (x1, x2))
-            if window_join != want:
+            if window_join != base.entry(x1, x2):
                 report.add("finality-window-join", (x1, x2))
             if grown_join != window_join:
                 report.add("finality-join-stability", (x1, x2))
@@ -244,9 +238,9 @@ def kernel_pair_groupoid(cover, radius):
     """Windowed kernel-pair data of the projection, with its meet structure.
 
     Carrier: pairs of cover elements over the same base point, encoded
-    as (level, level, point).  Verifies that both projections are
-    structure-compatible, that the diagonal embeds the cover's structure
-    on the nose, and that the meet structure is separated on the window.
+    as (level, level, point).  Verifies that the diagonal embeds the
+    cover's structure on the nose and that the meet structure is
+    separated on the window.
     """
     report = ValidationReport(subject=f"kernel-pair-groupoid-r{radius}")
     base = cover.base
@@ -256,16 +250,6 @@ def kernel_pair_groupoid(cover, radius):
     _guard("kernel pair", len(levels) ** 2 * base.size, KERNEL_PAIR_ELEMENT_CAP)
     carrier = [(z1, z2, x) for z1 in levels for z2 in levels for x in range(base.size)]
     matrix = [[_pair_structure(window, e1, e2) for e2 in carrier] for e1 in carrier]
-
-    first, second = (laws.compatibility(q, matrix, window.matrix,
-                                        [window.index(e[k], e[2]) for e in carrier])
-                     for k in (0, 1))
-    # one witness for both projections: the first in carrier order, the
-    # first projection's on a tie
-    if first is not None and (second is None or first <= second):
-        report.add("first-projection-compatibility", (carrier[i] for i in first))
-    elif second is not None:
-        report.add("second-projection-compatibility", (carrier[i] for i in second))
 
     position = {e: i for i, e in enumerate(carrier)}
     witness = laws.reflection(window.matrix, matrix,
@@ -287,9 +271,9 @@ def action_of_covering(alpha, cover, radius):
     ``alpha`` must be a covering into the cover's base (separated
     kernel).  The action carrier is (levels) x (domain of alpha) with
     the pullback structure; the action map drops the acting pair onto
-    its first level.  Verifies the unit, associativity and fibration
-    conditions on all in-window composable tuples, the compatibility of
-    the anchor map, and separation of the carrier on the window.
+    its first level.  Verifies the compatibility of the action map on
+    all in-window composable pairs and separation of the carrier on the
+    window.
     """
     if alpha.cod != cover.base:
         raise StructuralError("the covering must land in the cover's base")
@@ -305,69 +289,15 @@ def action_of_covering(alpha, cover, radius):
     carrier = [(z, a) for z in levels for a in range(dom.size)]
     position = {w: i for i, w in enumerate(carrier)}
 
-    def anchor(w):
-        return (w[0], alpha(w[1]))
-
-    anchors = [window.index(*anchor(w)) for w in carrier]
+    # the anchor map (z, a) -> (z, alpha a), as window indices
+    anchors = [window.index(z, alpha(a)) for z, a in carrier]
     matrix = [[q.meet(window.matrix[i1][i2], dom.entry(w1[1], w2[1]))
                for i2, w2 in zip(anchors, carrier)]
               for i1, w1 in zip(anchors, carrier)]
 
-    # acting arrows: (z1, z2, x) with x a base point; composable with w when
-    # the second level and the anchored point match.
-    def action(arrow, w):
-        return (arrow[0], w[1])
-
-    for w in carrier:
-        z, a = w
-        arrow = (z, z, alpha(a))
-        if action(arrow, w) != w:
-            report.add("action-unit", (w,))
-            break
-
-    done = False
-    for a_elt in range(dom.size):
-        x = alpha(a_elt)
-        for z1 in levels:
-            for z2 in levels:
-                for z3 in levels:
-                    w = (z3, a_elt)
-                    inner = (z2, z3, x)
-                    outer = (z1, z2, x)
-                    composed = (z1, z3, x)
-                    if action(composed, w) != action(outer, action(inner, w)):
-                        report.add("action-associativity", (z1, z2, z3, a_elt))
-                        done = True
-                        break
-                if done:
-                    break
-            if done:
-                break
-        if done:
-            break
-
-    for a_elt in range(dom.size):
-        x = alpha(a_elt)
-        broke = False
-        for z1 in levels:
-            for z2 in levels:
-                w = (z2, a_elt)
-                arrow = (z1, z2, x)
-                if anchor(action(arrow, w)) != (z1, x):
-                    report.add("action-fibration", (z1, z2, a_elt))
-                    broke = True
-                    break
-            if broke:
-                break
-        if broke:
-            break
-
-    witness = laws.compatibility(q, matrix, window.matrix, anchors)
-    if witness is not None:
-        report.add("anchor-compatibility", (carrier[i] for i in witness))
-
-    # the action map itself must be structure-compatible: composable pairs
-    # carry the meet of the acting-arrow structure and the carrier structure.
+    # the action map (z1, z2, x) . (z2, a) -> (z1, a) must be
+    # structure-compatible: composable pairs carry the meet of the
+    # acting-arrow structure and the carrier structure.
     # Their matrix is read lazily, so the scan stops at its first witness.
     composable = [((z1, z2, alpha(a)), (z2, a))
                   for z1 in levels for z2 in levels for a in range(dom.size)]
@@ -376,7 +306,7 @@ def action_of_covering(alpha, cover, radius):
                for arrow2, w2 in composable)
               for arrow1, w1 in composable)
     witness = laws.compatibility(q, before, matrix,
-                                 [position[action(*pair)] for pair in composable])
+                                 [position[(arrow[0], w[1])] for arrow, w in composable])
     if witness is not None:
         (arrow1, w1), (arrow2, w2) = (composable[i] for i in witness)
         report.add("action-map-compatibility", (arrow1, w1, arrow2, w2))

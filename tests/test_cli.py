@@ -198,6 +198,9 @@ class TestCommandsAgainstFrozenOutputs:
         # each scan is frozen; the morphism's target fails reflexivity
         ("validate_lawless_z4.json",
          ("validate", "--input", str(TEST_DOCS / "lawless_z4.json"))),
+        # a nonabelian base with three structure values
+        ("descent_s3_lawvere_w2.json",
+         ("descent", "--input", str(TEST_DOCS / "s3_lawvere.json"), "--window", "2")),
     ])
     def test_byte_identical(self, name, argv):
         code, text = invoke(*argv, "--format", "json")

@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 from hypothesis import given, strategies as st
@@ -177,3 +178,34 @@ class TestOps:
                           [[0, 0], [0, 1]], unit=1, bottom=0, top=1)
         with pytest.raises(StructuralError, match="no join"):
             broken.join(0, 1)
+
+    def test_meet_is_below_both_arguments_on_any_order(self):
+        # The descent checks leave the kernel-pair projection and anchor
+        # scans out because their entries are meets: wherever a meet
+        # exists it lies below both arguments, partial order or not.
+        rng = random.Random(0)
+        found = {True: 0, False: 0}
+        for n in (3, 4):
+            for partial in (True, False):
+                for _ in range(150):
+                    if partial:
+                        # a random strict order along a random permutation,
+                        # closed under transitivity, plus the diagonal
+                        rank = rng.sample(range(n), n)
+                        leq = [[u == v or (rank[u] < rank[v] and rng.random() < 0.6)
+                                for v in range(n)] for u in range(n)]
+                        for k, u, v in itertools.product(range(n), repeat=3):
+                            leq[u][v] = leq[u][v] or (leq[u][k] and leq[k][v])
+                    else:
+                        leq = [[rng.random() < 0.5 for _ in range(n)] for _ in range(n)]
+                    q = Quantale([str(u) for u in range(n)], leq,
+                                 [[min(u, v) for v in range(n)] for u in range(n)],
+                                 unit=n - 1, bottom=0, top=n - 1)
+                    for u, v in itertools.product(range(n), repeat=2):
+                        try:
+                            w = q.meet(u, v)
+                        except StructuralError:
+                            continue
+                        found[partial] += 1
+                        assert q.leq_table[w][u] and q.leq_table[w][v]
+        assert found[True] and found[False]

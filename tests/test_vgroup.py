@@ -275,10 +275,12 @@ class TestInducedMaps:
 
 class TestImageFactorization:
     def test_composite_recovers_map(self, quotient_to_z2):
-        e, mid, m = image_factorize(quotient_to_z2)
-        assert e.then(m) == quotient_to_z2
-        assert classify_hom(e).regular_epi
-        assert classify_hom(m).mono
+        smoke = [f for _, _, f in standard_suite("smoke").all_homs()]
+        for f in [quotient_to_z2] + smoke:
+            e, mid, m = image_factorize(f)
+            assert e.then(m) == f
+            assert classify_hom(e).regular_epi
+            assert classify_hom(m).mono
 
     def test_mono_gives_iso_left_leg(self, z2_discrete, z4_bool):
         mono = VHom(z2_discrete, z4_bool, [0, 2])
