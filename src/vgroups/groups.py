@@ -1,15 +1,22 @@
 """Finite groups as Cayley tables, with the subgroup machinery the
 categorical constructions need: normality tests with conjugation
-witnesses, closures, cosets and brute-force isomorphism search.
+witnesses, closures, cosets, and the homomorphism and isomorphism search.
 
 Group laws are checked exhaustively at construction; carriers stay small
 enough (at most a few dozen elements) that cubic scans are free.
+
+Homomorphisms g -> h are found from generator images (Holt, Eick and
+O'Brien, *Handbook of Computational Group Theory*, 2005): a greedy
+generating set of g has at most two elements on the suite roster, so
+``group_homs`` tries |h|^k choices of images, propagates each along
+the Cayley graph of g and re-checks every survivor against the full
+homomorphism law.  Isomorphisms are its bijective members.
 """
 
-from itertools import permutations
+from itertools import product as iproduct
 
 from . import laws
-from .errors import StructuralError
+from .errors import StructuralError, TheoremCheckError
 
 
 class FiniteGroup:
@@ -236,27 +243,70 @@ def quotient_group(group, normal_subset):
     return quotient, projection
 
 
-def group_isomorphisms(g, h):
-    """Every group isomorphism g -> h as an index mapping, in the order of
-    the permutations of h's non-identity elements.
+def _greedy_generators(g):
+    """A generating set of g: each element, in index order, that the
+    ones picked before it do not generate."""
+    gens, span = [], {g.identity}
+    for x in range(g.size):
+        if x not in span:
+            gens.append(x)
+            span = set(g.subgroup_closure(gens))
+    return gens
 
-    Brute force over bijections; fine for the carriers this workbench
-    handles (<= 8 elements).
+
+def _propagate(g, h, gens, images):
+    """The map g -> h sending each generator to its image, spread from
+    the identity along the Cayley graph, or None as soon as an element
+    gets two images."""
+    mapping = [None] * g.size
+    mapping[g.identity] = h.identity
+    reached = [g.identity]
+    for x in reached:
+        row, target = g.table[x], h.table[mapping[x]]
+        for s, t in zip(gens, images):
+            y, v = row[s], target[t]
+            if mapping[y] is None:
+                mapping[y] = v
+                reached.append(y)
+            elif mapping[y] != v:
+                return None
+    return tuple(mapping)
+
+
+def group_homs(g, h):
+    """Every group homomorphism g -> h as an index mapping, in
+    lexicographic order.
+
+    The generators are picked in index order and every other element lies
+    in the span of the generators before it, so its image is fixed by
+    theirs: the lexicographic order of the image choices is that of the
+    mappings.  A mapping that survives propagation but breaks the
+    homomorphism law raises.
     """
-    n = g.size
-    if n != h.size:
-        return
-    others = [x for x in range(n) if x != g.identity]
-    targets = [y for y in range(n) if y != h.identity]
-    for perm in permutations(targets):
-        mapping = [0] * n
-        mapping[g.identity] = h.identity
-        for x, y in zip(others, perm):
-            mapping[x] = y
-        if laws.homomorphism(g.table, h.table, mapping) is None:
-            yield tuple(mapping)
+    gens = _greedy_generators(g)
+    out = []
+    for images in iproduct(range(h.size), repeat=len(gens)):
+        mapping = _propagate(g, h, gens, images)
+        if mapping is None:
+            continue
+        witness = laws.homomorphism(g.table, h.table, mapping)
+        if witness is not None:
+            raise TheoremCheckError(
+                f"generator images {images} propagate to a map that is not "
+                f"a homomorphism at {witness}")
+        out.append(mapping)
+    return out
+
+
+def group_isomorphisms(g, h):
+    """Every group isomorphism g -> h as an index mapping: the bijective
+    members of ``group_homs``, in its order."""
+    if g.size != h.size:
+        return []
+    return [m for m in group_homs(g, h) if len(set(m)) == g.size]
 
 
 def group_isomorphism(g, h):
     """A group isomorphism g -> h as an index mapping, or None."""
-    return next(group_isomorphisms(g, h), None)
+    isos = group_isomorphisms(g, h)
+    return isos[0] if isos else None

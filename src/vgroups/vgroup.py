@@ -18,8 +18,8 @@ from itertools import product as iproduct
 
 from . import laws
 from .errors import CapacityError, StructuralError, TheoremCheckError
-from .groups import (FiniteGroup, group_isomorphisms, pair_group, quotient_group,
-                     subgroup_group)
+from .groups import (FiniteGroup, group_homs, group_isomorphisms, pair_group,
+                     quotient_group, subgroup_group)
 from .quantale import validate_quantale
 from .reports import ValidationReport
 from .vrel import VRel
@@ -497,7 +497,13 @@ def enumerate_structures(group, quantale, cap=ENUMERATION_CAP):
 
 
 def enumerate_homs(dom, cod, cap=ENUMERATION_CAP):
-    """All homomorphisms dom -> cod, in lexicographic mapping order."""
+    """All homomorphisms dom -> cod, in lexicographic mapping order: the
+    group homomorphisms found from generator images (``group_homs``)
+    that are compatible with the structures.
+
+    The cap still bounds the |cod|^|dom| maps of a brute-force search,
+    unchanged on purpose, so the same hom-sets raise as before.
+    """
     if dom.quantale != cod.quantale:
         raise StructuralError("hom enumeration needs a shared quantale")
     count = cod.size ** dom.size
@@ -505,14 +511,10 @@ def enumerate_homs(dom, cod, cap=ENUMERATION_CAP):
         raise CapacityError(
             f"{count} candidate maps exceed the cap of {cap}")
     q = dom.quantale
-    ta, tb = dom.group.table, cod.group.table
     a, b = dom.structure.entries, cod.structure.entries
-    ea, eb = dom.group.identity, cod.group.identity
     return [VHom(dom, cod, mapping)
-            for mapping in iproduct(range(cod.size), repeat=dom.size)
-            if mapping[ea] == eb
-            and laws.homomorphism(ta, tb, mapping) is None
-            and laws.compatibility(q, a, b, mapping) is None]
+            for mapping in group_homs(dom.group, cod.group)
+            if laws.compatibility(q, a, b, mapping) is None]
 
 
 def vgroup_isomorphism(g, h):

@@ -1,7 +1,59 @@
+from itertools import permutations, product
+
 import pytest
 
-from vgroups import FiniteGroup, StructuralError, group_isomorphism, quotient_group, subgroup_group
-from vgroups.groups import pair_group
+from vgroups import (FiniteGroup, StructuralError, group_isomorphism, laws,
+                     quotient_group, subgroup_group)
+from vgroups.builders import group_roster
+from vgroups.groups import group_homs, group_isomorphisms, pair_group
+
+
+def brute_group_homs(g, h):
+    """Every map g -> h fixing the identity that passes the homomorphism
+    law, in lexicographic order: the search group_homs replaces."""
+    return [m for m in product(range(h.size), repeat=g.size)
+            if m[g.identity] == h.identity
+            and laws.homomorphism(g.table, h.table, m) is None]
+
+
+def brute_group_isomorphisms(g, h):
+    """Every permutation of h's non-identity elements that is a
+    homomorphism, in permutation order: the search group_isomorphisms
+    replaces."""
+    n = g.size
+    if n != h.size:
+        return []
+    others = [x for x in range(n) if x != g.identity]
+    out = []
+    for perm in permutations([y for y in range(n) if y != h.identity]):
+        mapping = [0] * n
+        mapping[g.identity] = h.identity
+        for x, y in zip(others, perm):
+            mapping[x] = y
+        if laws.homomorphism(g.table, h.table, mapping) is None:
+            out.append(tuple(mapping))
+    return out
+
+
+def relabelled_s3():
+    """S3 with its elements listed in another order, identity at index 2."""
+    s3 = FiniteGroup.symmetric3()
+    order = [3, 1, 0, 5, 2, 4]  # new index i holds old element order[i]
+    pos = {old: new for new, old in enumerate(order)}
+    table = [[pos[s3.op(x, y)] for y in order] for x in order]
+    return FiniteGroup(table, names=[s3.names[x] for x in order])
+
+
+def search_pairs():
+    """All ordered roster pairs, plus the relabelled S3 on either side of
+    every roster group and of itself."""
+    groups = list(group_roster().values())
+    pairs = [(g, h) for g in groups for h in groups]
+    assert len(pairs) == 64
+    s3 = relabelled_s3()
+    assert s3.identity == 2
+    pairs += [(s3, h) for h in groups] + [(g, s3) for g in groups] + [(s3, s3)]
+    return pairs
 
 
 class TestConstruction:
@@ -96,6 +148,27 @@ class TestSubgroups:
     def test_cosets_deterministic(self):
         z4 = FiniteGroup.cyclic(4)
         assert z4.cosets((0, 2)) == [(0, 2), (1, 3)]
+
+
+class TestHomSearch:
+    def test_group_homs_match_brute_force_in_order(self):
+        counts = []
+        for g, h in search_pairs():
+            homs = group_homs(g, h)
+            assert homs == brute_group_homs(g, h)
+            counts.append(len(homs))
+        # the zero map at least; S3 -> S3 has its six automorphisms, one
+        # map onto each of its three order-2 subgroups, and the zero map
+        assert min(counts) == 1
+        assert len(group_homs(FiniteGroup.symmetric3(), FiniteGroup.symmetric3())) == 10
+
+    def test_group_isomorphisms_match_permutation_search(self):
+        found = 0
+        for g, h in search_pairs():
+            isos = group_isomorphisms(g, h)
+            assert isos == brute_group_isomorphisms(g, h)
+            found += len(isos)
+        assert found > 0
 
 
 class TestIsomorphism:

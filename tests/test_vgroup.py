@@ -5,6 +5,7 @@ from collections import defaultdict
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from vgroups import laws
 from vgroups import (CapacityError, FiniteGroup, StructuralError,
                      TheoremCheckError, VGroup, VHom, VRel, classify_hom,
                      classify_object, cokernel, coequalizer, discrete_vgroup,
@@ -380,6 +381,39 @@ class TestEnumeration:
     def test_hom_capacity_guard(self, z4_bool):
         with pytest.raises(CapacityError):
             enumerate_homs(z4_bool, z4_bool, cap=10)
+
+
+def brute_homs(dom, cod):
+    """Every map fixing the identity that is a homomorphism and compatible
+    with the structures, in lexicographic order: the search enumerate_homs
+    made before it read generator images."""
+    q = dom.quantale
+    ta, tb = dom.group.table, cod.group.table
+    a, b = dom.structure.entries, cod.structure.entries
+    return [m for m in itertools.product(range(cod.size), repeat=dom.size)
+            if m[dom.group.identity] == cod.group.identity
+            and laws.homomorphism(ta, tb, m) is None
+            and laws.compatibility(q, a, b, m) is None]
+
+
+def assert_homs_match_brute_force(suite, max_candidates):
+    compared = 0
+    for hs in suite.hom_sets:
+        if hs.truncated or hs.candidates > max_candidates:
+            continue
+        dom, cod = suite.objects[hs.dom].vgroup, suite.objects[hs.cod].vgroup
+        assert [f.mapping for f in enumerate_homs(dom, cod)] == brute_homs(dom, cod)
+        compared += 1
+    return compared
+
+
+def test_enumerate_homs_matches_brute_force_on_smoke():
+    assert assert_homs_match_brute_force(standard_suite("smoke"), 5_000) == 464
+
+
+@pytest.mark.slow
+def test_enumerate_homs_matches_brute_force_on_full():
+    assert assert_homs_match_brute_force(standard_suite("full"), 5_000) == 2_605
 
 
 @settings(max_examples=200, deadline=None)
