@@ -102,6 +102,8 @@ def parse_document(data, base_dir=None, loading=()):
         jsonschema.validate(data, SCHEMA)
     except jsonschema.ValidationError as exc:
         raise StructuralError(f"document does not match the schema: {exc.message}") from exc
+    except RecursionError as exc:
+        raise StructuralError("document is nested too deeply to check") from exc
     quantale = _parse_quantale(data["quantale"])
     vg = _parse_object(data["group"], data["structure"], quantale)
     morphisms = []
@@ -147,6 +149,8 @@ def load_document(path, loading=()):
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise StructuralError(f"{path} is not valid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise StructuralError(f"{path} is nested too deeply to parse") from exc
     return parse_document(data, base_dir=path.parent,
                           loading=(*loading, resolved))
 

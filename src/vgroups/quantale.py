@@ -196,6 +196,8 @@ def builtin_quantale(kind, m=None):
         raise StructuralError(f"unknown builtin quantale kind: {kind!r}")
     if m is None:
         raise StructuralError(f"{kind} requires a length m")
+    if type(m) is not int:
+        raise StructuralError(f"{kind} length m must be an integer, not {m!r}")
     if m > BUILTIN_CHAIN_CAP:
         raise CapacityError(
             f"builtin chain length {m} exceeds the cap of {BUILTIN_CHAIN_CAP}")

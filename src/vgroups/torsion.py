@@ -5,9 +5,9 @@ The torsion part of an object is the set of elements related to the
 identity at unit level in both directions.  It is always a normal
 subgroup, over any quantale; the canonical short exact sequence through
 it needs an integral quantale (otherwise the category has no zero
-object) and is re-verified here rather than assumed: the kernel must be
-indiscrete, the quotient separated, and the two structure equations of
-the kernel/cokernel characterization must hold on the nose.
+object).  Normal mono and regular epi hold by construction; verified are
+the theorem's claims: the kernel is indiscrete, the quotient separated,
+and both kernel/cokernel structure equations hold on the nose.
 
 The pretorsion side works over any quantale.  Its kernels and cokernels
 are taken relative to the null class (symmetric objects with one-sided
@@ -23,9 +23,9 @@ from dataclasses import dataclass, field
 from .errors import (CapacityError, NonIntegralQuantaleError, StructuralError,
                      TheoremCheckError)
 from .reports import ValidationReport
-from .vgroup import (VGroup, VHom, classify_hom, classify_object,
-                     enumerate_homs, factor_through_epi, factor_through_mono,
-                     image_factorize, quotient_vgroup, subobject,
+from .vgroup import (VGroup, VHom, classify_object, enumerate_homs,
+                     factor_through_epi, factor_through_mono, fibers,
+                     final_structure, quotient_vgroup, subobject,
                      trivial_vgroup, validate_vgroup)
 from .vrel import VRel
 
@@ -97,11 +97,11 @@ def _check_final_structure(quot_hom):
 def decompose(g):
     """The canonical short exact sequence through the torsion part.
 
-    Requires an integral quantale.  Verifies, rather than assumes, that
-    the injection is a normal monomorphism, the projection a regular
-    epimorphism, the kernel indiscrete, the quotient separated, and that
-    both structure equations hold exactly (computed independently by
-    relation composition).
+    Requires an integral quantale.  By construction the injection is a
+    normal mono (restricting g to a normal subgroup) and the projection a
+    regular epi (joining g over the cosets).  Verified: the kernel is
+    indiscrete, the quotient separated, and both structure equations hold
+    exactly (computed independently by relation composition).
     """
     if not g.quantale.is_integral:
         raise NonIntegralQuantaleError(
@@ -111,12 +111,6 @@ def decompose(g):
     torsion, injection = subobject(g, members)
     quotient, projection = quotient_vgroup(g, members)
 
-    if not classify_hom(injection).normal_mono:
-        raise TheoremCheckError(
-            f"torsion injection of {g!r} is not a normal monomorphism")
-    if not classify_hom(projection).regular_epi:
-        raise TheoremCheckError(
-            f"torsion projection of {g!r} is not a regular epimorphism")
     if not _check_induced_structure(injection):
         raise TheoremCheckError(f"kernel structure equation failed for {g!r}")
     if not _check_final_structure(projection):
@@ -181,27 +175,30 @@ def symmetric_coreflect(g):
     return out
 
 
+def _is_null_structure(q, a):
+    """Symmetric, and a(x, y) reaches the unit only on the diagonal."""
+    n = len(a)
+    return all(a[x][y] == a[y][x] and (x == y or not q.leq(q.unit, a[x][y]))
+               for x in range(n) for y in range(n))
+
+
 def is_null_object(g):
     """Member of the null class: symmetric, and one-sided separation holds."""
-    q = g.quantale
-    k = q.unit
-    n = g.size
-    symmetric = all(g.entry(x, y) == g.entry(y, x)
-                    for x in range(n) for y in range(n))
-    one_sided = all(x == y for x in range(n) for y in range(n)
-                    if q.leq(k, g.entry(x, y)))
-    return symmetric and one_sided
+    return _is_null_structure(g.quantale, g.structure.entries)
 
 
 def is_null_morphism(f):
     """Whether a morphism factors through a null object, decided via its image.
 
     Sound: if the image (with final structure) is null, the morphism is
-    null.  Completeness of the negative answer is not claimed; the
-    report records the method.
+    null; only that structure is computed.  Completeness of the negative
+    answer is not claimed; the report records the method.
     """
-    _, middle, _ = image_factorize(f)
-    verdict = is_null_object(middle)
+    image = f.image_set()
+    if not f.cod.group.is_subgroup(image):
+        raise StructuralError("subset is not a subgroup")
+    verdict = _is_null_structure(
+        f.dom.quantale, list(final_structure(f.dom, fibers(f, image))))
     return {"is_null": verdict, "method": "via-image",
             "image_is_null": verdict}
 
@@ -319,7 +316,8 @@ class PretorsionDecomposition:
 def pretorsion_decompose(g, test_objects=None, cap=10 ** 6):
     """Symmetric part, identity comparison, separated quotient; verified.
 
-    Works over any quantale.  Runs both relative universal-property
+    Works over any quantale.  The symmetric part is below g by
+    construction (a meet).  Runs both relative universal-property
     verifiers on the sequence and spot-checks that every enumerated
     morphism from a symmetric test object to a separated one is null.
     """
@@ -329,9 +327,6 @@ def pretorsion_decompose(g, test_objects=None, cap=10 ** 6):
     quotient, projection = quotient_vgroup(g, members)
     if not classify_object(quotient).separated:
         raise TheoremCheckError(f"pretorsion quotient of {g!r} is not separated")
-    if not sym.structure.leq(g.structure):
-        raise TheoremCheckError(
-            f"symmetrized structure of {g!r} is not below the original")
 
     if test_objects is None:
         test_objects = default_test_family(g, quotient)

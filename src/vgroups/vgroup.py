@@ -300,12 +300,12 @@ def subobject(g, subset, name=None):
 def quotient_vgroup(g, normal_subset, name=None):
     """Quotient carrier with the final structure (join over coset pairs)."""
     quotient, projection = quotient_group(g.group, normal_subset)
-    entries = _final_structure(g, g.group.cosets(normal_subset))
+    entries = final_structure(g, g.group.cosets(normal_subset))
     obj = VGroup(quotient, g.quantale, VRel(g.quantale, entries), name=name)
     return obj, VHom(g, obj, projection)
 
 
-def _final_structure(g, classes):
+def final_structure(g, classes):
     """The rows of the join of g's structure over each pair of classes:
     the final structure along a map whose fibers are ``classes``."""
     q = g.quantale
@@ -425,18 +425,18 @@ def image_factorize(f):
     image = f.image_set()
     sub = subgroup_group(f.cod.group, image)
     q = f.dom.quantale
-    middle = VGroup(sub, q, VRel(q, _final_structure(f.dom, _fibers(f, image))))
+    middle = VGroup(sub, q, VRel(q, final_structure(f.dom, fibers(f, image))))
     m = VHom(middle, f.cod, image)
     return factor_through_mono(f, m), middle, m
 
 
-def _fibers(f, targets):
+def fibers(f, targets):
     return [[x for x in range(f.dom.size) if f(x) == y] for y in targets]
 
 
 def is_final(f):
     """b(y1, y2) equals the join of a over the fibers, at every pair."""
-    joins = _final_structure(f.dom, _fibers(f, range(f.cod.size)))
+    joins = final_structure(f.dom, fibers(f, range(f.cod.size)))
     return all(row == b for row, b in zip(joins, f.cod.structure.entries))
 
 

@@ -1,9 +1,52 @@
+import hashlib
+import inspect
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from vgroups import classify_object, standard_suite, validate_vgroup
 from vgroups.builders import group_roster
+
+SRC = Path(__file__).parent.parent / "src"
+
+
+def suite_digest(suite):
+    """A digest of every object (name and structure) and every hom-set
+    (ends, truncation, candidate count and mappings), in suite order."""
+    digest = hashlib.sha256()
+    for obj in suite.objects:
+        digest.update(repr((obj.name, obj.vgroup.structure.entries)).encode())
+    for hs in suite.hom_sets:
+        digest.update(repr((hs.dom, hs.cod, hs.truncated, hs.candidates,
+                            [f.mapping for f in hs.homs])).encode())
+    return digest.hexdigest()
+
+
+def digests_in_fresh_interpreters(levels, hash_seeds):
+    """{hash seed: [digest per level]}, each seed's suites built in a
+    ``python -c`` subprocess of its own; the subprocesses run side by side."""
+    script = "\n".join([
+        "import hashlib",
+        "from vgroups import standard_suite",
+        inspect.getsource(suite_digest),
+        f"for level in {tuple(levels)!r}:",
+        "    print(suite_digest(standard_suite(level)))",
+    ])
+    path = os.pathsep.join(p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p)
+    runs = {seed: subprocess.Popen(
+                [sys.executable, "-c", script], stdout=subprocess.PIPE, text=True,
+                env={**os.environ, "PYTHONPATH": path, "PYTHONHASHSEED": seed})
+            for seed in hash_seeds}
+    out = {}
+    for seed, run in runs.items():
+        stdout, _ = run.communicate(timeout=300)
+        assert run.returncode == 0, seed
+        out[seed] = stdout.split()
+    return out
 
 
 class TestRoster:
@@ -47,6 +90,10 @@ class TestSmokeSuite:
         again = standard_suite("smoke")
         assert [o.vgroup for o in again.objects] == [o.vgroup for o in suite.objects]
         assert again.hom_sets == suite.hom_sets
+        # across interpreters too, whatever the hash seed, at both levels
+        here = [suite_digest(suite), suite_digest(standard_suite("full"))]
+        assert digests_in_fresh_interpreters(("smoke", "full"), ("0", "1")) == \
+            {"0": here, "1": here}
 
     def test_no_truncation_at_smoke(self, suite):
         assert all(not hs.truncated for hs in suite.hom_sets)

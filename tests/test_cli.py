@@ -85,6 +85,29 @@ class TestValidate:
         assert "a.json is part of a document reference cycle" in err
         assert "b.json ->" in err
 
+    def test_fractional_chain_length_exits_two(self, tmp_path, capsys):
+        # JSON Schema's "integer" admits 2.0
+        path = tmp_path / "doc.json"
+        path.write_text(canonical_json(cyclic_document(
+            2, {"builtin": "lawvere_chain", "m": 2.0})), encoding="utf-8")
+        assert invoke("validate", "--input", str(path)) == (2, "")
+        assert "input error: lawvere_chain length m must be an integer, not 2.0" in \
+            capsys.readouterr().err
+
+    def test_deeply_nested_document_exits_two(self, tmp_path, capsys):
+        # Near the recursion limit the parser gives up, then (a few levels
+        # shallower, where exactly depends on the stack) the schema check,
+        # then neither: walk down until the schema rejects the document.
+        path = tmp_path / "deep.json"
+        for depth in (100_000, *range(1000, 0, -1)):
+            path.write_text("[" * depth + "]" * depth, encoding="utf-8")
+            assert invoke("validate", "--input", str(path)) == (2, ""), depth
+            err = capsys.readouterr().err
+            assert err.startswith("input error: "), depth
+            if "does not match the schema" in err:
+                break
+        assert depth < 1000
+
     def test_missing_input_exits_two(self):
         code, _ = invoke("classify")
         assert code == 2

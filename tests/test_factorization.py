@@ -12,7 +12,7 @@ from vgroups import (FiniteGroup, NonIntegralQuantaleError, StructuralError,
                      is_covering, is_isomorphism, kernel,
                      monotone_light_factorize, product, pullback,
                      reflective_factorize, run_battery, standard_suite,
-                     trivial_vgroup, zero_hom)
+                     trivial_vgroup, validate_hom, zero_hom)
 from vgroups.factorization import ClassCache
 from vgroups.vgroup import factorization_middle_iso
 
@@ -163,6 +163,19 @@ class TestStability:
         for g in enumerate_homs(prod, prod):
             p, pi1, pi2 = pullback(inc, g)
             assert classify_morphism(pi2).trivial_covering
+
+
+def test_smoke_factorizations_hold_by_construction():
+    """What the factorizations guarantee without re-checking it: both
+    compose to f, and the reflective right leg (a pullback projection) is
+    a valid hom."""
+    suite = standard_suite("smoke")
+    for _, _, f in suite.all_homs():
+        refl = reflective_factorize(f, suite.cache)
+        light = monotone_light_factorize(f, suite.cache)
+        assert refl.e.then(refl.m) == f, f
+        assert light.e.then(light.m) == f, f
+        assert validate_hom(refl.m).ok, f
 
 
 @pytest.mark.parametrize("factorize", ["reflective_factorize",

@@ -2,15 +2,20 @@ import itertools
 
 import pytest
 
-from vgroups import (FiniteGroup, NonIntegralQuantaleError, VHom,
-                     classify_object, coreflect, coreflect_morphism, decompose,
+from vgroups import (FiniteGroup, NonIntegralQuantaleError, Quantale,
+                     StructuralError, VHom, classify_hom, classify_object,
+                     coreflect, coreflect_morphism, decompose,
                      discrete_vgroup, enumerate_homs, enumerate_structures,
-                     identity_hom, indiscrete_vgroup, is_isomorphism,
-                     is_null_morphism, is_null_object, pretorsion_decompose,
-                     quotient_vgroup, reflect, reflect_morphism,
+                     identity_hom, image_factorize, indiscrete_vgroup,
+                     is_isomorphism, is_null_morphism, is_null_object,
+                     lawvere_chain, pretorsion_decompose, quotient_vgroup,
+                     reflect, reflect_morphism, standard_suite,
                      structure_from_delta, symmetric_coreflect, torsion_part,
-                     trivial_vgroup, validate_hom, verify_pretorsion_cokernel,
-                     verify_pretorsion_kernel, vgroup_isomorphism, zero_hom)
+                     trivial_vgroup, validate_hom, validate_quantale,
+                     verify_pretorsion_cokernel, verify_pretorsion_kernel,
+                     vgroup_isomorphism, zero_hom)
+from vgroups.builders import (FULL_EXTRA_GROUPS, FULL_EXTRA_QUANTALES,
+                              SMOKE_GROUPS, SMOKE_QUANTALES, group_roster)
 from vgroups.torsion import default_test_family
 
 
@@ -101,10 +106,11 @@ class TestReflection:
         assert vgroup_isomorphism(quotient, z2_discrete) is not None
 
     def test_functoriality_and_naturality(self, bool_q, law2):
-        z4 = FiniteGroup.cyclic(4)
-        z2 = FiniteGroup.cyclic(2)
+        # every morphism of the smoke suite
+        roster = group_roster()
         for q in (bool_q, law2):
-            objs = enumerate_structures(z4, q) + enumerate_structures(z2, q)
+            objs = [vg for name in SMOKE_GROUPS
+                    for vg in enumerate_structures(roster[name], q)]
             for dom, cod in itertools.product(objs, repeat=2):
                 for f in enumerate_homs(dom, cod):
                     reflected = reflect_morphism(f)
@@ -220,3 +226,91 @@ class TestPretorsionDecompose:
         family = default_test_family(z4_law)
         assert any(o.structure == symmetric_coreflect(z4_law).structure
                    for o in family)
+
+
+def full_level_objects():
+    """The objects of the full suite (a superset of the smoke suite's),
+    without its hom-sets."""
+    roster = group_roster()
+    return [vg for _, make in SMOKE_QUANTALES + FULL_EXTRA_QUANTALES
+            for name in SMOKE_GROUPS + FULL_EXTRA_GROUPS
+            for vg in enumerate_structures(roster[name], make())]
+
+
+class TestHoldsByConstruction:
+    """What the torsion constructions guarantee without re-checking it."""
+
+    def test_decomposition_legs_are_normal_mono_and_regular_epi(self):
+        objects = full_level_objects()
+        assert len(objects) == 259
+        for g in objects:
+            dec = decompose(g)
+            assert classify_hom(dec.injection).normal_mono, g
+            assert classify_hom(dec.projection).regular_epi, g
+
+    def test_symmetric_part_lies_below_its_object(self):
+        for g in full_level_objects():
+            assert symmetric_coreflect(g).structure.leq(g.structure), g
+
+
+def lawless_quantales():
+    """Order-and-tensor tables that break a quantale law each."""
+    base = lawvere_chain(2)
+    tensor = [list(row) for row in base.tensor_table]
+    tensor[2][2] = 1
+    return [
+        # top tensor bottom is top
+        Quantale(["bot", "top"], [[True, True], [False, True]],
+                 [[0, 0], [1, 1]], 1, 0, 1),
+        # associativity broken on the 3-chain
+        Quantale(base.labels, base.leq_table, tensor, 0, 2, 0),
+        # the unit declared at the middle of the chain
+        Quantale(base.labels, base.leq_table, base.tensor_table, 1, 2, 0),
+    ]
+
+
+class TestNullMorphismRoute:
+    """``is_null_morphism`` reads the final structure on the image; it must
+    agree with the null test of ``image_factorize``'s middle object."""
+
+    @staticmethod
+    def verdicts(f):
+        try:
+            via_middle = is_null_object(image_factorize(f)[1])
+        except StructuralError as exc:
+            via_middle = str(exc)
+        try:
+            direct = is_null_morphism(f)["is_null"]
+        except StructuralError as exc:
+            direct = str(exc)
+        return direct, via_middle
+
+    def test_every_smoke_morphism(self):
+        seen = set()
+        for _, _, f in standard_suite("smoke").all_homs():
+            direct, via_middle = self.verdicts(f)
+            assert direct == via_middle, f
+            seen.add(direct)
+        assert seen == {True, False}
+
+    def test_every_map_over_lawless_quantales(self):
+        groups = (FiniteGroup.cyclic(2), FiniteGroup.cyclic(3), FiniteGroup.cyclic(4))
+        seen = set()
+        for q in lawless_quantales():
+            assert not validate_quantale(q).ok
+            for grp in groups[:2]:
+                cod = indiscrete_vgroup(grp, q)
+                for src in groups:
+                    for delta in itertools.product(range(q.size), repeat=src.size):
+                        dom = structure_from_delta(src, q, delta)
+                        for mapping in itertools.product(range(grp.size),
+                                                         repeat=src.size):
+                            direct, via_middle = self.verdicts(VHom(dom, cod, mapping))
+                            assert direct == via_middle, (q, delta, mapping)
+                            seen.add(direct)
+        assert seen == {True, False, "subset is not a subgroup"}
+
+    def test_non_subgroup_image_raises(self, bool_q, z3):
+        obj = discrete_vgroup(z3, bool_q)
+        with pytest.raises(StructuralError, match="subset is not a subgroup"):
+            is_null_morphism(VHom(obj, obj, [0, 1, 1]))
