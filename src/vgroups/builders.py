@@ -72,14 +72,17 @@ class Suite:
 
     @cached_property
     def _hom_set_at(self):
-        # Built on first lookup, so that a suite that is never queried does
-        # not pay for the index (2.6 MB of peak memory at full).
-        return {(hs.dom, hs.cod): hs for hs in self.hom_sets}
+        # The enumerated hom-sets only (2,650 of 22,959 at full, 0.1 MB),
+        # built on first lookup, so that a suite that is never queried does
+        # not pay for the index.
+        return {(hs.dom, hs.cod): hs for hs in self.hom_sets if not hs.truncated}
 
     def objects_over(self, quantale_name):
         return [o for o in self.objects if o.quantale_name == quantale_name]
 
     def homs_between(self, i, j):
+        """The enumerated hom-set from object i to object j, or None when
+        the two lie over different quantales or the hom-set is truncated."""
         return self._hom_set_at.get((i, j))
 
     def all_homs(self):

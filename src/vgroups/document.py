@@ -101,7 +101,10 @@ def parse_document(data, base_dir=None, loading=()):
     try:
         jsonschema.validate(data, SCHEMA)
     except jsonschema.ValidationError as exc:
-        raise StructuralError(f"document does not match the schema: {exc.message}") from exc
+        # jsonschema's message quotes the offending value, of any size
+        raise StructuralError(
+            "document does not match the schema: "
+            f"{exc.validator!r} fails at {exc.json_path}") from exc
     except RecursionError as exc:
         raise StructuralError("document is nested too deeply to check") from exc
     quantale = _parse_quantale(data["quantale"])

@@ -20,6 +20,7 @@ objects: a finite-model check, not a symbolic proof.
 
 from dataclasses import dataclass, field
 
+from . import vgroup
 from .errors import (CapacityError, NonIntegralQuantaleError, StructuralError,
                      TheoremCheckError)
 from .reports import ValidationReport
@@ -222,7 +223,7 @@ def default_test_family(*objects):
     return family
 
 
-def verify_pretorsion_kernel(candidate, of, test_objects=None, cap=10 ** 6):
+def verify_pretorsion_kernel(candidate, of, test_objects=None):
     """Check the kernel-relative-to-null universal property of ``candidate``.
 
     ``candidate``: K -> A must compose with ``of``: A -> B into the null
@@ -233,18 +234,18 @@ def verify_pretorsion_kernel(candidate, of, test_objects=None, cap=10 ** 6):
     if candidate.cod != of.dom:
         raise StructuralError("candidate kernel must land in the domain of 'of'")
     return _verify_relative(candidate, of, False, test_objects,
-                            (candidate.dom, of.dom, of.cod), cap)
+                            (candidate.dom, of.dom, of.cod))
 
 
-def verify_pretorsion_cokernel(candidate, of, test_objects=None, cap=10 ** 6):
+def verify_pretorsion_cokernel(candidate, of, test_objects=None):
     """Dual check: ``candidate``: B -> C as cokernel of ``of``: A -> B."""
     if of.cod != candidate.dom:
         raise StructuralError("candidate cokernel must start at the codomain of 'of'")
     return _verify_relative(candidate, of, True, test_objects,
-                            (of.dom, of.cod, candidate.cod), cap)
+                            (of.dom, of.cod, candidate.cod))
 
 
-def _verify_relative(candidate, of, dual, test_objects, family, cap):
+def _verify_relative(candidate, of, dual, test_objects, family):
     """The kernel property of ``candidate``, read in the opposite category
     when ``dual`` (which makes it the cokernel property).
 
@@ -258,7 +259,7 @@ def _verify_relative(candidate, of, dual, test_objects, family, cap):
         return v.then(u) if dual else u.then(v)
 
     def homs(w, x):
-        return enumerate_homs(x, w, cap=cap) if dual else enumerate_homs(w, x, cap=cap)
+        return enumerate_homs(x, w) if dual else enumerate_homs(w, x)
 
     report = ValidationReport(
         subject="pretorsion-cokernel" if dual else "pretorsion-kernel")
@@ -269,10 +270,10 @@ def _verify_relative(candidate, of, dual, test_objects, family, cap):
         test_objects = default_test_family(*family)
     total = sum(w.size ** x.size if dual else x.size ** w.size
                 for w in test_objects for x in (near, far))
-    if total > cap:
+    if total > vgroup.ENUMERATION_CAP:
         raise CapacityError(
             f"universal-property quantification needs {total} candidates, "
-            f"over the cap of {cap}")
+            f"over the cap of {vgroup.ENUMERATION_CAP}")
     for w_index, w in enumerate(test_objects):
         through = None
         for alpha in homs(w, near):
@@ -313,7 +314,7 @@ class PretorsionDecomposition:
         }
 
 
-def pretorsion_decompose(g, test_objects=None, cap=10 ** 6):
+def pretorsion_decompose(g, test_objects=None):
     """Symmetric part, identity comparison, separated quotient; verified.
 
     Works over any quantale.  The symmetric part is below g by
@@ -331,9 +332,9 @@ def pretorsion_decompose(g, test_objects=None, cap=10 ** 6):
     if test_objects is None:
         test_objects = default_test_family(g, quotient)
     kernel_report = verify_pretorsion_kernel(
-        comparison, projection, test_objects=test_objects, cap=cap)
+        comparison, projection, test_objects=test_objects)
     cokernel_report = verify_pretorsion_cokernel(
-        projection, comparison, test_objects=test_objects, cap=cap)
+        projection, comparison, test_objects=test_objects)
     if not kernel_report.ok or not cokernel_report.ok:
         raise TheoremCheckError(
             f"pretorsion sequence of {g!r} failed a relative universal property: "
@@ -347,7 +348,7 @@ def pretorsion_decompose(g, test_objects=None, cap=10 ** 6):
         for f_obj in test_objects:
             if not classify_object(f_obj).separated:
                 continue
-            for hom in enumerate_homs(t, f_obj, cap=cap):
+            for hom in enumerate_homs(t, f_obj):
                 checked += 1
                 if not is_null_morphism(hom)["is_null"]:
                     raise TheoremCheckError(

@@ -24,6 +24,8 @@ from .quantale import validate_quantale
 from .reports import ValidationReport
 from .vrel import VRel
 
+# Candidates one enumeration may try; read at each call, here and by the
+# universal-property verifiers in torsion.py.
 ENUMERATION_CAP = 10 ** 6
 
 
@@ -169,6 +171,12 @@ def trivial_vgroup(quantale, value=None, name=None):
                   VRel(quantale, [[v]]), name=name)
 
 
+def profile_matrix(group, delta):
+    """The matrix a(x, y) = delta(y - x) of a shift profile, as row tuples."""
+    rng = range(group.size)
+    return tuple(tuple(delta[group.sub(y, x)] for y in rng) for x in rng)
+
+
 def structure_from_delta(group, quantale, delta):
     """Spread a shift profile to a full structure: a(x, y) = delta(y - x).
 
@@ -181,9 +189,7 @@ def structure_from_delta(group, quantale, delta):
     for v in delta:
         if not isinstance(v, int) or not 0 <= v < quantale.size:
             raise StructuralError(f"delta value out of range: {v!r}")
-    entries = [[delta[group.sub(y, x)] for y in range(group.size)]
-               for x in range(group.size)]
-    return VGroup(group, quantale, VRel(quantale, entries))
+    return VGroup(group, quantale, VRel(quantale, profile_matrix(group, delta)))
 
 
 def identity_hom(g):
@@ -463,7 +469,7 @@ def classify_hom(f):
 
 # -- enumeration -----------------------------------------------------------
 
-def enumerate_structures(group, quantale, cap=ENUMERATION_CAP):
+def enumerate_structures(group, quantale):
     """All valid structures on a group, via shift profiles, in lexicographic order.
 
     Candidates are the |Q|^|G| profiles d with a(x, y) = d(y - x); each is
@@ -474,9 +480,9 @@ def enumerate_structures(group, quantale, cap=ENUMERATION_CAP):
     """
     n = group.size
     count = quantale.size ** n
-    if count > cap:
+    if count > ENUMERATION_CAP:
         raise CapacityError(
-            f"{count} candidate profiles exceed the cap of {cap}")
+            f"{count} candidate profiles exceed the cap of {ENUMERATION_CAP}")
     q = quantale
     abelian = group.is_abelian
     out = []
@@ -496,7 +502,7 @@ def enumerate_structures(group, quantale, cap=ENUMERATION_CAP):
     return out
 
 
-def enumerate_homs(dom, cod, cap=ENUMERATION_CAP):
+def enumerate_homs(dom, cod):
     """All homomorphisms dom -> cod, in lexicographic mapping order: the
     group homomorphisms found from generator images (``group_homs``)
     that are compatible with the structures.
@@ -507,9 +513,9 @@ def enumerate_homs(dom, cod, cap=ENUMERATION_CAP):
     if dom.quantale != cod.quantale:
         raise StructuralError("hom enumeration needs a shared quantale")
     count = cod.size ** dom.size
-    if count > cap:
+    if count > ENUMERATION_CAP:
         raise CapacityError(
-            f"{count} candidate maps exceed the cap of {cap}")
+            f"{count} candidate maps exceed the cap of {ENUMERATION_CAP}")
     q = dom.quantale
     a, b = dom.structure.entries, cod.structure.entries
     return [VHom(dom, cod, mapping)
@@ -531,42 +537,15 @@ def vgroup_isomorphism(g, h):
 def factorization_middle_iso(e1, m1, e2, m2):
     """An isomorphism between factorization middles commuting with both legs.
 
-    Searches h with h . e1 = e2 and m2 . h = m1.  Images of e1 pin h
-    down; any remaining elements are assigned by backtracking inside the
-    fibers m2 must respect.  Returns the iso as a VHom, or None.
+    The first group isomorphism h with h . e1 = e2 and m2 . h = m1 that is
+    a valid hom and an isomorphism, as a VHom, or None.
     """
     mid1, mid2 = e1.cod, m2.dom
-    if mid1.size != mid2.size:
-        return None
-    n = mid1.size
-    assign = [None] * n
-    for x in range(e1.dom.size):
-        v = e2(x)
-        if assign[e1(x)] not in (None, v):
-            return None
-        assign[e1(x)] = v
-
-    candidates = []
-    for p in range(n):
-        if assign[p] is not None:
-            candidates.append([assign[p]])
-        else:
-            candidates.append([v for v in range(n) if m2(v) == m1(p)])
-
-    def extend(i, used):
-        if i == n:
-            yield []
-            return
-        for v in candidates[i]:
-            if v in used:
-                continue
-            for rest in extend(i + 1, used | {v}):
-                yield [v] + rest
-
-    for mapping in extend(0, set()):
-        h = VHom(mid1, mid2, mapping)
-        if not validate_hom(h).ok or not is_isomorphism(h):
+    for mapping in group_isomorphisms(mid1.group, mid2.group):
+        if any(mapping[e1(x)] != e2(x) for x in range(e1.dom.size)) or \
+                any(m2(mapping[p]) != m1(p) for p in range(mid1.size)):
             continue
-        if all(m2(h(p)) == m1(p) for p in range(n)):
+        h = VHom(mid1, mid2, mapping)
+        if validate_hom(h).ok and is_isomorphism(h):
             return h
     return None

@@ -108,6 +108,15 @@ class TestValidate:
                 break
         assert depth < 1000
 
+    def test_schema_error_names_the_place_not_the_value(self, tmp_path, capsys):
+        # jsonschema's own message quotes the whole rejected value
+        path = tmp_path / "integers.json"
+        path.write_text(json.dumps(list(range(200_000))), encoding="utf-8")
+        assert invoke("validate", "--input", str(path)) == (2, "")
+        err = capsys.readouterr().err
+        assert "document does not match the schema: 'type' fails at $" in err
+        assert len(err.encode()) < 1024
+
     def test_missing_input_exits_two(self):
         code, _ = invoke("classify")
         assert code == 2
@@ -224,6 +233,8 @@ class TestCommandsAgainstFrozenOutputs:
         # a nonabelian base with three structure values
         ("descent_s3_lawvere_w2.json",
          ("descent", "--input", str(TEST_DOCS / "s3_lawvere.json"), "--window", "2")),
+        # every check of the smoke battery, its counts and failures
+        ("suite_smoke.json", ("suite", "--suite-level", "smoke")),
     ])
     def test_byte_identical(self, name, argv):
         code, text = invoke(*argv, "--format", "json")

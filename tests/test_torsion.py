@@ -2,8 +2,9 @@ import itertools
 
 import pytest
 
-from vgroups import (FiniteGroup, NonIntegralQuantaleError, Quantale,
-                     StructuralError, VHom, classify_hom, classify_object,
+from vgroups import (CapacityError, FiniteGroup, NonIntegralQuantaleError,
+                     Quantale, StructuralError, VHom, classify_hom,
+                     classify_object,
                      coreflect, coreflect_morphism, decompose,
                      discrete_vgroup, enumerate_homs, enumerate_structures,
                      identity_hom, image_factorize, indiscrete_vgroup,
@@ -200,6 +201,16 @@ class TestRelativeUniversalProperties:
         to_point = zero_hom(z4_bool, trivial_vgroup(bool_q))
         report = verify_pretorsion_cokernel(to_point, comparison)
         assert not report.ok
+
+
+    def test_quantification_capacity_guard(self, z4_bool, monkeypatch):
+        # the whole quantification is refused before any hom-set is listed
+        dec = pretorsion_decompose(z4_bool)
+        monkeypatch.setattr("vgroups.vgroup.ENUMERATION_CAP", 10)
+        with pytest.raises(CapacityError, match="universal-property quantification"):
+            verify_pretorsion_kernel(dec.comparison, dec.projection)
+        with pytest.raises(CapacityError, match="universal-property quantification"):
+            verify_pretorsion_cokernel(dec.projection, dec.comparison)
 
 
 class TestPretorsionDecompose:

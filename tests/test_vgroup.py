@@ -361,9 +361,10 @@ class TestEnumeration:
                     for s in structures]
         assert sorted(supports) == [tuple(n) for n in s3.all_normal_subgroups()]
 
-    def test_capacity_guard(self, law2):
+    def test_capacity_guard(self, law2, monkeypatch):
+        monkeypatch.setattr("vgroups.vgroup.ENUMERATION_CAP", 10)
         with pytest.raises(CapacityError):
-            enumerate_structures(FiniteGroup.cyclic(6), law2, cap=10)
+            enumerate_structures(FiniteGroup.cyclic(6), law2)
 
     def test_homs_from_trivial(self, bool_q, z4_bool):
         homs = enumerate_homs(trivial_vgroup(bool_q), z4_bool)
@@ -378,9 +379,10 @@ class TestEnumeration:
         assert homs == [zero_hom(z2_discrete, z2_discrete),
                         identity_hom(z2_discrete)]
 
-    def test_hom_capacity_guard(self, z4_bool):
+    def test_hom_capacity_guard(self, z4_bool, monkeypatch):
+        monkeypatch.setattr("vgroups.vgroup.ENUMERATION_CAP", 10)
         with pytest.raises(CapacityError):
-            enumerate_homs(z4_bool, z4_bool, cap=10)
+            enumerate_homs(z4_bool, z4_bool)
 
 
 def brute_homs(dom, cod):
