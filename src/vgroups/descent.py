@@ -90,13 +90,14 @@ def _guard(what, count, cap):
         raise CapacityError(f"a {what} of {count} elements exceeds the cap of {cap}")
 
 
-def _pair_structure(window, e1, e2):
+def _pair_rows(window, pairs):
     """The meet structure on kernel-pair elements (level, level, point),
-    read off the window matrix."""
-    (a1, b1, x1), (a2, b2, x2) = e1, e2
-    w, at = window.matrix, window.index
-    return window.cover.quantale.meet(w[at(a1, x1)][at(a2, x2)],
-                                      w[at(b1, x1)][at(b2, x2)])
+    read off the window matrix one lazy row per element of ``pairs``."""
+    meet, w = window.cover.quantale.meet, window.matrix
+    at = [(window.index(z1, x), window.index(z2, x)) for z1, z2, x in pairs]
+    for i1, i2 in at:
+        row1, row2 = w[i1], w[i2]
+        yield (meet(row1[j1], row2[j2]) for j1, j2 in at)
 
 
 def _separation_witness(q, elements, matrix):
@@ -249,7 +250,7 @@ def kernel_pair_groupoid(cover, radius):
     levels = range(-radius, radius + 1)
     _guard("kernel pair", len(levels) ** 2 * base.size, KERNEL_PAIR_ELEMENT_CAP)
     carrier = [(z1, z2, x) for z1 in levels for z2 in levels for x in range(base.size)]
-    matrix = [[_pair_structure(window, e1, e2) for e2 in carrier] for e1 in carrier]
+    matrix = [list(row) for row in _pair_rows(window, carrier)]
 
     position = {e: i for i, e in enumerate(carrier)}
     witness = laws.reflection(window.matrix, matrix,
@@ -301,10 +302,10 @@ def action_of_covering(alpha, cover, radius):
     # Their matrix is read lazily, so the scan stops at its first witness.
     composable = [((z1, z2, alpha(a)), (z2, a))
                   for z1 in levels for z2 in levels for a in range(dom.size)]
-    before = ((q.meet(_pair_structure(window, arrow1, arrow2),
-                      matrix[position[w1]][position[w2]])
-               for arrow2, w2 in composable)
-              for arrow1, w1 in composable)
+    places = [position[w] for _, w in composable]
+    before = ((q.meet(v, matrix[p1][p2]) for v, p2 in zip(row, places))
+              for row, p1 in zip(_pair_rows(window, [arrow for arrow, _ in composable]),
+                                 places))
     witness = laws.compatibility(q, before, matrix,
                                  [position[(arrow[0], w[1])] for arrow, w in composable])
     if witness is not None:

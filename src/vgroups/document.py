@@ -10,6 +10,10 @@ canonical form round-trips byte-identically through parse then emit.
 A morphism's target is either a path to another document (resolved
 relative to the referencing file; its quantale must coincide) or an
 inline object sharing the document's quantale.
+
+Every document is checked against the shipped schema on every parse.
+The schema itself is constant and is checked against its metaschema by
+the test suite, not at run time.
 """
 
 import json
@@ -27,6 +31,8 @@ from .vrel import VRel
 
 with resources.files("vgroups.data").joinpath("workbench.schema.json").open() as _fh:
     SCHEMA = json.load(_fh)
+
+_VALIDATOR = jsonschema.Draft202012Validator(SCHEMA)
 
 
 def canonical_json(obj):
@@ -99,14 +105,15 @@ def parse_document(data, base_dir=None, loading=()):
     reference cycle is reported instead of followed.
     """
     try:
-        jsonschema.validate(data, SCHEMA)
-    except jsonschema.ValidationError as exc:
+        # the error jsonschema.validate would raise
+        error = jsonschema.exceptions.best_match(_VALIDATOR.iter_errors(data))
+    except RecursionError as exc:
+        raise StructuralError("document is nested too deeply to check") from exc
+    if error is not None:
         # jsonschema's message quotes the offending value, of any size
         raise StructuralError(
             "document does not match the schema: "
-            f"{exc.validator!r} fails at {exc.json_path}") from exc
-    except RecursionError as exc:
-        raise StructuralError("document is nested too deeply to check") from exc
+            f"{error.validator!r} fails at {error.json_path}") from error
     quantale = _parse_quantale(data["quantale"])
     vg = _parse_object(data["group"], data["structure"], quantale)
     morphisms = []

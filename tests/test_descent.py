@@ -5,7 +5,7 @@ import pytest
 from vgroups import (FiniteGroup, NonIntegralQuantaleError, Quantale,
                      StructuralError, VGroup, VHom, VRel, Window, action_of_covering,
                      descent_cover, discrete_vgroup, enumerate_structures,
-                     identity_hom, kernel_pair_groupoid, lawvere_chain,
+                     identity_hom, kernel_pair_groupoid, lawvere_chain, laws,
                      standard_suite, structure_from_delta,
                      verify_cover_window)
 from vgroups.descent import require_clean
@@ -99,7 +99,92 @@ class TestKernelPairGroupoid:
         assert v == bool_q.bottom
 
 
+def _pair_structure(window, e1, e2):
+    """The meet structure on kernel-pair elements (level, level, point),
+    read off the window matrix one entry at a time."""
+    (a1, b1, x1), (a2, b2, x2) = e1, e2
+    w, at = window.matrix, window.index
+    return window.cover.quantale.meet(w[at(a1, x1)][at(a2, x2)],
+                                      w[at(b1, x1)][at(b2, x2)])
+
+
+def reference_kernel_pair_matrix(cover, radius):
+    """The kernel-pair meet structure, one _pair_structure call per entry."""
+    window = Window(cover, radius)
+    levels = range(-radius, radius + 1)
+    carrier = [(z1, z2, x) for z1 in levels for z2 in levels
+               for x in range(cover.base.size)]
+    return [[_pair_structure(window, e1, e2) for e2 in carrier] for e1 in carrier]
+
+
+class TestKernelPairMatrix:
+    def test_rows_match_pair_structure(self, monkeypatch):
+        # the matrix kernel_pair_groupoid scans, caught on its way to the
+        # separation scan
+        separation = laws.separation
+        scanned = []
+        monkeypatch.setattr(laws, "separation",
+                            lambda q, matrix: scanned.append(matrix) or separation(q, matrix))
+        for obj in standard_suite("smoke").objects:
+            cover, _ = descent_cover(obj.vgroup)
+            for radius in (1, 2, 3):
+                kernel_pair_groupoid(cover, radius)
+                assert scanned.pop() == reference_kernel_pair_matrix(cover, radius), \
+                    (obj.name, radius)
+
+    def test_missing_meet_raises_the_same_error(self, z2):
+        # 0 and 1 are incomparable: the order has no meet for them
+        base = VGroup(z2, *integral_order([[1, 0, 1], [0, 1, 1], [0, 0, 1]],
+                                          [[2, 1], [1, 2]]))
+        cover, _ = descent_cover(base)
+        with pytest.raises(StructuralError, match="no meet") as expected:
+            reference_kernel_pair_matrix(cover, 1)
+        with pytest.raises(StructuralError) as got:
+            kernel_pair_groupoid(cover, 1)
+        assert str(got.value) == str(expected.value)
+
+
+def reference_action_matrix(alpha, cover, radius):
+    """The structure on composable pairs that the action-map scan reads,
+    one _pair_structure call per entry."""
+    window = Window(cover, radius)
+    dom, q = alpha.dom, cover.quantale
+    levels = range(-radius, radius + 1)
+    carrier = [(z, a) for z in levels for a in range(dom.size)]
+    position = {w: i for i, w in enumerate(carrier)}
+    anchors = [window.index(z, alpha(a)) for z, a in carrier]
+    matrix = [[q.meet(window.matrix[i1][i2], dom.entry(w1[1], w2[1]))
+               for i2, w2 in zip(anchors, carrier)]
+              for i1, w1 in zip(anchors, carrier)]
+    composable = [((z1, z2, alpha(a)), (z2, a))
+                  for z1 in levels for z2 in levels for a in range(dom.size)]
+    return [[q.meet(_pair_structure(window, arrow1, arrow2),
+                    matrix[position[w1]][position[w2]])
+             for arrow2, w2 in composable]
+            for arrow1, w1 in composable]
+
+
 class TestAction:
+    def test_rows_match_pair_structure(self, monkeypatch, z4_bool, z2_discrete):
+        # the composable-pair matrix, caught on its way to the
+        # action-map compatibility scan (the function's last one)
+        compatibility = laws.compatibility
+        scanned = []
+
+        def caught(q, a, b, m):
+            scanned.append([list(row) for row in a])
+            return compatibility(q, scanned[-1], b, m)
+
+        monkeypatch.setattr(laws, "compatibility", caught)
+        coverings = [identity_hom(obj.vgroup) for obj in standard_suite("smoke").objects]
+        coverings.append(VHom(z2_discrete, z4_bool, [0, 2]))
+        for alpha in coverings:
+            cover, _ = descent_cover(alpha.cod)
+            for radius in (1, 2):
+                action_of_covering(alpha, cover, radius)
+                assert scanned.pop() == reference_action_matrix(alpha, cover, radius), \
+                    (alpha.cod, radius)
+
     def test_identity_covering(self, z4_bool):
         cover, _ = descent_cover(z4_bool)
         report = action_of_covering(identity_hom(z4_bool), cover, 2)

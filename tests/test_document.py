@@ -1,11 +1,12 @@
 import json
 from pathlib import Path
 
+import jsonschema
 import pytest
 
 from vgroups import StructuralError, boolean, lawvere_chain
-from vgroups.document import (canonical_json, document_text, load_document,
-                              parse_document)
+from vgroups.document import (SCHEMA, canonical_json, document_text,
+                              load_document, parse_document)
 
 DOCS = Path(__file__).parent.parent / "documents"
 
@@ -99,6 +100,40 @@ class TestParsing:
         }]
         with pytest.raises(StructuralError, match="one target element"):
             parse_document(data)
+
+
+_NO_STRUCTURE = {k: v for k, v in minimal_doc().items() if k != "structure"}
+MALFORMED = [
+    ("root-not-object", [_NO_STRUCTURE]),
+    ("structure-missing", _NO_STRUCTURE),
+    ("extra-top-level-key", {**minimal_doc(), "extra": 1}),
+    ("bad-leq-entry", {**minimal_doc(), "quantale": {
+        "elements": ["bot", "top"], "leq": [[True, "yes"], [False, True]],
+        "tensor": [["bot", "bot"], ["bot", "top"]],
+        "unit": "top", "bottom": "bot", "top": "top"}}),
+    ("map-not-an-array", {**minimal_doc(), "morphisms": [{
+        "name": "f", "target": {"group": {"elements": ["e"], "table": [["e"]]},
+                                "structure": [["top"]]},
+        "map": "e"}]}),
+    ("200000-integers", list(range(200_000))),
+]
+
+
+class TestSchemaCheck:
+    def test_shipped_schema_is_draft_2020_12(self):
+        cls = jsonschema.validators.validator_for(SCHEMA)
+        assert cls is jsonschema.Draft202012Validator
+        cls.check_schema(SCHEMA)
+
+    @pytest.mark.parametrize("data", [data for _, data in MALFORMED],
+                             ids=[name for name, _ in MALFORMED])
+    def test_message_matches_jsonschema_validate(self, data):
+        with pytest.raises(jsonschema.ValidationError) as old:
+            jsonschema.validate(data, SCHEMA)
+        with pytest.raises(StructuralError) as new:
+            parse_document(data)
+        assert str(new.value) == ("document does not match the schema: "
+                                  f"{old.value.validator!r} fails at {old.value.json_path}")
 
 
 class TestRoundTrip:

@@ -5,6 +5,8 @@ from pathlib import Path
 
 import pytest
 
+from vgroups import document
+
 TRACER_PATH = Path(__file__).parent.parent / "perfbench" / "tracer.py"
 _spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER_PATH)
 tracer = importlib.util.module_from_spec(_spec)
@@ -16,3 +18,10 @@ _spec.loader.exec_module(tracer)
 def test_trace_target_resolves(module_name, qualname):
     owner, attr = tracer._resolve(module_name, qualname)
     assert callable(getattr(owner, attr))
+
+
+def test_schema_span_target_resolves():
+    # the tracer wraps vgroups.document.jsonschema.validate when it installs,
+    # although parse_document no longer calls it: a lazy jsonschema import
+    # would break the traced benchmark
+    assert callable(document.jsonschema.validate)
