@@ -18,7 +18,7 @@ from .factorization import (cached_decomposition, monotone_light_factorize,
                             reflective_factorize)
 from .quantale import validate_quantale
 from .torsion import (default_test_family, is_null_object, pretorsion_decompose,
-                      reflected_map, symmetric_coreflect)
+                      symmetric_coreflect)
 from .vgroup import (classify_hom, classify_object, cokernel,
                      enumerate_structures, factor_through_epi,
                      factor_through_mono, factorization_middle_iso,
@@ -169,7 +169,14 @@ def check_ses_morphism_pullback(suite):
     construction, a (restricting b) is valid and compares into the pullback.
     The map c that b induces between the quotients exists whenever a does:
     both exist exactly when b(nx) lies in ny, as b(x + n) = b(x) + b(n).
-    It is valid for the reason ``check_reflection_naturality`` gives."""
+    It is valid, as is every map that a valid b induces between quotients
+    with final structures.  It is a group hom because the projections
+    are.  With s and t the structures of b's domain and codomain, each
+    entry of its domain is a join of values s(x, x') <= t(bx, bx'), and
+    each of those lies below the entry of its codomain, a join over
+    fibres containing (bx, bx').  Suite quantales are lawful
+    (``check_quantale_laws``), so a join is least, and the domain's entry
+    lies below the codomain's too."""
     failures = []
     checked = 0
     sequences = {i: _exact_sequences(obj.vgroup) for i, obj in enumerate(suite.objects)
@@ -307,39 +314,13 @@ def check_torsion_theory(suite):
                    objects=len(suite.objects), vanishing_pairs=vanish_checked)
 
 
-def check_reflection_naturality(suite):
-    """For every morphism, the map between the separated reflections
-    exists (``reflected_map`` raises otherwise).  The rest holds by
-    construction and is not re-checked.
-
-    The map is valid, as is every map that a valid f induces between
-    quotients with final structures.  It is a group hom because the
-    projections are.  Each entry of its domain is a join of values
-    a(x, x') <= b(fx, fx'), and each of those lies below the entry of the
-    codomain, a join over fibres containing (fx, fx').  Suite quantales
-    are lawful (``check_quantale_laws``), so a join is least, and the
-    domain's entry lies below the codomain's too.
-
-    The restriction to the torsion parts exists, as a compatible f keeps
-    unit <= a(e, x) in unit <= b(e, fx) and unit <= a(x, e) in
-    unit <= b(fx, e), and it is valid as the torsion parts carry
-    restricted structures.  Both naturality squares commute by the
-    contracts of ``factor_through_epi`` and ``factor_through_mono``, which
-    build them."""
-    checked = 0
-    for _, _, f in suite.all_homs():
-        checked += 1
-        reflected_map(f, cached_decomposition(f.dom, suite.cache),
-                      cached_decomposition(f.cod, suite.cache))
-    return _result("reflection_naturality", [], checked=checked)
-
-
 # -- factorization systems ------------------------------------------------------
 
 def check_morphism_classification(suite):
     """Every morphism classifies: ``classify_morphism`` raises, and the
-    failure is recorded, when the two routes of a class flag disagree or a
-    class containment fails."""
+    failure is recorded, when the map between the separated reflections
+    does not exist, the two routes of a class flag disagree or a class
+    containment fails."""
     failures = []
     checked = 0
     for dom, cod, f in suite.all_homs():
@@ -469,7 +450,6 @@ ALL_CHECKS = (
     check_image_factorization,
     check_regular_epi_stability,
     check_torsion_theory,
-    check_reflection_naturality,
     check_morphism_classification,
     check_factorizations,
     check_stable_class_pullbacks,

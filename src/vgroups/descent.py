@@ -13,7 +13,7 @@ globally: every check runs on a finite window of levels -radius..radius
 and the one global identity that matters (finality of the projection)
 has a finite witness, the pair of levels 0 and 1, whose join already
 realizes the base value.  Window checks are expected to pass at every
-radius; a failure is a loud theorem-check failure, not a report state.
+radius; a failure is a violated law in the report, with its witness.
 
 On a window the checks cover the cover's structure laws, the
 compatibility and finality of its projection, the diagonal embedding
@@ -33,8 +33,7 @@ Evaluation is a pure function of the formula; no caching, safe to share.
 from dataclasses import dataclass
 
 from . import laws
-from .errors import (CapacityError, NonIntegralQuantaleError, StructuralError,
-                     TheoremCheckError)
+from .errors import CapacityError, NonIntegralQuantaleError, StructuralError
 from .reports import ValidationReport
 from .vgroup import classify_object, kernel
 
@@ -146,11 +145,6 @@ class Window:
     def index(self, z, x):
         """The position of (z, x) in ``elements``, which are level-major."""
         return (z + self.radius) * self.width + x
-
-    def agrees_with_formula(self):
-        return all(self.matrix[i][j] == self.cover.relation(p, q)
-                   for i, p in enumerate(self.elements)
-                   for j, q in enumerate(self.elements))
 
     def as_dict(self):
         q = self.cover.quantale
@@ -317,12 +311,4 @@ def action_of_covering(alpha, cover, radius):
         report.add("carrier-separation", witness)
 
     report.notes["carrier_size"] = len(carrier)
-    return report
-
-
-def require_clean(report):
-    """Promote report violations to a theorem-check failure."""
-    if not report.ok:
-        raise TheoremCheckError(
-            f"{report.subject}: {report.laws_violated()}")
     return report

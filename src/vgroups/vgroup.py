@@ -472,33 +472,30 @@ def classify_hom(f):
 def enumerate_structures(group, quantale):
     """All valid structures on a group, via shift profiles, in lexicographic order.
 
-    Candidates are the |Q|^|G| profiles d with a(x, y) = d(y - x); each is
-    kept iff the spread matrix passes validation.  For abelian carriers a
-    cheap profile-level check filters first; nonabelian carriers go
-    through the full compatibility scan (right-shift profiles need not be
-    compatible with a nonabelian addition).
+    Candidates are the |Q|^|G| profiles d with a(x, y) = d(y - x).  One is
+    kept iff k <= d(e) and d(u) (x) d(v) <= d(u + c) for all u, v and
+    every conjugate c = g + v - g of v; on an abelian carrier c = v.
+    This is exactly ``validate_vgroup`` of the spread matrix, on any
+    tables and with no quantale law used: reflexivity is k <= d(e);
+    right-shift invariance holds by construction; compatibility becomes
+    the test once x2 = u + x1 and y2 = v + y1 are substituted (c is the
+    conjugate of v by x1); transitivity is its case g = -u.
     """
     n = group.size
     count = quantale.size ** n
     if count > ENUMERATION_CAP:
         raise CapacityError(
             f"{count} candidate profiles exceed the cap of {ENUMERATION_CAP}")
-    q = quantale
-    abelian = group.is_abelian
+    q, rng = quantale, range(n)
+    # (u, v, u + c) for all u, v and each conjugate c of v
+    triples = [(u, v, group.op(u, c)) for u in rng for v in rng
+               for c in sorted({group.conj(g, v) for g in rng})]
     out = []
     for delta in iproduct(range(q.size), repeat=n):
-        if not q.leq(q.unit, delta[group.identity]):
-            continue
-        if abelian:
-            ok = all(q.leq(q.tensor(delta[u], delta[v]), delta[group.op(u, v)])
-                     for u in range(n) for v in range(n))
-            if not ok:
-                continue
+        if q.leq(q.unit, delta[group.identity]) and \
+                all(q.leq(q.tensor(delta[u], delta[v]), delta[w])
+                    for u, v, w in triples):
             out.append(structure_from_delta(group, q, delta))
-        else:
-            candidate = structure_from_delta(group, q, delta)
-            if validate_vgroup(candidate).ok:
-                out.append(candidate)
     return out
 
 

@@ -49,7 +49,7 @@ def test_reflected_maps_validate_and_torsion_parts_restrict():
         cd = cached_decomposition(f.cod, cache)
         assert validate_hom(reflected_map(f, dd, cd)).ok, f
         assert factor_through_mono(dd.injection.then(f), cd.injection) is not None, f
-    # as many as the battery's reflection_naturality check counts at smoke
+    # as many as the battery's morphism_classification check counts at smoke
     assert len(morphisms) == 769
 
 

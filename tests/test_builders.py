@@ -12,6 +12,9 @@ from vgroups import classify_object, standard_suite, validate_vgroup
 from vgroups.builders import group_roster
 
 SRC = Path(__file__).parent.parent / "src"
+# suite_digest of each level, pinned: a changed object or hom-set moves it.
+SMOKE_DIGEST = "0533ef8844e0386ec7bd82e7c90d78a461948815c40b132f49c5e2957c8280a0"
+FULL_DIGEST = "d6e10978ac355a878ff7381bcf888e74bafb934ae728867db0888eb963823eb0"
 
 
 def suite_digest(suite):
@@ -92,6 +95,7 @@ class TestSmokeSuite:
         assert again.hom_sets == suite.hom_sets
         # across interpreters too, whatever the hash seed, at both levels
         here = [suite_digest(suite), suite_digest(standard_suite("full"))]
+        assert here == [SMOKE_DIGEST, FULL_DIGEST]
         assert digests_in_fresh_interpreters(("smoke", "full"), ("0", "1")) == \
             {"0": here, "1": here}
 
@@ -103,12 +107,19 @@ class TestSmokeSuite:
             assert (suite.objects[hs.dom].quantale_name
                     == suite.objects[hs.cod].quantale_name)
 
-    def test_truncation_marker(self):
-        tiny = standard_suite("smoke", per_pair_cap=10)
+    def test_truncation_marker(self, monkeypatch):
+        monkeypatch.setattr("vgroups.builders.TOTAL_HOM_BUDGET", 1000)
+        tiny = standard_suite("smoke")
         assert any(hs.truncated for hs in tiny.hom_sets)
+        assert any(hs.homs for hs in tiny.hom_sets)
+        # in suite order, a hom-set is enumerated iff it fits what is left
+        left = 1000
         for hs in tiny.hom_sets:
             if hs.truncated:
-                assert hs.homs == () and hs.candidates > 10
+                assert hs.homs == () and hs.candidates > left
+            else:
+                left -= hs.candidates
+        assert left >= 0
 
     def test_bad_level(self):
         with pytest.raises(ValueError):

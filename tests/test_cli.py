@@ -288,14 +288,14 @@ class TestSuiteCommand:
         code, text = invoke("suite", "--suite-level", "smoke")
         assert code == 0
         assert "all checks passed" in text
-        assert text.count("[PASS]") == 14
+        assert text.count("[PASS]") == 13
 
     def test_json_format(self):
         code, text = invoke("suite", "--suite-level", "smoke", "--format", "json")
         assert code == 0
         report = json.loads(text)
         assert report["ok"] is True
-        assert len(report["checks"]) == 14
+        assert len(report["checks"]) == 13
 
 
 class TestMorphismLookup:

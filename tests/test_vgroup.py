@@ -1,12 +1,13 @@
 import itertools
 import re
 from collections import defaultdict
+from itertools import product as iproduct
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from vgroups import laws
-from vgroups import (CapacityError, FiniteGroup, StructuralError,
+from vgroups import (CapacityError, FiniteGroup, Quantale, StructuralError,
                      TheoremCheckError, VGroup, VHom, VRel, classify_hom,
                      classify_object, cokernel, coequalizer, discrete_vgroup,
                      enumerate_homs, enumerate_structures, equalizer,
@@ -15,8 +16,9 @@ from vgroups import (CapacityError, FiniteGroup, StructuralError,
                      standard_suite, structure_from_delta, subobject,
                      trivial_vgroup, validate_hom, validate_vgroup,
                      vgroup_isomorphism, zero_hom)
-from vgroups.vgroup import (factor_through_epi, factor_through_mono, is_final,
-                            pullback_comparison)
+from vgroups.builders import group_roster
+from vgroups.vgroup import (ENUMERATION_CAP, factor_through_epi,
+                            factor_through_mono, is_final, pullback_comparison)
 
 
 class TestValidation:
@@ -429,6 +431,94 @@ def test_profile_routes_agree_on_cyclic_groups(n, m, data):
     delta = tuple(data.draw(st.integers(0, m)) for _ in range(n))
     report = validate_vgroup(structure_from_delta(group, q, delta))
     assert report.notes["routes_agree"]
+
+
+def reference_enumerate_structures(group, quantale):
+    """enumerate_structures before one profile test served every carrier,
+    verbatim: abelian carriers by the profile test, nonabelian ones by
+    validate_vgroup of the spread matrix."""
+    n = group.size
+    count = quantale.size ** n
+    if count > ENUMERATION_CAP:
+        raise CapacityError(
+            f"{count} candidate profiles exceed the cap of {ENUMERATION_CAP}")
+    q = quantale
+    abelian = group.is_abelian
+    out = []
+    for delta in iproduct(range(q.size), repeat=n):
+        if not q.leq(q.unit, delta[group.identity]):
+            continue
+        if abelian:
+            ok = all(q.leq(q.tensor(delta[u], delta[v]), delta[group.op(u, v)])
+                     for u in range(n) for v in range(n))
+            if not ok:
+                continue
+            out.append(structure_from_delta(group, q, delta))
+        else:
+            candidate = structure_from_delta(group, q, delta)
+            if validate_vgroup(candidate).ok:
+                out.append(candidate)
+    return out
+
+
+def group_of(elements, op):
+    """The group with the Cayley table of ``op`` over ``elements``."""
+    index = {x: i for i, x in enumerate(elements)}
+    return FiniteGroup([[index[op(x, y)] for y in elements] for x in elements])
+
+
+def dihedral8():
+    """Symmetries of the square: (r, s) is rotation by r after s reflections."""
+    def op(x, y):
+        return ((x[0] + (-y[0] if x[1] else y[0])) % 4, (x[1] + y[1]) % 2)
+    return group_of([(r, s) for s in range(2) for r in range(4)], op)
+
+
+def quaternion8():
+    """Q8 as signed units (sign, axis), axis 0 the unit and 1-3 i, j, k."""
+    def op(x, y):
+        (s, a), (t, b) = x, y
+        if a == 0 or b == 0:
+            return (s * t, a + b)
+        if a == b:
+            return (-s * t, 0)
+        c = 6 - a - b
+        return (s * t * (1 if (b - a) % 3 == 1 else -1), c)
+    return group_of([(s, a) for s in (1, -1) for a in range(4)], op)
+
+
+class TestEnumerationDifferential:
+    """The profile test keeps what the reference kept, in the same order."""
+
+    def assert_same(self, groups, quantales):
+        for group in groups:
+            for q in quantales:
+                got = [s.structure for s in enumerate_structures(group, q)]
+                want = [s.structure for s in reference_enumerate_structures(group, q)]
+                assert got == want, (group.names, q.labels)
+
+    def test_roster_over_suite_quantales(self):
+        from vgroups.builders import FULL_EXTRA_QUANTALES, SMOKE_QUANTALES
+        self.assert_same(group_roster().values(),
+                         [make() for _, make in SMOKE_QUANTALES + FULL_EXTRA_QUANTALES])
+
+    def test_roster_over_lawless_quantales(self, non_integral_q):
+        # a chain whose tensor is neither commutative nor unital
+        lawless = Quantale(labels=["a", "b", "c"],
+                           leq=[[u <= v for v in range(3)] for u in range(3)],
+                           tensor=[[(u + 2 * v) % 3 for v in range(3)] for u in range(3)],
+                           unit=1, bottom=0, top=2)
+        assert lawless.tensor(0, 1) != lawless.tensor(1, 0)
+        self.assert_same(group_roster().values(), [non_integral_q, lawless])
+
+    def test_order_eight_nonabelian(self, bool_q, law2):
+        groups = [dihedral8(), quaternion8()]
+        for group in groups:
+            assert group.size == 8 and not group.is_abelian
+        # D4 has four subgroups that are not normal, Q8 none
+        assert [len(g.all_subgroups()) - len(g.all_normal_subgroups())
+                for g in groups] == [4, 0]
+        self.assert_same(groups, [bool_q, law2])
 
 
 class TestPropositionChecks:
