@@ -19,8 +19,7 @@ from .factorization import (cached_decomposition, monotone_light_factorize,
 from .quantale import validate_quantale
 from .torsion import (default_test_family, is_null_object, pretorsion_decompose,
                       symmetric_coreflect)
-from .vgroup import (classify_hom, classify_object, cokernel,
-                     enumerate_structures, factor_through_epi,
+from .vgroup import (classify_hom, classify_object, cokernel, factor_through_epi,
                      factor_through_mono, factorization_middle_iso,
                      image_factorize, is_isomorphism, kernel, profile_matrix,
                      pullback, pullback_comparison, quotient_vgroup,
@@ -406,12 +405,17 @@ def check_pretorsion(suite):
                 pretorsion_decompose(obj.vgroup, test_objects=family)
             except TheoremCheckError as exc:
                 failures.append((obj.name, str(exc)))
+    # the suite holds every structure on each quantale and group, in the
+    # order enumerate_structures gives them
+    structures = {}
+    for obj in suite.objects:
+        structures.setdefault((obj.quantale_name, obj.group_name), []).append(obj.vgroup)
     greatest_checked = 0
     for obj in suite.objects:
         if obj.vgroup.size > SMALL_CARRIER:
             continue
         hat = symmetric_coreflect(obj.vgroup)
-        for candidate in enumerate_structures(obj.vgroup.group, obj.vgroup.quantale):
+        for candidate in structures[(obj.quantale_name, obj.group_name)]:
             if not classify_object(candidate).symmetric:
                 continue
             if not candidate.structure.leq(obj.vgroup.structure):

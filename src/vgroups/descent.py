@@ -27,7 +27,12 @@ read is a meet, which ``Quantale.meet`` only ever picks below both of
 its arguments.  The induced equivalence of categories over the infinite
 site stays out of reach of a finite check.
 
-Evaluation is a pure function of the formula; no caching, safe to share.
+Evaluation is a pure function of the formula, safe to share.  A window's
+matrix, and the kernel-pair meet structure, are copied from the
+formula's three blocks (bottom below the level, the identity on it, the
+base row above it) rather than evaluated entry by entry, and the
+finality check folds the levels once per distinct (base value, same
+point) pair, on which alone the folded values depend.
 """
 
 from dataclasses import dataclass
@@ -39,8 +44,10 @@ from .vgroup import classify_object, kernel
 
 DEFAULT_WINDOW_RADIUS = 3
 # Window scans are cubic in the window and quadratic in the kernel-pair
-# carrier.  The battery and the benchmark stay within radius 3 on six
-# points: 42 window elements and 294 kernel-pair elements.
+# carrier.  The cubic transitivity scan skips bottom entries, which are
+# at least the lower half of a window, so it runs over at most half.
+# The battery and the benchmark stay within radius 3 on six points: 42
+# window elements and 294 kernel-pair elements.
 WINDOW_ELEMENT_CAP = 48
 KERNEL_PAIR_ELEMENT_CAP = 7 * WINDOW_ELEMENT_CAP
 
@@ -83,6 +90,29 @@ class IntegerIndexedCover:
         return [(z, x) for z in range(-radius, radius + 1)
                 for x in range(self.base.size)]
 
+    def level_blocks(self, x):
+        """``relation`` from (z, x) to the points of one level, as three
+        blocks: on a level below z, on z itself and on a level above z."""
+        q = self.quantale
+        lower = [q.bottom] * self.base.size
+        own = list(lower)
+        own[x] = q.top
+        return lower, own, list(self.base.structure.entries[x])
+
+    def window_matrix(self, radius):
+        """``relation`` on ``window_elements(radius)``, row by row from the
+        level blocks of each element."""
+        span = 2 * radius + 1
+        return [_spread(self.level_blocks(x), level, span)
+                for level in range(span) for x in range(self.base.size)]
+
+
+def _spread(blocks, level, span):
+    """One row over ``span`` levels from its (lower, own, higher) blocks,
+    for an element on the ``level``-th of them."""
+    lower, own, higher = blocks
+    return lower * level + own + higher * (span - 1 - level)
+
 
 def _guard(what, count, cap):
     if count > cap:
@@ -97,6 +127,35 @@ def _pair_rows(window, pairs):
     for i1, i2 in at:
         row1, row2 = w[i1], w[i2]
         yield (meet(row1[j1], row2[j2]) for j1, j2 in at)
+
+
+def _kernel_pair_matrix(cover, carrier, span):
+    """The meet structure on the kernel-pair ``carrier`` of ``span``
+    levels, built by blocks like the window.
+
+    The entry from (z1, z2, x) to (w1, w2, y) meets the relation from
+    (z1, x) to (w1, y) with the one from (z2, x) to (w2, y).  Across y
+    these are level blocks of x, picked by where w1 lies against z1 and
+    w2 against z2, so each point has nine blocks of meets, each met once
+    and spread like a window row.  A missing meet raises through
+    ``Quantale.meet`` at the first entry, in row-major order, that needs it.
+    """
+    q = cover.quantale
+    table = q.meet_table
+    meets = []
+    for x in range(cover.base.size):
+        blocks = cover.level_blocks(x)
+        meets.append([[[table[u][v] for u, v in zip(b1, b2)] for b2 in blocks]
+                      for b1 in blocks])
+    matrix = [_spread([_spread(row, z2, span) for row in point], z1, span)
+              for z1 in range(span) for z2 in range(span) for point in meets]
+    if any(None in block for point in meets for row in point for block in row):
+        for (z1, z2, x), row in zip(carrier, matrix):
+            if None in row:
+                w1, w2, y = carrier[row.index(None)]
+                # raises: the table has no meet for these two values
+                q.meet(cover.relation((z1, x), (w1, y)), cover.relation((z2, x), (w2, y)))
+    return matrix
 
 
 def _separation_witness(q, elements, matrix):
@@ -139,8 +198,7 @@ class Window:
         self.width = self.cover.base.size
         _guard("window", (2 * self.radius + 1) * self.width, WINDOW_ELEMENT_CAP)
         self.elements = self.cover.window_elements(self.radius)
-        self.matrix = [[self.cover.relation(p, q) for q in self.elements]
-                       for p in self.elements]
+        self.matrix = self.cover.window_matrix(self.radius)
 
     def index(self, z, x):
         """The position of (z, x) in ``elements``, which are level-major."""
@@ -183,11 +241,12 @@ def verify_cover_window(cover, radius):
         report.add("window-transitivity", (elems[i] for i in witness))
 
     gop = base.group.op
+    width, span = window.width, 2 * radius + 1
 
     def shifted(i, s):
         """The window index of elems[i] + elems[s], or None outside the window."""
-        (z, x), (sz, sx) = elems[i], elems[s]
-        return window.index(z + sz, gop(x, sx)) if abs(z + sz) <= radius else None
+        level = i // width + s // width - radius
+        return level * width + gop(i % width, s % width) if 0 <= level < span else None
 
     witness = laws.shift_invariance(window.matrix, shifted)
     if witness is not None:
@@ -208,16 +267,17 @@ def verify_cover_window(cover, radius):
         report.add("projection-compatibility", (elems[i] for i in witness))
 
     finality = []
+    folds = {}
     for x1 in range(base.size):
         for x2 in range(base.size):
-            window_join = q.join_all(
-                rel((z1, x1), (z2, x2))
-                for z1 in range(-radius, radius + 1)
-                for z2 in range(-radius, radius + 1))
-            grown_join = q.join_all(
-                rel((z1, x1), (z2, x2))
-                for z1 in range(-radius - 1, radius + 2)
-                for z2 in range(-radius - 1, radius + 2))
+            # the folded values depend on (x1, x2) through this key alone
+            key = (base.entry(x1, x2), x1 == x2)
+            if key not in folds:
+                folds[key] = tuple(
+                    q.join_all(rel((z1, x1), (z2, x2)) for z1 in levels for z2 in levels)
+                    for levels in (range(-radius, radius + 1),
+                                   range(-radius - 1, radius + 2)))
+            window_join, grown_join = folds[key]
             finality.append(window_join)
             if window_join != base.entry(x1, x2):
                 report.add("finality-window-join", (x1, x2))
@@ -244,7 +304,7 @@ def kernel_pair_groupoid(cover, radius):
     levels = range(-radius, radius + 1)
     _guard("kernel pair", len(levels) ** 2 * base.size, KERNEL_PAIR_ELEMENT_CAP)
     carrier = [(z1, z2, x) for z1 in levels for z2 in levels for x in range(base.size)]
-    matrix = [list(row) for row in _pair_rows(window, carrier)]
+    matrix = _kernel_pair_matrix(cover, carrier, len(levels))
 
     position = {e: i for i, e in enumerate(carrier)}
     witness = laws.reflection(window.matrix, matrix,

@@ -11,6 +11,11 @@ rows of ``a`` to the rows of ``b``; they read ``a`` one row and one entry
 at a time, so its rows may be generators and nothing past the first
 witness is computed.  ``homomorphism`` reads two Cayley tables along
 ``m`` instead.  Callers map the indices back to labels or elements.
+
+The tensor scanners ``transitivity`` and ``addition_compatibility`` skip
+a left value that ``Quantale.annihilating`` marks: its tensor with any
+value is below every value, so no witness starts there, lawful tables or
+not, and the first witness is the one the full scan finds.
 """
 
 
@@ -25,9 +30,11 @@ def reflexivity(q, a):
 
 def transitivity(q, a):
     """First (x, y, z) with a(x, y) (x) a(y, z) not below a(x, z)."""
-    leq, ten = q.leq_table, q.tensor_table
+    leq, ten, inert = q.leq_table, q.tensor_table, q.annihilating
     for x, ax in enumerate(a):
         for y, axy in enumerate(ax):
+            if inert[axy]:
+                continue
             times = ten[axy]
             for z, ayz in enumerate(a[y]):
                 if not leq[times[ayz]][ax[z]]:
@@ -64,11 +71,14 @@ def shift_invariance(a, op):
 def addition_compatibility(q, a, op):
     """First (x1, x2, y1, y2) with a(x1, x2) (x) a(y1, y2) not below
     a(x1 + y1, x2 + y2)."""
-    leq, ten = q.leq_table, q.tensor_table
+    leq, ten, inert = q.leq_table, q.tensor_table, q.annihilating
     rng = range(len(a))
     for x1 in rng:
         for x2 in rng:
-            times = ten[a[x1][x2]]
+            v = a[x1][x2]
+            if inert[v]:
+                continue
+            times = ten[v]
             for y1 in rng:
                 ay1, target = a[y1], a[op(x1, y1)]
                 for y2 in rng:

@@ -3,7 +3,8 @@
 Elements are opaque indices 0..n-1 with display labels.  All algebra is a
 table lookup: the order is a boolean matrix, the tensor an index matrix,
 and binary joins/meets are computed once at construction by scanning for
-least upper / greatest lower bounds.  Instances are immutable and safe
+least upper / greatest lower bounds, as is which values annihilate: their
+tensor with anything is below everything.  Instances are immutable and safe
 for unrestricted concurrent reads.
 
 Construction checks well-formedness only (square tables, indices in
@@ -58,7 +59,7 @@ class Quantale:
     """A finite lattice with a declared commutative unital tensor."""
 
     __slots__ = ("labels", "leq_table", "tensor_table", "unit", "bottom", "top",
-                 "_join", "_meet")
+                 "join_table", "meet_table", "annihilating")
 
     def __init__(self, labels, leq, tensor, unit, bottom, top):
         labels = tuple(str(x) for x in labels)
@@ -77,12 +78,17 @@ class Quantale:
         self.unit = unit
         self.bottom = bottom
         self.top = top
-        self._join = tuple(
+        self.join_table = tuple(
             tuple(_bound(self.leq_table, u, v, upper=True) for v in range(n))
             for u in range(n))
-        self._meet = tuple(
+        self.meet_table = tuple(
             tuple(_bound(self.leq_table, u, v, upper=False) for v in range(n))
             for u in range(n))
+        # v annihilates when v (x) u is below every element, for every u:
+        # such a v never makes a tensor fail to be below anything
+        self.annihilating = tuple(
+            all(self.leq_table[t][w] for t in set(row) for w in range(n))
+            for row in self.tensor_table)
 
     @property
     def size(self):
@@ -108,14 +114,14 @@ class Quantale:
         return self.tensor_table[u][v]
 
     def join(self, u, v):
-        w = self._join[u][v]
+        w = self.join_table[u][v]
         if w is None:
             raise StructuralError(
                 f"order has no join for ({self.labels[u]}, {self.labels[v]})")
         return w
 
     def meet(self, u, v):
-        w = self._meet[u][v]
+        w = self.meet_table[u][v]
         if w is None:
             raise StructuralError(
                 f"order has no meet for ({self.labels[u]}, {self.labels[v]})")
@@ -235,9 +241,9 @@ def validate_quantale(q):
           ((u, v, w) for u in rng for v in rng for w in rng
            if leq[u][v] and leq[v][w] and not leq[u][w]))
     first("join-exists",
-          ((u, v) for u in rng for v in rng if q._join[u][v] is None))
+          ((u, v) for u in rng for v in rng if q.join_table[u][v] is None))
     first("meet-exists",
-          ((u, v) for u in rng for v in rng if q._meet[u][v] is None))
+          ((u, v) for u in rng for v in rng if q.meet_table[u][v] is None))
     first("bottom-is-least", ((u,) for u in rng if not leq[q.bottom][u]))
     first("top-is-greatest", ((u,) for u in rng if not leq[u][q.top]))
     if q.bottom == q.top:
@@ -255,10 +261,10 @@ def validate_quantale(q):
         for u in rng:
             for v in rng:
                 for w in rng:
-                    j = q._join[v][w]
+                    j = q.join_table[v][w]
                     if j is None:
                         continue
-                    rhs = q._join[ten[u][v]][ten[u][w]]
+                    rhs = q.join_table[ten[u][v]][ten[u][w]]
                     if rhs is None or ten[u][j] != rhs:
                         yield (u, v, w)
 
@@ -268,12 +274,12 @@ def validate_quantale(q):
         for u in rng:
             for v in rng:
                 for w in rng:
-                    j = q._join[v][w]
-                    mv, mw = q._meet[u][v], q._meet[u][w]
+                    j = q.join_table[v][w]
+                    mv, mw = q.meet_table[u][v], q.meet_table[u][w]
                     if j is None or mv is None or mw is None:
                         continue
-                    lhs = q._meet[u][j]
-                    rhs = q._join[mv][mw]
+                    lhs = q.meet_table[u][j]
+                    rhs = q.join_table[mv][mw]
                     if lhs is None or rhs is None or lhs != rhs:
                         yield (u, v, w)
 

@@ -341,12 +341,12 @@ def pretorsion_decompose(g, test_objects=None):
             f"{kernel_report.laws_violated() + cokernel_report.laws_violated()}")
 
     checked = 0
-    for t in test_objects:
-        cls_t = classify_object(t)
+    classes = [classify_object(t) for t in test_objects]
+    for t, cls_t in zip(test_objects, classes):
         if not cls_t.symmetric:
             continue
-        for f_obj in test_objects:
-            if not classify_object(f_obj).separated:
+        for f_obj, cls_f in zip(test_objects, classes):
+            if not cls_f.separated:
                 continue
             for hom in enumerate_homs(t, f_obj):
                 checked += 1

@@ -1,3 +1,5 @@
+import hashlib
+import json
 import random
 
 import pytest
@@ -70,6 +72,51 @@ class TestWindowChecks:
         assert dump["radius"] == 2
         assert len(dump["elements"]) == 5 * 4
 
+    def test_matrix_is_the_formula(self):
+        # the lawless base is over an integral quantale whose order is not
+        # a partial order, with a structure that is no shift profile
+        rng = random.Random(5)
+        q, _ = integral_order([[1, 0, 1], [1, 1, 0], [0, 1, 1]], [[0]])
+        lawless = VGroup(FiniteGroup.symmetric3(), q,
+                         VRel(q, [[rng.randrange(q.size) for _ in range(6)]
+                                  for _ in range(6)]))
+        for base in [o.vgroup for o in standard_suite("smoke").objects] + [lawless]:
+            cover, _ = descent_cover(base)
+            for radius in (1, 2, 3):
+                window = Window(cover, radius)
+                assert window.matrix == [[cover.relation(p, r) for r in window.elements]
+                                         for p in window.elements], (base, radius)
+
+    def test_finality_folds_match_every_pair(self):
+        # lawless bases: diagonal values below top, which fold like
+        # off-diagonal ones only when the key tells the two apart
+        rng = random.Random(6)
+        q = lawvere_chain(2)
+        bases = [VGroup(grp, q, VRel(q, [[rng.randrange(q.size) for _ in range(grp.size)]
+                                         for _ in range(grp.size)]))
+                 for grp in (FiniteGroup.cyclic(2), FiniteGroup.cyclic(3),
+                             FiniteGroup.symmetric3()) for _ in range(4)]
+        for base in bases:
+            cover, _ = descent_cover(base)
+            for radius in (1, 2):
+                report = verify_cover_window(cover, radius)
+                got = (report.notes["finality_joins"],
+                       [(v.law, v.witness) for v in report.violations
+                        if v.law.startswith("finality")])
+                assert got == reference_finality(cover, radius)
+
+    def test_missing_join_raises_at_the_same_pair(self, z2):
+        # 1 has no upper bound, so the first pair folding 1 raises; the
+        # diagonal pair folds top first and would name (2, 1) instead
+        base = VGroup(z2, *integral_order([[1, 1, 1], [0, 0, 0], [0, 0, 1]],
+                                          [[2, 0], [1, 1]]))
+        cover, _ = descent_cover(base)
+        with pytest.raises(StructuralError, match="no join") as expected:
+            reference_finality(cover, 1)
+        with pytest.raises(StructuralError) as got:
+            verify_cover_window(cover, 1)
+        assert str(got.value) == str(expected.value)
+
     def test_bad_radius(self, z4_bool):
         cover, _ = descent_cover(z4_bool)
         with pytest.raises(StructuralError):
@@ -81,6 +128,24 @@ class TestWindowChecks:
                 for vg in enumerate_structures(group, q):
                     cover, _ = descent_cover(vg)
                     assert verify_cover_window(cover, 1).ok
+
+
+def reference_finality(cover, radius):
+    """The finality joins and failures of a window, folded at every base
+    pair."""
+    base, q, rel = cover.base, cover.quantale, cover.relation
+    joins, failures = [], []
+    for x1 in range(base.size):
+        for x2 in range(base.size):
+            window_join, grown_join = (
+                q.join_all(rel((z1, x1), (z2, x2)) for z1 in levels for z2 in levels)
+                for levels in (range(-radius, radius + 1), range(-radius - 1, radius + 2)))
+            joins.append(q.label(window_join))
+            if window_join != base.entry(x1, x2):
+                failures.append(("finality-window-join", (x1, x2)))
+            if grown_join != window_join:
+                failures.append(("finality-join-stability", (x1, x2)))
+    return joins, failures
 
 
 class TestKernelPairGroupoid:
@@ -368,3 +433,22 @@ def test_descent_matrix_scans_match_the_formula():
             checked.update(got)
     assert checked == {"projection-compatibility", "diagonal-embedding",
                        "action-map-compatibility"}
+
+
+# sha256 over the full suite's descent outputs at radii 1-3, in suite
+# order, from before windows were built by blocks and the tensor scanners
+# skipped annihilating values.  Every one of those speedups keeps the
+# outputs byte for byte, so the digest must not move.
+DESCENT_OUTPUTS_DIGEST = "fb450ebbfd8dc26ee58970f23fd646ffa4e846cb1cc67ce2f98a52a831f5ddb8"
+
+
+def test_descent_outputs_are_pinned_over_the_full_suite():
+    digest = hashlib.sha256()
+    for obj in standard_suite("full").objects:
+        cover, _ = descent_cover(obj.vgroup)
+        for radius in (1, 2, 3):
+            outputs = [obj.name, radius, verify_cover_window(cover, radius).as_dict(),
+                       kernel_pair_groupoid(cover, radius).as_dict(),
+                       Window(cover, radius).as_dict()]
+            digest.update(json.dumps(outputs, sort_keys=True).encode())
+    assert digest.hexdigest() == DESCENT_OUTPUTS_DIGEST

@@ -2,7 +2,7 @@
 
 import random
 
-from vgroups import boolean, lawvere_chain
+from vgroups import Quantale, boolean, lawvere_chain, ultrametric_chain
 from vgroups import laws
 from vgroups.builders import group_roster
 
@@ -98,6 +98,86 @@ def test_homomorphism_matches_the_definition_on_the_roster():
             for m in maps:
                 want = brute_homomorphism(op_a, op_b, m)
                 assert laws.homomorphism(op_a, op_b, m) == want
+                found += want is not None
+                held += want is None
+    assert found > 0 and held > 0
+
+
+# -- the tensor scanners against their bodies before they skipped values -----
+
+def reference_transitivity(q, a):
+    leq, ten = q.leq_table, q.tensor_table
+    for x, ax in enumerate(a):
+        for y, axy in enumerate(ax):
+            times = ten[axy]
+            for z, ayz in enumerate(a[y]):
+                if not leq[times[ayz]][ax[z]]:
+                    return (x, y, z)
+    return None
+
+
+def reference_addition_compatibility(q, a, op):
+    leq, ten = q.leq_table, q.tensor_table
+    rng = range(len(a))
+    for x1 in rng:
+        for x2 in rng:
+            times = ten[a[x1][x2]]
+            for y1 in rng:
+                ay1, target = a[y1], a[op(x1, y1)]
+                for y2 in rng:
+                    if not leq[times[ay1[y2]]][target[op(x2, y2)]]:
+                        return (x1, x2, y1, y2)
+    return None
+
+
+def chain_quantale(tensor):
+    """The chain 0 < 1 < 2 with unit 0 and an arbitrary tensor: no
+    quantale, since bottom does not annihilate."""
+    return Quantale(labels=["0", "1", "2"],
+                    leq=[[u <= v for v in range(3)] for u in range(3)],
+                    tensor=[[tensor(u, v) for v in range(3)] for u in range(3)],
+                    unit=0, bottom=0, top=2)
+
+
+def tensor_scan_quantales(non_integral_q):
+    """(quantale, values it marks annihilating): the suite quantales, a
+    non-integral one, and lawless chains where bottom does not
+    annihilate, one of them with a middle value that does."""
+    suite = [(q, (q.bottom,)) for q in (boolean(), lawvere_chain(2),
+                                        lawvere_chain(3), ultrametric_chain(3))]
+    return suite + [(non_integral_q, (0,)),
+                    (chain_quantale(max), ()),
+                    (chain_quantale(lambda u, v: 0 if 1 in (u, v) else max(u, v)), (1,))]
+
+
+def tensor_scan_matrices(rng, q, n):
+    """Random matrices, mostly bottom ones included, and the discrete
+    matrix, on which a lawful quantale's scans find no witness."""
+    for share in (0.0, 0.6, 0.9):
+        for _ in range(4):
+            yield [[q.bottom if rng.random() < share else rng.randrange(q.size)
+                    for _ in range(n)] for _ in range(n)]
+    yield [[q.top if x == y else q.bottom for y in range(n)] for x in range(n)]
+
+
+def test_annihilating_is_read_off_the_tables(non_integral_q):
+    for q, marked in tensor_scan_quantales(non_integral_q):
+        assert tuple(v for v in range(q.size) if q.annihilating[v]) == marked, q
+
+
+def test_tensor_scanners_find_the_reference_witness(non_integral_q):
+    rng = random.Random(4)
+    groups = list(group_roster().values())
+    found = held = 0
+    for q, _ in tensor_scan_quantales(non_integral_q):
+        for group in groups:
+            for a in tensor_scan_matrices(rng, q, group.size):
+                want = reference_transitivity(q, a)
+                assert laws.transitivity(q, a) == want
+                found += want is not None
+                held += want is None
+                want = reference_addition_compatibility(q, a, group.op)
+                assert laws.addition_compatibility(q, a, group.op) == want
                 found += want is not None
                 held += want is None
     assert found > 0 and held > 0
