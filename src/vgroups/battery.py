@@ -405,17 +405,12 @@ def check_pretorsion(suite):
                 pretorsion_decompose(obj.vgroup, test_objects=family)
             except TheoremCheckError as exc:
                 failures.append((obj.name, str(exc)))
-    # the suite holds every structure on each quantale and group, in the
-    # order enumerate_structures gives them
-    structures = {}
-    for obj in suite.objects:
-        structures.setdefault((obj.quantale_name, obj.group_name), []).append(obj.vgroup)
     greatest_checked = 0
     for obj in suite.objects:
         if obj.vgroup.size > SMALL_CARRIER:
             continue
         hat = symmetric_coreflect(obj.vgroup)
-        for candidate in structures[(obj.quantale_name, obj.group_name)]:
+        for candidate in suite.structures_on(obj.quantale_name, obj.group_name):
             if not classify_object(candidate).symmetric:
                 continue
             if not candidate.structure.leq(obj.vgroup.structure):

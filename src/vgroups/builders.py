@@ -75,6 +75,21 @@ class Suite:
         # not pay for the index.
         return {(hs.dom, hs.cod): hs for hs in self.hom_sets if not hs.truncated}
 
+    @cached_property
+    def _structures_at(self):
+        at = {}
+        for obj in self.objects:
+            at.setdefault((obj.quantale_name, obj.group_name), []).append(obj.vgroup)
+        return at
+
+    def structures_on(self, quantale_name, group_name):
+        """The suite's objects on the named quantale and group, in suite
+        order.  ``standard_suite`` holds every structure
+        ``enumerate_structures`` gives on each of its (quantale, group)
+        pairs, in that order, so on its suites this is that enumeration;
+        the test suite checks this at both levels."""
+        return self._structures_at.get((quantale_name, group_name), [])
+
     def objects_over(self, quantale_name):
         return [o for o in self.objects if o.quantale_name == quantale_name]
 

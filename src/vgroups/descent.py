@@ -28,11 +28,11 @@ its arguments.  The induced equivalence of categories over the infinite
 site stays out of reach of a finite check.
 
 Evaluation is a pure function of the formula, safe to share.  A window's
-matrix, and the kernel-pair meet structure, are copied from the
-formula's three blocks (bottom below the level, the identity on it, the
-base row above it) rather than evaluated entry by entry, and the
-finality check folds the levels once per distinct (base value, same
-point) pair, on which alone the folded values depend.
+matrix is copied from the formula's three blocks (bottom below the
+level, the identity on it, the base row above it) rather than evaluated
+entry by entry, and the finality check folds the levels once per
+distinct (base value, same point) pair, on which alone the folded values
+depend.
 """
 
 from dataclasses import dataclass
@@ -44,10 +44,8 @@ from .vgroup import classify_object, kernel
 
 DEFAULT_WINDOW_RADIUS = 3
 # Window scans are cubic in the window and quadratic in the kernel-pair
-# carrier.  The cubic transitivity scan skips bottom entries, which are
-# at least the lower half of a window, so it runs over at most half.
-# The battery and the benchmark stay within radius 3 on six points: 42
-# window elements and 294 kernel-pair elements.
+# carrier.  The battery and the benchmark stay within radius 3 on six
+# points: 42 window elements and 294 kernel-pair elements.
 WINDOW_ELEMENT_CAP = 48
 KERNEL_PAIR_ELEMENT_CAP = 7 * WINDOW_ELEMENT_CAP
 
@@ -90,28 +88,21 @@ class IntegerIndexedCover:
         return [(z, x) for z in range(-radius, radius + 1)
                 for x in range(self.base.size)]
 
-    def level_blocks(self, x):
-        """``relation`` from (z, x) to the points of one level, as three
-        blocks: on a level below z, on z itself and on a level above z."""
-        q = self.quantale
-        lower = [q.bottom] * self.base.size
-        own = list(lower)
-        own[x] = q.top
-        return lower, own, list(self.base.structure.entries[x])
-
     def window_matrix(self, radius):
-        """``relation`` on ``window_elements(radius)``, row by row from the
-        level blocks of each element."""
+        """``relation`` on ``window_elements(radius)``.  The row of (z, x)
+        repeats one block per level: bottom on each level below z, top at
+        x on z itself, and the base row of x on each level above z."""
+        q, n = self.quantale, self.base.size
         span = 2 * radius + 1
-        return [_spread(self.level_blocks(x), level, span)
-                for level in range(span) for x in range(self.base.size)]
-
-
-def _spread(blocks, level, span):
-    """One row over ``span`` levels from its (lower, own, higher) blocks,
-    for an element on the ``level``-th of them."""
-    lower, own, higher = blocks
-    return lower * level + own + higher * (span - 1 - level)
+        rows = []
+        for level in range(span):
+            for x in range(n):
+                lower = [q.bottom] * n
+                own = list(lower)
+                own[x] = q.top
+                higher = list(self.base.structure.entries[x])
+                rows.append(lower * level + own + higher * (span - 1 - level))
+        return rows
 
 
 def _guard(what, count, cap):
@@ -121,41 +112,18 @@ def _guard(what, count, cap):
 
 def _pair_rows(window, pairs):
     """The meet structure on kernel-pair elements (level, level, point),
-    read off the window matrix one lazy row per element of ``pairs``."""
-    meet, w = window.cover.quantale.meet, window.matrix
+    read off the window matrix one lazy row per element of ``pairs``.
+
+    Meets are read from ``Quantale.meet_table``; a missing one (``None``)
+    goes through ``Quantale.meet``, which raises on it.
+    """
+    q, w = window.cover.quantale, window.matrix
+    table, meet = q.meet_table, q.meet
     at = [(window.index(z1, x), window.index(z2, x)) for z1, z2, x in pairs]
     for i1, i2 in at:
         row1, row2 = w[i1], w[i2]
-        yield (meet(row1[j1], row2[j2]) for j1, j2 in at)
-
-
-def _kernel_pair_matrix(cover, carrier, span):
-    """The meet structure on the kernel-pair ``carrier`` of ``span``
-    levels, built by blocks like the window.
-
-    The entry from (z1, z2, x) to (w1, w2, y) meets the relation from
-    (z1, x) to (w1, y) with the one from (z2, x) to (w2, y).  Across y
-    these are level blocks of x, picked by where w1 lies against z1 and
-    w2 against z2, so each point has nine blocks of meets, each met once
-    and spread like a window row.  A missing meet raises through
-    ``Quantale.meet`` at the first entry, in row-major order, that needs it.
-    """
-    q = cover.quantale
-    table = q.meet_table
-    meets = []
-    for x in range(cover.base.size):
-        blocks = cover.level_blocks(x)
-        meets.append([[[table[u][v] for u, v in zip(b1, b2)] for b2 in blocks]
-                      for b1 in blocks])
-    matrix = [_spread([_spread(row, z2, span) for row in point], z1, span)
-              for z1 in range(span) for z2 in range(span) for point in meets]
-    if any(None in block for point in meets for row in point for block in row):
-        for (z1, z2, x), row in zip(carrier, matrix):
-            if None in row:
-                w1, w2, y = carrier[row.index(None)]
-                # raises: the table has no meet for these two values
-                q.meet(cover.relation((z1, x), (w1, y)), cover.relation((z2, x), (w2, y)))
-    return matrix
+        yield (m if (m := table[row1[j1]][row2[j2]]) is not None
+               else meet(row1[j1], row2[j2]) for j1, j2 in at)
 
 
 def _separation_witness(q, elements, matrix):
@@ -304,7 +272,7 @@ def kernel_pair_groupoid(cover, radius):
     levels = range(-radius, radius + 1)
     _guard("kernel pair", len(levels) ** 2 * base.size, KERNEL_PAIR_ELEMENT_CAP)
     carrier = [(z1, z2, x) for z1 in levels for z2 in levels for x in range(base.size)]
-    matrix = _kernel_pair_matrix(cover, carrier, len(levels))
+    matrix = [list(row) for row in _pair_rows(window, carrier)]
 
     position = {e: i for i, e in enumerate(carrier)}
     witness = laws.reflection(window.matrix, matrix,

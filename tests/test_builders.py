@@ -8,7 +8,8 @@ from pathlib import Path
 
 import pytest
 
-from vgroups import classify_object, standard_suite, validate_vgroup
+from vgroups import (classify_object, enumerate_structures, standard_suite,
+                     validate_vgroup)
 from vgroups.builders import group_roster
 
 SRC = Path(__file__).parent.parent / "src"
@@ -134,6 +135,17 @@ class TestSmokeSuite:
             assert doc.vgroup == obj.vgroup
             text = document_text(doc)
             assert document_text(parse_document(json.loads(text))) == text
+
+
+@pytest.mark.parametrize("level", ["smoke", "full"])
+def test_structures_on_is_the_enumeration(level):
+    # check_pretorsion reads its greatest-symmetric candidates from here
+    suite = standard_suite(level)
+    for qname, q in suite.quantales:
+        for gname, grp in suite.groups:
+            assert suite.structures_on(qname, gname) == \
+                list(enumerate_structures(grp, q)), (qname, gname)
+    assert suite.structures_on("boolean", "no such group") == []
 
 
 @pytest.mark.slow

@@ -435,11 +435,15 @@ def test_descent_matrix_scans_match_the_formula():
                        "action-map-compatibility"}
 
 
-# sha256 over the full suite's descent outputs at radii 1-3, in suite
-# order, from before windows were built by blocks and the tensor scanners
-# skipped annihilating values.  Every one of those speedups keeps the
-# outputs byte for byte, so the digest must not move.
-DESCENT_OUTPUTS_DIGEST = "fb450ebbfd8dc26ee58970f23fd646ffa4e846cb1cc67ce2f98a52a831f5ddb8"
+# sha256 over the full suite's descent outputs, in suite order: every
+# verify_cover_window and Window.as_dict output at radii 1-3 and every
+# kernel_pair_groupoid output at radii 1-2 (at radius 3 its 294-element
+# matrices would triple the test's time; TestKernelPairMatrix checks that
+# radius against the per-entry reference).  Computed before windows were
+# built by blocks and the tensor scanners skipped annihilating values.
+# Every one of those speedups keeps the outputs byte for byte, so the
+# digest must not move.
+DESCENT_OUTPUTS_DIGEST = "917b0e7e1ace32ed1f05693117feb020b350a74c00e5896b3e1d05f444816061"
 
 
 def test_descent_outputs_are_pinned_over_the_full_suite():
@@ -448,7 +452,8 @@ def test_descent_outputs_are_pinned_over_the_full_suite():
         cover, _ = descent_cover(obj.vgroup)
         for radius in (1, 2, 3):
             outputs = [obj.name, radius, verify_cover_window(cover, radius).as_dict(),
-                       kernel_pair_groupoid(cover, radius).as_dict(),
                        Window(cover, radius).as_dict()]
+            if radius < 3:
+                outputs.append(kernel_pair_groupoid(cover, radius).as_dict())
             digest.update(json.dumps(outputs, sort_keys=True).encode())
     assert digest.hexdigest() == DESCENT_OUTPUTS_DIGEST
