@@ -17,8 +17,8 @@ from .errors import TheoremCheckError
 from .factorization import (cached_decomposition, monotone_light_factorize,
                             reflective_factorize)
 from .quantale import validate_quantale
-from .torsion import (default_test_family, is_null_object, pretorsion_decompose,
-                      symmetric_coreflect)
+from .torsion import (default_test_family, is_null_object, matches_final_composite,
+                      pretorsion_decompose, symmetric_coreflect)
 from .vgroup import (classify_hom, classify_object, cokernel, factor_through_epi,
                      factor_through_mono, factorization_middle_iso,
                      image_factorize, is_isomorphism, kernel, profile_matrix,
@@ -81,12 +81,13 @@ def route_agreement_counts(group, q):
 
     All square matrices when that is affordable, otherwise all shift
     profiles spread to matrices.  Returns (candidates, disagreements,
-    nonabelian_findings); a disagreement on an abelian carrier is
-    counted, on a nonabelian one it is recorded as a finding.
+    nonabelian_findings, valid); a disagreement on an abelian carrier is
+    counted, on a nonabelian one it is recorded as a finding.  ``valid``,
+    the candidates whose compatibility route holds, counts the structures.
     """
     n = group.size
     abelian = group.is_abelian
-    candidates = disagreements = findings = 0
+    candidates = disagreements = findings = valid = 0
     if q.size ** (n * n) <= MATRIX_ENUMERATION_CAP:
         rows = list(iproduct(range(q.size), repeat=n))
         source = iproduct(rows, repeat=n)
@@ -96,24 +97,30 @@ def route_agreement_counts(group, q):
     for matrix in source:
         candidates += 1
         shift_route, functor_route = _route_flags(group, q, matrix)
+        valid += functor_route
         if shift_route != functor_route:
             if abelian:
                 disagreements += 1
             else:
                 findings += 1
-    return candidates, disagreements, findings
+    return candidates, disagreements, findings, valid
 
 
 def check_structure_routes(suite):
+    """The two validation routes agree on every candidate, and the suite
+    holds every structure that the compatibility route accepts."""
     failures = []
     total = findings = 0
     for qname, q in suite.quantales:
         for gname, grp in suite.groups:
-            cands, dis, finds = route_agreement_counts(grp, q)
+            cands, dis, finds, valid = route_agreement_counts(grp, q)
             total += cands
             findings += finds
             if dis:
                 failures.append((qname, gname, dis))
+            enumerated = len(suite.structures_on(qname, gname))
+            if valid != enumerated:
+                failures.append((qname, gname, "structures", valid, enumerated))
     return _result("structure_route_agreement", failures,
                    candidates=total, nonabelian_findings=findings)
 
@@ -135,7 +142,9 @@ def check_objects(suite):
 # -- normal-category lemmas ---------------------------------------------------
 
 def check_kernel_cokernel_roundtrips(suite):
-    """Regular epis are cokernels of their kernels and dually for normal monos."""
+    """Regular epis are cokernels of their kernels and dually for normal
+    monos.  Each cokernel's structure also equals the composite e°·a·e
+    through its projection e, the route ``decompose`` checks."""
     failures = []
     checked = 0
     for dom, cod, f in suite.all_homs():
@@ -143,11 +152,16 @@ def check_kernel_cokernel_roundtrips(suite):
         canonicals = []
         if cls.regular_epi:
             _, projection = cokernel(kernel(f)[1])
-            canonicals.append((factor_through_epi(projection, f), "cokernel-of-kernel"))
+            canonicals.append((factor_through_epi(projection, f), projection,
+                               "cokernel-of-kernel"))
         if cls.normal_mono:
-            _, inclusion = kernel(cokernel(f)[1])
-            canonicals.append((factor_through_mono(f, inclusion), "kernel-of-cokernel"))
-        for canonical, roundtrip in canonicals:
+            _, projection = cokernel(f)
+            _, inclusion = kernel(projection)
+            canonicals.append((factor_through_mono(f, inclusion), projection,
+                               "kernel-of-cokernel"))
+        for canonical, projection, roundtrip in canonicals:
+            if not matches_final_composite(projection):
+                failures.append((dom.name, cod.name, f.mapping, "cokernel-structure"))
             checked += 1
             if canonical is None or not (validate_hom(canonical).ok
                                          and is_isomorphism(canonical)):
@@ -332,12 +346,13 @@ def check_morphism_classification(suite):
 
 
 def check_factorizations(suite):
-    """Both factorizations of every morphism post-verify (each raises, and
-    the failure is recorded, otherwise).  For morphisms out of objects of
-    at most ``SMALL_CARRIER`` elements, every other pair through a suite
-    object that composes to f and lies in the system's two classes meets
-    the factorization through an isomorphism of middles, for up to
-    ``FACTORIZATION_UNIQUENESS_CAP`` pairs."""
+    """Both factorizations of every morphism post-verify, and f is in a
+    system's left (right) class iff its right (left) leg is an isomorphism.
+    For morphisms out of objects of at most ``SMALL_CARRIER`` elements,
+    every other pair through a suite object that composes to f and lies
+    in the system's two classes meets the factorization through an
+    isomorphism of middles, for up to ``FACTORIZATION_UNIQUENESS_CAP``
+    pairs.  A theorem check that raises on the way is recorded against f."""
     failures = []
     checked = uniqueness_checked = 0
     for dom, cod, f in suite.all_homs():
@@ -345,27 +360,34 @@ def check_factorizations(suite):
         try:
             refl = reflective_factorize(f, suite.cache)
             light = monotone_light_factorize(f, suite.cache)
+            report = suite.cache.report(f)
+            for flag, leg in ((report.reflector_inverted, refl.m),
+                              (report.trivial_covering, refl.e),
+                              (report.stably_inverted, light.m),
+                              (report.covering, light.e)):
+                if flag != is_isomorphism(leg):
+                    failures.append((dom.name, cod.name, f.mapping,
+                                     "class flag against factorization leg", leg.mapping))
+            if dom.vgroup.size > SMALL_CARRIER or \
+                    uniqueness_checked >= FACTORIZATION_UNIQUENESS_CAP:
+                continue
+            for fact, side in ((refl, "reflective"), (light, "monotone_light")):
+                for alt, e2, m2 in _alternative_factorizations(suite, dom, cod, f,
+                                                               fact.middle.size):
+                    rep_e = suite.cache.report(e2)
+                    rep_m = suite.cache.report(m2)
+                    if side == "reflective":
+                        matching = rep_e.reflector_inverted and rep_m.trivial_covering
+                    else:
+                        matching = rep_e.stably_inverted and rep_m.covering
+                    if not matching:
+                        continue
+                    uniqueness_checked += 1
+                    if factorization_middle_iso(fact.e, fact.m, e2, m2) is None:
+                        failures.append((dom.name, cod.name, f.mapping,
+                                         side, "uniqueness", alt.name))
         except TheoremCheckError as exc:
             failures.append((dom.name, cod.name, f.mapping, str(exc)))
-            continue
-        if dom.vgroup.size > SMALL_CARRIER or \
-                uniqueness_checked >= FACTORIZATION_UNIQUENESS_CAP:
-            continue
-        for fact, side in ((refl, "reflective"), (light, "monotone_light")):
-            for alt, e2, m2 in _alternative_factorizations(suite, dom, cod, f,
-                                                           fact.middle.size):
-                rep_e = suite.cache.report(e2)
-                rep_m = suite.cache.report(m2)
-                if side == "reflective":
-                    matching = rep_e.reflector_inverted and rep_m.trivial_covering
-                else:
-                    matching = rep_e.stably_inverted and rep_m.covering
-                if not matching:
-                    continue
-                uniqueness_checked += 1
-                if factorization_middle_iso(fact.e, fact.m, e2, m2) is None:
-                    failures.append((dom.name, cod.name, f.mapping,
-                                     side, "uniqueness", alt.name))
     return _result("factorization_postverify", failures, checked=checked,
                    uniqueness_checked=uniqueness_checked)
 
@@ -410,6 +432,8 @@ def check_pretorsion(suite):
         if obj.vgroup.size > SMALL_CARRIER:
             continue
         hat = symmetric_coreflect(obj.vgroup)
+        if not hat.structure.leq(obj.vgroup.structure):
+            failures.append((obj.name, "symmetric part not below"))
         for candidate in suite.structures_on(obj.quantale_name, obj.group_name):
             if not classify_object(candidate).symmetric:
                 continue

@@ -14,7 +14,8 @@ import argparse
 import sys
 
 from .battery import run_battery
-from .descent import Window, descent_cover, kernel_pair_groupoid, verify_cover_window
+from .descent import (DEFAULT_WINDOW_RADIUS, Window, descent_cover,
+                      kernel_pair_groupoid, verify_cover_window)
 from .document import canonical_json, load_document
 from .errors import (CapacityError, NonIntegralQuantaleError, StructuralError,
                      TheoremCheckError)
@@ -38,7 +39,7 @@ def _build_parser():
     parser.add_argument("--input", action="append", default=[],
                         help="workbench document (repeatable)")
     parser.add_argument("--morphism", help="name of a morphism in the inputs")
-    parser.add_argument("--window", type=int, default=3,
+    parser.add_argument("--window", type=int, default=DEFAULT_WINDOW_RADIUS,
                         help="window radius for descent checks")
     parser.add_argument("--suite-level", choices=["smoke", "full"], default="smoke")
     parser.add_argument("--format", choices=["text", "json"], default="text")

@@ -74,10 +74,6 @@ class IntegerIndexedCover:
     def op(self, p, q):
         return (p[0] + q[0], self.base.group.op(p[1], q[1]))
 
-    @property
-    def identity(self):
-        return (0, self.base.group.identity)
-
     def projection(self, p):
         return p[1]
 
@@ -186,17 +182,15 @@ def verify_cover_window(cover, radius):
     """Exhaustive window check of the cover's claimed properties.
 
     Scans reflexivity, transitivity on in-window triples, invariance
-    under right shifts that stay in the window, separation (against the
-    identity, and over all window pairs), compatibility of the
-    projection, and finality of the projection: for every base pair the
-    window join must equal the base value and must not grow at
-    radius + 1.
+    under right shifts that stay in the window, separation over all
+    window pairs, compatibility of the projection, and finality of the
+    projection: for every base pair the window join must equal the base
+    value and must not grow at radius + 1.
     """
     report = ValidationReport(subject=f"cover-window-r{radius}")
     window = Window(cover, radius)
     base = cover.base
     q = base.quantale
-    top = q.top
     elems = window.elements
     rel = cover.relation
 
@@ -220,11 +214,6 @@ def verify_cover_window(cover, radius):
     if witness is not None:
         report.add("window-shift-invariance", (elems[i] for i in witness))
 
-    ident = cover.identity
-    for p in elems:
-        if p != ident and rel(p, ident) == top and rel(ident, p) == top:
-            report.add("window-separation-at-identity", p)
-            break
     witness = _separation_witness(q, elems, window.matrix)
     if witness is not None:
         report.add("window-separation", witness)

@@ -13,11 +13,11 @@ Every class flag is computed along two routes (definitional and
 characterization) and compared; a disagreement is a loud failure, never
 a tolerated state, because the agreement is itself a theorem this
 workbench is meant to exercise.  Both factorizations post-verify the
-classes of their legs; that they compose to f holds by construction.
+class of their left legs; that they compose to f, and that their right
+legs lie in the right class, holds by construction.
 """
 
-from dataclasses import dataclass, field
-from types import MappingProxyType
+from dataclasses import dataclass
 
 from .errors import NonIntegralQuantaleError, StructuralError, TheoremCheckError
 from .torsion import decompose, reflected_map, torsion_members
@@ -59,8 +59,7 @@ class ClassCache:
 
     def _record(self, f, report):
         flags = (report.reflector_inverted, report.trivial_covering,
-                 report.stably_inverted, report.covering,
-                 tuple(sorted(report.cross_checks.items())))
+                 report.stably_inverted, report.covering)
         report = self._shared.setdefault(flags, report)
         self.reports[self._report_key(f)] = report
         return report
@@ -81,7 +80,6 @@ class MorphismClassReport:
     trivial_covering: bool         # reflection naturality square is a pullback
     stably_inverted: bool          # normal epi with indiscrete kernel
     covering: bool                 # kernel is separated
-    cross_checks: dict = field(default_factory=dict)
 
     def as_dict(self):
         return {
@@ -89,7 +87,6 @@ class MorphismClassReport:
             "trivial_covering": self.trivial_covering,
             "stably_inverted": self.stably_inverted,
             "covering": self.covering,
-            "cross_checks": dict(sorted(self.cross_checks.items())),
         }
 
 
@@ -111,11 +108,11 @@ def classify_morphism(f, cache=None):
     definitionally the naturality square must be a pullback; the
     characterization demands an isomorphic restriction between torsion
     parts and that the structure is the meet of the two pulled-back
-    ones.  The stabilized flags are computed from the kernel; their
-    containment in the unstabilized classes is recorded as a cross
-    check.  Any route disagreement raises.  The decompositions come
-    from ``cache`` (a fresh one when omitted), and the report is recorded
-    there; ``cache.report(f)`` looks it up before classifying again.
+    ones.  The stabilized flags are computed from the kernel; a failed
+    containment in the unstabilized classes raises, as does any route
+    disagreement.  The decompositions come from ``cache`` (a fresh one
+    when omitted), and the report is recorded there; ``cache.report(f)``
+    looks it up before classifying again.
     """
     if not f.dom.quantale.is_integral:
         raise NonIntegralQuantaleError(
@@ -174,19 +171,15 @@ def classify_morphism(f, cache=None):
     stably_inverted = classify_hom(f).regular_epi and ker_class.indiscrete
     covering = ker_class.separated
 
-    cross = {
-        "left_routes_agree": inverted_def == inverted_char,
-        "right_routes_agree": trivial_def == trivial_char,
-        "stably_inverted_implies_inverted": (not stably_inverted) or inverted_def,
-        "trivial_covering_implies_covering": (not trivial_def) or covering,
-    }
-    if not all(cross.values()):
+    if stably_inverted and not inverted_def:
         raise TheoremCheckError(
-            f"class containment cross-check failed for {f!r}: {cross}")
+            f"{f!r} is stably inverted but not inverted by the reflector")
+    if trivial_def and not covering:
+        raise TheoremCheckError(
+            f"{f!r} is a trivial covering but not a covering")
     return cache._record(f, MorphismClassReport(
         reflector_inverted=inverted_def, trivial_covering=trivial_def,
-        stably_inverted=stably_inverted, covering=covering,
-        cross_checks=MappingProxyType(cross)))
+        stably_inverted=stably_inverted, covering=covering))
 
 
 def is_covering(f):
@@ -227,9 +220,10 @@ def reflective_factorize(f, cache=None):
     codomain's projection; the left leg is the induced comparison, the
     right leg the pullback projection.  The composite is f, and m is
     valid, by construction (e(x) is the pair over f(x); pullback entries
-    are meets).  Post-verifies that e is valid (f need not be) and
-    reflector-inverted and m a trivial covering, raising on failure.
-    Decompositions and leg reports come from ``cache`` (fresh if omitted).
+    are meets), and so is m a trivial covering: the reflection is
+    separated, so the middle's torsion part is T(cod) x {e}.  Post-verifies that e is valid (f need not be) and reflector-inverted,
+    raising on failure.  Decompositions and e's report come from
+    ``cache`` (fresh if omitted).
     """
     if cache is None:
         cache = ClassCache()
@@ -240,14 +234,9 @@ def reflective_factorize(f, cache=None):
     if not validate_hom(e).ok:
         raise TheoremCheckError(
             f"reflective factorization of {f!r} produced an invalid leg")
-    report_e = cache.report(e)
-    report_m = cache.report(m)
-    if not report_e.reflector_inverted:
+    if not cache.report(e).reflector_inverted:
         raise TheoremCheckError(
             f"left leg {e!r} of {f!r} is not inverted by the reflector")
-    if not report_m.trivial_covering:
-        raise TheoremCheckError(
-            f"right leg {m!r} of {f!r} is not a trivial covering")
     return Factorization(e=e, middle=p, m=m, system="reflective")
 
 
@@ -259,9 +248,10 @@ def monotone_light_factorize(f, cache=None):
     normal monomorphism), so the quotient exists; the induced map to the
     codomain is well-defined because the quotiented subgroup sits inside
     the kernel, and e then m is f by the contract of ``factor_through_epi``.
-    Post-verifies m's validity and both legs' classes; a failure here would
+    m is a covering because the torsion part of the kernel is quotiented
+    away.  Post-verifies m's validity and e's class; a failure here would
     be a finding about the construction, not a tolerated state, so it
-    raises.  Leg reports come from ``cache``, a fresh one when omitted.
+    raises.  e's report comes from ``cache``, a fresh one when omitted.
     """
     if not f.dom.quantale.is_integral:
         raise NonIntegralQuantaleError("stabilized factorization needs an integral quantale")
@@ -283,11 +273,7 @@ def monotone_light_factorize(f, cache=None):
     if not validate_hom(m).ok:
         raise TheoremCheckError(
             f"stabilized factorization of {f!r} produced an invalid leg")
-    report_e = cache.report(e)
-    report_m = cache.report(m)
-    if not report_e.stably_inverted:
+    if not cache.report(e).stably_inverted:
         raise TheoremCheckError(
             f"left leg {e!r} of {f!r} is not a normal epi with indiscrete kernel")
-    if not report_m.covering:
-        raise TheoremCheckError(f"right leg {m!r} of {f!r} is not a covering")
     return Factorization(e=e, middle=middle, m=m, system="monotone_light")

@@ -57,13 +57,11 @@ def shift_invariance(a, op):
     whose shift ``op`` leaves undefined (None)."""
     rng = range(len(a))
     for s in rng:
-        moved = [op(x, s) for x in rng]
-        for x in rng:
-            if moved[x] is None:
-                continue
-            ax, shifted = a[x], a[moved[x]]
-            for y in rng:
-                if moved[y] is not None and ax[y] != shifted[moved[y]]:
+        defined = [(x, xs) for x in rng if (xs := op(x, s)) is not None]
+        for x, xs in defined:
+            ax, shifted = a[x], a[xs]
+            for y, ys in defined:
+                if ax[y] != shifted[ys]:
                     return (s, x, y)
     return None
 

@@ -262,8 +262,7 @@ def classify_object(g):
         raise TheoremCheckError(
             f"one-variable and two-variable separation checks disagree for {g!r}")
     symmetric = all(a[x][y] == a[y][x] for x in rng for y in rng)
-    ident = VRel.identity(q, n)
-    discrete = g.structure == ident
+    discrete = all(a[x][y] == (k if x == y else q.bottom) for x in rng for y in rng)
     return ObjectClass(indiscrete=indiscrete, separated=sep_full,
                        symmetric=symmetric, discrete=discrete)
 

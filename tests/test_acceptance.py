@@ -94,7 +94,7 @@ def test_criterion_2_shift_compatibility_equivalence(suite):
     total = disagreements = 0
     for _, q in suite.quantales:
         for _, grp in suite.groups:
-            cands, dis, _ = route_agreement_counts(grp, q)
+            cands, dis, _, _ = route_agreement_counts(grp, q)
             total += cands
             disagreements += dis
     elapsed = time.monotonic() - start

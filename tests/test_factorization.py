@@ -51,10 +51,6 @@ class TestClassifyMorphism:
         assert rep.reflector_inverted
         assert not rep.stably_inverted  # not surjective, so not a normal epi
 
-    def test_cross_checks_recorded(self, quotient_to_z2):
-        rep = classify_morphism(quotient_to_z2)
-        assert all(rep.cross_checks.values())
-
     def test_non_integral_rejected(self, non_integral_q, z2):
         obj = discrete_vgroup(z2, non_integral_q)
         with pytest.raises(NonIntegralQuantaleError):
@@ -243,8 +239,6 @@ class TestClassCache:
         report = classify_morphism(quotient_to_z2)
         with pytest.raises(dataclasses.FrozenInstanceError):
             report.covering = not report.covering
-        with pytest.raises(TypeError):
-            report.cross_checks["left_routes_agree"] = False
 
     def test_battery_runs_do_not_share_state(self):
         first = [r.as_dict() for r in run_battery("smoke")]

@@ -96,8 +96,13 @@ class TestConstruction:
             pair_group(z2, z2, [(0, 0), (1, 0), (0, 1)])
 
     def test_rejects_non_associative(self):
-        with pytest.raises(StructuralError):
-            FiniteGroup([[0, 1], [1, 1]])
+        # a Latin square with identity 0 and unique inverses: only the
+        # associativity scan can reject it
+        loop = [[0, 1, 2, 3, 4], [1, 0, 3, 4, 2], [2, 4, 0, 1, 3],
+                [3, 2, 4, 0, 1], [4, 3, 1, 2, 0]]
+        with pytest.raises(StructuralError,
+                           match=r"not associative at \(1, 1, 2\)"):
+            FiniteGroup(loop)
 
     def test_rejects_no_identity(self):
         with pytest.raises(StructuralError):

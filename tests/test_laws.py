@@ -52,6 +52,34 @@ def matrix_cases(seed, count=300):
         yield q, random_matrix(rng, q, n), [[q.top] * k for _ in range(k)], m
 
 
+def brute_shift_invariance(a, op):
+    n = len(a)
+    return first((s, x, y) for s in range(n) for x in range(n) for y in range(n)
+                 if None not in (op(x, s), op(y, s))
+                 and a[x][y] != a[op(x, s)][op(y, s)])
+
+
+def test_shift_invariance_matches_the_definition():
+    """Over the roster's Cayley tables, whole and with a random quarter
+    of the shifts undefined (as at a descent window's edge), on shift
+    invariant matrices with and without one entry moved."""
+    rng = random.Random(13)
+    found = 0
+    for group in group_roster().values():
+        n = group.size
+        for _ in range(40):
+            undefined = {(x, s) for x in range(n) for s in range(n) if rng.random() < 0.25}
+            op = rng.choice((group.op, lambda x, s: None if (x, s) in undefined
+                             else group.op(x, s)))
+            delta = [rng.randrange(3) for _ in range(n)]
+            a = [[delta[group.sub(y, x)] for y in range(n)] for x in range(n)]
+            a[rng.randrange(n)][rng.randrange(n)] = rng.randrange(3)
+            want = brute_shift_invariance(a, op)
+            found += want is not None
+            assert laws.shift_invariance(a, op) == want
+    assert found > 100
+
+
 def test_compatibility_matches_the_definition():
     found = 0
     for q, a, b, m in matrix_cases(seed=1):
