@@ -4,7 +4,8 @@ suite, with deterministic iteration order and explicit caps.
 
 Each check returns a CheckResult; a failed check means a mathematical
 statement did not hold on concrete data, which the command line surfaces
-as exit code 1.
+as exit code 1.  A check records each ``THEOREM_FAILURES`` error against
+the object or morphism it was working on and goes on with the next one.
 """
 
 from dataclasses import dataclass, field
@@ -13,11 +14,11 @@ from itertools import islice, product as iproduct
 from . import laws
 from .builders import SMOKE_QUANTALES, standard_suite
 from .descent import descent_cover, kernel_pair_groupoid, verify_cover_window
-from .errors import TheoremCheckError
+from .errors import StructuralError, TheoremCheckError
 from .factorization import (cached_decomposition, monotone_light_factorize,
                             reflective_factorize)
 from .quantale import validate_quantale
-from .torsion import (default_test_family, is_null_object, matches_final_composite,
+from .torsion import (default_test_family, matches_final_composite,
                       pretorsion_decompose, symmetric_coreflect)
 from .vgroup import (classify_hom, classify_object, cokernel, factor_through_epi,
                      factor_through_mono, factorization_middle_iso,
@@ -34,6 +35,9 @@ STABLE_CLASS_CAP = 250
 PRETORSION_QUANTALES = tuple(name for name, _ in SMOKE_QUANTALES)
 PRETORSION_FAMILY_MAX_CARRIER = 3
 DESCENT_RADII = (1, 2)  # the groupoid uses the first
+# The suite's data are valid, so a structural error raised on them is a
+# failed theorem check too.
+THEOREM_FAILURES = (TheoremCheckError, StructuralError)
 
 
 @dataclass
@@ -130,12 +134,15 @@ def check_structure_routes(suite):
 def check_objects(suite):
     failures = []
     for obj in suite.objects:
-        report = validate_vgroup(obj.vgroup)
-        if not report.ok:
-            failures.append((obj.name, report.laws_violated()))
-        if obj.quantale_name == "boolean" and \
-                not classify_object(obj.vgroup).symmetric:
-            failures.append((obj.name, "boolean object not symmetric"))
+        try:
+            report = validate_vgroup(obj.vgroup)
+            if not report.ok:
+                failures.append((obj.name, report.laws_violated()))
+            elif obj.quantale_name == "boolean" and \
+                    not classify_object(obj.vgroup).symmetric:
+                failures.append((obj.name, "boolean object not symmetric"))
+        except THEOREM_FAILURES as exc:
+            failures.append((obj.name, str(exc)))
     return _result("object_validation", failures, objects=len(suite.objects))
 
 
@@ -207,15 +214,19 @@ def check_ses_morphism_pullback(suite):
                         continue
                     c_vert = factor_through_epi(proj_x, b.then(proj_y))
                     checked += 1
-                    if ny not in pulled:
-                        pulled[ny] = pullback(inc_y, b)
-                    p, to_ty, to_x = pulled[ny]
-                    left_is_pullback = is_isomorphism(
-                        pullback_comparison(p, to_ty, to_x, a_vert, inc_x))
-                    if left_is_pullback != c_vert.is_injective():
-                        failures.append((suite.objects[i].name,
-                                         suite.objects[j].name,
-                                         b.mapping, nx, ny))
+                    witness = (suite.objects[i].name, suite.objects[j].name,
+                               b.mapping, nx, ny)
+                    try:
+                        if ny not in pulled:
+                            pulled[ny] = pullback(inc_y, b)
+                        p, to_ty, to_x = pulled[ny]
+                        left_is_pullback = is_isomorphism(
+                            pullback_comparison(p, to_ty, to_x, a_vert, inc_x))
+                    except THEOREM_FAILURES as exc:
+                        failures.append(witness + (str(exc),))
+                        continue
+                    if c_vert is None or left_is_pullback != c_vert.is_injective():
+                        failures.append(witness)
     return _result("ses_morphism_pullback", failures, checked=checked)
 
 
@@ -298,29 +309,30 @@ def check_torsion_theory(suite):
     hom-set the only map from an indiscrete to a separated object is the
     zero map."""
     failures = []
-    for obj in suite.objects:
+    classes = {}  # by object index, for the objects that classify
+    for i, obj in enumerate(suite.objects):
         try:
+            classes[i] = classify_object(obj.vgroup)
             dec = cached_decomposition(obj.vgroup, suite.cache)
-        except TheoremCheckError as exc:
-            failures.append((obj.name, f"decompose: {exc}"))
-            continue
-        if obj.vgroup.size <= SMALL_CARRIER:
-            canonical = set(dec.injection.mapping)
-            for alt, inclusion, projection in _exact_sequences(obj.vgroup):
-                if classify_object(inclusion.dom).indiscrete and \
-                        classify_object(projection.cod).separated and \
-                        set(alt) != canonical:
-                    failures.append((obj.name, "alternative sequence", alt))
+            if obj.vgroup.size <= SMALL_CARRIER:
+                canonical = set(dec.injection.mapping)
+                for alt, inclusion, projection in _exact_sequences(obj.vgroup):
+                    if classify_object(inclusion.dom).indiscrete and \
+                            classify_object(projection.cod).separated and \
+                            set(alt) != canonical:
+                        failures.append((obj.name, "alternative sequence", alt))
+        except THEOREM_FAILURES as exc:
+            failures.append((obj.name, str(exc)))
     vanish_checked = 0
-    classes = [classify_object(obj.vgroup) for obj in suite.objects]
-    for i, dom in enumerate(suite.objects):
-        if not classes[i].indiscrete:
+    for i, dom_class in classes.items():
+        if not dom_class.indiscrete:
             continue
-        for j, cod in enumerate(suite.objects):
-            hs = suite.homs_between(i, j) if classes[j].separated else None
+        for j, cod_class in classes.items():
+            hs = suite.homs_between(i, j) if cod_class.separated else None
             if hs is None:  # not separated, or over another quantale
                 continue
             vanish_checked += 1
+            dom, cod = suite.objects[i], suite.objects[j]
             if hs.homs != (zero_hom(dom.vgroup, cod.vgroup),):
                 failures.append((dom.name, cod.name, "hom-vanishing"))
     return _result("torsion_theory", failures,
@@ -340,7 +352,7 @@ def check_morphism_classification(suite):
         checked += 1
         try:
             suite.cache.report(f)
-        except TheoremCheckError as exc:
+        except THEOREM_FAILURES as exc:
             failures.append((dom.name, cod.name, f.mapping, str(exc)))
     return _result("morphism_classification", failures, checked=checked)
 
@@ -386,7 +398,7 @@ def check_factorizations(suite):
                     if factorization_middle_iso(fact.e, fact.m, e2, m2) is None:
                         failures.append((dom.name, cod.name, f.mapping,
                                          side, "uniqueness", alt.name))
-        except TheoremCheckError as exc:
+        except THEOREM_FAILURES as exc:
             failures.append((dom.name, cod.name, f.mapping, str(exc)))
     return _result("factorization_postverify", failures, checked=checked,
                    uniqueness_checked=uniqueness_checked)
@@ -396,11 +408,22 @@ def check_stable_class_pullbacks(suite):
     """Morphisms flagged stably-inverted stay reflector-inverted under pullback."""
     failures = []
     checked = 0
-    for f, g, pulled in _pulled_back(
-            suite, lambda f: suite.cache.report(f).stably_inverted, STABLE_CLASS_CAP):
+
+    def stably_inverted(f):
+        try:
+            return suite.cache.report(f).stably_inverted
+        except THEOREM_FAILURES as exc:
+            failures.append((f.dom.name, f.mapping, str(exc)))
+            return False
+
+    for f, g, pulled in _pulled_back(suite, stably_inverted, STABLE_CLASS_CAP):
         checked += 1
-        if not suite.cache.report(pulled).reflector_inverted:
-            failures.append((f.dom.name, f.mapping, g.dom.name, g.mapping))
+        witness = (f.dom.name, f.mapping, g.dom.name, g.mapping)
+        try:
+            if not suite.cache.report(pulled).reflector_inverted:
+                failures.append(witness)
+        except THEOREM_FAILURES as exc:
+            failures.append(witness + (str(exc),))
     return _result("stable_class_pullbacks", failures, pullbacks=checked)
 
 
@@ -409,11 +432,6 @@ def check_stable_class_pullbacks(suite):
 def check_pretorsion(suite):
     failures = []
     checked = 0
-    # the null class is extensionally the symmetric separated objects
-    for obj in suite.objects:
-        cls = classify_object(obj.vgroup)
-        if is_null_object(obj.vgroup) != (cls.symmetric and cls.separated):
-            failures.append((obj.name, "null class mismatch"))
     for qname in PRETORSION_QUANTALES:
         small = [o.vgroup for o in suite.objects_over(qname)
                  if o.vgroup.size <= PRETORSION_FAMILY_MAX_CARRIER]
@@ -425,24 +443,27 @@ def check_pretorsion(suite):
                     if extra not in family:
                         family.append(extra)
                 pretorsion_decompose(obj.vgroup, test_objects=family)
-            except TheoremCheckError as exc:
+            except THEOREM_FAILURES as exc:
                 failures.append((obj.name, str(exc)))
     greatest_checked = 0
     for obj in suite.objects:
         if obj.vgroup.size > SMALL_CARRIER:
             continue
-        hat = symmetric_coreflect(obj.vgroup)
-        if not hat.structure.leq(obj.vgroup.structure):
-            failures.append((obj.name, "symmetric part not below"))
-        for candidate in suite.structures_on(obj.quantale_name, obj.group_name):
-            if not classify_object(candidate).symmetric:
-                continue
-            if not candidate.structure.leq(obj.vgroup.structure):
-                continue
-            greatest_checked += 1
-            if not candidate.structure.leq(hat.structure):
-                failures.append((obj.name, "symmetric part not greatest",
-                                 candidate.delta()))
+        try:
+            hat = symmetric_coreflect(obj.vgroup)
+            if not hat.structure.leq(obj.vgroup.structure):
+                failures.append((obj.name, "symmetric part not below"))
+            for candidate in suite.structures_on(obj.quantale_name, obj.group_name):
+                if not classify_object(candidate).symmetric:
+                    continue
+                if not candidate.structure.leq(obj.vgroup.structure):
+                    continue
+                greatest_checked += 1
+                if not candidate.structure.leq(hat.structure):
+                    failures.append((obj.name, "symmetric part not greatest",
+                                     candidate.delta()))
+        except THEOREM_FAILURES as exc:
+            failures.append((obj.name, str(exc)))
     return _result("pretorsion", failures, decomposed=checked,
                    greatest_candidates=greatest_checked)
 

@@ -12,7 +12,7 @@ from functools import cached_property
 
 from .factorization import ClassCache
 from .groups import FiniteGroup
-from .quantale import boolean, lawvere_chain, ultrametric_chain
+from .quantale import builtin_quantale
 from .vgroup import enumerate_homs, enumerate_structures
 
 TOTAL_HOM_BUDGET = 2_000_000
@@ -33,9 +33,12 @@ def group_roster():
     }
 
 
-SMOKE_QUANTALES = (("boolean", boolean), ("lawvere_chain_2", lambda: lawvere_chain(2)))
-FULL_EXTRA_QUANTALES = (("ultrametric_chain_3", lambda: ultrametric_chain(3)),
-                        ("lawvere_chain_3", lambda: lawvere_chain(3)))
+# Each suite quantale by name, with the builtin document spec it is built
+# from (through ``builtin_quantale``) and exported with.
+SMOKE_QUANTALES = (("boolean", {"builtin": "boolean"}),
+                   ("lawvere_chain_2", {"builtin": "lawvere_chain", "m": 2}))
+FULL_EXTRA_QUANTALES = (("ultrametric_chain_3", {"builtin": "ultrametric_chain", "m": 3}),
+                        ("lawvere_chain_3", {"builtin": "lawvere_chain", "m": 3}))
 SMOKE_GROUPS = ("Z1", "Z2", "Z3", "Z4")
 FULL_EXTRA_GROUPS = ("Z2xZ2", "Z5", "S3")
 
@@ -111,12 +114,8 @@ class Suite:
     def export_documents(self):
         """Every suite object as a workbench document value, keyed by name."""
         from .document import document_from_vgroup
-        specs = {"boolean": {"builtin": "boolean"},
-                 "lawvere_chain_2": {"builtin": "lawvere_chain", "m": 2},
-                 "lawvere_chain_3": {"builtin": "lawvere_chain", "m": 3},
-                 "ultrametric_chain_3": {"builtin": "ultrametric_chain", "m": 3}}
-        return {obj.name: document_from_vgroup(obj.vgroup,
-                                               specs.get(obj.quantale_name))
+        specs = dict(SMOKE_QUANTALES + FULL_EXTRA_QUANTALES)
+        return {obj.name: document_from_vgroup(obj.vgroup, specs[obj.quantale_name])
                 for obj in self.objects}
 
 
@@ -137,7 +136,8 @@ def standard_suite(level="smoke"):
     if level == "full":
         quantale_specs += list(FULL_EXTRA_QUANTALES)
         group_names += list(FULL_EXTRA_GROUPS)
-    quantales = [(name, make()) for name, make in quantale_specs]
+    quantales = [(name, builtin_quantale(spec["builtin"], spec.get("m")))
+                 for name, spec in quantale_specs]
     groups = [(name, roster[name]) for name in group_names]
 
     objects = []

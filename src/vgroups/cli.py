@@ -43,8 +43,6 @@ def _build_parser():
                         help="window radius for descent checks")
     parser.add_argument("--suite-level", choices=["smoke", "full"], default="smoke")
     parser.add_argument("--format", choices=["text", "json"], default="text")
-    parser.add_argument("--seed-order", choices=["canonical"], default="canonical",
-                        help="iteration order; only the canonical order exists")
     return parser
 
 

@@ -40,7 +40,7 @@ from dataclasses import dataclass
 from . import laws
 from .errors import CapacityError, NonIntegralQuantaleError, StructuralError
 from .reports import ValidationReport
-from .vgroup import classify_object, kernel
+from .vgroup import classify_object, kernel, pair_meets
 
 DEFAULT_WINDOW_RADIUS = 3
 # Window scans are cubic in the window and quadratic in the kernel-pair
@@ -106,20 +106,11 @@ def _guard(what, count, cap):
         raise CapacityError(f"a {what} of {count} elements exceeds the cap of {cap}")
 
 
-def _pair_rows(window, pairs):
+def _kernel_pair_meets(window, pairs):
     """The meet structure on kernel-pair elements (level, level, point),
-    read off the window matrix one lazy row per element of ``pairs``.
-
-    Meets are read from ``Quantale.meet_table``; a missing one (``None``)
-    goes through ``Quantale.meet``, which raises on it.
-    """
-    q, w = window.cover.quantale, window.matrix
-    table, meet = q.meet_table, q.meet
+    read off the window matrix."""
     at = [(window.index(z1, x), window.index(z2, x)) for z1, z2, x in pairs]
-    for i1, i2 in at:
-        row1, row2 = w[i1], w[i2]
-        yield (m if (m := table[row1[j1]][row2[j2]]) is not None
-               else meet(row1[j1], row2[j2]) for j1, j2 in at)
+    return pair_meets(window.cover.quantale, window.matrix, window.matrix, at)
 
 
 def _separation_witness(q, elements, matrix):
@@ -261,7 +252,7 @@ def kernel_pair_groupoid(cover, radius):
     levels = range(-radius, radius + 1)
     _guard("kernel pair", len(levels) ** 2 * base.size, KERNEL_PAIR_ELEMENT_CAP)
     carrier = [(z1, z2, x) for z1 in levels for z2 in levels for x in range(base.size)]
-    matrix = [list(row) for row in _pair_rows(window, carrier)]
+    matrix = _kernel_pair_meets(window, carrier)
 
     position = {e: i for i, e in enumerate(carrier)}
     witness = laws.reflection(window.matrix, matrix,
@@ -301,22 +292,20 @@ def action_of_covering(alpha, cover, radius):
     carrier = [(z, a) for z in levels for a in range(dom.size)]
     position = {w: i for i, w in enumerate(carrier)}
 
-    # the anchor map (z, a) -> (z, alpha a), as window indices
-    anchors = [window.index(z, alpha(a)) for z, a in carrier]
-    matrix = [[q.meet(window.matrix[i1][i2], dom.entry(w1[1], w2[1]))
-               for i2, w2 in zip(anchors, carrier)]
-              for i1, w1 in zip(anchors, carrier)]
+    # each (z, a) as the index pair (window index of (z, alpha a), a)
+    matrix = pair_meets(q, window.matrix, dom.structure.entries,
+                        [(window.index(z, alpha(a)), a) for z, a in carrier])
 
     # the action map (z1, z2, x) . (z2, a) -> (z1, a) must be
     # structure-compatible: composable pairs carry the meet of the
-    # acting-arrow structure and the carrier structure.
-    # Their matrix is read lazily, so the scan stops at its first witness.
+    # acting-arrow structure and the carrier structure.  That meet is
+    # taken lazily, so the scan stops at its first witness.
     composable = [((z1, z2, alpha(a)), (z2, a))
                   for z1 in levels for z2 in levels for a in range(dom.size)]
     places = [position[w] for _, w in composable]
+    arrows = _kernel_pair_meets(window, [arrow for arrow, _ in composable])
     before = ((q.meet(v, matrix[p1][p2]) for v, p2 in zip(row, places))
-              for row, p1 in zip(_pair_rows(window, [arrow for arrow, _ in composable]),
-                                 places))
+              for row, p1 in zip(arrows, places))
     witness = laws.compatibility(q, before, matrix,
                                  [position[(arrow[0], w[1])] for arrow, w in composable])
     if witness is not None:

@@ -17,7 +17,7 @@ class of their left legs; that they compose to f, and that their right
 legs lie in the right class, holds by construction.
 """
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from .errors import NonIntegralQuantaleError, StructuralError, TheoremCheckError
 from .torsion import decompose, reflected_map, torsion_members
@@ -29,39 +29,22 @@ from .vgroup import (VGroup, VHom, classify_hom, classify_object,
 class ClassCache:
     """Torsion decompositions and morphism class reports, kept for one run.
 
-    Decompositions are keyed by object.  A report is keyed by the cached
-    objects that are its domain and codomain, plus its mapping, so the
-    cache holds no object that it has not decomposed; morphisms with the
-    same flags share one report object.  Entries are read-only.
+    Decompositions are keyed by object, reports by morphism (domain,
+    codomain and mapping).  Entries are read-only.
     """
 
-    __slots__ = ("decompositions", "reports", "_shared")
+    __slots__ = ("decompositions", "reports")
 
     def __init__(self):
         self.decompositions = {}
         self.reports = {}
-        self._shared = {}
-
-    def _report_key(self, f):
-        """The report key of f, or None while an endpoint is undecomposed."""
-        dom_dec = self.decompositions.get(f.dom)
-        cod_dec = self.decompositions.get(f.cod)
-        if dom_dec is None or cod_dec is None:
-            return None
-        return dom_dec.object, cod_dec.object, f.mapping
 
     def report(self, f):
-        """The class report of f, classified on the first request only."""
-        report = self.reports.get(self._report_key(f))
+        """The class report of f, classified on the first request only; a
+        failed classification stores nothing."""
+        report = self.reports.get(f)
         if report is None:
-            report = classify_morphism(f, self)
-        return report
-
-    def _record(self, f, report):
-        flags = (report.reflector_inverted, report.trivial_covering,
-                 report.stably_inverted, report.covering)
-        report = self._shared.setdefault(flags, report)
-        self.reports[self._report_key(f)] = report
+            report = self.reports[f] = classify_morphism(f, self)
         return report
 
 
@@ -81,13 +64,7 @@ class MorphismClassReport:
     stably_inverted: bool          # normal epi with indiscrete kernel
     covering: bool                 # kernel is separated
 
-    def as_dict(self):
-        return {
-            "reflector_inverted": self.reflector_inverted,
-            "trivial_covering": self.trivial_covering,
-            "stably_inverted": self.stably_inverted,
-            "covering": self.covering,
-        }
+    as_dict = asdict
 
 
 def _naturality_square(f, dom_dec, cod_dec, reflected):
@@ -111,8 +88,7 @@ def classify_morphism(f, cache=None):
     ones.  The stabilized flags are computed from the kernel; a failed
     containment in the unstabilized classes raises, as does any route
     disagreement.  The decompositions come from ``cache`` (a fresh one
-    when omitted), and the report is recorded there; ``cache.report(f)``
-    looks it up before classifying again.
+    when omitted); ``cache.report(f)`` keeps the report.
     """
     if not f.dom.quantale.is_integral:
         raise NonIntegralQuantaleError(
@@ -177,9 +153,9 @@ def classify_morphism(f, cache=None):
     if trivial_def and not covering:
         raise TheoremCheckError(
             f"{f!r} is a trivial covering but not a covering")
-    return cache._record(f, MorphismClassReport(
+    return MorphismClassReport(
         reflector_inverted=inverted_def, trivial_covering=trivial_def,
-        stably_inverted=stably_inverted, covering=covering))
+        stably_inverted=stably_inverted, covering=covering)
 
 
 def is_covering(f):

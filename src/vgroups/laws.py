@@ -4,8 +4,9 @@ and of the maps between such structures.
 Each scanner walks a square matrix ``a`` of quantale indices (``a[x][y]``
 is the value from x to y) in lexicographic order of its witness tuple and
 returns the first index tuple that violates its law, or None when the law
-holds.  The shift and addition-compatibility scanners also take the group
-operation ``op``.  The morphism scanners ``compatibility`` and
+holds.  ``symmetry`` reads ``a`` alone, so it also serves Cayley and
+tensor tables.  The shift and addition-compatibility scanners also take
+the group operation ``op``.  The morphism scanners ``compatibility`` and
 ``reflection`` take a second matrix ``b`` and an index map ``m`` from the
 rows of ``a`` to the rows of ``b``; they read ``a`` one row and one entry
 at a time, so its rows may be generators and nothing past the first
@@ -39,6 +40,17 @@ def transitivity(q, a):
             for z, ayz in enumerate(a[y]):
                 if not leq[times[ayz]][ax[z]]:
                     return (x, y, z)
+    return None
+
+
+def symmetry(a):
+    """First (x, y) with a(x, y) != a(y, x).  A witness (y, x) with y < x
+    would follow its mirror (x, y), so only entries above the diagonal
+    are read."""
+    for x, ax in enumerate(a):
+        for y in range(x + 1, len(ax)):
+            if ax[y] != a[y][x]:
+                return (x, y)
     return None
 
 

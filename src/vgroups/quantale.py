@@ -13,6 +13,7 @@ laws is the job of :func:`validate_quantale`, which names each violated
 law together with a witness tuple.
 """
 
+from . import laws
 from .errors import CapacityError, StructuralError
 from .reports import ValidationReport
 
@@ -248,8 +249,9 @@ def validate_quantale(q):
     first("top-is-greatest", ((u,) for u in rng if not leq[u][q.top]))
     if q.bottom == q.top:
         report.add("nontrivial", (lab[q.bottom],))
-    first("tensor-commutative",
-          ((u, v) for u in rng for v in rng if ten[u][v] != ten[v][u]))
+    witness = laws.symmetry(ten)
+    if witness is not None:
+        report.add("tensor-commutative", tuple(lab[i] for i in witness))
     first("tensor-associative",
           ((u, v, w) for u in rng for v in rng for w in rng
            if ten[ten[u][v]][w] != ten[u][ten[v][w]]))

@@ -10,17 +10,17 @@ the theorem's claims: the kernel is indiscrete, the quotient separated,
 and both kernel/cokernel structure equations hold on the nose.
 
 The pretorsion side works over any quantale.  Its kernels and cokernels
-are taken relative to the null class (symmetric objects with one-sided
-separation); membership of a morphism in the null ideal is decided via
-its image, which is sound but not known to be complete, so reports carry
-the method label.  Universal properties are verified by exhaustive
+are taken relative to the null class (the symmetric separated objects);
+membership of a morphism in the null ideal is decided via its image,
+which is sound but not known to be complete, so reports carry the method
+label.  Universal properties are verified by exhaustive
 quantification over enumerated hom-sets from a finite family of test
 objects: a finite-model check, not a symbolic proof.
 """
 
 from dataclasses import dataclass, field
 
-from . import vgroup
+from . import laws, vgroup
 from .errors import (CapacityError, NonIntegralQuantaleError, StructuralError,
                      TheoremCheckError)
 from .reports import ValidationReport
@@ -176,14 +176,13 @@ def symmetric_coreflect(g):
 
 
 def _is_null_structure(q, a):
-    """Symmetric, and a(x, y) reaches the unit only on the diagonal."""
-    n = len(a)
-    return all(a[x][y] == a[y][x] and (x == y or not q.leq(q.unit, a[x][y]))
-               for x in range(n) for y in range(n))
+    """Symmetric and separated.  On a symmetric structure separation says
+    that a(x, y) reaches the unit only on the diagonal."""
+    return laws.symmetry(a) is None and laws.separation(q, a) is None
 
 
 def is_null_object(g):
-    """Member of the null class: symmetric, and one-sided separation holds."""
+    """Member of the null class: symmetric and separated."""
     return _is_null_structure(g.quantale, g.structure.entries)
 
 

@@ -13,7 +13,7 @@ Everything is exhaustive at desk scale.  Enumerators are deterministic
 (lexicographic candidate order) and guarded by an explicit candidate cap.
 """
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from itertools import product as iproduct
 
 from . import laws
@@ -133,9 +133,7 @@ class ObjectClass:
     symmetric: bool
     discrete: bool
 
-    def as_dict(self):
-        return {"indiscrete": self.indiscrete, "separated": self.separated,
-                "symmetric": self.symmetric, "discrete": self.discrete}
+    as_dict = asdict
 
 
 @dataclass(frozen=True)
@@ -146,10 +144,7 @@ class HomClassification:
     normal_mono: bool
     normal_epi_alias: bool  # regular epi counts as normal epi over an integral quantale
 
-    def as_dict(self):
-        return {"mono": self.mono, "epi": self.epi,
-                "regular_epi": self.regular_epi, "normal_mono": self.normal_mono,
-                "normal_epi_alias": self.normal_epi_alias}
+    as_dict = asdict
 
 
 # -- constructors ----------------------------------------------------------
@@ -261,7 +256,7 @@ def classify_object(g):
     if sep_reduced != sep_full:
         raise TheoremCheckError(
             f"one-variable and two-variable separation checks disagree for {g!r}")
-    symmetric = all(a[x][y] == a[y][x] for x in rng for y in rng)
+    symmetric = laws.symmetry(a) is None
     discrete = all(a[x][y] == (k if x == y else q.bottom) for x in rng for y in rng)
     return ObjectClass(indiscrete=indiscrete, separated=sep_full,
                        symmetric=symmetric, discrete=discrete)
@@ -362,10 +357,24 @@ def pullback(f, g):
         raise StructuralError("pullback needs a common codomain")
     x, w, q = f.dom, g.dom, f.cod.quantale
     pairs = [(i, j) for i in range(x.size) for j in range(w.size) if f(i) == g(j)]
-    entries = [[q.meet(x.entry(i1, i2), w.entry(j1, j2)) for i2, j2 in pairs]
-               for i1, j1 in pairs]
+    entries = pair_meets(q, x.structure.entries, w.structure.entries, pairs)
     p = VGroup(pair_group(x.group, w.group, pairs), q, VRel(q, entries))
     return p, VHom(p, x, [i for i, _ in pairs]), VHom(p, w, [j for _, j in pairs])
+
+
+def pair_meets(q, a, b, pairs):
+    """The meet structure on a carrier of index pairs: the rows of the
+    matrix whose entry at ((i1, j1), (i2, j2)) is the meet of a(i1, i2)
+    and b(j1, j2).  Meets are read from ``Quantale.meet_table``; a
+    missing one (None) goes through ``Quantale.meet``, which raises on it.
+    """
+    table, meet = q.meet_table, q.meet
+    rows = []
+    for i1, j1 in pairs:
+        ai, bj = a[i1], b[j1]
+        rows.append([m if (m := table[ai[i2]][bj[j2]]) is not None
+                     else meet(ai[i2], bj[j2]) for i2, j2 in pairs])
+    return rows
 
 
 def pullback_comparison(p, pi1, pi2, u1, u2):

@@ -1,7 +1,11 @@
-"""What the battery checks rely on without re-checking it, on the smoke suite."""
+"""What the battery checks rely on without re-checking it, on the smoke suite,
+and what they build against the code it replaced."""
 
-from vgroups import (VHom, battery, is_isomorphism, pullback, standard_suite,
-                     validate_hom)
+import pytest
+
+from vgroups import (Quantale, StructuralError, VGroup, VHom, VRel, battery,
+                     classify_hom, is_isomorphism, pullback, standard_suite,
+                     trivial_vgroup, validate_hom, zero_hom)
 from vgroups.battery import SMALL_CARRIER, _exact_sequences
 from vgroups.factorization import ClassCache, cached_decomposition
 from vgroups.torsion import reflected_map
@@ -124,3 +128,40 @@ def test_middle_iso_agrees_with_the_backtracking_search(monkeypatch):
     found = [factorization_middle_iso(*legs) is not None for legs in quadruples]
     assert found == [reference_middle_iso(*legs) is not None for legs in quadruples]
     assert (len(found), found.count(False)) == (1515, 1012)
+
+
+def reference_pullback_entries(f, g):
+    """The pullback structure as built before ``pair_meets``."""
+    x, w, q = f.dom, g.dom, f.cod.quantale
+    pairs = [(i, j) for i in range(x.size) for j in range(w.size) if f(i) == g(j)]
+    return tuple(tuple(q.meet(x.entry(i1, i2), w.entry(j1, j2)) for i2, j2 in pairs)
+                 for i1, j1 in pairs)
+
+
+def test_stability_pullbacks_match_the_reference():
+    """Every cospan the two pullback-stability checks visit at smoke."""
+    suite = standard_suite("smoke")
+    visits = ((lambda f: classify_hom(f).regular_epi, battery.REGULAR_EPI_COSPAN_CAP),
+              (lambda f: suite.cache.report(f).stably_inverted, battery.STABLE_CLASS_CAP))
+    cospans = 0
+    for keep, cap in visits:
+        for f, g, _ in battery._pulled_back(suite, keep, cap):
+            cospans += 1
+            assert pullback(f, g)[0].structure.entries == reference_pullback_entries(f, g)
+    # the cospans and pullbacks the two checks count at smoke
+    assert cospans == 400 + 250
+
+
+def test_pullback_raises_the_reference_error_on_a_missing_meet(z2):
+    # 0 and 1 are incomparable: the order has no meet for them
+    q = Quantale(labels=["0", "1", "2"], leq=[[1, 0, 1], [0, 1, 1], [0, 0, 1]],
+                 tensor=[[min(u, v) for v in range(3)] for u in range(3)],
+                 unit=2, bottom=0, top=2)
+    point = trivial_vgroup(q)
+    f = zero_hom(VGroup(z2, q, VRel(q, [[2, 0], [0, 2]])), point)
+    g = zero_hom(VGroup(z2, q, VRel(q, [[2, 1], [1, 2]])), point)
+    with pytest.raises(StructuralError, match="no meet") as expected:
+        reference_pullback_entries(f, g)
+    with pytest.raises(StructuralError) as got:
+        pullback(f, g)
+    assert str(got.value) == str(expected.value)

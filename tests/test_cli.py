@@ -125,13 +125,8 @@ class TestValidate:
         code, _ = invoke("validate", "--frobnicate")
         assert code == 2
 
-    def test_seed_order_only_canonical(self):
-        code, _ = invoke("classify", "--input", str(DOCS / "z4_boolean.json"),
-                         "--seed-order", "canonical")
-        assert code == 0
-        code, _ = invoke("classify", "--input", str(DOCS / "z4_boolean.json"),
-                         "--seed-order", "random")
-        assert code == 2
+    def test_seed_order_flag_is_gone(self):
+        assert invoke("suite", "--seed-order", "canonical")[0] == 2
 
     def test_computing_command_on_lawless_input_exits_one(self, tmp_path):
         doc = {

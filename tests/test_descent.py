@@ -207,6 +207,17 @@ class TestKernelPairMatrix:
         assert str(got.value) == str(expected.value)
 
 
+def reference_action_carrier(alpha, cover, radius):
+    """The action carrier's structure as built before ``pair_meets``."""
+    window = Window(cover, radius)
+    dom, q = alpha.dom, cover.quantale
+    carrier = [(z, a) for z in range(-radius, radius + 1) for a in range(dom.size)]
+    anchors = [window.index(z, alpha(a)) for z, a in carrier]
+    return [[q.meet(window.matrix[i1][i2], dom.entry(w1[1], w2[1]))
+             for i2, w2 in zip(anchors, carrier)]
+            for i1, w1 in zip(anchors, carrier)]
+
+
 def reference_action_matrix(alpha, cover, radius):
     """The structure on composable pairs that the action-map scan reads,
     one _pair_structure call per entry."""
@@ -215,10 +226,7 @@ def reference_action_matrix(alpha, cover, radius):
     levels = range(-radius, radius + 1)
     carrier = [(z, a) for z in levels for a in range(dom.size)]
     position = {w: i for i, w in enumerate(carrier)}
-    anchors = [window.index(z, alpha(a)) for z, a in carrier]
-    matrix = [[q.meet(window.matrix[i1][i2], dom.entry(w1[1], w2[1]))
-               for i2, w2 in zip(anchors, carrier)]
-              for i1, w1 in zip(anchors, carrier)]
+    matrix = reference_action_carrier(alpha, cover, radius)
     composable = [((z1, z2, alpha(a)), (z2, a))
                   for z1 in levels for z2 in levels for a in range(dom.size)]
     return [[q.meet(_pair_structure(window, arrow1, arrow2),
@@ -229,13 +237,14 @@ def reference_action_matrix(alpha, cover, radius):
 
 class TestAction:
     def test_rows_match_pair_structure(self, monkeypatch, z4_bool, z2_discrete):
-        # the composable-pair matrix, caught on its way to the
-        # action-map compatibility scan (the function's last one)
+        # the composable-pair and carrier matrices, caught on their way to
+        # the action-map compatibility scan (the function's last one)
         compatibility = laws.compatibility
-        scanned = []
+        scanned, carriers = [], []
 
         def caught(q, a, b, m):
             scanned.append([list(row) for row in a])
+            carriers.append(b)
             return compatibility(q, scanned[-1], b, m)
 
         monkeypatch.setattr(laws, "compatibility", caught)
@@ -246,6 +255,8 @@ class TestAction:
             for radius in (1, 2):
                 action_of_covering(alpha, cover, radius)
                 assert scanned.pop() == reference_action_matrix(alpha, cover, radius), \
+                    (alpha.cod, radius)
+                assert carriers.pop() == reference_action_carrier(alpha, cover, radius), \
                     (alpha.cod, radius)
 
     def test_identity_covering(self, z4_bool):

@@ -1,10 +1,15 @@
-"""The morphism-law scanners against their definitions, read off by brute force."""
+"""The law scanners against their definitions, read off by brute force, and
+against the scans they replaced."""
 
 import random
 
-from vgroups import Quantale, boolean, lawvere_chain, ultrametric_chain
+from vgroups import (Quantale, boolean, builtin_quantale, enumerate_structures,
+                     lawvere_chain, ultrametric_chain)
 from vgroups import laws
-from vgroups.builders import group_roster
+from vgroups.builders import (FULL_EXTRA_GROUPS, FULL_EXTRA_QUANTALES, SMOKE_GROUPS,
+                              SMOKE_QUANTALES, group_roster)
+
+from test_acceptance import builtin_quantales, corrupted_quantales
 
 
 def first(witnesses):
@@ -208,4 +213,44 @@ def test_tensor_scanners_find_the_reference_witness(non_integral_q):
                 assert laws.addition_compatibility(q, a, group.op) == want
                 found += want is not None
                 held += want is None
+    assert found > 0 and held > 0
+
+
+# -- symmetry against the inline scans it replaced ---------------------------
+
+def reference_is_symmetric(a):
+    """The scan of classify_object and FiniteGroup.is_abelian."""
+    n = len(a)
+    return all(a[x][y] == a[y][x] for x in range(n) for y in range(n))
+
+
+def reference_commutativity_witness(ten):
+    """The tensor-commutative scan of validate_quantale."""
+    rng = range(len(ten))
+    return first((u, v) for u in rng for v in rng if ten[u][v] != ten[v][u])
+
+
+def symmetry_tables():
+    """Every roster Cayley table, every smoke and full structure matrix,
+    and the tensor tables of acceptance criterion 1 with two lawless
+    chains, one of them noncommutative."""
+    roster = group_roster()
+    yield from (group.table for group in roster.values())
+    for _, spec in SMOKE_QUANTALES + FULL_EXTRA_QUANTALES:
+        q = builtin_quantale(spec["builtin"], spec.get("m"))
+        for name in SMOKE_GROUPS + FULL_EXTRA_GROUPS:
+            yield from (g.structure.entries for g in enumerate_structures(roster[name], q))
+    quantales = builtin_quantales() + [q for q, _ in corrupted_quantales()]
+    quantales += [chain_quantale(max), chain_quantale(lambda u, v: (u + 2 * v) % 3)]
+    yield from (q.tensor_table for q in quantales)
+
+
+def test_symmetry_finds_the_reference_witness():
+    found = held = 0
+    for a in symmetry_tables():
+        witness = laws.symmetry(a)
+        assert (witness is None) == reference_is_symmetric(a)
+        assert witness == reference_commutativity_witness(a)
+        found += witness is not None
+        held += witness is None
     assert found > 0 and held > 0

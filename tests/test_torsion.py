@@ -3,8 +3,8 @@ import itertools
 import pytest
 
 from vgroups import (CapacityError, FiniteGroup, NonIntegralQuantaleError,
-                     Quantale, StructuralError, VHom, classify_hom,
-                     classify_object,
+                     Quantale, StructuralError, VHom, builtin_quantale,
+                     classify_hom, classify_object,
                      coreflect, coreflect_morphism, decompose,
                      discrete_vgroup, enumerate_homs, enumerate_structures,
                      identity_hom, image_factorize, indiscrete_vgroup,
@@ -17,6 +17,8 @@ from vgroups import (CapacityError, FiniteGroup, NonIntegralQuantaleError,
                      vgroup_isomorphism, zero_hom)
 from vgroups.builders import (FULL_EXTRA_GROUPS, FULL_EXTRA_QUANTALES,
                               SMOKE_GROUPS, SMOKE_QUANTALES, group_roster)
+from vgroups import torsion
+from vgroups.battery import check_pretorsion
 from vgroups.torsion import default_test_family
 
 
@@ -243,9 +245,10 @@ def full_level_objects():
     """The objects of the full suite (a superset of the smoke suite's),
     without its hom-sets."""
     roster = group_roster()
-    return [vg for _, make in SMOKE_QUANTALES + FULL_EXTRA_QUANTALES
+    return [vg for _, spec in SMOKE_QUANTALES + FULL_EXTRA_QUANTALES
             for name in SMOKE_GROUPS + FULL_EXTRA_GROUPS
-            for vg in enumerate_structures(roster[name], make())]
+            for vg in enumerate_structures(
+                roster[name], builtin_quantale(spec["builtin"], spec.get("m")))]
 
 
 class TestHoldsByConstruction:
@@ -325,3 +328,35 @@ class TestNullMorphismRoute:
         obj = discrete_vgroup(z3, bool_q)
         with pytest.raises(StructuralError, match="subset is not a subgroup"):
             is_null_morphism(VHom(obj, obj, [0, 1, 1]))
+
+
+# -- the null class against the one-sided formula it replaced -----------------
+
+def reference_is_null_structure(q, a):
+    """Symmetric, and a(x, y) reaches the unit only on the diagonal."""
+    n = len(a)
+    return all(a[x][y] == a[y][x] and (x == y or not q.leq(q.unit, a[x][y]))
+               for x in range(n) for y in range(n))
+
+
+def test_null_class_matches_the_one_sided_formula(monkeypatch):
+    """On every smoke structure, and on every final structure that
+    ``is_null_morphism`` builds on a smoke morphism or in the smoke
+    pretorsion check."""
+    suite = standard_suite("smoke")
+    original = torsion._is_null_structure
+    verdicts = []
+
+    def compared(q, a):
+        verdict = original(q, a)
+        assert verdict == reference_is_null_structure(q, a), a
+        verdicts.append(verdict)
+        return verdict
+
+    monkeypatch.setattr(torsion, "_is_null_structure", compared)
+    for obj in suite.objects:
+        is_null_object(obj.vgroup)
+    for _, _, f in suite.all_homs():
+        is_null_morphism(f)
+    assert check_pretorsion(suite).ok
+    assert True in verdicts and False in verdicts
