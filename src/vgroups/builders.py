@@ -2,9 +2,10 @@
 
 Generation is pure and deterministic: quantales and groups in a fixed
 roster order, structures in lexicographic profile order, homomorphisms
-in lexicographic mapping order.  In suite order, a hom-set is enumerated
-if its |B|^|A| candidates fit in what is left of the total budget, and
-marked truncated otherwise (20,309 of 22,959 at full, none at smoke).
+in lexicographic mapping order.  In suite order, a hom-set A -> B is
+enumerated if |B|^|A| (a coverage rule, not the search's cost, which is
+``groups.hom_search_size``) fits in what is left of the total budget,
+and marked truncated otherwise (20,309 of 22,959 at full, none at smoke).
 """
 
 from dataclasses import dataclass, field

@@ -40,7 +40,8 @@ from dataclasses import dataclass
 from . import laws
 from .errors import CapacityError, NonIntegralQuantaleError, StructuralError
 from .reports import ValidationReport
-from .vgroup import classify_object, kernel, pair_meets
+from .factorization import is_covering
+from .vgroup import pair_meets
 
 DEFAULT_WINDOW_RADIUS = 3
 # Window scans are cubic in the window and quadratic in the kernel-pair
@@ -280,10 +281,8 @@ def action_of_covering(alpha, cover, radius):
     """
     if alpha.cod != cover.base:
         raise StructuralError("the covering must land in the cover's base")
-    ker_obj, _ = kernel(alpha)
-    if not classify_object(ker_obj).separated:
-        raise StructuralError(
-            "not a covering: the kernel is not separated")
+    if not is_covering(alpha):
+        raise StructuralError("not a covering: the kernel is not separated")
     report = ValidationReport(subject=f"action-r{radius}")
     window = Window(cover, radius)
     dom = alpha.dom

@@ -15,11 +15,15 @@ the Cayley graph of g.  Isomorphisms are its bijective members.
 from itertools import product as iproduct
 
 from . import laws
-from .errors import StructuralError
+from .errors import CapacityError, StructuralError
+
+# Candidates one search may try; read at each call, here and by
+# ``enumerate_structures`` and the pretorsion verifiers.
+ENUMERATION_CAP = 10 ** 6
 
 
 class FiniteGroup:
-    __slots__ = ("names", "table", "identity", "inverse")
+    __slots__ = ("names", "table", "identity", "inverse", "_generators")
 
     def __init__(self, table, names=None):
         table = tuple(tuple(row) for row in table)
@@ -63,6 +67,7 @@ class FiniteGroup:
         self.table = table
         self.identity = identity
         self.inverse = tuple(inverse)
+        self._generators = None
 
     @property
     def size(self):
@@ -81,6 +86,19 @@ class FiniteGroup:
     def conj(self, g, x):
         """g + x + (-g)."""
         return self.table[self.table[g][x]][self.inverse[g]]
+
+    @property
+    def generators(self):
+        """A generating set: each element, in index order, that the ones
+        picked before it do not generate.  Found on first use."""
+        if self._generators is None:
+            gens, span = [], {self.identity}
+            for x in range(self.size):
+                if x not in span:
+                    gens.append(x)
+                    span = set(self.subgroup_closure(gens))
+            self._generators = tuple(gens)
+        return self._generators
 
     @property
     def is_abelian(self):
@@ -154,8 +172,11 @@ class FiniteGroup:
             closed = grown
 
     def all_subgroups(self):
-        """Every subgroup, as sorted index tuples (carriers <= ~8 only)."""
+        """Every subgroup, as sorted index tuples, from all 2^n subsets."""
         n = self.size
+        if 1 << n > ENUMERATION_CAP:
+            raise CapacityError(
+                f"{1 << n} candidate subsets exceed the cap of {ENUMERATION_CAP}")
         found = set()
         for bits in range(1 << n):
             if not bits & (1 << self.identity):
@@ -240,15 +261,9 @@ def quotient_group(group, normal_subset):
     return quotient, projection
 
 
-def _greedy_generators(g):
-    """A generating set of g: each element, in index order, that the
-    ones picked before it do not generate."""
-    gens, span = [], {g.identity}
-    for x in range(g.size):
-        if x not in span:
-            gens.append(x)
-            span = set(g.subgroup_closure(gens))
-    return gens
+def hom_search_size(g, h):
+    """The image choices ``group_homs`` tries: |h|^k for the k generators of g."""
+    return h.size ** len(g.generators)
 
 
 def _propagate(g, h, gens, images):
@@ -282,7 +297,11 @@ def group_homs(g, h):
     induction on a word in the generators for y gives m(x + y) =
     m(x) + m(y), by associativity of both tables.
     """
-    gens = _greedy_generators(g)
+    count = hom_search_size(g, h)
+    if count > ENUMERATION_CAP:
+        raise CapacityError(
+            f"{count} generator image choices exceed the cap of {ENUMERATION_CAP}")
+    gens = g.generators
     return [mapping
             for images in iproduct(range(h.size), repeat=len(gens))
             if (mapping := _propagate(g, h, gens, images)) is not None]

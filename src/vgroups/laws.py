@@ -55,11 +55,12 @@ def symmetry(a):
 
 
 def separation(q, a):
-    """First (x, y), x != y, with the unit below a(x, y) and a(y, x)."""
+    """First (x, y), x != y, with the unit below a(x, y) and a(y, x); the
+    law is symmetric, so, as in ``symmetry``, only y > x is read."""
     above_unit = q.leq_table[q.unit]
     for x, ax in enumerate(a):
-        for y, axy in enumerate(ax):
-            if x != y and above_unit[axy] and above_unit[a[y][x]]:
+        for y in range(x + 1, len(ax)):
+            if above_unit[ax[y]] and above_unit[a[y][x]]:
                 return (x, y)
     return None
 

@@ -20,7 +20,7 @@ objects: a finite-model check, not a symbolic proof.
 
 from dataclasses import dataclass, field
 
-from . import laws, vgroup
+from . import groups, laws
 from .errors import (CapacityError, NonIntegralQuantaleError, StructuralError,
                      TheoremCheckError)
 from .reports import ValidationReport
@@ -265,12 +265,13 @@ def _verify_relative(candidate, of, dual, test_objects, family):
         return report
     if test_objects is None:
         test_objects = default_test_family(*family)
-    total = sum(w.size ** x.size if dual else x.size ** w.size
+    total = sum(groups.hom_search_size(x.group, w.group) if dual
+                else groups.hom_search_size(w.group, x.group)
                 for w in test_objects for x in (near, far))
-    if total > vgroup.ENUMERATION_CAP:
+    if total > groups.ENUMERATION_CAP:
         raise CapacityError(
             f"universal-property quantification needs {total} candidates, "
-            f"over the cap of {vgroup.ENUMERATION_CAP}")
+            f"over the cap of {groups.ENUMERATION_CAP}")
     for w_index, w in enumerate(test_objects):
         through = None
         for alpha in homs(w, near):

@@ -16,17 +16,13 @@ Everything is exhaustive at desk scale.  Enumerators are deterministic
 from dataclasses import asdict, dataclass
 from itertools import product as iproduct
 
-from . import laws
+from . import groups, laws
 from .errors import CapacityError, StructuralError, TheoremCheckError
 from .groups import (FiniteGroup, group_homs, group_isomorphisms, pair_group,
                      quotient_group, subgroup_group)
 from .quantale import validate_quantale
 from .reports import ValidationReport
 from .vrel import VRel
-
-# Candidates one enumeration may try; read at each call, here and by the
-# universal-property verifiers in torsion.py.
-ENUMERATION_CAP = 10 ** 6
 
 
 class VGroup:
@@ -491,9 +487,9 @@ def enumerate_structures(group, quantale):
     """
     n = group.size
     count = quantale.size ** n
-    if count > ENUMERATION_CAP:
+    if count > groups.ENUMERATION_CAP:
         raise CapacityError(
-            f"{count} candidate profiles exceed the cap of {ENUMERATION_CAP}")
+            f"{count} candidate profiles exceed the cap of {groups.ENUMERATION_CAP}")
     q, rng = quantale, range(n)
     # (u, v, u + c) for all u, v and each conjugate c of v
     triples = [(u, v, group.op(u, c)) for u in rng for v in rng
@@ -511,16 +507,9 @@ def enumerate_homs(dom, cod):
     """All homomorphisms dom -> cod, in lexicographic mapping order: the
     group homomorphisms found from generator images (``group_homs``)
     that are compatible with the structures.
-
-    The cap still bounds the |cod|^|dom| maps of a brute-force search,
-    unchanged on purpose, so the same hom-sets raise as before.
     """
     if dom.quantale != cod.quantale:
         raise StructuralError("hom enumeration needs a shared quantale")
-    count = cod.size ** dom.size
-    if count > ENUMERATION_CAP:
-        raise CapacityError(
-            f"{count} candidate maps exceed the cap of {ENUMERATION_CAP}")
     q = dom.quantale
     a, b = dom.structure.entries, cod.structure.entries
     return [VHom(dom, cod, mapping)

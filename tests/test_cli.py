@@ -4,10 +4,13 @@ from pathlib import Path
 
 import pytest
 
-from vgroups import discrete_vgroup, laws, validate_vgroup
+from vgroups import (FiniteGroup, boolean, discrete_vgroup, enumerate_structures, laws,
+                     lawvere_chain, validate_vgroup)
 from vgroups.cli import run
-from vgroups.document import canonical_json
+from vgroups.document import canonical_json, document_from_vgroup
 from vgroups.errors import TheoremCheckError
+
+from test_vgroup import dihedral8, quaternion8
 
 DOCS = Path(__file__).parent.parent / "documents"
 TEST_DOCS = Path(__file__).parent / "documents"
@@ -357,3 +360,26 @@ class TestCapacityGuards:
         # 13 * 13 * 2 = 338 kernel-pair elements, cap 336; the window (26) fits
         path = self.write(tmp_path, cyclic_document(2, {"builtin": "boolean"}))
         assert invoke("descent", "--input", path, "--window", "6") == (3, "")
+
+
+class TestPretorsionOnLargerCarriers:
+    """Carriers of 7 and 8 elements, whose hom searches the pretorsion
+    verifiers once priced at |B|^|A| maps and refused (exit 3)."""
+
+    @pytest.mark.parametrize("group", [FiniteGroup.cyclic(7), FiniteGroup.cyclic(8),
+                                       dihedral8(), quaternion8()],
+                             ids=["Z7", "Z8", "D4", "Q8"])
+    @pytest.mark.parametrize("spec,quantale", [
+        ({"builtin": "boolean"}, boolean()),
+        ({"builtin": "lawvere_chain", "m": 2}, lawvere_chain(2))],
+        ids=["boolean", "lawvere_chain_2"])
+    def test_first_middle_and_last_structure(self, tmp_path, group, spec, quantale):
+        structures = enumerate_structures(group, quantale)
+        for k in sorted({0, len(structures) // 2, len(structures) - 1}):
+            path = tmp_path / f"{k}.json"
+            path.write_text(canonical_json(document_from_vgroup(structures[k], spec)),
+                            encoding="utf-8")
+            code, text = invoke("pretorsion", "--input", str(path), "--format", "json")
+            assert code == 0, k
+            dec = json.loads(text)["decomposition"]
+            assert dec["kernel_verification"]["ok"] and dec["cokernel_verification"]["ok"]

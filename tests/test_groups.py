@@ -2,10 +2,13 @@ from itertools import permutations, product
 
 import pytest
 
-from vgroups import (FiniteGroup, StructuralError, group_isomorphism, laws,
-                     quotient_group, subgroup_group)
+from vgroups import (CapacityError, FiniteGroup, StructuralError, group_isomorphism,
+                     laws, quotient_group, subgroup_group)
 from vgroups.builders import group_roster
-from vgroups.groups import group_homs, group_isomorphisms, pair_group
+from vgroups.groups import (group_homs, group_isomorphisms, hom_search_size,
+                            pair_group)
+
+from test_vgroup import dihedral8, quaternion8
 
 
 def brute_group_homs(g, h):
@@ -154,6 +157,15 @@ class TestSubgroups:
         z4 = FiniteGroup.cyclic(4)
         assert z4.cosets((0, 2)) == [(0, 2), (1, 3)]
 
+    def test_all_subgroups_capacity_guard(self, monkeypatch):
+        with pytest.raises(CapacityError, match="1048576 candidate subsets"):
+            FiniteGroup.cyclic(20).all_subgroups()
+        # 2^n subsets: Z4 has 16, Z5 32
+        monkeypatch.setattr("vgroups.groups.ENUMERATION_CAP", 16)
+        assert len(FiniteGroup.cyclic(4).all_subgroups()) == 3
+        with pytest.raises(CapacityError):
+            FiniteGroup.cyclic(5).all_subgroups()
+
 
 class TestHomSearch:
     def test_group_homs_match_brute_force_in_order(self):
@@ -166,6 +178,32 @@ class TestHomSearch:
         # map onto each of its three order-2 subgroups, and the zero map
         assert min(counts) == 1
         assert len(group_homs(FiniteGroup.symmetric3(), FiniteGroup.symmetric3())) == 10
+
+    def test_search_size_is_at_most_the_brute_force_count(self):
+        groups = list(group_roster().values()) + \
+            [dihedral8(), quaternion8(), FiniteGroup.cyclic(8)]
+        for g in groups:
+            assert 2 ** len(g.generators) <= g.size
+            assert g.subgroup_closure(g.generators) == tuple(range(g.size))
+            for h in groups:
+                assert hom_search_size(g, h) <= h.size ** g.size
+
+    def test_generators_are_found_once(self):
+        s3 = FiniteGroup.symmetric3()
+        assert s3.generators == (1, 2)
+        assert s3.generators is s3.generators
+        assert FiniteGroup.trivial().generators == ()
+
+    def test_search_capacity_guard(self, monkeypatch):
+        z2, z4 = FiniteGroup.cyclic(2), FiniteGroup.cyclic(4)
+        k4 = FiniteGroup.direct_product(z2, z2)
+        monkeypatch.setattr("vgroups.groups.ENUMERATION_CAP", 4)
+        assert len(group_homs(z4, z4)) == 4
+        # the Klein group needs two generators: 4^2 image choices
+        with pytest.raises(CapacityError, match="16 generator image choices"):
+            group_homs(k4, k4)
+        with pytest.raises(CapacityError):
+            group_isomorphisms(k4, k4)
 
     def test_group_isomorphisms_match_permutation_search(self):
         found = 0

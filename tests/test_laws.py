@@ -254,3 +254,31 @@ def test_symmetry_finds_the_reference_witness():
         found += witness is not None
         held += witness is None
     assert found > 0 and held > 0
+
+
+# -- separation against its body before it read each pair once ---------------
+
+def reference_separation(q, a):
+    above_unit = q.leq_table[q.unit]
+    for x, ax in enumerate(a):
+        for y, axy in enumerate(ax):
+            if x != y and above_unit[axy] and above_unit[a[y][x]]:
+                return (x, y)
+    return None
+
+
+def test_separation_finds_the_reference_witness():
+    """The symmetry test's tables, each read over a chain long enough for
+    its entries, with the unit at the top and, lawlessly, at the middle."""
+    found = held = 0
+    for a in symmetry_tables():
+        m = max(1, max(map(max, a)))
+        chain = lawvere_chain(m)
+        middle = Quantale(chain.labels, chain.leq_table, chain.tensor_table,
+                          unit=m // 2, bottom=m, top=0)
+        for q in (chain, middle):
+            witness = laws.separation(q, a)
+            assert witness == reference_separation(q, a)
+            found += witness is not None
+            held += witness is None
+    assert found > 0 and held > 0

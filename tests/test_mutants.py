@@ -11,22 +11,27 @@ it records failures, each naming its witness ("fail"); a theorem-check
 or structural error raised inside a check is one of them, so no check
 raises.  "pass" marks an equivalent mutant.  ``RAISE_SITES`` accounts
 for each theorem-check raise: the mutant whose run reaches it, or why no
-mutant can.
+mutant can.  Each capacity guard of the package is likewise paired with
+an input that trips it.
 """
 
 import ast
+import importlib
 import io
 import json
+import pkgutil
 import re
 import sys
 from pathlib import Path
 
 import pytest
 
+import vgroups
 from vgroups import (battery, cli, descent, factorization, groups, quantale, torsion,
                      vgroup)
 from vgroups.builders import standard_suite
-from vgroups.errors import TheoremCheckError
+from vgroups.document import canonical_json, document_from_vgroup
+from vgroups.errors import CapacityError, TheoremCheckError
 from vgroups.vgroup import VGroup, VHom
 from vgroups.vrel import VRel
 
@@ -428,14 +433,14 @@ def test_suite_command_reports_a_failing_battery(monkeypatch, name):
     assert json.loads(out.getvalue())["ok"] is False
 
 
-def _theorem_check_sites(module):
-    """The message of each ``raise TheoremCheckError(...)`` in ``module``,
-    with its interpolated values written {}."""
+def _raise_sites(module, error):
+    """The message of each ``raise error(...)`` in ``module``, with its
+    interpolated values written {}."""
     tree = ast.parse(Path(module.__file__).read_text(encoding="utf-8"))
     sites = []
     for node in ast.walk(tree):
         if isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call) and \
-                getattr(node.exc.func, "id", None) == "TheoremCheckError":
+                getattr(node.exc.func, "id", None) == error:
             message = node.exc.args[0]
             parts = message.values if isinstance(message, ast.JoinedStr) else [message]
             sites.append("".join(part.value if isinstance(part, ast.Constant) else "{}"
@@ -444,7 +449,8 @@ def _theorem_check_sites(module):
 
 
 def test_every_theorem_check_raise_is_accounted_for():
-    sites = _theorem_check_sites(torsion) + _theorem_check_sites(factorization)
+    sites = _raise_sites(torsion, "TheoremCheckError") + \
+        _raise_sites(factorization, "TheoremCheckError")
     assert sorted(sites) == sorted(RAISE_SITES)
     for reached_by in RAISE_SITES.values():
         assert reached_by in MATRIX or callable(reached_by)
@@ -456,3 +462,59 @@ def test_input_guard_fires_on_an_invalid_input(site):
     with pytest.raises(TheoremCheckError) as raised:
         RAISE_SITES[site]()
     assert _site_pattern(site).search(str(raised.value))
+
+
+def _elementary_abelian(rank):
+    """(Z2)^rank: a group that needs all ``rank`` of its generators."""
+    group = groups.FiniteGroup.trivial()
+    for _ in range(rank):
+        group = groups.FiniteGroup.direct_product(group, groups.FiniteGroup.cyclic(2))
+    return group
+
+
+def test_every_capacity_guard_is_reachable(tmp_path, capsys):
+    """Each ``raise CapacityError`` in the package, by its message with the
+    interpolated values written {}, fires on an input that reaches it: a
+    command line, which then exits 3, or a call through the Python API."""
+    q = quantale.boolean()
+
+    def command(name, value, *argv):
+        path = tmp_path / f"{name}.json"
+        path.write_text(canonical_json(document_from_vgroup(value, {"builtin": "boolean"})),
+                        encoding="utf-8")
+        return [argv[0], "--input", str(path), *argv[1:]]
+
+    z2_5 = vgroup.discrete_vgroup(_elementary_abelian(5), q)
+    reach = {
+        "builtin chain length {} exceeds the cap of {}": [
+            lambda: quantale.builtin_quantale("lawvere_chain", quantale.BUILTIN_CHAIN_CAP + 1)],
+        # a window of 49 elements, then a kernel pair of 338 on a window of 26
+        "a {} of {} elements exceeds the cap of {}": [
+            command("z1", vgroup.trivial_vgroup(q), "descent", "--window", "24"),
+            command("z2", vgroup.discrete_vgroup(groups.FiniteGroup.cyclic(2), q),
+                    "descent", "--window", "6")],
+        "{} candidate subsets exceed the cap of {}": [
+            lambda: groups.FiniteGroup.cyclic(20).all_subgroups()],
+        "{} generator image choices exceed the cap of {}": [
+            lambda: vgroup.enumerate_homs(
+                z2_5, vgroup.discrete_vgroup(_elementary_abelian(4), q))],
+        "{} candidate profiles exceed the cap of {}": [
+            lambda: vgroup.enumerate_structures(groups.FiniteGroup.cyclic(20), q)],
+        "universal-property quantification needs {} candidates, over the cap of {}": [
+            command("z2_5", z2_5, "pretorsion")],
+    }
+    modules = [importlib.import_module(f"vgroups.{info.name}")
+               for info in pkgutil.iter_modules(vgroups.__path__)
+               if info.name != "__main__"]  # importing it runs the command line
+    sites = [site for module in modules for site in _raise_sites(module, "CapacityError")]
+    assert sorted(sites) == sorted(reach)
+    for site, inputs in reach.items():
+        for given in inputs:
+            if callable(given):
+                with pytest.raises(CapacityError) as raised:
+                    given()
+                message = str(raised.value)
+            else:
+                assert cli.run(given, io.StringIO()) == cli.CAPACITY, given
+                message = capsys.readouterr().err
+            assert _site_pattern(site).search(message), (site, message)

@@ -208,7 +208,7 @@ class TestRelativeUniversalProperties:
     def test_quantification_capacity_guard(self, z4_bool, monkeypatch):
         # the whole quantification is refused before any hom-set is listed
         dec = pretorsion_decompose(z4_bool)
-        monkeypatch.setattr("vgroups.vgroup.ENUMERATION_CAP", 10)
+        monkeypatch.setattr("vgroups.groups.ENUMERATION_CAP", 10)
         with pytest.raises(CapacityError, match="universal-property quantification"):
             verify_pretorsion_kernel(dec.comparison, dec.projection)
         with pytest.raises(CapacityError, match="universal-property quantification"):

@@ -18,8 +18,9 @@ from vgroups import (CapacityError, FiniteGroup, Quantale, StructuralError,
                      trivial_vgroup, validate_hom, validate_vgroup,
                      vgroup_isomorphism, zero_hom)
 from vgroups.builders import group_roster
-from vgroups.vgroup import (ENUMERATION_CAP, factor_through_epi,
-                            factor_through_mono, is_final, pullback_comparison)
+from vgroups.groups import ENUMERATION_CAP
+from vgroups.vgroup import (factor_through_epi, factor_through_mono, is_final,
+                            pullback_comparison)
 
 
 class TestValidation:
@@ -365,7 +366,7 @@ class TestEnumeration:
         assert sorted(supports) == [tuple(n) for n in s3.all_normal_subgroups()]
 
     def test_capacity_guard(self, law2, monkeypatch):
-        monkeypatch.setattr("vgroups.vgroup.ENUMERATION_CAP", 10)
+        monkeypatch.setattr("vgroups.groups.ENUMERATION_CAP", 10)
         with pytest.raises(CapacityError):
             enumerate_structures(FiniteGroup.cyclic(6), law2)
 
@@ -382,8 +383,19 @@ class TestEnumeration:
         assert homs == [zero_hom(z2_discrete, z2_discrete),
                         identity_hom(z2_discrete)]
 
+    def test_homs_from_z8_to_z6(self, bool_q):
+        # Hom(Z8, Z6) holds x -> 0 and x -> 3x; 8 -> 6 elements was past
+        # the cap while it counted 6^8 maps
+        z8, z6 = FiniteGroup.cyclic(8), FiniteGroup.cyclic(6)
+        zero, triple = (0,) * 8, tuple(3 * x % 6 for x in range(8))
+        homs = enumerate_homs(discrete_vgroup(z8, bool_q), indiscrete_vgroup(z6, bool_q))
+        assert [f.mapping for f in homs] == [zero, triple]
+        homs = enumerate_homs(indiscrete_vgroup(z8, bool_q), discrete_vgroup(z6, bool_q))
+        assert [f.mapping for f in homs] == [zero]
+
     def test_hom_capacity_guard(self, z4_bool, monkeypatch):
-        monkeypatch.setattr("vgroups.vgroup.ENUMERATION_CAP", 10)
+        # Z4 has one generator, so the search tries 4 image choices
+        monkeypatch.setattr("vgroups.groups.ENUMERATION_CAP", 3)
         with pytest.raises(CapacityError):
             enumerate_homs(z4_bool, z4_bool)
 
