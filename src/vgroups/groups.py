@@ -2,8 +2,14 @@
 categorical constructions need: normality tests with conjugation
 witnesses, closures, cosets, and the homomorphism and isomorphism search.
 
-Group laws are checked exhaustively at construction; carriers stay small
-enough (at most a few dozen elements) that cubic scans are free.
+``FiniteGroup(table, names)`` checks every group law exhaustively, the
+associativity scan cubic in the order.  Documents, the class builders
+(``trivial``, ``cyclic``, ``symmetric3``) and every other direct call go
+through it.  ``pair_group`` (so ``direct_product``), ``subgroup_group``
+and ``quotient_group`` instead build through ``FiniteGroup._trusted``,
+which stores its fields with no re-check: each first tests closure,
+subgroup-ness or normality in a group that already passed, and then
+reads the identity and the inverses off its parents.
 
 Homomorphisms g -> h are found from generator images (Holt, Eick and
 O'Brien, *Handbook of Computational Group Theory*, 2005): a greedy
@@ -26,7 +32,7 @@ class FiniteGroup:
     __slots__ = ("names", "table", "identity", "inverse", "_generators")
 
     def __init__(self, table, names=None):
-        table = tuple(tuple(row) for row in table)
+        table = tuple([tuple(row) for row in table])
         n = len(table)
         if n == 0:
             raise StructuralError("empty Cayley table")
@@ -37,9 +43,9 @@ class FiniteGroup:
                 if not isinstance(v, int) or not 0 <= v < n:
                     raise StructuralError(f"Cayley entry out of range: {v!r}")
         if names is None:
-            names = tuple(str(i) for i in range(n))
+            names = tuple([str(i) for i in range(n)])
         else:
-            names = tuple(str(x) for x in names)
+            names = tuple([str(x) for x in names])
             if len(names) != n or len(set(names)) != n:
                 raise StructuralError("element names must be distinct, one per element")
         identity = None
@@ -68,6 +74,18 @@ class FiniteGroup:
         self.identity = identity
         self.inverse = tuple(inverse)
         self._generators = None
+
+    @classmethod
+    def _trusted(cls, table, names, identity, inverse):
+        """A group from fields known to satisfy the group laws, stored as
+        given with no re-check: the table as a tuple of row tuples, the
+        names as a tuple of distinct strings, the identity index and the
+        inverses as a tuple.  Only constructions that derive these from
+        groups that passed ``__init__`` may call it."""
+        g = cls.__new__(cls)
+        g.table, g.names, g.identity, g.inverse = table, names, identity, inverse
+        g._generators = None
+        return g
 
     @property
     def size(self):
@@ -216,27 +234,43 @@ class FiniteGroup:
         return f"FiniteGroup(order {self.size})"
 
 
+def _distinct(names):
+    """The names, if no two are equal; two equal ones mean a subset or a
+    pair list that names one element twice."""
+    if len(set(names)) != len(names):
+        raise StructuralError("element names must be distinct, one per element")
+    return names
+
+
 def subgroup_group(group, subset):
     """The subgroup on a sorted subset, reindexed, with inherited names."""
     subset = tuple(sorted(subset))
     if not group.is_subgroup(subset):
         raise StructuralError("subset is not a subgroup")
+    names = _distinct(tuple([group.names[x] for x in subset]))
     pos = {x: i for i, x in enumerate(subset)}
-    table = [[pos[group.op(x, y)] for y in subset] for x in subset]
-    return FiniteGroup(table, names=[group.names[x] for x in subset])
+    table = tuple([tuple([pos[group.op(x, y)] for y in subset]) for x in subset])
+    inverse = tuple([pos[group.inv(x)] for x in subset])
+    return FiniteGroup._trusted(table, names, pos[group.identity], inverse)
 
 
 def pair_group(a, b, pairs):
     """The subgroup of the direct product of a and b on a list of pairs
     (i, j), in list order, with the operation taken componentwise and
-    elements named "(a,b)"."""
+    elements named "(a,b)".  A nonempty list closed under the operation
+    is a subgroup, as the group is finite, so it holds the identity pair
+    and every inverse pair."""
+    if not pairs:
+        raise StructuralError("empty Cayley table")
     pos = {pair: k for k, pair in enumerate(pairs)}
     try:
-        table = [[pos[a.op(i1, i2), b.op(j1, j2)] for i2, j2 in pairs]
-                 for i1, j1 in pairs]
+        table = tuple([tuple([pos[a.op(i1, i2), b.op(j1, j2)] for i2, j2 in pairs])
+                       for i1, j1 in pairs])
     except KeyError:
         raise StructuralError("subset is not a subgroup") from None
-    return FiniteGroup(table, names=[f"({a.names[i]},{b.names[j]})" for i, j in pairs])
+    names = _distinct(tuple([f"({a.names[i]},{b.names[j]})" for i, j in pairs]))
+    inverse = tuple([pos[a.inv(i), b.inv(j)] for i, j in pairs])
+    return FiniteGroup._trusted(table, names, pos[a.identity, b.identity], inverse)
 
 
 def quotient_group(group, normal_subset):
@@ -254,10 +288,12 @@ def quotient_group(group, normal_subset):
     for i, coset in enumerate(cosets):
         for x in coset:
             coset_of[x] = i
-    table = [[coset_of[group.op(c[0], d[0])] for d in cosets] for c in cosets]
-    names = [f"[{group.names[c[0]]}]" for c in cosets]
-    quotient = FiniteGroup(table, names=names)
-    projection = tuple(coset_of[x] for x in range(group.size))
+    reps = [c[0] for c in cosets]
+    table = tuple([tuple([coset_of[group.op(c, d)] for d in reps]) for c in reps])
+    names = tuple([f"[{group.names[c]}]" for c in reps])
+    inverse = tuple([coset_of[group.inv(c)] for c in reps])
+    quotient = FiniteGroup._trusted(table, names, coset_of[group.identity], inverse)
+    projection = tuple([coset_of[x] for x in range(group.size)])
     return quotient, projection
 
 

@@ -9,6 +9,13 @@ the restriction of the ambient structure, cokernels and coequalizers the
 final structure (join over fibers), products and pullbacks the entrywise
 meet.
 
+``VHom`` and ``VRel`` check their arguments at construction.  The
+constructions here that derive a map or a relation from valid ones
+(composites, projections, comparisons, factorings, inclusions and
+structures of subobjects, quotients, pullbacks and images) build through
+their ``_trusted`` constructors instead: each output's indices lie in
+range because they are read off valid inputs.
+
 Everything is exhaustive at desk scale.  Enumerators are deterministic
 (lexicographic candidate order) and guarded by an explicit candidate cap.
 """
@@ -83,12 +90,20 @@ class VHom:
         for v in mapping:
             if not isinstance(v, int) or not 0 <= v < cod.size:
                 raise StructuralError(f"mapping value out of range: {v!r}")
-        if dom.quantale != cod.quantale:
-            raise StructuralError("homomorphisms need a shared quantale")
+        _shared_quantale(dom, cod)
         self.dom = dom
         self.cod = cod
         self.mapping = mapping
         self.name = name
+
+    @classmethod
+    def _trusted(cls, dom, cod, mapping, name=None):
+        """A map from a mapping tuple known to send each element of dom
+        into cod, between objects over one quantale, stored with no
+        re-check."""
+        f = cls.__new__(cls)
+        f.dom, f.cod, f.mapping, f.name = dom, cod, mapping, name
+        return f
 
     def __call__(self, i):
         return self.mapping[i]
@@ -96,8 +111,8 @@ class VHom:
     def then(self, other):
         if self.cod != other.dom:
             raise StructuralError("composition needs matching middle object")
-        return VHom(self.dom, other.cod,
-                    [other.mapping[v] for v in self.mapping])
+        return VHom._trusted(self.dom, other.cod,
+                             tuple([other.mapping[v] for v in self.mapping]))
 
     def is_injective(self):
         return len(set(self.mapping)) == len(self.mapping)
@@ -288,17 +303,18 @@ def subobject(g, subset, name=None):
     """Subgroup carrier with the induced (restricted) structure."""
     subset = tuple(sorted(subset))
     sub = subgroup_group(g.group, subset)
-    entries = [[g.entry(x, y) for y in subset] for x in subset]
-    obj = VGroup(sub, g.quantale, VRel(g.quantale, entries), name=name)
-    return obj, VHom(obj, g, subset)
+    a = g.structure.entries
+    entries = tuple([tuple([a[x][y] for y in subset]) for x in subset])
+    obj = VGroup(sub, g.quantale, VRel._trusted(g.quantale, entries), name=name)
+    return obj, VHom._trusted(obj, g, subset)
 
 
 def quotient_vgroup(g, normal_subset, name=None):
     """Quotient carrier with the final structure (join over coset pairs)."""
     quotient, projection = quotient_group(g.group, normal_subset)
-    entries = final_structure(g, g.group.cosets(normal_subset))
-    obj = VGroup(quotient, g.quantale, VRel(g.quantale, entries), name=name)
-    return obj, VHom(g, obj, projection)
+    entries = tuple(list(final_structure(g, g.group.cosets(normal_subset))))
+    obj = VGroup(quotient, g.quantale, VRel._trusted(g.quantale, entries), name=name)
+    return obj, VHom._trusted(g, obj, projection)
 
 
 def final_structure(g, classes):
@@ -306,7 +322,7 @@ def final_structure(g, classes):
     the final structure along a map whose fibers are ``classes``."""
     q = g.quantale
     for c in classes:
-        yield tuple(q.join_all(g.entry(x, y) for x in c for y in d) for d in classes)
+        yield tuple([q.join_all(g.entry(x, y) for x in c for y in d) for d in classes])
 
 
 def kernel(f):
@@ -353,9 +369,11 @@ def pullback(f, g):
         raise StructuralError("pullback needs a common codomain")
     x, w, q = f.dom, g.dom, f.cod.quantale
     pairs = [(i, j) for i in range(x.size) for j in range(w.size) if f(i) == g(j)]
-    entries = pair_meets(q, x.structure.entries, w.structure.entries, pairs)
-    p = VGroup(pair_group(x.group, w.group, pairs), q, VRel(q, entries))
-    return p, VHom(p, x, [i for i, _ in pairs]), VHom(p, w, [j for _, j in pairs])
+    entries = tuple([tuple(row) for row in
+                     pair_meets(q, x.structure.entries, w.structure.entries, pairs)])
+    p = VGroup(pair_group(x.group, w.group, pairs), q, VRel._trusted(q, entries))
+    return (p, VHom._trusted(p, x, tuple([i for i, _ in pairs])),
+            VHom._trusted(p, w, tuple([j for _, j in pairs])))
 
 
 def pair_meets(q, a, b, pairs):
@@ -386,7 +404,14 @@ def pullback_comparison(p, pi1, pi2, u1, u2):
                 f"pullback comparison is not well-defined at element "
                 f"{u1.dom.group.names[x]!r} of {u1.dom!r}: {len(found)} hits")
         mapping.append(found[0])
-    return VHom(u1.dom, p, mapping)
+    _shared_quantale(u1.dom, p)
+    return VHom._trusted(u1.dom, p, tuple(mapping))
+
+
+def _shared_quantale(g, h):
+    """Raise unless a map g -> h would live over one quantale."""
+    if g.quantale != h.quantale:
+        raise StructuralError("homomorphisms need a shared quantale")
 
 
 def factor_through_mono(f, m):
@@ -396,18 +421,23 @@ def factor_through_mono(f, m):
     mapping = [pos.get(y) for y in f.mapping]
     if None in mapping:
         return None
-    return VHom(f.dom, m.dom, mapping)
+    _shared_quantale(f.dom, m.dom)
+    return VHom._trusted(f.dom, m.dom, tuple(mapping))
 
 
 def factor_through_epi(e, f):
     """The map h with e.then(h) == f, or None when f is not constant on the
-    fibres of the epimorphism e."""
+    fibres of e, or when e is not onto, so that some point of e.cod has
+    no preimage and hence no image under h."""
     mapping = [None] * e.cod.size
     for v, y in zip(e.mapping, f.mapping):
         if mapping[v] not in (None, y):
             return None
         mapping[v] = y
-    return VHom(e.cod, f.cod, mapping)
+    if None in mapping:
+        return None
+    _shared_quantale(e.cod, f.cod)
+    return VHom._trusted(e.cod, f.cod, tuple(mapping))
 
 
 def equalizer(f, g):
@@ -435,8 +465,9 @@ def image_factorize(f):
     image = f.image_set()
     sub = subgroup_group(f.cod.group, image)
     q = f.dom.quantale
-    middle = VGroup(sub, q, VRel(q, final_structure(f.dom, fibers(f, image))))
-    m = VHom(middle, f.cod, image)
+    entries = tuple(list(final_structure(f.dom, fibers(f, image))))
+    middle = VGroup(sub, q, VRel._trusted(q, entries))
+    m = VHom._trusted(middle, f.cod, image)
     return factor_through_mono(f, m), middle, m
 
 
@@ -512,7 +543,7 @@ def enumerate_homs(dom, cod):
         raise StructuralError("hom enumeration needs a shared quantale")
     q = dom.quantale
     a, b = dom.structure.entries, cod.structure.entries
-    return [VHom(dom, cod, mapping)
+    return [VHom._trusted(dom, cod, mapping)
             for mapping in group_homs(dom.group, cod.group)
             if laws.compatibility(q, a, b, mapping) is None]
 

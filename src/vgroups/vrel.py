@@ -14,7 +14,7 @@ class VRel:
     __slots__ = ("quantale", "entries")
 
     def __init__(self, quantale, entries):
-        entries = tuple(tuple(row) for row in entries)
+        entries = tuple([tuple(row) for row in entries])
         width = len(entries[0]) if entries else 0
         for row in entries:
             if len(row) != width:
@@ -24,6 +24,16 @@ class VRel:
                     raise StructuralError(f"relation entry out of range: {v!r}")
         self.quantale = quantale
         self.entries = entries
+
+    @classmethod
+    def _trusted(cls, quantale, entries):
+        """A relation from entries known to be a rectangular tuple of row
+        tuples of quantale indices, stored with no re-check: for the
+        restrictions, joins and meets of relations that already passed
+        ``__init__``."""
+        r = cls.__new__(cls)
+        r.quantale, r.entries = quantale, entries
+        return r
 
     @property
     def src_size(self):

@@ -65,6 +65,24 @@ class TestValidate:
         code, _ = invoke("validate", "--input", str(path))
         assert code == 2
 
+    @pytest.mark.parametrize("table, message", [
+        # a Latin square with identity 0 and unique inverses
+        ([[0, 1, 2, 3, 4], [1, 0, 3, 4, 2], [2, 4, 0, 1, 3],
+          [3, 2, 4, 0, 1], [4, 3, 1, 2, 0]],
+         "Cayley table not associative at (1, 1, 2)"),
+        ([[0, 0], [0, 0]], "Cayley table has no identity element"),
+    ])
+    def test_lawless_cayley_table_exits_two(self, tmp_path, capsys, table, message):
+        n = len(table)
+        path = tmp_path / "lawless.json"
+        path.write_text(canonical_json({
+            "quantale": {"builtin": "boolean"},
+            "group": {"elements": [str(i) for i in range(n)], "table": table},
+            "structure": [["top" if x == y else "bot" for y in range(n)]
+                          for x in range(n)]}), encoding="utf-8")
+        assert invoke("validate", "--input", str(path)) == (2, "")
+        assert capsys.readouterr().err == f"input error: {message}\n"
+
     def test_non_utf8_document_exits_two(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_bytes(b"\xff\xfe{")

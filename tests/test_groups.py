@@ -116,6 +116,53 @@ class TestConstruction:
             FiniteGroup([[0, 1], [1]])
 
 
+class TestDerivedGroupErrors:
+    """The derived constructions store their groups unchecked, so each
+    raises on a bad input itself, with the message the Cayley-table check
+    gave."""
+
+    def test_pair_group_rejects_empty_pairs(self):
+        z2 = FiniteGroup.cyclic(2)
+        with pytest.raises(StructuralError, match="empty Cayley table"):
+            pair_group(z2, z2, [])
+
+    def test_pair_group_rejects_repeated_pairs(self):
+        z2 = FiniteGroup.cyclic(2)
+        with pytest.raises(StructuralError, match="element names must be distinct"):
+            pair_group(z2, z2, [(0, 0), (1, 1), (0, 0)])
+
+    def test_subgroup_group_rejects_non_subgroup(self):
+        with pytest.raises(StructuralError, match="subset is not a subgroup"):
+            subgroup_group(FiniteGroup.cyclic(4), (0, 1))
+
+    def test_subgroup_group_rejects_repeated_elements(self):
+        # -2 names the same element as 2
+        for subset in ((0, 0, 2), (-2, 0, 2)):
+            with pytest.raises(StructuralError, match="element names must be distinct"):
+                subgroup_group(FiniteGroup.cyclic(4), subset)
+
+    def test_quotient_group_rejects_non_subgroup(self):
+        with pytest.raises(StructuralError, match="subset is not a normal subgroup"):
+            quotient_group(FiniteGroup.cyclic(4), (0, 1))
+
+    def test_quotient_group_rejects_non_normal_subgroup(self):
+        s3 = FiniteGroup.symmetric3()
+        two = next(s for s in s3.all_subgroups() if len(s) == 2)
+        with pytest.raises(StructuralError, match="subset is not a normal subgroup"):
+            quotient_group(s3, two)
+
+    def test_derived_groups_read_identity_and_inverses_off_parents(self):
+        s3 = FiniteGroup.symmetric3()
+        relabelled = relabelled_s3()
+        for g in (s3, relabelled):
+            built = [FiniteGroup.direct_product(g, FiniteGroup.cyclic(2))]
+            built += [subgroup_group(g, s) for s in g.all_subgroups()]
+            built += [quotient_group(g, s)[0] for s in g.all_normal_subgroups()]
+            for h in built:
+                checked = FiniteGroup(h.table, h.names)
+                assert (h.identity, h.inverse) == (checked.identity, checked.inverse)
+
+
 class TestSubgroups:
     def test_all_subgroups_z4(self):
         z4 = FiniteGroup.cyclic(4)

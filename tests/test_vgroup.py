@@ -230,6 +230,15 @@ def reference_product(g, h):
     return VGroup(FiniteGroup.direct_product(g.group, h.group), q, VRel(q, entries))
 
 
+def test_pullback_without_agreeing_pairs_raises(bool_q, z2):
+    # neither map is a homomorphism, so they need not meet at the identity
+    point = trivial_vgroup(bool_q)
+    target = discrete_vgroup(z2, bool_q)
+    f, g = VHom(point, target, [1]), VHom(point, target, [0])
+    with pytest.raises(StructuralError, match="empty Cayley table"):
+        pullback(f, g)
+
+
 def test_pullback_matches_subobject_of_product():
     """Over every cospan among the smoke objects and among the
     endomorphisms of one lawvere-chain object on S3, the pullback equals
@@ -276,6 +285,23 @@ class TestInducedMaps:
         assert factor_through_epi(quotient_to_z2, identity_hom(z4_bool)) is None
         h = factor_through_epi(quotient_to_z2, quotient_to_z2)
         assert h == identity_hom(quotient_to_z2.cod)
+
+    def test_out_of_a_map_that_is_not_onto(self, z2_discrete, z4_bool):
+        # 1 and 3 have no preimage under e, so no h has e.then(h) == e
+        e = VHom(z2_discrete, z4_bool, [0, 2])
+        assert factor_through_epi(e, e) is None
+        assert factor_through_epi(e, identity_hom(z2_discrete)) is None
+
+    def test_across_quantales_raises(self, z2_discrete, law2, z2):
+        # the induced maps are stored unchecked, so each refuses a pair of
+        # maps over two quantales itself, as the VHom check did
+        own, other = identity_hom(z2_discrete), identity_hom(discrete_vgroup(z2, law2))
+        p, pi1, pi2 = pullback(own, own)
+        for induced in (lambda: factor_through_epi(own, other),
+                        lambda: factor_through_mono(other, own),
+                        lambda: pullback_comparison(p, pi1, pi2, other, other)):
+            with pytest.raises(StructuralError, match="shared quantale"):
+                induced()
 
 
 class TestImageFactorization:
