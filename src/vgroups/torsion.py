@@ -197,7 +197,7 @@ def is_null_morphism(f):
     if not f.cod.group.is_subgroup(image):
         raise StructuralError("subset is not a subgroup")
     verdict = _is_null_structure(
-        f.dom.quantale, list(final_structure(f.dom, fibers(f, image))))
+        f.dom.quantale, final_structure(f.dom, fibers(f, image)))
     return {"is_null": verdict, "method": "via-image"}
 
 

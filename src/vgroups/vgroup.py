@@ -97,12 +97,12 @@ class VHom:
         self.name = name
 
     @classmethod
-    def _trusted(cls, dom, cod, mapping, name=None):
-        """A map from a mapping tuple known to send each element of dom
-        into cod, between objects over one quantale, stored with no
+    def _trusted(cls, dom, cod, mapping):
+        """An unnamed map from a mapping tuple known to send each element
+        of dom into cod, between objects over one quantale, stored with no
         re-check."""
         f = cls.__new__(cls)
-        f.dom, f.cod, f.mapping, f.name = dom, cod, mapping, name
+        f.dom, f.cod, f.mapping, f.name = dom, cod, mapping, None
         return f
 
     def __call__(self, i):
@@ -312,7 +312,7 @@ def subobject(g, subset, name=None):
 def quotient_vgroup(g, normal_subset, name=None):
     """Quotient carrier with the final structure (join over coset pairs)."""
     quotient, projection = quotient_group(g.group, normal_subset)
-    entries = tuple(list(final_structure(g, g.group.cosets(normal_subset))))
+    entries = final_structure(g, g.group.cosets(normal_subset))
     obj = VGroup(quotient, g.quantale, VRel._trusted(g.quantale, entries), name=name)
     return obj, VHom._trusted(g, obj, projection)
 
@@ -321,8 +321,8 @@ def final_structure(g, classes):
     """The rows of the join of g's structure over each pair of classes:
     the final structure along a map whose fibers are ``classes``."""
     q = g.quantale
-    for c in classes:
-        yield tuple([q.join_all(g.entry(x, y) for x in c for y in d) for d in classes])
+    return tuple([tuple([q.join_all(g.entry(x, y) for x in c for y in d) for d in classes])
+                  for c in classes])
 
 
 def kernel(f):
@@ -369,8 +369,7 @@ def pullback(f, g):
         raise StructuralError("pullback needs a common codomain")
     x, w, q = f.dom, g.dom, f.cod.quantale
     pairs = [(i, j) for i in range(x.size) for j in range(w.size) if f(i) == g(j)]
-    entries = tuple([tuple(row) for row in
-                     pair_meets(q, x.structure.entries, w.structure.entries, pairs)])
+    entries = pair_meets(q, x.structure.entries, w.structure.entries, pairs)
     p = VGroup(pair_group(x.group, w.group, pairs), q, VRel._trusted(q, entries))
     return (p, VHom._trusted(p, x, tuple([i for i, _ in pairs])),
             VHom._trusted(p, w, tuple([j for _, j in pairs])))
@@ -386,9 +385,9 @@ def pair_meets(q, a, b, pairs):
     rows = []
     for i1, j1 in pairs:
         ai, bj = a[i1], b[j1]
-        rows.append([m if (m := table[ai[i2]][bj[j2]]) is not None
-                     else meet(ai[i2], bj[j2]) for i2, j2 in pairs])
-    return rows
+        rows.append(tuple([m if (m := table[ai[i2]][bj[j2]]) is not None
+                           else meet(ai[i2], bj[j2]) for i2, j2 in pairs]))
+    return tuple(rows)
 
 
 def pullback_comparison(p, pi1, pi2, u1, u2):
@@ -465,7 +464,7 @@ def image_factorize(f):
     image = f.image_set()
     sub = subgroup_group(f.cod.group, image)
     q = f.dom.quantale
-    entries = tuple(list(final_structure(f.dom, fibers(f, image))))
+    entries = final_structure(f.dom, fibers(f, image))
     middle = VGroup(sub, q, VRel._trusted(q, entries))
     m = VHom._trusted(middle, f.cod, image)
     return factor_through_mono(f, m), middle, m

@@ -177,7 +177,8 @@ def reference_kernel_pair_matrix(cover, radius):
     levels = range(-radius, radius + 1)
     carrier = [(z1, z2, x) for z1 in levels for z2 in levels
                for x in range(cover.base.size)]
-    return [[_pair_structure(window, e1, e2) for e2 in carrier] for e1 in carrier]
+    return tuple([tuple([_pair_structure(window, e1, e2) for e2 in carrier])
+                  for e1 in carrier])
 
 
 class TestKernelPairMatrix:
@@ -213,9 +214,9 @@ def reference_action_carrier(alpha, cover, radius):
     dom, q = alpha.dom, cover.quantale
     carrier = [(z, a) for z in range(-radius, radius + 1) for a in range(dom.size)]
     anchors = [window.index(z, alpha(a)) for z, a in carrier]
-    return [[q.meet(window.matrix[i1][i2], dom.entry(w1[1], w2[1]))
-             for i2, w2 in zip(anchors, carrier)]
-            for i1, w1 in zip(anchors, carrier)]
+    return tuple([tuple([q.meet(window.matrix[i1][i2], dom.entry(w1[1], w2[1]))
+                         for i2, w2 in zip(anchors, carrier)])
+                  for i1, w1 in zip(anchors, carrier)])
 
 
 def reference_action_matrix(alpha, cover, radius):

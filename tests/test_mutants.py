@@ -93,8 +93,7 @@ def pullback_comparison_shift(original):
 def final_one_value(original):
     """The final structure takes one fibre value instead of the join."""
     def final_structure(g, classes):
-        for c in classes:
-            yield tuple(g.entry(c[0], d[0]) for d in classes)
+        return tuple([tuple([g.entry(c[0], d[0]) for d in classes]) for c in classes])
     return final_structure
 
 
@@ -103,8 +102,8 @@ def final_same_class(original):
     """The final structure joins over the row's own class twice."""
     def final_structure(g, classes):
         q = g.quantale
-        for c in classes:
-            yield tuple(q.join_all(g.entry(x, y) for x in c for y in c) for _ in classes)
+        return tuple([tuple([q.join_all(g.entry(x, y) for x in c for y in c) for _ in classes])
+                      for c in classes])
     return final_structure
 
 
