@@ -12,8 +12,12 @@ relative to the referencing file; its quantale must coincide) or an
 inline object sharing the document's quantale.
 
 Every document is checked against the shipped schema on every parse.
-The schema itself is constant and is checked against its metaschema by
-the test suite, not at run time.
+The schema is compiled once, at import, into one predicate that decides
+acceptance; jsonschema runs only on a rejected document, to name the
+failing keyword and place.  The compiler knows the keywords the schema
+uses and raises on any other, so a schema edit it does not cover fails
+at import instead of being skipped.  The schema itself is constant and
+is checked against its metaschema by the test suite, not at run time.
 """
 
 import json
@@ -33,6 +37,148 @@ with resources.files("vgroups.data").joinpath("workbench.schema.json").open() as
     SCHEMA = json.load(_fh)
 
 _VALIDATOR = jsonschema.Draft202012Validator(SCHEMA)
+
+# Draft 2020-12 types by name; "integer" also admits integral floats.
+_TYPE_CLASSES = {"object": dict, "array": list, "string": str, "boolean": bool}
+_KEYWORDS = frozenset({"type", "enum", "minimum", "minItems", "items", "required",
+                       "properties", "additionalProperties", "oneOf", "$ref"})
+_ANNOTATIONS = frozenset({"title", "description"})
+_ROOT_ONLY = frozenset({"$schema", "$defs"})
+_REF_PREFIX = "#/$defs/"
+
+
+def _is_integer(v):
+    if isinstance(v, float):
+        return v.is_integer()
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _is_number(v):
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+def _all_of(checks):
+    if len(checks) == 1:
+        return checks[0]
+
+    def check(v):
+        for c in checks:
+            if not c(v):
+                return False
+        return True
+    return check
+
+
+def _compile(schema):
+    """One predicate on JSON values equal to Draft 2020-12 validity under
+    ``schema``: ``_compile(s)(v) == Draft202012Validator(s).is_valid(v)``.
+
+    It covers the keywords the shipped schema uses and no more: ``type``
+    (object, array, string, boolean, integer), ``required``,
+    ``properties``, ``additionalProperties: false``, ``items`` and
+    ``minItems``, ``minimum``, a string ``enum``, ``oneOf`` and a
+    ``$ref`` into the root's ``$defs``.  Any other keyword or form raises
+    ValueError, so that no part of a schema is ignored.
+    """
+    defs = {}
+
+    def fail(what, node):
+        raise ValueError(f"schema acceptor does not cover {what}: {node!r}")
+
+    def node(s, root=False):
+        if not isinstance(s, dict):
+            fail("a non-object schema", s)
+        allowed = _ANNOTATIONS | _KEYWORDS | (_ROOT_ONLY if root else frozenset())
+        for key in s.keys() - allowed:
+            fail(f"the keyword {key!r}", s)
+        checks = []
+        if "type" in s:
+            checks.append(type_check(s["type"]))
+        if "enum" in s:
+            members = s["enum"]
+            if not isinstance(members, list) or \
+                    not all(isinstance(m, str) for m in members):
+                fail("an enum with a member that is not a string", members)
+            members = frozenset(members)
+            checks.append(lambda v: isinstance(v, str) and v in members)
+        if "minimum" in s:
+            low = s["minimum"]
+            if not _is_number(low):
+                fail("a minimum that is not a number", low)
+            checks.append(lambda v: not _is_number(v) or not v < low)
+        if "minItems" in s:
+            least = s["minItems"]
+            if not isinstance(least, int) or isinstance(least, bool) or least < 0:
+                fail("a minItems that is not a count", least)
+            checks.append(lambda v: not isinstance(v, list) or len(v) >= least)
+        if "items" in s:
+            item = node(s["items"])
+            checks.append(lambda v: not isinstance(v, list) or all(map(item, v)))
+        if s.keys() & {"required", "properties", "additionalProperties"}:
+            checks.append(object_check(s))
+        if "oneOf" in s:
+            if not isinstance(s["oneOf"], list) or not s["oneOf"]:
+                fail("a oneOf that is not a nonempty list", s["oneOf"])
+            branches = [node(b) for b in s["oneOf"]]
+            checks.append(lambda v: sum(b(v) for b in branches) == 1)
+        if "$ref" in s:
+            ref = s["$ref"]
+            name = ref[len(_REF_PREFIX):] if isinstance(ref, str) and \
+                ref.startswith(_REF_PREFIX) else None
+            if name is None or "/" in name or "~" in name or \
+                    name not in schema.get("$defs", {}):
+                fail("a $ref that is not a name in the root's $defs", ref)
+            checks.append(lambda v: defs[name](v))
+        return _all_of(checks)
+
+    def type_check(types):
+        names = [types] if isinstance(types, str) else types
+        if not isinstance(names, list) or not names or \
+                not all(n in _TYPE_CLASSES or n == "integer" for n in names):
+            fail("a type", types)
+        classes = tuple(_TYPE_CLASSES[n] for n in names if n != "integer")
+        if "integer" in names:
+            return lambda v: isinstance(v, classes) or _is_integer(v)
+        return lambda v: isinstance(v, classes)
+
+    def object_check(s):
+        required = s.get("required", [])
+        properties = s.get("properties", {})
+        if not isinstance(required, list) or \
+                not all(isinstance(k, str) for k in required):
+            fail("a required that is not a list of names", required)
+        if not isinstance(properties, dict):
+            fail("a properties that is not an object", properties)
+        if s.get("additionalProperties", False) is not False:
+            fail("an additionalProperties other than false", s["additionalProperties"])
+        closed = "additionalProperties" in s
+        props = {k: node(sub) for k, sub in properties.items()}
+
+        def check(v):
+            if not isinstance(v, dict):
+                return True
+            for k in required:
+                if k not in v:
+                    return False
+            for k, x in v.items():
+                c = props.get(k)
+                if c is None:
+                    if closed:
+                        return False
+                elif not c(x):
+                    return False
+            return True
+        return check
+
+    if not isinstance(schema, dict) or not isinstance(schema.get("$defs", {}), dict):
+        fail("a root that is not an object with an object $defs", schema)
+    accepts = node(schema, root=True)
+    for name, sub in schema.get("$defs", {}).items():
+        defs[name] = node(sub)
+    return accepts
+
+
+_accepts = _compile(SCHEMA)
 
 
 def canonical_json(obj):
@@ -104,12 +250,15 @@ def parse_document(data, base_dir=None, loading=()):
     resolved paths of the documents that reference this one, so that a
     reference cycle is reported instead of followed.
     """
-    try:
-        # the error jsonschema.validate would raise
-        error = jsonschema.exceptions.best_match(_VALIDATOR.iter_errors(data))
-    except RecursionError as exc:
-        raise StructuralError("document is nested too deeply to check") from exc
-    if error is not None:
+    if not _accepts(data):
+        try:
+            # the error jsonschema.validate would raise
+            error = jsonschema.exceptions.best_match(_VALIDATOR.iter_errors(data))
+        except RecursionError as exc:
+            raise StructuralError("document is nested too deeply to check") from exc
+        if error is None:
+            raise StructuralError(
+                "the schema acceptor rejects a document that jsonschema accepts")
         # jsonschema's message quotes the offending value, of any size
         raise StructuralError(
             "document does not match the schema: "

@@ -82,21 +82,27 @@ class VRel:
 
         The entry at (x, z) is the join over the inner carrier of
         tensor(self(x, y), other(y, z)).  The fold visits y in carrier
-        order; lattice laws make the result order-independent.
+        order; lattice laws make the result order-independent.  Joins
+        and tensors are read from ``Quantale.join_table`` and
+        ``tensor_table``; a missing join (None) goes through
+        ``Quantale.join``, which raises on it.
         """
         self._check_compatible(other, same_shape=False)
         if self.dst_size != other.src_size:
             raise StructuralError(
                 f"inner carrier mismatch: {self.dst_size} vs {other.src_size}")
         q = self.quantale
+        join, tensor, bottom = q.join_table, q.tensor_table, q.bottom
+        columns = list(zip(*other.entries))
         rows = []
-        for x in range(self.src_size):
-            srow = self.entries[x]
+        for srow in self.entries:
+            trows = [tensor[a] for a in srow]
             row = []
-            for z in range(other.dst_size):
-                acc = q.bottom
-                for y in range(self.dst_size):
-                    acc = q.join(acc, q.tensor(srow[y], other.entries[y][z]))
+            for column in columns:
+                acc = bottom
+                for trow, b in zip(trows, column):
+                    t = trow[b]
+                    acc = j if (j := join[acc][t]) is not None else q.join(acc, t)
                 row.append(acc)
             rows.append(row)
         return VRel(q, rows)

@@ -1,15 +1,18 @@
+import contextlib
 import io
 import json
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
 
 from vgroups import (FiniteGroup, boolean, discrete_vgroup, enumerate_structures, laws,
                      lawvere_chain, validate_vgroup)
 from vgroups.cli import run
-from vgroups.document import canonical_json, document_from_vgroup
+from vgroups.document import _VALIDATOR, canonical_json, document_from_vgroup
 from vgroups.errors import TheoremCheckError
 
+from test_document import mutated_documents
 from test_vgroup import dihedral8, quaternion8
 
 DOCS = Path(__file__).parent.parent / "documents"
@@ -401,3 +404,23 @@ class TestPretorsionOnLargerCarriers:
             assert code == 0, k
             dec = json.loads(text)["decomposition"]
             assert dec["kernel_verification"]["ok"] and dec["cokernel_verification"]["ok"]
+
+
+class TestMutatedDocuments:
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(value=mutated_documents())
+    def test_every_input_ends_in_an_exit_code(self, tmp_path, value):
+        # ROADMAP's rule: exit 0, 1, 2 or 3, never a traceback
+        path = tmp_path / "mutant.json"
+        path.write_text(json.dumps(value), encoding="utf-8")
+        valid = _VALIDATOR.is_valid(value)
+        for command in ("validate", "classify", "decompose"):
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err):
+                code, _ = invoke(command, "--input", str(path))
+            assert code in (0, 1, 2, 3), (command, code)
+            if not valid:
+                assert code == 2, command
+                assert "input error: document does not match the schema: " in \
+                    err.getvalue(), command

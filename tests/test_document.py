@@ -1,14 +1,21 @@
+import copy
+import importlib
 import json
+import math
 from pathlib import Path
 
 import jsonschema
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from vgroups import StructuralError, boolean, lawvere_chain
-from vgroups.document import (SCHEMA, canonical_json, document_text,
-                              load_document, parse_document)
+from vgroups import StructuralError, boolean, document, lawvere_chain
+from vgroups.builders import standard_suite
+from vgroups.document import (SCHEMA, _VALIDATOR, _accepts, _compile, canonical_json,
+                              document_text, load_document, parse_document)
 
 DOCS = Path(__file__).parent.parent / "documents"
+TEST_DOCS = Path(__file__).parent / "documents"
+PERFBENCH = Path(__file__).parent.parent / "perfbench"
 
 
 def minimal_doc():
@@ -193,3 +200,168 @@ class TestFileTargets:
         (tmp_path / "bad.json").write_text("{", encoding="utf-8")
         with pytest.raises(StructuralError, match="not valid JSON"):
             load_document(tmp_path / "bad.json")
+
+
+def shipped_documents():
+    return [json.loads(path.read_text(encoding="utf-8"))
+            for path in sorted(DOCS.glob("*.json")) + sorted(TEST_DOCS.glob("*.json"))]
+
+
+def morphism_documents(suite):
+    """Each morphism of ``suite`` as the document of its domain with the
+    morphism, its target given inline."""
+    docs = suite.export_documents()
+    return [{**docs[dom.name],
+             "morphisms": [{"name": "f",
+                            "target": {"group": docs[cod.name]["group"],
+                                       "structure": docs[cod.name]["structure"]},
+                            "map": [cod.vgroup.group.names[v] for v in hom.mapping]}]}
+            for dom, cod, hom in suite.all_homs()]
+
+
+_SMOKE = standard_suite("smoke")
+# Valid documents to mutate: the shipped ones, every smoke object and
+# every smoke morphism.
+BASES = (shipped_documents() + list(_SMOKE.export_documents().values())
+         + morphism_documents(_SMOKE))
+
+_TABLES = {"elements": ["bot", "top"], "leq": [[True, True], [False, True]],
+           "tensor": [["bot", "bot"], ["bot", "top"]],
+           "unit": "top", "bottom": "bot", "top": "top"}
+# Quantale specs on both sides of the schema's oneOf: builtins with every
+# kind of chain length, explicit tables, the keys of both branches at
+# once, and of neither.
+QUANTALES = ([{"builtin": kind, "m": m}
+              for kind in ("boolean", "lawvere_chain", "ultrametric_chain", "chain")
+              for m in (0, 1, 1.0, True, 2)]
+             + [{"builtin": "boolean"}, _TABLES, {**_TABLES, "builtin": "boolean"},
+                {**_TABLES, "m": 1}, {}])
+NODES = st.one_of(
+    st.sampled_from([True, False, 0, 1, 1.0, 2.5, -1, math.inf, -math.inf, math.nan,
+                     "", "0", "e", "top", "bot", "boolean", None, [], {}]),
+    st.sampled_from(QUANTALES),
+    st.text(max_size=3),
+    st.integers(-2, 6),
+    st.lists(st.sampled_from(["0", "1", 0, 1, True, None]), max_size=3))
+KEYS = st.sampled_from(["quantale", "group", "structure", "morphisms", "builtin", "m",
+                        "elements", "table", "leq", "tensor", "unit", "bottom", "top",
+                        "name", "target", "map", "extra"])
+
+
+def _nodes(value, path=()):
+    """Every node of a JSON value with its path, the root first."""
+    yield path, value
+    if isinstance(value, dict):
+        children = value.items()
+    elif isinstance(value, list):
+        children = enumerate(value)
+    else:
+        return
+    for key, child in children:
+        yield from _nodes(child, (*path, key))
+
+
+@st.composite
+def mutated_documents(draw):
+    """A valid document with one to three nodes replaced, deleted or
+    added, or its quantale swapped for one of ``QUANTALES``."""
+    doc = copy.deepcopy(draw(st.sampled_from(BASES)))
+    for _ in range(draw(st.integers(1, 3))):
+        path, node = draw(st.sampled_from(list(_nodes(doc))))
+        op = draw(st.sampled_from(["replace", "delete", "add", "quantale"]))
+        new = copy.deepcopy(draw(NODES))
+        if op == "quantale" and isinstance(doc, dict):
+            doc["quantale"] = copy.deepcopy(draw(st.sampled_from(QUANTALES)))
+        elif op == "add" and isinstance(node, dict):
+            node[draw(KEYS)] = new
+        elif op == "add" and isinstance(node, list):
+            node.insert(draw(st.integers(0, len(node))), new)
+        elif not path:
+            doc = new
+        else:
+            parent = doc
+            for key in path[:-1]:
+                parent = parent[key]
+            if op == "delete":
+                del parent[path[-1]]
+            else:
+                parent[path[-1]] = new
+    return doc
+
+
+def perfbench_documents(tmp_path, monkeypatch):
+    """The object and morphism documents the ``cli_documents`` benchmark
+    workload parses, written by its own set-up code."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    workloads = importlib.import_module("workloads")
+    _, written = workloads.write_documents(tmp_path / "pool", workloads.DOCUMENT_DRAW)
+    return [json.loads(path.read_text(encoding="utf-8")) for path in written]
+
+
+class TestAcceptor:
+    """``_accepts`` decides what ``_VALIDATOR.is_valid`` decides."""
+
+    def test_agrees_on_suite_benchmark_and_shipped_documents(self, tmp_path, monkeypatch):
+        values = (list(standard_suite("full").export_documents().values())
+                  + perfbench_documents(tmp_path, monkeypatch) + shipped_documents())
+        assert any("morphisms" in v for v in values)
+        for value in values:
+            assert (_accepts(value), _VALIDATOR.is_valid(value)) == (True, True)
+
+    @settings(max_examples=400, deadline=None)
+    @given(mutated_documents())
+    def test_agrees_on_mutants(self, value):
+        assert _accepts(value) == _VALIDATOR.is_valid(value)
+
+    @pytest.mark.parametrize("schema,values", [
+        # both branches, one, none
+        ({"oneOf": [{"type": "integer"}, {"minimum": 1}]}, [2, 0, 0.5, "x", True]),
+        ({"type": "integer", "minimum": 1},
+         [0, 1, 1.0, True, 2.5, math.inf, math.nan, -math.inf]),
+        ({"minimum": 1}, [True, False, "0", None, math.nan, 0.5]),
+        ({"type": ["string", "integer"]}, ["", 0, 2.0, False, None, [], {}]),
+        ({"type": "array", "items": {"type": "boolean"}, "minItems": 1},
+         [[], [True], [1], [True, 0], (True,), {}]),
+        ({"enum": ["a", "b"]}, ["a", "c", 0, None, ["a"]]),
+        ({"required": ["k"], "properties": {"k": {"type": "string"}},
+          "additionalProperties": False},
+         [{}, {"k": "v"}, {"k": 1}, {"k": "v", "j": 1}, [], "k"]),
+        ({"$defs": {"d": {"type": "string"}}, "items": {"$ref": "#/$defs/d"}},
+         [[], ["s"], [1], "s"]),
+    ])
+    def test_keyword_semantics(self, schema, values):
+        accepts = _compile(schema)
+        validator = jsonschema.Draft202012Validator(schema)
+        for value in values:
+            assert accepts(value) == validator.is_valid(value), value
+
+    @pytest.mark.parametrize("schema", [
+        {"pattern": "x"},
+        {"enum": ["a", 1]},
+        {"type": "number"},
+        {"additionalProperties": {"type": "string"}},
+        {"$ref": "https://example.com/schema"},
+        {"$ref": "#/$defs/missing"},
+        {"items": True},
+        {"properties": {"k": {"$defs": {}}}},
+    ])
+    def test_uncovered_schema_raises(self, schema):
+        with pytest.raises(ValueError, match="schema acceptor does not cover"):
+            _compile(schema)
+
+    def test_valid_document_never_asks_jsonschema(self, monkeypatch):
+        class Refusing:
+            def iter_errors(self, value):
+                raise AssertionError("jsonschema was asked")
+
+        monkeypatch.setattr(document, "_VALIDATOR", Refusing())
+        for value in shipped_documents() + BASES[-3:]:
+            parse_document(value, base_dir=DOCS)
+        with pytest.raises(AssertionError, match="jsonschema was asked"):
+            parse_document({"quantale": {"builtin": "boolean"}})
+
+    def test_disagreement_is_an_error(self, monkeypatch):
+        monkeypatch.setattr(document, "_accepts", lambda value: False)
+        with pytest.raises(StructuralError,
+                           match="acceptor rejects a document that jsonschema accepts"):
+            parse_document(minimal_doc())

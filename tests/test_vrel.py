@@ -3,7 +3,9 @@ import itertools
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from vgroups import StructuralError, VRel, boolean, lawvere_chain, vrel_compose
+from vgroups import (Quantale, StructuralError, VRel, boolean, lawvere_chain,
+                     vrel_compose)
+from vgroups.builders import standard_suite
 
 
 def all_rels(q, n, m):
@@ -141,3 +143,57 @@ def rel_triple(draw):
 def test_composition_associative(triple):
     r, s, t = triple
     assert vrel_compose(vrel_compose(r, s), t) == vrel_compose(r, vrel_compose(s, t))
+
+
+def reference_then(r, s):
+    """The composite by the loop ``VRel.then`` ran before it read the
+    quantale's tables: one ``Quantale.join`` and one ``Quantale.tensor``
+    call per inner entry."""
+    q = r.quantale
+    rows = []
+    for x in range(r.src_size):
+        srow = r.entries[x]
+        row = []
+        for z in range(s.dst_size):
+            acc = q.bottom
+            for y in range(r.dst_size):
+                acc = q.join(acc, q.tensor(srow[y], s.entries[y][z]))
+            row.append(acc)
+        rows.append(row)
+    return VRel(q, rows)
+
+
+class TestThenReadsTables:
+    def test_matches_reference_on_smoke_structures(self):
+        # the composites the structure equations of decompose build: a
+        # structure between a map's graph and its converse, both ways
+        suite = standard_suite("smoke")
+        pairs = 0
+        for dom, cod, hom in suite.all_homs():
+            a, b = dom.vgroup.structure, cod.vgroup.structure
+            emb = VRel.from_function(a.quantale, hom.mapping, cod.vgroup.size)
+            back = emb.converse()
+            for r, s in ((emb, b), (emb.then(b), back), (back, a),
+                         (back.then(a), emb), (a, a), (a, emb), (back, back.converse())):
+                assert r.then(s) == reference_then(r, s)
+                pairs += 1
+        assert pairs == 7 * 769
+
+    def test_missing_join_raises_as_the_reference(self):
+        # 0 < a, b < c, d < 1: a and b have the upper bounds c, d and 1
+        # but no least one.  1 is the unit, so [1, 1] then [a; b] folds
+        # join(0, a) = a and then join(a, b), which is missing.
+        up = {0: {0, 1, 2, 3, 4, 5}, 1: {1, 3, 4, 5}, 2: {2, 3, 4, 5},
+              3: {3, 5}, 4: {4, 5}, 5: {5}}
+        q = Quantale(labels=["0", "a", "b", "c", "d", "1"],
+                     leq=[[v in up[u] for v in range(6)] for u in range(6)],
+                     tensor=[[v if u == 5 else u if v == 5 else 0
+                              for v in range(6)] for u in range(6)],
+                     unit=5, bottom=0, top=5)
+        assert q.join_table[1][2] is None
+        r, s = VRel(q, [[5, 5]]), VRel(q, [[1], [2]])
+        with pytest.raises(StructuralError) as new:
+            r.then(s)
+        with pytest.raises(StructuralError) as old:
+            reference_then(r, s)
+        assert str(new.value) == str(old.value) == "order has no join for (a, b)"
