@@ -46,6 +46,10 @@ def _build_parser():
     return parser
 
 
+# built once per process: parse_args leaves the parser as it found it
+_PARSER = _build_parser()
+
+
 def _emit(report, fmt, out):
     if fmt == "json":
         out.write(canonical_json(report))
@@ -205,22 +209,23 @@ def cmd_suite(args, out):
     return 0 if ok else MATH_FAILURE
 
 
+_COMPUTING = {
+    "classify": cmd_classify,
+    "decompose": cmd_decompose,
+    "pretorsion": cmd_pretorsion,
+    "factorize": lambda a, d, o: _cmd_factorize(a, d, o, "reflective"),
+    "ml-factorize": lambda a, d, o: _cmd_factorize(a, d, o, "monotone_light"),
+    "cover": cmd_cover,
+    "descent": cmd_descent,
+}
+
+
 def run(argv=None, out=None):
     out = out or sys.stdout
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
     except SystemExit as exc:
         return INPUT_ERROR if exc.code else 0
-    computing = {
-        "classify": cmd_classify,
-        "decompose": cmd_decompose,
-        "pretorsion": cmd_pretorsion,
-        "factorize": lambda a, d, o: _cmd_factorize(a, d, o, "reflective"),
-        "ml-factorize": lambda a, d, o: _cmd_factorize(a, d, o, "monotone_light"),
-        "cover": cmd_cover,
-        "descent": cmd_descent,
-    }
     try:
         if args.command == "suite":
             return cmd_suite(args, out)
@@ -230,7 +235,7 @@ def run(argv=None, out=None):
         if args.command == "validate" or not validation["ok"]:
             _emit(validation, args.format, out)
             return 0 if validation["ok"] else MATH_FAILURE
-        return computing[args.command](args, docs, out)
+        return _COMPUTING[args.command](args, docs, out)
     except (StructuralError, NonIntegralQuantaleError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return INPUT_ERROR

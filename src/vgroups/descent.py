@@ -30,7 +30,11 @@ site stays out of reach of a finite check.
 Evaluation is a pure function of the formula, safe to share.  A window's
 matrix is copied from the formula's three blocks (bottom below the
 level, the identity on it, the base row above it) rather than evaluated
-entry by entry, and the finality check folds the levels once per
+entry by entry.  The kernel-pair meet structure is copied the same way:
+its entry at ((z1, z2, x), (z1', z2', x')) meets two window values, each
+one of the three blocks by the order of z1, z1' and of z2, z2', so a row
+is a concatenation of nine meet blocks per distinct point, each read
+once from the meet table.  The finality check folds the levels once per
 distinct (base value, same point) pair, on which alone the folded values
 depend.
 """
@@ -101,17 +105,51 @@ class IntegerIndexedCover:
                 rows.append(lower * level + own + higher * (span - 1 - level))
         return rows
 
+    def kernel_pair_matrix(self, radius, points):
+        """The meet structure on the kernel-pair elements (z1, z2, x) for
+        levels z1, z2 in -radius..radius and x in ``points``, level-major:
+        the entry at ((z1, z2, x), (z1', z2', x')) is the meet of
+        ``relation((z1, x), (z1', x'))`` and ``relation((z2, x), (z2', x'))``.
+
+        Each relation value is one of three blocks chosen by the order of
+        its two levels, so a row is a concatenation of level blocks taken
+        from nine meet blocks per distinct point, each read entry by entry
+        from ``Quantale.meet_table``.  A missing meet (None) goes through
+        ``Quantale.meet`` at its first entry in row-major order, which
+        raises on its two relation values."""
+        q = self.quantale
+        table, entries = q.meet_table, self.base.structure.entries
+        span = 2 * radius + 1
+        rows_of, missing = {}, False
+        for x in set(points):
+            # the relation row of x against every point, for a column level
+            # below, equal to and above the row's level
+            by_order = ([q.bottom] * len(points),
+                        [q.top if y == x else q.bottom for y in points],
+                        [entries[x][y] for y in points])
+            blocks = [[tuple([table[u][v] for u, v in zip(first, second)])
+                       for second in by_order] for first in by_order]
+            missing = missing or any(None in block for row in blocks for block in row)
+            # inner[c][b]: the levels z2' of one z1' block, where the first
+            # relation takes order c and z2 is level b
+            inner = [[row[0] * b + row[1] + row[2] * (span - 1 - b) for b in range(span)]
+                     for row in blocks]
+            rows_of[x] = [inner[0][b] * a + inner[1][b] + inner[2][b] * (span - 1 - a)
+                          for a in range(span) for b in range(span)]
+        matrix = tuple(rows_of[x][k] for k in range(span * span) for x in points)
+        if missing:
+            levels = range(-radius, radius + 1)
+            carrier = [(z1, z2, x) for z1 in levels for z2 in levels for x in points]
+            for (z1, z2, x), row in zip(carrier, matrix):
+                if None in row:
+                    w1, w2, y = carrier[row.index(None)]
+                    q.meet(self.relation((z1, x), (w1, y)), self.relation((z2, x), (w2, y)))
+        return matrix
+
 
 def _guard(what, count, cap):
     if count > cap:
         raise CapacityError(f"a {what} of {count} elements exceeds the cap of {cap}")
-
-
-def _kernel_pair_meets(window, pairs):
-    """The meet structure on kernel-pair elements (level, level, point),
-    read off the window matrix."""
-    at = [(window.index(z1, x), window.index(z2, x)) for z1, z2, x in pairs]
-    return pair_meets(window.cover.quantale, window.matrix, window.matrix, at)
 
 
 def _separation_witness(q, elements, matrix):
@@ -253,7 +291,7 @@ def kernel_pair_groupoid(cover, radius):
     levels = range(-radius, radius + 1)
     _guard("kernel pair", len(levels) ** 2 * base.size, KERNEL_PAIR_ELEMENT_CAP)
     carrier = [(z1, z2, x) for z1 in levels for z2 in levels for x in range(base.size)]
-    matrix = _kernel_pair_meets(window, carrier)
+    matrix = cover.kernel_pair_matrix(radius, range(base.size))
 
     position = {e: i for i, e in enumerate(carrier)}
     witness = laws.reflection(window.matrix, matrix,
@@ -302,7 +340,7 @@ def action_of_covering(alpha, cover, radius):
     composable = [((z1, z2, alpha(a)), (z2, a))
                   for z1 in levels for z2 in levels for a in range(dom.size)]
     places = [position[w] for _, w in composable]
-    arrows = _kernel_pair_meets(window, [arrow for arrow, _ in composable])
+    arrows = cover.kernel_pair_matrix(radius, [alpha(a) for a in range(dom.size)])
     before = ((q.meet(v, matrix[p1][p2]) for v, p2 in zip(row, places))
               for row, p1 in zip(arrows, places))
     witness = laws.compatibility(q, before, matrix,

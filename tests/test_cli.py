@@ -254,6 +254,11 @@ class TestCommandsAgainstFrozenOutputs:
          ("descent", "--input", str(TEST_DOCS / "s3_lawvere.json"), "--window", "2")),
         # every check of the smoke battery, its counts and failures
         ("suite_smoke.json", ("suite", "--suite-level", "smoke")),
+        # the largest descent outputs: the kernel pair at radius 3
+        ("descent_z4_boolean_w3.json",
+         ("descent", "--input", str(DOCS / "z4_boolean.json"), "--window", "3")),
+        ("descent_s3_lawvere_w3.json",
+         ("descent", "--input", str(TEST_DOCS / "s3_lawvere.json"), "--window", "3")),
     ])
     def test_byte_identical(self, name, argv):
         code, text = invoke(*argv, "--format", "json")
@@ -282,6 +287,25 @@ class TestCommandsAgainstFrozenOutputs:
         assert report["is_covering"] is False
         assert report["kernel_carrier"] == ["0", "2"]
         assert report["kernel_class"]["indiscrete"] is True
+
+
+class TestRunsInOneProcess:
+    """``run`` shares one parser and one dispatch table between calls."""
+
+    ONE = ("validate", "--input", str(DOCS / "z4_boolean.json"), "--format", "json")
+
+    def expected(self):
+        return 0, (EXPECTED / "validate_z4_boolean.json").read_text(encoding="utf-8")
+
+    def test_repeated_input_does_not_accumulate(self):
+        code, text = invoke("validate", "--input", str(DOCS / "z4_lawvere.json"), *self.ONE[1:])
+        assert code == 0 and len(json.loads(text)["documents"]) == 2
+        assert invoke(*self.ONE) == self.expected()
+
+    def test_bad_flag_leaves_the_next_call_unchanged(self, capsys):
+        assert invoke(*self.ONE, "--window", "wide") == (2, "")
+        assert "invalid int value" in capsys.readouterr().err
+        assert invoke(*self.ONE) == self.expected()
 
 
 class TestDescentCommand:

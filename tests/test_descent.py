@@ -3,12 +3,13 @@ import json
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from vgroups import (FiniteGroup, NonIntegralQuantaleError, Quantale,
                      StructuralError, VGroup, VHom, VRel, Window, action_of_covering,
                      descent_cover, discrete_vgroup, enumerate_structures,
                      identity_hom, kernel_pair_groupoid, lawvere_chain, laws,
-                     standard_suite, structure_from_delta,
+                     product, standard_suite, structure_from_delta,
                      verify_cover_window)
 
 
@@ -181,20 +182,48 @@ def reference_kernel_pair_matrix(cover, radius):
                   for e1 in carrier])
 
 
+def scanned_kernel_pair(cover, radius):
+    """The matrix kernel_pair_groupoid scans, caught on its way to the
+    separation scan."""
+    separation = laws.separation
+    scanned = []
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(laws, "separation",
+                      lambda q, matrix: scanned.append(matrix) or separation(q, matrix))
+        kernel_pair_groupoid(cover, radius)
+    return scanned.pop()
+
+
+def kernel_pair_or_error(build, cover, radius):
+    """``build(cover, radius)``, or the message of the error it raises."""
+    try:
+        return build(cover, radius)
+    except StructuralError as exc:
+        return str(exc)
+
+
 class TestKernelPairMatrix:
-    def test_rows_match_pair_structure(self, monkeypatch):
-        # the matrix kernel_pair_groupoid scans, caught on its way to the
-        # separation scan
-        separation = laws.separation
-        scanned = []
-        monkeypatch.setattr(laws, "separation",
-                            lambda q, matrix: scanned.append(matrix) or separation(q, matrix))
-        for obj in standard_suite("smoke").objects:
-            cover, _ = descent_cover(obj.vgroup)
+    def test_rows_match_pair_structure(self):
+        bases = [obj.vgroup for obj in standard_suite("smoke").objects] + formula_bases()
+        for base in bases:
+            cover, _ = descent_cover(base)
             for radius in (1, 2, 3):
-                kernel_pair_groupoid(cover, radius)
-                assert scanned.pop() == reference_kernel_pair_matrix(cover, radius), \
-                    (obj.name, radius)
+                assert scanned_kernel_pair(cover, radius) == \
+                    reference_kernel_pair_matrix(cover, radius), (base, radius)
+
+    @settings(max_examples=300, deadline=None)
+    @given(leq=st.lists(st.booleans(), min_size=9, max_size=9),
+           size=st.sampled_from([2, 3]), radius=st.integers(1, 2), data=st.data())
+    def test_random_orders_match_the_reference(self, leq, size, radius, data):
+        # any order on three elements, with bottom 0 and unit = top 2; many
+        # lack meets, and then both builders must raise the same message
+        rows = data.draw(st.lists(st.lists(st.integers(0, 2), min_size=size, max_size=size),
+                                  min_size=size, max_size=size))
+        base = VGroup(FiniteGroup.cyclic(size),
+                      *integral_order([leq[i:i + 3] for i in (0, 3, 6)], rows))
+        cover, _ = descent_cover(base)
+        assert kernel_pair_or_error(scanned_kernel_pair, cover, radius) == \
+            kernel_pair_or_error(reference_kernel_pair_matrix, cover, radius)
 
     def test_missing_meet_raises_the_same_error(self, z2):
         # 0 and 1 are incomparable: the order has no meet for them
@@ -206,6 +235,14 @@ class TestKernelPairMatrix:
         with pytest.raises(StructuralError) as got:
             kernel_pair_groupoid(cover, 1)
         assert str(got.value) == str(expected.value)
+
+
+def separated_projection(base, q):
+    """The projection of base x (Z2 with a value strictly between bottom
+    and the unit off the identity) onto base: a covering with a separated,
+    non-discrete kernel."""
+    factor = structure_from_delta(FiniteGroup.cyclic(2), q, (0, 1))
+    return VHom(product(base, factor), base, [i // 2 for i in range(2 * base.size)])
 
 
 def reference_action_carrier(alpha, cover, radius):
@@ -237,7 +274,8 @@ def reference_action_matrix(alpha, cover, radius):
 
 
 class TestAction:
-    def test_rows_match_pair_structure(self, monkeypatch, z4_bool, z2_discrete):
+    def test_rows_match_pair_structure(self, monkeypatch, z4_bool, z2_discrete,
+                                       z4_law, law2):
         # the composable-pair and carrier matrices, caught on their way to
         # the action-map compatibility scan (the function's last one)
         compatibility = laws.compatibility
@@ -251,6 +289,8 @@ class TestAction:
         monkeypatch.setattr(laws, "compatibility", caught)
         coverings = [identity_hom(obj.vgroup) for obj in standard_suite("smoke").objects]
         coverings.append(VHom(z2_discrete, z4_bool, [0, 2]))
+        # a covering whose points repeat: two elements over each base point
+        coverings.append(separated_projection(z4_law, law2))
         for alpha in coverings:
             cover, _ = descent_cover(alpha.cod)
             for radius in (1, 2):
@@ -275,11 +315,8 @@ class TestAction:
     def test_covering_with_separated_non_discrete_kernel(self, z4_law, law2):
         # projecting away a chain-valued factor: the kernel carries values
         # strictly between unit and bottom yet stays separated
-        from vgroups import (classify_object, is_covering, kernel, product,
-                             structure_from_delta, validate_hom)
-        factor = structure_from_delta(FiniteGroup.cyclic(2), law2, (0, 1))
-        prod = product(z4_law, factor)
-        projection = VHom(prod, z4_law, [i // 2 for i in range(8)])
+        from vgroups import classify_object, is_covering, kernel, validate_hom
+        projection = separated_projection(z4_law, law2)
         assert validate_hom(projection).ok and is_covering(projection)
         ker, _ = kernel(projection)
         cls = classify_object(ker)
@@ -415,7 +452,10 @@ def integral_order(leq, rows):
     return q, VRel(q, rows)
 
 
-def test_descent_matrix_scans_match_the_formula():
+def formula_bases():
+    """Bases whose structures break laws: random ones over
+    ``lawvere_chain(2)``, and three over orders the scans must not assume
+    lawful."""
     rng = random.Random(1)
     q = lawvere_chain(2)
     groups = [FiniteGroup.cyclic(2), FiniteGroup.cyclic(3), FiniteGroup.symmetric3()]
@@ -431,8 +471,11 @@ def test_descent_matrix_scans_match_the_formula():
                                                  [[2, 1], [1, 2]]))
     cyclic = VGroup(groups[0], *integral_order([[1, 0, 1], [1, 1, 0], [0, 1, 1]],
                                                [[0, 0], [0, 1]]))
-    bases = [o.vgroup for o in standard_suite("smoke").objects] + lawless + \
-        [non_reflexive, odd_meet, cyclic]
+    return lawless + [non_reflexive, odd_meet, cyclic]
+
+
+def test_descent_matrix_scans_match_the_formula():
+    bases = [o.vgroup for o in standard_suite("smoke").objects] + formula_bases()
     checked = set()
     for base in bases:
         cover, _ = descent_cover(base)
