@@ -11,7 +11,7 @@ from .errors import (CapacityError, NonIntegralQuantaleError, StructuralError,
                      TheoremCheckError, WorkbenchError)
 from .quantale import (Quantale, boolean, builtin_quantale, lawvere_chain,
                        ultrametric_chain, validate_quantale)
-from .vrel import VRel, vrel_compose
+from .vrel import VRel
 from .groups import FiniteGroup, group_isomorphism, quotient_group, subgroup_group
 from .vgroup import (ObjectClass, VGroup, VHom, classify_hom, classify_object,
                      cokernel, coequalizer, discrete_vgroup,

@@ -326,6 +326,7 @@ def action_of_covering(alpha, cover, radius):
     dom = alpha.dom
     q = cover.quantale
     levels = range(-radius, radius + 1)
+    _guard("carrier of acting arrows", len(levels) ** 2 * dom.size, KERNEL_PAIR_ELEMENT_CAP)
     carrier = [(z, a) for z in levels for a in range(dom.size)]
     position = {w: i for i, w in enumerate(carrier)}
 

@@ -9,12 +9,16 @@ splits through the quotient by the torsion part of the kernel; its left
 class is the normal epimorphisms with indiscrete kernel, its right class
 the coverings, which are exactly the morphisms with separated kernel.
 
-Every class flag is computed along two routes (definitional and
-characterization) and compared; a disagreement is a loud failure, never
-a tolerated state, because the agreement is itself a theorem this
-workbench is meant to exercise.  Both factorizations post-verify the
-class of their left legs; that they compose to f, and that their right
-legs lie in the right class, holds by construction.
+The unstabilized class flags are each computed along two routes and
+compared: definitionally (the reflected morphism, or the comparison into
+the naturality square's pullback, is an isomorphism) and by Gran and
+Michel's characterizations through the torsion parts T of the domain and
+M of the codomain (f^-1(M) = T and f followed by the codomain's unit is a
+regular epimorphism; f maps T bijectively onto M).  A disagreement is a
+loud failure, never a tolerated state, because the agreement is itself a
+theorem this workbench is meant to exercise.  Both factorizations
+post-verify the class of their left legs; that they compose to f, and
+that their right legs lie in the right class, holds by construction.
 """
 
 from dataclasses import asdict, dataclass
@@ -75,17 +79,26 @@ def _naturality_square(f, dom_dec, cod_dec, reflected):
 
 
 def classify_morphism(f, cache=None):
-    """Total class flags for a morphism, each computed twice.
+    """Total class flags for f: A -> B, the unstabilized two computed twice.
 
-    Left-class flag: definitionally the reflected morphism must be an
-    isomorphism; the characterization demands that the torsion part of
-    the domain is the full preimage of the codomain's, that the kernel
-    structures agree through the map, and that the composite to the
-    codomain's reflection is a regular epimorphism.  Right-class flag:
-    definitionally the naturality square must be a pullback; the
-    characterization demands an isomorphic restriction between torsion
-    parts and that the structure is the meet of the two pulled-back
-    ones.  The stabilized flags are computed from the kernel; a failed
+    With T = T(A) and M = T(B): f is inverted by the reflector when the
+    reflected morphism is an isomorphism, and by characterization when
+    f^-1(M) = T and f followed by B's unit is a regular epimorphism.  f is
+    a trivial covering when its naturality square is a pullback, and by
+    characterization when f maps T bijectively onto M.
+
+    No structure clause is needed over a lawful integral quantale.  f is
+    compatible, so a(x, y) ^ b(fx, fy) = a(x, y).  A's profile has
+    delta(+-t) = top = k for t in T, so
+    delta(d + t) >= delta(d) (x) delta(t) = delta(d)
+                 >= delta(d + t) (x) delta(-t) = delta(d + t):
+    delta is constant on the cosets of the normal T, so the reflection's
+    join R(a)(eta x, eta y) is a(x, y), and the pullback's entry
+    b(fx, fy) ^ a(x, y) is a(x, y) again.
+    On a lawless quantale, which only the Python API accepts, a route
+    disagreement is therefore not a theorem failure, though it raises.
+
+    The stabilized flags are computed from the kernel; a failed
     containment in the unstabilized classes raises, as does any route
     disagreement.  The decompositions come from ``cache`` (a fresh one
     when omitted); ``cache.report(f)`` keeps the report.
@@ -99,7 +112,6 @@ def classify_morphism(f, cache=None):
 
     if cache is None:
         cache = ClassCache()
-    q = f.dom.quantale
     dom_dec = cached_decomposition(f.dom, cache)
     cod_dec = cached_decomposition(f.cod, cache)
     n_dom = set(dom_dec.injection.mapping)
@@ -111,12 +123,8 @@ def classify_morphism(f, cache=None):
 
     # Left class, characterization route.
     preimage = {x for x in range(f.dom.size) if f(x) in n_cod}
-    cond_a = preimage == n_dom
-    cond_b = all(f.dom.entry(x, y) ==
-                 q.meet(f.cod.entry(f(x), f(y)), f.dom.entry(x, y))
-                 for x in n_dom for y in n_dom)
-    cond_c = classify_hom(f.then(cod_dec.projection)).regular_epi
-    inverted_char = cond_a and cond_b and cond_c
+    inverted_char = (preimage == n_dom
+                     and classify_hom(f.then(cod_dec.projection)).regular_epi)
     if inverted_def != inverted_char:
         raise TheoremCheckError(
             f"left-class routes disagree for {f!r}: "
@@ -126,17 +134,9 @@ def classify_morphism(f, cache=None):
     _, _, comparison = _naturality_square(f, dom_dec, cod_dec, reflected)
     trivial_def = is_isomorphism(comparison)
 
-    # Right class, characterization route.
-    restriction_is_iso = (
-        len(n_dom) == len(n_cod)
-        and len({f(x) for x in n_dom}) == len(n_dom)
-        and {f(x) for x in n_dom} == n_cod)
-    structure_meet = all(
-        f.dom.entry(x, y) == q.meet(
-            f.cod.entry(f(x), f(y)),
-            dom_dec.quotient.entry(dom_dec.projection(x), dom_dec.projection(y)))
-        for x in range(f.dom.size) for y in range(f.dom.size))
-    trivial_char = restriction_is_iso and structure_meet
+    # Right class, characterization route: f maps T bijectively onto M.
+    image = {f(x) for x in n_dom}
+    trivial_char = len(image) == len(n_dom) and image == n_cod
     if trivial_def != trivial_char:
         raise TheoremCheckError(
             f"right-class routes disagree for {f!r}: "

@@ -137,8 +137,3 @@ class VRel:
         lab = self.quantale.labels
         rows = "; ".join(",".join(lab[v] for v in row) for row in self.entries)
         return f"VRel[{rows}]"
-
-
-def vrel_compose(r, s):
-    """Composite of r (X to Y) with s (Y to Z), as a relation X to Z."""
-    return r.then(s)

@@ -17,7 +17,7 @@ from vgroups import (Quantale, VRel, boolean, classify_morphism,
                      pretorsion_decompose, quotient_vgroup,
                      reflective_factorize, standard_suite, subobject,
                      symmetric_coreflect, ultrametric_chain, validate_quantale,
-                     verify_cover_window, vrel_compose, zero_hom)
+                     verify_cover_window, zero_hom)
 from vgroups.battery import (check_kernel_cokernel_roundtrips,
                              check_ses_morphism_pullback,
                              route_agreement_counts)
@@ -124,11 +124,11 @@ def test_criterion_3_torsion_theory(suite):
         # both structure equations, recomputed by relation composition
         q = obj.vgroup.quantale
         inc = VRel.from_function(q, dec.injection.mapping, obj.vgroup.size)
-        if vrel_compose(vrel_compose(inc, obj.vgroup.structure), inc.converse()) \
+        if inc.then(obj.vgroup.structure).then(inc.converse()) \
                 != dec.torsion.structure:
             failures.append((obj.name, "kernel equation"))
         proj = VRel.from_function(q, dec.projection.mapping, dec.quotient.size)
-        if vrel_compose(vrel_compose(proj.converse(), obj.vgroup.structure), proj) \
+        if proj.converse().then(obj.vgroup.structure).then(proj) \
                 != dec.quotient.structure:
             failures.append((obj.name, "cokernel equation"))
         if obj.vgroup.size <= 4:

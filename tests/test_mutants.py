@@ -484,14 +484,21 @@ def test_every_capacity_guard_is_reachable(tmp_path, capsys):
         return [argv[0], "--input", str(path), *argv[1:]]
 
     z2_5 = vgroup.discrete_vgroup(_elementary_abelian(5), q)
+    s3 = vgroup.discrete_vgroup(groups.FiniteGroup.symmetric3(), q)
+    s3_z3 = vgroup.discrete_vgroup(
+        groups.FiniteGroup.direct_product(s3.group, groups.FiniteGroup.cyclic(3)), q)
     reach = {
         "builtin chain length {} exceeds the cap of {}": [
             lambda: quantale.builtin_quantale("lawvere_chain", quantale.BUILTIN_CHAIN_CAP + 1)],
-        # a window of 49 elements, then a kernel pair of 338 on a window of 26
+        # a window of 49 elements, then a kernel pair of 338 on a window of
+        # 26, then 882 acting arrows of the projection S3 x Z3 -> S3
         "a {} of {} elements exceeds the cap of {}": [
             command("z1", vgroup.trivial_vgroup(q), "descent", "--window", "24"),
             command("z2", vgroup.discrete_vgroup(groups.FiniteGroup.cyclic(2), q),
-                    "descent", "--window", "6")],
+                    "descent", "--window", "6"),
+            lambda: descent.action_of_covering(
+                VHom(s3_z3, s3, [i // 3 for i in range(s3_z3.size)]),
+                descent.descent_cover(s3)[0], 3)],
         "{} candidate subsets exceed the cap of {}": [
             lambda: groups.FiniteGroup.cyclic(20).all_subgroups()],
         "{} generator image choices exceed the cap of {}": [

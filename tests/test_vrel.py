@@ -3,8 +3,7 @@ import itertools
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from vgroups import (Quantale, StructuralError, VRel, boolean, lawvere_chain,
-                     vrel_compose)
+from vgroups import Quantale, StructuralError, VRel, boolean, lawvere_chain
 from vgroups.builders import standard_suite
 
 
@@ -28,20 +27,20 @@ class TestBasics:
 
     def test_identity_laws(self, law2):
         for r in itertools.islice(all_rels(law2, 2, 3), 50):
-            assert vrel_compose(VRel.identity(law2, 2), r) == r
-            assert vrel_compose(r, VRel.identity(law2, 3)) == r
+            assert VRel.identity(law2, 2).then(r) == r
+            assert r.then(VRel.identity(law2, 3)) == r
 
     def test_boolean_composition_is_matrix_product(self, bool_q):
         for r in all_rels(bool_q, 2, 2):
             for s in all_rels(bool_q, 2, 2):
-                got = vrel_compose(r, s)
+                got = r.then(s)
                 assert [list(row) for row in got.entries] == bool_matmul(r, s)
 
     def test_single_term_join(self, law2):
         # one inner element: the composite entry is a bare tensor
         r = VRel(law2, [[1]])
         s = VRel(law2, [[1]])
-        assert vrel_compose(r, s).entry(0, 0) == 2
+        assert r.then(s).entry(0, 0) == 2
 
     def test_join_order_independent(self, law2):
         # folding the inner carrier in any order gives the same composite
@@ -53,20 +52,20 @@ class TestBasics:
         import itertools as it
         for r in it.islice(all_rels(law2, 2, 3), 30):
             for s in it.islice(all_rels(law2, 3, 2), 10):
-                reference = [list(row) for row in vrel_compose(r, s).entries]
+                reference = [list(row) for row in r.then(s).entries]
                 for order in it.permutations(range(3)):
                     assert compose_permuted(r, s, order) == reference
 
     def test_shape_mismatch(self, bool_q):
         r = VRel(bool_q, [[0, 1]])
         with pytest.raises(StructuralError):
-            vrel_compose(r, r)
+            r.then(r)
 
     def test_quantale_mismatch(self, bool_q, law2):
         r = VRel(bool_q, [[0]])
         s = VRel(law2, [[0]])
         with pytest.raises(StructuralError):
-            vrel_compose(r, s)
+            r.then(s)
 
     def test_ragged_rejected(self, bool_q):
         with pytest.raises(StructuralError):
@@ -89,8 +88,8 @@ class TestConverseMeetOrder:
     def test_converse_antihomomorphism(self, bool_q):
         for r in all_rels(bool_q, 2, 2):
             for s in itertools.islice(all_rels(bool_q, 2, 2), 16):
-                lhs = vrel_compose(r, s).converse()
-                rhs = vrel_compose(s.converse(), r.converse())
+                lhs = r.then(s).converse()
+                rhs = s.converse().then(r.converse())
                 assert lhs == rhs
 
     def test_meet_idempotent(self, law2):
@@ -103,8 +102,8 @@ class TestConverseMeetOrder:
             if not r.leq(r2):
                 continue
             for s in rels[:8]:
-                assert vrel_compose(r, s).leq(vrel_compose(r2, s))
-                assert vrel_compose(s, r).leq(vrel_compose(s, r2))
+                assert r.then(s).leq(r2.then(s))
+                assert s.then(r).leq(s.then(r2))
 
 
 class TestFunctionEmbedding:
@@ -118,7 +117,7 @@ class TestFunctionEmbedding:
                 rf = VRel.from_function(law2, f, 3)
                 rg = VRel.from_function(law2, g, 2)
                 composed = [g[f[x]] for x in range(2)]
-                assert vrel_compose(rf, rg) == VRel.from_function(law2, composed, 2)
+                assert rf.then(rg) == VRel.from_function(law2, composed, 2)
 
     def test_value_out_of_range(self, bool_q):
         with pytest.raises(StructuralError):
@@ -142,7 +141,7 @@ def rel_triple(draw):
 @given(rel_triple())
 def test_composition_associative(triple):
     r, s, t = triple
-    assert vrel_compose(vrel_compose(r, s), t) == vrel_compose(r, vrel_compose(s, t))
+    assert r.then(s).then(t) == r.then(s.then(t))
 
 
 def reference_then(r, s):
