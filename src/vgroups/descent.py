@@ -37,6 +37,21 @@ is a concatenation of nine meet blocks per distinct point, each read
 once from the meet table.  The finality check folds the levels once per
 distinct (base value, same point) pair, on which alone the folded values
 depend.
+
+The lemma behind the window scans: a window value at ((z, x), (z', y))
+depends on the two levels only through their order (<, = or >), and a
+kernel-pair or action entry only through the orders of (z1, z1') and
+(z2, z2').  Every scanned law reads at most three levels per coordinate
+(reflexivity one; separation, compatibility, the diagonal embedding and
+the action map two; transitivity three), and a right shift keeps the
+order of the two levels it moves.  The levels -1..1 realize every order
+pattern of three levels, and the radius-1 window is a sub-window of the
+radius-r window with the same entries, so each law holds at radius r
+iff it holds at radius 1, for any tables, lawful or not.  The scans
+therefore decide each law on the radius-1 window, and rescan at radius
+r only a law that fails there, so that every reported witness is the
+first one in radius-r order.  The capacity guards and the finality folds
+are those of radius r.
 """
 
 from dataclasses import dataclass
@@ -152,10 +167,45 @@ def _guard(what, count, cap):
         raise CapacityError(f"a {what} of {count} elements exceeds the cap of {cap}")
 
 
-def _separation_witness(q, elements, matrix):
-    """The first separation witness of a materialized structure, as elements."""
-    witness = laws.separation(q, matrix)
+def _guard_window(cover, radius):
+    """The radius and capacity checks of the window on levels -radius..radius."""
+    if radius < 1:
+        raise StructuralError("window radius must be at least 1")
+    _guard("window", (2 * radius + 1) * cover.base.size, WINDOW_ELEMENT_CAP)
+
+
+def _named(elements, witness):
+    """A scanner's witness as elements, or None."""
     return None if witness is None else tuple(elements[i] for i in witness)
+
+
+def _scan_laws(report, radius, build, scans):
+    """Add to ``report`` the first witness on ``build(radius)`` of each law
+    of ``scans``, a dict from law name to scan, in its order.
+
+    A scan reads the data ``build`` materializes at one radius and names
+    its witness in it, or returns None.  By the lemma of the module
+    docstring a law holds at radius r iff it holds at radius 1, so every
+    scan runs on ``build(1)`` first, and only one that finds a violation
+    there runs again on ``build(radius)``, which is made only then: every
+    witness is the first in radius-r order.  An error at radius 1 (a
+    missing meet) hands every scan to radius r, which raises as the full
+    scan does.
+    """
+    failing = list(scans)
+    if radius > 1:
+        try:
+            small = build(1)
+            failing = [law for law, scan in scans.items() if scan(small) is not None]
+        except StructuralError:
+            pass
+        if not failing:
+            return
+    large = build(radius)
+    for law in failing:
+        witness = scans[law](large)
+        if witness is not None:
+            report.add(law, witness)
 
 
 @dataclass(frozen=True)
@@ -187,10 +237,8 @@ class Window:
     radius: int
 
     def __post_init__(self):
-        if self.radius < 1:
-            raise StructuralError("window radius must be at least 1")
+        _guard_window(self.cover, self.radius)
         self.width = self.cover.base.size
-        _guard("window", (2 * self.radius + 1) * self.width, WINDOW_ELEMENT_CAP)
         self.elements = self.cover.window_elements(self.radius)
         self.matrix = self.cover.window_matrix(self.radius)
 
@@ -216,42 +264,48 @@ def verify_cover_window(cover, radius):
     window pairs, compatibility of the projection, and finality of the
     projection: for every base pair the window join must equal the base
     value and must not grow at radius + 1.
+
+    Each value of the window depends on its two levels only through
+    their order, so the structure laws and the projection's
+    compatibility hold at ``radius`` iff they hold at radius 1 (the
+    module's lemma): they are decided on the radius-1 window, and a law
+    that fails there is scanned again at ``radius`` so that its witness
+    is the first of the radius-``radius`` window.  Finality folds the
+    levels of ``radius`` itself.
     """
     report = ValidationReport(subject=f"cover-window-r{radius}")
-    window = Window(cover, radius)
+    _guard_window(cover, radius)
     base = cover.base
     q = base.quantale
-    elems = window.elements
+    gop, entries = base.group.op, base.structure.entries
     rel = cover.relation
 
-    # integral quantale (descent_cover): unit-reflexive means top on the diagonal
-    witness = laws.reflexivity(q, window.matrix)
-    if witness is not None:
-        report.add("window-reflexivity", elems[witness[0]])
-    witness = laws.transitivity(q, window.matrix)
-    if witness is not None:
-        report.add("window-transitivity", (elems[i] for i in witness))
+    def reflexive(window):
+        # integral quantale (descent_cover): unit-reflexive means top on the diagonal
+        witness = laws.reflexivity(q, window.matrix)
+        return None if witness is None else window.elements[witness[0]]
 
-    gop = base.group.op
-    width, span = window.width, 2 * radius + 1
+    def shift_invariant(window):
+        width, span, r = window.width, 2 * window.radius + 1, window.radius
 
-    def shifted(i, s):
-        """The window index of elems[i] + elems[s], or None outside the window."""
-        level = i // width + s // width - radius
-        return level * width + gop(i % width, s % width) if 0 <= level < span else None
+        def shifted(i, s):
+            """The window index of elems[i] + elems[s], or None outside the window."""
+            level = i // width + s // width - r
+            return level * width + gop(i % width, s % width) if 0 <= level < span else None
 
-    witness = laws.shift_invariance(window.matrix, shifted)
-    if witness is not None:
-        report.add("window-shift-invariance", (elems[i] for i in witness))
+        return _named(window.elements, laws.shift_invariance(window.matrix, shifted))
 
-    witness = _separation_witness(q, elems, window.matrix)
-    if witness is not None:
-        report.add("window-separation", witness)
-
-    witness = laws.compatibility(q, window.matrix, base.structure.entries,
-                                 [cover.projection(p) for p in elems])
-    if witness is not None:
-        report.add("projection-compatibility", (elems[i] for i in witness))
+    scans = {
+        "window-reflexivity": reflexive,
+        "window-transitivity":
+            lambda window: _named(window.elements, laws.transitivity(q, window.matrix)),
+        "window-shift-invariance": shift_invariant,
+        "window-separation":
+            lambda window: _named(window.elements, laws.separation(q, window.matrix)),
+        "projection-compatibility": lambda window: _named(window.elements, laws.compatibility(
+            q, window.matrix, entries, [cover.projection(p) for p in window.elements])),
+    }
+    _scan_laws(report, radius, lambda r: Window(cover, r), scans)
 
     finality = []
     folds = {}
@@ -272,7 +326,7 @@ def verify_cover_window(cover, radius):
                 report.add("finality-join-stability", (x1, x2))
 
     report.notes["finality_joins"] = [q.label(v) for v in finality]
-    report.notes["window_size"] = len(elems)
+    report.notes["window_size"] = (2 * radius + 1) * base.size
     return report
 
 
@@ -283,27 +337,40 @@ def kernel_pair_groupoid(cover, radius):
     as (level, level, point).  Verifies that the diagonal embeds the
     cover's structure on the nose and that the meet structure is
     separated on the window.
+
+    An entry at ((z1, z2, x), (z1', z2', x')) depends on the levels only
+    through the orders of (z1, z1') and (z2, z2'), so both laws are
+    decided on the radius-1 kernel pair, and the radius-``radius``
+    matrix is built only to name the first witness of a law that fails
+    (the module's lemma).  Both capacity guards are those of
+    ``radius``.
     """
     report = ValidationReport(subject=f"kernel-pair-groupoid-r{radius}")
     base = cover.base
     q = base.quantale
-    window = Window(cover, radius)
-    levels = range(-radius, radius + 1)
-    _guard("kernel pair", len(levels) ** 2 * base.size, KERNEL_PAIR_ELEMENT_CAP)
-    carrier = [(z1, z2, x) for z1 in levels for z2 in levels for x in range(base.size)]
-    matrix = cover.kernel_pair_matrix(radius, range(base.size))
+    points = range(base.size)
+    _guard_window(cover, radius)
+    _guard("kernel pair", (2 * radius + 1) ** 2 * base.size, KERNEL_PAIR_ELEMENT_CAP)
 
-    position = {e: i for i, e in enumerate(carrier)}
-    witness = laws.reflection(window.matrix, matrix,
-                              [position[(z, z, x)] for z, x in window.elements])
-    if witness is not None:
-        report.add("diagonal-embedding", (window.elements[i] for i in witness))
+    def build(r):
+        levels = range(-r, r + 1)
+        carrier = [(z1, z2, x) for z1 in levels for z2 in levels for x in points]
+        return Window(cover, r), carrier, cover.kernel_pair_matrix(r, points)
 
-    witness = _separation_witness(q, carrier, matrix)
-    if witness is not None:
-        report.add("groupoid-separation", witness)
+    def embedding(data):
+        window, carrier, matrix = data
+        position = {e: i for i, e in enumerate(carrier)}
+        return _named(window.elements, laws.reflection(
+            window.matrix, matrix, [position[(z, z, x)] for z, x in window.elements]))
 
-    report.notes["carrier_size"] = len(carrier)
+    def separation(data):
+        _, carrier, matrix = data
+        return _named(carrier, laws.separation(q, matrix))
+
+    _scan_laws(report, radius, build,
+               {"diagonal-embedding": embedding, "groupoid-separation": separation})
+
+    report.notes["carrier_size"] = (2 * radius + 1) ** 2 * base.size
     return report
 
 
@@ -315,44 +382,53 @@ def action_of_covering(alpha, cover, radius):
     the pullback structure; the action map drops the acting pair onto
     its first level.  Verifies the compatibility of the action map on
     all in-window composable pairs and separation of the carrier on the
-    window.
+    window, both decided on the radius-1 window and scanned again at
+    ``radius`` only to name a witness (the module's lemma).
     """
     if alpha.cod != cover.base:
         raise StructuralError("the covering must land in the cover's base")
     if not is_covering(alpha):
         raise StructuralError("not a covering: the kernel is not separated")
     report = ValidationReport(subject=f"action-r{radius}")
-    window = Window(cover, radius)
+    _guard_window(cover, radius)
     dom = alpha.dom
     q = cover.quantale
-    levels = range(-radius, radius + 1)
-    _guard("carrier of acting arrows", len(levels) ** 2 * dom.size, KERNEL_PAIR_ELEMENT_CAP)
-    carrier = [(z, a) for z in levels for a in range(dom.size)]
-    position = {w: i for i, w in enumerate(carrier)}
+    _guard("carrier of acting arrows", (2 * radius + 1) ** 2 * dom.size,
+           KERNEL_PAIR_ELEMENT_CAP)
 
-    # each (z, a) as the index pair (window index of (z, alpha a), a)
-    matrix = pair_meets(q, window.matrix, dom.structure.entries,
-                        [(window.index(z, alpha(a)), a) for z, a in carrier])
+    def build(r):
+        window = Window(cover, r)
+        levels = range(-r, r + 1)
+        carrier = [(z, a) for z in levels for a in range(dom.size)]
+        # each (z, a) as the index pair (window index of (z, alpha a), a)
+        matrix = pair_meets(q, window.matrix, dom.structure.entries,
+                            [(window.index(z, alpha(a)), a) for z, a in carrier])
+        composable = [((z1, z2, alpha(a)), (z2, a))
+                      for z1 in levels for z2 in levels for a in range(dom.size)]
+        arrows = cover.kernel_pair_matrix(r, [alpha(a) for a in range(dom.size)])
+        return carrier, matrix, composable, arrows
 
-    # the action map (z1, z2, x) . (z2, a) -> (z1, a) must be
-    # structure-compatible: composable pairs carry the meet of the
-    # acting-arrow structure and the carrier structure.  That meet is
-    # taken lazily, so the scan stops at its first witness.
-    composable = [((z1, z2, alpha(a)), (z2, a))
-                  for z1 in levels for z2 in levels for a in range(dom.size)]
-    places = [position[w] for _, w in composable]
-    arrows = cover.kernel_pair_matrix(radius, [alpha(a) for a in range(dom.size)])
-    before = ((q.meet(v, matrix[p1][p2]) for v, p2 in zip(row, places))
-              for row, p1 in zip(arrows, places))
-    witness = laws.compatibility(q, before, matrix,
-                                 [position[(arrow[0], w[1])] for arrow, w in composable])
-    if witness is not None:
-        (arrow1, w1), (arrow2, w2) = (composable[i] for i in witness)
-        report.add("action-map-compatibility", (arrow1, w1, arrow2, w2))
+    def action_map(data):
+        # the action map (z1, z2, x) . (z2, a) -> (z1, a) must be
+        # structure-compatible: composable pairs carry the meet of the
+        # acting-arrow structure and the carrier structure.  That meet is
+        # taken lazily, so the scan stops at its first witness.
+        carrier, matrix, composable, arrows = data
+        position = {w: i for i, w in enumerate(carrier)}
+        places = [position[w] for _, w in composable]
+        before = ((q.meet(v, matrix[p1][p2]) for v, p2 in zip(row, places))
+                  for row, p1 in zip(arrows, places))
+        witness = laws.compatibility(q, before, matrix,
+                                     [position[(arrow[0], w[1])] for arrow, w in composable])
+        # named (arrow1, w1, arrow2, w2)
+        return None if witness is None else composable[witness[0]] + composable[witness[1]]
 
-    witness = _separation_witness(q, carrier, matrix)
-    if witness is not None:
-        report.add("carrier-separation", witness)
+    def separation(data):
+        carrier, matrix, _, _ = data
+        return _named(carrier, laws.separation(q, matrix))
 
-    report.notes["carrier_size"] = len(carrier)
+    _scan_laws(report, radius, build,
+               {"action-map-compatibility": action_map, "carrier-separation": separation})
+
+    report.notes["carrier_size"] = (2 * radius + 1) * dom.size
     return report

@@ -259,6 +259,11 @@ class TestCommandsAgainstFrozenOutputs:
          ("descent", "--input", str(DOCS / "z4_boolean.json"), "--window", "3")),
         ("descent_s3_lawvere_w3.json",
          ("descent", "--input", str(TEST_DOCS / "s3_lawvere.json"), "--window", "3")),
+        # the smallest windows, on which every descent law is decided
+        ("descent_z4_boolean_w1.json",
+         ("descent", "--input", str(DOCS / "z4_boolean.json"), "--window", "1")),
+        ("descent_s3_lawvere_w1.json",
+         ("descent", "--input", str(TEST_DOCS / "s3_lawvere.json"), "--window", "1")),
     ])
     def test_byte_identical(self, name, argv):
         code, text = invoke(*argv, "--format", "json")

@@ -5,12 +5,14 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from vgroups import (FiniteGroup, NonIntegralQuantaleError, Quantale,
-                     StructuralError, VGroup, VHom, VRel, Window, action_of_covering,
+from vgroups import (FiniteGroup, IntegerIndexedCover, NonIntegralQuantaleError,
+                     Quantale, StructuralError, VGroup, VHom, VRel, Window,
+                     action_of_covering,
                      descent_cover, discrete_vgroup, enumerate_structures,
                      identity_hom, kernel_pair_groupoid, lawvere_chain, laws,
                      product, standard_suite, structure_from_delta,
                      verify_cover_window)
+from vgroups.reports import ValidationReport
 
 
 class TestPiecewiseFormula:
@@ -182,19 +184,12 @@ def reference_kernel_pair_matrix(cover, radius):
                   for e1 in carrier])
 
 
-def scanned_kernel_pair(cover, radius):
-    """The matrix kernel_pair_groupoid scans, caught on its way to the
-    separation scan."""
-    separation = laws.separation
-    scanned = []
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(laws, "separation",
-                      lambda q, matrix: scanned.append(matrix) or separation(q, matrix))
-        kernel_pair_groupoid(cover, radius)
-    return scanned.pop()
+def built_kernel_pair(cover, radius):
+    """The kernel-pair matrix of every base point at ``radius``."""
+    return cover.kernel_pair_matrix(radius, range(cover.base.size))
 
 
-def kernel_pair_or_error(build, cover, radius):
+def outcome(build, cover, radius):
     """``build(cover, radius)``, or the message of the error it raises."""
     try:
         return build(cover, radius)
@@ -208,12 +203,12 @@ class TestKernelPairMatrix:
         for base in bases:
             cover, _ = descent_cover(base)
             for radius in (1, 2, 3):
-                assert scanned_kernel_pair(cover, radius) == \
+                assert built_kernel_pair(cover, radius) == \
                     reference_kernel_pair_matrix(cover, radius), (base, radius)
 
     @settings(max_examples=300, deadline=None)
     @given(leq=st.lists(st.booleans(), min_size=9, max_size=9),
-           size=st.sampled_from([2, 3]), radius=st.integers(1, 2), data=st.data())
+           size=st.sampled_from([2, 3]), radius=st.integers(1, 3), data=st.data())
     def test_random_orders_match_the_reference(self, leq, size, radius, data):
         # any order on three elements, with bottom 0 and unit = top 2; many
         # lack meets, and then both builders must raise the same message
@@ -222,8 +217,12 @@ class TestKernelPairMatrix:
         base = VGroup(FiniteGroup.cyclic(size),
                       *integral_order([leq[i:i + 3] for i in (0, 3, 6)], rows))
         cover, _ = descent_cover(base)
-        assert kernel_pair_or_error(scanned_kernel_pair, cover, radius) == \
-            kernel_pair_or_error(reference_kernel_pair_matrix, cover, radius)
+        assert outcome(built_kernel_pair, cover, radius) == \
+            outcome(reference_kernel_pair_matrix, cover, radius)
+        # the groupoid decides on the radius-1 kernel pair, and still raises
+        # that message or reports what the full radius-r scans report
+        assert outcome(kernel_pair_groupoid, cover, radius) == \
+            outcome(reference_groupoid, cover, radius)
 
     def test_missing_meet_raises_the_same_error(self, z2):
         # 0 and 1 are incomparable: the order has no meet for them
@@ -277,23 +276,27 @@ class TestAction:
     def test_rows_match_pair_structure(self, monkeypatch, z4_bool, z2_discrete,
                                        z4_law, law2):
         # the composable-pair and carrier matrices, caught on their way to
-        # the action-map compatibility scan (the function's last one)
+        # the action-map compatibility scan (the function's last one).  The
+        # scan decides on the radius-1 window first; a stand-in witness
+        # there sends it on to the radius under test.
         compatibility = laws.compatibility
         scanned, carriers = [], []
 
         def caught(q, a, b, m):
             scanned.append([list(row) for row in a])
             carriers.append(b)
-            return compatibility(q, scanned[-1], b, m)
+            witness = compatibility(q, scanned[-1], b, m)
+            return (0, 0) if len(b) < carrier_size else witness
 
-        monkeypatch.setattr(laws, "compatibility", caught)
         coverings = [identity_hom(obj.vgroup) for obj in standard_suite("smoke").objects]
         coverings.append(VHom(z2_discrete, z4_bool, [0, 2]))
         # a covering whose points repeat: two elements over each base point
         coverings.append(separated_projection(z4_law, law2))
+        monkeypatch.setattr(laws, "compatibility", caught)
         for alpha in coverings:
             cover, _ = descent_cover(alpha.cod)
             for radius in (1, 2):
+                carrier_size = (2 * radius + 1) * alpha.dom.size
                 action_of_covering(alpha, cover, radius)
                 assert scanned.pop() == reference_action_matrix(alpha, cover, radius), \
                     (alpha.cod, radius)
@@ -355,20 +358,26 @@ def first_shift_witness(cover, radius):
     return None
 
 
-def test_window_shift_scan_matches_the_formula():
+def shift_bases():
+    """Random structures over ``lawvere_chain(2)``, most of them not shift
+    profiles, and one invariant under right shifts but not under left
+    shifts."""
     rng = random.Random(0)
     q = lawvere_chain(2)
     groups = [FiniteGroup.cyclic(2), FiniteGroup.cyclic(3), FiniteGroup.symmetric3()]
     lawless = [VGroup(grp, q, VRel(q, [[rng.randrange(q.size) for _ in range(grp.size)]
                                        for _ in range(grp.size)]))
                for grp in groups for _ in range(4)]
-    # invariant under right shifts but not under left shifts
     one_sided = structure_from_delta(FiniteGroup.symmetric3(), q, (0, 1, 2, 2, 2, 2))
-    bases = [o.vgroup for o in standard_suite("smoke").objects] + lawless + [one_sided]
+    return lawless + [one_sided]
+
+
+def test_window_shift_scan_matches_the_formula():
+    bases = [o.vgroup for o in standard_suite("smoke").objects] + shift_bases()
     found = 0
     for base in bases:
         cover, _ = descent_cover(base)
-        for radius in (1, 2):
+        for radius in (1, 2, 3):
             shift = [v.witness for v in verify_cover_window(cover, radius).violations
                      if v.law == "window-shift-invariance"]
             want = first_shift_witness(cover, radius)
@@ -471,7 +480,12 @@ def formula_bases():
                                                  [[2, 1], [1, 2]]))
     cyclic = VGroup(groups[0], *integral_order([[1, 0, 1], [1, 1, 0], [0, 1, 1]],
                                                [[0, 0], [0, 1]]))
-    return lawless + [non_reflexive, odd_meet, cyclic]
+    # the unit below bottom (2 <= 0), but 0 not below itself, so that the
+    # joins the finality fold takes exist: every two elements of the
+    # window are unit-related both ways, which breaks both separations
+    unit_below_bottom = VGroup(groups[0], *integral_order(
+        [[0, 0, 1], [0, 1, 0], [1, 0, 1]], [[2, 2], [2, 2]]))
+    return lawless + [non_reflexive, odd_meet, cyclic, unit_below_bottom]
 
 
 def test_descent_matrix_scans_match_the_formula():
@@ -479,7 +493,7 @@ def test_descent_matrix_scans_match_the_formula():
     checked = set()
     for base in bases:
         cover, _ = descent_cover(base)
-        for radius in (1, 2):
+        for radius in (1, 2, 3):
             got = {v.law: v.witness for report in (
                 verify_cover_window(cover, radius), kernel_pair_groupoid(cover, radius),
                 action_of_covering(identity_hom(base), cover, radius))
@@ -490,6 +504,101 @@ def test_descent_matrix_scans_match_the_formula():
                        "action-map-compatibility"}
 
 
+def reference_cover_window(cover, radius):
+    """``verify_cover_window`` with every law scanned on the
+    radius-``radius`` window itself."""
+    report = ValidationReport(subject=f"cover-window-r{radius}")
+    window = Window(cover, radius)
+    q, elems, a = cover.quantale, window.elements, window.matrix
+    witness = laws.reflexivity(q, a)
+    if witness is not None:
+        report.add("window-reflexivity", elems[witness[0]])
+
+    def shifted(i, s):
+        level, x = cover.op(elems[i], elems[s])
+        return window.index(level, x) if abs(level) <= radius else None
+
+    for law, witness in (
+            ("window-transitivity", laws.transitivity(q, a)),
+            ("window-shift-invariance", laws.shift_invariance(a, shifted)),
+            ("window-separation", laws.separation(q, a)),
+            ("projection-compatibility", laws.compatibility(
+                q, a, cover.base.structure.entries, [cover.projection(p) for p in elems]))):
+        if witness is not None:
+            report.add(law, (elems[i] for i in witness))
+    joins, failures = reference_finality(cover, radius)
+    for law, pair in failures:
+        report.add(law, pair)
+    report.notes.update(finality_joins=joins, window_size=len(elems))
+    return report
+
+
+def reference_groupoid(cover, radius):
+    """``kernel_pair_groupoid`` with both laws scanned on the
+    radius-``radius`` kernel pair itself."""
+    report = ValidationReport(subject=f"kernel-pair-groupoid-r{radius}")
+    window = Window(cover, radius)
+    levels = range(-radius, radius + 1)
+    carrier = [(z1, z2, x) for z1 in levels for z2 in levels
+               for x in range(cover.base.size)]
+    matrix = built_kernel_pair(cover, radius)
+    witness = laws.reflection(window.matrix, matrix,
+                              [carrier.index((z, z, x)) for z, x in window.elements])
+    if witness is not None:
+        report.add("diagonal-embedding", (window.elements[i] for i in witness))
+    witness = laws.separation(cover.quantale, matrix)
+    if witness is not None:
+        report.add("groupoid-separation", (carrier[i] for i in witness))
+    report.notes["carrier_size"] = len(carrier)
+    return report
+
+
+def test_radius_one_decides_every_window_law():
+    # the lemma: each law holds at radius r iff it holds at radius 1, and
+    # a law that fails is rescanned at r, so the reports are those of the
+    # full radius-r scans
+    bases = ([o.vgroup for o in standard_suite("smoke").objects] + formula_bases()
+             + shift_bases())
+    violated = set()
+    for base in bases:
+        cover, _ = descent_cover(base)
+        for radius in (1, 2, 3):
+            for check, reference in ((verify_cover_window, reference_cover_window),
+                                     (kernel_pair_groupoid, reference_groupoid)):
+                got = outcome(check, cover, radius)
+                assert got == outcome(reference, cover, radius), (base, radius)
+                if radius == 3 and not isinstance(got, str):
+                    violated.update(got.laws_violated())
+    assert violated >= {"window-transitivity", "window-shift-invariance",
+                        "window-separation", "diagonal-embedding", "groupoid-separation"}
+
+
+def test_lawful_windows_build_nothing_beyond_radius_one(monkeypatch):
+    # on the fast path the laws are scanned on radius-1 matrices only: no
+    # window or kernel-pair matrix of a larger radius is built
+    built, scanned = [], []
+    for name in ("window_matrix", "kernel_pair_matrix"):
+        original = getattr(IntegerIndexedCover, name)
+        monkeypatch.setattr(IntegerIndexedCover, name,
+                            lambda self, radius, *points, original=original:
+                            built.append(radius) or original(self, radius, *points))
+    for name in ("reflexivity", "transitivity", "shift_invariance", "separation",
+                 "compatibility", "reflection"):
+        original = getattr(laws, name)
+        monkeypatch.setattr(laws, name, lambda *args, name=name, original=original:
+                            scanned.append(name) or original(*args))
+    for obj in standard_suite("smoke").objects:
+        cover, _ = descent_cover(obj.vgroup)
+        for radius in (2, 3):
+            for report in (verify_cover_window(cover, radius),
+                           kernel_pair_groupoid(cover, radius),
+                           action_of_covering(identity_hom(obj.vgroup), cover, radius)):
+                assert report.ok, (obj.name, radius)
+    assert set(built) == {1}
+    assert set(scanned) == {"reflexivity", "transitivity", "shift_invariance",
+                            "separation", "compatibility", "reflection"}
+
+
 # sha256 over the full suite's descent outputs, in suite order: every
 # verify_cover_window and Window.as_dict output at radii 1-3 and every
 # kernel_pair_groupoid output at radii 1-2 (at radius 3 its 294-element
@@ -497,7 +606,7 @@ def test_descent_matrix_scans_match_the_formula():
 # radius against the per-entry reference).  Computed before windows were
 # built by blocks and the tensor scanners skipped annihilating values.
 # Every one of those speedups keeps the outputs byte for byte, so the
-# digest must not move.
+# digest must not move.  Radius 3 of the kernel pair has its own digest.
 DESCENT_OUTPUTS_DIGEST = "917b0e7e1ace32ed1f05693117feb020b350a74c00e5896b3e1d05f444816061"
 
 
@@ -512,3 +621,18 @@ def test_descent_outputs_are_pinned_over_the_full_suite():
                 outputs.append(kernel_pair_groupoid(cover, radius).as_dict())
             digest.update(json.dumps(outputs, sort_keys=True).encode())
     assert digest.hexdigest() == DESCENT_OUTPUTS_DIGEST
+
+
+# sha256 over every kernel_pair_groupoid output at radius 3 over the full
+# suite, in suite order.  Computed while the kernel pair was still scanned
+# on its radius-3 matrix, before the laws were decided at radius 1.
+KERNEL_PAIR_R3_DIGEST = "6bb97e01f70a0acdb5b11c7eb705f5eaa2972e37ae8cafc8e34af27a714f673b"
+
+
+def test_radius_three_kernel_pairs_are_pinned_over_the_full_suite():
+    digest = hashlib.sha256()
+    for obj in standard_suite("full").objects:
+        cover, _ = descent_cover(obj.vgroup)
+        digest.update(json.dumps([obj.name, kernel_pair_groupoid(cover, 3).as_dict()],
+                                 sort_keys=True).encode())
+    assert digest.hexdigest() == KERNEL_PAIR_R3_DIGEST
