@@ -71,15 +71,6 @@ def check_quantale_laws(suite):
 
 # -- shift route versus compatibility route ---------------------------------
 
-def _route_flags(group, q, a):
-    """(reflexive+transitive+shifted, reflexive+compatible) for one matrix."""
-    if laws.reflexivity(q, a) is not None:
-        return False, False
-    shift_ok = laws.transitivity(q, a) is None and \
-        laws.shift_invariance(a, group.op) is None
-    return shift_ok, laws.addition_compatibility(q, a, group.op) is None
-
-
 def route_agreement_counts(group, q):
     """Compare the two validation routes over a candidate family.
 
@@ -88,19 +79,34 @@ def route_agreement_counts(group, q):
     nonabelian_findings, valid); a disagreement on an abelian carrier is
     counted, on a nonabelian one it is recorded as a finding.  ``valid``,
     the candidates whose compatibility route holds, counts the structures.
+
+    ``candidates`` is the size of the whole family, but only its reflexive
+    members are generated and scanned.  Both routes require reflexivity,
+    so on any other candidate both fail: it is no disagreement, no finding
+    and not valid.  A matrix is reflexive iff each row x has an entry above
+    the unit at x, so row x is drawn from those rows alone; a spread
+    profile has delta(e) all along its diagonal, so delta(e) is drawn from
+    the values above the unit alone.
     """
-    n = group.size
+    n, table, e = group.size, group.table, group.identity
     abelian = group.is_abelian
-    candidates = disagreements = findings = valid = 0
+    above_unit = q.leq_table[q.unit]
+    values = range(q.size)
+    disagreements = findings = valid = 0
     if q.size ** (n * n) <= MATRIX_ENUMERATION_CAP:
-        rows = list(iproduct(range(q.size), repeat=n))
-        source = iproduct(rows, repeat=n)
+        candidates = q.size ** (n * n)
+        rows = list(iproduct(values, repeat=n))
+        source = iproduct(*[[row for row in rows if above_unit[row[x]]]
+                            for x in range(n)])
     else:
-        source = (profile_matrix(group, delta)
-                  for delta in iproduct(range(q.size), repeat=n))
+        candidates = q.size ** n
+        above = [v for v in values if above_unit[v]]
+        source = (profile_matrix(group, delta) for delta in
+                  iproduct(*[above if d == e else values for d in range(n)]))
     for matrix in source:
-        candidates += 1
-        shift_route, functor_route = _route_flags(group, q, matrix)
+        shift_route = laws.transitivity(q, matrix) is None and \
+            laws.shift_invariance(matrix, group.op) is None
+        functor_route = laws.addition_compatibility(q, matrix, table) is None
         valid += functor_route
         if shift_route != functor_route:
             if abelian:

@@ -15,7 +15,8 @@ Homomorphisms g -> h are found from generator images (Holt, Eick and
 O'Brien, *Handbook of Computational Group Theory*, 2005): a greedy
 generating set of g has at most two elements on the suite roster, so
 ``group_homs`` tries |h|^k choices of images, propagates each along
-the Cayley graph of g.  Isomorphisms are its bijective members.
+the Cayley graph of g, and keeps the result on g for the next call with
+the same h.  Isomorphisms are its bijective members.
 """
 
 from itertools import product as iproduct
@@ -29,7 +30,8 @@ ENUMERATION_CAP = 10 ** 6
 
 
 class FiniteGroup:
-    __slots__ = ("names", "table", "identity", "inverse", "_generators")
+    __slots__ = ("names", "table", "identity", "inverse", "_generators", "_homs",
+                 "_hash")
 
     def __init__(self, table, names=None):
         table = tuple([tuple(row) for row in table])
@@ -74,6 +76,8 @@ class FiniteGroup:
         self.identity = identity
         self.inverse = tuple(inverse)
         self._generators = None
+        self._homs = {}
+        self._hash = None
 
     @classmethod
     def _trusted(cls, table, names, identity, inverse):
@@ -85,6 +89,8 @@ class FiniteGroup:
         g = cls.__new__(cls)
         g.table, g.names, g.identity, g.inverse = table, names, identity, inverse
         g._generators = None
+        g._homs = {}
+        g._hash = None
         return g
 
     @property
@@ -228,7 +234,10 @@ class FiniteGroup:
         return isinstance(other, FiniteGroup) and self._key() == other._key()
 
     def __hash__(self):
-        return hash(self._key())
+        # Computed on first use: the key is fixed once the group exists.
+        if self._hash is None:
+            self._hash = hash(self._key())
+        return self._hash
 
     def __repr__(self):
         return f"FiniteGroup(order {self.size})"
@@ -332,15 +341,23 @@ def group_homs(g, h):
     satisfies m(x + s) = m(x) + m(s) for every x and generator s, and
     induction on a word in the generators for y gives m(x + y) =
     m(x) + m(y), by associativity of both tables.
+
+    The search runs once per pair: g keeps its result in ``g._homs``,
+    keyed by h, so an equal codomain finds it too.  The cap is checked on
+    every call, before the lookup, and a failed search stores nothing.
+    Each call returns a new list, which the caller may change.
     """
     count = hom_search_size(g, h)
     if count > ENUMERATION_CAP:
         raise CapacityError(
             f"{count} generator image choices exceed the cap of {ENUMERATION_CAP}")
-    gens = g.generators
-    return [mapping
-            for images in iproduct(range(h.size), repeat=len(gens))
-            if (mapping := _propagate(g, h, gens, images)) is not None]
+    homs = g._homs.get(h)
+    if homs is None:
+        gens = g.generators
+        homs = g._homs[h] = tuple([
+            mapping for images in iproduct(range(h.size), repeat=len(gens))
+            if (mapping := _propagate(g, h, gens, images)) is not None])
+    return list(homs)
 
 
 def group_isomorphisms(g, h):

@@ -5,12 +5,14 @@ Each scanner walks a square matrix ``a`` of quantale indices (``a[x][y]``
 is the value from x to y) in lexicographic order of its witness tuple and
 returns the first index tuple that violates its law, or None when the law
 holds.  ``symmetry`` reads ``a`` alone, so it also serves Cayley and
-tensor tables.  The shift and addition-compatibility scanners also take
-the group operation ``op``.  The morphism scanners ``compatibility`` and
-``reflection`` take a second matrix ``b`` and an index map ``m`` from the
-rows of ``a`` to the rows of ``b``; they read ``a`` one row and one entry
-at a time, so its rows may be generators and nothing past the first
-witness is computed.  ``homomorphism`` reads two Cayley tables along
+tensor tables.  The shift scanner also takes the group operation ``op``,
+which may leave a shift undefined (None); ``addition_compatibility``
+takes the group's Cayley table instead and reads one row of it per
+summand.  The morphism scanners ``compatibility`` and ``reflection``
+take a second matrix ``b`` and an index map ``m`` from the rows of ``a``
+to the rows of ``b``; they read ``a`` one row and one entry at a time,
+so its rows may be generators and nothing past the first witness is
+computed.  ``homomorphism`` reads two Cayley tables along
 ``m`` instead.  Callers map the indices back to labels or elements.
 
 The tensor scanners ``transitivity`` and ``addition_compatibility`` skip
@@ -79,21 +81,22 @@ def shift_invariance(a, op):
     return None
 
 
-def addition_compatibility(q, a, op):
+def addition_compatibility(q, a, table):
     """First (x1, x2, y1, y2) with a(x1, x2) (x) a(y1, y2) not below
-    a(x1 + y1, x2 + y2)."""
+    a(x1 + y1, x2 + y2), the sums read off the Cayley table ``table``."""
     leq, ten, inert = q.leq_table, q.tensor_table, q.annihilating
     rng = range(len(a))
     for x1 in rng:
+        ax1, row1 = a[x1], table[x1]
         for x2 in rng:
-            v = a[x1][x2]
+            v = ax1[x2]
             if inert[v]:
                 continue
-            times = ten[v]
+            times, row2 = ten[v], table[x2]
             for y1 in rng:
-                ay1, target = a[y1], a[op(x1, y1)]
+                ay1, target = a[y1], a[row1[y1]]
                 for y2 in rng:
-                    if not leq[times[ay1[y2]]][target[op(x2, y2)]]:
+                    if not leq[times[ay1[y2]]][target[row2[y2]]]:
                         return (x1, x2, y1, y2)
     return None
 

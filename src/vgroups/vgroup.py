@@ -227,7 +227,7 @@ def validate_vgroup(g):
         "reflexivity": laws.reflexivity(q, a),
         "transitivity": laws.transitivity(q, a),
         "shift-invariance": laws.shift_invariance(a, grp.op),
-        "addition-compatibility": laws.addition_compatibility(q, a, grp.op),
+        "addition-compatibility": laws.addition_compatibility(q, a, grp.table),
     }
     for law, witness in witnesses.items():
         if witness is not None:
@@ -319,10 +319,28 @@ def quotient_vgroup(g, normal_subset, name=None):
 
 def final_structure(g, classes):
     """The rows of the join of g's structure over each pair of classes:
-    the final structure along a map whose fibers are ``classes``."""
-    q = g.quantale
-    return tuple([tuple([q.join_all(g.entry(x, y) for x in c for y in d) for d in classes])
-                  for c in classes])
+    the final structure along a map whose fibers are ``classes``.
+
+    Each entry folds from bottom over (x in c, y in d) in that order, as
+    ``Quantale.join_all`` would: over a lawless order the result may
+    depend on it.  Joins are read from ``Quantale.join_table``; a missing
+    join (None) goes through ``Quantale.join``, which raises on it.
+    """
+    q, a = g.quantale, g.structure.entries
+    join, bottom = q.join_table, q.bottom
+    rows = []
+    for c in classes:
+        c_rows = [a[x] for x in c]
+        row = []
+        for d in classes:
+            acc = bottom
+            for ax in c_rows:
+                for y in d:
+                    t = ax[y]
+                    acc = j if (j := join[acc][t]) is not None else q.join(acc, t)
+            row.append(acc)
+        rows.append(tuple(row))
+    return tuple(rows)
 
 
 def kernel(f):

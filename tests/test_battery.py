@@ -1,16 +1,24 @@
 """What the battery checks rely on without re-checking it, on the smoke suite,
 and what they build against the code it replaced."""
 
+from itertools import product as iproduct
+
 import pytest
 
-from vgroups import (Quantale, StructuralError, VGroup, VHom, VRel, battery,
-                     classify_hom, is_isomorphism, pullback, standard_suite,
-                     trivial_vgroup, validate_hom, zero_hom)
+from vgroups import (FiniteGroup, Quantale, StructuralError, VGroup, VHom, VRel, battery,
+                     builtin_quantale, classify_hom, is_isomorphism, laws,
+                     pullback, standard_suite, trivial_vgroup, validate_hom,
+                     zero_hom)
 from vgroups.battery import SMALL_CARRIER, _exact_sequences
+from vgroups.builders import (FULL_EXTRA_GROUPS, FULL_EXTRA_QUANTALES, SMOKE_GROUPS,
+                              SMOKE_QUANTALES, group_roster)
 from vgroups.factorization import ClassCache, cached_decomposition
 from vgroups.torsion import reflected_map
 from vgroups.vgroup import (factor_through_epi, factor_through_mono,
-                            factorization_middle_iso, pullback_comparison)
+                            factorization_middle_iso, profile_matrix,
+                            pullback_comparison)
+
+from test_laws import reference_addition_compatibility
 
 
 def test_sequence_restrictions_validate_and_compare_into_the_pullback():
@@ -165,3 +173,64 @@ def test_pullback_raises_the_reference_error_on_a_missing_meet(z2):
     with pytest.raises(StructuralError) as got:
         pullback(f, g)
     assert str(got.value) == str(expected.value)
+
+
+def reference_route_agreement_counts(group, q):
+    """``battery.route_agreement_counts`` as it scanned before it drew
+    reflexive candidates only: every candidate of the family, each one
+    through both routes.  Addition compatibility goes through the
+    reference scanner of test_laws, with the group operation."""
+    def route_flags(a):
+        if laws.reflexivity(q, a) is not None:
+            return False, False
+        shift_ok = laws.transitivity(q, a) is None and \
+            laws.shift_invariance(a, group.op) is None
+        return shift_ok, reference_addition_compatibility(q, a, group.op) is None
+
+    n = group.size
+    abelian = group.is_abelian
+    candidates = disagreements = findings = valid = 0
+    if q.size ** (n * n) <= battery.MATRIX_ENUMERATION_CAP:
+        rows = list(iproduct(range(q.size), repeat=n))
+        source = iproduct(rows, repeat=n)
+    else:
+        source = (profile_matrix(group, delta)
+                  for delta in iproduct(range(q.size), repeat=n))
+    for matrix in source:
+        candidates += 1
+        shift_route, functor_route = route_flags(matrix)
+        valid += functor_route
+        if shift_route != functor_route:
+            if abelian:
+                disagreements += 1
+            else:
+                findings += 1
+    return candidates, disagreements, findings, valid
+
+
+def test_route_oracle_matches_the_full_family_scan(non_integral_q):
+    """The oracle's four counts equal those of the scan over every
+    candidate: on each quantale and group of the full suite, and over
+    the roster and one group whose identity is not 0, on a non-integral
+    quantale and on a lawless integral order, each with two values above
+    the unit."""
+    roster = group_roster()
+    cases = [(builtin_quantale(spec["builtin"], spec.get("m")), roster[name])
+             for _, spec in SMOKE_QUANTALES + FULL_EXTRA_QUANTALES
+             for name in SMOKE_GROUPS + FULL_EXTRA_GROUPS]
+    # the cyclic order 1 <= 0 <= 2 <= 1 with unit = top = 2 and tensor min
+    cyclic = Quantale(labels=["0", "1", "2"], leq=[[1, 0, 1], [1, 1, 0], [0, 1, 1]],
+                      tensor=[[min(u, v) for v in range(3)] for u in range(3)],
+                      unit=2, bottom=0, top=2)
+    # Z4 under x + y + 1, whose identity is 3, not 0 as on the roster
+    moved = FiniteGroup([[(x + y + 1) % 4 for y in range(4)] for x in range(4)])
+    assert moved.identity == 3
+    for q in (non_integral_q, cyclic):
+        assert sum(q.leq(q.unit, v) for v in range(q.size)) == 2
+        cases += [(q, group) for group in [*roster.values(), moved]]
+    findings = 0
+    for q, group in cases:
+        counts = battery.route_agreement_counts(group, q)
+        assert counts == reference_route_agreement_counts(group, q), (q, group)
+        findings += counts[2]
+    assert findings > 0

@@ -391,35 +391,41 @@ MATRIX_LAWS = ("projection-compatibility", "first-projection-compatibility",
                "anchor-compatibility", "action-map-compatibility")
 
 
-def reference_pair_structure(cover, e1, e2):
-    (a1, b1, x1), (a2, b2, x2) = e1, e2
-    rel = cover.relation
-    return cover.quantale.meet(rel((a1, x1), (a2, x2)), rel((b1, x1), (b2, x2)))
-
-
 def reference_witnesses(cover, radius, alpha):
     """The projection, diagonal-embedding, anchor and action-map scans,
-    written as loops over the lazy formula."""
-    base, q, rel = cover.base, cover.quantale, cover.relation
+    written as loops over the lazy formula.  The formula is tabulated
+    once per call, each table as a dict of rows keyed by element, so that
+    no matrix of the code under test is read: ``cover.relation`` on the
+    window; the kernel-pair structure on its carrier, the meet of the
+    relation at the two levels over one point; and the action structure
+    on the acting pairs.  Order and meets are read off the quantale's
+    tables; every meet exists on the bases of this test."""
+    base, q = cover.base, cover.quantale
+    leq, meet = q.leq_table, q.meet_table
     elems = cover.window_elements(radius)
     levels = range(-radius, radius + 1)
+    rel = {p: {r: cover.relation(p, r) for r in elems} for p in elems}
+    carrier = [(z1, z2, x) for z1 in levels for z2 in levels for x in range(base.size)]
+    pair = {e1: {e2: meet[first[e2[0], e2[2]]][second[e2[1], e2[2]]] for e2 in carrier}
+            for e1 in carrier
+            for first, second in [(rel[e1[0], e1[2]], rel[e1[1], e1[2]])]}
     out = {}
 
     def scan(law, pairs, fails):
-        for pair in pairs:
-            if fails(*pair):
-                out[law] = pair
+        for witness in pairs:
+            if fails(*witness):
+                out[law] = witness
                 return
 
     scan("projection-compatibility", ((p, r) for p in elems for r in elems),
-         lambda p, r: not q.leq(rel(p, r), base.entry(p[1], r[1])))
-    carrier = [(z1, z2, x) for z1 in levels for z2 in levels for x in range(base.size)]
+         lambda p, r: not leq[rel[p][r]][base.entry(p[1], r[1])])
     for e1 in carrier:
+        row, first, second = pair[e1], rel[e1[0], e1[2]], rel[e1[1], e1[2]]
         for e2 in carrier:
-            v = reference_pair_structure(cover, e1, e2)
-            if not q.leq(v, rel((e1[0], e1[2]), (e2[0], e2[2]))):
+            v = row[e2]
+            if not leq[v][first[e2[0], e2[2]]]:
                 out["first-projection-compatibility"] = (e1, e2)
-            elif not q.leq(v, rel((e1[1], e1[2]), (e2[1], e2[2]))):
+            elif not leq[v][second[e2[1], e2[2]]]:
                 out["second-projection-compatibility"] = (e1, e2)
             else:
                 continue
@@ -428,8 +434,7 @@ def reference_witnesses(cover, radius, alpha):
             continue
         break
     scan("diagonal-embedding", ((p, r) for p in elems for r in elems),
-         lambda p, r: reference_pair_structure(
-             cover, (p[0], p[0], p[1]), (r[0], r[0], r[1])) != rel(p, r))
+         lambda p, r: pair[p[0], p[0], p[1]][r[0], r[0], r[1]] != rel[p][r])
 
     dom = alpha.dom
     actions = [(z, a) for z in levels for a in range(dom.size)]
@@ -437,18 +442,20 @@ def reference_witnesses(cover, radius, alpha):
     def anchor(w):
         return (w[0], alpha(w[1]))
 
-    def structure(w1, w2):
-        return q.meet(rel(anchor(w1), anchor(w2)), dom.entry(w1[1], w2[1]))
-
+    structure = {w1: {w2: meet[rel[anchor(w1)][anchor(w2)]][dom.entry(w1[1], w2[1])]
+                      for w2 in actions} for w1 in actions}
     scan("anchor-compatibility", ((w1, w2) for w1 in actions for w2 in actions),
-         lambda w1, w2: not q.leq(structure(w1, w2), rel(anchor(w1), anchor(w2))))
+         lambda w1, w2: not leq[structure[w1][w2]][rel[anchor(w1)][anchor(w2)]])
     composable = [((z1, z2, alpha(a)), (z2, a))
                   for z1 in levels for z2 in levels for a in range(dom.size)]
-    scan("action-map-compatibility",
-         (c1 + c2 for c1 in composable for c2 in composable),
-         lambda arrow1, w1, arrow2, w2: not q.leq(
-             q.meet(reference_pair_structure(cover, arrow1, arrow2), structure(w1, w2)),
-             structure((arrow1[0], w1[1]), (arrow2[0], w2[1]))))
+    for arrow1, w1 in composable:
+        arrows, acts, moved = pair[arrow1], structure[w1], structure[arrow1[0], w1[1]]
+        witness = next(((arrow1, w1, arrow2, w2) for arrow2, w2 in composable
+                        if not leq[meet[arrows[arrow2]][acts[w2]]][moved[arrow2[0], w2[1]]]),
+                       None)
+        if witness is not None:
+            out["action-map-compatibility"] = witness
+            break
     return out
 
 

@@ -252,6 +252,56 @@ class TestHomSearch:
         with pytest.raises(CapacityError):
             group_isomorphisms(k4, k4)
 
+    def test_equal_groups_share_one_search(self):
+        s3, z2 = FiniteGroup.symmetric3(), FiniteGroup.cyclic(2)
+        first = group_homs(s3, z2)
+        # an equal but distinct codomain finds the stored search
+        again = FiniteGroup.cyclic(2)
+        assert again == z2 and again is not z2
+        assert group_homs(s3, again) == first
+        assert list(s3._homs) == [z2]
+        # an equal but distinct domain searches again, to the same list
+        assert group_homs(FiniteGroup.symmetric3(), again) == first
+
+    def test_trusted_groups_share_the_search_of_equal_checked_ones(self):
+        z4 = FiniteGroup.cyclic(4)
+        quotient, _ = quotient_group(z4, (0, 2))
+        rebuilt = FiniteGroup(quotient.table, quotient.names)
+        assert rebuilt == quotient and hash(rebuilt) == hash(quotient)
+        assert group_homs(z4, quotient) == group_homs(z4, rebuilt)
+        assert len(z4._homs) == 1
+        # Z4/{0, 2} has Z2's table under other names: the maps are the same
+        z2 = FiniteGroup.cyclic(2)
+        assert quotient.table == z2.table and quotient != z2
+        assert group_homs(z4, quotient) == group_homs(z4, z2)
+        assert group_homs(quotient, z4) == group_homs(z2, z4)
+
+    def test_changing_a_result_leaves_the_next_call_unchanged(self):
+        s3 = FiniteGroup.symmetric3()
+        homs = group_homs(s3, s3)
+        want = list(homs)
+        homs.pop()
+        homs.append((0,) * 6)
+        assert group_homs(s3, s3) == want
+        assert group_homs(s3, s3) is not group_homs(s3, s3)
+
+    def test_the_cap_is_checked_on_every_call(self, monkeypatch):
+        z2 = FiniteGroup.cyclic(2)
+        k4 = FiniteGroup.direct_product(z2, z2)
+        stored = group_homs(k4, k4)
+        monkeypatch.setattr("vgroups.groups.ENUMERATION_CAP", 4)
+        for _ in range(2):
+            with pytest.raises(CapacityError, match="16 generator image choices"):
+                group_homs(k4, k4)
+        # a search that fails stores nothing
+        fresh = FiniteGroup.direct_product(z2, z2)
+        for _ in range(2):
+            with pytest.raises(CapacityError):
+                group_homs(fresh, fresh)
+        assert fresh._homs == {}
+        monkeypatch.setattr("vgroups.groups.ENUMERATION_CAP", 16)
+        assert group_homs(k4, k4) == group_homs(fresh, fresh) == stored
+
     def test_group_isomorphisms_match_permutation_search(self):
         found = 0
         for g, h in search_pairs():

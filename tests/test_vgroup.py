@@ -19,8 +19,8 @@ from vgroups import (CapacityError, FiniteGroup, Quantale, StructuralError,
                      vgroup_isomorphism, zero_hom)
 from vgroups.builders import group_roster
 from vgroups.groups import ENUMERATION_CAP
-from vgroups.vgroup import (factor_through_epi, factor_through_mono, is_final,
-                            pullback_comparison)
+from vgroups.vgroup import (factor_through_epi, factor_through_mono, fibers,
+                            final_structure, is_final, pullback_comparison)
 
 
 class TestValidation:
@@ -577,3 +577,57 @@ class TestPropositionChecks:
         ker2, inc2 = kernel(proj)
         assert set(inc2.mapping) == set(inc.mapping)
         assert ker2.structure.entries == inc.dom.structure.entries
+
+
+def reference_join_all(q, items):
+    """The fold ``final_structure`` replaces: the join of a finite family
+    from bottom through ``Quantale.join``, in the family's order."""
+    acc = q.bottom
+    for u in items:
+        acc = q.join(acc, u)
+    return acc
+
+
+def reference_final_structure(g, classes):
+    q = g.quantale
+    return tuple(tuple(reference_join_all(q, (g.entry(x, y) for x in c for y in d))
+                       for d in classes) for c in classes)
+
+
+class TestFinalStructureReadsTables:
+    def test_matches_reference_on_smoke_cosets_and_image_fibers(self):
+        suite = standard_suite("smoke")
+        partitions = 0
+        for obj in suite.objects:
+            g = obj.vgroup
+            for normal in g.group.all_normal_subgroups():
+                classes = g.group.cosets(normal)
+                assert final_structure(g, classes) == reference_final_structure(g, classes)
+                partitions += 1
+        for _, _, f in suite.all_homs():
+            classes = fibers(f, f.image_set())
+            assert final_structure(f.dom, classes) == \
+                reference_final_structure(f.dom, classes)
+            partitions += 1
+        assert partitions > 769
+
+    def test_missing_join_raises_as_the_reference(self):
+        # 0 < a, b < c, d < 1: a and b have the upper bounds c, d and 1
+        # but no least one.  Over Z2 with the rows [a, b] and [1, 1], the
+        # single class {0, 1} folds join(0, a) = a and then join(a, b),
+        # which is missing; the classes {0} and {1} fold one value each.
+        up = {0: {0, 1, 2, 3, 4, 5}, 1: {1, 3, 4, 5}, 2: {2, 3, 4, 5},
+              3: {3, 5}, 4: {4, 5}, 5: {5}}
+        q = Quantale(labels=["0", "a", "b", "c", "d", "1"],
+                     leq=[[v in up[u] for v in range(6)] for u in range(6)],
+                     tensor=[[v if u == 5 else u if v == 5 else 0
+                              for v in range(6)] for u in range(6)],
+                     unit=5, bottom=0, top=5)
+        assert q.join_table[1][2] is None
+        g = VGroup(FiniteGroup.cyclic(2), q, VRel(q, [[1, 2], [5, 5]]))
+        assert final_structure(g, [[0], [1]]) == reference_final_structure(g, [[0], [1]])
+        with pytest.raises(StructuralError) as new:
+            final_structure(g, [[0, 1]])
+        with pytest.raises(StructuralError) as old:
+            reference_final_structure(g, [[0, 1]])
+        assert str(new.value) == str(old.value) == "order has no join for (a, b)"
