@@ -436,8 +436,18 @@ def check_stable_class_pullbacks(suite):
 # -- pretorsion ---------------------------------------------------------------
 
 def check_pretorsion(suite):
+    """Every object over a ``PRETORSION_QUANTALES`` quantale has a verified
+    pretorsion sequence, its test family widened by the suite's objects of
+    at most ``PRETORSION_FAMILY_MAX_CARRIER`` elements over its quantale;
+    and on objects of at most ``SMALL_CARRIER`` elements the symmetric
+    part lies below the object and above every symmetric suite structure
+    on its carrier that lies below it.  The families share their small
+    objects, so the null spot checks of each pair of test objects run
+    once per run, and the symmetric structures of each carrier are found
+    once."""
     failures = []
     checked = 0
+    spot_checks = {}
     for qname in PRETORSION_QUANTALES:
         small = [o.vgroup for o in suite.objects_over(qname)
                  if o.vgroup.size <= PRETORSION_FAMILY_MAX_CARRIER]
@@ -448,10 +458,12 @@ def check_pretorsion(suite):
                 for extra in small:
                     if extra not in family:
                         family.append(extra)
-                pretorsion_decompose(obj.vgroup, test_objects=family)
+                pretorsion_decompose(obj.vgroup, test_objects=family,
+                                     spot_checks=spot_checks)
             except THEOREM_FAILURES as exc:
                 failures.append((obj.name, str(exc)))
     greatest_checked = 0
+    symmetric_on = {}  # by (quantale name, group name)
     for obj in suite.objects:
         if obj.vgroup.size > SMALL_CARRIER:
             continue
@@ -459,9 +471,12 @@ def check_pretorsion(suite):
             hat = symmetric_coreflect(obj.vgroup)
             if not hat.structure.leq(obj.vgroup.structure):
                 failures.append((obj.name, "symmetric part not below"))
-            for candidate in suite.structures_on(obj.quantale_name, obj.group_name):
-                if not classify_object(candidate).symmetric:
-                    continue
+            carrier = (obj.quantale_name, obj.group_name)
+            if carrier not in symmetric_on:
+                symmetric_on[carrier] = [
+                    candidate for candidate in suite.structures_on(*carrier)
+                    if classify_object(candidate).symmetric]
+            for candidate in symmetric_on[carrier]:
                 if not candidate.structure.leq(obj.vgroup.structure):
                     continue
                 greatest_checked += 1

@@ -52,6 +52,15 @@ therefore decide each law on the radius-1 window, and rescan at radius
 r only a law that fails there, so that every reported witness is the
 first one in radius-r order.  The capacity guards and the finality folds
 are those of radius r.
+
+The radius-1 verdicts depend on the cover alone, so a cover keeps them:
+its ``verdicts`` slot maps each window and kernel-pair law decided so far
+to whether it fails at radius 1.  A later window or kernel-pair check on
+the same cover, at any radius, builds and scans nothing when its laws
+hold, and rescans at its own radius each law that fails.  The action of
+a covering depends on the covering too, so its verdicts stay local to
+the call.  The verdicts live and die with the cover; a radius-1 build
+that raises stores none.
 """
 
 from dataclasses import dataclass
@@ -71,12 +80,17 @@ KERNEL_PAIR_ELEMENT_CAP = 7 * WINDOW_ELEMENT_CAP
 
 
 class IntegerIndexedCover:
-    """Lazy separated cover over a base object (levels are arbitrary ints)."""
+    """Lazy separated cover over a base object (levels are arbitrary ints).
 
-    __slots__ = ("base",)
+    ``verdicts`` maps each window or kernel-pair law decided so far to
+    whether it fails on the radius-1 window, filled by ``_scan_laws``.
+    """
+
+    __slots__ = ("base", "verdicts")
 
     def __init__(self, base):
         self.base = base
+        self.verdicts = {}
 
     @property
     def quantale(self):
@@ -179,28 +193,39 @@ def _named(elements, witness):
     return None if witness is None else tuple(elements[i] for i in witness)
 
 
-def _scan_laws(report, radius, build, scans):
+def _scan_laws(report, radius, build, scans, verdicts=None):
     """Add to ``report`` the first witness on ``build(radius)`` of each law
     of ``scans``, a dict from law name to scan, in its order.
 
     A scan reads the data ``build`` materializes at one radius and names
     its witness in it, or returns None.  By the lemma of the module
-    docstring a law holds at radius r iff it holds at radius 1, so every
-    scan runs on ``build(1)`` first, and only one that finds a violation
-    there runs again on ``build(radius)``, which is made only then: every
-    witness is the first in radius-r order.  An error at radius 1 (a
-    missing meet) hands every scan to radius r, which raises as the full
-    scan does.
+    docstring a law holds at radius r iff it holds at radius 1, so each
+    law is decided on ``build(1)``, and only one that fails there runs
+    again on ``build(radius)``, which is made only then: every witness is
+    the first in radius-r order (at radius 1 a failing law is scanned
+    twice, on two builds of the same window).  ``verdicts`` maps each law
+    decided before to whether it fails at radius 1, and takes the
+    verdicts found now; when every law of ``scans`` is in it and none
+    fails, nothing is built or scanned.  A cover passes its own
+    ``verdicts``, as its laws depend on it alone; without them the
+    verdicts are local to the call.
+    An error at radius 1 (a missing meet) stores nothing and hands every
+    scan to radius r, which raises as the full scan does.
     """
+    if verdicts is None:
+        verdicts = {}
     failing = list(scans)
-    if radius > 1:
-        try:
+    try:
+        unknown = [law for law in scans if law not in verdicts]
+        if unknown:
             small = build(1)
-            failing = [law for law, scan in scans.items() if scan(small) is not None]
-        except StructuralError:
-            pass
-        if not failing:
-            return
+            verdicts.update({law: scans[law](small) is not None for law in unknown})
+        failing = [law for law in scans if verdicts[law]]
+    except StructuralError:
+        if radius == 1:
+            raise
+    if not failing:
+        return
     large = build(radius)
     for law in failing:
         witness = scans[law](large)
@@ -268,17 +293,16 @@ def verify_cover_window(cover, radius):
     Each value of the window depends on its two levels only through
     their order, so the structure laws and the projection's
     compatibility hold at ``radius`` iff they hold at radius 1 (the
-    module's lemma): they are decided on the radius-1 window, and a law
-    that fails there is scanned again at ``radius`` so that its witness
-    is the first of the radius-``radius`` window.  Finality folds the
-    levels of ``radius`` itself.
+    module's lemma): they are decided on the radius-1 window, once per
+    cover, and a law that fails there is scanned again at ``radius`` so
+    that its witness is the first of the radius-``radius`` window.
+    Finality folds the levels of ``radius`` itself.
     """
     report = ValidationReport(subject=f"cover-window-r{radius}")
     _guard_window(cover, radius)
     base = cover.base
     q = base.quantale
     gop, entries = base.group.op, base.structure.entries
-    rel = cover.relation
 
     def reflexive(window):
         # integral quantale (descent_cover): unit-reflexive means top on the diagonal
@@ -305,7 +329,20 @@ def verify_cover_window(cover, radius):
         "projection-compatibility": lambda window: _named(window.elements, laws.compatibility(
             q, window.matrix, entries, [cover.projection(p) for p in window.elements])),
     }
-    _scan_laws(report, radius, lambda r: Window(cover, r), scans)
+    _scan_laws(report, radius, lambda r: Window(cover, r), scans, cover.verdicts)
+
+    join = q.join_table
+
+    def fold(value, same, levels):
+        """The join from bottom of ``relation((z1, x1), (z2, x2))`` over
+        (z1, z2) in ``levels`` squared, in that order, for points x1, x2
+        with base value ``value``, equal iff ``same``."""
+        acc, diagonal = q.bottom, q.top if same else q.bottom
+        for z1 in levels:
+            for z2 in levels:
+                t = value if z1 < z2 else diagonal if z1 == z2 else q.bottom
+                acc = j if (j := join[acc][t]) is not None else q.join(acc, t)
+        return acc
 
     finality = []
     folds = {}
@@ -314,10 +351,9 @@ def verify_cover_window(cover, radius):
             # the folded values depend on (x1, x2) through this key alone
             key = (base.entry(x1, x2), x1 == x2)
             if key not in folds:
-                folds[key] = tuple(
-                    q.join_all(rel((z1, x1), (z2, x2)) for z1 in levels for z2 in levels)
-                    for levels in (range(-radius, radius + 1),
-                                   range(-radius - 1, radius + 2)))
+                folds[key] = tuple(fold(*key, levels)
+                                   for levels in (range(-radius, radius + 1),
+                                                  range(-radius - 1, radius + 2)))
             window_join, grown_join = folds[key]
             finality.append(window_join)
             if window_join != base.entry(x1, x2):
@@ -340,10 +376,10 @@ def kernel_pair_groupoid(cover, radius):
 
     An entry at ((z1, z2, x), (z1', z2', x')) depends on the levels only
     through the orders of (z1, z1') and (z2, z2'), so both laws are
-    decided on the radius-1 kernel pair, and the radius-``radius``
-    matrix is built only to name the first witness of a law that fails
-    (the module's lemma).  Both capacity guards are those of
-    ``radius``.
+    decided on the radius-1 kernel pair, once per cover, and the
+    radius-``radius`` matrix is built only to name the first witness of
+    a law that fails (the module's lemma).  Both capacity guards are
+    those of ``radius``.
     """
     report = ValidationReport(subject=f"kernel-pair-groupoid-r{radius}")
     base = cover.base
@@ -368,7 +404,8 @@ def kernel_pair_groupoid(cover, radius):
         return _named(carrier, laws.separation(q, matrix))
 
     _scan_laws(report, radius, build,
-               {"diagonal-embedding": embedding, "groupoid-separation": separation})
+               {"diagonal-embedding": embedding, "groupoid-separation": separation},
+               cover.verdicts)
 
     report.notes["carrier_size"] = (2 * radius + 1) ** 2 * base.size
     return report

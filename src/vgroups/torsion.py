@@ -312,13 +312,35 @@ class PretorsionDecomposition:
         }
 
 
-def pretorsion_decompose(g, test_objects=None):
+def _null_spot_check(t, f_obj):
+    """The number of morphisms from ``t`` to ``f_obj``, each checked to be
+    null; the first that is not raises."""
+    checked = 0
+    for hom in enumerate_homs(t, f_obj):
+        checked += 1
+        if not is_null_morphism(hom)["is_null"]:
+            raise TheoremCheckError(
+                f"found a non-null morphism {hom!r} from a symmetric "
+                f"object {t!r} to a separated one {f_obj!r}")
+    return checked
+
+
+def pretorsion_decompose(g, test_objects=None, spot_checks=None):
     """Symmetric part, identity comparison, separated quotient; verified.
 
     Works over any quantale.  The symmetric part is below g by
     construction (a meet).  Runs both relative universal-property
     verifiers on the sequence and spot-checks that every enumerated
     morphism from a symmetric test object to a separated one is null.
+
+    A spot check depends on its pair of test objects alone, not on g.
+    ``spot_checks`` maps each pair (t, f) already checked to its number
+    of morphisms; a caller that decomposes many objects over overlapping
+    families passes one dict to every call, and each pair is checked once
+    (pairs compare by ``VGroup`` equality).  A pair whose check raises is
+    not stored, so every later call meets it again.  Without it a fresh
+    dict is used.  ``notes["null_spot_checks"]`` counts the morphisms of
+    every pair of the family, checked now or before.
     """
     sym = symmetric_coreflect(g)
     comparison = VHom(sym, g, range(g.size))
@@ -329,6 +351,8 @@ def pretorsion_decompose(g, test_objects=None):
 
     if test_objects is None:
         test_objects = default_test_family(g, quotient)
+    if spot_checks is None:
+        spot_checks = {}
     kernel_report = verify_pretorsion_kernel(
         comparison, projection, test_objects=test_objects)
     cokernel_report = verify_pretorsion_cokernel(
@@ -346,12 +370,9 @@ def pretorsion_decompose(g, test_objects=None):
         for f_obj, cls_f in zip(test_objects, classes):
             if not cls_f.separated:
                 continue
-            for hom in enumerate_homs(t, f_obj):
-                checked += 1
-                if not is_null_morphism(hom)["is_null"]:
-                    raise TheoremCheckError(
-                        f"found a non-null morphism {hom!r} from a symmetric "
-                        f"object {t!r} to a separated one {f_obj!r}")
+            if (t, f_obj) not in spot_checks:
+                spot_checks[t, f_obj] = _null_spot_check(t, f_obj)
+            checked += spot_checks[t, f_obj]
     return PretorsionDecomposition(
         object=g, symmetric_part=sym, comparison=comparison,
         quotient=quotient, projection=projection,

@@ -2,6 +2,7 @@
 and what they build against the code it replaced."""
 
 from itertools import product as iproduct
+from pathlib import Path
 
 import pytest
 
@@ -12,6 +13,7 @@ from vgroups import (FiniteGroup, Quantale, StructuralError, VGroup, VHom, VRel,
 from vgroups.battery import SMALL_CARRIER, _exact_sequences
 from vgroups.builders import (FULL_EXTRA_GROUPS, FULL_EXTRA_QUANTALES, SMOKE_GROUPS,
                               SMOKE_QUANTALES, group_roster)
+from vgroups.document import canonical_json
 from vgroups.factorization import ClassCache, cached_decomposition
 from vgroups.torsion import reflected_map
 from vgroups.vgroup import (factor_through_epi, factor_through_mono,
@@ -19,6 +21,8 @@ from vgroups.vgroup import (factor_through_epi, factor_through_mono,
                             pullback_comparison)
 
 from test_laws import reference_addition_compatibility
+
+EXPECTED = Path(__file__).parent / "expected"
 
 
 def test_sequence_restrictions_validate_and_compare_into_the_pullback():
@@ -234,3 +238,17 @@ def test_route_oracle_matches_the_full_family_scan(non_integral_q):
         assert counts == reference_route_agreement_counts(group, q), (q, group)
         findings += counts[2]
     assert findings > 0
+
+
+# The object-level checks of the full suite, the ones the benchmark's
+# full-level workload times; frozen in tests/expected before the pretorsion
+# spot checks and the cover's radius-1 verdicts were shared.
+FULL_OBJECT_CHECKS = (battery.check_quantale_laws, battery.check_structure_routes,
+                      battery.check_objects, battery.check_torsion_theory,
+                      battery.check_pretorsion, battery.check_descent_windows)
+
+
+def test_full_level_object_checks_are_pinned():
+    suite = standard_suite("full")
+    got = canonical_json([check(suite).as_dict() for check in FULL_OBJECT_CHECKS])
+    assert got == (EXPECTED / "suite_full_object_checks.json").read_text(encoding="utf-8")

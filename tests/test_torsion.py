@@ -18,7 +18,8 @@ from vgroups import (CapacityError, FiniteGroup, NonIntegralQuantaleError,
 from vgroups.builders import (FULL_EXTRA_GROUPS, FULL_EXTRA_QUANTALES,
                               SMOKE_GROUPS, SMOKE_QUANTALES, group_roster)
 from vgroups import torsion
-from vgroups.battery import check_pretorsion
+from vgroups.battery import (PRETORSION_FAMILY_MAX_CARRIER, PRETORSION_QUANTALES,
+                             THEOREM_FAILURES, check_pretorsion)
 from vgroups.torsion import default_test_family
 
 
@@ -371,3 +372,74 @@ def test_null_class_matches_the_one_sided_formula(monkeypatch):
         is_null_morphism(f)
     assert check_pretorsion(suite).ok
     assert True in verdicts and False in verdicts
+
+
+# -- the null spot checks shared between decompositions ------------------------
+
+def battery_family(suite, obj):
+    """The test family ``check_pretorsion`` gives ``obj``: its default
+    family, widened by the small suite objects over its quantale."""
+    family = default_test_family(obj.vgroup)
+    for o in suite.objects_over(obj.quantale_name):
+        if o.vgroup.size <= PRETORSION_FAMILY_MAX_CARRIER and o.vgroup not in family:
+            family.append(o.vgroup)
+    return family
+
+
+def test_shared_spot_checks_leave_every_decomposition_unchanged(monkeypatch):
+    """On every smoke object over a pretorsion quantale, with its default
+    family and with the battery's, one shared dict gives the decomposition
+    of a fresh one, spot-check count included, and checks each pair once."""
+    suite = standard_suite("smoke")
+    objects = [o for q in PRETORSION_QUANTALES for o in suite.objects_over(q)]
+    original = torsion._null_spot_check
+    log = {}  # "to": the list each spot check is recorded in
+    monkeypatch.setattr(torsion, "_null_spot_check",
+                        lambda t, f: log["to"].append((t, f)) or original(t, f))
+    for families in ([None] * len(objects), [battery_family(suite, o) for o in objects]):
+        shared, unshared, checked = {}, [], []
+        for obj, family in zip(objects, families):
+            log["to"] = unshared
+            alone = pretorsion_decompose(obj.vgroup, test_objects=family).as_dict()
+            log["to"] = now = []
+            before = set(shared)
+            assert pretorsion_decompose(obj.vgroup, test_objects=family,
+                                        spot_checks=shared).as_dict() == alone, obj.name
+            assert not before & set(now), obj.name
+            checked += now
+        assert len(checked) == len(set(checked)) == len(shared)
+    # the battery's families share their small objects
+    assert len(shared) < len(unshared)
+
+
+def unshared_pretorsion_failures(suite):
+    """The decomposition loop of ``check_pretorsion``, each call with its
+    own spot checks."""
+    failures = []
+    for qname in PRETORSION_QUANTALES:
+        for obj in suite.objects_over(qname):
+            try:
+                pretorsion_decompose(obj.vgroup, test_objects=battery_family(suite, obj))
+            except THEOREM_FAILURES as exc:
+                failures.append((obj.name, str(exc)))
+    return failures
+
+
+def test_a_failing_spot_pair_is_recorded_by_every_object(monkeypatch, z2_discrete):
+    """A small-by-small morphism that is not null fails the spot check of
+    every object whose family meets its pair, as it does unshared."""
+    suite = standard_suite("smoke")
+    bad = identity_hom(z2_discrete)
+    original = torsion.is_null_morphism
+
+    def is_null_morphism(f):
+        if f == bad:
+            return {"is_null": False, "method": "via-image"}
+        return original(f)
+
+    monkeypatch.setattr(torsion, "is_null_morphism", is_null_morphism)
+    failures = check_pretorsion(suite).failures
+    assert failures == unshared_pretorsion_failures(suite)
+    # Z2 discrete is small, so every boolean object's family meets the pair
+    spotted = [name for name, message in failures if "non-null morphism" in message]
+    assert spotted == [o.name for o in suite.objects_over("boolean")]
