@@ -213,12 +213,14 @@ def check_ses_morphism_pullback(suite):
             continue
         for b in hs.homs:
             pulled = {}  # pullback(inc_y, b) by ny; it does not depend on nx
+            onto_quotients = [b.then(proj_y) for _, _, proj_y in sequences[j]]
             for nx, inc_x, proj_x in sequences[i]:
-                for ny, inc_y, proj_y in sequences[j]:
-                    a_vert = factor_through_mono(inc_x.then(b), inc_y)
+                restricted = inc_x.then(b)
+                for (ny, inc_y, _), onto in zip(sequences[j], onto_quotients):
+                    a_vert = factor_through_mono(restricted, inc_y)
                     if a_vert is None:
                         continue
-                    c_vert = factor_through_epi(proj_x, b.then(proj_y))
+                    c_vert = factor_through_epi(proj_x, onto)
                     checked += 1
                     witness = (suite.objects[i].name, suite.objects[j].name,
                                b.mapping, nx, ny)
@@ -289,7 +291,10 @@ def _pulled_back(suite, keep, cap):
     accepts and each morphism g into the codomain of f, in suite order,
     for the first ``cap`` such cospans."""
     homs = [f for _, _, f in suite.all_homs()]
-    cospans = ((f, g) for f in homs if keep(f) for g in homs if g.cod == f.cod)
+    into = {}  # the homs into each codomain, in suite order
+    for g in homs:
+        into.setdefault(g.cod, []).append(g)
+    cospans = ((f, g) for f in homs if keep(f) for g in into[f.cod])
     for f, g in islice(cospans, cap):
         yield f, g, pullback(f, g)[2]
 

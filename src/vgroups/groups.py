@@ -11,6 +11,11 @@ which stores its fields with no re-check: each first tests closure,
 subgroup-ness or normality in a group that already passed, and then
 reads the identity and the inverses off its parents.
 
+Those three constructions, and ``is_subgroup``, ``normality_witness``
+and ``cosets``, read the rows of the parents' Cayley tables and their
+``inverse`` tuples directly; ``op``, ``inv`` and ``conj`` remain for
+callers that need one product at a time.
+
 Homomorphisms g -> h are found from generator images (Holt, Eick and
 O'Brien, *Handbook of Computational Group Theory*, 2005): a greedy
 generating set of g has at most two elements on the suite roster, so
@@ -161,15 +166,19 @@ class FiniteGroup:
         s = set(subset)
         if self.identity not in s:
             return False
-        return all(self.op(x, y) in s for x in s for y in s) and \
-            all(self.inv(x) in s for x in s)
+        table, inverse = self.table, self.inverse
+        rows = (table[x] for x in s)
+        return all(row[y] in s for row in rows for y in s) and \
+            all(inverse[x] in s for x in s)
 
     def normality_witness(self, subset):
         """A pair (g, n) with g + n - g outside the subset, or None."""
         s = set(subset)
-        for g in range(self.size):
+        table = self.table
+        for g, row in enumerate(table):
+            back = self.inverse[g]
             for n in s:
-                if self.conj(g, n) not in s:
+                if table[row[n]][back] not in s:
                     return (g, n)
         return None
 
@@ -219,10 +228,10 @@ class FiniteGroup:
         s = set(normal_subset)
         seen = set()
         cosets = []
-        for x in range(self.size):
+        for x, row in enumerate(self.table):
             if x in seen:
                 continue
-            coset = tuple(sorted(self.op(x, m) for m in s))
+            coset = tuple(sorted([row[m] for m in s]))
             seen.update(coset)
             cosets.append(coset)
         return sorted(cosets, key=lambda c: c[0])
@@ -258,8 +267,9 @@ def subgroup_group(group, subset):
         raise StructuralError("subset is not a subgroup")
     names = _distinct(tuple([group.names[x] for x in subset]))
     pos = {x: i for i, x in enumerate(subset)}
-    table = tuple([tuple([pos[group.op(x, y)] for y in subset]) for x in subset])
-    inverse = tuple([pos[group.inv(x)] for x in subset])
+    rows = [group.table[x] for x in subset]
+    table = tuple([tuple([pos[row[y]] for y in subset]) for row in rows])
+    inverse = tuple([pos[group.inverse[x]] for x in subset])
     return FiniteGroup._trusted(table, names, pos[group.identity], inverse)
 
 
@@ -272,13 +282,14 @@ def pair_group(a, b, pairs):
     if not pairs:
         raise StructuralError("empty Cayley table")
     pos = {pair: k for k, pair in enumerate(pairs)}
+    at, bt, ai, bi = a.table, b.table, a.inverse, b.inverse
     try:
-        table = tuple([tuple([pos[a.op(i1, i2), b.op(j1, j2)] for i2, j2 in pairs])
-                       for i1, j1 in pairs])
+        table = tuple([tuple([pos[ar[i2], br[j2]] for i2, j2 in pairs])
+                       for ar, br in [(at[i1], bt[j1]) for i1, j1 in pairs]])
     except KeyError:
         raise StructuralError("subset is not a subgroup") from None
     names = _distinct(tuple([f"({a.names[i]},{b.names[j]})" for i, j in pairs]))
-    inverse = tuple([pos[a.inv(i), b.inv(j)] for i, j in pairs])
+    inverse = tuple([pos[ai[i], bi[j]] for i, j in pairs])
     return FiniteGroup._trusted(table, names, pos[a.identity, b.identity], inverse)
 
 
@@ -298,9 +309,10 @@ def quotient_group(group, normal_subset):
         for x in coset:
             coset_of[x] = i
     reps = [c[0] for c in cosets]
-    table = tuple([tuple([coset_of[group.op(c, d)] for d in reps]) for c in reps])
+    rows = [group.table[c] for c in reps]
+    table = tuple([tuple([coset_of[row[d]] for d in reps]) for row in rows])
     names = tuple([f"[{group.names[c]}]" for c in reps])
-    inverse = tuple([coset_of[group.inv(c)] for c in reps])
+    inverse = tuple([coset_of[group.inverse[c]] for c in reps])
     quotient = FiniteGroup._trusted(table, names, coset_of[group.identity], inverse)
     projection = tuple([coset_of[x] for x in range(group.size)])
     return quotient, projection

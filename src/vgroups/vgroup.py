@@ -12,9 +12,13 @@ meet.
 ``VHom`` and ``VRel`` check their arguments at construction.  The
 constructions here that derive a map or a relation from valid ones
 (composites, projections, comparisons, factorings, inclusions and
-structures of subobjects, quotients, pullbacks and images) build through
-their ``_trusted`` constructors instead: each output's indices lie in
-range because they are read off valid inputs.
+structures of subobjects, quotients, pullbacks and images, and the zero
+map once its quantale check has passed) build through their ``_trusted``
+constructors instead: each output's indices lie in range because they
+are read off valid inputs.  ``pullback``, ``pullback_comparison``,
+``fibers`` and ``equalizer`` read the mapping tuples of their maps
+directly rather than calling each map once per element; a pullback
+lists its agreeing pairs through the fibres of its second leg.
 
 Everything is exhaustive at desk scale.  Enumerators are deterministic
 (lexicographic candidate order) and guarded by an explicit candidate cap.
@@ -203,7 +207,8 @@ def identity_hom(g):
 
 
 def zero_hom(g, h):
-    return VHom(g, h, [h.group.identity] * g.size)
+    _shared_quantale(g, h)
+    return VHom._trusted(g, h, (h.group.identity,) * g.size)
 
 
 # -- validation ------------------------------------------------------------
@@ -380,13 +385,15 @@ def pullback(f, g):
     """Pullback of a cospan f: X -> Z, g: W -> Z.
 
     The carrier is the subgroup of pairs agreeing in Z, in lexicographic
-    order, the structure the entrywise meet restricted there.  Returns
-    (P, to_dom_of_f, to_dom_of_g).
+    order: each i of X, in order, paired with the fibre of g over f(i),
+    in order.  The structure is the entrywise meet restricted there.
+    Returns (P, to_dom_of_f, to_dom_of_g).
     """
     if f.cod != g.cod:
         raise StructuralError("pullback needs a common codomain")
     x, w, q = f.dom, g.dom, f.cod.quantale
-    pairs = [(i, j) for i in range(x.size) for j in range(w.size) if f(i) == g(j)]
+    fibre = fibers(g, range(g.cod.size))
+    pairs = [(i, j) for i, z in enumerate(f.mapping) for j in fibre[z]]
     entries = pair_meets(q, x.structure.entries, w.structure.entries, pairs)
     p = VGroup(pair_group(x.group, w.group, pairs), q, VRel._trusted(q, entries))
     return (p, VHom._trusted(p, x, tuple([i for i, _ in pairs])),
@@ -409,13 +416,14 @@ def pair_meets(q, a, b, pairs):
 
 
 def pullback_comparison(p, pi1, pi2, u1, u2):
-    """The universal map into a pullback, given a commuting cone (u1, u2)."""
+    """The universal map into a pullback p with projections pi1 and pi2,
+    given a commuting cone (u1, u2)."""
     hits = {}
-    for i in range(p.size):
-        hits.setdefault((pi1(i), pi2(i)), []).append(i)
-    mapping = []
-    for x in range(u1.dom.size):
-        found = hits.get((u1(x), u2(x)), ())
+    for i, pair in enumerate(zip(pi1.mapping, pi2.mapping)):
+        hits.setdefault(pair, []).append(i)
+    mapping, second = [], u2.mapping
+    for x, y in enumerate(u1.mapping):
+        found = hits.get((y, second[x]), ())
         if len(found) != 1:
             raise TheoremCheckError(
                 f"pullback comparison is not well-defined at element "
@@ -460,7 +468,7 @@ def factor_through_epi(e, f):
 def equalizer(f, g):
     if f.dom != g.dom or f.cod != g.cod:
         raise StructuralError("equalizer needs a parallel pair")
-    subset = [x for x in range(f.dom.size) if f(x) == g(x)]
+    subset = [x for x, (u, v) in enumerate(zip(f.mapping, g.mapping)) if u == v]
     return subobject(f.dom, subset)
 
 
@@ -489,7 +497,11 @@ def image_factorize(f):
 
 
 def fibers(f, targets):
-    return [[x for x in range(f.dom.size) if f(x) == y] for y in targets]
+    """The preimage of each target under f, in ascending order."""
+    fibre = {}
+    for x, y in enumerate(f.mapping):
+        fibre.setdefault(y, []).append(x)
+    return [fibre.get(y, []) for y in targets]
 
 
 def is_final(f):

@@ -5,6 +5,12 @@ A relation from a carrier of size ``src_size`` to one of size
 matricial product with join as sum and tensor as product; over the
 boolean quantale it reduces to the ordinary boolean matrix product.
 Values are immutable and all operations are pure.
+
+The constructor checks that the matrix is rectangular and that every
+entry is a quantale index.  ``then``, ``converse`` and ``from_function``
+build through ``VRel._trusted`` instead: a composite and a converse read
+their entries off valid tables, and ``from_function`` writes only the
+unit and the bottom, after its own range check on the function.
 """
 
 from .errors import StructuralError
@@ -29,8 +35,8 @@ class VRel:
     def _trusted(cls, quantale, entries):
         """A relation from entries known to be a rectangular tuple of row
         tuples of quantale indices, stored with no re-check: for the
-        restrictions, joins and meets of relations that already passed
-        ``__init__``."""
+        restrictions, joins, meets, composites and converses of relations
+        that already passed ``__init__``, and for function graphs."""
         r = cls.__new__(cls)
         r.quantale, r.entries = quantale, entries
         return r
@@ -62,9 +68,9 @@ class VRel:
         for y in mapping:
             if not 0 <= y < dst_size:
                 raise StructuralError(f"function value out of range: {y!r}")
-        return cls(quantale,
-                   [[k if mapping[x] == y else bot for y in range(dst_size)]
-                    for x in range(len(mapping))])
+        columns = range(dst_size)
+        return cls._trusted(quantale, tuple([
+            tuple([k if y == z else bot for z in columns]) for y in mapping]))
 
     @classmethod
     def constant(cls, quantale, src_size, dst_size, value):
@@ -104,13 +110,11 @@ class VRel:
                     t = trow[b]
                     acc = j if (j := join[acc][t]) is not None else q.join(acc, t)
                 row.append(acc)
-            rows.append(row)
-        return VRel(q, rows)
+            rows.append(tuple(row))
+        return VRel._trusted(q, tuple(rows))
 
     def converse(self):
-        return VRel(self.quantale,
-                    [[self.entries[x][y] for x in range(self.src_size)]
-                     for y in range(self.dst_size)])
+        return VRel._trusted(self.quantale, tuple(zip(*self.entries)))
 
     def meet(self, other):
         self._check_compatible(other, same_shape=True)
