@@ -52,15 +52,6 @@ therefore decide each law on the radius-1 window, and rescan at radius
 r only a law that fails there, so that every reported witness is the
 first one in radius-r order.  The capacity guards and the finality folds
 are those of radius r.
-
-The radius-1 verdicts depend on the cover alone, so a cover keeps them:
-its ``verdicts`` slot maps each window and kernel-pair law decided so far
-to whether it fails at radius 1.  A later window or kernel-pair check on
-the same cover, at any radius, builds and scans nothing when its laws
-hold, and rescans at its own radius each law that fails.  The action of
-a covering depends on the covering too, so its verdicts stay local to
-the call.  The verdicts live and die with the cover; a radius-1 build
-that raises stores none.
 """
 
 from dataclasses import dataclass
@@ -80,17 +71,12 @@ KERNEL_PAIR_ELEMENT_CAP = 7 * WINDOW_ELEMENT_CAP
 
 
 class IntegerIndexedCover:
-    """Lazy separated cover over a base object (levels are arbitrary ints).
+    """Lazy separated cover over a base object (levels are arbitrary ints)."""
 
-    ``verdicts`` maps each window or kernel-pair law decided so far to
-    whether it fails on the radius-1 window, filled by ``_scan_laws``.
-    """
-
-    __slots__ = ("base", "verdicts")
+    __slots__ = ("base",)
 
     def __init__(self, base):
         self.base = base
-        self.verdicts = {}
 
     @property
     def quantale(self):
@@ -118,21 +104,23 @@ class IntegerIndexedCover:
         return [(z, x) for z in range(-radius, radius + 1)
                 for x in range(self.base.size)]
 
+    def level_blocks(self, x, points):
+        """The three blocks of ``relation`` from (z, x) to the (z', y), y in
+        ``points``, by the order of z': bottom for z' below z, top at x
+        only for z' = z, and the base row of x for z' above z."""
+        q, row = self.quantale, self.base.structure.entries[x]
+        return ([q.bottom] * len(points),
+                [q.top if y == x else q.bottom for y in points],
+                [row[y] for y in points])
+
     def window_matrix(self, radius):
-        """``relation`` on ``window_elements(radius)``.  The row of (z, x)
-        repeats one block per level: bottom on each level below z, top at
-        x on z itself, and the base row of x on each level above z."""
-        q, n = self.quantale, self.base.size
+        """``relation`` on ``window_elements(radius)``: the row of (z, x)
+        repeats each of the level blocks of x on its levels."""
+        points = range(self.base.size)
+        blocks = [self.level_blocks(x, points) for x in points]
         span = 2 * radius + 1
-        rows = []
-        for level in range(span):
-            for x in range(n):
-                lower = [q.bottom] * n
-                own = list(lower)
-                own[x] = q.top
-                higher = list(self.base.structure.entries[x])
-                rows.append(lower * level + own + higher * (span - 1 - level))
-        return rows
+        return [lower * level + own + higher * (span - 1 - level)
+                for level in range(span) for lower, own, higher in blocks]
 
     def kernel_pair_matrix(self, radius, points):
         """The meet structure on the kernel-pair elements (z1, z2, x) for
@@ -140,22 +128,18 @@ class IntegerIndexedCover:
         the entry at ((z1, z2, x), (z1', z2', x')) is the meet of
         ``relation((z1, x), (z1', x'))`` and ``relation((z2, x), (z2', x'))``.
 
-        Each relation value is one of three blocks chosen by the order of
-        its two levels, so a row is a concatenation of level blocks taken
-        from nine meet blocks per distinct point, each read entry by entry
-        from ``Quantale.meet_table``.  A missing meet (None) goes through
-        ``Quantale.meet`` at its first entry in row-major order, which
-        raises on its two relation values."""
+        Each relation value is one of the ``level_blocks``, chosen by the
+        order of its two levels, so a row is a concatenation of level
+        blocks taken from nine meet blocks per distinct point, each read
+        entry by entry from ``Quantale.meet_table``.  A missing meet (None)
+        goes through ``Quantale.meet`` at its first entry in row-major
+        order, which raises on its two relation values."""
         q = self.quantale
-        table, entries = q.meet_table, self.base.structure.entries
+        table = q.meet_table
         span = 2 * radius + 1
         rows_of, missing = {}, False
         for x in set(points):
-            # the relation row of x against every point, for a column level
-            # below, equal to and above the row's level
-            by_order = ([q.bottom] * len(points),
-                        [q.top if y == x else q.bottom for y in points],
-                        [entries[x][y] for y in points])
+            by_order = self.level_blocks(x, points)
             blocks = [[tuple([table[u][v] for u, v in zip(first, second)])
                        for second in by_order] for first in by_order]
             missing = missing or any(None in block for row in blocks for block in row)
@@ -193,7 +177,7 @@ def _named(elements, witness):
     return None if witness is None else tuple(elements[i] for i in witness)
 
 
-def _scan_laws(report, radius, build, scans, verdicts=None):
+def _scan_laws(report, radius, build, scans):
     """Add to ``report`` the first witness on ``build(radius)`` of each law
     of ``scans``, a dict from law name to scan, in its order.
 
@@ -203,24 +187,14 @@ def _scan_laws(report, radius, build, scans, verdicts=None):
     law is decided on ``build(1)``, and only one that fails there runs
     again on ``build(radius)``, which is made only then: every witness is
     the first in radius-r order (at radius 1 a failing law is scanned
-    twice, on two builds of the same window).  ``verdicts`` maps each law
-    decided before to whether it fails at radius 1, and takes the
-    verdicts found now; when every law of ``scans`` is in it and none
-    fails, nothing is built or scanned.  A cover passes its own
-    ``verdicts``, as its laws depend on it alone; without them the
-    verdicts are local to the call.
-    An error at radius 1 (a missing meet) stores nothing and hands every
-    scan to radius r, which raises as the full scan does.
+    twice, on two builds of the same window).  An error at radius 1 (a
+    missing meet) hands every scan to radius r, which raises as the full
+    scan does.
     """
-    if verdicts is None:
-        verdicts = {}
     failing = list(scans)
     try:
-        unknown = [law for law in scans if law not in verdicts]
-        if unknown:
-            small = build(1)
-            verdicts.update({law: scans[law](small) is not None for law in unknown})
-        failing = [law for law in scans if verdicts[law]]
+        small = build(1)
+        failing = [law for law, scan in scans.items() if scan(small) is not None]
     except StructuralError:
         if radius == 1:
             raise
@@ -293,10 +267,10 @@ def verify_cover_window(cover, radius):
     Each value of the window depends on its two levels only through
     their order, so the structure laws and the projection's
     compatibility hold at ``radius`` iff they hold at radius 1 (the
-    module's lemma): they are decided on the radius-1 window, once per
-    cover, and a law that fails there is scanned again at ``radius`` so
-    that its witness is the first of the radius-``radius`` window.
-    Finality folds the levels of ``radius`` itself.
+    module's lemma): they are decided on the radius-1 window, and a law
+    that fails there is scanned again at ``radius`` so that its witness
+    is the first of the radius-``radius`` window.  Finality folds the
+    levels of ``radius`` itself.
     """
     report = ValidationReport(subject=f"cover-window-r{radius}")
     _guard_window(cover, radius)
@@ -329,7 +303,7 @@ def verify_cover_window(cover, radius):
         "projection-compatibility": lambda window: _named(window.elements, laws.compatibility(
             q, window.matrix, entries, [cover.projection(p) for p in window.elements])),
     }
-    _scan_laws(report, radius, lambda r: Window(cover, r), scans, cover.verdicts)
+    _scan_laws(report, radius, lambda r: Window(cover, r), scans)
 
     join = q.join_table
 
@@ -376,10 +350,9 @@ def kernel_pair_groupoid(cover, radius):
 
     An entry at ((z1, z2, x), (z1', z2', x')) depends on the levels only
     through the orders of (z1, z1') and (z2, z2'), so both laws are
-    decided on the radius-1 kernel pair, once per cover, and the
-    radius-``radius`` matrix is built only to name the first witness of
-    a law that fails (the module's lemma).  Both capacity guards are
-    those of ``radius``.
+    decided on the radius-1 kernel pair, and the radius-``radius``
+    matrix is built only to name the first witness of a law that fails
+    (the module's lemma).  Both capacity guards are those of ``radius``.
     """
     report = ValidationReport(subject=f"kernel-pair-groupoid-r{radius}")
     base = cover.base
@@ -404,8 +377,7 @@ def kernel_pair_groupoid(cover, radius):
         return _named(carrier, laws.separation(q, matrix))
 
     _scan_laws(report, radius, build,
-               {"diagonal-embedding": embedding, "groupoid-separation": separation},
-               cover.verdicts)
+               {"diagonal-embedding": embedding, "groupoid-separation": separation})
 
     report.notes["carrier_size"] = (2 * radius + 1) ** 2 * base.size
     return report

@@ -7,10 +7,10 @@ from pathlib import Path
 import pytest
 
 from vgroups import (FiniteGroup, Quantale, StructuralError, VGroup, VHom, VRel, battery,
-                     builtin_quantale, classify_hom, is_isomorphism, laws,
-                     pullback, standard_suite, trivial_vgroup, validate_hom,
-                     zero_hom)
-from vgroups.battery import SMALL_CARRIER, _exact_sequences
+                     builtin_quantale, classify_hom, image_factorize, is_isomorphism,
+                     laws, monotone_light_factorize, pullback, reflective_factorize,
+                     standard_suite, trivial_vgroup, validate_hom, zero_hom)
+from vgroups.battery import SMALL_CARRIER, _alternative_factorizations, _exact_sequences
 from vgroups.builders import (FULL_EXTRA_GROUPS, FULL_EXTRA_QUANTALES, SMOKE_GROUPS,
                               SMOKE_QUANTALES, group_roster)
 from vgroups.document import canonical_json
@@ -240,9 +240,46 @@ def test_route_oracle_matches_the_full_family_scan(non_integral_q):
     assert findings > 0
 
 
+def test_a_uniqueness_cap_is_tested_once_per_morphism(monkeypatch):
+    """A uniqueness count stops at the first morphism that crosses its cap,
+    after that morphism's pairs: with the cap one past the pairs before the
+    first morphism that has several, the count takes all of that one's."""
+    suite = standard_suite("smoke")
+
+    def image_pairs(dom, cod, f):
+        return sum(classify_hom(e2).regular_epi and classify_hom(m2).mono for _, e2, m2 in
+                   _alternative_factorizations(suite, dom, cod, f, image_factorize(f)[1].size))
+
+    def factorization_pairs(dom, cod, f):
+        count = 0
+        for factorize, left, right in ((reflective_factorize, "reflector_inverted",
+                                        "trivial_covering"),
+                                       (monotone_light_factorize, "stably_inverted",
+                                        "covering")):
+            size = factorize(f, suite.cache).middle.size
+            for _, e2, m2 in _alternative_factorizations(suite, dom, cod, f, size):
+                count += getattr(suite.cache.report(e2), left) and \
+                    getattr(suite.cache.report(m2), right)
+        return count
+
+    for cap, check, pairs in (("IMAGE_UNIQUENESS_CAP", battery.check_image_factorization,
+                               image_pairs),
+                              ("FACTORIZATION_UNIQUENESS_CAP", battery.check_factorizations,
+                               factorization_pairs)):
+        before = 0
+        for dom, cod, f in suite.all_homs():
+            count = pairs(dom, cod, f) if dom.vgroup.size <= SMALL_CARRIER else 0
+            if count > 1:
+                break
+            before += count
+        monkeypatch.setattr(battery, cap, before + 1)
+        assert check(suite).details["uniqueness_checked"] == before + count, cap
+
+
 # The object-level checks of the full suite, the ones the benchmark's
 # full-level workload times; frozen in tests/expected before the pretorsion
-# spot checks and the cover's radius-1 verdicts were shared.
+# spot checks were shared.  The descent check's ``radii`` detail alone was
+# re-pinned, from [1, 2] to [1], when it stopped checking radius 2.
 FULL_OBJECT_CHECKS = (battery.check_quantale_laws, battery.check_structure_routes,
                       battery.check_objects, battery.check_torsion_theory,
                       battery.check_pretorsion, battery.check_descent_windows)

@@ -645,7 +645,7 @@ def test_radius_three_kernel_pairs_are_pinned_over_the_full_suite():
     assert digest.hexdigest() == KERNEL_PAIR_R3_DIGEST
 
 
-# -- the radius-1 verdicts a cover keeps ----------------------------------------
+# -- one cover, many calls ------------------------------------------------------
 
 def raising_bases(z2):
     """A base whose kernel pair misses a meet and one whose finality fold
@@ -655,8 +655,8 @@ def raising_bases(z2):
 
 
 def test_a_shared_cover_reports_what_fresh_covers_report(z2):
-    # the verdicts a cover keeps from one call change no later report,
-    # whatever radius comes first, and an error at radius 1 leaves none
+    # a cover carries no state between calls: whatever radius comes first,
+    # and whether an earlier call raised, each report is a fresh cover's
     bases = ([o.vgroup for o in standard_suite("smoke").objects] + formula_bases()
              + shift_bases() + raising_bases(z2))
     raised, violated = set(), set()
@@ -676,49 +676,3 @@ def test_a_shared_cover_reports_what_fresh_covers_report(z2):
     assert violated >= {"window-transitivity", "window-shift-invariance", "window-separation",
                         "projection-compatibility", "diagonal-embedding",
                         "groupoid-separation"}
-
-
-def test_a_decided_cover_scans_and_builds_nothing_more(monkeypatch):
-    # once a lawful cover has decided its laws at radius 1, a call at
-    # radius 2 builds no matrix and runs no law scanner
-    calls = []
-    for name in ("window_matrix", "kernel_pair_matrix"):
-        original = getattr(IntegerIndexedCover, name)
-        monkeypatch.setattr(IntegerIndexedCover, name,
-                            lambda self, *args, name=name, original=original:
-                            calls.append(name) or original(self, *args))
-    for name in ("reflexivity", "transitivity", "shift_invariance", "separation",
-                 "compatibility", "reflection"):
-        original = getattr(laws, name)
-        monkeypatch.setattr(laws, name, lambda *args, name=name, original=original:
-                            calls.append(name) or original(*args))
-    for obj in standard_suite("smoke").objects:
-        cover, _ = descent_cover(obj.vgroup)
-        for check in (verify_cover_window, kernel_pair_groupoid):
-            assert check(cover, 1).ok
-            calls.clear()
-            assert check(cover, 2).ok
-            assert calls == [], (obj.name, check.__name__)
-
-
-class Untouchable(dict):
-    """Verdicts that fail the test when read or written."""
-
-    def refuse(self, *args, **kwargs):
-        raise AssertionError("the cover's verdicts were touched")
-
-    __getitem__ = __setitem__ = __contains__ = get = update = setdefault = refuse
-
-
-def test_the_action_keeps_its_verdicts_to_itself(z4_bool, z2_discrete, z4_law, law2):
-    # the action's laws depend on the covering, so it neither reads nor
-    # writes the verdicts of the cover
-    coverings = [identity_hom(o.vgroup) for o in standard_suite("smoke").objects]
-    coverings += [VHom(z2_discrete, z4_bool, [0, 2]), separated_projection(z4_law, law2)]
-    coverings += [identity_hom(base) for base in formula_bases()]
-    for alpha in coverings:
-        cover, _ = descent_cover(alpha.cod)
-        cover.verdicts = Untouchable()
-        for radius in (1, 2):
-            assert action_of_covering(alpha, cover, radius) == \
-                action_of_covering(alpha, descent_cover(alpha.cod)[0], radius)
