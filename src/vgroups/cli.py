@@ -19,11 +19,11 @@ from .descent import (DEFAULT_WINDOW_RADIUS, Window, descent_cover,
 from .document import canonical_json, load_document
 from .errors import (CapacityError, NonIntegralQuantaleError, StructuralError,
                      TheoremCheckError)
-from .factorization import (classify_morphism, is_covering,
+from .factorization import (classify_morphism, covering_kernel,
                             monotone_light_factorize, reflective_factorize)
 from .quantale import validate_quantale
 from .torsion import decompose, pretorsion_decompose
-from .vgroup import classify_hom, classify_object, kernel, validate_hom, validate_vgroup
+from .vgroup import classify_hom, classify_object, validate_hom, validate_vgroup
 
 MATH_FAILURE, INPUT_ERROR, CAPACITY = 1, 2, 3
 
@@ -162,15 +162,15 @@ def _cmd_factorize(args, docs, out, which):
 
 def cmd_cover(args, docs, out):
     hom = _find_morphism(docs, args.morphism)
-    ker_obj, _ = kernel(hom)
-    covering = is_covering(hom)
+    ker_obj, ker_class = covering_kernel(hom)
+    covering = ker_class.separated
     report = {
         "command": "cover",
         "morphism": args.morphism,
         "is_covering": covering,
         "is_locally_semisimple_covering": covering,
         "kernel_carrier": list(ker_obj.group.names),
-        "kernel_class": classify_object(ker_obj).as_dict(),
+        "kernel_class": ker_class.as_dict(),
     }
     _emit(report, args.format, out)
     return 0

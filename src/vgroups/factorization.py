@@ -31,17 +31,38 @@ from .vgroup import (VGroup, VHom, classify_hom, classify_object,
 
 
 class ClassCache:
-    """Torsion decompositions and morphism class reports, kept for one run.
+    """What one run derives from its objects and morphisms, kept for that
+    run.  Four stores, each entry read-only once written:
 
-    Decompositions are keyed by object, reports by morphism (domain,
-    codomain and mapping).  Entries are read-only.
+    - ``decompositions``: the torsion decomposition of each object, keyed
+      by the object;
+    - ``reports``: the class report of each morphism, keyed by the
+      morphism (domain, codomain and mapping);
+    - ``kernel_classes``: the ``ObjectClass`` of each morphism's kernel,
+      keyed by (domain, kernel members), which ``classify_morphism``
+      reads for its covering and stably-inverted flags;
+    - ``quotients``: the (middle, left leg) of each stabilized quotient,
+      keyed by (domain, torsion part of the kernel), which
+      ``monotone_light_factorize`` reads.
+
+    A kernel is the subobject of its domain on its members, and the
+    stabilized quotient is decided by its domain and the subgroup it
+    divides out, so many morphisms share one entry.  A kernel's class is
+    kept rather than the kernel object: the flags are all a report reads,
+    and a kept kernel would hold its carrier, structure and inclusion for
+    the whole run.  An entry is a function of its key alone, and it is
+    stored only once its computation has returned, a quotient only once
+    its factorization has post-verified: a morphism refused as invalid or
+    over a non-integral quantale adds no report, kernel class or quotient.
     """
 
-    __slots__ = ("decompositions", "reports")
+    __slots__ = ("decompositions", "reports", "kernel_classes", "quotients")
 
     def __init__(self):
         self.decompositions = {}
         self.reports = {}
+        self.kernel_classes = {}
+        self.quotients = {}
 
     def report(self, f):
         """The class report of f, classified on the first request only; a
@@ -50,6 +71,22 @@ class ClassCache:
         if report is None:
             report = self.reports[f] = classify_morphism(f, self)
         return report
+
+    def kernel_class(self, f):
+        """The class of f's kernel, classified on the first request for its
+        key only."""
+        key = (f.dom, kernel_members(f))
+        found = self.kernel_classes.get(key)
+        if found is None:
+            found = self.kernel_classes[key] = classify_object(kernel(f)[0])
+        return found
+
+
+def kernel_members(f):
+    """The elements f sends to the codomain's identity, in order: the
+    carrier of ``kernel(f)``."""
+    zero = f.cod.group.identity
+    return tuple([x for x, y in enumerate(f.mapping) if y == zero])
 
 
 def cached_decomposition(g, cache):
@@ -98,10 +135,12 @@ def classify_morphism(f, cache=None):
     On a lawless quantale, which only the Python API accepts, a route
     disagreement is therefore not a theorem failure, though it raises.
 
-    The stabilized flags are computed from the kernel; a failed
+    The stabilized flags are computed from the kernel's class; a failed
     containment in the unstabilized classes raises, as does any route
-    disagreement.  The decompositions come from ``cache`` (a fresh one
-    when omitted); ``cache.report(f)`` keeps the report.
+    disagreement.  The decompositions and the kernel's class come from
+    ``cache`` (a fresh one when omitted), so morphisms with one domain
+    and one kernel share a classification; ``cache.report(f)`` keeps the
+    report.
     """
     if not f.dom.quantale.is_integral:
         raise NonIntegralQuantaleError(
@@ -142,8 +181,7 @@ def classify_morphism(f, cache=None):
             f"right-class routes disagree for {f!r}: "
             f"definitional={trivial_def} characterization={trivial_char}")
 
-    ker_obj, _ = kernel(f)
-    ker_class = classify_object(ker_obj)
+    ker_class = cache.kernel_class(f)
     stably_inverted = classify_hom(f).regular_epi and ker_class.indiscrete
     covering = ker_class.separated
 
@@ -158,16 +196,22 @@ def classify_morphism(f, cache=None):
         stably_inverted=stably_inverted, covering=covering)
 
 
+def covering_kernel(f):
+    """The kernel object of f and its class, built and classified once;
+    f is a covering exactly when that class is separated."""
+    if not f.dom.quantale.is_integral:
+        raise NonIntegralQuantaleError("the covering predicate needs an integral quantale")
+    ker_obj, _ = kernel(f)
+    return ker_obj, classify_object(ker_obj)
+
+
 def is_covering(f):
     """A morphism is a covering exactly when its kernel is separated.
 
     The same predicate answers the locally-semisimple-covering question
     relative to the separated objects.
     """
-    if not f.dom.quantale.is_integral:
-        raise NonIntegralQuantaleError("the covering predicate needs an integral quantale")
-    ker_obj, _ = kernel(f)
-    return classify_object(ker_obj).separated
+    return covering_kernel(f)[1].separated
 
 
 @dataclass
@@ -227,21 +271,25 @@ def monotone_light_factorize(f, cache=None):
     m is a covering because the torsion part of the kernel is quotiented
     away.  Post-verifies m's validity and e's class; a failure here would
     be a finding about the construction, not a tolerated state, so it
-    raises.  e's report comes from ``cache``, a fresh one when omitted.
+    raises.  The quotient and e's report come from ``cache``, a fresh one
+    when omitted: morphisms with one domain and one torsion part of the
+    kernel share their middle and left leg.
     """
     if not f.dom.quantale.is_integral:
         raise NonIntegralQuantaleError("stabilized factorization needs an integral quantale")
     if cache is None:
         cache = ClassCache()
     dom = f.dom
-    torsion_of_kernel = torsion_members(
-        dom, [x for x in range(dom.size) if f(x) == f.cod.group.identity])
-    witness = dom.group.normality_witness(torsion_of_kernel)
-    if witness is not None:
-        raise TheoremCheckError(
-            f"torsion part of the kernel of {f!r} is not normal in the domain, "
-            f"witness {witness}")
-    middle, e = quotient_vgroup(dom, torsion_of_kernel)
+    members = torsion_members(dom, kernel_members(f))
+    stored = cache.quotients.get((dom, members))
+    if stored is None:
+        witness = dom.group.normality_witness(members)
+        if witness is not None:
+            raise TheoremCheckError(
+                f"torsion part of the kernel of {f!r} is not normal in the domain, "
+                f"witness {witness}")
+        stored = quotient_vgroup(dom, members)
+    middle, e = stored
     m = factor_through_epi(e, f)
     if m is None:
         raise TheoremCheckError(
@@ -252,4 +300,5 @@ def monotone_light_factorize(f, cache=None):
     if not cache.report(e).stably_inverted:
         raise TheoremCheckError(
             f"left leg {e!r} of {f!r} is not a normal epi with indiscrete kernel")
+    cache.quotients[dom, members] = stored
     return Factorization(e=e, middle=middle, m=m, system="monotone_light")

@@ -378,6 +378,29 @@ class TestNonIntegralGuards:
         code, text = invoke("pretorsion", "--input", str(path), "--format", "json")
         assert code == 0
 
+    def test_cover_on_non_integral_exits_two(self, tmp_path, capsys, non_integral_q):
+        group = {"elements": ["0", "1"], "table": [["0", "1"], ["1", "0"]]}
+        structure = [["1", "0"], ["0", "1"]]
+        doc = {
+            "quantale": {
+                "elements": list(non_integral_q.labels),
+                "leq": [list(row) for row in non_integral_q.leq_table],
+                "tensor": [[non_integral_q.labels[v] for v in row]
+                           for row in non_integral_q.tensor_table],
+                "unit": "1", "bottom": "0", "top": "2",
+            },
+            "group": group,
+            "structure": structure,
+            "morphisms": [{"name": "f", "target": {"group": group, "structure": structure},
+                           "map": ["0", "1"]}],
+        }
+        path = tmp_path / "noint_morphism.json"
+        path.write_text(canonical_json(doc), encoding="utf-8")
+        code, text = invoke("cover", "--input", str(path), "--morphism", "f")
+        assert (code, text) == (2, "")
+        assert capsys.readouterr().err == \
+            "input error: the covering predicate needs an integral quantale\n"
+
 
 def cyclic_document(n, quantale):
     """Z_n with the indiscrete structure (every entry the top)."""

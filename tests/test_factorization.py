@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import re
+from collections import Counter
 
 import pytest
 
@@ -11,9 +12,10 @@ from vgroups import (FiniteGroup, NonIntegralQuantaleError, StructuralError,
                      enumerate_homs, enumerate_structures, identity_hom,
                      is_covering, is_isomorphism, kernel,
                      monotone_light_factorize, product, pullback,
-                     reflective_factorize, run_battery, standard_suite,
-                     trivial_vgroup, validate_hom, zero_hom)
-from vgroups.factorization import ClassCache
+                     quotient_vgroup, reflective_factorize, run_battery,
+                     standard_suite, trivial_vgroup, validate_hom, zero_hom)
+from vgroups.factorization import ClassCache, kernel_members
+from vgroups.torsion import torsion_members
 from vgroups.vgroup import factorization_middle_iso
 
 
@@ -184,47 +186,117 @@ def test_failed_post_check_names_the_morphism(monkeypatch, quotient_to_z2, facto
         getattr(factorization, factorize)(quotient_to_z2)
 
 
+def _kernel_key(f):
+    """(domain, kernel members), computed apart from ``kernel_members``."""
+    return f.dom, tuple(x for x in range(f.dom.size) if f(x) == f.cod.group.identity)
+
+
 class TestClassCache:
     @pytest.fixture(scope="class")
     def factorized_smoke(self):
-        """The smoke suite's cache after both factorizations of every
-        morphism, and each distinct morphism and leg they touched."""
+        """The smoke suite's cache after both factorizations and the report
+        of every morphism, each distinct morphism and leg they touched, and
+        the calls of ``kernel`` and ``quotient_vgroup`` from factorization.py
+        while the cache filled, counted per key."""
         suite = standard_suite("smoke")
-        touched = {}
-        for _, _, f in suite.all_homs():
-            touched[f] = None
-            for fact in (reflective_factorize(f, suite.cache),
-                         monotone_light_factorize(f, suite.cache)):
-                touched[fact.e] = touched[fact.m] = None
-        return suite.cache, list(touched)
+        touched, builds = {}, Counter()
+
+        def counted(name, key):
+            original = getattr(factorization, name)
+
+            def build(*args):
+                builds[name, key(*args)] += 1
+                return original(*args)
+            return build
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(factorization, "kernel", counted("kernel", _kernel_key))
+            patch.setattr(factorization, "quotient_vgroup",
+                          counted("quotient_vgroup", lambda g, members: (g, members)))
+            for _, _, f in suite.all_homs():
+                touched[f] = None
+                for fact in (reflective_factorize(f, suite.cache),
+                             monotone_light_factorize(f, suite.cache)):
+                    touched[fact.e] = touched[fact.m] = None
+            for f in touched:
+                suite.cache.report(f)
+        return suite.cache, list(touched), builds
 
     def test_cached_report_matches_fresh_classification(self, factorized_smoke):
-        cache, morphisms = factorized_smoke
+        cache, morphisms, _ = factorized_smoke
         for f in morphisms:
             report = cache.report(f)
             assert cache.report(f) is report
             assert report.as_dict() == classify_morphism(f).as_dict()
 
     def test_reports_are_keyed_by_morphism(self, factorized_smoke):
-        cache, morphisms = factorized_smoke
-        for f in morphisms:
-            cache.report(f)
+        cache, morphisms, _ = factorized_smoke
         assert set(cache.reports) == set(morphisms)
+
+    def test_kernel_classes_match_fresh_classification(self, factorized_smoke):
+        cache, morphisms, _ = factorized_smoke
+        keys = set()
+        for f in morphisms:
+            ker_obj, inclusion = kernel(f)
+            assert (f.dom, kernel_members(f)) == _kernel_key(f)
+            assert kernel_members(f) == inclusion.mapping
+            assert cache.kernel_classes[_kernel_key(f)] == classify_object(ker_obj)
+            keys.add(_kernel_key(f))
+        assert set(cache.kernel_classes) == keys
+
+    def test_quotients_match_fresh_quotients(self, factorized_smoke):
+        cache, morphisms, _ = factorized_smoke
+        keys = {(f.dom, torsion_members(f.dom, kernel_members(f))) for f in morphisms}
+        assert cache.quotients and set(cache.quotients) <= keys
+        for (dom, members), (middle, e) in cache.quotients.items():
+            fresh_middle, fresh_e = quotient_vgroup(dom, members)
+            assert middle == fresh_middle and e == fresh_e
+            assert middle.group.names == fresh_middle.group.names
+
+    def test_each_key_is_built_once(self, factorized_smoke):
+        cache, _, builds = factorized_smoke
+        assert max(builds.values()) == 1
+        assert {key for name, key in builds if name == "kernel"} == set(cache.kernel_classes)
+        assert {key for name, key in builds
+                if name == "quotient_vgroup"} == set(cache.quotients)
+
+    def test_shared_quotients_give_each_morphism_its_factorization(self, quotient_to_z2):
+        cache = ClassCache()
+        first = monotone_light_factorize(quotient_to_z2, cache)
+        again = monotone_light_factorize(quotient_to_z2, cache)
+        assert len(cache.quotients) == 1
+        assert (again.middle, again.e) == (first.middle, first.e)
+        assert again.as_dict() == monotone_light_factorize(quotient_to_z2).as_dict()
 
     def test_lookup_raises_like_an_uncached_call(self, non_integral_q, z2,
                                                  quotient_to_z2):
         cache = ClassCache()
         cache.report(quotient_to_z2)  # both endpoints are now decomposed
+        monotone_light_factorize(quotient_to_z2, cache)
+        stored = {name: dict(getattr(cache, name)) for name in ClassCache.__slots__}
         not_a_hom = VHom(quotient_to_z2.dom, quotient_to_z2.cod, [0, 1, 1, 0])
+        # a group hom that is not compatible: its stabilized quotient exists
+        z4 = quotient_to_z2.dom
+        incompatible = VHom(z4, discrete_vgroup(z4.group, z4.quantale), range(4))
         non_integral = identity_hom(discrete_vgroup(z2, non_integral_q))
         for f, error in ((not_a_hom, StructuralError),
+                         (incompatible, StructuralError),
                          (non_integral, NonIntegralQuantaleError)):
             with pytest.raises(error) as uncached:
                 classify_morphism(f)
             with pytest.raises(error) as cached:
                 cache.report(f)
             assert str(cached.value) == str(uncached.value)
-            assert len(cache.reports) == 1
+        for f, error in ((not_a_hom, TheoremCheckError),
+                         (incompatible, TheoremCheckError),
+                         (non_integral, NonIntegralQuantaleError)):
+            with pytest.raises(error) as uncached:
+                monotone_light_factorize(f)
+            with pytest.raises(error) as cached:
+                monotone_light_factorize(f, cache)
+            assert str(cached.value) == str(uncached.value)
+        assert {name: dict(getattr(cache, name))
+                for name in ClassCache.__slots__} == stored
 
     def test_report_is_frozen(self, quotient_to_z2):
         report = classify_morphism(quotient_to_z2)
