@@ -24,6 +24,7 @@ that their right legs lie in the right class, holds by construction.
 from dataclasses import asdict, dataclass
 
 from .errors import NonIntegralQuantaleError, StructuralError, TheoremCheckError
+from .groups import pool_key
 from .torsion import decompose, reflected_map, torsion_members
 from .vgroup import (VGroup, VHom, classify_hom, classify_object,
                      factor_through_epi, is_isomorphism, kernel, pullback,
@@ -32,7 +33,8 @@ from .vgroup import (VGroup, VHom, classify_hom, classify_object,
 
 class ClassCache:
     """What one run derives from its objects and morphisms, kept for that
-    run.  Four stores, each entry read-only once written:
+    run: a battery's suite holds one, and each command line call makes
+    its own.  Four stores, each entry read-only once written:
 
     - ``decompositions``: the torsion decomposition of each object, keyed
       by the object;
@@ -45,6 +47,17 @@ class ClassCache:
       keyed by (domain, torsion part of the kernel), which
       ``monotone_light_factorize`` reads.
 
+    and one pool, ``groups``: the run's one instance of each group that a
+    decomposition holds, keyed by ``groups.pool_key`` (table and names).
+    The constructions whose results the stores keep (the decomposition's
+    subobject and quotient, the reflective factorization's pullback, the
+    stabilized quotient) read the pool and return a pooled group in place
+    of an equal new one; a decomposition's groups are pooled when it is
+    stored, and at no other time.  Report and kernel-class keys take
+    their objects from ``decompositions``, where ``classify_morphism`` has
+    put both ends, so equal ends are one instance.  A run then keeps one
+    group per value, not one per morphism whose factorization it reports.
+
     A kernel is the subobject of its domain on its members, and the
     stabilized quotient is decided by its domain and the subgroup it
     divides out, so many morphisms share one entry.  A kernel's class is
@@ -56,30 +69,41 @@ class ClassCache:
     over a non-integral quantale adds no report, kernel class or quotient.
     """
 
-    __slots__ = ("decompositions", "reports", "kernel_classes", "quotients")
+    __slots__ = ("decompositions", "reports", "kernel_classes", "quotients", "groups")
 
     def __init__(self):
         self.decompositions = {}
         self.reports = {}
         self.kernel_classes = {}
         self.quotients = {}
+        self.groups = {}
 
     def report(self, f):
         """The class report of f, classified on the first request only; a
         failed classification stores nothing."""
         report = self.reports.get(f)
         if report is None:
-            report = self.reports[f] = classify_morphism(f, self)
+            report = classify_morphism(f, self)
+            dom, cod = self.canonical(f.dom), self.canonical(f.cod)
+            if dom is not f.dom or cod is not f.cod:
+                f = VHom._trusted(dom, cod, f.mapping)
+            self.reports[f] = report
         return report
 
     def kernel_class(self, f):
         """The class of f's kernel, classified on the first request for its
         key only."""
-        key = (f.dom, kernel_members(f))
+        key = (self.canonical(f.dom), kernel_members(f))
         found = self.kernel_classes.get(key)
         if found is None:
             found = self.kernel_classes[key] = classify_object(kernel(f)[0])
         return found
+
+    def canonical(self, g):
+        """The instance of g that ``decompositions`` holds, or g itself
+        when g has no decomposition here."""
+        d = self.decompositions.get(g)
+        return g if d is None else d.object
 
 
 def kernel_members(f):
@@ -90,15 +114,19 @@ def kernel_members(f):
 
 
 def cached_decomposition(g, cache):
-    """The torsion decomposition of g, computed once per cache."""
+    """The torsion decomposition of g, computed once per cache, its groups
+    built from and recorded in the cache's pool."""
     d = cache.decompositions.get(g)
     if d is None:
-        d = decompose(g)
+        d = decompose(g, cache.groups)
         cache.decompositions[g] = d
+        for obj in (g, d.torsion, d.quotient):
+            cache.groups.setdefault(pool_key(obj.group.table, obj.group.names),
+                                    obj.group)
     return d
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MorphismClassReport:
     reflector_inverted: bool       # the reflector sends the morphism to an iso
     trivial_covering: bool         # reflection naturality square is a pullback
@@ -108,10 +136,11 @@ class MorphismClassReport:
     as_dict = asdict
 
 
-def _naturality_square(f, dom_dec, cod_dec, reflected):
+def _naturality_square(f, dom_dec, cod_dec, reflected, pool=None):
     """The pullback P of ``reflected`` along the codomain's projection,
-    its projection m to f.cod, and the comparison e from f.dom into P."""
-    p, to_cod, to_refl = pullback(cod_dec.projection, reflected)
+    its projection m to f.cod, and the comparison e from f.dom into P;
+    P's group reads ``pool``."""
+    p, to_cod, to_refl = pullback(cod_dec.projection, reflected, pool)
     return p, to_cod, pullback_comparison(p, to_cod, to_refl, f, dom_dec.projection)
 
 
@@ -250,7 +279,7 @@ def reflective_factorize(f, cache=None):
     dom_dec = cached_decomposition(f.dom, cache)
     cod_dec = cached_decomposition(f.cod, cache)
     p, m, e = _naturality_square(f, dom_dec, cod_dec,
-                                 reflected_map(f, dom_dec, cod_dec))
+                                 reflected_map(f, dom_dec, cod_dec), cache.groups)
     if not validate_hom(e).ok:
         raise TheoremCheckError(
             f"reflective factorization of {f!r} produced an invalid leg")
@@ -288,7 +317,7 @@ def monotone_light_factorize(f, cache=None):
             raise TheoremCheckError(
                 f"torsion part of the kernel of {f!r} is not normal in the domain, "
                 f"witness {witness}")
-        stored = quotient_vgroup(dom, members)
+        stored = quotient_vgroup(dom, members, pool=cache.groups)
     middle, e = stored
     m = factor_through_epi(e, f)
     if m is None:

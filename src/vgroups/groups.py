@@ -9,7 +9,10 @@ through it.  ``pair_group`` (so ``direct_product``), ``subgroup_group``
 and ``quotient_group`` instead build through ``FiniteGroup._trusted``,
 which stores its fields with no re-check: each first tests closure,
 subgroup-ness or normality in a group that already passed, and then
-reads the identity and the inverses off its parents.
+reads the identity and the inverses off its parents.  Each takes an
+optional pool, a run's dict from ``pool_key`` to its one instance of
+each group recorded so far (``ClassCache.groups``): a build equal to a
+pooled group returns that instance, and the pool is only read.
 
 Those three constructions, and ``is_subgroup``, ``normality_witness``
 and ``cosets``, read the rows of the parents' Cayley tables and their
@@ -85,12 +88,18 @@ class FiniteGroup:
         self._hash = None
 
     @classmethod
-    def _trusted(cls, table, names, identity, inverse):
+    def _trusted(cls, table, names, identity, inverse, pool=None):
         """A group from fields known to satisfy the group laws, stored as
         given with no re-check: the table as a tuple of row tuples, the
         names as a tuple of distinct strings, the identity index and the
         inverses as a tuple.  Only constructions that derive these from
-        groups that passed ``__init__`` may call it."""
+        groups that passed ``__init__`` may call it.  The group that
+        ``pool`` holds under the key of these fields, if any, is returned
+        instead; identity and inverses are functions of the table."""
+        if pool is not None:
+            found = pool.get(pool_key(table, names))
+            if found is not None:
+                return found
         g = cls.__new__(cls)
         g.table, g.names, g.identity, g.inverse = table, names, identity, inverse
         g._generators = None
@@ -240,7 +249,8 @@ class FiniteGroup:
         return (self.table, self.names)
 
     def __eq__(self, other):
-        return isinstance(other, FiniteGroup) and self._key() == other._key()
+        return self is other or (isinstance(other, FiniteGroup)
+                                 and self._key() == other._key())
 
     def __hash__(self):
         # Computed on first use: the key is fixed once the group exists.
@@ -252,6 +262,12 @@ class FiniteGroup:
         return f"FiniteGroup(order {self.size})"
 
 
+def pool_key(table, names):
+    """The key of a group in a pool: its table and its names, which equal
+    groups share."""
+    return table, names
+
+
 def _distinct(names):
     """The names, if no two are equal; two equal ones mean a subset or a
     pair list that names one element twice."""
@@ -260,20 +276,23 @@ def _distinct(names):
     return names
 
 
-def subgroup_group(group, subset):
-    """The subgroup on a sorted subset, reindexed, with inherited names."""
+def subgroup_group(group, subset, pool=None):
+    """The subgroup on a sorted subset, reindexed, with inherited names;
+    on the whole carrier, the group itself."""
     subset = tuple(sorted(subset))
     if not group.is_subgroup(subset):
         raise StructuralError("subset is not a subgroup")
+    if len(subset) == group.size:
+        return group
     names = _distinct(tuple([group.names[x] for x in subset]))
     pos = {x: i for i, x in enumerate(subset)}
     rows = [group.table[x] for x in subset]
     table = tuple([tuple([pos[row[y]] for y in subset]) for row in rows])
     inverse = tuple([pos[group.inverse[x]] for x in subset])
-    return FiniteGroup._trusted(table, names, pos[group.identity], inverse)
+    return FiniteGroup._trusted(table, names, pos[group.identity], inverse, pool)
 
 
-def pair_group(a, b, pairs):
+def pair_group(a, b, pairs, pool=None):
     """The subgroup of the direct product of a and b on a list of pairs
     (i, j), in list order, with the operation taken componentwise and
     elements named "(a,b)".  A nonempty list closed under the operation
@@ -290,10 +309,11 @@ def pair_group(a, b, pairs):
         raise StructuralError("subset is not a subgroup") from None
     names = _distinct(tuple([f"({a.names[i]},{b.names[j]})" for i, j in pairs]))
     inverse = tuple([pos[ai[i], bi[j]] for i, j in pairs])
-    return FiniteGroup._trusted(table, names, pos[a.identity, b.identity], inverse)
+    return FiniteGroup._trusted(table, names, pos[a.identity, b.identity], inverse,
+                                pool)
 
 
-def quotient_group(group, normal_subset):
+def quotient_group(group, normal_subset, pool=None):
     """Quotient by a normal subgroup.
 
     Returns (quotient, projection) where projection[x] is the index of
@@ -313,7 +333,8 @@ def quotient_group(group, normal_subset):
     table = tuple([tuple([coset_of[row[d]] for d in reps]) for row in rows])
     names = tuple([f"[{group.names[c]}]" for c in reps])
     inverse = tuple([coset_of[group.inverse[c]] for c in reps])
-    quotient = FiniteGroup._trusted(table, names, coset_of[group.identity], inverse)
+    quotient = FiniteGroup._trusted(table, names, coset_of[group.identity], inverse,
+                                    pool)
     projection = tuple([coset_of[x] for x in range(group.size)])
     return quotient, projection
 

@@ -60,7 +60,7 @@ class Quantale:
     """A finite lattice with a declared commutative unital tensor."""
 
     __slots__ = ("labels", "leq_table", "tensor_table", "unit", "bottom", "top",
-                 "join_table", "meet_table", "annihilating")
+                 "join_table", "meet_table", "annihilating", "_hash")
 
     def __init__(self, labels, leq, tensor, unit, bottom, top):
         labels = tuple(str(x) for x in labels)
@@ -90,6 +90,7 @@ class Quantale:
         self.annihilating = tuple(
             all(self.leq_table[t][w] for t in set(row) for w in range(n))
             for row in self.tensor_table)
+        self._hash = None
 
     @property
     def size(self):
@@ -150,7 +151,10 @@ class Quantale:
                                  and self._key() == other._key())
 
     def __hash__(self):
-        return hash(self._key())
+        # Computed on first use: the key is fixed once the quantale exists.
+        if self._hash is None:
+            self._hash = hash(self._key())
+        return self._hash
 
     def __repr__(self):
         return f"Quantale({len(self.labels)} elements, unit={self.labels[self.unit]})"

@@ -18,6 +18,7 @@ quantification over enumerated hom-sets from a finite family of test
 objects: a finite-model check, not a symbolic proof.
 """
 
+from collections import Counter
 from dataclasses import dataclass, field
 
 from . import groups, laws
@@ -95,22 +96,23 @@ def matches_final_composite(quot_hom):
     return composite == quot_hom.cod.structure
 
 
-def decompose(g):
+def decompose(g, pool=None):
     """The canonical short exact sequence through the torsion part.
 
     Requires an integral quantale.  By construction the injection is a
     normal mono (restricting g to a normal subgroup) and the projection a
     regular epi (joining g over the cosets).  Verified: the kernel is
     indiscrete, the quotient separated, and both structure equations hold
-    exactly (computed independently by relation composition).
+    exactly (computed independently by relation composition).  The two
+    groups built read ``pool`` (see groups.py).
     """
     if not g.quantale.is_integral:
         raise NonIntegralQuantaleError(
             "torsion decomposition needs unit = top; without it the "
             "category has no zero object")
     members = torsion_part(g)
-    torsion, injection = subobject(g, members)
-    quotient, projection = quotient_vgroup(g, members)
+    torsion, injection = subobject(g, members, pool=pool)
+    quotient, projection = quotient_vgroup(g, members, pool=pool)
 
     if not matches_induced_composite(injection):
         raise TheoremCheckError(f"kernel structure equation failed for {g!r}")
@@ -220,43 +222,58 @@ def default_test_family(*objects):
     return family
 
 
-def verify_pretorsion_kernel(candidate, of, test_objects=None):
+def _hom_set(hom_sets, dom, cod):
+    """``enumerate_homs(dom, cod)``, enumerated once per ``hom_sets``, a
+    dict by (dom, cod)."""
+    found = hom_sets.get((dom, cod))
+    if found is None:
+        found = hom_sets[dom, cod] = enumerate_homs(dom, cod)
+    return found
+
+
+def verify_pretorsion_kernel(candidate, of, test_objects=None, hom_sets=None):
     """Check the kernel-relative-to-null universal property of ``candidate``.
 
     ``candidate``: K -> A must compose with ``of``: A -> B into the null
     ideal, and every test morphism into A whose composite with ``of`` is
     null must factor through ``candidate`` uniquely.  Both quantifiers
-    run over enumerated hom-sets from the test family.
+    run over enumerated hom-sets from the test family, each enumerated
+    once per ``hom_sets`` (a dict by (domain, codomain); a fresh one when
+    omitted).
     """
     if candidate.cod != of.dom:
         raise StructuralError("candidate kernel must land in the domain of 'of'")
     return _verify_relative(candidate, of, False, test_objects,
-                            (candidate.dom, of.dom, of.cod))
+                            (candidate.dom, of.dom, of.cod), hom_sets)
 
 
-def verify_pretorsion_cokernel(candidate, of, test_objects=None):
+def verify_pretorsion_cokernel(candidate, of, test_objects=None, hom_sets=None):
     """Dual check: ``candidate``: B -> C as cokernel of ``of``: A -> B."""
     if of.cod != candidate.dom:
         raise StructuralError("candidate cokernel must start at the codomain of 'of'")
     return _verify_relative(candidate, of, True, test_objects,
-                            (of.dom, of.cod, candidate.cod))
+                            (of.dom, of.cod, candidate.cod), hom_sets)
 
 
-def _verify_relative(candidate, of, dual, test_objects, family):
+def _verify_relative(candidate, of, dual, test_objects, family, hom_sets):
     """The kernel property of ``candidate``, read in the opposite category
     when ``dual`` (which makes it the cokernel property).
 
     ``then(u, v)`` composes u first and ``homs(w, x)`` lists the maps from
     a test object w to x, both in the category read; ``near`` is the end
-    ``candidate`` shares with ``of`` and ``far`` its other end.
+    ``candidate`` shares with ``of`` and ``far`` its other end.  Every
+    ``then(phi, candidate)`` and alpha run from w to ``near``, so the
+    factorizations of alpha are counted by its mapping.
     """
     near, far = (candidate.dom, candidate.cod) if dual else (candidate.cod, candidate.dom)
+    if hom_sets is None:
+        hom_sets = {}
 
     def then(u, v):
         return v.then(u) if dual else u.then(v)
 
     def homs(w, x):
-        return enumerate_homs(x, w) if dual else enumerate_homs(w, x)
+        return _hom_set(hom_sets, x, w) if dual else _hom_set(hom_sets, w, x)
 
     report = ValidationReport(
         subject="pretorsion-cokernel" if dual else "pretorsion-kernel")
@@ -278,11 +295,11 @@ def _verify_relative(candidate, of, dual, test_objects, family):
             if not is_null_morphism(then(alpha, of))["is_null"]:
                 continue
             if through is None:
-                through = homs(w, far)
-            matches = [phi for phi in through if then(phi, candidate) == alpha]
-            if len(matches) == 0:
+                through = Counter([then(phi, candidate).mapping for phi in homs(w, far)])
+            matches = through[alpha.mapping]
+            if matches == 0:
                 report.add("factorization-exists", (w_index, alpha.mapping))
-            elif len(matches) > 1:
+            elif matches > 1:
                 report.add("factorization-unique", (w_index, alpha.mapping))
     return report
 
@@ -312,11 +329,11 @@ class PretorsionDecomposition:
         }
 
 
-def _null_spot_check(t, f_obj):
+def _null_spot_check(t, f_obj, hom_sets):
     """The number of morphisms from ``t`` to ``f_obj``, each checked to be
     null; the first that is not raises."""
     checked = 0
-    for hom in enumerate_homs(t, f_obj):
+    for hom in _hom_set(hom_sets, t, f_obj):
         checked += 1
         if not is_null_morphism(hom)["is_null"]:
             raise TheoremCheckError(
@@ -341,37 +358,45 @@ def pretorsion_decompose(g, test_objects=None, spot_checks=None):
     not stored, so every later call meets it again.  Without it a fresh
     dict is used.  ``notes["null_spot_checks"]`` counts the morphisms of
     every pair of the family, checked now or before.
+
+    Within one call, each hom-set is enumerated once, for both verifiers
+    and the spot checks, and each distinct test object classified once;
+    neither outlives the call.
     """
     sym = symmetric_coreflect(g)
     comparison = VHom(sym, g, range(g.size))
     members = torsion_part(g)
     quotient, projection = quotient_vgroup(g, members)
-    if not classify_object(quotient).separated:
+    classes = {quotient: classify_object(quotient)}
+    if not classes[quotient].separated:
         raise TheoremCheckError(f"pretorsion quotient of {g!r} is not separated")
 
     if test_objects is None:
         test_objects = default_test_family(g, quotient)
     if spot_checks is None:
         spot_checks = {}
+    hom_sets = {}
     kernel_report = verify_pretorsion_kernel(
-        comparison, projection, test_objects=test_objects)
+        comparison, projection, test_objects=test_objects, hom_sets=hom_sets)
     cokernel_report = verify_pretorsion_cokernel(
-        projection, comparison, test_objects=test_objects)
+        projection, comparison, test_objects=test_objects, hom_sets=hom_sets)
     if not kernel_report.ok or not cokernel_report.ok:
         raise TheoremCheckError(
             f"pretorsion sequence of {g!r} failed a relative universal property: "
             f"{kernel_report.laws_violated() + cokernel_report.laws_violated()}")
 
     checked = 0
-    classes = [classify_object(t) for t in test_objects]
-    for t, cls_t in zip(test_objects, classes):
-        if not cls_t.symmetric:
+    for t in test_objects:
+        if t not in classes:
+            classes[t] = classify_object(t)
+    for t in test_objects:
+        if not classes[t].symmetric:
             continue
-        for f_obj, cls_f in zip(test_objects, classes):
-            if not cls_f.separated:
+        for f_obj in test_objects:
+            if not classes[f_obj].separated:
                 continue
             if (t, f_obj) not in spot_checks:
-                spot_checks[t, f_obj] = _null_spot_check(t, f_obj)
+                spot_checks[t, f_obj] = _null_spot_check(t, f_obj, hom_sets)
             checked += spot_checks[t, f_obj]
     return PretorsionDecomposition(
         object=g, symmetric_part=sym, comparison=comparison,

@@ -204,9 +204,9 @@ class TestClassCache:
         def counted(name, key):
             original = getattr(factorization, name)
 
-            def build(*args):
+            def build(*args, **kwargs):
                 builds[name, key(*args)] += 1
-                return original(*args)
+                return original(*args, **kwargs)
             return build
 
         with pytest.MonkeyPatch.context() as patch:
