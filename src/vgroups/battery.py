@@ -286,18 +286,17 @@ def check_image_factorization(suite):
 
 # -- pullback stability -------------------------------------------------------
 
-def _pulled_back(suite, keep, cap, pool=None):
+def _pulled_back(suite, keep, cap):
     """(f, g, the pullback of f along g) for each morphism f that ``keep``
     accepts and each morphism g into the codomain of f, in suite order,
-    for the first ``cap`` such cospans; each pullback's group reads
-    ``pool``."""
+    for the first ``cap`` such cospans."""
     homs = [f for _, _, f in suite.all_homs()]
     into = {}  # the homs into each codomain, in suite order
     for g in homs:
         into.setdefault(g.cod, []).append(g)
     cospans = ((f, g) for f in homs if keep(f) for g in into[f.cod])
     for f, g in islice(cospans, cap):
-        yield f, g, pullback(f, g, pool)[2]
+        yield f, g, pullback(f, g)[2]
 
 
 def check_regular_epi_stability(suite):
@@ -430,8 +429,7 @@ def check_stable_class_pullbacks(suite):
             failures.append((f.dom.name, f.mapping, str(exc)))
             return False
 
-    for f, g, pulled in _pulled_back(suite, stably_inverted, STABLE_CLASS_CAP,
-                                     suite.cache.groups):
+    for f, g, pulled in _pulled_back(suite, stably_inverted, STABLE_CLASS_CAP):
         checked += 1
         witness = (f.dom.name, f.mapping, g.dom.name, g.mapping)
         try:

@@ -267,6 +267,8 @@ def parse_document(data, base_dir=None, loading=()):
     vg = _parse_object(data["group"], data["structure"], quantale)
     morphisms = []
     for spec in data.get("morphisms", ()):
+        if any(hom.name == spec["name"] for hom in morphisms):
+            raise StructuralError(f"morphism {spec['name']!r} is named twice")
         target = spec["target"]
         if isinstance(target, str):
             if base_dir is None:

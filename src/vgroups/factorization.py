@@ -24,7 +24,6 @@ that their right legs lie in the right class, holds by construction.
 from dataclasses import asdict, dataclass
 
 from .errors import NonIntegralQuantaleError, StructuralError, TheoremCheckError
-from .groups import pool_key
 from .torsion import decompose, reflected_map, torsion_members
 from .vgroup import (VGroup, VHom, classify_hom, classify_object,
                      factor_through_epi, is_isomorphism, kernel, pullback,
@@ -34,48 +33,33 @@ from .vgroup import (VGroup, VHom, classify_hom, classify_object,
 class ClassCache:
     """What one run derives from its objects and morphisms, kept for that
     run: a battery's suite holds one, and each command line call makes
-    its own.  Four stores, each entry read-only once written:
+    its own.  Four stores, each entry a function of its key alone and
+    read-only once written:
 
-    - ``decompositions``: the torsion decomposition of each object, keyed
-      by the object;
-    - ``reports``: the class report of each morphism, keyed by the
-      morphism (domain, codomain and mapping);
-    - ``kernel_classes``: the ``ObjectClass`` of each morphism's kernel,
-      keyed by (domain, kernel members), which ``classify_morphism``
-      reads for its covering and stably-inverted flags;
-    - ``quotients``: the (middle, left leg) of each stabilized quotient,
-      keyed by (domain, torsion part of the kernel), which
-      ``monotone_light_factorize`` reads.
+    - ``decompositions``: the torsion decomposition of each object;
+    - ``reports``: the class report of each morphism;
+    - ``kernel_classes``: the ``ObjectClass`` of each kernel, by (domain,
+      kernel members), for ``classify_morphism``'s stabilized flags;
+    - ``quotients``: the (middle, left leg) of each stabilized quotient, by
+      (domain, torsion part of the kernel), for ``monotone_light_factorize``.
 
-    and one pool, ``groups``: the run's one instance of each group that a
-    decomposition holds, keyed by ``groups.pool_key`` (table and names).
-    The constructions whose results the stores keep (the decomposition's
-    subobject and quotient, the reflective factorization's pullback, the
-    stabilized quotient) read the pool and return a pooled group in place
-    of an equal new one; a decomposition's groups are pooled when it is
-    stored, and at no other time.  Report and kernel-class keys take
-    their objects from ``decompositions``, where ``classify_morphism`` has
-    put both ends, so equal ends are one instance.  A run then keeps one
-    group per value, not one per morphism whose factorization it reports.
-
-    A kernel is the subobject of its domain on its members, and the
-    stabilized quotient is decided by its domain and the subgroup it
-    divides out, so many morphisms share one entry.  A kernel's class is
-    kept rather than the kernel object: the flags are all a report reads,
-    and a kept kernel would hold its carrier, structure and inclusion for
-    the whole run.  An entry is a function of its key alone, and it is
-    stored only once its computation has returned, a quotient only once
+    Many morphisms share one kernel or quotient.  A kernel's class is kept,
+    not the kernel, whose carrier, structure and inclusion no report reads.
+    An entry is stored once its computation has returned, a quotient once
     its factorization has post-verified: a morphism refused as invalid or
-    over a non-integral quantale adds no report, kernel class or quotient.
+    over a non-integral quantale adds nothing.  What the stores keep goes
+    through ``intern`` as it is stored, so that two pools keyed by value,
+    ``objects`` and ``groups``, hold the run's one instance of each.
     """
 
-    __slots__ = ("decompositions", "reports", "kernel_classes", "quotients", "groups")
+    __slots__ = ("decompositions", "reports", "kernel_classes", "quotients", "objects", "groups")
 
     def __init__(self):
         self.decompositions = {}
         self.reports = {}
         self.kernel_classes = {}
         self.quotients = {}
+        self.objects = {}
         self.groups = {}
 
     def report(self, f):
@@ -84,26 +68,32 @@ class ClassCache:
         report = self.reports.get(f)
         if report is None:
             report = classify_morphism(f, self)
-            dom, cod = self.canonical(f.dom), self.canonical(f.cod)
-            if dom is not f.dom or cod is not f.cod:
-                f = VHom._trusted(dom, cod, f.mapping)
-            self.reports[f] = report
+            self.reports[self.leg(f)] = report  # interned only once f is accepted
         return report
 
     def kernel_class(self, f):
         """The class of f's kernel, classified on the first request for its
         key only."""
-        key = (self.canonical(f.dom), kernel_members(f))
+        key = (self.intern(f.dom), kernel_members(f))
         found = self.kernel_classes.get(key)
         if found is None:
             found = self.kernel_classes[key] = classify_object(kernel(f)[0])
         return found
 
-    def canonical(self, g):
-        """The instance of g that ``decompositions`` holds, or g itself
-        when g has no decomposition here."""
-        d = self.decompositions.get(g)
-        return g if d is None else d.object
+    def intern(self, g):
+        """The run's first instance of g's value, over that of g's group."""
+        found = self.objects.get(g)
+        if found is None:
+            group = self.groups.setdefault(g.group, g.group)
+            if group is not g.group:
+                g = VGroup(group, g.quantale, g.structure, g.name)
+            found = self.objects[g] = g  # keyed by itself: no copy outlives the call
+        return found
+
+    def leg(self, h):
+        """h between the run's instances of its ends."""
+        dom, cod = self.intern(h.dom), self.intern(h.cod)
+        return h if dom is h.dom and cod is h.cod else VHom._trusted(dom, cod, h.mapping)
 
 
 def kernel_members(f):
@@ -114,15 +104,14 @@ def kernel_members(f):
 
 
 def cached_decomposition(g, cache):
-    """The torsion decomposition of g, computed once per cache, its groups
-    built from and recorded in the cache's pool."""
+    """The torsion decomposition of g, computed and interned once per cache."""
     d = cache.decompositions.get(g)
     if d is None:
-        d = decompose(g, cache.groups)
-        cache.decompositions[g] = d
-        for obj in (g, d.torsion, d.quotient):
-            cache.groups.setdefault(pool_key(obj.group.table, obj.group.names),
-                                    obj.group)
+        d = decompose(g)
+        d.object = cache.intern(g)  # before an equal torsion part can stand in for g
+        d.injection, d.projection = cache.leg(d.injection), cache.leg(d.projection)
+        d.torsion, d.quotient = d.injection.dom, d.projection.cod
+        cache.decompositions[d.object] = d
     return d
 
 
@@ -136,11 +125,10 @@ class MorphismClassReport:
     as_dict = asdict
 
 
-def _naturality_square(f, dom_dec, cod_dec, reflected, pool=None):
+def _naturality_square(f, dom_dec, cod_dec, reflected):
     """The pullback P of ``reflected`` along the codomain's projection,
-    its projection m to f.cod, and the comparison e from f.dom into P;
-    P's group reads ``pool``."""
-    p, to_cod, to_refl = pullback(cod_dec.projection, reflected, pool)
+    its projection m to f.cod, and the comparison e from f.dom into P."""
+    p, to_cod, to_refl = pullback(cod_dec.projection, reflected)
     return p, to_cod, pullback_comparison(p, to_cod, to_refl, f, dom_dec.projection)
 
 
@@ -279,7 +267,7 @@ def reflective_factorize(f, cache=None):
     dom_dec = cached_decomposition(f.dom, cache)
     cod_dec = cached_decomposition(f.cod, cache)
     p, m, e = _naturality_square(f, dom_dec, cod_dec,
-                                 reflected_map(f, dom_dec, cod_dec), cache.groups)
+                                 reflected_map(f, dom_dec, cod_dec))
     if not validate_hom(e).ok:
         raise TheoremCheckError(
             f"reflective factorization of {f!r} produced an invalid leg")
@@ -317,8 +305,7 @@ def monotone_light_factorize(f, cache=None):
             raise TheoremCheckError(
                 f"torsion part of the kernel of {f!r} is not normal in the domain, "
                 f"witness {witness}")
-        stored = quotient_vgroup(dom, members, pool=cache.groups)
-    middle, e = stored
+    _, e = stored or quotient_vgroup(dom, members)
     m = factor_through_epi(e, f)
     if m is None:
         raise TheoremCheckError(
@@ -329,5 +316,7 @@ def monotone_light_factorize(f, cache=None):
     if not cache.report(e).stably_inverted:
         raise TheoremCheckError(
             f"left leg {e!r} of {f!r} is not a normal epi with indiscrete kernel")
-    cache.quotients[dom, members] = stored
-    return Factorization(e=e, middle=middle, m=m, system="monotone_light")
+    if stored is None:
+        e = cache.leg(e)
+        cache.quotients[e.dom, members] = e.cod, e
+    return Factorization(e=e, middle=e.cod, m=m, system="monotone_light")

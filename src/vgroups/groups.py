@@ -9,10 +9,7 @@ through it.  ``pair_group`` (so ``direct_product``), ``subgroup_group``
 and ``quotient_group`` instead build through ``FiniteGroup._trusted``,
 which stores its fields with no re-check: each first tests closure,
 subgroup-ness or normality in a group that already passed, and then
-reads the identity and the inverses off its parents.  Each takes an
-optional pool, a run's dict from ``pool_key`` to its one instance of
-each group recorded so far (``ClassCache.groups``): a build equal to a
-pooled group returns that instance, and the pool is only read.
+reads the identity and the inverses off its parents.
 
 Those three constructions, and ``is_subgroup``, ``normality_witness``
 and ``cosets``, read the rows of the parents' Cayley tables and their
@@ -88,18 +85,12 @@ class FiniteGroup:
         self._hash = None
 
     @classmethod
-    def _trusted(cls, table, names, identity, inverse, pool=None):
+    def _trusted(cls, table, names, identity, inverse):
         """A group from fields known to satisfy the group laws, stored as
         given with no re-check: the table as a tuple of row tuples, the
         names as a tuple of distinct strings, the identity index and the
         inverses as a tuple.  Only constructions that derive these from
-        groups that passed ``__init__`` may call it.  The group that
-        ``pool`` holds under the key of these fields, if any, is returned
-        instead; identity and inverses are functions of the table."""
-        if pool is not None:
-            found = pool.get(pool_key(table, names))
-            if found is not None:
-                return found
+        groups that passed ``__init__`` may call it."""
         g = cls.__new__(cls)
         g.table, g.names, g.identity, g.inverse = table, names, identity, inverse
         g._generators = None
@@ -262,12 +253,6 @@ class FiniteGroup:
         return f"FiniteGroup(order {self.size})"
 
 
-def pool_key(table, names):
-    """The key of a group in a pool: its table and its names, which equal
-    groups share."""
-    return table, names
-
-
 def _distinct(names):
     """The names, if no two are equal; two equal ones mean a subset or a
     pair list that names one element twice."""
@@ -276,7 +261,7 @@ def _distinct(names):
     return names
 
 
-def subgroup_group(group, subset, pool=None):
+def subgroup_group(group, subset):
     """The subgroup on a sorted subset, reindexed, with inherited names;
     on the whole carrier, the group itself."""
     subset = tuple(sorted(subset))
@@ -289,10 +274,10 @@ def subgroup_group(group, subset, pool=None):
     rows = [group.table[x] for x in subset]
     table = tuple([tuple([pos[row[y]] for y in subset]) for row in rows])
     inverse = tuple([pos[group.inverse[x]] for x in subset])
-    return FiniteGroup._trusted(table, names, pos[group.identity], inverse, pool)
+    return FiniteGroup._trusted(table, names, pos[group.identity], inverse)
 
 
-def pair_group(a, b, pairs, pool=None):
+def pair_group(a, b, pairs):
     """The subgroup of the direct product of a and b on a list of pairs
     (i, j), in list order, with the operation taken componentwise and
     elements named "(a,b)".  A nonempty list closed under the operation
@@ -309,11 +294,10 @@ def pair_group(a, b, pairs, pool=None):
         raise StructuralError("subset is not a subgroup") from None
     names = _distinct(tuple([f"({a.names[i]},{b.names[j]})" for i, j in pairs]))
     inverse = tuple([pos[ai[i], bi[j]] for i, j in pairs])
-    return FiniteGroup._trusted(table, names, pos[a.identity, b.identity], inverse,
-                                pool)
+    return FiniteGroup._trusted(table, names, pos[a.identity, b.identity], inverse)
 
 
-def quotient_group(group, normal_subset, pool=None):
+def quotient_group(group, normal_subset):
     """Quotient by a normal subgroup.
 
     Returns (quotient, projection) where projection[x] is the index of
@@ -333,8 +317,7 @@ def quotient_group(group, normal_subset, pool=None):
     table = tuple([tuple([coset_of[row[d]] for d in reps]) for row in rows])
     names = tuple([f"[{group.names[c]}]" for c in reps])
     inverse = tuple([coset_of[group.inverse[c]] for c in reps])
-    quotient = FiniteGroup._trusted(table, names, coset_of[group.identity], inverse,
-                                    pool)
+    quotient = FiniteGroup._trusted(table, names, coset_of[group.identity], inverse)
     projection = tuple([coset_of[x] for x in range(group.size)])
     return quotient, projection
 

@@ -96,23 +96,22 @@ def matches_final_composite(quot_hom):
     return composite == quot_hom.cod.structure
 
 
-def decompose(g, pool=None):
+def decompose(g):
     """The canonical short exact sequence through the torsion part.
 
     Requires an integral quantale.  By construction the injection is a
     normal mono (restricting g to a normal subgroup) and the projection a
     regular epi (joining g over the cosets).  Verified: the kernel is
     indiscrete, the quotient separated, and both structure equations hold
-    exactly (computed independently by relation composition).  The two
-    groups built read ``pool`` (see groups.py).
+    exactly (computed independently by relation composition).
     """
     if not g.quantale.is_integral:
         raise NonIntegralQuantaleError(
             "torsion decomposition needs unit = top; without it the "
             "category has no zero object")
     members = torsion_part(g)
-    torsion, injection = subobject(g, members, pool=pool)
-    quotient, projection = quotient_vgroup(g, members, pool=pool)
+    torsion, injection = subobject(g, members)
+    quotient, projection = quotient_vgroup(g, members)
 
     if not matches_induced_composite(injection):
         raise TheoremCheckError(f"kernel structure equation failed for {g!r}")
@@ -209,13 +208,13 @@ def default_test_family(*objects):
     family = []
     seen = set()
     q = objects[0].quantale
-    pool = list(objects)
-    pool.append(trivial_vgroup(q))
+    candidates = list(objects)
+    candidates.append(trivial_vgroup(q))
     if q.unit != q.top:
-        pool.append(trivial_vgroup(q, value=q.top))
+        candidates.append(trivial_vgroup(q, value=q.top))
     for obj in objects:
-        pool.append(symmetric_coreflect(obj))
-    for obj in pool:
+        candidates.append(symmetric_coreflect(obj))
+    for obj in candidates:
         if obj not in seen:
             seen.add(obj)
             family.append(obj)

@@ -19,8 +19,6 @@ are read off valid inputs.  ``pullback``, ``pullback_comparison``,
 ``fibers`` and ``equalizer`` read the mapping tuples of their maps
 directly rather than calling each map once per element; a pullback
 lists its agreeing pairs through the fibres of its second leg.
-``subobject``, ``quotient_vgroup`` and ``pullback`` pass an optional
-pool of groups (see groups.py) to the group they build.
 
 Everything is exhaustive at desk scale.  Enumerators are deterministic
 (lexicographic candidate order) and guarded by an explicit candidate cap.
@@ -306,21 +304,21 @@ def is_isomorphism(f):
 
 # -- limits, colimits, factorization ---------------------------------------
 
-def subobject(g, subset, name=None, pool=None):
+def subobject(g, subset):
     """Subgroup carrier with the induced (restricted) structure."""
     subset = tuple(sorted(subset))
-    sub = subgroup_group(g.group, subset, pool)
+    sub = subgroup_group(g.group, subset)
     a = g.structure.entries
     entries = tuple([tuple([a[x][y] for y in subset]) for x in subset])
-    obj = VGroup(sub, g.quantale, VRel._trusted(g.quantale, entries), name=name)
+    obj = VGroup(sub, g.quantale, VRel._trusted(g.quantale, entries))
     return obj, VHom._trusted(obj, g, subset)
 
 
-def quotient_vgroup(g, normal_subset, name=None, pool=None):
+def quotient_vgroup(g, normal_subset):
     """Quotient carrier with the final structure (join over coset pairs)."""
-    quotient, projection = quotient_group(g.group, normal_subset, pool)
+    quotient, projection = quotient_group(g.group, normal_subset)
     entries = final_structure(g, g.group.cosets(normal_subset))
-    obj = VGroup(quotient, g.quantale, VRel._trusted(g.quantale, entries), name=name)
+    obj = VGroup(quotient, g.quantale, VRel._trusted(g.quantale, entries))
     return obj, VHom._trusted(g, obj, projection)
 
 
@@ -383,7 +381,7 @@ def product(g, h):
     return pullback(zero_hom(g, point), zero_hom(h, point))[0]
 
 
-def pullback(f, g, pool=None):
+def pullback(f, g):
     """Pullback of a cospan f: X -> Z, g: W -> Z.
 
     The carrier is the subgroup of pairs agreeing in Z, in lexicographic
@@ -397,7 +395,7 @@ def pullback(f, g, pool=None):
     fibre = fibers(g, range(g.cod.size))
     pairs = [(i, j) for i, z in enumerate(f.mapping) for j in fibre[z]]
     entries = pair_meets(q, x.structure.entries, w.structure.entries, pairs)
-    p = VGroup(pair_group(x.group, w.group, pairs, pool), q, VRel._trusted(q, entries))
+    p = VGroup(pair_group(x.group, w.group, pairs), q, VRel._trusted(q, entries))
     return (p, VHom._trusted(p, x, tuple([i for i, _ in pairs])),
             VHom._trusted(p, w, tuple([j for _, j in pairs])))
 

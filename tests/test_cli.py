@@ -86,6 +86,22 @@ class TestValidate:
         assert invoke("validate", "--input", str(path)) == (2, "")
         assert capsys.readouterr().err == f"input error: {message}\n"
 
+    @pytest.mark.parametrize("maps", [(["0", "1", "1", "0"], ["0", "1", "0", "1"]),
+                                      (["0", "1", "0", "1"], ["0", "1", "1", "0"])])
+    @pytest.mark.parametrize("command", ["validate", "ml-factorize"])
+    def test_repeated_morphism_name_exits_two(self, tmp_path, capsys, maps, command):
+        # one of the two maps is not a group hom; neither may shadow the other
+        doc = json.loads((DOCS / "z4_boolean_morphism.json").read_text(encoding="utf-8"))
+        shipped = doc["morphisms"][0]
+        doc["morphisms"] = [dict(shipped, map=mapping) for mapping in maps]
+        path = tmp_path / "twice.json"
+        path.write_text(canonical_json(doc), encoding="utf-8")
+        argv = [command, "--input", str(path)]
+        if command == "ml-factorize":
+            argv += ["--morphism", "q"]
+        assert invoke(*argv) == (2, "")
+        assert capsys.readouterr().err == "input error: morphism 'q' is named twice\n"
+
     def test_non_utf8_document_exits_two(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_bytes(b"\xff\xfe{")

@@ -1,10 +1,13 @@
 import dataclasses
+import importlib
 import itertools
+import pkgutil
 import re
 from collections import Counter
 
 import pytest
 
+import vgroups
 from vgroups import factorization
 from vgroups import (FiniteGroup, NonIntegralQuantaleError, StructuralError,
                      TheoremCheckError, VHom,
@@ -307,6 +310,12 @@ class TestClassCache:
         first = [r.as_dict() for r in run_battery("smoke")]
         assert [r.as_dict() for r in run_battery("smoke")] == first
         assert not hasattr(factorization, "_DECOMPOSE_CACHE")
-        assert not [name for name, value in vars(factorization).items()
-                    if isinstance(value, (dict, list, set))
-                    and not name.startswith("__")]
+        # no module keeps a container between runs but these constant tables
+        modules = [vgroups] + [importlib.import_module(f"vgroups.{info.name}")
+                               for info in pkgutil.iter_modules(vgroups.__path__)
+                               if info.name != "__main__"]  # importing it runs the CLI
+        held = {f"{module.__name__}.{name}" for module in modules
+                for name, value in vars(module).items()
+                if isinstance(value, (dict, list, set)) and not name.startswith("__")}
+        assert held == {"vgroups.cli._COMPUTING", "vgroups.document.SCHEMA",
+                        "vgroups.document._TYPE_CLASSES"}

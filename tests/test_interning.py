@@ -1,32 +1,27 @@
-"""One instance per derived group and per report endpoint in a run.
+"""One instance per stored object and per group in a run.
 
-``ClassCache.groups`` pools the groups of each stored decomposition by
-``pool_key``, and the constructions whose results the cache keeps read
-that pool: ``pair_group``, ``subgroup_group`` and ``quotient_group``,
-and through them ``pullback``, ``subobject``, ``quotient_vgroup`` and
-``decompose``.  After a smoke battery, every group reachable from the
-suite or from a store is its pool's instance, and every report key ends
-at the instances in ``decompositions``.  Each pooled construction gives
-the value of an unpooled one, names included, and a pooled group finds
-the homomorphisms of a fresh copy.
+The constructions build fresh values; ``ClassCache.intern`` maps each
+object that a store keeps to the run's instance of its value, over the
+run's instance of its group, as it is stored.  After a smoke battery,
+every object and group reachable from the suite or from a store is one
+instance per value and its pool's instance, every report key ends at the
+decomposed instances, and every pooled object equals, names included,
+the object it stands in for.
 """
-
-from itertools import islice
 
 import pytest
 
 from vgroups import battery
 from vgroups.builders import group_roster, standard_suite
-from vgroups.groups import (FiniteGroup, group_homs, pair_group, pool_key,
-                            quotient_group, subgroup_group)
-from vgroups.vgroup import pullback, quotient_vgroup, subobject
+from vgroups.factorization import ClassCache
+from vgroups.groups import FiniteGroup, group_homs, subgroup_group
 
 
-def _groups_of(suite):
-    """Each group that the suite's objects, its hom-sets and its cache's
-    stores hold, by id."""
+def _objects_of(suite):
+    """Each object that the suite's objects, its hom-sets and its cache's
+    stores and pools hold, keys included."""
     cache = suite.cache
-    objects = [o.vgroup for o in suite.objects]
+    objects = [o.vgroup for o in suite.objects] + list(cache.objects)
     objects += [end for hs in suite.hom_sets for h in hs.homs for end in (h.dom, h.cod)]
     for g, d in cache.decompositions.items():
         objects += [g, d.object, d.torsion, d.quotient, d.injection.dom,
@@ -35,96 +30,78 @@ def _groups_of(suite):
     objects += [g for g, _ in cache.kernel_classes]
     for (g, _), (middle, e) in cache.quotients.items():
         objects += [g, middle, e.dom, e.cod]
-    return {id(obj.group): obj.group for obj in objects}
+    return objects
+
+
+def _instances(values):
+    """The distinct instances among ``values``, by id."""
+    return {id(x): x for x in values}.values()
 
 
 @pytest.fixture(scope="module")
-def battery_suite():
-    """The smoke suite after all 13 checks, each of them passed."""
-    suite = standard_suite("smoke")
-    for check in battery.ALL_CHECKS:
-        assert check(suite).ok, check.__name__
-    return suite
+def battery_run():
+    """The smoke suite after all 13 checks, each of them passed, and each
+    (object, instance) pair for which ``ClassCache.intern`` returned
+    another instance than the object it was given."""
+    replaced = []
+    original = ClassCache.intern
+
+    def intern(self, g):
+        found = original(self, g)
+        if found is not g:
+            replaced.append((g, found))
+        return found
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(ClassCache, "intern", intern)
+        suite = standard_suite("smoke")
+        for check in battery.ALL_CHECKS:
+            assert check(suite).ok, check.__name__
+    return suite, replaced
 
 
-def test_one_instance_per_group_after_a_smoke_battery(battery_suite):
-    groups = _groups_of(battery_suite)
-    assert len(groups) == len(set(groups.values()))
-    pool = battery_suite.cache.groups
-    assert all(pool[pool_key(g.table, g.names)] is g for g in groups.values())
+def test_one_instance_per_group_after_a_smoke_battery(battery_run):
+    """One instance per object value and per group value, each its pool's."""
+    suite, _ = battery_run
+    objects = _instances(_objects_of(suite))
+    assert len(objects) == len(set(objects))
+    cache = suite.cache
+    groups = _instances([obj.group for obj in objects] + list(cache.groups))
+    assert len(groups) == len(set(groups))
+    assert all(cache.objects[obj] is obj for obj in objects)
+    assert all(cache.groups[group] is group for group in groups)
     # the roster's 4 groups and what the stores derived from them
-    assert len(groups) > len(battery_suite.groups)
+    assert len(groups) > len(suite.groups)
 
 
-def test_report_keys_end_at_the_decomposed_instances(battery_suite):
-    decompositions = battery_suite.cache.decompositions
-    ends = [end for f in battery_suite.cache.reports for end in (f.dom, f.cod)]
+def test_stored_decompositions_hold_the_pooled_parts(battery_run):
+    cache = battery_run[0].cache
+    assert cache.decompositions
+    for g, d in cache.decompositions.items():
+        assert d.object is g
+        assert cache.objects[d.torsion] is d.torsion is d.injection.dom
+        assert cache.objects[d.quotient] is d.quotient is d.projection.cod
+        assert d.injection.cod is d.projection.dom is g
+
+
+def test_pooled_objects_equal_what_they_replace(battery_run):
+    suite, replaced = battery_run
+    assert replaced
+    for given, found in replaced:
+        assert found == given
+        assert found.group.names == given.group.names
+        assert (found.group.table, found.group.identity, found.group.inverse) == \
+            (given.group.table, given.group.identity, given.group.inverse)
+        assert found.structure == given.structure
+        assert suite.cache.objects[given] is found
+
+
+def test_report_keys_end_at_the_decomposed_instances(battery_run):
+    decompositions = battery_run[0].cache.decompositions
+    ends = [end for f in battery_run[0].cache.reports for end in (f.dom, f.cod)]
     assert ends and all(decompositions[end].object is end for end in ends)
-    assert all(decompositions[g].object is g for g, _ in battery_suite.cache.kernel_classes)
-
-
-# -- pooled and unpooled constructions -----------------------------------------
-
-def _same_group(got, expected):
-    assert (got.table, got.names, got.identity, got.inverse) == \
-        (expected.table, expected.names, expected.identity, expected.inverse)
-
-
-# The group each construction's result holds.
-GROUP_OF = {
-    "subgroup_group": lambda r: r,
-    "pair_group": lambda r: r,
-    "quotient_group": lambda r: r[0],
-    "subobject": lambda r: r[0].group,
-    "quotient_vgroup": lambda r: r[0].group,
-    "pullback": lambda r: r[0].group,
-}
-
-
-def _builds(suite):
-    """(name, build) for each construction on the smoke suite, build(pool)
-    making it with that pool; each is built before the next is made."""
-    for obj in suite.objects:
-        g = obj.vgroup
-        for s in g.group.all_subgroups():
-            yield "subgroup_group", lambda pool: subgroup_group(g.group, s, pool)
-            yield "subobject", lambda pool: subobject(g, s, pool=pool)
-        for s in g.group.all_normal_subgroups():
-            yield "quotient_group", lambda pool: quotient_group(g.group, s, pool)
-            yield "quotient_vgroup", lambda pool: quotient_vgroup(g, s, pool=pool)
-    homs = [f for _, _, f in suite.all_homs()]
-    into = {}
-    for f in homs:
-        into.setdefault(f.cod, []).append(f)
-    for f, h in islice(((f, h) for f in homs for h in into[f.cod]), 600):
-        pairs = [(i, j) for i, z in enumerate(f.mapping)
-                 for j, y in enumerate(h.mapping) if y == z]
-        yield "pullback", lambda pool: pullback(f, h, pool)
-        yield "pair_group", lambda pool: pair_group(f.dom.group, h.dom.group, pairs, pool)
-
-
-def test_pooled_constructions_give_the_unpooled_values():
-    """Each build equals its unpooled build, names included; after its
-    group is pooled, an equal build returns that instance; and a pooled
-    group with the same table under other names is never returned."""
-    suite = standard_suite("smoke")
-    pool = {}
-    names = set()
-    for name, build in _builds(suite):
-        names.add(name)
-        unpooled, first = build(None), build(pool)
-        group, first_group = GROUP_OF[name](unpooled), GROUP_OF[name](first)
-        assert first == unpooled, name
-        _same_group(first_group, group)
-        pool.setdefault(pool_key(first_group.table, first_group.names), first_group)
-        again = build(pool)
-        assert again == unpooled, name
-        assert GROUP_OF[name](again) is pool[pool_key(group.table, group.names)], name
-    assert names == {"pair_group", "subgroup_group", "quotient_group", "pullback",
-                     "subobject", "quotient_vgroup"}
-    # one table, many names: the trivial groups alone
-    trivial = [g for g in pool.values() if g.size == 1]
-    assert len({g.names for g in trivial}) == len(trivial) > 1
+    assert all(decompositions[g].object is g
+               for g, _ in battery_run[0].cache.kernel_classes)
 
 
 def test_the_whole_carrier_is_the_group_itself():
@@ -132,11 +109,11 @@ def test_the_whole_carrier_is_the_group_itself():
         assert subgroup_group(group, range(group.size)) is group
 
 
-def test_pooled_groups_find_the_homs_of_a_fresh_copy(battery_suite):
+def test_pooled_groups_find_the_homs_of_a_fresh_copy(battery_run):
     """The pool's groups carry the homomorphism searches of the whole run
     in ``_homs``; each gives what a fresh copy of it gives."""
     roster = list(group_roster().values())
-    pooled = list(battery_suite.cache.groups.values())
+    pooled = list(battery_run[0].cache.groups.values())
     for g in pooled:
         fresh = FiniteGroup(g.table, g.names)
         assert fresh == g and fresh is not g

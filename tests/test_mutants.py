@@ -61,8 +61,8 @@ def _shift_last(h):
 def _pullback_combining(original, combine):
     """A pullback whose entries combine the two factors' entries with
     ``combine(q, u, v)`` instead of their meet."""
-    def pullback(f, g, pool=None):
-        p, to_x, to_w = original(f, g, pool)
+    def pullback(f, g):
+        p, to_x, to_w = original(f, g)
         q, pairs = p.quantale, list(zip(to_x.mapping, to_w.mapping))
         entries = [[combine(q, f.dom.entry(i1, i2), g.dom.entry(j1, j2))
                     for i2, j2 in pairs] for i1, j1 in pairs]
@@ -210,12 +210,12 @@ def lawvere_saturates_early(original):
 def subobject_by_position(original):
     """A subobject reads the ambient structure at the positions of its
     elements instead of at the elements."""
-    def subobject(g, subset, name=None, pool=None):
-        obj, inclusion = original(g, subset, name, pool)
+    def subobject(g, subset):
+        obj, inclusion = original(g, subset)
         n = obj.size
         obj = VGroup(obj.group, g.quantale,
                      VRel(g.quantale, [[g.entry(x, y) for y in range(n)]
-                                       for x in range(n)]), name=name)
+                                       for x in range(n)]))
         return obj, VHom(obj, g, inclusion.mapping)
     return subobject
 
@@ -270,11 +270,19 @@ def cache_key_no_mapping(original):
     return lambda self, f: self.reports.setdefault((f.dom, f.cod), original(self, f))
 
 
-@mutant(groups.pool_key)
-def pool_key_without_names(original):
-    """The pool keys a group by its table alone, so a build whose table a
-    pooled group shares returns that group, under its names."""
-    return lambda table, names: table
+@mutant((factorization.ClassCache, "intern"))
+def group_pool_by_table(original):
+    """The group pool keys a group by its table alone, so a stored object
+    whose table a pooled group shares takes that group, under its names."""
+    def intern(self, g):
+        found = self.objects.get(g)
+        if found is None:
+            group = self.groups.setdefault(g.group.table, g.group)
+            if group is not g.group:
+                g = VGroup(group, g.quantale, g.structure, g.name)
+            found = self.objects[g] = g
+        return found
+    return intern
 
 
 @mutant((factorization.ClassCache, "kernel_class"))
@@ -330,11 +338,11 @@ MATRIX = {
     "window_level_shift": {"check_descent_windows": FAIL},
     "cache_key_no_mapping": {"check_factorizations": FAIL},
     "kernel_class_by_domain": {"check_morphism_classification": FAIL},
-    # The middle of the reflective factorization of the shipped map q
-    # shares its table with the torsion part {0, 2} of Z4 and takes its
-    # names.  Every check passes.
-    "pool_key_without_names": {"check_factorizations": PASS,
-                               "expected/factorize_q.json": FAIL},
+    # Stored ends lose their element names to an earlier group with the
+    # same table, so legs stop composing; on the shipped map q the
+    # command exits 2.
+    "group_pool_by_table": {"check_factorizations": FAIL,
+                            "expected/factorize_q.json": FAIL},
 }
 
 

@@ -2,12 +2,12 @@
 
 ``pair_group``, ``subgroup_group`` and ``quotient_group`` build their
 groups through ``FiniteGroup._trusted``, and the derived maps and
-relations of vgroup.py, the zero map, the report keys of
-``ClassCache.report``, and the composites, converses and function graphs
-of vrel.py go through ``VHom._trusted`` and ``VRel._trusted``.  None of
-the three re-checks what it stores.  Each test runs the smoke battery,
-the work of ``vgroups suite --suite-level smoke``, with one trusted
-constructor recording what it builds and where.
+relations of vgroup.py, the zero map, the legs that ``ClassCache.leg``
+moves onto a run's stored objects, and the composites, converses and
+function graphs of vrel.py go through ``VHom._trusted`` and
+``VRel._trusted``.  None of the three re-checks what it stores.  Each
+test runs the smoke battery, the work of ``vgroups suite --suite-level
+smoke``, with one trusted constructor recording what it builds and where.
 It then rebuilds every distinct output through the checking constructor
 and requires each stored field to come out equal, which also pins the
 stored rows and mappings to tuples.
@@ -25,7 +25,7 @@ SITES = {
     FiniteGroup: {"pair_group", "subgroup_group", "quotient_group"},
     VHom: {"then", "pullback", "pullback_comparison", "factor_through_mono",
            "factor_through_epi", "subobject", "quotient_vgroup",
-           "image_factorize", "enumerate_homs", "zero_hom", "report"},
+           "image_factorize", "enumerate_homs", "zero_hom", "leg"},
     VRel: {"pullback", "subobject", "quotient_vgroup", "image_factorize",
            "then", "converse", "from_function"},
 }
