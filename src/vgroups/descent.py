@@ -9,11 +9,12 @@ with componentwise addition and the piecewise structure
     otherwise                     -> bottom
 
 The carrier is genuinely infinite, so nothing is ever materialized
-globally: every check runs on a finite window of levels -radius..radius
-and the one global identity that matters (finality of the projection)
-has a finite witness, the pair of levels 0 and 1, whose join already
-realizes the base value.  Window checks are expected to pass at every
-radius; a failure is a violated law in the report, with its witness.
+globally: every check runs on the finite window of levels -1..1, which
+decides it at every radius (the lemma below), and the one global
+identity that matters (finality of the projection) has a finite
+witness, the pair of levels 0 and 1, whose join already realizes the
+base value.  Window checks are expected to pass; a failure is a violated
+law in the report, with its witness.
 
 On a window the checks cover the cover's structure laws, the
 compatibility and finality of its projection, the diagonal embedding
@@ -47,11 +48,15 @@ the action map two; transitivity three), and a right shift keeps the
 order of the two levels it moves.  The levels -1..1 realize every order
 pattern of three levels, and the radius-1 window is a sub-window of the
 radius-r window with the same entries, so each law holds at radius r
-iff it holds at radius 1, for any tables, lawful or not.  The scans
-therefore decide each law on the radius-1 window, and rescan at radius
-r only a law that fails there, so that every reported witness is the
-first one in radius-r order.  The capacity guards and the finality folds
-are those of radius r.
+iff it holds at radius 1, for any tables, lawful or not.  The checks
+therefore build and scan the radius-1 window, kernel pair and action
+carrier only, at every radius: a witness found there is a witness at
+radius r too, with the same entries.  The radius names a report's
+subject and sizes its notes and the window's capacity guard, and the
+descent command prints the window of that radius.  Finality folds the
+levels -1..1 as well: with a lawful join, a fold over the levels of any
+radius r >= 1 joins the same three values (the base value, the diagonal
+value and bottom), each at least once, so it does not move with r.
 """
 
 from dataclasses import dataclass
@@ -63,11 +68,16 @@ from .factorization import is_covering
 from .vgroup import pair_meets
 
 DEFAULT_WINDOW_RADIUS = 3
-# Window scans are cubic in the window and quadratic in the kernel-pair
-# carrier.  The battery and the benchmark stay within radius 3 on six
-# points: 42 window elements and 294 kernel-pair elements.
+# The levels of the radius-1 window, on which every law is scanned
+# whatever the radius (the module's lemma).  So the scans do not grow
+# with the radius: they are cubic in the 3n window elements and quadratic
+# in the 9n kernel-pair elements of an n-point base.  The radius sizes
+# only the window that the descent command prints, capped at 48 elements
+# (radius 3 on six points is 42).  The acting arrows of a covering's
+# action, nine per element of its domain, are capped by what is built.
+LEVELS = range(-1, 2)
 WINDOW_ELEMENT_CAP = 48
-KERNEL_PAIR_ELEMENT_CAP = 7 * WINDOW_ELEMENT_CAP
+ACTING_ARROW_CAP = 7 * WINDOW_ELEMENT_CAP
 
 
 class IntegerIndexedCover:
@@ -122,10 +132,10 @@ class IntegerIndexedCover:
         return [lower * level + own + higher * (span - 1 - level)
                 for level in range(span) for lower, own, higher in blocks]
 
-    def kernel_pair_matrix(self, radius, points):
+    def kernel_pair_matrix(self, points):
         """The meet structure on the kernel-pair elements (z1, z2, x) for
-        levels z1, z2 in -radius..radius and x in ``points``, level-major:
-        the entry at ((z1, z2, x), (z1', z2', x')) is the meet of
+        levels z1, z2 in ``LEVELS`` and x in ``points``, level-major: the
+        entry at ((z1, z2, x), (z1', z2', x')) is the meet of
         ``relation((z1, x), (z1', x'))`` and ``relation((z2, x), (z2', x'))``.
 
         Each relation value is one of the ``level_blocks``, chosen by the
@@ -136,7 +146,7 @@ class IntegerIndexedCover:
         order, which raises on its two relation values."""
         q = self.quantale
         table = q.meet_table
-        span = 2 * radius + 1
+        span = len(LEVELS)
         rows_of, missing = {}, False
         for x in set(points):
             by_order = self.level_blocks(x, points)
@@ -151,8 +161,7 @@ class IntegerIndexedCover:
                           for a in range(span) for b in range(span)]
         matrix = tuple(rows_of[x][k] for k in range(span * span) for x in points)
         if missing:
-            levels = range(-radius, radius + 1)
-            carrier = [(z1, z2, x) for z1 in levels for z2 in levels for x in points]
+            carrier = [(z1, z2, x) for z1 in LEVELS for z2 in LEVELS for x in points]
             for (z1, z2, x), row in zip(carrier, matrix):
                 if None in row:
                     w1, w2, y = carrier[row.index(None)]
@@ -172,39 +181,10 @@ def _guard_window(cover, radius):
     _guard("window", (2 * radius + 1) * cover.base.size, WINDOW_ELEMENT_CAP)
 
 
-def _named(elements, witness):
-    """A scanner's witness as elements, or None."""
-    return None if witness is None else tuple(elements[i] for i in witness)
-
-
-def _scan_laws(report, radius, build, scans):
-    """Add to ``report`` the first witness on ``build(radius)`` of each law
-    of ``scans``, a dict from law name to scan, in its order.
-
-    A scan reads the data ``build`` materializes at one radius and names
-    its witness in it, or returns None.  By the lemma of the module
-    docstring a law holds at radius r iff it holds at radius 1, so each
-    law is decided on ``build(1)``, and only one that fails there runs
-    again on ``build(radius)``, which is made only then: every witness is
-    the first in radius-r order (at radius 1 a failing law is scanned
-    twice, on two builds of the same window).  An error at radius 1 (a
-    missing meet) hands every scan to radius r, which raises as the full
-    scan does.
-    """
-    failing = list(scans)
-    try:
-        small = build(1)
-        failing = [law for law, scan in scans.items() if scan(small) is not None]
-    except StructuralError:
-        if radius == 1:
-            raise
-    if not failing:
-        return
-    large = build(radius)
-    for law in failing:
-        witness = scans[law](large)
-        if witness is not None:
-            report.add(law, witness)
+def _add(report, law, elements, witness):
+    """Add a scanner's witness, if any, to ``report`` as elements."""
+    if witness is not None:
+        report.add(law, (elements[i] for i in witness))
 
 
 @dataclass(frozen=True)
@@ -262,58 +242,49 @@ def verify_cover_window(cover, radius):
     under right shifts that stay in the window, separation over all
     window pairs, compatibility of the projection, and finality of the
     projection: for every base pair the window join must equal the base
-    value and must not grow at radius + 1.
+    value.
 
-    Each value of the window depends on its two levels only through
-    their order, so the structure laws and the projection's
-    compatibility hold at ``radius`` iff they hold at radius 1 (the
-    module's lemma): they are decided on the radius-1 window, and a law
-    that fails there is scanned again at ``radius`` so that its witness
-    is the first of the radius-``radius`` window.  Finality folds the
-    levels of ``radius`` itself.
+    By the module's lemma each law holds at ``radius`` iff it holds at
+    radius 1, so every law is scanned and folded on the radius-1 window
+    alone; a witness found there is a witness at ``radius`` too.
+    ``radius`` names the subject and sizes the window's note and its
+    capacity guard.
     """
     report = ValidationReport(subject=f"cover-window-r{radius}")
     _guard_window(cover, radius)
     base = cover.base
     q = base.quantale
-    gop, entries = base.group.op, base.structure.entries
+    gop = base.group.op
+    window = Window(cover, 1)
+    elements, matrix, width = window.elements, window.matrix, window.width
 
-    def reflexive(window):
-        # integral quantale (descent_cover): unit-reflexive means top on the diagonal
-        witness = laws.reflexivity(q, window.matrix)
-        return None if witness is None else window.elements[witness[0]]
+    # integral quantale (descent_cover): unit-reflexive means top on the diagonal
+    witness = laws.reflexivity(q, matrix)
+    if witness is not None:
+        report.add("window-reflexivity", elements[witness[0]])
 
-    def shift_invariant(window):
-        width, span, r = window.width, 2 * window.radius + 1, window.radius
+    def shifted(i, s):
+        """The window index of elements[i] + elements[s], or None outside the window."""
+        level = i // width + s // width - 1
+        return level * width + gop(i % width, s % width) if 0 <= level < len(LEVELS) else None
 
-        def shifted(i, s):
-            """The window index of elems[i] + elems[s], or None outside the window."""
-            level = i // width + s // width - r
-            return level * width + gop(i % width, s % width) if 0 <= level < span else None
-
-        return _named(window.elements, laws.shift_invariance(window.matrix, shifted))
-
-    scans = {
-        "window-reflexivity": reflexive,
-        "window-transitivity":
-            lambda window: _named(window.elements, laws.transitivity(q, window.matrix)),
-        "window-shift-invariance": shift_invariant,
-        "window-separation":
-            lambda window: _named(window.elements, laws.separation(q, window.matrix)),
-        "projection-compatibility": lambda window: _named(window.elements, laws.compatibility(
-            q, window.matrix, entries, [cover.projection(p) for p in window.elements])),
-    }
-    _scan_laws(report, radius, lambda r: Window(cover, r), scans)
+    _add(report, "window-transitivity", elements, laws.transitivity(q, matrix))
+    _add(report, "window-shift-invariance", elements, laws.shift_invariance(matrix, shifted))
+    _add(report, "window-separation", elements, laws.separation(q, matrix))
+    _add(report, "projection-compatibility", elements, laws.compatibility(
+        q, matrix, base.structure.entries, [cover.projection(p) for p in elements]))
 
     join = q.join_table
 
-    def fold(value, same, levels):
+    def fold(value, same):
         """The join from bottom of ``relation((z1, x1), (z2, x2))`` over
-        (z1, z2) in ``levels`` squared, in that order, for points x1, x2
-        with base value ``value``, equal iff ``same``."""
+        (z1, z2) in ``LEVELS`` squared, in that order, for points x1, x2
+        with base value ``value``, equal iff ``same``.  With a lawful join
+        this is the join of the value, the diagonal value and bottom, which
+        a fold over the levels of any radius r >= 1 joins as well."""
         acc, diagonal = q.bottom, q.top if same else q.bottom
-        for z1 in levels:
-            for z2 in levels:
+        for z1 in LEVELS:
+            for z2 in LEVELS:
                 t = value if z1 < z2 else diagonal if z1 == z2 else q.bottom
                 acc = j if (j := join[acc][t]) is not None else q.join(acc, t)
         return acc
@@ -322,18 +293,14 @@ def verify_cover_window(cover, radius):
     folds = {}
     for x1 in range(base.size):
         for x2 in range(base.size):
-            # the folded values depend on (x1, x2) through this key alone
-            key = (base.entry(x1, x2), x1 == x2)
+            value = base.entry(x1, x2)
+            # the folded value depends on (x1, x2) through this key alone
+            key = (value, x1 == x2)
             if key not in folds:
-                folds[key] = tuple(fold(*key, levels)
-                                   for levels in (range(-radius, radius + 1),
-                                                  range(-radius - 1, radius + 2)))
-            window_join, grown_join = folds[key]
-            finality.append(window_join)
-            if window_join != base.entry(x1, x2):
+                folds[key] = fold(*key)
+            finality.append(folds[key])
+            if folds[key] != value:
                 report.add("finality-window-join", (x1, x2))
-            if grown_join != window_join:
-                report.add("finality-join-stability", (x1, x2))
 
     report.notes["finality_joins"] = [q.label(v) for v in finality]
     report.notes["window_size"] = (2 * radius + 1) * base.size
@@ -350,35 +317,21 @@ def kernel_pair_groupoid(cover, radius):
 
     An entry at ((z1, z2, x), (z1', z2', x')) depends on the levels only
     through the orders of (z1, z1') and (z2, z2'), so both laws are
-    decided on the radius-1 kernel pair, and the radius-``radius``
-    matrix is built only to name the first witness of a law that fails
-    (the module's lemma).  Both capacity guards are those of ``radius``.
+    scanned on the radius-1 kernel pair alone (the module's lemma), whose
+    9n elements fit in any window the guard of ``radius`` lets through.
+    ``radius`` names the subject and sizes the carrier's note.
     """
     report = ValidationReport(subject=f"kernel-pair-groupoid-r{radius}")
-    base = cover.base
-    q = base.quantale
-    points = range(base.size)
     _guard_window(cover, radius)
-    _guard("kernel pair", (2 * radius + 1) ** 2 * base.size, KERNEL_PAIR_ELEMENT_CAP)
-
-    def build(r):
-        levels = range(-r, r + 1)
-        carrier = [(z1, z2, x) for z1 in levels for z2 in levels for x in points]
-        return Window(cover, r), carrier, cover.kernel_pair_matrix(r, points)
-
-    def embedding(data):
-        window, carrier, matrix = data
-        position = {e: i for i, e in enumerate(carrier)}
-        return _named(window.elements, laws.reflection(
-            window.matrix, matrix, [position[(z, z, x)] for z, x in window.elements]))
-
-    def separation(data):
-        _, carrier, matrix = data
-        return _named(carrier, laws.separation(q, matrix))
-
-    _scan_laws(report, radius, build,
-               {"diagonal-embedding": embedding, "groupoid-separation": separation})
-
+    base = cover.base
+    points = range(base.size)
+    window = Window(cover, 1)
+    carrier = [(z1, z2, x) for z1 in LEVELS for z2 in LEVELS for x in points]
+    matrix = cover.kernel_pair_matrix(points)
+    position = {e: i for i, e in enumerate(carrier)}
+    _add(report, "diagonal-embedding", window.elements, laws.reflection(
+        window.matrix, matrix, [position[(z, z, x)] for z, x in window.elements]))
+    _add(report, "groupoid-separation", carrier, laws.separation(base.quantale, matrix))
     report.notes["carrier_size"] = (2 * radius + 1) ** 2 * base.size
     return report
 
@@ -391,8 +344,9 @@ def action_of_covering(alpha, cover, radius):
     the pullback structure; the action map drops the acting pair onto
     its first level.  Verifies the compatibility of the action map on
     all in-window composable pairs and separation of the carrier on the
-    window, both decided on the radius-1 window and scanned again at
-    ``radius`` only to name a witness (the module's lemma).
+    window, both scanned on the radius-1 window alone (the module's
+    lemma).  ``radius`` names the subject and sizes the carrier's note
+    and the window's capacity guard.
     """
     if alpha.cod != cover.base:
         raise StructuralError("the covering must land in the cover's base")
@@ -402,42 +356,32 @@ def action_of_covering(alpha, cover, radius):
     _guard_window(cover, radius)
     dom = alpha.dom
     q = cover.quantale
-    _guard("carrier of acting arrows", (2 * radius + 1) ** 2 * dom.size,
-           KERNEL_PAIR_ELEMENT_CAP)
+    _guard("carrier of acting arrows", len(LEVELS) ** 2 * dom.size, ACTING_ARROW_CAP)
 
-    def build(r):
-        window = Window(cover, r)
-        levels = range(-r, r + 1)
-        carrier = [(z, a) for z in levels for a in range(dom.size)]
-        # each (z, a) as the index pair (window index of (z, alpha a), a)
-        matrix = pair_meets(q, window.matrix, dom.structure.entries,
-                            [(window.index(z, alpha(a)), a) for z, a in carrier])
-        composable = [((z1, z2, alpha(a)), (z2, a))
-                      for z1 in levels for z2 in levels for a in range(dom.size)]
-        arrows = cover.kernel_pair_matrix(r, [alpha(a) for a in range(dom.size)])
-        return carrier, matrix, composable, arrows
+    window = Window(cover, 1)
+    carrier = [(z, a) for z in LEVELS for a in range(dom.size)]
+    # each (z, a) as the index pair (window index of (z, alpha a), a)
+    matrix = pair_meets(q, window.matrix, dom.structure.entries,
+                        [(window.index(z, alpha(a)), a) for z, a in carrier])
+    composable = [((z1, z2, alpha(a)), (z2, a))
+                  for z1 in LEVELS for z2 in LEVELS for a in range(dom.size)]
+    arrows = cover.kernel_pair_matrix([alpha(a) for a in range(dom.size)])
 
-    def action_map(data):
-        # the action map (z1, z2, x) . (z2, a) -> (z1, a) must be
-        # structure-compatible: composable pairs carry the meet of the
-        # acting-arrow structure and the carrier structure.  That meet is
-        # taken lazily, so the scan stops at its first witness.
-        carrier, matrix, composable, arrows = data
-        position = {w: i for i, w in enumerate(carrier)}
-        places = [position[w] for _, w in composable]
-        before = ((q.meet(v, matrix[p1][p2]) for v, p2 in zip(row, places))
-                  for row, p1 in zip(arrows, places))
-        witness = laws.compatibility(q, before, matrix,
-                                     [position[(arrow[0], w[1])] for arrow, w in composable])
+    # the action map (z1, z2, x) . (z2, a) -> (z1, a) must be
+    # structure-compatible: composable pairs carry the meet of the
+    # acting-arrow structure and the carrier structure.  That meet is
+    # taken lazily, so the scan stops at its first witness.
+    position = {w: i for i, w in enumerate(carrier)}
+    places = [position[w] for _, w in composable]
+    before = ((q.meet(v, matrix[p1][p2]) for v, p2 in zip(row, places))
+              for row, p1 in zip(arrows, places))
+    witness = laws.compatibility(q, before, matrix,
+                                 [position[(arrow[0], w[1])] for arrow, w in composable])
+    if witness is not None:
         # named (arrow1, w1, arrow2, w2)
-        return None if witness is None else composable[witness[0]] + composable[witness[1]]
-
-    def separation(data):
-        carrier, matrix, _, _ = data
-        return _named(carrier, laws.separation(q, matrix))
-
-    _scan_laws(report, radius, build,
-               {"action-map-compatibility": action_map, "carrier-separation": separation})
+        report.add("action-map-compatibility",
+                   composable[witness[0]] + composable[witness[1]])
+    _add(report, "carrier-separation", carrier, laws.separation(q, matrix))
 
     report.notes["carrier_size"] = (2 * radius + 1) * dom.size
     return report

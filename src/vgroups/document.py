@@ -352,9 +352,10 @@ def emit_document(doc):
     group, structure = _emit_object(doc.vgroup)
     out = {"quantale": _emit_quantale(doc), "group": group, "structure": structure}
     if doc.morphisms:
-        morphisms = []
-        for hom, spec in zip(doc.morphisms, doc.morphism_specs):
-            target = spec["target"]
+        morphisms, specs = [], doc.morphism_specs
+        for i, hom in enumerate(doc.morphisms):
+            # a morphism built without a spec emits its target inline
+            target = specs[i]["target"] if i < len(specs) else None
             if isinstance(target, str):
                 emitted_target = target
             else:

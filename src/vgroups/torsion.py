@@ -12,8 +12,9 @@ and both kernel/cokernel structure equations hold on the nose.
 The pretorsion side works over any quantale.  Its kernels and cokernels
 are taken relative to the null class (the symmetric separated objects);
 membership of a morphism in the null ideal is decided via its image,
-which is sound but not known to be complete, so reports carry the method
-label.  Universal properties are verified by exhaustive
+which is sound but not known to be complete, so ``is_null_morphism``
+returns the method label beside its verdict.  Universal properties are
+verified by exhaustive
 quantification over enumerated hom-sets from a finite family of test
 objects: a finite-model check, not a symbolic proof.
 """
@@ -192,7 +193,7 @@ def is_null_morphism(f):
 
     Sound: if the image (with final structure) is null, the morphism is
     null; only that structure is computed.  Completeness of the negative
-    answer is not claimed; the report records the method.
+    answer is not claimed, so the verdict comes with its method label.
     """
     image = f.image_set()
     if not f.cod.group.is_subgroup(image):

@@ -445,10 +445,18 @@ class TestCapacityGuards:
         path = self.write(tmp_path, cyclic_document(1, {"builtin": "boolean"}))
         assert invoke("descent", "--input", path, "--window", "24") == (3, "")
 
-    def test_kernel_pair_over_the_cap_exits_three(self, tmp_path):
-        # 13 * 13 * 2 = 338 kernel-pair elements, cap 336; the window (26) fits
+    def test_kernel_pair_is_bounded_by_the_window_cap_alone(self, tmp_path):
+        # the kernel pair is scanned at radius 1 whatever the radius, so at
+        # radius 6 its 13 * 13 * 2 = 338 elements are only named; the
+        # window of radius 24, 49 elements, still exceeds its cap of 48
         path = self.write(tmp_path, cyclic_document(2, {"builtin": "boolean"}))
-        assert invoke("descent", "--input", path, "--window", "6") == (3, "")
+        code, text = invoke("descent", "--input", path, "--window", "6", "--format", "json")
+        assert code == 0
+        checks = json.loads(text)["kernel_pair_checks"]
+        assert checks["subject"] == "kernel-pair-groupoid-r6"
+        assert checks["notes"]["carrier_size"] == 338
+        path = self.write(tmp_path, cyclic_document(1, {"builtin": "boolean"}))
+        assert invoke("descent", "--input", path, "--window", "24") == (3, "")
 
 
 class TestPretorsionOnLargerCarriers:

@@ -12,6 +12,7 @@ from vgroups import (FiniteGroup, IntegerIndexedCover, NonIntegralQuantaleError,
                      identity_hom, kernel_pair_groupoid, lawvere_chain, laws,
                      product, standard_suite, structure_from_delta,
                      verify_cover_window)
+from vgroups import descent
 from vgroups.reports import ValidationReport
 
 
@@ -92,7 +93,10 @@ class TestWindowChecks:
 
     def test_finality_folds_match_every_pair(self):
         # lawless bases: diagonal values below top, which fold like
-        # off-diagonal ones only when the key tells the two apart
+        # off-diagonal ones only when the key tells the two apart.  The
+        # report folds the levels -1..1 at every radius, the reference
+        # those of the radius itself: over a lawful join both folds join
+        # the base value, the diagonal value and bottom
         rng = random.Random(6)
         q = lawvere_chain(2)
         bases = [VGroup(grp, q, VRel(q, [[rng.randrange(q.size) for _ in range(grp.size)]
@@ -101,7 +105,7 @@ class TestWindowChecks:
                              FiniteGroup.symmetric3()) for _ in range(4)]
         for base in bases:
             cover, _ = descent_cover(base)
-            for radius in (1, 2):
+            for radius in (1, 2, 3):
                 report = verify_cover_window(cover, radius)
                 got = (report.notes["finality_joins"],
                        [(v.law, v.witness) for v in report.violations
@@ -133,21 +137,25 @@ class TestWindowChecks:
                     assert verify_cover_window(cover, 1).ok
 
 
+def finality_join(cover, radius, x1, x2):
+    """The join of the window values from level points over x1 to those
+    over x2, folded by ``Quantale.join_all``."""
+    levels = range(-radius, radius + 1)
+    return cover.quantale.join_all(cover.relation((z1, x1), (z2, x2))
+                                   for z1 in levels for z2 in levels)
+
+
 def reference_finality(cover, radius):
     """The finality joins and failures of a window, folded at every base
     pair."""
-    base, q, rel = cover.base, cover.quantale, cover.relation
+    base, q = cover.base, cover.quantale
     joins, failures = [], []
     for x1 in range(base.size):
         for x2 in range(base.size):
-            window_join, grown_join = (
-                q.join_all(rel((z1, x1), (z2, x2)) for z1 in levels for z2 in levels)
-                for levels in (range(-radius, radius + 1), range(-radius - 1, radius + 2)))
+            window_join = finality_join(cover, radius, x1, x2)
             joins.append(q.label(window_join))
             if window_join != base.entry(x1, x2):
                 failures.append(("finality-window-join", (x1, x2)))
-            if grown_join != window_join:
-                failures.append(("finality-join-stability", (x1, x2)))
     return joins, failures
 
 
@@ -184,9 +192,19 @@ def reference_kernel_pair_matrix(cover, radius):
                   for e1 in carrier])
 
 
-def built_kernel_pair(cover, radius):
-    """The kernel-pair matrix of every base point at ``radius``."""
-    return cover.kernel_pair_matrix(radius, range(cover.base.size))
+def built_kernel_pair(cover, radius=1):
+    """The radius-1 kernel-pair matrix of every base point; ``radius`` is
+    ignored, so that ``outcome`` can call it like a check."""
+    return cover.kernel_pair_matrix(range(cover.base.size))
+
+
+def on_levels(matrix, radius, n):
+    """The sub-matrix of a kernel-pair matrix at ``radius`` over n points
+    on the elements whose two levels lie in -1..1."""
+    levels = range(-radius, radius + 1)
+    carrier = [(z1, z2, x) for z1 in levels for z2 in levels for x in range(n)]
+    keep = [i for i, (z1, z2, _) in enumerate(carrier) if abs(z1) <= 1 and abs(z2) <= 1]
+    return tuple([tuple([matrix[i][j] for j in keep]) for i in keep])
 
 
 def outcome(build, cover, radius):
@@ -197,14 +215,30 @@ def outcome(build, cover, radius):
         return str(exc)
 
 
+SIZE_NOTES = ("window_size", "carrier_size")
+
+
+def decided(check, cover, radius):
+    """``outcome(check, cover, radius)`` apart from what the radius names
+    and sizes: a report's violations and its notes other than
+    ``SIZE_NOTES``, or the error message."""
+    got = outcome(check, cover, radius)
+    if isinstance(got, str):
+        return got
+    return got.violations, {k: v for k, v in got.notes.items() if k not in SIZE_NOTES}
+
+
 class TestKernelPairMatrix:
     def test_rows_match_pair_structure(self):
+        # the radius-1 kernel pair is the per-entry one, and the sub-matrix
+        # of every larger one on the levels -1..1 (the module's lemma)
         bases = [obj.vgroup for obj in standard_suite("smoke").objects] + formula_bases()
         for base in bases:
             cover, _ = descent_cover(base)
+            built = built_kernel_pair(cover)
             for radius in (1, 2, 3):
-                assert built_kernel_pair(cover, radius) == \
-                    reference_kernel_pair_matrix(cover, radius), (base, radius)
+                assert built == on_levels(reference_kernel_pair_matrix(cover, radius),
+                                          radius, base.size), (base, radius)
 
     @settings(max_examples=300, deadline=None)
     @given(leq=st.lists(st.booleans(), min_size=9, max_size=9),
@@ -217,12 +251,12 @@ class TestKernelPairMatrix:
         base = VGroup(FiniteGroup.cyclic(size),
                       *integral_order([leq[i:i + 3] for i in (0, 3, 6)], rows))
         cover, _ = descent_cover(base)
-        assert outcome(built_kernel_pair, cover, radius) == \
-            outcome(reference_kernel_pair_matrix, cover, radius)
-        # the groupoid decides on the radius-1 kernel pair, and still raises
-        # that message or reports what the full radius-r scans report
-        assert outcome(kernel_pair_groupoid, cover, radius) == \
-            outcome(reference_groupoid, cover, radius)
+        assert outcome(built_kernel_pair, cover, 1) == \
+            outcome(reference_kernel_pair_matrix, cover, 1)
+        # at every radius the groupoid raises that message or reports what
+        # the scans of the radius-1 reference kernel pair report
+        assert decided(kernel_pair_groupoid, cover, radius) == \
+            decided(reference_groupoid, cover, 1)
 
     def test_missing_meet_raises_the_same_error(self, z2):
         # 0 and 1 are incomparable: the order has no meet for them
@@ -276,17 +310,15 @@ class TestAction:
     def test_rows_match_pair_structure(self, monkeypatch, z4_bool, z2_discrete,
                                        z4_law, law2):
         # the composable-pair and carrier matrices, caught on their way to
-        # the action-map compatibility scan (the function's last one).  The
-        # scan decides on the radius-1 window first; a stand-in witness
-        # there sends it on to the radius under test.
+        # the action-map compatibility scan (the function's last one): at
+        # every radius they are those of the radius-1 window
         compatibility = laws.compatibility
         scanned, carriers = [], []
 
         def caught(q, a, b, m):
             scanned.append([list(row) for row in a])
             carriers.append(b)
-            witness = compatibility(q, scanned[-1], b, m)
-            return (0, 0) if len(b) < carrier_size else witness
+            return compatibility(q, scanned[-1], b, m)
 
         coverings = [identity_hom(obj.vgroup) for obj in standard_suite("smoke").objects]
         coverings.append(VHom(z2_discrete, z4_bool, [0, 2]))
@@ -296,11 +328,10 @@ class TestAction:
         for alpha in coverings:
             cover, _ = descent_cover(alpha.cod)
             for radius in (1, 2):
-                carrier_size = (2 * radius + 1) * alpha.dom.size
                 action_of_covering(alpha, cover, radius)
-                assert scanned.pop() == reference_action_matrix(alpha, cover, radius), \
+                assert scanned.pop() == reference_action_matrix(alpha, cover, 1), \
                     (alpha.cod, radius)
-                assert carriers.pop() == reference_action_carrier(alpha, cover, radius), \
+                assert carriers.pop() == reference_action_carrier(alpha, cover, 1), \
                     (alpha.cod, radius)
 
     def test_identity_covering(self, z4_bool):
@@ -373,16 +404,18 @@ def shift_bases():
 
 
 def test_window_shift_scan_matches_the_formula():
+    # at every radius the report names the first witness of the radius-1
+    # window, read off the lazy formula
     bases = [o.vgroup for o in standard_suite("smoke").objects] + shift_bases()
     found = 0
     for base in bases:
         cover, _ = descent_cover(base)
+        want = first_shift_witness(cover, 1)
         for radius in (1, 2, 3):
             shift = [v.witness for v in verify_cover_window(cover, radius).violations
                      if v.law == "window-shift-invariance"]
-            want = first_shift_witness(cover, radius)
             assert shift == ([] if want is None else [want])
-            found += want is not None
+        found += want is not None
     assert found > 0
 
 
@@ -500,12 +533,13 @@ def test_descent_matrix_scans_match_the_formula():
     checked = set()
     for base in bases:
         cover, _ = descent_cover(base)
+        want = reference_witnesses(cover, 1, identity_hom(base))
         for radius in (1, 2, 3):
             got = {v.law: v.witness for report in (
                 verify_cover_window(cover, radius), kernel_pair_groupoid(cover, radius),
                 action_of_covering(identity_hom(base), cover, radius))
                 for v in report.violations if v.law in MATRIX_LAWS}
-            assert got == reference_witnesses(cover, radius, identity_hom(base))
+            assert got == want, (base, radius)
             checked.update(got)
     assert checked == {"projection-compatibility", "diagonal-embedding",
                        "action-map-compatibility"}
@@ -548,7 +582,7 @@ def reference_groupoid(cover, radius):
     levels = range(-radius, radius + 1)
     carrier = [(z1, z2, x) for z1 in levels for z2 in levels
                for x in range(cover.base.size)]
-    matrix = built_kernel_pair(cover, radius)
+    matrix = reference_kernel_pair_matrix(cover, radius)
     witness = laws.reflection(window.matrix, matrix,
                               [carrier.index((z, z, x)) for z, x in window.elements])
     if witness is not None:
@@ -561,47 +595,137 @@ def reference_groupoid(cover, radius):
 
 
 def test_radius_one_decides_every_window_law():
-    # the lemma: each law holds at radius r iff it holds at radius 1, and
-    # a law that fails is rescanned at r, so the reports are those of the
-    # full radius-r scans
+    # the lemma: each law holds at radius r iff it holds at radius 1, so at
+    # every radius the reports are those of the reference scans of the
+    # radius-1 window, apart from the subject and the size notes
     bases = ([o.vgroup for o in standard_suite("smoke").objects] + formula_bases()
              + shift_bases())
     violated = set()
     for base in bases:
         cover, _ = descent_cover(base)
-        for radius in (1, 2, 3):
-            for check, reference in ((verify_cover_window, reference_cover_window),
-                                     (kernel_pair_groupoid, reference_groupoid)):
-                got = outcome(check, cover, radius)
-                assert got == outcome(reference, cover, radius), (base, radius)
-                if radius == 3 and not isinstance(got, str):
-                    violated.update(got.laws_violated())
+        for check, reference, note, power in (
+                (verify_cover_window, reference_cover_window, "window_size", 1),
+                (kernel_pair_groupoid, reference_groupoid, "carrier_size", 2)):
+            want = decided(reference, cover, 1)
+            for radius in (1, 2, 3):
+                assert decided(check, cover, radius) == want, (base, radius)
+                got = check(cover, radius)
+                assert got.subject.endswith(f"-r{radius}")
+                assert got.notes[note] == (2 * radius + 1) ** power * base.size
+                violated.update(got.laws_violated())
     assert violated >= {"window-transitivity", "window-shift-invariance",
                         "window-separation", "diagonal-embedding", "groupoid-separation"}
 
 
+def violates(cover, radius, alpha, law, witness):
+    """Whether ``witness`` violates ``law`` on the window of ``radius``,
+    read off the lazy formula: the window relation, the kernel-pair
+    structure (the meet of the relation at the two levels over one
+    point) and the structure of the action carrier (the meet of the
+    relation between the anchors and the domain's structure)."""
+    base, q, rel = cover.base, cover.quantale, cover.relation
+    leq, above_unit = q.leq, (lambda v: q.leq(q.unit, v))
+
+    def inside(*elements):
+        return all(abs(z) <= radius for e in elements for z in e[:-1])
+
+    def pair(e1, e2):
+        return q.meet(rel((e1[0], e1[2]), (e2[0], e2[2])), rel((e1[1], e1[2]), (e2[1], e2[2])))
+
+    def act(w1, w2):
+        return q.meet(rel((w1[0], alpha(w1[1])), (w2[0], alpha(w2[1]))),
+                      alpha.dom.entry(w1[1], w2[1]))
+
+    if law == "finality-window-join":
+        return finality_join(cover, radius, *witness) != base.entry(*witness)
+    if law == "window-reflexivity":
+        return inside(witness) and not above_unit(rel(witness, witness))
+    if not inside(*witness):
+        return False
+    if law == "window-transitivity":
+        p, m, r = witness
+        return not leq(q.tensor(rel(p, m), rel(m, r)), rel(p, r))
+    if law == "window-shift-invariance":
+        s, p, r = witness
+        ps, rs = cover.op(p, s), cover.op(r, s)
+        return inside(ps, rs) and rel(p, r) != rel(ps, rs)
+    if law == "projection-compatibility":
+        p, r = witness
+        return not leq(rel(p, r), base.entry(p[1], r[1]))
+    if law == "diagonal-embedding":
+        (z, x), (w, y) = witness
+        return pair((z, z, x), (w, w, y)) != rel((z, x), (w, y))
+    if law == "action-map-compatibility":
+        arrow1, w1, arrow2, w2 = witness
+        moved1, moved2 = (arrow1[0], w1[1]), (arrow2[0], w2[1])
+        return (arrow1[1], arrow1[2], arrow2[1], arrow2[2]) == \
+            (w1[0], alpha(w1[1]), w2[0], alpha(w2[1])) and \
+            not leq(q.meet(pair(arrow1, arrow2), act(w1, w2)), act(moved1, moved2))
+    structure = {"window-separation": rel, "groupoid-separation": pair,
+                 "carrier-separation": act}[law]
+    e1, e2 = witness
+    return e1 != e2 and above_unit(structure(e1, e2)) and above_unit(structure(e2, e1))
+
+
+def test_every_witness_violates_its_law_at_its_radius():
+    # a radius-1 witness lies in the radius-r window with the same entries,
+    # so it is a witness there too
+    violated = set()
+    for base in [o.vgroup for o in standard_suite("smoke").objects] + formula_bases() \
+            + shift_bases():
+        cover, _ = descent_cover(base)
+        alpha = identity_hom(base)
+        for radius in (1, 2, 3):
+            for report in (verify_cover_window(cover, radius),
+                           kernel_pair_groupoid(cover, radius),
+                           action_of_covering(alpha, cover, radius)):
+                for v in report.violations:
+                    assert violates(cover, radius, alpha, v.law, v.witness), \
+                        (base, radius, v)
+                    violated.add(v.law)
+    # every law that a base of these tests breaks (reflexivity holds on
+    # every window: its diagonal is top)
+    assert violated == {"window-transitivity", "window-shift-invariance",
+                        "window-separation", "projection-compatibility",
+                        "finality-window-join", "diagonal-embedding", "groupoid-separation",
+                        "action-map-compatibility", "carrier-separation"}
+
+
 def test_lawful_windows_build_nothing_beyond_radius_one(monkeypatch):
-    # on the fast path the laws are scanned on radius-1 matrices only: no
-    # window or kernel-pair matrix of a larger radius is built
+    # the laws are scanned on radius-1 data only, on lawful and lawless
+    # bases alike: no window of a larger radius is built, and each kernel
+    # pair and action carrier has the radius-1 window's levels, 9 and 3
+    # per point
     built, scanned = [], []
-    for name in ("window_matrix", "kernel_pair_matrix"):
-        original = getattr(IntegerIndexedCover, name)
-        monkeypatch.setattr(IntegerIndexedCover, name,
-                            lambda self, radius, *points, original=original:
-                            built.append(radius) or original(self, radius, *points))
+    window_matrix = IntegerIndexedCover.window_matrix
+    monkeypatch.setattr(IntegerIndexedCover, "window_matrix", lambda self, radius:
+                        built.append(("window", radius)) or window_matrix(self, radius))
+    kernel_pair_matrix = IntegerIndexedCover.kernel_pair_matrix
+
+    def counted_kernel_pair(self, points):
+        matrix = kernel_pair_matrix(self, points)
+        built.append(("kernel pair", len(matrix) / len(points)))
+        return matrix
+
+    monkeypatch.setattr(IntegerIndexedCover, "kernel_pair_matrix", counted_kernel_pair)
+    pair_meets = descent.pair_meets
+    monkeypatch.setattr(descent, "pair_meets", lambda q, a, b, pairs:
+                        built.append(("action carrier", len(pairs) / len(b)))
+                        or pair_meets(q, a, b, pairs))
     for name in ("reflexivity", "transitivity", "shift_invariance", "separation",
                  "compatibility", "reflection"):
         original = getattr(laws, name)
         monkeypatch.setattr(laws, name, lambda *args, name=name, original=original:
                             scanned.append(name) or original(*args))
-    for obj in standard_suite("smoke").objects:
-        cover, _ = descent_cover(obj.vgroup)
+    lawful = [obj.vgroup for obj in standard_suite("smoke").objects]
+    for base in lawful + formula_bases():
+        cover, _ = descent_cover(base)
         for radius in (2, 3):
             for report in (verify_cover_window(cover, radius),
                            kernel_pair_groupoid(cover, radius),
-                           action_of_covering(identity_hom(obj.vgroup), cover, radius)):
-                assert report.ok, (obj.name, radius)
-    assert set(built) == {1}
+                           action_of_covering(identity_hom(base), cover, radius)):
+                assert report.ok or base not in lawful, (base, radius)
+    assert set(built) == {("window", 1), ("kernel pair", 9), ("action carrier", 3)}
     assert set(scanned) == {"reflexivity", "transitivity", "shift_invariance",
                             "separation", "compatibility", "reflection"}
 

@@ -10,8 +10,9 @@ from hypothesis import given, settings, strategies as st
 
 from vgroups import StructuralError, boolean, document, lawvere_chain
 from vgroups.builders import standard_suite
-from vgroups.document import (SCHEMA, _VALIDATOR, _accepts, _compile, canonical_json,
-                              document_text, load_document, parse_document)
+from vgroups.document import (SCHEMA, _VALIDATOR, WorkbenchDocument, _accepts, _compile,
+                              canonical_json, document_text, emit_document, load_document,
+                              parse_document)
 
 DOCS = Path(__file__).parent.parent / "documents"
 TEST_DOCS = Path(__file__).parent / "documents"
@@ -167,6 +168,18 @@ class TestRoundTrip:
         text = document_text(parse_document(data))
         assert document_text(parse_document(json.loads(text))) == text
         assert "builtin" not in json.loads(text)["quantale"]
+
+
+    def test_morphisms_without_specs_emit_their_targets_inline(self):
+        shipped = load_document(DOCS / "z4_boolean_morphism.json")
+        built = WorkbenchDocument(quantale=shipped.quantale, vgroup=shipped.vgroup,
+                                  morphisms=shipped.morphisms,
+                                  quantale_spec=shipped.quantale_spec)
+        emitted = emit_document(built)
+        assert [m["name"] for m in emitted["morphisms"]] == ["q"]
+        parsed = parse_document(json.loads(canonical_json(emitted)))
+        (hom,), (want,) = parsed.morphisms, shipped.morphisms
+        assert hom.mapping == want.mapping and hom.cod == want.cod
 
 
 class TestFileTargets:
