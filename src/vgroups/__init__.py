@@ -17,7 +17,7 @@ from .vgroup import (ObjectClass, VGroup, VHom, classify_hom, classify_object,
                      cokernel, coequalizer, discrete_vgroup,
                      enumerate_homs, enumerate_structures, equalizer,
                      identity_hom, image_factorize, indiscrete_vgroup,
-                     is_isomorphism, kernel, product, pullback,
+                     is_isomorphism, is_regular_epi, kernel, product, pullback,
                      structure_from_delta, subobject, quotient_vgroup,
                      trivial_vgroup, validate_hom, validate_vgroup,
                      vgroup_isomorphism, zero_hom)

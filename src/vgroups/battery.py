@@ -22,8 +22,8 @@ from .torsion import (default_test_family, matches_final_composite,
                       pretorsion_decompose, symmetric_coreflect)
 from .vgroup import (classify_hom, classify_object, cokernel, factor_through_epi,
                      factor_through_mono, factorization_middle_iso,
-                     image_factorize, is_isomorphism, kernel, profile_matrix,
-                     pullback, pullback_comparison, quotient_vgroup,
+                     image_factorize, is_isomorphism, is_regular_epi, kernel,
+                     profile_matrix, pullback, pullback_comparison, quotient_vgroup,
                      subobject, validate_hom, validate_vgroup, zero_hom)
 
 MATRIX_ENUMERATION_CAP = 200_000  # past it, route checks spread shift profiles
@@ -274,7 +274,7 @@ def check_image_factorization(suite):
             continue
         e, mid, m = image_factorize(f)
         for alt, e2, m2 in _alternative_factorizations(suite, dom, cod, f, mid.size):
-            if not (classify_hom(e2).regular_epi and classify_hom(m2).mono):
+            if not (is_regular_epi(e2) and m2.is_injective()):
                 continue
             uniqueness_checked += 1
             if factorization_middle_iso(e, m, e2, m2) is None:
@@ -302,10 +302,9 @@ def _pulled_back(suite, keep, cap):
 def check_regular_epi_stability(suite):
     failures = []
     checked = 0
-    for f, g, pulled in _pulled_back(suite, lambda f: classify_hom(f).regular_epi,
-                                     REGULAR_EPI_COSPAN_CAP):
+    for f, g, pulled in _pulled_back(suite, is_regular_epi, REGULAR_EPI_COSPAN_CAP):
         checked += 1
-        if not classify_hom(pulled).regular_epi:
+        if not is_regular_epi(pulled):
             failures.append((f.dom.name, f.cod.name, f.mapping, g.mapping))
     return _result("regular_epi_pullback_stability", failures, cospans=checked)
 

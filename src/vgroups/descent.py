@@ -249,6 +249,12 @@ def verify_cover_window(cover, radius):
     alone; a witness found there is a witness at ``radius`` too.
     ``radius`` names the subject and sizes the window's note and its
     capacity guard.
+
+    The window's diagonal is top and the quantale is integral (unit =
+    top), so ``window-reflexivity`` fires on one kind of input only: a
+    lawless quantale, which only the Python API accepts, whose order does
+    not put top above itself.  The scan stays, so that such an input is
+    named rather than passed.
     """
     report = ValidationReport(subject=f"cover-window-r{radius}")
     _guard_window(cover, radius)

@@ -348,12 +348,19 @@ def _emit_object(vg):
 
 
 def emit_document(doc):
-    """The canonical plain-JSON form of a document (labels everywhere)."""
+    """The canonical plain-JSON form of a document (labels everywhere).
+
+    Every morphism must carry a name, as the schema asks of a parsed one;
+    an unnamed one raises, naming its index, rather than emitting a
+    document that ``parse_document`` refuses.
+    """
     group, structure = _emit_object(doc.vgroup)
     out = {"quantale": _emit_quantale(doc), "group": group, "structure": structure}
     if doc.morphisms:
         morphisms, specs = [], doc.morphism_specs
         for i, hom in enumerate(doc.morphisms):
+            if hom.name is None:
+                raise StructuralError(f"morphism {i} has no name to emit")
             # a morphism built without a spec emits its target inline
             target = specs[i]["target"] if i < len(specs) else None
             if isinstance(target, str):

@@ -25,8 +25,8 @@ from dataclasses import asdict, dataclass
 
 from .errors import NonIntegralQuantaleError, StructuralError, TheoremCheckError
 from .torsion import decompose, reflected_map, torsion_members
-from .vgroup import (VGroup, VHom, classify_hom, classify_object,
-                     factor_through_epi, is_isomorphism, kernel, pullback,
+from .vgroup import (VGroup, VHom, classify_object, factor_through_epi,
+                     is_isomorphism, is_regular_epi, kernel, pullback,
                      pullback_comparison, quotient_vgroup, validate_hom)
 
 
@@ -180,7 +180,7 @@ def classify_morphism(f, cache=None):
     # Left class, characterization route.
     preimage = {x for x in range(f.dom.size) if f(x) in n_cod}
     inverted_char = (preimage == n_dom
-                     and classify_hom(f.then(cod_dec.projection)).regular_epi)
+                     and is_regular_epi(f.then(cod_dec.projection)))
     if inverted_def != inverted_char:
         raise TheoremCheckError(
             f"left-class routes disagree for {f!r}: "
@@ -199,7 +199,7 @@ def classify_morphism(f, cache=None):
             f"definitional={trivial_def} characterization={trivial_char}")
 
     ker_class = cache.kernel_class(f)
-    stably_inverted = classify_hom(f).regular_epi and ker_class.indiscrete
+    stably_inverted = is_regular_epi(f) and ker_class.indiscrete
     covering = ker_class.separated
 
     if stably_inverted and not inverted_def:

@@ -16,6 +16,16 @@ and ``cosets``, read the rows of the parents' Cayley tables and their
 ``inverse`` tuples directly; ``op``, ``inv`` and ``conj`` remain for
 callers that need one product at a time.
 
+A group keeps two stores of what it derives, each entry written once,
+on first use: ``_homs``, the homomorphism searches out of it (below),
+and ``_derived``, the groups built from it through ``derived(build,
+*args)``.  The constructions of vgroup.py read their pullback, subobject
+and quotient groups from the second, so one run builds each of them once
+per parent; ``direct_product`` and every other direct call still build a
+fresh group.  ``_derived`` holds groups (with a quotient's projection),
+never a structure or a structured object, and a construction that raises
+stores nothing.
+
 Homomorphisms g -> h are found from generator images (Holt, Eick and
 O'Brien, *Handbook of Computational Group Theory*, 2005): a greedy
 generating set of g has at most two elements on the suite roster, so
@@ -35,8 +45,16 @@ ENUMERATION_CAP = 10 ** 6
 
 
 class FiniteGroup:
+    """A group on the indices of its Cayley table, with element names.
+
+    Beside its fields a group carries what it derives, found on first use:
+    its generators, ``_homs`` (each homomorphism search out of it, keyed
+    by the codomain) and ``_derived`` (each group built from it through
+    ``derived``, keyed by the construction and its other arguments).
+    """
+
     __slots__ = ("names", "table", "identity", "inverse", "_generators", "_homs",
-                 "_hash")
+                 "_derived", "_hash")
 
     def __init__(self, table, names=None):
         table = tuple([tuple(row) for row in table])
@@ -82,6 +100,7 @@ class FiniteGroup:
         self.inverse = tuple(inverse)
         self._generators = None
         self._homs = {}
+        self._derived = {}
         self._hash = None
 
     @classmethod
@@ -95,8 +114,27 @@ class FiniteGroup:
         g.table, g.names, g.identity, g.inverse = table, names, identity, inverse
         g._generators = None
         g._homs = {}
+        g._derived = {}
         g._hash = None
         return g
+
+    def derived(self, build, *args):
+        """``build(self, *args)``, built on the first call with these
+        arguments only and kept in ``_derived``.
+
+        The key is the construction and the arguments as given, so an
+        argument in another order than the first call's only misses the
+        store.  A construction that raises stores nothing, and the group
+        itself (``subgroup_group`` on the whole carrier) is not stored, so
+        that no group holds itself.
+        """
+        key = (build, *args)
+        found = self._derived.get(key)
+        if found is None:
+            found = build(self, *args)
+            if found is not self:
+                self._derived[key] = found
+        return found
 
     @property
     def size(self):

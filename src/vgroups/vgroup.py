@@ -19,6 +19,9 @@ are read off valid inputs.  ``pullback``, ``pullback_comparison``,
 ``fibers`` and ``equalizer`` read the mapping tuples of their maps
 directly rather than calling each map once per element; a pullback
 lists its agreeing pairs through the fibres of its second leg.
+``pullback``, ``subobject``, ``image_factorize`` and ``quotient_vgroup``
+read their groups through ``FiniteGroup.derived``, so each is built once
+per parent group; the structures over them are built on every call.
 
 Everything is exhaustive at desk scale.  Enumerators are deterministic
 (lexicographic candidate order) and guarded by an explicit candidate cap.
@@ -307,7 +310,7 @@ def is_isomorphism(f):
 def subobject(g, subset):
     """Subgroup carrier with the induced (restricted) structure."""
     subset = tuple(sorted(subset))
-    sub = subgroup_group(g.group, subset)
+    sub = g.group.derived(subgroup_group, subset)
     a = g.structure.entries
     entries = tuple([tuple([a[x][y] for y in subset]) for x in subset])
     obj = VGroup(sub, g.quantale, VRel._trusted(g.quantale, entries))
@@ -316,7 +319,7 @@ def subobject(g, subset):
 
 def quotient_vgroup(g, normal_subset):
     """Quotient carrier with the final structure (join over coset pairs)."""
-    quotient, projection = quotient_group(g.group, normal_subset)
+    quotient, projection = g.group.derived(quotient_group, tuple(normal_subset))
     entries = final_structure(g, g.group.cosets(normal_subset))
     obj = VGroup(quotient, g.quantale, VRel._trusted(g.quantale, entries))
     return obj, VHom._trusted(g, obj, projection)
@@ -393,9 +396,9 @@ def pullback(f, g):
         raise StructuralError("pullback needs a common codomain")
     x, w, q = f.dom, g.dom, f.cod.quantale
     fibre = fibers(g, range(g.cod.size))
-    pairs = [(i, j) for i, z in enumerate(f.mapping) for j in fibre[z]]
+    pairs = tuple([(i, j) for i, z in enumerate(f.mapping) for j in fibre[z]])
     entries = pair_meets(q, x.structure.entries, w.structure.entries, pairs)
-    p = VGroup(pair_group(x.group, w.group, pairs), q, VRel._trusted(q, entries))
+    p = VGroup(x.group.derived(pair_group, w.group, pairs), q, VRel._trusted(q, entries))
     return (p, VHom._trusted(p, x, tuple([i for i, _ in pairs])),
             VHom._trusted(p, w, tuple([j for _, j in pairs])))
 
@@ -488,7 +491,7 @@ def image_factorize(f):
     epimorphism and m a monomorphism.
     """
     image = f.image_set()
-    sub = subgroup_group(f.cod.group, image)
+    sub = f.cod.group.derived(subgroup_group, image)
     q = f.dom.quantale
     entries = final_structure(f.dom, fibers(f, image))
     middle = VGroup(sub, q, VRel._trusted(q, entries))
@@ -510,6 +513,12 @@ def is_final(f):
     return all(row == b for row, b in zip(joins, f.cod.structure.entries))
 
 
+def is_regular_epi(f):
+    """Surjective and final: a regular epimorphism, with no other flag of
+    ``classify_hom`` computed."""
+    return f.is_surjective() and is_final(f)
+
+
 def classify_hom(f):
     """Mono/epi/regular-epi/normal-mono flags by the exhaustive criteria.
 
@@ -521,7 +530,7 @@ def classify_hom(f):
     """
     mono = f.is_injective()
     epi = f.is_surjective()
-    regular_epi = epi and is_final(f)
+    regular_epi = is_regular_epi(f)
     normal_mono = (mono
                    and f.cod.group.is_normal_subgroup(f.image_set())
                    and laws.reflection(f.dom.structure.entries,

@@ -525,7 +525,12 @@ def formula_bases():
     # window are unit-related both ways, which breaks both separations
     unit_below_bottom = VGroup(groups[0], *integral_order(
         [[0, 0, 1], [0, 1, 0], [1, 0, 1]], [[2, 2], [2, 2]]))
-    return lawless + [non_reflexive, odd_meet, cyclic, unit_below_bottom]
+    # the chain 0 <= 1 <= 2 with top not below itself but below 1, so that
+    # the joins the finality fold takes exist: the window diagonal, top,
+    # is not above the unit, the one input that breaks window reflexivity
+    top_not_reflexive = VGroup(groups[0], *integral_order(
+        [[1, 1, 1], [0, 1, 1], [0, 1, 0]], [[2, 1], [1, 2]]))
+    return lawless + [non_reflexive, odd_meet, cyclic, unit_below_bottom, top_not_reflexive]
 
 
 def test_descent_matrix_scans_match_the_formula():
@@ -683,9 +688,8 @@ def test_every_witness_violates_its_law_at_its_radius():
                     assert violates(cover, radius, alpha, v.law, v.witness), \
                         (base, radius, v)
                     violated.add(v.law)
-    # every law that a base of these tests breaks (reflexivity holds on
-    # every window: its diagonal is top)
-    assert violated == {"window-transitivity", "window-shift-invariance",
+    # every law that a base of these tests breaks
+    assert violated == {"window-reflexivity", "window-transitivity", "window-shift-invariance",
                         "window-separation", "projection-compatibility",
                         "finality-window-join", "diagonal-embedding", "groupoid-separation",
                         "action-map-compatibility", "carrier-separation"}

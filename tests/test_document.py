@@ -8,7 +8,7 @@ import jsonschema
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from vgroups import StructuralError, boolean, document, lawvere_chain
+from vgroups import StructuralError, VHom, boolean, document, lawvere_chain
 from vgroups.builders import standard_suite
 from vgroups.document import (SCHEMA, _VALIDATOR, WorkbenchDocument, _accepts, _compile,
                               canonical_json, document_text, emit_document, load_document,
@@ -180,6 +180,22 @@ class TestRoundTrip:
         parsed = parse_document(json.loads(canonical_json(emitted)))
         (hom,), (want,) = parsed.morphisms, shipped.morphisms
         assert hom.mapping == want.mapping and hom.cod == want.cod
+
+    def test_named_morphisms_round_trip_and_an_unnamed_one_raises(self):
+        shipped = load_document(DOCS / "z4_boolean_morphism.json")
+        (q,) = shipped.morphisms
+        named = [VHom(q.dom, q.cod, q.mapping, name=name) for name in ("a", "b")]
+        built = WorkbenchDocument(quantale=shipped.quantale, vgroup=shipped.vgroup,
+                                  morphisms=named, quantale_spec=shipped.quantale_spec)
+        text = document_text(built)
+        parsed = parse_document(json.loads(text))
+        assert [(h.name, h.mapping, h.cod) for h in parsed.morphisms] == \
+            [(h.name, h.mapping, h.cod) for h in named]
+        assert document_text(parsed) == text
+        unnamed = VHom(q.dom, q.cod, q.mapping)
+        built.morphisms = [named[0], unnamed]
+        with pytest.raises(StructuralError, match="morphism 1 has no name"):
+            emit_document(built)
 
 
 class TestFileTargets:

@@ -163,6 +163,73 @@ class TestDerivedGroupErrors:
                 assert (h.identity, h.inverse) == (checked.identity, checked.inverse)
 
 
+def group_fields(g):
+    return (g.table, g.names, g.identity, g.inverse)
+
+
+def check_derived_store(parent):
+    """Require each entry of ``parent._derived`` to equal a fresh build from
+    its key, names included, and a second call to return it; the number of
+    entries."""
+    for key, stored in list(parent._derived.items()):
+        build, *args = key
+        fresh = build(parent, *args)
+        if build is quotient_group:
+            (stored, stored_projection), (fresh, fresh_projection) = stored, fresh
+            assert stored_projection == fresh_projection
+        assert group_fields(stored) == group_fields(fresh), (parent, key)
+        assert stored is not parent
+        assert parent.derived(build, *args) is parent._derived[key]
+    return len(parent._derived)
+
+
+class TestDerived:
+    """``FiniteGroup.derived`` keeps each group built from a group, by the
+    construction and its other arguments."""
+
+    def test_roster_derived_groups_equal_fresh_builds(self):
+        roster = list(group_roster().values())
+        for g in roster:
+            subgroups, normal = g.all_subgroups(), g.all_normal_subgroups()
+            for s in subgroups:
+                g.derived(subgroup_group, s)
+            for n in normal:
+                g.derived(quotient_group, n)
+            for h in roster:
+                pairs = tuple(product(range(g.size), range(h.size)))
+                assert g.derived(pair_group, h, pairs) == FiniteGroup.direct_product(g, h)
+            # every subgroup but the whole carrier, every quotient, every product
+            assert check_derived_store(g) == len(subgroups) - 1 + len(normal) + len(roster)
+
+    def test_a_construction_that_raises_stores_nothing(self):
+        z4, s3 = FiniteGroup.cyclic(4), FiniteGroup.symmetric3()
+        two = next(s for s in s3.all_subgroups() if len(s) == 2)
+        z4.derived(subgroup_group, (0, 2))
+        s3.derived(quotient_group, tuple(range(6)))
+        for g, build, args in ((z4, pair_group, (z4, ((0, 0), (1, 0)))),
+                               (z4, subgroup_group, ((0, 1),)),
+                               (z4, quotient_group, ((0, 1),)),
+                               (s3, quotient_group, (two,))):
+            before = dict(g._derived)
+            for _ in range(2):
+                with pytest.raises(StructuralError, match="subgroup"):
+                    g.derived(build, *args)
+            assert g._derived == before and len(before) == 1
+
+    def test_the_whole_carrier_is_not_stored(self):
+        for g in group_roster().values():
+            whole = tuple(range(g.size))
+            assert g.derived(subgroup_group, whole) is g
+            assert (subgroup_group, whole) not in g._derived
+
+    def test_another_argument_order_only_misses_the_store(self):
+        z4 = FiniteGroup.cyclic(4)
+        first = z4.derived(quotient_group, (0, 2))
+        again = z4.derived(quotient_group, (2, 0))
+        assert again == first and again is not first
+        assert z4.derived(quotient_group, (0, 2)) is first
+
+
 class TestSubgroups:
     def test_all_subgroups_z4(self):
         z4 = FiniteGroup.cyclic(4)

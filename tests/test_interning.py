@@ -7,7 +7,14 @@ every object and group reachable from the suite or from a store is one
 instance per value and its pool's instance, every report key ends at the
 decomposed instances, and every pooled object equals, names included,
 the object it stands in for.
+
+Below a run, each parent group builds each pullback, subobject and
+quotient group once, through ``FiniteGroup.derived``; the stores it
+leaves equal fresh builds.
 """
+
+import sys
+from collections import Counter
 
 import pytest
 
@@ -15,6 +22,8 @@ from vgroups import battery
 from vgroups.builders import group_roster, standard_suite
 from vgroups.factorization import ClassCache
 from vgroups.groups import FiniteGroup, group_homs, subgroup_group
+
+from test_groups import check_derived_store
 
 
 def _objects_of(suite):
@@ -121,3 +130,56 @@ def test_pooled_groups_find_the_homs_of_a_fresh_copy(battery_run):
             assert group_homs(g, h) == group_homs(fresh, h)
             assert group_homs(h, g) == group_homs(h, fresh)
     assert any(g._homs for g in pooled)
+
+
+# The arguments of each construction that builds through
+# ``FiniteGroup._trusted``: the parent group, then the rest of the key
+# ``FiniteGroup.derived`` stores its result under.
+CONSTRUCTIONS = {"pair_group": ("a", "b", "pairs"),
+                 "subgroup_group": ("group", "subset"),
+                 "quotient_group": ("group", "normal_subset")}
+
+
+@pytest.fixture(scope="module")
+def derived_run():
+    """The smoke suite after all 13 checks, and each group built through
+    ``FiniteGroup._trusted`` during them, as (construction, parent, the
+    rest of its arguments, the construction's caller)."""
+    builds = []
+    original = FiniteGroup.__dict__["_trusted"].__func__
+
+    def trusted(cls, *args):
+        frame = sys._getframe(1)
+        name = frame.f_code.co_name
+        parent, *rest = [frame.f_locals[arg] for arg in CONSTRUCTIONS[name]]
+        rest = tuple([tuple(x) if isinstance(x, list) else x for x in rest])
+        # the parent is kept, so that no other group takes its id
+        builds.append((name, parent, rest, frame.f_back.f_code.co_name))
+        return original(cls, *args)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(FiniteGroup, "_trusted", classmethod(trusted))
+        suite = standard_suite("smoke")
+        for check in battery.ALL_CHECKS:
+            assert check(suite).ok, check.__name__
+    return suite, builds
+
+
+def test_each_derived_group_is_built_once_per_parent(derived_run):
+    """Without the store on ``FiniteGroup`` a smoke battery builds most
+    pullback, subobject and quotient groups many times over."""
+    _, builds = derived_run
+    counts = Counter((name, id(parent), rest) for name, parent, rest, _ in builds)
+    assert {name for name, _, _, _ in builds} == set(CONSTRUCTIONS)
+    assert max(counts.values()) == 1
+    # the roster's Klein four-group is the one product built directly
+    assert [(name, via) for name, _, _, via in builds if via != "derived"] == \
+        [("pair_group", "direct_product")]
+
+
+def test_derived_stores_equal_fresh_builds_after_a_smoke_battery(derived_run):
+    suite, builds = derived_run
+    parents = {id(g): g for _, g in suite.groups}
+    parents.update((id(parent), parent) for _, parent, _, _ in builds)
+    stored = sum(check_derived_store(g) for g in parents.values())
+    assert stored == sum(via == "derived" for _, _, _, via in builds)

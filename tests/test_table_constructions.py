@@ -22,7 +22,7 @@ import pytest
 from vgroups import FiniteGroup, StructuralError, TheoremCheckError, VGroup, VHom, VRel, battery
 from vgroups.builders import group_roster, standard_suite
 from vgroups.groups import _distinct, pair_group, quotient_group, subgroup_group
-from vgroups.vgroup import (classify_hom, discrete_vgroup, equalizer, fibers, identity_hom,
+from vgroups.vgroup import (discrete_vgroup, equalizer, fibers, identity_hom, is_regular_epi,
                             pair_meets, pullback, pullback_comparison, subobject, zero_hom)
 
 
@@ -256,7 +256,7 @@ def test_pulled_back_cospans_match_in_yield_order():
     """The cospans of both pullback-stability checks, at their caps, in the
     order they are visited, with their pullbacks."""
     suite = standard_suite("smoke")
-    visits = ((lambda f: classify_hom(f).regular_epi, battery.REGULAR_EPI_COSPAN_CAP),
+    visits = ((is_regular_epi, battery.REGULAR_EPI_COSPAN_CAP),
               (lambda f: suite.cache.report(f).stably_inverted, battery.STABLE_CLASS_CAP))
     counts = []
     for keep, cap in visits:

@@ -20,7 +20,8 @@ from vgroups import (CapacityError, FiniteGroup, Quantale, StructuralError,
 from vgroups.builders import group_roster
 from vgroups.groups import ENUMERATION_CAP
 from vgroups.vgroup import (factor_through_epi, factor_through_mono, fibers,
-                            final_structure, is_final, pullback_comparison)
+                            final_structure, is_final, is_regular_epi,
+                            pullback_comparison)
 
 
 class TestValidation:
@@ -356,6 +357,16 @@ class TestHomClassification:
         obj = discrete_vgroup(z2, non_integral_q)
         cls = classify_hom(identity_hom(obj))
         assert cls.regular_epi and not cls.normal_epi_alias
+
+    def test_is_regular_epi_is_the_classified_flag(self):
+        # every smoke morphism and a surjection that is not final
+        smoke = [f for _, _, f in standard_suite("smoke").all_homs()]
+        q = builtin_quantale("boolean")
+        z2 = FiniteGroup.cyclic(2)
+        not_final = VHom(discrete_vgroup(z2, q), indiscrete_vgroup(z2, q), [0, 1])
+        flags = [is_regular_epi(f) for f in smoke + [not_final]]
+        assert flags == [classify_hom(f).regular_epi for f in smoke + [not_final]]
+        assert 0 < sum(flags) < len(flags) and not flags[-1]
 
 
 class TestEnumeration:
