@@ -31,13 +31,12 @@ site stays out of reach of a finite check.
 Evaluation is a pure function of the formula, safe to share.  A window's
 matrix is copied from the formula's three blocks (bottom below the
 level, the identity on it, the base row above it) rather than evaluated
-entry by entry.  The kernel-pair meet structure is copied the same way:
-its entry at ((z1, z2, x), (z1', z2', x')) meets two window values, each
-one of the three blocks by the order of z1, z1' and of z2, z2', so a row
-is a concatenation of nine meet blocks per distinct point, each read
-once from the meet table.  The finality check folds the levels once per
-distinct (base value, same point) pair, on which alone the folded values
-depend.
+entry by entry.  The kernel pair is a pullback: its entry at
+((z1, z2, x), (z1', z2', x')) is the meet of the window values at
+((z1, x), (z1', x')) and ((z2, x), (z2', x')), which ``vgroup.pair_meets``,
+the builder of every pullback's meet structure, reads off the window
+matrix.  The finality check folds the levels once per distinct (base
+value, same point) pair, on which alone the folded values depend.
 
 The lemma behind the window scans: a window value at ((z, x), (z', y))
 depends on the two levels only through their order (<, = or >), and a
@@ -131,42 +130,6 @@ class IntegerIndexedCover:
         span = 2 * radius + 1
         return [lower * level + own + higher * (span - 1 - level)
                 for level in range(span) for lower, own, higher in blocks]
-
-    def kernel_pair_matrix(self, points):
-        """The meet structure on the kernel-pair elements (z1, z2, x) for
-        levels z1, z2 in ``LEVELS`` and x in ``points``, level-major: the
-        entry at ((z1, z2, x), (z1', z2', x')) is the meet of
-        ``relation((z1, x), (z1', x'))`` and ``relation((z2, x), (z2', x'))``.
-
-        Each relation value is one of the ``level_blocks``, chosen by the
-        order of its two levels, so a row is a concatenation of level
-        blocks taken from nine meet blocks per distinct point, each read
-        entry by entry from ``Quantale.meet_table``.  A missing meet (None)
-        goes through ``Quantale.meet`` at its first entry in row-major
-        order, which raises on its two relation values."""
-        q = self.quantale
-        table = q.meet_table
-        span = len(LEVELS)
-        rows_of, missing = {}, False
-        for x in set(points):
-            by_order = self.level_blocks(x, points)
-            blocks = [[tuple([table[u][v] for u, v in zip(first, second)])
-                       for second in by_order] for first in by_order]
-            missing = missing or any(None in block for row in blocks for block in row)
-            # inner[c][b]: the levels z2' of one z1' block, where the first
-            # relation takes order c and z2 is level b
-            inner = [[row[0] * b + row[1] + row[2] * (span - 1 - b) for b in range(span)]
-                     for row in blocks]
-            rows_of[x] = [inner[0][b] * a + inner[1][b] + inner[2][b] * (span - 1 - a)
-                          for a in range(span) for b in range(span)]
-        matrix = tuple(rows_of[x][k] for k in range(span * span) for x in points)
-        if missing:
-            carrier = [(z1, z2, x) for z1 in LEVELS for z2 in LEVELS for x in points]
-            for (z1, z2, x), row in zip(carrier, matrix):
-                if None in row:
-                    w1, w2, y = carrier[row.index(None)]
-                    q.meet(self.relation((z1, x), (w1, y)), self.relation((z2, x), (w2, y)))
-        return matrix
 
 
 def _guard(what, count, cap):
@@ -333,7 +296,9 @@ def kernel_pair_groupoid(cover, radius):
     points = range(base.size)
     window = Window(cover, 1)
     carrier = [(z1, z2, x) for z1 in LEVELS for z2 in LEVELS for x in points]
-    matrix = cover.kernel_pair_matrix(points)
+    # each (z1, z2, x) as the index pair ((z1, x), (z2, x)) in the window
+    matrix = pair_meets(base.quantale, window.matrix, window.matrix,
+                        [(window.index(z1, x), window.index(z2, x)) for z1, z2, x in carrier])
     position = {e: i for i, e in enumerate(carrier)}
     _add(report, "diagonal-embedding", window.elements, laws.reflection(
         window.matrix, matrix, [position[(z, z, x)] for z, x in window.elements]))
@@ -371,7 +336,9 @@ def action_of_covering(alpha, cover, radius):
                         [(window.index(z, alpha(a)), a) for z, a in carrier])
     composable = [((z1, z2, alpha(a)), (z2, a))
                   for z1 in LEVELS for z2 in LEVELS for a in range(dom.size)]
-    arrows = cover.kernel_pair_matrix([alpha(a) for a in range(dom.size)])
+    arrows = pair_meets(q, window.matrix, window.matrix,
+                        [(window.index(z1, x), window.index(z2, x))
+                         for (z1, z2, x), _ in composable])
 
     # the action map (z1, z2, x) . (z2, a) -> (z1, a) must be
     # structure-compatible: composable pairs carry the meet of the

@@ -350,8 +350,9 @@ def _emit_object(vg):
 def emit_document(doc):
     """The canonical plain-JSON form of a document (labels everywhere).
 
-    Every morphism must carry a name, as the schema asks of a parsed one;
-    an unnamed one raises, naming its index, rather than emitting a
+    Every morphism must carry a name, as the schema asks of a parsed one,
+    and no two the same name.  An unnamed morphism raises, naming its
+    index, and a repeated name raises, naming it, rather than emitting a
     document that ``parse_document`` refuses.
     """
     group, structure = _emit_object(doc.vgroup)
@@ -361,6 +362,8 @@ def emit_document(doc):
         for i, hom in enumerate(doc.morphisms):
             if hom.name is None:
                 raise StructuralError(f"morphism {i} has no name to emit")
+            if any(m["name"] == hom.name for m in morphisms):
+                raise StructuralError(f"morphism {hom.name!r} is named twice")
             # a morphism built without a spec emits its target inline
             target = specs[i]["target"] if i < len(specs) else None
             if isinstance(target, str):

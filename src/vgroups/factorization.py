@@ -48,11 +48,13 @@ class ClassCache:
     An entry is stored once its computation has returned, a quotient once
     its factorization has post-verified: a morphism refused as invalid or
     over a non-integral quantale adds nothing.  What the stores keep goes
-    through ``intern`` as it is stored, so that two pools keyed by value,
-    ``objects`` and ``groups``, hold the run's one instance of each.
+    through ``intern`` as it is stored, so that one pool keyed by value,
+    ``objects``, holds the run's one instance of each object.  Their groups
+    need no pool: each is built once per parent group
+    (``FiniteGroup.derived``).
     """
 
-    __slots__ = ("decompositions", "reports", "kernel_classes", "quotients", "objects", "groups")
+    __slots__ = ("decompositions", "reports", "kernel_classes", "quotients", "objects")
 
     def __init__(self):
         self.decompositions = {}
@@ -60,7 +62,6 @@ class ClassCache:
         self.kernel_classes = {}
         self.quotients = {}
         self.objects = {}
-        self.groups = {}
 
     def report(self, f):
         """The class report of f, classified on the first request only; a
@@ -81,14 +82,8 @@ class ClassCache:
         return found
 
     def intern(self, g):
-        """The run's first instance of g's value, over that of g's group."""
-        found = self.objects.get(g)
-        if found is None:
-            group = self.groups.setdefault(g.group, g.group)
-            if group is not g.group:
-                g = VGroup(group, g.quantale, g.structure, g.name)
-            found = self.objects[g] = g  # keyed by itself: no copy outlives the call
-        return found
+        """The run's first instance of g's value."""
+        return self.objects.setdefault(g, g)
 
     def leg(self, h):
         """h between the run's instances of its ends."""

@@ -16,15 +16,15 @@ and ``cosets``, read the rows of the parents' Cayley tables and their
 ``inverse`` tuples directly; ``op``, ``inv`` and ``conj`` remain for
 callers that need one product at a time.
 
-A group keeps two stores of what it derives, each entry written once,
-on first use: ``_homs``, the homomorphism searches out of it (below),
-and ``_derived``, the groups built from it through ``derived(build,
-*args)``.  The constructions of vgroup.py read their pullback, subobject
-and quotient groups from the second, so one run builds each of them once
-per parent; ``direct_product`` and every other direct call still build a
-fresh group.  ``_derived`` holds groups (with a quotient's projection),
-never a structure or a structured object, and a construction that raises
-stores nothing.
+A group keeps one store of what it derives, ``_derived``, each entry
+written once, on first use, through ``derived(build, *args)``: its
+generating set, the homomorphism searches out of it (below), and the
+groups built from it.  The constructions of vgroup.py read their
+pullback, subobject and quotient groups from it, so one run builds each
+of them once per parent; ``direct_product`` and every other direct call
+still build a fresh group.  ``_derived`` holds group data only (groups,
+a quotient's projection, index tuples), never a structure or a
+structured object, and a construction that raises stores nothing.
 
 Homomorphisms g -> h are found from generator images (Holt, Eick and
 O'Brien, *Handbook of Computational Group Theory*, 2005): a greedy
@@ -47,14 +47,13 @@ ENUMERATION_CAP = 10 ** 6
 class FiniteGroup:
     """A group on the indices of its Cayley table, with element names.
 
-    Beside its fields a group carries what it derives, found on first use:
-    its generators, ``_homs`` (each homomorphism search out of it, keyed
-    by the codomain) and ``_derived`` (each group built from it through
-    ``derived``, keyed by the construction and its other arguments).
+    Beside its fields a group carries what it derives, found on first use
+    and kept in ``_derived``, keyed by the construction and its other
+    arguments: its generators, each homomorphism search out of it and
+    each group built from it.
     """
 
-    __slots__ = ("names", "table", "identity", "inverse", "_generators", "_homs",
-                 "_derived", "_hash")
+    __slots__ = ("names", "table", "identity", "inverse", "_derived", "_hash")
 
     def __init__(self, table, names=None):
         table = tuple([tuple(row) for row in table])
@@ -98,8 +97,6 @@ class FiniteGroup:
         self.table = table
         self.identity = identity
         self.inverse = tuple(inverse)
-        self._generators = None
-        self._homs = {}
         self._derived = {}
         self._hash = None
 
@@ -112,8 +109,6 @@ class FiniteGroup:
         groups that passed ``__init__`` may call it."""
         g = cls.__new__(cls)
         g.table, g.names, g.identity, g.inverse = table, names, identity, inverse
-        g._generators = None
-        g._homs = {}
         g._derived = {}
         g._hash = None
         return g
@@ -158,14 +153,7 @@ class FiniteGroup:
     def generators(self):
         """A generating set: each element, in index order, that the ones
         picked before it do not generate.  Found on first use."""
-        if self._generators is None:
-            gens, span = [], {self.identity}
-            for x in range(self.size):
-                if x not in span:
-                    gens.append(x)
-                    span = set(self.subgroup_closure(gens))
-            self._generators = tuple(gens)
-        return self._generators
+        return self.derived(_greedy_generators)
 
     @property
     def is_abelian(self):
@@ -301,12 +289,12 @@ def _distinct(names):
 
 def subgroup_group(group, subset):
     """The subgroup on a sorted subset, reindexed, with inherited names;
-    on the whole carrier, the group itself."""
+    on the whole carrier, each element once, the group itself."""
     subset = tuple(sorted(subset))
+    if subset == tuple(range(group.size)):
+        return group
     if not group.is_subgroup(subset):
         raise StructuralError("subset is not a subgroup")
-    if len(subset) == group.size:
-        return group
     names = _distinct(tuple([group.names[x] for x in subset]))
     pos = {x: i for i, x in enumerate(subset)}
     rows = [group.table[x] for x in subset]
@@ -360,6 +348,17 @@ def quotient_group(group, normal_subset):
     return quotient, projection
 
 
+def _greedy_generators(g):
+    """``g.generators``: each element, in index order, that the ones picked
+    before it do not generate."""
+    gens, span = [], {g.identity}
+    for x in range(g.size):
+        if x not in span:
+            gens.append(x)
+            span = set(g.subgroup_closure(gens))
+    return tuple(gens)
+
+
 def hom_search_size(g, h):
     """The image choices ``group_homs`` tries: |h|^k for the k generators of g."""
     return h.size ** len(g.generators)
@@ -396,22 +395,24 @@ def group_homs(g, h):
     induction on a word in the generators for y gives m(x + y) =
     m(x) + m(y), by associativity of both tables.
 
-    The search runs once per pair: g keeps its result in ``g._homs``,
-    keyed by h, so an equal codomain finds it too.  The cap is checked on
-    every call, before the lookup, and a failed search stores nothing.
-    Each call returns a new list, which the caller may change.
+    The search runs once per pair: g keeps its result through
+    ``g.derived``, keyed by h, so an equal codomain finds it too.  The cap
+    is checked on every call, before the lookup, and a refused search
+    stores nothing.  Each call returns a new list, which the caller may
+    change.
     """
     count = hom_search_size(g, h)
     if count > ENUMERATION_CAP:
         raise CapacityError(
             f"{count} generator image choices exceed the cap of {ENUMERATION_CAP}")
-    homs = g._homs.get(h)
-    if homs is None:
-        gens = g.generators
-        homs = g._homs[h] = tuple([
-            mapping for images in iproduct(range(h.size), repeat=len(gens))
-            if (mapping := _propagate(g, h, gens, images)) is not None])
-    return list(homs)
+    return list(g.derived(_search_homs, h))
+
+
+def _search_homs(g, h):
+    """``group_homs(g, h)`` as a tuple, searched with no cap."""
+    gens = g.generators
+    return tuple([mapping for images in iproduct(range(h.size), repeat=len(gens))
+                  if (mapping := _propagate(g, h, gens, images)) is not None])
 
 
 def group_isomorphisms(g, h):

@@ -14,6 +14,7 @@ from vgroups import (FiniteGroup, IntegerIndexedCover, NonIntegralQuantaleError,
                      verify_cover_window)
 from vgroups import descent
 from vgroups.reports import ValidationReport
+from vgroups.vgroup import pair_meets
 
 
 class TestPiecewiseFormula:
@@ -193,9 +194,15 @@ def reference_kernel_pair_matrix(cover, radius):
 
 
 def built_kernel_pair(cover, radius=1):
-    """The radius-1 kernel-pair matrix of every base point; ``radius`` is
-    ignored, so that ``outcome`` can call it like a check."""
-    return cover.kernel_pair_matrix(range(cover.base.size))
+    """The radius-1 kernel-pair matrix of every base point, as
+    ``kernel_pair_groupoid`` builds it through ``descent.pair_meets``;
+    ``radius`` is ignored, so that ``outcome`` can call it like a check."""
+    built = []
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(descent, "pair_meets",
+                      lambda *args: built.append(pair_meets(*args)) or built[-1])
+        kernel_pair_groupoid(cover, 1)
+    return built[0]
 
 
 def on_levels(matrix, radius, n):
@@ -698,24 +705,20 @@ def test_every_witness_violates_its_law_at_its_radius():
 def test_lawful_windows_build_nothing_beyond_radius_one(monkeypatch):
     # the laws are scanned on radius-1 data only, on lawful and lawless
     # bases alike: no window of a larger radius is built, and each kernel
-    # pair and action carrier has the radius-1 window's levels, 9 and 3
-    # per point
+    # pair (the meets of the window with itself) and action carrier has
+    # the radius-1 window's levels, 9 and 3 per point
     built, scanned = [], []
     window_matrix = IntegerIndexedCover.window_matrix
     monkeypatch.setattr(IntegerIndexedCover, "window_matrix", lambda self, radius:
                         built.append(("window", radius)) or window_matrix(self, radius))
-    kernel_pair_matrix = IntegerIndexedCover.kernel_pair_matrix
 
-    def counted_kernel_pair(self, points):
-        matrix = kernel_pair_matrix(self, points)
-        built.append(("kernel pair", len(matrix) / len(points)))
-        return matrix
+    def counted_pair_meets(q, a, b, pairs):
+        # a is the radius-1 window: three rows per point of its base
+        built.append(("kernel pair", len(pairs) / (len(a) / 3)) if b is a
+                     else ("action carrier", len(pairs) / len(b)))
+        return pair_meets(q, a, b, pairs)
 
-    monkeypatch.setattr(IntegerIndexedCover, "kernel_pair_matrix", counted_kernel_pair)
-    pair_meets = descent.pair_meets
-    monkeypatch.setattr(descent, "pair_meets", lambda q, a, b, pairs:
-                        built.append(("action carrier", len(pairs) / len(b)))
-                        or pair_meets(q, a, b, pairs))
+    monkeypatch.setattr(descent, "pair_meets", counted_pair_meets)
     for name in ("reflexivity", "transitivity", "shift_invariance", "separation",
                  "compatibility", "reflection"):
         original = getattr(laws, name)

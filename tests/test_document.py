@@ -197,6 +197,19 @@ class TestRoundTrip:
         with pytest.raises(StructuralError, match="morphism 1 has no name"):
             emit_document(built)
 
+    def test_a_repeated_morphism_name_raises_at_emit(self):
+        # parse_document refuses a document that names two morphisms alike,
+        # so emit refuses to write one, naming the repeated name
+        shipped = load_document(DOCS / "z4_boolean_morphism.json")
+        (q,) = shipped.morphisms
+        twice = [q, VHom(q.dom, q.cod, q.mapping, name=q.name)]
+        built = WorkbenchDocument(quantale=shipped.quantale, vgroup=shipped.vgroup,
+                                  morphisms=twice, quantale_spec=shipped.quantale_spec)
+        with pytest.raises(StructuralError, match="morphism 'q' is named twice"):
+            emit_document(built)
+        with pytest.raises(StructuralError, match="morphism 'q' is named twice"):
+            document_text(built)
+
 
 class TestFileTargets:
     def test_path_target_resolved(self, tmp_path):

@@ -1,3 +1,4 @@
+from collections import Counter
 from itertools import permutations, product
 
 import pytest
@@ -5,8 +6,10 @@ import pytest
 from vgroups import (CapacityError, FiniteGroup, StructuralError, group_isomorphism,
                      laws, quotient_group, subgroup_group)
 from vgroups.builders import group_roster
-from vgroups.groups import (group_homs, group_isomorphisms, hom_search_size,
-                            pair_group)
+from vgroups.quantale import boolean
+from vgroups.vgroup import discrete_vgroup, subobject
+from vgroups.groups import (_search_homs, group_homs, group_isomorphisms,
+                            hom_search_size, pair_group)
 
 from test_vgroup import dihedral8, quaternion8
 
@@ -136,10 +139,14 @@ class TestDerivedGroupErrors:
             subgroup_group(FiniteGroup.cyclic(4), (0, 1))
 
     def test_subgroup_group_rejects_repeated_elements(self):
-        # -2 names the same element as 2
-        for subset in ((0, 0, 2), (-2, 0, 2)):
+        # -2 names the same element as 2; (0, 0, 2, 2) has the group's
+        # length, but is not its whole carrier
+        z4 = FiniteGroup.cyclic(4)
+        for subset in ((0, 0, 2), (-2, 0, 2), (0, 0, 2, 2)):
             with pytest.raises(StructuralError, match="element names must be distinct"):
-                subgroup_group(FiniteGroup.cyclic(4), subset)
+                subgroup_group(z4, subset)
+            with pytest.raises(StructuralError, match="element names must be distinct"):
+                subobject(discrete_vgroup(z4, boolean()), subset)
 
     def test_quotient_group_rejects_non_subgroup(self):
         with pytest.raises(StructuralError, match="subset is not a normal subgroup"):
@@ -169,18 +176,29 @@ def group_fields(g):
 
 def check_derived_store(parent):
     """Require each entry of ``parent._derived`` to equal a fresh build from
-    its key, names included, and a second call to return it; the number of
-    entries."""
+    its key: a group with its names and a quotient's projection, the
+    generators or a hom search; and a second call to return it.  The
+    number of entries, by construction name."""
+    counts = Counter()
     for key, stored in list(parent._derived.items()):
         build, *args = key
         fresh = build(parent, *args)
         if build is quotient_group:
             (stored, stored_projection), (fresh, fresh_projection) = stored, fresh
             assert stored_projection == fresh_projection
-        assert group_fields(stored) == group_fields(fresh), (parent, key)
-        assert stored is not parent
+        if isinstance(stored, FiniteGroup):
+            assert group_fields(stored) == group_fields(fresh), (parent, key)
+            assert stored is not parent
+        else:
+            assert stored == fresh, (parent, key)
         assert parent.derived(build, *args) is parent._derived[key]
-    return len(parent._derived)
+        counts[build.__name__] += 1
+    return counts
+
+
+def searched(g):
+    """The codomains of the hom searches that g keeps, in search order."""
+    return [args[0] for build, *args in g._derived if build is _search_homs]
 
 
 class TestDerived:
@@ -199,7 +217,8 @@ class TestDerived:
                 pairs = tuple(product(range(g.size), range(h.size)))
                 assert g.derived(pair_group, h, pairs) == FiniteGroup.direct_product(g, h)
             # every subgroup but the whole carrier, every quotient, every product
-            assert check_derived_store(g) == len(subgroups) - 1 + len(normal) + len(roster)
+            assert sum(check_derived_store(g).values()) == \
+                len(subgroups) - 1 + len(normal) + len(roster)
 
     def test_a_construction_that_raises_stores_nothing(self):
         z4, s3 = FiniteGroup.cyclic(4), FiniteGroup.symmetric3()
@@ -267,6 +286,18 @@ class TestSubgroups:
         with pytest.raises(StructuralError):
             subgroup_group(z4, (0, 3))
 
+    def test_the_whole_carrier_skips_the_subgroup_scan(self, monkeypatch):
+        scanned = []
+        is_subgroup = FiniteGroup.is_subgroup
+        monkeypatch.setattr(FiniteGroup, "is_subgroup", lambda self, subset:
+                            scanned.append(tuple(subset)) or is_subgroup(self, subset))
+        for g in group_roster().values():
+            assert subgroup_group(g, range(g.size)) is g
+            assert subgroup_group(g, reversed(range(g.size))) is g
+        assert scanned == []
+        subgroup_group(FiniteGroup.cyclic(4), (0, 2))
+        assert scanned == [(0, 2)]
+
     def test_cosets_deterministic(self):
         z4 = FiniteGroup.cyclic(4)
         assert z4.cosets((0, 2)) == [(0, 2), (1, 3)]
@@ -326,7 +357,7 @@ class TestHomSearch:
         again = FiniteGroup.cyclic(2)
         assert again == z2 and again is not z2
         assert group_homs(s3, again) == first
-        assert list(s3._homs) == [z2]
+        assert searched(s3) == [z2]
         # an equal but distinct domain searches again, to the same list
         assert group_homs(FiniteGroup.symmetric3(), again) == first
 
@@ -336,7 +367,7 @@ class TestHomSearch:
         rebuilt = FiniteGroup(quotient.table, quotient.names)
         assert rebuilt == quotient and hash(rebuilt) == hash(quotient)
         assert group_homs(z4, quotient) == group_homs(z4, rebuilt)
-        assert len(z4._homs) == 1
+        assert len(searched(z4)) == 1
         # Z4/{0, 2} has Z2's table under other names: the maps are the same
         z2 = FiniteGroup.cyclic(2)
         assert quotient.table == z2.table and quotient != z2
@@ -365,7 +396,7 @@ class TestHomSearch:
         for _ in range(2):
             with pytest.raises(CapacityError):
                 group_homs(fresh, fresh)
-        assert fresh._homs == {}
+        assert searched(fresh) == []
         monkeypatch.setattr("vgroups.groups.ENUMERATION_CAP", 16)
         assert group_homs(k4, k4) == group_homs(fresh, fresh) == stored
 

@@ -1,16 +1,14 @@
 """One instance per stored object and per group in a run.
 
 The constructions build fresh values; ``ClassCache.intern`` maps each
-object that a store keeps to the run's instance of its value, over the
-run's instance of its group, as it is stored.  After a smoke battery,
-every object and group reachable from the suite or from a store is one
-instance per value and its pool's instance, every report key ends at the
-decomposed instances, and every pooled object equals, names included,
-the object it stands in for.
-
-Below a run, each parent group builds each pullback, subobject and
-quotient group once, through ``FiniteGroup.derived``; the stores it
-leaves equal fresh builds.
+object that a store keeps to the run's instance of its value as it is
+stored.  Below a run, each parent group builds each pullback, subobject
+and quotient group once, through ``FiniteGroup.derived``, so the groups
+need no pool of their own.  After a smoke battery, every object and group
+reachable from the suite or from a store is one instance per value, each
+object its pool's instance, every report key ends at the decomposed
+instances, and every pooled object equals, names included, the object it
+stands in for.  The stores ``derived`` leaves equal fresh builds.
 """
 
 import sys
@@ -23,7 +21,7 @@ from vgroups.builders import group_roster, standard_suite
 from vgroups.factorization import ClassCache
 from vgroups.groups import FiniteGroup, group_homs, subgroup_group
 
-from test_groups import check_derived_store
+from test_groups import check_derived_store, searched
 
 
 def _objects_of(suite):
@@ -70,15 +68,14 @@ def battery_run():
 
 
 def test_one_instance_per_group_after_a_smoke_battery(battery_run):
-    """One instance per object value and per group value, each its pool's."""
+    """One instance per object value, each its pool's, and per group value."""
     suite, _ = battery_run
     objects = _instances(_objects_of(suite))
     assert len(objects) == len(set(objects))
     cache = suite.cache
-    groups = _instances([obj.group for obj in objects] + list(cache.groups))
-    assert len(groups) == len(set(groups))
     assert all(cache.objects[obj] is obj for obj in objects)
-    assert all(cache.groups[group] is group for group in groups)
+    groups = _instances([obj.group for obj in objects])
+    assert len(groups) == len(set(groups))
     # the roster's 4 groups and what the stores derived from them
     assert len(groups) > len(suite.groups)
 
@@ -119,17 +116,18 @@ def test_the_whole_carrier_is_the_group_itself():
 
 
 def test_pooled_groups_find_the_homs_of_a_fresh_copy(battery_run):
-    """The pool's groups carry the homomorphism searches of the whole run
-    in ``_homs``; each gives what a fresh copy of it gives."""
+    """The groups of the pooled objects carry the homomorphism searches of
+    the whole run in ``_derived``; each gives what a fresh copy of it
+    gives."""
     roster = list(group_roster().values())
-    pooled = list(battery_run[0].cache.groups.values())
+    pooled = list(_instances([obj.group for obj in battery_run[0].cache.objects]))
     for g in pooled:
         fresh = FiniteGroup(g.table, g.names)
         assert fresh == g and fresh is not g
         for h in roster + [g]:
             assert group_homs(g, h) == group_homs(fresh, h)
             assert group_homs(h, g) == group_homs(h, fresh)
-    assert any(g._homs for g in pooled)
+    assert any(searched(g) for g in pooled)
 
 
 # The arguments of each construction that builds through
@@ -181,5 +179,8 @@ def test_derived_stores_equal_fresh_builds_after_a_smoke_battery(derived_run):
     suite, builds = derived_run
     parents = {id(g): g for _, g in suite.groups}
     parents.update((id(parent), parent) for _, parent, _, _ in builds)
-    stored = sum(check_derived_store(g) for g in parents.values())
-    assert stored == sum(via == "derived" for _, _, _, via in builds)
+    stored = sum((check_derived_store(g) for g in parents.values()), Counter())
+    assert sum(stored[name] for name in CONSTRUCTIONS) == \
+        sum(via == "derived" for _, _, _, via in builds)
+    # and the generators and hom searches kept beside them
+    assert stored["_greedy_generators"] and stored["_search_homs"]
