@@ -18,13 +18,14 @@ from .errors import StructuralError, TheoremCheckError
 from .factorization import (cached_decomposition, monotone_light_factorize,
                             reflective_factorize)
 from .quantale import validate_quantale
-from .torsion import (default_test_family, matches_final_composite,
+from .torsion import (built_once, default_test_family, matches_final_composite,
                       pretorsion_decompose, symmetric_coreflect)
 from .vgroup import (classify_hom, classify_object, cokernel, factor_through_epi,
                      factor_through_mono, factorization_middle_iso,
                      image_factorize, is_isomorphism, is_regular_epi, kernel,
-                     profile_matrix, pullback, pullback_comparison, quotient_vgroup,
-                     subobject, validate_hom, validate_vgroup, zero_hom)
+                     mono_positions, profile_matrix, pullback, pullback_comparison,
+                     pullback_index, quotient_vgroup, subobject, validate_hom,
+                     validate_vgroup, zero_hom)
 
 MATRIX_ENUMERATION_CAP = 200_000  # past it, route checks spread shift profiles
 SMALL_CARRIER = 4  # the largest objects the subgroup and alternative searches visit
@@ -206,17 +207,22 @@ def check_ses_morphism_pullback(suite):
     checked = 0
     sequences = {i: _exact_sequences(obj.vgroup) for i, obj in enumerate(suite.objects)
                  if obj.vgroup.size <= SMALL_CARRIER}
+    # the position map of each inclusion, once per (object, normal subgroup)
+    positions = {i: [mono_positions(inc) for _, inc, _ in seqs]
+                 for i, seqs in sequences.items()}
     for i, j in iproduct(sequences, repeat=2):
         hs = suite.homs_between(i, j)
         if hs is None:
             continue
         for b in hs.homs:
-            pulled = {}  # pullback(inc_y, b) by ny; it does not depend on nx
+            # pullback(inc_y, b) and its pair index by ny; neither depends on nx
+            pulled = {}
             onto_quotients = [b.then(proj_y) for _, _, proj_y in sequences[j]]
             for nx, inc_x, proj_x in sequences[i]:
                 restricted = inc_x.then(b)
-                for (ny, inc_y, _), onto in zip(sequences[j], onto_quotients):
-                    a_vert = factor_through_mono(restricted, inc_y)
+                for (ny, inc_y, _), onto, pos_y in zip(sequences[j], onto_quotients,
+                                                       positions[j]):
+                    a_vert = factor_through_mono(restricted, inc_y, pos_y)
                     if a_vert is None:
                         continue
                     c_vert = factor_through_epi(proj_x, onto)
@@ -225,10 +231,11 @@ def check_ses_morphism_pullback(suite):
                                b.mapping, nx, ny)
                     try:
                         if ny not in pulled:
-                            pulled[ny] = pullback(inc_y, b)
-                        p, to_ty, to_x = pulled[ny]
+                            p, to_ty, to_x = pullback(inc_y, b)
+                            pulled[ny] = p, to_ty, to_x, pullback_index(to_ty, to_x)
+                        p, to_ty, to_x, index = pulled[ny]
                         left_is_pullback = is_isomorphism(
-                            pullback_comparison(p, to_ty, to_x, a_vert, inc_x))
+                            pullback_comparison(p, to_ty, to_x, a_vert, inc_x, index))
                     except THEOREM_FAILURES as exc:
                         failures.append(witness + (str(exc),))
                         continue
@@ -448,24 +455,27 @@ def check_pretorsion(suite):
     and on objects of at most ``SMALL_CARRIER`` elements the symmetric
     part lies below the object and above every symmetric suite structure
     on its carrier that lies below it.  The families share their small
-    objects, so the null spot checks of each pair of test objects run
-    once per run, and the symmetric structures of each carrier are found
-    once."""
+    objects, so the decompositions share three run-wide dicts: the null
+    spot checks of each pair of test objects run once per run, and each
+    distinct object is classified once and symmetrized once, in the
+    families and in the greatest-part search alike; the symmetric
+    structures of each carrier are found once."""
     failures = []
     checked = 0
-    spot_checks = {}
+    spot_checks, classes, symmetric_parts = {}, {}, {}
     for qname in PRETORSION_QUANTALES:
         small = [o.vgroup for o in suite.objects_over(qname)
                  if o.vgroup.size <= PRETORSION_FAMILY_MAX_CARRIER]
         for obj in suite.objects_over(qname):
             checked += 1
             try:
-                family = default_test_family(obj.vgroup)
+                family = default_test_family(obj.vgroup, symmetric_parts=symmetric_parts)
                 for extra in small:
                     if extra not in family:
                         family.append(extra)
                 pretorsion_decompose(obj.vgroup, test_objects=family,
-                                     spot_checks=spot_checks)
+                                     spot_checks=spot_checks, classes=classes,
+                                     symmetric_parts=symmetric_parts)
             except THEOREM_FAILURES as exc:
                 failures.append((obj.name, str(exc)))
     greatest_checked = 0
@@ -474,14 +484,14 @@ def check_pretorsion(suite):
         if obj.vgroup.size > SMALL_CARRIER:
             continue
         try:
-            hat = symmetric_coreflect(obj.vgroup)
+            hat = built_once(symmetric_parts, symmetric_coreflect, obj.vgroup)
             if not hat.structure.leq(obj.vgroup.structure):
                 failures.append((obj.name, "symmetric part not below"))
             carrier = (obj.quantale_name, obj.group_name)
             if carrier not in symmetric_on:
                 symmetric_on[carrier] = [
                     candidate for candidate in suite.structures_on(*carrier)
-                    if classify_object(candidate).symmetric]
+                    if built_once(classes, classify_object, candidate).symmetric]
             for candidate in symmetric_on[carrier]:
                 if not candidate.structure.leq(obj.vgroup.structure):
                     continue

@@ -6,10 +6,14 @@ in lexicographic mapping order.  In suite order, a hom-set A -> B is
 enumerated if |B|^|A| (a coverage rule, not the search's cost, which is
 ``groups.hom_search_size``) fits in what is left of the total budget,
 and marked truncated otherwise (20,309 of 22,959 at full, none at smoke).
+Each hom-set is a ``HomSet``, an immutable named tuple built
+positionally, so the full level's 22,959 records, most of them empty
+truncated ones, cost a tuple each.
 """
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from typing import NamedTuple
 
 from .factorization import ClassCache
 from .groups import FiniteGroup
@@ -52,8 +56,11 @@ class SuiteObject:
     vgroup: object
 
 
-@dataclass(frozen=True)
-class HomSet:
+class HomSet(NamedTuple):
+    """The morphisms from object ``dom`` to object ``cod`` (suite indices),
+    in ``enumerate_homs`` order, with the |cod|^|dom| ``candidates`` the
+    budget charged; a ``truncated`` one was not enumerated and holds none.
+    Immutable: a named tuple, which refuses attribute assignment."""
     dom: int
     cod: int
     homs: tuple
@@ -151,21 +158,23 @@ def standard_suite(level="smoke"):
                 objects.append(SuiteObject(name=name, quantale_name=qname,
                                            group_name=gname, vgroup=vg))
 
+    # Hom-sets pair objects over one quantale only, and each quantale's
+    # objects are contiguous in suite order, so walking each quantale's
+    # (index, object, size) triples pair by pair keeps the (i, j) order.
     hom_sets = []
     budget = TOTAL_HOM_BUDGET
-    for i, a in enumerate(objects):
-        for j, b in enumerate(objects):
-            if a.quantale_name != b.quantale_name:
-                continue
-            candidates = b.vgroup.size ** a.vgroup.size
-            if candidates > budget:
-                hom_sets.append(HomSet(dom=i, cod=j, homs=(),
-                                       truncated=True, candidates=candidates))
-                continue
-            budget -= candidates
-            homs = tuple(enumerate_homs(a.vgroup, b.vgroup))
-            hom_sets.append(HomSet(dom=i, cod=j, homs=homs,
-                                   truncated=False, candidates=candidates))
+    for qname, _ in quantales:
+        over = [(i, obj.vgroup, obj.vgroup.size) for i, obj in enumerate(objects)
+                if obj.quantale_name == qname]
+        for i, a, a_size in over:
+            for j, b, b_size in over:
+                candidates = b_size ** a_size
+                if candidates > budget:
+                    hom_sets.append(HomSet(i, j, (), True, candidates))
+                    continue
+                budget -= candidates
+                hom_sets.append(HomSet(i, j, tuple(enumerate_homs(a, b)),
+                                       False, candidates))
 
     return Suite(level=level, quantales=quantales, groups=groups,
                  objects=objects, hom_sets=hom_sets)

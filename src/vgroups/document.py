@@ -33,8 +33,8 @@ from .quantale import Quantale, builtin_quantale
 from .vgroup import VGroup, VHom
 from .vrel import VRel
 
-with resources.files("vgroups.data").joinpath("workbench.schema.json").open() as _fh:
-    SCHEMA = json.load(_fh)
+SCHEMA = json.loads(resources.files("vgroups.data")
+                    .joinpath("workbench.schema.json").read_text(encoding="utf-8"))
 
 _VALIDATOR = jsonschema.Draft202012Validator(SCHEMA)
 

@@ -18,8 +18,9 @@ callers that need one product at a time.
 
 A group keeps one store of what it derives, ``_derived``, each entry
 written once, on first use, through ``derived(build, *args)``: its
-generating set, the homomorphism searches out of it (below), and the
-groups built from it.  The constructions of vgroup.py read their
+generating set, its table of right differences (``difference_rows``),
+the homomorphism searches out of it (below), and the groups built from
+it.  The constructions of vgroup.py read their
 pullback, subobject and quotient groups from it, so one run builds each
 of them once per parent; ``direct_product`` and every other direct call
 still build a fresh group.  ``_derived`` holds group data only (groups,
@@ -357,6 +358,14 @@ def _greedy_generators(g):
             gens.append(x)
             span = set(g.subgroup_closure(gens))
     return tuple(gens)
+
+
+def difference_rows(g):
+    """The right differences by row: ``rows[x][y]`` is ``g.sub(y, x)``, so
+    row x is the column of the Cayley table at -x.  Read through
+    ``g.derived(difference_rows)``, built once per group."""
+    table = g.table
+    return tuple([tuple([row[back] for row in table]) for back in g.inverse])
 
 
 def hom_search_size(g, h):

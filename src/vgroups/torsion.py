@@ -203,9 +203,23 @@ def is_null_morphism(f):
     return {"is_null": verdict, "method": "via-image"}
 
 
-def default_test_family(*objects):
+def built_once(store, build, obj):
+    """``build(obj)``, built on the first call for ``obj``'s value and kept
+    in ``store``, a dict by object that a caller may share between calls;
+    a build that raises stores nothing."""
+    found = store.get(obj)
+    if found is None:
+        found = store[obj] = build(obj)
+    return found
+
+
+def default_test_family(*objects, symmetric_parts=None):
     """Deduplicated test objects: the given ones, their symmetrizations,
-    and the one-element objects (unit-valued and top-valued)."""
+    and the one-element objects (unit-valued and top-valued).  Each
+    symmetrization is read from ``symmetric_parts`` (a dict by object,
+    filled on a miss, as ``pretorsion_decompose`` takes it) when given."""
+    if symmetric_parts is None:
+        symmetric_parts = {}
     family = []
     seen = set()
     q = objects[0].quantale
@@ -214,7 +228,7 @@ def default_test_family(*objects):
     if q.unit != q.top:
         candidates.append(trivial_vgroup(q, value=q.top))
     for obj in objects:
-        candidates.append(symmetric_coreflect(obj))
+        candidates.append(built_once(symmetric_parts, symmetric_coreflect, obj))
     for obj in candidates:
         if obj not in seen:
             seen.add(obj)
@@ -342,7 +356,8 @@ def _null_spot_check(t, f_obj, hom_sets):
     return checked
 
 
-def pretorsion_decompose(g, test_objects=None, spot_checks=None):
+def pretorsion_decompose(g, test_objects=None, spot_checks=None, classes=None,
+                         symmetric_parts=None):
     """Symmetric part, identity comparison, separated quotient; verified.
 
     Works over any quantale.  The symmetric part is below g by
@@ -350,31 +365,38 @@ def pretorsion_decompose(g, test_objects=None, spot_checks=None):
     verifiers on the sequence and spot-checks that every enumerated
     morphism from a symmetric test object to a separated one is null.
 
-    A spot check depends on its pair of test objects alone, not on g.
+    Three optional dicts carry what depends on the test objects alone,
+    not on g, so that a caller that decomposes many objects over
+    overlapping families passes the same ones to every call and each
+    entry is found once (keys compare by ``VGroup`` equality):
     ``spot_checks`` maps each pair (t, f) already checked to its number
-    of morphisms; a caller that decomposes many objects over overlapping
-    families passes one dict to every call, and each pair is checked once
-    (pairs compare by ``VGroup`` equality).  A pair whose check raises is
-    not stored, so every later call meets it again.  Without it a fresh
-    dict is used.  ``notes["null_spot_checks"]`` counts the morphisms of
+    of morphisms, ``classes`` each object to its ``classify_object``, and
+    ``symmetric_parts`` each object to its ``symmetric_coreflect`` (the
+    default family's symmetrizations read it too).  What raises is not
+    stored, so every later call meets it again.  Each omitted dict is a
+    fresh one, so that a call alone, as the ``pretorsion`` command makes
+    it, still classifies each distinct test object once and keeps
+    nothing.  ``notes["null_spot_checks"]`` counts the morphisms of
     every pair of the family, checked now or before.
 
     Within one call, each hom-set is enumerated once, for both verifiers
-    and the spot checks, and each distinct test object classified once;
-    neither outlives the call.
+    and the spot checks; the hom-sets do not outlive the call.
     """
-    sym = symmetric_coreflect(g)
+    if spot_checks is None:
+        spot_checks = {}
+    if classes is None:
+        classes = {}
+    if symmetric_parts is None:
+        symmetric_parts = {}
+    sym = built_once(symmetric_parts, symmetric_coreflect, g)
     comparison = VHom(sym, g, range(g.size))
     members = torsion_part(g)
     quotient, projection = quotient_vgroup(g, members)
-    classes = {quotient: classify_object(quotient)}
-    if not classes[quotient].separated:
+    if not built_once(classes, classify_object, quotient).separated:
         raise TheoremCheckError(f"pretorsion quotient of {g!r} is not separated")
 
     if test_objects is None:
-        test_objects = default_test_family(g, quotient)
-    if spot_checks is None:
-        spot_checks = {}
+        test_objects = default_test_family(g, quotient, symmetric_parts=symmetric_parts)
     hom_sets = {}
     kernel_report = verify_pretorsion_kernel(
         comparison, projection, test_objects=test_objects, hom_sets=hom_sets)
@@ -386,14 +408,12 @@ def pretorsion_decompose(g, test_objects=None, spot_checks=None):
             f"{kernel_report.laws_violated() + cokernel_report.laws_violated()}")
 
     checked = 0
-    for t in test_objects:
-        if t not in classes:
-            classes[t] = classify_object(t)
-    for t in test_objects:
-        if not classes[t].symmetric:
+    family = [(t, built_once(classes, classify_object, t)) for t in test_objects]
+    for t, t_class in family:
+        if not t_class.symmetric:
             continue
-        for f_obj in test_objects:
-            if not classes[f_obj].separated:
+        for f_obj, f_class in family:
+            if not f_class.separated:
                 continue
             if (t, f_obj) not in spot_checks:
                 spot_checks[t, f_obj] = _null_spot_check(t, f_obj, hom_sets)

@@ -32,8 +32,8 @@ from itertools import product as iproduct
 
 from . import groups, laws
 from .errors import CapacityError, StructuralError, TheoremCheckError
-from .groups import (FiniteGroup, group_homs, group_isomorphisms, pair_group,
-                     quotient_group, subgroup_group)
+from .groups import (FiniteGroup, difference_rows, group_homs, group_isomorphisms,
+                     pair_group, quotient_group, subgroup_group)
 from .quantale import validate_quantale
 from .reports import ValidationReport
 from .vrel import VRel
@@ -185,9 +185,14 @@ def trivial_vgroup(quantale, value=None, name=None):
 
 
 def profile_matrix(group, delta):
-    """The matrix a(x, y) = delta(y - x) of a shift profile, as row tuples."""
-    rng = range(group.size)
-    return tuple(tuple(delta[group.sub(y, x)] for y in rng) for x in rng)
+    """The matrix a(x, y) = delta(y - x) of a shift profile, as row tuples.
+
+    Each row is delta read along a row of the group's difference table
+    (``groups.difference_rows``, built once per group), with no call per
+    entry; ``enumerate_structures`` and the battery's route check spread
+    every candidate profile of a group through the one table."""
+    read = delta.__getitem__
+    return tuple([tuple(map(read, row)) for row in group.derived(difference_rows)])
 
 
 def structure_from_delta(group, quantale, delta):
@@ -418,12 +423,22 @@ def pair_meets(q, a, b, pairs):
     return tuple(rows)
 
 
-def pullback_comparison(p, pi1, pi2, u1, u2):
-    """The universal map into a pullback p with projections pi1 and pi2,
-    given a commuting cone (u1, u2)."""
+def pullback_index(pi1, pi2):
+    """The points of a pullback by their pair of images under its
+    projections pi1 and pi2: each pair to the list of its points, in index
+    order.  ``pullback_comparison`` reads it."""
     hits = {}
     for i, pair in enumerate(zip(pi1.mapping, pi2.mapping)):
         hits.setdefault(pair, []).append(i)
+    return hits
+
+
+def pullback_comparison(p, pi1, pi2, u1, u2, index=None):
+    """The universal map into a pullback p with projections pi1 and pi2,
+    given a commuting cone (u1, u2).  ``index`` is
+    ``pullback_index(pi1, pi2)``, built here when omitted; a caller that
+    compares many cones into one pullback builds it once."""
+    hits = pullback_index(pi1, pi2) if index is None else index
     mapping, second = [], u2.mapping
     for x, y in enumerate(u1.mapping):
         found = hits.get((y, second[x]), ())
@@ -442,10 +457,18 @@ def _shared_quantale(g, h):
         raise StructuralError("homomorphisms need a shared quantale")
 
 
-def factor_through_mono(f, m):
+def mono_positions(m):
+    """Each point of the image of the monomorphism m, mapped to its one
+    preimage.  ``factor_through_mono`` reads it."""
+    return {y: i for i, y in enumerate(m.mapping)}
+
+
+def factor_through_mono(f, m, positions=None):
     """The map h with h.then(m) == f, or None when f does not land in the
-    image of the monomorphism m."""
-    pos = {y: i for i, y in enumerate(m.mapping)}
+    image of the monomorphism m.  ``positions`` is ``mono_positions(m)``,
+    built here when omitted; a caller that factors many maps through one
+    mono builds it once."""
+    pos = mono_positions(m) if positions is None else positions
     mapping = [pos.get(y) for y in f.mapping]
     if None in mapping:
         return None

@@ -10,7 +10,7 @@ import pytest
 
 from vgroups import (classify_object, enumerate_structures, standard_suite,
                      validate_vgroup)
-from vgroups.builders import group_roster
+from vgroups.builders import HomSet, group_roster
 
 SRC = Path(__file__).parent.parent / "src"
 # suite_digest of each level, pinned: a changed object or hom-set moves it.
@@ -107,6 +107,16 @@ class TestSmokeSuite:
         for hs in suite.hom_sets:
             assert (suite.objects[hs.dom].quantale_name
                     == suite.objects[hs.cod].quantale_name)
+
+    def test_hom_sets_are_immutable_named_records(self, suite):
+        assert HomSet._fields == ("dom", "cod", "homs", "truncated", "candidates")
+        hs = suite.hom_sets[0]
+        for name in HomSet._fields:
+            with pytest.raises(AttributeError):
+                setattr(hs, name, getattr(hs, name))
+        with pytest.raises(AttributeError):
+            hs.extra = 1
+        assert hs == HomSet(hs.dom, hs.cod, hs.homs, hs.truncated, hs.candidates)
 
     def test_truncation_marker(self, monkeypatch):
         monkeypatch.setattr("vgroups.builders.TOTAL_HOM_BUDGET", 1000)

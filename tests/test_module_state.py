@@ -125,6 +125,14 @@ def test_a_run_leaves_every_package_global_unchanged():
     assert changed == []
 
 
+def test_no_package_global_is_a_file():
+    for info in pkgutil.iter_modules(vgroups.__path__):
+        if info.name != "__main__":
+            importlib.import_module(f"vgroups.{info.name}")
+    files = [key for key, (value, _) in snapshot().items() if isinstance(value, io.IOBase)]
+    assert files == []
+
+
 def test_the_fingerprint_sees_a_memo_kept_in_a_global(monkeypatch):
     # an entry added to a dict global, or to a dict that a package class
     # holds, changes the global's fingerprint, and removing it restores it

@@ -413,6 +413,36 @@ def test_shared_spot_checks_leave_every_decomposition_unchanged(monkeypatch):
     assert len(shared) < len(unshared)
 
 
+def test_run_wide_dicts_leave_every_decomposition_unchanged(monkeypatch):
+    """On every smoke object over a pretorsion quantale, with its default
+    family and with the battery's, the three run-wide dicts shared by
+    every call give the decomposition of a call without them, and each
+    distinct object is classified once and symmetrized once."""
+    suite = standard_suite("smoke")
+    objects = [o for q in PRETORSION_QUANTALES for o in suite.objects_over(q)]
+    counted = {"on": False, "classify_object": [], "symmetric_coreflect": []}
+    for name in ("classify_object", "symmetric_coreflect"):
+        original = getattr(torsion, name)
+        monkeypatch.setattr(torsion, name,
+                            lambda g, name=name, original=original:
+                            (counted["on"] and counted[name].append(g)) or original(g))
+    for families in ([None] * len(objects), [battery_family(suite, o) for o in objects]):
+        spot_checks, classes, symmetric_parts = {}, {}, {}
+        counted["classify_object"], counted["symmetric_coreflect"] = [], []
+        for obj, family in zip(objects, families):
+            counted["on"] = False
+            alone = pretorsion_decompose(obj.vgroup, test_objects=family).as_dict()
+            counted["on"] = True
+            shared = pretorsion_decompose(
+                obj.vgroup, test_objects=family, spot_checks=spot_checks,
+                classes=classes, symmetric_parts=symmetric_parts).as_dict()
+            assert shared == alone, obj.name
+        for name, store in (("classify_object", classes),
+                            ("symmetric_coreflect", symmetric_parts)):
+            calls = counted[name]
+            assert len(calls) == len(set(calls)) == len(store), name
+
+
 def unshared_pretorsion_failures(suite):
     """The decomposition loop of ``check_pretorsion``, each call with its
     own spot checks."""

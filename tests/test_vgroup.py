@@ -18,10 +18,10 @@ from vgroups import (CapacityError, FiniteGroup, Quantale, StructuralError,
                      trivial_vgroup, validate_hom, validate_vgroup,
                      vgroup_isomorphism, zero_hom)
 from vgroups.builders import group_roster
-from vgroups.groups import ENUMERATION_CAP
+from vgroups.groups import ENUMERATION_CAP, difference_rows
 from vgroups.vgroup import (factor_through_epi, factor_through_mono, fibers,
                             final_structure, is_final, is_regular_epi,
-                            pullback_comparison)
+                            profile_matrix, pullback_comparison)
 
 
 class TestValidation:
@@ -535,6 +535,22 @@ def quaternion8():
         c = 6 - a - b
         return (s * t * (1 if (b - a) % 3 == 1 else -1), c)
     return group_of([(s, a) for s in (1, -1) for a in range(4)], op)
+
+
+def test_profile_matrix_equals_the_per_entry_spread():
+    """On every roster group, Z2xZ2 and S3 included, spreading a profile
+    through the difference table gives delta[group.sub(y, x)] at (x, y),
+    for every profile over three values, as tuple or list; the table is
+    built once per group."""
+    roster = group_roster()
+    assert {"Z2xZ2", "S3"} <= set(roster)
+    for name, group in roster.items():
+        rng = range(group.size)
+        for delta in iproduct(range(3), repeat=group.size):
+            want = tuple(tuple(delta[group.sub(y, x)] for y in rng) for x in rng)
+            assert profile_matrix(group, delta) == want, (name, delta)
+            assert profile_matrix(group, list(delta)) == want, (name, delta)
+        assert group.derived(difference_rows) is group.derived(difference_rows)
 
 
 class TestEnumerationDifferential:
