@@ -9,6 +9,7 @@ the object or morphism it was working on and goes on with the next one.
 """
 
 from dataclasses import dataclass, field
+from functools import partial
 from itertools import islice, product as iproduct
 
 from . import laws
@@ -17,6 +18,7 @@ from .descent import descent_cover, kernel_pair_groupoid, verify_cover_window
 from .errors import StructuralError, TheoremCheckError
 from .factorization import (cached_decomposition, monotone_light_factorize,
                             reflective_factorize)
+from .groups import difference_rows, right_shifts
 from .quantale import validate_quantale
 from .torsion import (built_once, default_test_family, matches_final_composite,
                       pretorsion_decompose, symmetric_coreflect)
@@ -80,40 +82,77 @@ def route_agreement_counts(group, q):
     counted, on a nonabelian one it is recorded as a finding.  ``valid``,
     the candidates whose compatibility route holds, counts the structures.
 
-    ``candidates`` is the size of the whole family, but only its reflexive
-    members are generated and scanned.  Both routes require reflexivity,
-    so on any other candidate both fail: it is no disagreement, no finding
-    and not valid.  A matrix is reflexive iff each row x has an entry above
-    the unit at x, so row x is drawn from those rows alone; a spread
-    profile has delta(e) all along its diagonal, so delta(e) is drawn from
-    the values above the unit alone.
+    ``candidates`` is the size of the whole family, but only some of its
+    members are scanned.  Both routes require reflexivity, so on any
+    other candidate both fail: it is no disagreement, no finding and not
+    valid.  A matrix is reflexive iff each row x has an entry above the
+    unit at x, so row x is drawn from those rows alone; a spread profile
+    has delta(e) all along its diagonal, so delta(e) is drawn from the
+    values above the unit alone.
+
+    The reflexive members are walked as an odometer in the family's
+    product order, one digit per row of a matrix, or per element d of a
+    profile, whose delta(d) is the entry (x, y) with y - x = d
+    (``groups.difference_rows``).  A witness reads only the entries it
+    names, and it violates its law on any matrix with those entries,
+    whatever the tables.  So when both routes fail, every later candidate
+    that agrees with this one on the digits up to the deepest one that
+    the two witnesses read fails both routes too, and the walk steps past
+    that whole block: it counts nothing and changes none of the four
+    counts.
     """
     n, table, e = group.size, group.table, group.identity
     abelian = group.is_abelian
     above_unit = q.leq_table[q.unit]
     values = range(q.size)
-    disagreements = findings = valid = 0
+    shifts = group.derived(right_shifts)
     if q.size ** (n * n) <= MATRIX_ENUMERATION_CAP:
         candidates = q.size ** (n * n)
         rows = list(iproduct(values, repeat=n))
-        source = iproduct(*[[row for row in rows if above_unit[row[x]]]
-                            for x in range(n)])
+        digits = [[row for row in rows if above_unit[row[x]]] for x in range(n)]
+        spread = tuple
+        digit_of = [[x] * n for x in range(n)]  # entry (x, y) lies in row x
     else:
         candidates = q.size ** n
         above = [v for v in values if above_unit[v]]
-        source = (profile_matrix(group, delta) for delta in
-                  iproduct(*[above if d == e else values for d in range(n)]))
-    for matrix in source:
-        shift_route = laws.transitivity(q, matrix) is None and \
-            laws.shift_invariance(matrix, group.op) is None
-        functor_route = laws.addition_compatibility(q, matrix, table) is None
+        digits = [above if d == e else values for d in range(n)]
+        spread = partial(profile_matrix, group)
+        digit_of = group.derived(difference_rows)
+    disagreements = findings = valid = 0
+    if not all(digits):  # no reflexive candidate
+        return candidates, disagreements, findings, valid
+    picks = [0] * n
+    while True:
+        matrix = spread([digit[k] for digit, k in zip(digits, picks)])
+        read = ()  # the entries the failing shift route's witness reads
+        witness = laws.transitivity(q, matrix)
+        if witness is not None:
+            x, y, z = witness
+            read = ((x, y), (y, z), (x, z))
+        elif (witness := laws.shift_invariance(matrix, shifts)) is not None:
+            s, x, y = witness
+            read = ((x, y), (table[x][s], table[y][s]))
+        shift_route = witness is None
+        witness = laws.addition_compatibility(q, matrix, table)
+        functor_route = witness is None
         valid += functor_route
         if shift_route != functor_route:
             if abelian:
                 disagreements += 1
             else:
                 findings += 1
-    return candidates, disagreements, findings, valid
+        last = n - 1  # the deepest digit this candidate's block shares
+        if not (shift_route or functor_route):
+            x1, x2, y1, y2 = witness
+            read += ((x1, x2), (y1, y2), (table[x1][y1], table[x2][y2]))
+            last = max(digit_of[x][y] for x, y in read)
+            picks[last + 1:] = [0] * (n - 1 - last)
+        while last >= 0 and picks[last] + 1 == len(digits[last]):
+            picks[last] = 0
+            last -= 1
+        if last < 0:
+            return candidates, disagreements, findings, valid
+        picks[last] += 1
 
 
 def check_structure_routes(suite):
@@ -184,7 +223,12 @@ def check_kernel_cokernel_roundtrips(suite):
 
 def _exact_sequences(g):
     """(normal subgroup, its inclusion, the projection onto the quotient by
-    it) for each normal subgroup of g."""
+    it) for each normal subgroup of g.  ``check_ses_morphism_pullback``
+    stores each small object's in ``suite.sequences``, and
+    ``check_torsion_theory``, which runs after it, takes them out as it
+    reads them, so a battery run builds them once per object and holds
+    them only between the two checks; the torsion check run alone builds
+    each object's and keeps none."""
     return [(n, subobject(g, n)[1], quotient_vgroup(g, n)[1])
             for n in g.group.all_normal_subgroups()]
 
@@ -205,8 +249,8 @@ def check_ses_morphism_pullback(suite):
     lies below the codomain's too."""
     failures = []
     checked = 0
-    sequences = {i: _exact_sequences(obj.vgroup) for i, obj in enumerate(suite.objects)
-                 if obj.vgroup.size <= SMALL_CARRIER}
+    sequences = {i: built_once(suite.sequences, _exact_sequences, obj.vgroup)
+                 for i, obj in enumerate(suite.objects) if obj.vgroup.size <= SMALL_CARRIER}
     # the position map of each inclusion, once per (object, normal subgroup)
     positions = {i: [mono_positions(inc) for _, inc, _ in seqs]
                  for i, seqs in sequences.items()}
@@ -324,18 +368,28 @@ def check_torsion_theory(suite):
     ``SMALL_CARRIER`` elements no other normal subgroup gives an
     indiscrete kernel with a separated quotient; and on every enumerated
     hom-set the only map from an indiscrete to a separated object is the
-    zero map."""
+    zero map.  Each distinct object, suite object, kernel or quotient, is
+    classified once, through one dict by object; the exact sequences are
+    taken out of ``suite.sequences`` when the ses check has stored them."""
     failures = []
     classes = {}  # by object index, for the objects that classify
+    by_value = {}  # the class of each object classified, by object
+
+    def classify(g):
+        return built_once(by_value, classify_object, g)
+
     for i, obj in enumerate(suite.objects):
         try:
-            classes[i] = classify_object(obj.vgroup)
+            classes[i] = classify(obj.vgroup)
             dec = cached_decomposition(obj.vgroup, suite.cache)
             if obj.vgroup.size <= SMALL_CARRIER:
                 canonical = set(dec.injection.mapping)
-                for alt, inclusion, projection in _exact_sequences(obj.vgroup):
-                    if classify_object(inclusion.dom).indiscrete and \
-                            classify_object(projection.cod).separated and \
+                sequences = suite.sequences.pop(obj.vgroup, None)
+                if sequences is None:  # not stored by the ses check
+                    sequences = _exact_sequences(obj.vgroup)
+                for alt, inclusion, projection in sequences:
+                    if classify(inclusion.dom).indiscrete and \
+                            classify(projection.cod).separated and \
                             set(alt) != canonical:
                         failures.append((obj.name, "alternative sequence", alt))
         except THEOREM_FAILURES as exc:

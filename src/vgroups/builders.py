@@ -78,6 +78,9 @@ class Suite:
     # Decompositions and class reports, shared by every check of one run.
     cache: ClassCache = field(default_factory=ClassCache, compare=False,
                               repr=False)
+    # The short exact sequences of each small object, by object: stored by
+    # the battery's ses check, taken out by its torsion check.
+    sequences: dict = field(default_factory=dict, compare=False, repr=False)
 
     @cached_property
     def _hom_set_at(self):

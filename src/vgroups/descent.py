@@ -36,7 +36,12 @@ entry by entry.  The kernel pair is a pullback: its entry at
 ((z1, x), (z1', x')) and ((z2, x), (z2', x')), which ``vgroup.pair_meets``,
 the builder of every pullback's meet structure, reads off the window
 matrix.  The finality check folds the levels once per distinct (base
-value, same point) pair, on which alone the folded values depend.
+value, same point) pair, on which alone the folded values depend.  What
+the scans read that depends on the base group alone, the radius-1
+window's right shifts (``window_shifts``) and the kernel pair's carrier,
+window index pairs and diagonal positions (``kernel_pair_index``), is
+built once per group and read through ``FiniteGroup.derived``, so a
+suite's objects on one group share it.
 
 The lemma behind the window scans: a window value at ((z, x), (z', y))
 depends on the two levels only through their order (<, = or >), and a
@@ -132,6 +137,45 @@ class IntegerIndexedCover:
                 for level in range(span) for lower, own, higher in blocks]
 
 
+def _window_index(z, x, width):
+    """The position of (z, x) in the level-major radius-1 window of
+    ``width`` points, as ``Window.index`` gives it."""
+    return (z + 1) * width + x
+
+
+def window_shifts(group):
+    """The right shifts of the radius-1 window over ``group``, as
+    ``laws.shift_invariance`` reads them: entry s holds the window index
+    pairs (i, i + s), in i order, for the i whose sum stays on the
+    levels -1..1.  The sums are read off the Cayley table; the table
+    depends on the group alone, so it is read through
+    ``group.derived(window_shifts)``, built once per group."""
+    width, table = group.size, group.table
+    shifts = []
+    for zs in LEVELS:
+        for t in range(width):
+            shifts.append(tuple([
+                (_window_index(z, x, width), _window_index(z + zs, row[t], width))
+                for z in LEVELS if z + zs in LEVELS for x, row in enumerate(table)]))
+    return tuple(shifts)
+
+
+def kernel_pair_index(group):
+    """The radius-1 kernel pair's index data over ``group``: its carrier
+    (z1, z2, x), level-major; each element as the pair of window indices
+    ((z1, x), (z2, x)) whose values it meets; and the carrier position of
+    the diagonal (z, z, x) of each window element (z, x).  None of it
+    reads a structure, so it is read through
+    ``group.derived(kernel_pair_index)``, built once per group."""
+    points = range(group.size)
+    carrier = tuple([(z1, z2, x) for z1 in LEVELS for z2 in LEVELS for x in points])
+    pairs = tuple([(_window_index(z1, x, group.size), _window_index(z2, x, group.size))
+                   for z1, z2, x in carrier])
+    position = {e: i for i, e in enumerate(carrier)}
+    diagonal = tuple([position[(z, z, x)] for z in LEVELS for x in points])
+    return carrier, pairs, diagonal
+
+
 def _guard(what, count, cap):
     if count > cap:
         raise CapacityError(f"a {what} of {count} elements exceeds the cap of {cap}")
@@ -223,22 +267,17 @@ def verify_cover_window(cover, radius):
     _guard_window(cover, radius)
     base = cover.base
     q = base.quantale
-    gop = base.group.op
     window = Window(cover, 1)
-    elements, matrix, width = window.elements, window.matrix, window.width
+    elements, matrix = window.elements, window.matrix
 
     # integral quantale (descent_cover): unit-reflexive means top on the diagonal
     witness = laws.reflexivity(q, matrix)
     if witness is not None:
         report.add("window-reflexivity", elements[witness[0]])
 
-    def shifted(i, s):
-        """The window index of elements[i] + elements[s], or None outside the window."""
-        level = i // width + s // width - 1
-        return level * width + gop(i % width, s % width) if 0 <= level < len(LEVELS) else None
-
     _add(report, "window-transitivity", elements, laws.transitivity(q, matrix))
-    _add(report, "window-shift-invariance", elements, laws.shift_invariance(matrix, shifted))
+    _add(report, "window-shift-invariance", elements, laws.shift_invariance(
+        matrix, base.group.derived(window_shifts)))
     _add(report, "window-separation", elements, laws.separation(q, matrix))
     _add(report, "projection-compatibility", elements, laws.compatibility(
         q, matrix, base.structure.entries, [cover.projection(p) for p in elements]))
@@ -293,15 +332,11 @@ def kernel_pair_groupoid(cover, radius):
     report = ValidationReport(subject=f"kernel-pair-groupoid-r{radius}")
     _guard_window(cover, radius)
     base = cover.base
-    points = range(base.size)
     window = Window(cover, 1)
-    carrier = [(z1, z2, x) for z1 in LEVELS for z2 in LEVELS for x in points]
-    # each (z1, z2, x) as the index pair ((z1, x), (z2, x)) in the window
-    matrix = pair_meets(base.quantale, window.matrix, window.matrix,
-                        [(window.index(z1, x), window.index(z2, x)) for z1, z2, x in carrier])
-    position = {e: i for i, e in enumerate(carrier)}
-    _add(report, "diagonal-embedding", window.elements, laws.reflection(
-        window.matrix, matrix, [position[(z, z, x)] for z, x in window.elements]))
+    carrier, pairs, diagonal = base.group.derived(kernel_pair_index)
+    matrix = pair_meets(base.quantale, window.matrix, window.matrix, pairs)
+    _add(report, "diagonal-embedding", window.elements,
+         laws.reflection(window.matrix, matrix, diagonal))
     _add(report, "groupoid-separation", carrier, laws.separation(base.quantale, matrix))
     report.notes["carrier_size"] = (2 * radius + 1) ** 2 * base.size
     return report

@@ -18,14 +18,16 @@ callers that need one product at a time.
 
 A group keeps one store of what it derives, ``_derived``, each entry
 written once, on first use, through ``derived(build, *args)``: its
-generating set, its table of right differences (``difference_rows``),
-the homomorphism searches out of it (below), and the groups built from
-it.  The constructions of vgroup.py read their
-pullback, subobject and quotient groups from it, so one run builds each
-of them once per parent; ``direct_product`` and every other direct call
-still build a fresh group.  ``_derived`` holds group data only (groups,
-a quotient's projection, index tuples), never a structure or a
-structured object, and a construction that raises stores nothing.
+generating set, its tables of right differences (``difference_rows``)
+and right shifts (``right_shifts``), the homomorphism searches out of it
+(below), the groups built from it, and the index data of its descent
+windows (``descent.window_shifts`` and ``descent.kernel_pair_index``).
+The constructions of vgroup.py read their pullback, subobject and
+quotient groups from it, so one run builds each of them once per parent;
+``direct_product`` and every other direct call still build a fresh
+group.  ``_derived`` holds group data only (groups, a quotient's
+projection, index tuples), never a structure or a structured object,
+and a construction that raises stores nothing.
 
 Homomorphisms g -> h are found from generator images (Holt, Eick and
 O'Brien, *Handbook of Computational Group Theory*, 2005): a greedy
@@ -50,8 +52,9 @@ class FiniteGroup:
 
     Beside its fields a group carries what it derives, found on first use
     and kept in ``_derived``, keyed by the construction and its other
-    arguments: its generators, each homomorphism search out of it and
-    each group built from it.
+    arguments: its generators, its difference and shift tables, each
+    homomorphism search out of it, each group built from it and the index
+    data of its descent windows.
     """
 
     __slots__ = ("names", "table", "identity", "inverse", "_derived", "_hash")
@@ -366,6 +369,14 @@ def difference_rows(g):
     ``g.derived(difference_rows)``, built once per group."""
     table = g.table
     return tuple([tuple([row[back] for row in table]) for back in g.inverse])
+
+
+def right_shifts(g):
+    """The right shifts by element: ``shifts[s]`` is the pairs (x, x + s)
+    in x order, as ``laws.shift_invariance`` reads them.  Read through
+    ``g.derived(right_shifts)``, built once per group."""
+    return tuple([tuple([(x, row[s]) for x, row in enumerate(g.table)])
+                  for s in range(g.size)])
 
 
 def hom_search_size(g, h):

@@ -5,15 +5,18 @@ Each scanner walks a square matrix ``a`` of quantale indices (``a[x][y]``
 is the value from x to y) in lexicographic order of its witness tuple and
 returns the first index tuple that violates its law, or None when the law
 holds.  ``symmetry`` reads ``a`` alone, so it also serves Cayley and
-tensor tables.  The shift scanner also takes the group operation ``op``,
-which may leave a shift undefined (None); ``addition_compatibility``
-takes the group's Cayley table instead and reads one row of it per
-summand.  The morphism scanners ``compatibility`` and ``reflection``
-take a second matrix ``b`` and an index map ``m`` from the rows of ``a``
-to the rows of ``b``; they read ``a`` one row and one entry at a time,
-so its rows may be generators and nothing past the first witness is
-computed.  ``homomorphism`` reads two Cayley tables along
-``m`` instead.  Callers map the indices back to labels or elements.
+tensor tables.  The shift scanner also takes a table of shifts, the
+pairs (x, x + s) of each shift s, listing only the x whose shift is
+defined (``groups.right_shifts`` of a group, ``descent.window_shifts``
+of a descent window), so it makes no call per entry;
+``addition_compatibility`` takes the group's Cayley table instead and
+reads one row of it per summand.  The morphism scanners
+``compatibility`` and ``reflection`` take a second matrix ``b`` and an
+index map ``m`` from the rows of ``a`` to the rows of ``b``; they read
+``a`` one row and one entry at a time, so its rows may be generators
+and nothing past the first witness is computed.  ``homomorphism`` reads
+two Cayley tables along ``m`` instead.  Callers map the indices back to
+labels or elements.
 
 The tensor scanners ``transitivity`` and ``addition_compatibility`` skip
 a left value that ``Quantale.annihilating`` marks: its tensor with any
@@ -67,12 +70,11 @@ def separation(q, a):
     return None
 
 
-def shift_invariance(a, op):
-    """First (s, x, y) with a(x, y) != a(x + s, y + s), skipping x and y
-    whose shift ``op`` leaves undefined (None)."""
-    rng = range(len(a))
-    for s in rng:
-        defined = [(x, xs) for x in rng if (xs := op(x, s)) is not None]
+def shift_invariance(a, shifts):
+    """First (s, x, y) with a(x, y) != a(x + s, y + s).  ``shifts[s]``
+    holds the pairs (x, x + s) in x order, for the x whose shift by s is
+    defined only, so x and y outside it are skipped."""
+    for s, defined in enumerate(shifts):
         for x, xs in defined:
             ax, shifted = a[x], a[xs]
             for y, ys in defined:

@@ -22,6 +22,8 @@ lists its agreeing pairs through the fibres of its second leg.
 ``pullback``, ``subobject``, ``image_factorize`` and ``quotient_vgroup``
 read their groups through ``FiniteGroup.derived``, so each is built once
 per parent group; the structures over them are built on every call.
+``validate_vgroup`` reads its right shifts (``groups.right_shifts``) and
+``profile_matrix`` its difference table the same way.
 
 Everything is exhaustive at desk scale.  Enumerators are deterministic
 (lexicographic candidate order) and guarded by an explicit candidate cap.
@@ -33,7 +35,7 @@ from itertools import product as iproduct
 from . import groups, laws
 from .errors import CapacityError, StructuralError, TheoremCheckError
 from .groups import (FiniteGroup, difference_rows, group_homs, group_isomorphisms,
-                     pair_group, quotient_group, subgroup_group)
+                     pair_group, quotient_group, right_shifts, subgroup_group)
 from .quantale import validate_quantale
 from .reports import ValidationReport
 from .vrel import VRel
@@ -239,7 +241,7 @@ def validate_vgroup(g):
     witnesses = {
         "reflexivity": laws.reflexivity(q, a),
         "transitivity": laws.transitivity(q, a),
-        "shift-invariance": laws.shift_invariance(a, grp.op),
+        "shift-invariance": laws.shift_invariance(a, grp.derived(right_shifts)),
         "addition-compatibility": laws.addition_compatibility(q, a, grp.table),
     }
     for law, witness in witnesses.items():

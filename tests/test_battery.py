@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from vgroups import (FiniteGroup, Quantale, StructuralError, VGroup, VHom, VRel, battery,
+from vgroups import (Quantale, StructuralError, VGroup, VHom, VRel, battery,
                      builtin_quantale, classify_hom, image_factorize, is_isomorphism,
                      is_regular_epi, laws, monotone_light_factorize, pullback,
                      reflective_factorize, standard_suite, trivial_vgroup, validate_hom,
@@ -21,7 +21,8 @@ from vgroups.vgroup import (factor_through_epi, factor_through_mono,
                             factorization_middle_iso, profile_matrix,
                             pullback_comparison)
 
-from test_laws import reference_addition_compatibility
+from test_groups import moved_z4
+from test_laws import reference_addition_compatibility, shift_pairs
 
 EXPECTED = Path(__file__).parent / "expected"
 
@@ -184,12 +185,15 @@ def reference_route_agreement_counts(group, q):
     """``battery.route_agreement_counts`` as it scanned before it drew
     reflexive candidates only: every candidate of the family, each one
     through both routes.  Addition compatibility goes through the
-    reference scanner of test_laws, with the group operation."""
+    reference scanner of test_laws, with the group operation, and shift
+    invariance through shift pairs built from it."""
+    shifts = shift_pairs(group.op, group.size)
+
     def route_flags(a):
         if laws.reflexivity(q, a) is not None:
             return False, False
         shift_ok = laws.transitivity(q, a) is None and \
-            laws.shift_invariance(a, group.op) is None
+            laws.shift_invariance(a, shifts) is None
         return shift_ok, reference_addition_compatibility(q, a, group.op) is None
 
     n = group.size
@@ -218,7 +222,9 @@ def test_route_oracle_matches_the_full_family_scan(non_integral_q):
     candidate: on each quantale and group of the full suite, and over
     the roster and one group whose identity is not 0, on a non-integral
     quantale and on a lawless integral order, each with two values above
-    the unit."""
+    the unit, and on a lawless tensor under which the routes disagree on
+    abelian carriers (120 candidates on Z3), so that the walk meets
+    disagreements between the blocks it steps past."""
     roster = group_roster()
     cases = [(builtin_quantale(spec["builtin"], spec.get("m")), roster[name])
              for _, spec in SMOKE_QUANTALES + FULL_EXTRA_QUANTALES
@@ -227,18 +233,41 @@ def test_route_oracle_matches_the_full_family_scan(non_integral_q):
     cyclic = Quantale(labels=["0", "1", "2"], leq=[[1, 0, 1], [1, 1, 0], [0, 1, 1]],
                       tensor=[[min(u, v) for v in range(3)] for u in range(3)],
                       unit=2, bottom=0, top=2)
-    # Z4 under x + y + 1, whose identity is 3, not 0 as on the roster
-    moved = FiniteGroup([[(x + y + 1) % 4 for y in range(4)] for x in range(4)])
-    assert moved.identity == 3
+    moved = moved_z4()
     for q in (non_integral_q, cyclic):
         assert sum(q.leq(q.unit, v) for v in range(q.size)) == 2
         cases += [(q, group) for group in [*roster.values(), moved]]
+    # the chain 0 <= 1 <= 2 with unit = top = 2 and a tensor under which
+    # 2 is no unit (2 (x) 2 = 0)
+    lawless = Quantale(labels=["0", "1", "2"], leq=[[u <= v for v in range(3)]
+                                                    for u in range(3)],
+                       tensor=[[0, 0, 0], [0, 1, 1], [0, 1, 0]], unit=2, bottom=0, top=2)
+    cases += [(lawless, group) for group in [*roster.values(), moved]]
     findings = 0
+    disagreements = {}
     for q, group in cases:
         counts = battery.route_agreement_counts(group, q)
         assert counts == reference_route_agreement_counts(group, q), (q, group)
         findings += counts[2]
+        if q is lawless:
+            disagreements[group] = counts[1]
     assert findings > 0
+    assert disagreements[roster["Z3"]] == 120
+
+
+def test_the_route_walk_scans_the_pinned_candidates(monkeypatch):
+    """The regression guard of the block walk: the number of candidates
+    ``check_structure_routes`` scans, one addition-compatibility scan
+    each, out of the 85,914 and 164,511 candidates it counts.  The
+    family's reflexive members alone are 4,931 and 12,308."""
+    scanned = []
+    scan = laws.addition_compatibility
+    monkeypatch.setattr(laws, "addition_compatibility",
+                        lambda *args: scanned.append(1) or scan(*args))
+    for level, want in (("smoke", 774), ("full", 2798)):
+        scanned.clear()
+        result = battery.check_structure_routes(standard_suite(level))
+        assert result.ok and len(scanned) == want, level
 
 
 def test_a_uniqueness_cap_is_tested_once_per_morphism(monkeypatch):
@@ -275,6 +304,33 @@ def test_a_uniqueness_cap_is_tested_once_per_morphism(monkeypatch):
             before += count
         monkeypatch.setattr(battery, cap, before + 1)
         assert check(suite).details["uniqueness_checked"] == before + count, cap
+
+
+def test_torsion_check_classifies_and_builds_each_object_once(monkeypatch):
+    """One smoke run of the ses check, then the torsion check, builds each
+    small object's exact sequences once and leaves none stored, and the
+    torsion check classifies each distinct object, suite object, kernel or
+    quotient, once; run alone, the torsion check stores no sequences, and
+    its result is the same either way."""
+    built, classified = [], []
+    sequences, classify = battery._exact_sequences, battery.classify_object
+    monkeypatch.setattr(battery, "_exact_sequences",
+                        lambda g: built.append(g) or sequences(g))
+    monkeypatch.setattr(battery, "classify_object",
+                        lambda g: classified.append(g) or classify(g))
+    alone = standard_suite("smoke")
+    want = battery.check_torsion_theory(alone).as_dict()
+    assert alone.sequences == {}
+    assert len(classified) == len(set(classified)) == 61
+    suite = standard_suite("smoke")
+    built.clear()
+    classified.clear()
+    battery.check_ses_morphism_pullback(suite)
+    assert len(suite.sequences) == len(suite.objects) == 28
+    assert battery.check_torsion_theory(suite).as_dict() == want
+    assert suite.sequences == {}
+    assert len(built) == len(set(built)) == 28
+    assert len(classified) == len(set(classified)) == 61
 
 
 # The object-level checks of the full suite, the ones the benchmark's

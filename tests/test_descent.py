@@ -13,8 +13,12 @@ from vgroups import (FiniteGroup, IntegerIndexedCover, NonIntegralQuantaleError,
                      product, standard_suite, structure_from_delta,
                      verify_cover_window)
 from vgroups import descent
+from vgroups.builders import group_roster
 from vgroups.reports import ValidationReport
 from vgroups.vgroup import pair_meets
+
+from test_groups import moved_z4
+from test_laws import shift_pairs
 
 
 class TestPiecewiseFormula:
@@ -573,7 +577,8 @@ def reference_cover_window(cover, radius):
 
     for law, witness in (
             ("window-transitivity", laws.transitivity(q, a)),
-            ("window-shift-invariance", laws.shift_invariance(a, shifted)),
+            ("window-shift-invariance", laws.shift_invariance(
+                a, shift_pairs(shifted, len(elems)))),
             ("window-separation", laws.separation(q, a)),
             ("projection-compatibility", laws.compatibility(
                 q, a, cover.base.structure.entries, [cover.projection(p) for p in elems]))):
@@ -604,6 +609,36 @@ def reference_groupoid(cover, radius):
         report.add("groupoid-separation", (carrier[i] for i in witness))
     report.notes["carrier_size"] = len(carrier)
     return report
+
+
+def test_window_index_data_match_the_per_object_construction():
+    """``window_shifts`` and ``kernel_pair_index``, built once per group,
+    equal what the scans built per object from the cover itself: the
+    shifts of the radius-1 window that ``cover.op`` keeps on it, and the
+    kernel pair's carrier, window index pairs and diagonal positions read
+    off its ``Window``.  On every roster group and on the moved-identity
+    Z4; both scans read the tables from the group's store."""
+    for group in [*group_roster().values(), moved_z4()]:
+        cover, _ = descent_cover(discrete_vgroup(group, lawvere_chain(2)))
+        window = Window(cover, 1)
+        elems = window.elements
+
+        def shifted(i, s):
+            level, x = cover.op(elems[i], elems[s])
+            return window.index(level, x) if abs(level) <= 1 else None
+
+        shifts = descent.window_shifts(group)
+        assert [list(pairs) for pairs in shifts] == shift_pairs(shifted, len(elems))
+        carrier = [(z1, z2, x) for z1 in (-1, 0, 1) for z2 in (-1, 0, 1)
+                   for x in range(group.size)]
+        index = descent.kernel_pair_index(group)
+        assert index == (tuple(carrier),
+                         tuple((window.index(z1, x), window.index(z2, x))
+                               for z1, z2, x in carrier),
+                         tuple(carrier.index((z, z, x)) for z, x in elems))
+        assert verify_cover_window(cover, 2).ok and kernel_pair_groupoid(cover, 2).ok
+        assert group._derived[(descent.window_shifts,)] == shifts
+        assert group._derived[(descent.kernel_pair_index,)] == index
 
 
 def test_radius_one_decides_every_window_law():

@@ -9,7 +9,7 @@ from vgroups.builders import group_roster
 from vgroups.quantale import boolean
 from vgroups.vgroup import discrete_vgroup, subobject
 from vgroups.groups import (_search_homs, group_homs, group_isomorphisms,
-                            hom_search_size, pair_group)
+                            hom_search_size, pair_group, right_shifts)
 
 from test_vgroup import dihedral8, quaternion8
 
@@ -247,6 +247,25 @@ class TestDerived:
         again = z4.derived(quotient_group, (2, 0))
         assert again == first and again is not first
         assert z4.derived(quotient_group, (0, 2)) is first
+
+
+def moved_z4():
+    """Z4 under x + y + 1, whose identity is 3, not 0 as on the roster."""
+    moved = FiniteGroup([[(x + y + 1) % 4 for y in range(4)] for x in range(4)])
+    assert moved.identity == 3
+    return moved
+
+
+def test_right_shifts_are_the_group_operation():
+    """On every roster group and on the moved-identity Z4, entry s of the
+    shift table lists (x, op(x, s)) for every x, in x order, and the
+    table is built once per group."""
+    for g in [*group_roster().values(), moved_z4()]:
+        rng = range(g.size)
+        want = tuple(tuple((x, g.op(x, s)) for x in rng) for s in rng)
+        assert right_shifts(g) == want, g
+        assert g.derived(right_shifts) == want
+        assert g.derived(right_shifts) is g.derived(right_shifts)
 
 
 class TestSubgroups:
