@@ -16,13 +16,13 @@ from . import laws
 from .builders import SMOKE_QUANTALES, standard_suite
 from .descent import descent_cover, kernel_pair_groupoid, verify_cover_window
 from .errors import StructuralError, TheoremCheckError
-from .factorization import (cached_decomposition, monotone_light_factorize,
-                            reflective_factorize)
+from .factorization import (cached_decomposition, classify_morphism,
+                            monotone_light_factorize, reflective_factorize)
 from .groups import difference_rows, right_shifts
 from .quantale import validate_quantale
-from .torsion import (built_once, default_test_family, matches_final_composite,
-                      pretorsion_decompose, symmetric_coreflect)
-from .vgroup import (classify_hom, classify_object, cokernel, factor_through_epi,
+from .torsion import (default_test_family, matches_final_composite,
+                      pretorsion_decompose)
+from .vgroup import (classify_hom, cokernel, factor_through_epi,
                      factor_through_mono, factorization_middle_iso,
                      image_factorize, is_isomorphism, is_regular_epi, kernel,
                      mono_positions, profile_matrix, pullback, pullback_comparison,
@@ -184,7 +184,7 @@ def check_objects(suite):
             if not report.ok:
                 failures.append((obj.name, report.laws_violated()))
             elif obj.quantale_name == "boolean" and \
-                    not classify_object(obj.vgroup).symmetric:
+                    not suite.cache.object_class(obj.vgroup).symmetric:
                 failures.append((obj.name, "boolean object not symmetric"))
         except THEOREM_FAILURES as exc:
             failures.append((obj.name, str(exc)))
@@ -224,7 +224,7 @@ def check_kernel_cokernel_roundtrips(suite):
 def _exact_sequences(g):
     """(normal subgroup, its inclusion, the projection onto the quotient by
     it) for each normal subgroup of g.  ``check_ses_morphism_pullback``
-    stores each small object's in ``suite.sequences``, and
+    stores each small object's in ``suite.cache.sequences``, and
     ``check_torsion_theory``, which runs after it, takes them out as it
     reads them, so a battery run builds them once per object and holds
     them only between the two checks; the torsion check run alone builds
@@ -249,8 +249,13 @@ def check_ses_morphism_pullback(suite):
     lies below the codomain's too."""
     failures = []
     checked = 0
-    sequences = {i: built_once(suite.sequences, _exact_sequences, obj.vgroup)
-                 for i, obj in enumerate(suite.objects) if obj.vgroup.size <= SMALL_CARRIER}
+    stored = suite.cache.sequences
+    sequences = {}
+    for i, obj in enumerate(suite.objects):
+        if obj.vgroup.size <= SMALL_CARRIER:
+            if obj.vgroup not in stored:
+                stored[obj.vgroup] = _exact_sequences(obj.vgroup)
+            sequences[i] = stored[obj.vgroup]
     # the position map of each inclusion, once per (object, normal subgroup)
     positions = {i: [mono_positions(inc) for _, inc, _ in seqs]
                  for i, seqs in sequences.items()}
@@ -369,27 +374,24 @@ def check_torsion_theory(suite):
     indiscrete kernel with a separated quotient; and on every enumerated
     hom-set the only map from an indiscrete to a separated object is the
     zero map.  Each distinct object, suite object, kernel or quotient, is
-    classified once, through one dict by object; the exact sequences are
-    taken out of ``suite.sequences`` when the ses check has stored them."""
+    classified once per run, through ``suite.cache``; the exact sequences
+    are taken out of ``suite.cache.sequences`` when the ses check has
+    stored them."""
     failures = []
+    cache = suite.cache
     classes = {}  # by object index, for the objects that classify
-    by_value = {}  # the class of each object classified, by object
-
-    def classify(g):
-        return built_once(by_value, classify_object, g)
-
     for i, obj in enumerate(suite.objects):
         try:
-            classes[i] = classify(obj.vgroup)
-            dec = cached_decomposition(obj.vgroup, suite.cache)
+            classes[i] = cache.object_class(obj.vgroup)
+            dec = cached_decomposition(obj.vgroup, cache)
             if obj.vgroup.size <= SMALL_CARRIER:
                 canonical = set(dec.injection.mapping)
-                sequences = suite.sequences.pop(obj.vgroup, None)
+                sequences = cache.sequences.pop(obj.vgroup, None)
                 if sequences is None:  # not stored by the ses check
                     sequences = _exact_sequences(obj.vgroup)
                 for alt, inclusion, projection in sequences:
-                    if classify(inclusion.dom).indiscrete and \
-                            classify(projection.cod).separated and \
+                    if cache.object_class(inclusion.dom).indiscrete and \
+                            cache.object_class(projection.cod).separated and \
                             set(alt) != canonical:
                         failures.append((obj.name, "alternative sequence", alt))
         except THEOREM_FAILURES as exc:
@@ -422,7 +424,7 @@ def check_morphism_classification(suite):
     for dom, cod, f in suite.all_homs():
         checked += 1
         try:
-            suite.cache.report(f)
+            classify_morphism(f, suite.cache)
         except THEOREM_FAILURES as exc:
             failures.append((dom.name, cod.name, f.mapping, str(exc)))
     return _result("morphism_classification", failures, checked=checked)
@@ -445,7 +447,7 @@ def check_factorizations(suite):
         try:
             refl = reflective_factorize(f, suite.cache)
             light = monotone_light_factorize(f, suite.cache)
-            report = suite.cache.report(f)
+            report = classify_morphism(f, suite.cache)
             for flag, leg in ((report.reflector_inverted, refl.m),
                               (report.trivial_covering, refl.e),
                               (report.stably_inverted, light.m),
@@ -459,8 +461,8 @@ def check_factorizations(suite):
             for fact, side in ((refl, "reflective"), (light, "monotone_light")):
                 for alt, e2, m2 in _alternative_factorizations(suite, dom, cod, f,
                                                                fact.middle.size):
-                    rep_e = suite.cache.report(e2)
-                    rep_m = suite.cache.report(m2)
+                    rep_e = classify_morphism(e2, suite.cache)
+                    rep_m = classify_morphism(m2, suite.cache)
                     if side == "reflective":
                         matching = rep_e.reflector_inverted and rep_m.trivial_covering
                     else:
@@ -484,7 +486,7 @@ def check_stable_class_pullbacks(suite):
 
     def stably_inverted(f):
         try:
-            return suite.cache.report(f).stably_inverted
+            return classify_morphism(f, suite.cache).stably_inverted
         except THEOREM_FAILURES as exc:
             failures.append((f.dom.name, f.mapping, str(exc)))
             return False
@@ -493,7 +495,7 @@ def check_stable_class_pullbacks(suite):
         checked += 1
         witness = (f.dom.name, f.mapping, g.dom.name, g.mapping)
         try:
-            if not suite.cache.report(pulled).reflector_inverted:
+            if not classify_morphism(pulled, suite.cache).reflector_inverted:
                 failures.append(witness)
         except THEOREM_FAILURES as exc:
             failures.append(witness + (str(exc),))
@@ -509,27 +511,25 @@ def check_pretorsion(suite):
     and on objects of at most ``SMALL_CARRIER`` elements the symmetric
     part lies below the object and above every symmetric suite structure
     on its carrier that lies below it.  The families share their small
-    objects, so the decompositions share three run-wide dicts: the null
-    spot checks of each pair of test objects run once per run, and each
+    objects, so the decompositions share ``suite.cache``: the null spot
+    checks of each pair of test objects run once per run, and each
     distinct object is classified once and symmetrized once, in the
     families and in the greatest-part search alike; the symmetric
     structures of each carrier are found once."""
     failures = []
     checked = 0
-    spot_checks, classes, symmetric_parts = {}, {}, {}
+    cache = suite.cache
     for qname in PRETORSION_QUANTALES:
         small = [o.vgroup for o in suite.objects_over(qname)
                  if o.vgroup.size <= PRETORSION_FAMILY_MAX_CARRIER]
         for obj in suite.objects_over(qname):
             checked += 1
             try:
-                family = default_test_family(obj.vgroup, symmetric_parts=symmetric_parts)
+                family = default_test_family(obj.vgroup, cache=cache)
                 for extra in small:
                     if extra not in family:
                         family.append(extra)
-                pretorsion_decompose(obj.vgroup, test_objects=family,
-                                     spot_checks=spot_checks, classes=classes,
-                                     symmetric_parts=symmetric_parts)
+                pretorsion_decompose(obj.vgroup, test_objects=family, cache=cache)
             except THEOREM_FAILURES as exc:
                 failures.append((obj.name, str(exc)))
     greatest_checked = 0
@@ -538,14 +538,14 @@ def check_pretorsion(suite):
         if obj.vgroup.size > SMALL_CARRIER:
             continue
         try:
-            hat = built_once(symmetric_parts, symmetric_coreflect, obj.vgroup)
+            hat = cache.symmetric_part(obj.vgroup)
             if not hat.structure.leq(obj.vgroup.structure):
                 failures.append((obj.name, "symmetric part not below"))
             carrier = (obj.quantale_name, obj.group_name)
             if carrier not in symmetric_on:
                 symmetric_on[carrier] = [
                     candidate for candidate in suite.structures_on(*carrier)
-                    if built_once(classes, classify_object, candidate).symmetric]
+                    if cache.object_class(candidate).symmetric]
             for candidate in symmetric_on[carrier]:
                 if not candidate.structure.leq(obj.vgroup.structure):
                     continue

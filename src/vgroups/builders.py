@@ -15,9 +15,9 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import NamedTuple
 
-from .factorization import ClassCache
 from .groups import FiniteGroup
 from .quantale import builtin_quantale
+from .torsion import ClassCache
 from .vgroup import enumerate_homs, enumerate_structures
 
 TOTAL_HOM_BUDGET = 2_000_000
@@ -75,12 +75,9 @@ class Suite:
     groups: list
     objects: list
     hom_sets: list
-    # Decompositions and class reports, shared by every check of one run.
+    # What the checks of one run derive, shared by all of them.
     cache: ClassCache = field(default_factory=ClassCache, compare=False,
                               repr=False)
-    # The short exact sequences of each small object, by object: stored by
-    # the battery's ses check, taken out by its torsion check.
-    sequences: dict = field(default_factory=dict, compare=False, repr=False)
 
     @cached_property
     def _hom_set_at(self):

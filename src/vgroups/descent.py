@@ -41,7 +41,9 @@ the scans read that depends on the base group alone, the radius-1
 window's right shifts (``window_shifts``) and the kernel pair's carrier,
 window index pairs and diagonal positions (``kernel_pair_index``), is
 built once per group and read through ``FiniteGroup.derived``, so a
-suite's objects on one group share it.
+suite's objects on one group share it.  The radius-1 window itself is
+built once per cover and kept on it (``IntegerIndexedCover.window``),
+for the window scans, the kernel pair and a covering's action alike.
 
 The lemma behind the window scans: a window value at ((z, x), (z', y))
 depends on the two levels only through their order (<, = or >), and a
@@ -64,6 +66,7 @@ value and bottom), each at least once, so it does not move with r.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from . import laws
 from .errors import CapacityError, NonIntegralQuantaleError, StructuralError
@@ -87,10 +90,16 @@ ACTING_ARROW_CAP = 7 * WINDOW_ELEMENT_CAP
 class IntegerIndexedCover:
     """Lazy separated cover over a base object (levels are arbitrary ints)."""
 
-    __slots__ = ("base",)
-
     def __init__(self, base):
         self.base = base
+
+    @cached_property
+    def window(self):
+        """The radius-1 ``Window``, on which every law is scanned (the
+        module's lemma); built on the first read and kept.  It stands on a
+        cover of its own over the same base, so that the two form no cycle
+        and reference counting frees them, not the cyclic collector."""
+        return Window(IntegerIndexedCover(self.base), 1)
 
     @property
     def quantale(self):
@@ -267,7 +276,7 @@ def verify_cover_window(cover, radius):
     _guard_window(cover, radius)
     base = cover.base
     q = base.quantale
-    window = Window(cover, 1)
+    window = cover.window
     elements, matrix = window.elements, window.matrix
 
     # integral quantale (descent_cover): unit-reflexive means top on the diagonal
@@ -332,7 +341,7 @@ def kernel_pair_groupoid(cover, radius):
     report = ValidationReport(subject=f"kernel-pair-groupoid-r{radius}")
     _guard_window(cover, radius)
     base = cover.base
-    window = Window(cover, 1)
+    window = cover.window
     carrier, pairs, diagonal = base.group.derived(kernel_pair_index)
     matrix = pair_meets(base.quantale, window.matrix, window.matrix, pairs)
     _add(report, "diagonal-embedding", window.elements,
@@ -364,7 +373,7 @@ def action_of_covering(alpha, cover, radius):
     q = cover.quantale
     _guard("carrier of acting arrows", len(LEVELS) ** 2 * dom.size, ACTING_ARROW_CAP)
 
-    window = Window(cover, 1)
+    window = cover.window
     carrier = [(z, a) for z in LEVELS for a in range(dom.size)]
     # each (z, a) as the index pair (window index of (z, alpha a), a)
     matrix = pair_meets(q, window.matrix, dom.structure.entries,

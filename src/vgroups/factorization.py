@@ -24,85 +24,18 @@ that their right legs lie in the right class, holds by construction.
 from dataclasses import asdict, dataclass
 
 from .errors import NonIntegralQuantaleError, StructuralError, TheoremCheckError
-from .torsion import decompose, reflected_map, torsion_members
+from .torsion import (ClassCache, decompose, kernel_members, reflected_map,
+                      torsion_members)
 from .vgroup import (VGroup, VHom, classify_object, factor_through_epi,
                      is_isomorphism, is_regular_epi, kernel, pullback,
                      pullback_comparison, quotient_vgroup, validate_hom)
-
-
-class ClassCache:
-    """What one run derives from its objects and morphisms, kept for that
-    run: a battery's suite holds one, and each command line call makes
-    its own.  Four stores, each entry a function of its key alone and
-    read-only once written:
-
-    - ``decompositions``: the torsion decomposition of each object;
-    - ``reports``: the class report of each morphism;
-    - ``kernel_classes``: the ``ObjectClass`` of each kernel, by (domain,
-      kernel members), for ``classify_morphism``'s stabilized flags;
-    - ``quotients``: the (middle, left leg) of each stabilized quotient, by
-      (domain, torsion part of the kernel), for ``monotone_light_factorize``.
-
-    Many morphisms share one kernel or quotient.  A kernel's class is kept,
-    not the kernel, whose carrier, structure and inclusion no report reads.
-    An entry is stored once its computation has returned, a quotient once
-    its factorization has post-verified: a morphism refused as invalid or
-    over a non-integral quantale adds nothing.  What the stores keep goes
-    through ``intern`` as it is stored, so that one pool keyed by value,
-    ``objects``, holds the run's one instance of each object.  Their groups
-    need no pool: each is built once per parent group
-    (``FiniteGroup.derived``).
-    """
-
-    __slots__ = ("decompositions", "reports", "kernel_classes", "quotients", "objects")
-
-    def __init__(self):
-        self.decompositions = {}
-        self.reports = {}
-        self.kernel_classes = {}
-        self.quotients = {}
-        self.objects = {}
-
-    def report(self, f):
-        """The class report of f, classified on the first request only; a
-        failed classification stores nothing."""
-        report = self.reports.get(f)
-        if report is None:
-            report = classify_morphism(f, self)
-            self.reports[self.leg(f)] = report  # interned only once f is accepted
-        return report
-
-    def kernel_class(self, f):
-        """The class of f's kernel, classified on the first request for its
-        key only."""
-        key = (self.intern(f.dom), kernel_members(f))
-        found = self.kernel_classes.get(key)
-        if found is None:
-            found = self.kernel_classes[key] = classify_object(kernel(f)[0])
-        return found
-
-    def intern(self, g):
-        """The run's first instance of g's value."""
-        return self.objects.setdefault(g, g)
-
-    def leg(self, h):
-        """h between the run's instances of its ends."""
-        dom, cod = self.intern(h.dom), self.intern(h.cod)
-        return h if dom is h.dom and cod is h.cod else VHom._trusted(dom, cod, h.mapping)
-
-
-def kernel_members(f):
-    """The elements f sends to the codomain's identity, in order: the
-    carrier of ``kernel(f)``."""
-    zero = f.cod.group.identity
-    return tuple([x for x, y in enumerate(f.mapping) if y == zero])
 
 
 def cached_decomposition(g, cache):
     """The torsion decomposition of g, computed and interned once per cache."""
     d = cache.decompositions.get(g)
     if d is None:
-        d = decompose(g)
+        d = decompose(g, cache)
         d.object = cache.intern(g)  # before an equal torsion part can stand in for g
         d.injection, d.projection = cache.leg(d.injection), cache.leg(d.projection)
         d.torsion, d.quotient = d.injection.dom, d.projection.cod
@@ -149,11 +82,16 @@ def classify_morphism(f, cache=None):
 
     The stabilized flags are computed from the kernel's class; a failed
     containment in the unstabilized classes raises, as does any route
-    disagreement.  The decompositions and the kernel's class come from
-    ``cache`` (a fresh one when omitted), so morphisms with one domain
-    and one kernel share a classification; ``cache.report(f)`` keeps the
-    report.
+    disagreement.  The report, the decompositions and the kernel's class
+    come from ``cache`` (a fresh one when omitted), so morphisms with one
+    domain and one kernel share a classification, and f is classified on
+    the first request only; a failed classification stores nothing.
     """
+    if cache is None:
+        cache = ClassCache()
+    report = cache.reports.get(f)
+    if report is not None:
+        return report
     if not f.dom.quantale.is_integral:
         raise NonIntegralQuantaleError(
             "morphism classification is relative to the separated reflection, "
@@ -161,8 +99,6 @@ def classify_morphism(f, cache=None):
     if not validate_hom(f).ok:
         raise StructuralError("cannot classify an invalid homomorphism")
 
-    if cache is None:
-        cache = ClassCache()
     dom_dec = cached_decomposition(f.dom, cache)
     cod_dec = cached_decomposition(f.cod, cache)
     n_dom = set(dom_dec.injection.mapping)
@@ -203,9 +139,11 @@ def classify_morphism(f, cache=None):
     if trivial_def and not covering:
         raise TheoremCheckError(
             f"{f!r} is a trivial covering but not a covering")
-    return MorphismClassReport(
+    report = MorphismClassReport(
         reflector_inverted=inverted_def, trivial_covering=trivial_def,
         stably_inverted=stably_inverted, covering=covering)
+    cache.reports[cache.leg(f)] = report  # interned only once f is accepted
+    return report
 
 
 def covering_kernel(f):
@@ -266,7 +204,7 @@ def reflective_factorize(f, cache=None):
     if not validate_hom(e).ok:
         raise TheoremCheckError(
             f"reflective factorization of {f!r} produced an invalid leg")
-    if not cache.report(e).reflector_inverted:
+    if not classify_morphism(e, cache).reflector_inverted:
         raise TheoremCheckError(
             f"left leg {e!r} of {f!r} is not inverted by the reflector")
     return Factorization(e=e, middle=p, m=m, system="reflective")
@@ -308,7 +246,7 @@ def monotone_light_factorize(f, cache=None):
     if not validate_hom(m).ok:
         raise TheoremCheckError(
             f"stabilized factorization of {f!r} produced an invalid leg")
-    if not cache.report(e).stably_inverted:
+    if not classify_morphism(e, cache).stably_inverted:
         raise TheoremCheckError(
             f"left leg {e!r} of {f!r} is not a normal epi with indiscrete kernel")
     if stored is None:

@@ -28,9 +28,87 @@ from .errors import (CapacityError, NonIntegralQuantaleError, StructuralError,
 from .reports import ValidationReport
 from .vgroup import (VGroup, VHom, classify_object, enumerate_homs,
                      factor_through_epi, factor_through_mono, fibers,
-                     final_structure, quotient_vgroup, subobject,
+                     final_structure, kernel, quotient_vgroup, subobject,
                      trivial_vgroup, validate_vgroup)
 from .vrel import VRel
+
+
+class ClassCache:
+    """What one run derives from its objects and morphisms, kept for that
+    run: a battery's suite holds one, and each command line call makes
+    its own.  Eight stores, each entry a function of its key alone:
+
+    - ``decompositions``: the torsion decomposition of each object;
+    - ``reports``: the class report of each morphism (``classify_morphism``);
+    - ``kernel_classes``: the ``ObjectClass`` of each kernel, by (domain,
+      kernel members), for ``classify_morphism``'s stabilized flags;
+    - ``quotients``: the (middle, left leg) of each stabilized quotient, by
+      (domain, torsion part of the kernel), for ``monotone_light_factorize``;
+    - ``classes``: the ``ObjectClass`` of each object (``object_class``);
+    - ``symmetric_parts``: the ``symmetric_coreflect`` of each object
+      (``symmetric_part``);
+    - ``spot_checks``: the number of morphisms of each pair (t, f) of test
+      objects whose null spot check ``pretorsion_decompose`` has run;
+    - ``sequences``: the short exact sequences of each small object, which
+      the battery's ses check stores and its torsion check takes out.
+
+    An entry is stored once its computation has returned, a quotient once
+    its factorization has post-verified: what raises adds nothing.  A
+    kernel is classified through ``object_class``; its inclusion, which no
+    report reads, is not kept.  What the first four stores keep goes
+    through ``intern`` as it is stored, so that one pool keyed by value,
+    ``objects``, holds the run's one instance of each object; the other
+    four keep their keys as given.  The groups need no pool: each is built
+    once per parent group (``FiniteGroup.derived``).
+    """
+
+    __slots__ = ("decompositions", "reports", "kernel_classes", "quotients",
+                 "classes", "symmetric_parts", "spot_checks", "sequences", "objects")
+
+    def __init__(self):
+        for name in self.__slots__:  # every store, and the pool, a dict
+            setattr(self, name, {})
+
+    def object_class(self, g):
+        """The ``classify_object`` of g, classified on the first request for
+        its value only."""
+        found = self.classes.get(g)
+        if found is None:
+            found = self.classes[g] = classify_object(g)
+        return found
+
+    def symmetric_part(self, g):
+        """The ``symmetric_coreflect`` of g, built on the first request for
+        its value only."""
+        found = self.symmetric_parts.get(g)
+        if found is None:
+            found = self.symmetric_parts[g] = symmetric_coreflect(g)
+        return found
+
+    def kernel_class(self, f):
+        """The class of f's kernel, read through ``object_class`` on the
+        first request for its key only."""
+        key = (self.intern(f.dom), kernel_members(f))
+        found = self.kernel_classes.get(key)
+        if found is None:
+            found = self.kernel_classes[key] = self.object_class(kernel(f)[0])
+        return found
+
+    def intern(self, g):
+        """The run's first instance of g's value."""
+        return self.objects.setdefault(g, g)
+
+    def leg(self, h):
+        """h between the run's instances of its ends."""
+        dom, cod = self.intern(h.dom), self.intern(h.cod)
+        return h if dom is h.dom and cod is h.cod else VHom._trusted(dom, cod, h.mapping)
+
+
+def kernel_members(f):
+    """The elements f sends to the codomain's identity, in order: the
+    carrier of ``kernel(f)``."""
+    zero = f.cod.group.identity
+    return tuple([x for x, y in enumerate(f.mapping) if y == zero])
 
 
 def torsion_members(g, elements):
@@ -97,19 +175,23 @@ def matches_final_composite(quot_hom):
     return composite == quot_hom.cod.structure
 
 
-def decompose(g):
+def decompose(g, cache=None):
     """The canonical short exact sequence through the torsion part.
 
     Requires an integral quantale.  By construction the injection is a
     normal mono (restricting g to a normal subgroup) and the projection a
     regular epi (joining g over the cosets).  Verified: the kernel is
     indiscrete, the quotient separated, and both structure equations hold
-    exactly (computed independently by relation composition).
+    exactly (computed independently by relation composition).  The
+    classes of the torsion part and the quotient come from ``cache`` (a
+    fresh one when omitted).
     """
     if not g.quantale.is_integral:
         raise NonIntegralQuantaleError(
             "torsion decomposition needs unit = top; without it the "
             "category has no zero object")
+    if cache is None:
+        cache = ClassCache()
     members = torsion_part(g)
     torsion, injection = subobject(g, members)
     quotient, projection = quotient_vgroup(g, members)
@@ -118,9 +200,9 @@ def decompose(g):
         raise TheoremCheckError(f"kernel structure equation failed for {g!r}")
     if not matches_final_composite(projection):
         raise TheoremCheckError(f"cokernel structure equation failed for {g!r}")
-    if not classify_object(torsion).indiscrete:
+    if not cache.object_class(torsion).indiscrete:
         raise TheoremCheckError(f"torsion part of {g!r} is not indiscrete")
-    if not classify_object(quotient).separated:
+    if not cache.object_class(quotient).separated:
         raise TheoremCheckError(f"torsion-free quotient of {g!r} is not separated")
 
     return TorsionDecomposition(
@@ -203,37 +285,19 @@ def is_null_morphism(f):
     return {"is_null": verdict, "method": "via-image"}
 
 
-def built_once(store, build, obj):
-    """``build(obj)``, built on the first call for ``obj``'s value and kept
-    in ``store``, a dict by object that a caller may share between calls;
-    a build that raises stores nothing."""
-    found = store.get(obj)
-    if found is None:
-        found = store[obj] = build(obj)
-    return found
-
-
-def default_test_family(*objects, symmetric_parts=None):
+def default_test_family(*objects, cache=None):
     """Deduplicated test objects: the given ones, their symmetrizations,
     and the one-element objects (unit-valued and top-valued).  Each
-    symmetrization is read from ``symmetric_parts`` (a dict by object,
-    filled on a miss, as ``pretorsion_decompose`` takes it) when given."""
-    if symmetric_parts is None:
-        symmetric_parts = {}
-    family = []
-    seen = set()
+    symmetrization comes from ``cache`` (a fresh one when omitted)."""
+    if cache is None:
+        cache = ClassCache()
     q = objects[0].quantale
     candidates = list(objects)
     candidates.append(trivial_vgroup(q))
     if q.unit != q.top:
         candidates.append(trivial_vgroup(q, value=q.top))
-    for obj in objects:
-        candidates.append(built_once(symmetric_parts, symmetric_coreflect, obj))
-    for obj in candidates:
-        if obj not in seen:
-            seen.add(obj)
-            family.append(obj)
-    return family
+    candidates += [cache.symmetric_part(obj) for obj in objects]
+    return list(dict.fromkeys(candidates))  # the first of each value, in order
 
 
 def _hom_set(hom_sets, dom, cod):
@@ -356,8 +420,7 @@ def _null_spot_check(t, f_obj, hom_sets):
     return checked
 
 
-def pretorsion_decompose(g, test_objects=None, spot_checks=None, classes=None,
-                         symmetric_parts=None):
+def pretorsion_decompose(g, test_objects=None, cache=None):
     """Symmetric part, identity comparison, separated quotient; verified.
 
     Works over any quantale.  The symmetric part is below g by
@@ -365,38 +428,27 @@ def pretorsion_decompose(g, test_objects=None, spot_checks=None, classes=None,
     verifiers on the sequence and spot-checks that every enumerated
     morphism from a symmetric test object to a separated one is null.
 
-    Three optional dicts carry what depends on the test objects alone,
-    not on g, so that a caller that decomposes many objects over
-    overlapping families passes the same ones to every call and each
-    entry is found once (keys compare by ``VGroup`` equality):
-    ``spot_checks`` maps each pair (t, f) already checked to its number
-    of morphisms, ``classes`` each object to its ``classify_object``, and
-    ``symmetric_parts`` each object to its ``symmetric_coreflect`` (the
-    default family's symmetrizations read it too).  What raises is not
-    stored, so every later call meets it again.  Each omitted dict is a
-    fresh one, so that a call alone, as the ``pretorsion`` command makes
-    it, still classifies each distinct test object once and keeps
-    nothing.  ``notes["null_spot_checks"]`` counts the morphisms of
-    every pair of the family, checked now or before.
+    The symmetric parts, the classes and the null spot checks come from
+    ``cache`` (a fresh one when omitted), whose entries depend on their
+    keys alone, not on g: decompositions that share a cache over
+    overlapping families check each pair of test objects once.
+    ``notes["null_spot_checks"]`` counts the morphisms of every pair of
+    the family, checked now or before.
 
     Within one call, each hom-set is enumerated once, for both verifiers
     and the spot checks; the hom-sets do not outlive the call.
     """
-    if spot_checks is None:
-        spot_checks = {}
-    if classes is None:
-        classes = {}
-    if symmetric_parts is None:
-        symmetric_parts = {}
-    sym = built_once(symmetric_parts, symmetric_coreflect, g)
+    if cache is None:
+        cache = ClassCache()
+    sym = cache.symmetric_part(g)
     comparison = VHom(sym, g, range(g.size))
     members = torsion_part(g)
     quotient, projection = quotient_vgroup(g, members)
-    if not built_once(classes, classify_object, quotient).separated:
+    if not cache.object_class(quotient).separated:
         raise TheoremCheckError(f"pretorsion quotient of {g!r} is not separated")
 
     if test_objects is None:
-        test_objects = default_test_family(g, quotient, symmetric_parts=symmetric_parts)
+        test_objects = default_test_family(g, quotient, cache=cache)
     hom_sets = {}
     kernel_report = verify_pretorsion_kernel(
         comparison, projection, test_objects=test_objects, hom_sets=hom_sets)
@@ -408,7 +460,8 @@ def pretorsion_decompose(g, test_objects=None, spot_checks=None, classes=None,
             f"{kernel_report.laws_violated() + cokernel_report.laws_violated()}")
 
     checked = 0
-    family = [(t, built_once(classes, classify_object, t)) for t in test_objects]
+    spot_checks = cache.spot_checks  # by (t, f): the morphisms checked
+    family = [(t, cache.object_class(t)) for t in test_objects]
     for t, t_class in family:
         if not t_class.symmetric:
             continue

@@ -1,16 +1,18 @@
 """What the battery checks rely on without re-checking it, on the smoke suite,
 and what they build against the code it replaced."""
 
+import sys
 from itertools import product as iproduct
 from pathlib import Path
 
 import pytest
 
-from vgroups import (Quantale, StructuralError, VGroup, VHom, VRel, battery,
-                     builtin_quantale, classify_hom, image_factorize, is_isomorphism,
-                     is_regular_epi, laws, monotone_light_factorize, pullback,
-                     reflective_factorize, standard_suite, trivial_vgroup, validate_hom,
-                     zero_hom)
+from vgroups import (IntegerIndexedCover, Quantale, StructuralError, VGroup, VHom, VRel,
+                     battery,
+                     builtin_quantale, classify_hom, classify_morphism, classify_object,
+                     image_factorize, is_isomorphism, is_regular_epi, laws,
+                     monotone_light_factorize, pullback, reflective_factorize,
+                     standard_suite, torsion, trivial_vgroup, validate_hom, zero_hom)
 from vgroups.battery import SMALL_CARRIER, _alternative_factorizations, _exact_sequences
 from vgroups.builders import (FULL_EXTRA_GROUPS, FULL_EXTRA_QUANTALES, SMOKE_GROUPS,
                               SMOKE_QUANTALES, group_roster)
@@ -156,7 +158,7 @@ def test_stability_pullbacks_match_the_reference():
     """Every cospan the two pullback-stability checks visit at smoke."""
     suite = standard_suite("smoke")
     visits = ((is_regular_epi, battery.REGULAR_EPI_COSPAN_CAP),
-              (lambda f: suite.cache.report(f).stably_inverted, battery.STABLE_CLASS_CAP))
+              (lambda f: classify_morphism(f, suite.cache).stably_inverted, battery.STABLE_CLASS_CAP))
     cospans = 0
     for keep, cap in visits:
         for f, g, _ in battery._pulled_back(suite, keep, cap):
@@ -288,8 +290,8 @@ def test_a_uniqueness_cap_is_tested_once_per_morphism(monkeypatch):
                                         "covering")):
             size = factorize(f, suite.cache).middle.size
             for _, e2, m2 in _alternative_factorizations(suite, dom, cod, f, size):
-                count += getattr(suite.cache.report(e2), left) and \
-                    getattr(suite.cache.report(m2), right)
+                count += getattr(classify_morphism(e2, suite.cache), left) and \
+                    getattr(classify_morphism(m2, suite.cache), right)
         return count
 
     for cap, check, pairs in (("IMAGE_UNIQUENESS_CAP", battery.check_image_factorization,
@@ -313,22 +315,22 @@ def test_torsion_check_classifies_and_builds_each_object_once(monkeypatch):
     quotient, once; run alone, the torsion check stores no sequences, and
     its result is the same either way."""
     built, classified = [], []
-    sequences, classify = battery._exact_sequences, battery.classify_object
+    sequences, classify = battery._exact_sequences, torsion.classify_object
     monkeypatch.setattr(battery, "_exact_sequences",
                         lambda g: built.append(g) or sequences(g))
-    monkeypatch.setattr(battery, "classify_object",
+    monkeypatch.setattr(torsion, "classify_object",
                         lambda g: classified.append(g) or classify(g))
     alone = standard_suite("smoke")
     want = battery.check_torsion_theory(alone).as_dict()
-    assert alone.sequences == {}
+    assert alone.cache.sequences == {}
     assert len(classified) == len(set(classified)) == 61
     suite = standard_suite("smoke")
     built.clear()
     classified.clear()
     battery.check_ses_morphism_pullback(suite)
-    assert len(suite.sequences) == len(suite.objects) == 28
+    assert len(suite.cache.sequences) == len(suite.objects) == 28
     assert battery.check_torsion_theory(suite).as_dict() == want
-    assert suite.sequences == {}
+    assert suite.cache.sequences == {}
     assert len(built) == len(set(built)) == 28
     assert len(classified) == len(set(classified)) == 61
 
@@ -346,3 +348,37 @@ def test_full_level_object_checks_are_pinned():
     suite = standard_suite("full")
     got = canonical_json([check(suite).as_dict() for check in FULL_OBJECT_CHECKS])
     assert got == (EXPECTED / "suite_full_object_checks.json").read_text(encoding="utf-8")
+
+
+def counted_run(level, checks):
+    """Run ``checks`` on a fresh suite of ``level``, each passing, and
+    return each object given to ``classify_object``, from whichever
+    package module calls it, and each radius given to
+    ``IntegerIndexedCover.window_matrix``, in call order."""
+    classified, windows = [], []
+    window_matrix = IntegerIndexedCover.window_matrix
+    with pytest.MonkeyPatch.context() as patch:
+        for name, module in list(sys.modules.items()):
+            if name.startswith("vgroups") and \
+                    getattr(module, "classify_object", None) is classify_object:
+                patch.setattr(module, "classify_object",
+                              lambda g: classified.append(g) or classify_object(g))
+        patch.setattr(IntegerIndexedCover, "window_matrix", lambda self, radius:
+                      windows.append(radius) or window_matrix(self, radius))
+        suite = standard_suite(level)
+        for check in checks:
+            assert check(suite).ok, check.__name__
+    return classified, windows
+
+
+@pytest.mark.parametrize("level, checks, distinct", [
+    ("smoke", battery.ALL_CHECKS, 235), ("full", FULL_OBJECT_CHECKS, 608)])
+def test_a_run_classifies_each_object_value_once(level, checks, distinct):
+    """Every classification of a run, of a suite object, a torsion part, a
+    quotient, a kernel or a test object, goes through the suite's
+    ``ClassCache``, so each distinct value is classified once, and each
+    object's radius-1 window is built once (28 objects at smoke, 259 at
+    full)."""
+    classified, windows = counted_run(level, checks)
+    assert len(classified) == len(set(classified)) == distinct
+    assert windows == [1] * (28 if level == "smoke" else 259)

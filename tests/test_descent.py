@@ -772,6 +772,25 @@ def test_lawful_windows_build_nothing_beyond_radius_one(monkeypatch):
                             "separation", "compatibility", "reflection"}
 
 
+def test_each_cover_builds_its_radius_one_window_once(monkeypatch):
+    # the window scans, the kernel pair and a covering's action, at every
+    # radius, read the one radius-1 window their cover keeps
+    built = []
+    window_matrix = IntegerIndexedCover.window_matrix
+    monkeypatch.setattr(IntegerIndexedCover, "window_matrix", lambda self, radius:
+                        built.append((self.base, radius)) or window_matrix(self, radius))
+    covers = []
+    for obj in standard_suite("smoke").objects:
+        cover, _ = descent_cover(obj.vgroup)
+        covers.append(cover)
+        for radius in (1, 2, 3):
+            assert verify_cover_window(cover, radius).ok
+            assert kernel_pair_groupoid(cover, radius).ok
+            assert action_of_covering(identity_hom(obj.vgroup), cover, radius).ok
+    assert built == [(cover.base, 1) for cover in covers]
+    assert all(cover.window.matrix == window_matrix(cover, 1) for cover in covers)
+
+
 # sha256 over the full suite's descent outputs, in suite order: every
 # verify_cover_window and Window.as_dict output at radii 1-3 and every
 # kernel_pair_groupoid output at radii 1-2 (at radius 3 its 294-element

@@ -8,7 +8,7 @@ from collections import Counter
 import pytest
 
 import vgroups
-from vgroups import factorization
+from vgroups import battery, factorization, torsion
 from vgroups import (FiniteGroup, NonIntegralQuantaleError, StructuralError,
                      TheoremCheckError, VHom,
                      classify_morphism, classify_object, discrete_vgroup,
@@ -16,7 +16,8 @@ from vgroups import (FiniteGroup, NonIntegralQuantaleError, StructuralError,
                      is_covering, is_isomorphism, kernel,
                      monotone_light_factorize, product, pullback,
                      quotient_vgroup, reflective_factorize, run_battery,
-                     standard_suite, trivial_vgroup, validate_hom, zero_hom)
+                     standard_suite, symmetric_coreflect, trivial_vgroup,
+                     validate_hom, zero_hom)
 from vgroups.factorization import ClassCache, kernel_members
 from vgroups.torsion import torsion_members
 from vgroups.vgroup import factorization_middle_iso
@@ -199,13 +200,14 @@ class TestClassCache:
     def factorized_smoke(self):
         """The smoke suite's cache after both factorizations and the report
         of every morphism, each distinct morphism and leg they touched, and
-        the calls of ``kernel`` and ``quotient_vgroup`` from factorization.py
-        while the cache filled, counted per key."""
+        the calls of ``kernel`` from torsion.py, where ``ClassCache`` lives,
+        and of ``quotient_vgroup`` from factorization.py while the cache
+        filled, counted per key."""
         suite = standard_suite("smoke")
         touched, builds = {}, Counter()
 
-        def counted(name, key):
-            original = getattr(factorization, name)
+        def counted(module, name, key):
+            original = getattr(module, name)
 
             def build(*args, **kwargs):
                 builds[name, key(*args)] += 1
@@ -213,23 +215,24 @@ class TestClassCache:
             return build
 
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(factorization, "kernel", counted("kernel", _kernel_key))
+            patch.setattr(torsion, "kernel", counted(torsion, "kernel", _kernel_key))
             patch.setattr(factorization, "quotient_vgroup",
-                          counted("quotient_vgroup", lambda g, members: (g, members)))
+                          counted(factorization, "quotient_vgroup",
+                                  lambda g, members: (g, members)))
             for _, _, f in suite.all_homs():
                 touched[f] = None
                 for fact in (reflective_factorize(f, suite.cache),
                              monotone_light_factorize(f, suite.cache)):
                     touched[fact.e] = touched[fact.m] = None
             for f in touched:
-                suite.cache.report(f)
+                classify_morphism(f, suite.cache)
         return suite.cache, list(touched), builds
 
     def test_cached_report_matches_fresh_classification(self, factorized_smoke):
         cache, morphisms, _ = factorized_smoke
         for f in morphisms:
-            report = cache.report(f)
-            assert cache.report(f) is report
+            report = classify_morphism(f, cache)
+            assert classify_morphism(f, cache) is report
             assert report.as_dict() == classify_morphism(f).as_dict()
 
     def test_reports_are_keyed_by_morphism(self, factorized_smoke):
@@ -274,7 +277,7 @@ class TestClassCache:
     def test_lookup_raises_like_an_uncached_call(self, non_integral_q, z2,
                                                  quotient_to_z2):
         cache = ClassCache()
-        cache.report(quotient_to_z2)  # both endpoints are now decomposed
+        classify_morphism(quotient_to_z2, cache)  # both endpoints are now decomposed
         monotone_light_factorize(quotient_to_z2, cache)
         stored = {name: dict(getattr(cache, name)) for name in ClassCache.__slots__}
         not_a_hom = VHom(quotient_to_z2.dom, quotient_to_z2.cod, [0, 1, 1, 0])
@@ -288,7 +291,7 @@ class TestClassCache:
             with pytest.raises(error) as uncached:
                 classify_morphism(f)
             with pytest.raises(error) as cached:
-                cache.report(f)
+                classify_morphism(f, cache)
             assert str(cached.value) == str(uncached.value)
         for f, error in ((not_a_hom, TheoremCheckError),
                          (incompatible, TheoremCheckError),
@@ -300,6 +303,24 @@ class TestClassCache:
             assert str(cached.value) == str(uncached.value)
         assert {name: dict(getattr(cache, name))
                 for name in ClassCache.__slots__} == stored
+
+    def test_object_stores_match_fresh_builds(self):
+        """After the smoke suite's object checks, each class, symmetric
+        part and spot-check count the suite's cache holds is what a fresh
+        build gives, and the torsion check has taken out every sequence."""
+        suite = standard_suite("smoke")
+        for check in (battery.check_objects, battery.check_ses_morphism_pullback,
+                      battery.check_torsion_theory, battery.check_pretorsion):
+            assert check(suite).ok, check.__name__
+        cache = suite.cache
+        assert cache.classes and cache.symmetric_parts and cache.spot_checks
+        for g, found in cache.classes.items():
+            assert found == classify_object(g)
+        for g, found in cache.symmetric_parts.items():
+            assert found == symmetric_coreflect(g)
+        for (t, f), count in cache.spot_checks.items():
+            assert count == len(enumerate_homs(t, f))
+        assert cache.sequences == {}
 
     def test_report_is_frozen(self, quotient_to_z2):
         report = classify_morphism(quotient_to_z2)

@@ -274,11 +274,15 @@ def kernel_pair_first_projection(original):
     return pair_meets
 
 
-@mutant((factorization.ClassCache, "report"))
+@mutant(factorization.classify_morphism)
 def cache_key_no_mapping(original):
     """Class reports are keyed by their endpoints only, so morphisms between
     the same objects share the first one's flags."""
-    return lambda self, f: self.reports.setdefault((f.dom, f.cod), original(self, f))
+    def classify_morphism(f, cache=None):
+        if cache is None:
+            return original(f)
+        return cache.reports.setdefault((f.dom, f.cod), original(f, cache))
+    return classify_morphism
 
 
 @mutant((factorization.ClassCache, "intern"))

@@ -19,7 +19,8 @@ from itertools import islice
 
 import pytest
 
-from vgroups import FiniteGroup, StructuralError, TheoremCheckError, VGroup, VHom, VRel, battery
+from vgroups import (FiniteGroup, StructuralError, TheoremCheckError, VGroup, VHom, VRel,
+                     battery, classify_morphism)
 from vgroups.builders import group_roster, standard_suite
 from vgroups.groups import _distinct, pair_group, quotient_group, subgroup_group
 from vgroups.vgroup import (discrete_vgroup, equalizer, fibers, identity_hom, is_regular_epi,
@@ -259,7 +260,7 @@ def test_pulled_back_cospans_match_in_yield_order():
     order they are visited, with their pullbacks."""
     suite = standard_suite("smoke")
     visits = ((is_regular_epi, battery.REGULAR_EPI_COSPAN_CAP),
-              (lambda f: suite.cache.report(f).stably_inverted, battery.STABLE_CLASS_CAP))
+              (lambda f: classify_morphism(f, suite.cache).stably_inverted, battery.STABLE_CLASS_CAP))
     counts = []
     for keep, cap in visits:
         got = list(battery._pulled_back(suite, keep, cap))

@@ -20,7 +20,7 @@ from vgroups.builders import (FULL_EXTRA_GROUPS, FULL_EXTRA_QUANTALES,
 from vgroups import torsion
 from vgroups.battery import (PRETORSION_FAMILY_MAX_CARRIER, PRETORSION_QUANTALES,
                              THEOREM_FAILURES, check_pretorsion)
-from vgroups.torsion import default_test_family
+from vgroups.torsion import ClassCache, default_test_family
 
 
 class TestTorsionPart:
@@ -388,8 +388,9 @@ def battery_family(suite, obj):
 
 def test_shared_spot_checks_leave_every_decomposition_unchanged(monkeypatch):
     """On every smoke object over a pretorsion quantale, with its default
-    family and with the battery's, one shared dict gives the decomposition
-    of a fresh one, spot-check count included, and checks each pair once."""
+    family and with the battery's, one shared ``ClassCache`` gives the
+    decomposition of a fresh one, spot-check count included, and checks
+    each pair once."""
     suite = standard_suite("smoke")
     objects = [o for q in PRETORSION_QUANTALES for o in suite.objects_over(q)]
     original = torsion._null_spot_check
@@ -398,26 +399,26 @@ def test_shared_spot_checks_leave_every_decomposition_unchanged(monkeypatch):
                         lambda t, f, *rest: log["to"].append((t, f))
                         or original(t, f, *rest))
     for families in ([None] * len(objects), [battery_family(suite, o) for o in objects]):
-        shared, unshared, checked = {}, [], []
+        shared, unshared, checked = ClassCache(), [], []
         for obj, family in zip(objects, families):
             log["to"] = unshared
             alone = pretorsion_decompose(obj.vgroup, test_objects=family).as_dict()
             log["to"] = now = []
-            before = set(shared)
+            before = set(shared.spot_checks)
             assert pretorsion_decompose(obj.vgroup, test_objects=family,
-                                        spot_checks=shared).as_dict() == alone, obj.name
+                                        cache=shared).as_dict() == alone, obj.name
             assert not before & set(now), obj.name
             checked += now
-        assert len(checked) == len(set(checked)) == len(shared)
+        assert len(checked) == len(set(checked)) == len(shared.spot_checks)
     # the battery's families share their small objects
-    assert len(shared) < len(unshared)
+    assert len(shared.spot_checks) < len(unshared)
 
 
 def test_run_wide_dicts_leave_every_decomposition_unchanged(monkeypatch):
     """On every smoke object over a pretorsion quantale, with its default
-    family and with the battery's, the three run-wide dicts shared by
-    every call give the decomposition of a call without them, and each
-    distinct object is classified once and symmetrized once."""
+    family and with the battery's, one ``ClassCache`` shared by every call
+    gives the decomposition of a call with a fresh one, and each distinct
+    object is classified once and symmetrized once."""
     suite = standard_suite("smoke")
     objects = [o for q in PRETORSION_QUANTALES for o in suite.objects_over(q)]
     counted = {"on": False, "classify_object": [], "symmetric_coreflect": []}
@@ -427,18 +428,17 @@ def test_run_wide_dicts_leave_every_decomposition_unchanged(monkeypatch):
                             lambda g, name=name, original=original:
                             (counted["on"] and counted[name].append(g)) or original(g))
     for families in ([None] * len(objects), [battery_family(suite, o) for o in objects]):
-        spot_checks, classes, symmetric_parts = {}, {}, {}
+        cache = ClassCache()
         counted["classify_object"], counted["symmetric_coreflect"] = [], []
         for obj, family in zip(objects, families):
             counted["on"] = False
             alone = pretorsion_decompose(obj.vgroup, test_objects=family).as_dict()
             counted["on"] = True
-            shared = pretorsion_decompose(
-                obj.vgroup, test_objects=family, spot_checks=spot_checks,
-                classes=classes, symmetric_parts=symmetric_parts).as_dict()
+            shared = pretorsion_decompose(obj.vgroup, test_objects=family,
+                                          cache=cache).as_dict()
             assert shared == alone, obj.name
-        for name, store in (("classify_object", classes),
-                            ("symmetric_coreflect", symmetric_parts)):
+        for name, store in (("classify_object", cache.classes),
+                            ("symmetric_coreflect", cache.symmetric_parts)):
             calls = counted[name]
             assert len(calls) == len(set(calls)) == len(store), name
 
