@@ -27,8 +27,8 @@ from .errors import NonIntegralQuantaleError, StructuralError, TheoremCheckError
 from .torsion import (ClassCache, decompose, kernel_members, reflected_map,
                       torsion_members)
 from .vgroup import (VGroup, VHom, classify_object, factor_through_epi,
-                     is_isomorphism, is_regular_epi, kernel, pullback,
-                     pullback_comparison, quotient_vgroup, validate_hom)
+                     is_isomorphism, is_regular_epi, kernel, pullback_comparison,
+                     quotient_vgroup, validate_hom)
 
 
 def cached_decomposition(g, cache):
@@ -53,10 +53,13 @@ class MorphismClassReport:
     as_dict = asdict
 
 
-def _naturality_square(f, dom_dec, cod_dec, reflected):
+def _naturality_square(f, dom_dec, cod_dec, reflected, cache):
     """The pullback P of ``reflected`` along the codomain's projection,
-    its projection m to f.cod, and the comparison e from f.dom into P."""
-    p, to_cod, to_refl = pullback(cod_dec.projection, reflected)
+    its projection m to f.cod, and the comparison e from f.dom into P.
+    P and its legs come from ``cache.square``, built once per key; only
+    the comparison is built per call."""
+    to_cod, to_refl = cache.square(cod_dec, reflected)
+    p = to_cod.dom
     return p, to_cod, pullback_comparison(p, to_cod, to_refl, f, dom_dec.projection)
 
 
@@ -82,10 +85,11 @@ def classify_morphism(f, cache=None):
 
     The stabilized flags are computed from the kernel's class; a failed
     containment in the unstabilized classes raises, as does any route
-    disagreement.  The report, the decompositions and the kernel's class
-    come from ``cache`` (a fresh one when omitted), so morphisms with one
-    domain and one kernel share a classification, and f is classified on
-    the first request only; a failed classification stores nothing.
+    disagreement.  The report, the decompositions, the naturality square
+    and the kernel's class come from ``cache`` (a fresh one when omitted),
+    so morphisms with one domain and one kernel share a classification,
+    and f is classified on the first request only; a failed classification
+    stores no report.
     """
     if cache is None:
         cache = ClassCache()
@@ -118,7 +122,7 @@ def classify_morphism(f, cache=None):
             f"definitional={inverted_def} characterization={inverted_char}")
 
     # Right class, definitional route: the naturality square is a pullback.
-    _, _, comparison = _naturality_square(f, dom_dec, cod_dec, reflected)
+    _, _, comparison = _naturality_square(f, dom_dec, cod_dec, reflected, cache)
     trivial_def = is_isomorphism(comparison)
 
     # Right class, characterization route: f maps T bijectively onto M.
@@ -191,16 +195,17 @@ def reflective_factorize(f, cache=None):
     right leg the pullback projection.  The composite is f, and m is
     valid, by construction (e(x) is the pair over f(x); pullback entries
     are meets), and so is m a trivial covering: the reflection is
-    separated, so the middle's torsion part is T(cod) x {e}.  Post-verifies that e is valid (f need not be) and reflector-inverted,
-    raising on failure.  Decompositions and e's report come from
-    ``cache`` (fresh if omitted).
+    separated, so the middle's torsion part is T(cod) x {e}.
+    Post-verifies that e is valid (f need not be) and reflector-inverted,
+    raising on failure.  Decompositions, the square and e's report come
+    from ``cache`` (fresh if omitted).
     """
     if cache is None:
         cache = ClassCache()
     dom_dec = cached_decomposition(f.dom, cache)
     cod_dec = cached_decomposition(f.cod, cache)
     p, m, e = _naturality_square(f, dom_dec, cod_dec,
-                                 reflected_map(f, dom_dec, cod_dec))
+                                 reflected_map(f, dom_dec, cod_dec), cache)
     if not validate_hom(e).ok:
         raise TheoremCheckError(
             f"reflective factorization of {f!r} produced an invalid leg")

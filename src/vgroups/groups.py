@@ -57,7 +57,7 @@ class FiniteGroup:
     data of its descent windows.
     """
 
-    __slots__ = ("names", "table", "identity", "inverse", "_derived", "_hash")
+    __slots__ = ("names", "table", "identity", "inverse", "size", "_derived", "_hash")
 
     def __init__(self, table, names=None):
         table = tuple([tuple(row) for row in table])
@@ -101,6 +101,7 @@ class FiniteGroup:
         self.table = table
         self.identity = identity
         self.inverse = tuple(inverse)
+        self.size = n
         self._derived = {}
         self._hash = None
 
@@ -113,6 +114,7 @@ class FiniteGroup:
         groups that passed ``__init__`` may call it."""
         g = cls.__new__(cls)
         g.table, g.names, g.identity, g.inverse = table, names, identity, inverse
+        g.size = len(table)
         g._derived = {}
         g._hash = None
         return g
@@ -134,10 +136,6 @@ class FiniteGroup:
             if found is not self:
                 self._derived[key] = found
         return found
-
-    @property
-    def size(self):
-        return len(self.table)
 
     def op(self, i, j):
         return self.table[i][j]

@@ -28,15 +28,15 @@ from .errors import (CapacityError, NonIntegralQuantaleError, StructuralError,
 from .reports import ValidationReport
 from .vgroup import (VGroup, VHom, classify_object, enumerate_homs,
                      factor_through_epi, factor_through_mono, fibers,
-                     final_structure, kernel, quotient_vgroup, subobject,
-                     trivial_vgroup, validate_vgroup)
+                     final_structure, kernel, pullback, quotient_vgroup,
+                     subobject, trivial_vgroup, validate_vgroup)
 from .vrel import VRel
 
 
 class ClassCache:
     """What one run derives from its objects and morphisms, kept for that
     run: a battery's suite holds one, and each command line call makes
-    its own.  Eight stores, each entry a function of its key alone:
+    its own.  Nine stores, each entry a function of its key alone:
 
     - ``decompositions``: the torsion decomposition of each object;
     - ``reports``: the class report of each morphism (``classify_morphism``);
@@ -44,6 +44,8 @@ class ClassCache:
       kernel members), for ``classify_morphism``'s stabilized flags;
     - ``quotients``: the (middle, left leg) of each stabilized quotient, by
       (domain, torsion part of the kernel), for ``monotone_light_factorize``;
+    - ``squares``: the two legs of each naturality square's pullback, by
+      (codomain, reflected map's domain, its mapping) (``square``);
     - ``classes``: the ``ObjectClass`` of each object (``object_class``);
     - ``symmetric_parts``: the ``symmetric_coreflect`` of each object
       (``symmetric_part``);
@@ -54,15 +56,17 @@ class ClassCache:
 
     An entry is stored once its computation has returned, a quotient once
     its factorization has post-verified: what raises adds nothing.  A
+    square is stored once its pullback returns, whatever the comparison
+    into it then finds, because it is a function of its key alone.  A
     kernel is classified through ``object_class``; its inclusion, which no
-    report reads, is not kept.  What the first four stores keep goes
+    report reads, is not kept.  What the first five stores keep goes
     through ``intern`` as it is stored, so that one pool keyed by value,
     ``objects``, holds the run's one instance of each object; the other
     four keep their keys as given.  The groups need no pool: each is built
     once per parent group (``FiniteGroup.derived``).
     """
 
-    __slots__ = ("decompositions", "reports", "kernel_classes", "quotients",
+    __slots__ = ("decompositions", "reports", "kernel_classes", "quotients", "squares",
                  "classes", "symmetric_parts", "spot_checks", "sequences", "objects")
 
     def __init__(self):
@@ -92,6 +96,18 @@ class ClassCache:
         found = self.kernel_classes.get(key)
         if found is None:
             found = self.kernel_classes[key] = self.object_class(kernel(f)[0])
+        return found
+
+    def square(self, cod_dec, reflected):
+        """The legs (to the codomain, to ``reflected.dom``) of the pullback
+        of ``reflected`` along ``cod_dec.projection``, built on the first
+        request for its key only and moved onto the pool through ``leg``,
+        so that both share the run's one instance of the pullback."""
+        key = (cod_dec.object, reflected.dom, reflected.mapping)
+        found = self.squares.get(key)
+        if found is None:
+            _, to_cod, to_refl = pullback(cod_dec.projection, reflected)
+            found = self.squares[key] = self.leg(to_cod), self.leg(to_refl)
         return found
 
     def intern(self, g):

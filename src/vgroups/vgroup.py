@@ -42,12 +42,12 @@ from .vrel import VRel
 
 
 class VGroup:
-    __slots__ = ("group", "quantale", "structure", "name", "_hash")
+    __slots__ = ("group", "quantale", "structure", "name", "size", "_hash")
 
     def __init__(self, group, quantale, structure, name=None):
         if not isinstance(structure, VRel):
             raise StructuralError("structure must be a VRel")
-        if structure.quantale != quantale:
+        if structure.quantale is not quantale and structure.quantale != quantale:
             raise StructuralError("structure lives over a different quantale")
         if structure.src_size != group.size or structure.dst_size != group.size:
             raise StructuralError(
@@ -56,11 +56,8 @@ class VGroup:
         self.quantale = quantale
         self.structure = structure
         self.name = name
+        self.size = group.size
         self._hash = None
-
-    @property
-    def size(self):
-        return self.group.size
 
     def entry(self, x, y):
         return self.structure.entries[x][y]
@@ -118,7 +115,7 @@ class VHom:
         return self.mapping[i]
 
     def then(self, other):
-        if self.cod != other.dom:
+        if self.cod is not other.dom and self.cod != other.dom:
             raise StructuralError("composition needs matching middle object")
         return VHom._trusted(self.dom, other.cod,
                              tuple([other.mapping[v] for v in self.mapping]))
@@ -306,7 +303,8 @@ def validate_hom(f):
 
 def is_isomorphism(f):
     """Bijective and structure-reflecting; the inverse is then a hom too."""
-    if not (f.is_injective() and f.is_surjective()):
+    image = len(set(f.mapping))  # one set for both tests
+    if image != len(f.mapping) or image != f.cod.size:
         return False
     return laws.reflection(f.dom.structure.entries, f.cod.structure.entries,
                            f.mapping) is None
@@ -399,7 +397,7 @@ def pullback(f, g):
     in order.  The structure is the entrywise meet restricted there.
     Returns (P, to_dom_of_f, to_dom_of_g).
     """
-    if f.cod != g.cod:
+    if f.cod is not g.cod and f.cod != g.cod:
         raise StructuralError("pullback needs a common codomain")
     x, w, q = f.dom, g.dom, f.cod.quantale
     fibre = fibers(g, range(g.cod.size))
@@ -455,7 +453,7 @@ def pullback_comparison(p, pi1, pi2, u1, u2, index=None):
 
 def _shared_quantale(g, h):
     """Raise unless a map g -> h would live over one quantale."""
-    if g.quantale != h.quantale:
+    if g.quantale is not h.quantale and g.quantale != h.quantale:
         raise StructuralError("homomorphisms need a shared quantale")
 
 

@@ -124,8 +124,8 @@ class VRel:
 
     def leq(self, other):
         self._check_compatible(other, same_shape=True)
-        q = self.quantale
-        return all(q.leq(a, b)
+        leq = self.quantale.leq_table
+        return all(leq[a][b]
                    for ra, rb in zip(self.entries, other.entries)
                    for a, b in zip(ra, rb))
 

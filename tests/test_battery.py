@@ -353,9 +353,11 @@ def test_full_level_object_checks_are_pinned():
 def counted_run(level, checks):
     """Run ``checks`` on a fresh suite of ``level``, each passing, and
     return each object given to ``classify_object``, from whichever
-    package module calls it, and each radius given to
-    ``IntegerIndexedCover.window_matrix``, in call order."""
-    classified, windows = [], []
+    package module calls it, each radius given to
+    ``IntegerIndexedCover.window_matrix``, and the (codomain, reflected
+    map's domain, its mapping) of each naturality square that
+    ``ClassCache.square`` pulls back, in call order."""
+    classified, windows, squares = [], [], []
     window_matrix = IntegerIndexedCover.window_matrix
     with pytest.MonkeyPatch.context() as patch:
         for name, module in list(sys.modules.items()):
@@ -365,10 +367,13 @@ def counted_run(level, checks):
                               lambda g: classified.append(g) or classify_object(g))
         patch.setattr(IntegerIndexedCover, "window_matrix", lambda self, radius:
                       windows.append(radius) or window_matrix(self, radius))
+        # torsion.py pulls back only in ``ClassCache.square``
+        patch.setattr(torsion, "pullback", lambda f, g: squares.append(
+            (f.dom, g.dom, g.mapping)) or pullback(f, g))
         suite = standard_suite(level)
         for check in checks:
             assert check(suite).ok, check.__name__
-    return classified, windows
+    return classified, windows, squares
 
 
 @pytest.mark.parametrize("level, checks, distinct", [
@@ -379,6 +384,15 @@ def test_a_run_classifies_each_object_value_once(level, checks, distinct):
     ``ClassCache``, so each distinct value is classified once, and each
     object's radius-1 window is built once (28 objects at smoke, 259 at
     full)."""
-    classified, windows = counted_run(level, checks)
+    classified, windows, _ = counted_run(level, checks)
     assert len(classified) == len(set(classified)) == distinct
     assert windows == [1] * (28 if level == "smoke" else 259)
+
+
+def test_a_smoke_battery_builds_each_naturality_square_once():
+    """``classify_morphism`` (of each morphism and of each left leg it
+    classifies), ``reflective_factorize`` and the stable-class pullbacks
+    read each naturality square from the suite's ``ClassCache``: 718
+    pullbacks, one per key.  Built on every call, the squares took 1,991."""
+    _, _, squares = counted_run("smoke", battery.ALL_CHECKS)
+    assert len(squares) == len(set(squares)) == 718

@@ -20,6 +20,7 @@ from vgroups import battery
 from vgroups.builders import group_roster, standard_suite
 from vgroups.factorization import ClassCache
 from vgroups.groups import FiniteGroup, group_homs, subgroup_group
+from vgroups.vgroup import VHom, pullback
 
 from test_groups import check_derived_store, searched
 
@@ -37,6 +38,8 @@ def _objects_of(suite):
     objects += [g for g, _ in cache.kernel_classes]
     for (g, _), (middle, e) in cache.quotients.items():
         objects += [g, middle, e.dom, e.cod]
+    for (cod, reflected_dom, _), (to_cod, to_refl) in cache.squares.items():
+        objects += [cod, reflected_dom, to_cod.dom, to_cod.cod, to_refl.dom, to_refl.cod]
     return objects
 
 
@@ -108,6 +111,22 @@ def test_report_keys_end_at_the_decomposed_instances(battery_run):
     assert ends and all(decompositions[end].object is end for end in ends)
     assert all(decompositions[g].object is g
                for g, _ in battery_run[0].cache.kernel_classes)
+
+
+def test_stored_squares_equal_fresh_pullbacks(battery_run):
+    """Each naturality square the run keeps is the pullback of its reflected
+    map along the codomain's projection, built afresh, names included, and
+    its P is the pool's instance, which both legs share."""
+    cache = battery_run[0].cache
+    assert cache.squares
+    for (cod, reflected_dom, mapping), (to_cod, to_refl) in cache.squares.items():
+        projection = cache.decompositions[cod].projection
+        reflected = VHom(reflected_dom, projection.cod, mapping)
+        p, fresh_to_cod, fresh_to_refl = pullback(projection, reflected)
+        assert (to_cod.dom, to_cod, to_refl) == (p, fresh_to_cod, fresh_to_refl)
+        assert to_cod.dom.group.names == p.group.names
+        assert cache.objects[p] is to_cod.dom is to_refl.dom
+        assert to_cod.cod is cod and to_refl.cod is reflected_dom
 
 
 def test_the_whole_carrier_is_the_group_itself():

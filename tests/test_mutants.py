@@ -300,6 +300,15 @@ def kernel_class_by_domain(original):
     return lambda self, f: self.kernel_classes.setdefault(f.dom, original(self, f))
 
 
+@mutant((factorization.ClassCache, "square"))
+def square_key_drops_codomain(original):
+    """Naturality squares are keyed by the reflected map's domain and mapping
+    only, so morphisms into codomains with one such reflected map share the
+    first one's square, and its legs end at the first codomain."""
+    return lambda self, cod_dec, reflected: self.squares.setdefault(
+        (reflected.dom, reflected.mapping), original(self, cod_dec, reflected))
+
+
 FAIL, PASS = "fail", "pass"
 
 # The frozen outputs a MATRIX row may name, each with the command that
@@ -348,6 +357,9 @@ MATRIX = {
     "kernel_pair_first_projection": {"check_descent_windows": FAIL},
     "cache_key_no_mapping": {"check_factorizations": FAIL},
     "kernel_class_by_domain": {"check_morphism_classification": FAIL},
+    "square_key_drops_codomain": {"check_morphism_classification": FAIL,
+                                  "check_factorizations": FAIL,
+                                  "check_stable_class_pullbacks": FAIL},
     # Stored ends lose their element names to an earlier object with the
     # same table and structure, so legs stop composing; on the shipped map
     # q the command exits 2.

@@ -10,14 +10,16 @@ test runs the smoke battery, the work of ``vgroups suite --suite-level
 smoke``, with one trusted constructor recording what it builds and where.
 It then rebuilds every distinct output through the checking constructor
 and requires each stored field to come out equal, which also pins the
-stored rows and mappings to tuples.
+stored rows and mappings to tuples.  The size each group and object
+stores at construction, which ``FiniteGroup._trusted`` sets apart from
+``__init__``, is audited the same way.
 """
 
 import sys
 
 import pytest
 
-from vgroups import FiniteGroup, VHom, VRel, battery
+from vgroups import FiniteGroup, VGroup, VHom, VRel, battery
 from vgroups.builders import standard_suite
 
 # The functions that call each trusted constructor.
@@ -82,3 +84,24 @@ def test_trusted_outputs_pass_the_checking_constructor(monkeypatch, cls):
     for site, outputs in built.items():
         for fields, out in outputs.items():
             assert _fields(_checked(out)) == fields, (site, out)
+
+
+def test_every_group_and_object_stores_its_size(monkeypatch):
+    """After a smoke run, each group, checked or trusted, has
+    ``size == len(table)``, and each object ``size == group.size``."""
+    built = []
+    for cls in (FiniteGroup, VGroup):
+        def keep(self, *args, init=cls.__init__, **kwargs):
+            init(self, *args, **kwargs)
+            built.append(self)
+        monkeypatch.setattr(cls, "__init__", keep)
+    trusted = _record(monkeypatch, FiniteGroup)
+    suite = standard_suite("smoke")
+    for check in battery.ALL_CHECKS:
+        assert check(suite).ok, check.__name__
+    groups = [g for g in built if isinstance(g, FiniteGroup)]
+    groups += [g for outputs in trusted.values() for g in outputs.values()]
+    objects = [g for g in built if isinstance(g, VGroup)]
+    assert groups and objects and set(trusted) == SITES[FiniteGroup]
+    assert all(g.size == len(g.table) for g in groups)
+    assert all(g.size == g.group.size for g in objects)
