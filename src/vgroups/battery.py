@@ -20,8 +20,8 @@ from .factorization import (cached_decomposition, classify_morphism,
                             monotone_light_factorize, reflective_factorize)
 from .groups import difference_rows, right_shifts
 from .quantale import validate_quantale
-from .torsion import (default_test_family, matches_final_composite,
-                      pretorsion_decompose)
+from .torsion import (default_test_family, matches_final_composite, object_class,
+                      pretorsion_decompose, symmetric_part)
 from .vgroup import (classify_hom, cokernel, factor_through_epi,
                      factor_through_mono, factorization_middle_iso,
                      image_factorize, is_isomorphism, is_regular_epi, kernel,
@@ -184,7 +184,7 @@ def check_objects(suite):
             if not report.ok:
                 failures.append((obj.name, report.laws_violated()))
             elif obj.quantale_name == "boolean" and \
-                    not suite.cache.object_class(obj.vgroup).symmetric:
+                    not suite.cache.derived(object_class, obj.vgroup).symmetric:
                 failures.append((obj.name, "boolean object not symmetric"))
         except THEOREM_FAILURES as exc:
             failures.append((obj.name, str(exc)))
@@ -221,15 +221,14 @@ def check_kernel_cokernel_roundtrips(suite):
     return _result("kernel_cokernel_roundtrips", failures, checked=checked)
 
 
-def _exact_sequences(g):
+def _exact_sequences(cache, g):
     """(normal subgroup, its inclusion, the projection onto the quotient by
-    it) for each normal subgroup of g.  ``check_ses_morphism_pullback``
-    stores each small object's in ``suite.cache.sequences``, and
-    ``check_torsion_theory``, which runs after it, takes them out as it
-    reads them, so a battery run builds them once per object and holds
-    them only between the two checks; the torsion check run alone builds
-    each object's and keeps none."""
-    return [(n, subobject(g, n)[1], quotient_vgroup(g, n)[1])
+    it) for each normal subgroup of g, the maps pooled: a ``ClassCache``
+    build.  ``check_ses_morphism_pullback`` stores each small object's,
+    and ``check_torsion_theory``, which runs after it, takes them out, so
+    a battery builds them once per object and holds them only between the
+    two checks; the torsion check run alone keeps none."""
+    return [(n, cache.leg(subobject(g, n)[1]), cache.leg(quotient_vgroup(g, n)[1]))
             for n in g.group.all_normal_subgroups()]
 
 
@@ -249,13 +248,9 @@ def check_ses_morphism_pullback(suite):
     lies below the codomain's too."""
     failures = []
     checked = 0
-    stored = suite.cache.sequences
-    sequences = {}
-    for i, obj in enumerate(suite.objects):
-        if obj.vgroup.size <= SMALL_CARRIER:
-            if obj.vgroup not in stored:
-                stored[obj.vgroup] = _exact_sequences(obj.vgroup)
-            sequences[i] = stored[obj.vgroup]
+    sequences = {i: suite.cache.derived(_exact_sequences, obj.vgroup)
+                 for i, obj in enumerate(suite.objects)
+                 if obj.vgroup.size <= SMALL_CARRIER}
     # the position map of each inclusion, once per (object, normal subgroup)
     positions = {i: [mono_positions(inc) for _, inc, _ in seqs]
                  for i, seqs in sequences.items()}
@@ -375,23 +370,22 @@ def check_torsion_theory(suite):
     hom-set the only map from an indiscrete to a separated object is the
     zero map.  Each distinct object, suite object, kernel or quotient, is
     classified once per run, through ``suite.cache``; the exact sequences
-    are taken out of ``suite.cache.sequences`` when the ses check has
-    stored them."""
+    are taken out of it when the ses check has stored them."""
     failures = []
     cache = suite.cache
     classes = {}  # by object index, for the objects that classify
     for i, obj in enumerate(suite.objects):
         try:
-            classes[i] = cache.object_class(obj.vgroup)
+            classes[i] = cache.derived(object_class, obj.vgroup)
             dec = cached_decomposition(obj.vgroup, cache)
             if obj.vgroup.size <= SMALL_CARRIER:
                 canonical = set(dec.injection.mapping)
-                sequences = cache.sequences.pop(obj.vgroup, None)
+                sequences = cache.store[_exact_sequences].pop(obj.vgroup, None)
                 if sequences is None:  # not stored by the ses check
-                    sequences = _exact_sequences(obj.vgroup)
+                    sequences = _exact_sequences(cache, obj.vgroup)
                 for alt, inclusion, projection in sequences:
-                    if cache.object_class(inclusion.dom).indiscrete and \
-                            cache.object_class(projection.cod).separated and \
+                    if cache.derived(object_class, inclusion.dom).indiscrete and \
+                            cache.derived(object_class, projection.cod).separated and \
                             set(alt) != canonical:
                         failures.append((obj.name, "alternative sequence", alt))
         except THEOREM_FAILURES as exc:
@@ -538,14 +532,14 @@ def check_pretorsion(suite):
         if obj.vgroup.size > SMALL_CARRIER:
             continue
         try:
-            hat = cache.symmetric_part(obj.vgroup)
+            hat = cache.derived(symmetric_part, obj.vgroup)
             if not hat.structure.leq(obj.vgroup.structure):
                 failures.append((obj.name, "symmetric part not below"))
             carrier = (obj.quantale_name, obj.group_name)
             if carrier not in symmetric_on:
                 symmetric_on[carrier] = [
                     candidate for candidate in suite.structures_on(*carrier)
-                    if cache.object_class(candidate).symmetric]
+                    if cache.derived(object_class, candidate).symmetric]
             for candidate in symmetric_on[carrier]:
                 if not candidate.structure.leq(obj.vgroup.structure):
                     continue

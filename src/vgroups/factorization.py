@@ -24,23 +24,25 @@ that their right legs lie in the right class, holds by construction.
 from dataclasses import asdict, dataclass
 
 from .errors import NonIntegralQuantaleError, StructuralError, TheoremCheckError
-from .torsion import (ClassCache, decompose, kernel_members, reflected_map,
-                      torsion_members)
+from .torsion import (ClassCache, decompose, kernel_class, kernel_members,
+                      reflected_map, torsion_members)
 from .vgroup import (VGroup, VHom, classify_object, factor_through_epi,
-                     is_isomorphism, is_regular_epi, kernel, pullback_comparison,
-                     quotient_vgroup, validate_hom)
+                     is_isomorphism, is_regular_epi, kernel, pullback,
+                     pullback_comparison, quotient_vgroup, validate_hom)
+
+
+def _decomposition(cache, g):
+    """The torsion decomposition of g, its parts pooled: a ``ClassCache`` build."""
+    d = decompose(g, cache)
+    d.object = cache.intern(g)
+    d.injection, d.projection = cache.leg(d.injection), cache.leg(d.projection)
+    d.torsion, d.quotient = d.injection.dom, d.projection.cod
+    return d
 
 
 def cached_decomposition(g, cache):
-    """The torsion decomposition of g, computed and interned once per cache."""
-    d = cache.decompositions.get(g)
-    if d is None:
-        d = decompose(g, cache)
-        d.object = cache.intern(g)  # before an equal torsion part can stand in for g
-        d.injection, d.projection = cache.leg(d.injection), cache.leg(d.projection)
-        d.torsion, d.quotient = d.injection.dom, d.projection.cod
-        cache.decompositions[d.object] = d
-    return d
+    """The torsion decomposition of g, computed and pooled once per cache."""
+    return cache.derived(_decomposition, g)
 
 
 @dataclass(frozen=True, slots=True)
@@ -53,12 +55,22 @@ class MorphismClassReport:
     as_dict = asdict
 
 
+def _square(cache, cod, reflected_dom, mapping):
+    """The pooled legs (to ``cod``, to ``reflected_dom``) of the pullback of
+    the map ``mapping`` into cod's separated quotient along cod's
+    projection: a ``ClassCache`` build."""
+    projection = cache.derived(_decomposition, cod).projection
+    reflected = VHom(reflected_dom, projection.cod, mapping)
+    _, to_cod, to_refl = pullback(projection, reflected)
+    return cache.leg(to_cod), cache.leg(to_refl)
+
+
 def _naturality_square(f, dom_dec, cod_dec, reflected, cache):
     """The pullback P of ``reflected`` along the codomain's projection,
-    its projection m to f.cod, and the comparison e from f.dom into P.
-    P and its legs come from ``cache.square``, built once per key; only
-    the comparison is built per call."""
-    to_cod, to_refl = cache.square(cod_dec, reflected)
+    its projection m to f.cod, and the comparison e from f.dom into P;
+    only the comparison is built per call."""
+    to_cod, to_refl = cache.derived(_square, cod_dec.object, reflected.dom,
+                                    reflected.mapping)
     p = to_cod.dom
     return p, to_cod, pullback_comparison(p, to_cod, to_refl, f, dom_dec.projection)
 
@@ -87,15 +99,16 @@ def classify_morphism(f, cache=None):
     containment in the unstabilized classes raises, as does any route
     disagreement.  The report, the decompositions, the naturality square
     and the kernel's class come from ``cache`` (a fresh one when omitted),
-    so morphisms with one domain and one kernel share a classification,
-    and f is classified on the first request only; a failed classification
-    stores no report.
+    so f is classified on the first request only, and a failed
+    classification stores no report.
     """
     if cache is None:
         cache = ClassCache()
-    report = cache.reports.get(f)
-    if report is not None:
-        return report
+    return cache.derived(_class_report, f)
+
+
+def _class_report(cache, f):
+    """The report of ``classify_morphism``: a ``ClassCache`` build."""
     if not f.dom.quantale.is_integral:
         raise NonIntegralQuantaleError(
             "morphism classification is relative to the separated reflection, "
@@ -133,7 +146,7 @@ def classify_morphism(f, cache=None):
             f"right-class routes disagree for {f!r}: "
             f"definitional={trivial_def} characterization={trivial_char}")
 
-    ker_class = cache.kernel_class(f)
+    ker_class = cache.derived(kernel_class, f.dom, kernel_members(f))
     stably_inverted = is_regular_epi(f) and ker_class.indiscrete
     covering = ker_class.separated
 
@@ -143,11 +156,9 @@ def classify_morphism(f, cache=None):
     if trivial_def and not covering:
         raise TheoremCheckError(
             f"{f!r} is a trivial covering but not a covering")
-    report = MorphismClassReport(
+    return MorphismClassReport(
         reflector_inverted=inverted_def, trivial_covering=trivial_def,
         stably_inverted=stably_inverted, covering=covering)
-    cache.reports[cache.leg(f)] = report  # interned only once f is accepted
-    return report
 
 
 def covering_kernel(f):
@@ -215,6 +226,16 @@ def reflective_factorize(f, cache=None):
     return Factorization(e=e, middle=p, m=m, system="reflective")
 
 
+def _stabilized_quotient(f, members):
+    """The quotient of f's domain by ``members``, its kernel's torsion part."""
+    witness = f.dom.group.normality_witness(members)
+    if witness is not None:
+        raise TheoremCheckError(
+            f"torsion part of the kernel of {f!r} is not normal in the domain, "
+            f"witness {witness}")
+    return quotient_vgroup(f.dom, members)
+
+
 def monotone_light_factorize(f, cache=None):
     """Split f through the quotient by the torsion part of its kernel.
 
@@ -234,16 +255,9 @@ def monotone_light_factorize(f, cache=None):
         raise NonIntegralQuantaleError("stabilized factorization needs an integral quantale")
     if cache is None:
         cache = ClassCache()
-    dom = f.dom
-    members = torsion_members(dom, kernel_members(f))
-    stored = cache.quotients.get((dom, members))
-    if stored is None:
-        witness = dom.group.normality_witness(members)
-        if witness is not None:
-            raise TheoremCheckError(
-                f"torsion part of the kernel of {f!r} is not normal in the domain, "
-                f"witness {witness}")
-    _, e = stored or quotient_vgroup(dom, members)
+    members = torsion_members(f.dom, kernel_members(f))
+    stored = cache.store[_stabilized_quotient].get((f.dom, members))
+    _, e = stored or _stabilized_quotient(f, members)
     m = factor_through_epi(e, f)
     if m is None:
         raise TheoremCheckError(
@@ -256,5 +270,5 @@ def monotone_light_factorize(f, cache=None):
             f"left leg {e!r} of {f!r} is not a normal epi with indiscrete kernel")
     if stored is None:
         e = cache.leg(e)
-        cache.quotients[e.dom, members] = e.cod, e
+        cache.keep(_stabilized_quotient, (f.dom, members), (e.cod, e))
     return Factorization(e=e, middle=e.cod, m=m, system="monotone_light")

@@ -23,7 +23,8 @@ and right shifts (``right_shifts``), the homomorphism searches out of it
 (below), the groups built from it, and the index data of its descent
 windows (``descent.window_shifts`` and ``descent.kernel_pair_index``).
 The constructions of vgroup.py read their pullback, subobject and
-quotient groups from it, so one run builds each of them once per parent;
+quotient groups from it, and a pullback its projections' mappings
+(``pair_projections``), so one run builds each once per parent;
 ``direct_product`` and every other direct call still build a fresh
 group.  ``_derived`` holds group data only (groups, a quotient's
 projection, index tuples), never a structure or a structured object,
@@ -323,6 +324,11 @@ def pair_group(a, b, pairs):
     names = _distinct(tuple([f"({a.names[i]},{b.names[j]})" for i, j in pairs]))
     inverse = tuple([pos[ai[i], bi[j]] for i, j in pairs])
     return FiniteGroup._trusted(table, names, pos[a.identity, b.identity], inverse)
+
+
+def pair_projections(a, b, pairs):
+    """The mappings of the two projections of ``pair_group(a, b, pairs)``."""
+    return tuple([i for i, _ in pairs]), tuple([j for _, j in pairs])
 
 
 def quotient_group(group, normal_subset):

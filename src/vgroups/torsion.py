@@ -19,7 +19,7 @@ quantification over enumerated hom-sets from a finite family of test
 objects: a finite-model check, not a symbolic proof.
 """
 
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 
 from . import groups, laws
@@ -28,96 +28,72 @@ from .errors import (CapacityError, NonIntegralQuantaleError, StructuralError,
 from .reports import ValidationReport
 from .vgroup import (VGroup, VHom, classify_object, enumerate_homs,
                      factor_through_epi, factor_through_mono, fibers,
-                     final_structure, kernel, pullback, quotient_vgroup,
+                     final_structure, kernel, quotient_vgroup,
                      subobject, trivial_vgroup, validate_vgroup)
 from .vrel import VRel
 
 
 class ClassCache:
-    """What one run derives from its objects and morphisms, kept for that
-    run: a battery's suite holds one, and each command line call makes
-    its own.  Nine stores, each entry a function of its key alone:
+    """What one run derives from its objects and morphisms: a battery's
+    suite holds one, and each command line call makes its own.
 
-    - ``decompositions``: the torsion decomposition of each object;
-    - ``reports``: the class report of each morphism (``classify_morphism``);
-    - ``kernel_classes``: the ``ObjectClass`` of each kernel, by (domain,
-      kernel members), for ``classify_morphism``'s stabilized flags;
-    - ``quotients``: the (middle, left leg) of each stabilized quotient, by
-      (domain, torsion part of the kernel), for ``monotone_light_factorize``;
-    - ``squares``: the two legs of each naturality square's pullback, by
-      (codomain, reflected map's domain, its mapping) (``square``);
-    - ``classes``: the ``ObjectClass`` of each object (``object_class``);
-    - ``symmetric_parts``: the ``symmetric_coreflect`` of each object
-      (``symmetric_part``);
-    - ``spot_checks``: the number of morphisms of each pair (t, f) of test
-      objects whose null spot check ``pretorsion_decompose`` has run;
-    - ``sequences``: the short exact sequences of each small object, which
-      the battery's ses check stores and its torsion check takes out.
+    One store: ``store`` holds a dict per build, a module-level function,
+    and ``derived(build, *key)`` keeps ``build(cache, *key)`` there under
+    its key (a key of one argument stands for itself), built on the first
+    request.  Two dicts are written by hand, through ``keep``, because
+    their entries depend on more than their keys: the stabilized
+    quotients, kept once their factorization has post-verified, and the
+    null spot checks, which enumerate through the caller's hom-sets.
 
-    An entry is stored once its computation has returned, a quotient once
-    its factorization has post-verified: what raises adds nothing.  A
-    square is stored once its pullback returns, whatever the comparison
-    into it then finds, because it is a function of its key alone.  A
-    kernel is classified through ``object_class``; its inclusion, which no
-    report reads, is not kept.  What the first five stores keep goes
-    through ``intern`` as it is stored, so that one pool keyed by value,
-    ``objects``, holds the run's one instance of each object; the other
-    four keep their keys as given.  The groups need no pool: each is built
-    once per parent group (``FiniteGroup.derived``).
+    One pooling rule: an entry's key is stored with its objects moved onto
+    the pool ``objects`` (``intern``, or ``leg`` for a map), and a build
+    pools the objects its value holds, so the pool holds the run's one
+    instance of each object value in the store.  Groups need no pool
+    (``FiniteGroup.derived`` builds each once per parent group).
+
+    One refusal rule: a build that raises stores and pools nothing; what
+    the builds it called stored stays.
     """
 
-    __slots__ = ("decompositions", "reports", "kernel_classes", "quotients", "squares",
-                 "classes", "symmetric_parts", "spot_checks", "sequences", "objects")
+    __slots__ = ("store", "objects")
 
     def __init__(self):
-        for name in self.__slots__:  # every store, and the pool, a dict
-            setattr(self, name, {})
+        self.store = defaultdict(dict)  # by build: its entries by key
+        self.objects = {}
 
-    def object_class(self, g):
-        """The ``classify_object`` of g, classified on the first request for
-        its value only."""
-        found = self.classes.get(g)
+    def derived(self, build, *key):
+        """``build(self, *key)``, kept in ``store[build]`` from the first request."""
+        found = self.store[build].get(key[0] if len(key) == 1 else key)
         if found is None:
-            found = self.classes[g] = classify_object(g)
+            found = self.keep(build, key, build(self, *key))
         return found
 
-    def symmetric_part(self, g):
-        """The ``symmetric_coreflect`` of g, built on the first request for
-        its value only."""
-        found = self.symmetric_parts.get(g)
-        if found is None:
-            found = self.symmetric_parts[g] = symmetric_coreflect(g)
-        return found
-
-    def kernel_class(self, f):
-        """The class of f's kernel, read through ``object_class`` on the
-        first request for its key only."""
-        key = (self.intern(f.dom), kernel_members(f))
-        found = self.kernel_classes.get(key)
-        if found is None:
-            found = self.kernel_classes[key] = self.object_class(kernel(f)[0])
-        return found
-
-    def square(self, cod_dec, reflected):
-        """The legs (to the codomain, to ``reflected.dom``) of the pullback
-        of ``reflected`` along ``cod_dec.projection``, built on the first
-        request for its key only and moved onto the pool through ``leg``,
-        so that both share the run's one instance of the pullback."""
-        key = (cod_dec.object, reflected.dom, reflected.mapping)
-        found = self.squares.get(key)
-        if found is None:
-            _, to_cod, to_refl = pullback(cod_dec.projection, reflected)
-            found = self.squares[key] = self.leg(to_cod), self.leg(to_refl)
-        return found
+    def keep(self, build, key, value):
+        """Store ``value`` in ``store[build]`` under the tuple ``key``, pooled."""
+        key = [self.intern(x) if isinstance(x, VGroup) else
+               self.leg(x) if isinstance(x, VHom) else x for x in key]
+        self.store[build][key[0] if len(key) == 1 else tuple(key)] = value
+        return value
 
     def intern(self, g):
         """The run's first instance of g's value."""
         return self.objects.setdefault(g, g)
 
     def leg(self, h):
-        """h between the run's instances of its ends."""
-        dom, cod = self.intern(h.dom), self.intern(h.cod)
+        """h between the run's instances of its ends, the codomain's found
+        first, so that an inclusion of a whole object ends at that object."""
+        cod, dom = self.intern(h.cod), self.intern(h.dom)
         return h if dom is h.dom and cod is h.cod else VHom._trusted(dom, cod, h.mapping)
+
+
+def object_class(cache, g):
+    """The ``classify_object`` of g: a ``ClassCache`` build."""
+    return classify_object(g)
+
+
+def symmetric_part(cache, g):
+    """The ``symmetric_coreflect`` of g, pooled: a ``ClassCache`` build."""
+    return cache.intern(symmetric_coreflect(g))
 
 
 def kernel_members(f):
@@ -125,6 +101,12 @@ def kernel_members(f):
     carrier of ``kernel(f)``."""
     zero = f.cod.group.identity
     return tuple([x for x, y in enumerate(f.mapping) if y == zero])
+
+
+def kernel_class(cache, dom, members):
+    """The class of the kernel of each map out of ``dom`` with kernel
+    ``members``, read off dom's projection onto dom / members; a build."""
+    return cache.derived(object_class, kernel(quotient_vgroup(dom, members)[1])[0])
 
 
 def torsion_members(g, elements):
@@ -216,9 +198,9 @@ def decompose(g, cache=None):
         raise TheoremCheckError(f"kernel structure equation failed for {g!r}")
     if not matches_final_composite(projection):
         raise TheoremCheckError(f"cokernel structure equation failed for {g!r}")
-    if not cache.object_class(torsion).indiscrete:
+    if not cache.derived(object_class, torsion).indiscrete:
         raise TheoremCheckError(f"torsion part of {g!r} is not indiscrete")
-    if not cache.object_class(quotient).separated:
+    if not cache.derived(object_class, quotient).separated:
         raise TheoremCheckError(f"torsion-free quotient of {g!r} is not separated")
 
     return TorsionDecomposition(
@@ -312,7 +294,7 @@ def default_test_family(*objects, cache=None):
     candidates.append(trivial_vgroup(q))
     if q.unit != q.top:
         candidates.append(trivial_vgroup(q, value=q.top))
-    candidates += [cache.symmetric_part(obj) for obj in objects]
+    candidates += [cache.derived(symmetric_part, obj) for obj in objects]
     return list(dict.fromkeys(candidates))  # the first of each value, in order
 
 
@@ -445,22 +427,20 @@ def pretorsion_decompose(g, test_objects=None, cache=None):
     morphism from a symmetric test object to a separated one is null.
 
     The symmetric parts, the classes and the null spot checks come from
-    ``cache`` (a fresh one when omitted), whose entries depend on their
-    keys alone, not on g: decompositions that share a cache over
-    overlapping families check each pair of test objects once.
-    ``notes["null_spot_checks"]`` counts the morphisms of every pair of
-    the family, checked now or before.
+    ``cache`` (a fresh one when omitted), so decompositions that share it
+    check each pair of test objects once; ``notes["null_spot_checks"]``
+    counts the morphisms of every pair, checked now or before.
 
     Within one call, each hom-set is enumerated once, for both verifiers
     and the spot checks; the hom-sets do not outlive the call.
     """
     if cache is None:
         cache = ClassCache()
-    sym = cache.symmetric_part(g)
+    sym = cache.derived(symmetric_part, g)
     comparison = VHom(sym, g, range(g.size))
     members = torsion_part(g)
     quotient, projection = quotient_vgroup(g, members)
-    if not cache.object_class(quotient).separated:
+    if not cache.derived(object_class, quotient).separated:
         raise TheoremCheckError(f"pretorsion quotient of {g!r} is not separated")
 
     if test_objects is None:
@@ -476,17 +456,19 @@ def pretorsion_decompose(g, test_objects=None, cache=None):
             f"{kernel_report.laws_violated() + cokernel_report.laws_violated()}")
 
     checked = 0
-    spot_checks = cache.spot_checks  # by (t, f): the morphisms checked
-    family = [(t, cache.object_class(t)) for t in test_objects]
+    spot_checks = cache.store[_null_spot_check]  # by (t, f): the morphisms checked
+    family = [(t, cache.derived(object_class, t)) for t in test_objects]
     for t, t_class in family:
         if not t_class.symmetric:
             continue
         for f_obj, f_class in family:
             if not f_class.separated:
                 continue
-            if (t, f_obj) not in spot_checks:
-                spot_checks[t, f_obj] = _null_spot_check(t, f_obj, hom_sets)
-            checked += spot_checks[t, f_obj]
+            found = spot_checks.get((t, f_obj))
+            if found is None:
+                found = cache.keep(_null_spot_check, (t, f_obj),
+                                   _null_spot_check(t, f_obj, hom_sets))
+            checked += found
     return PretorsionDecomposition(
         object=g, symmetric_part=sym, comparison=comparison,
         quotient=quotient, projection=projection,

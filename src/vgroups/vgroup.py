@@ -21,7 +21,8 @@ directly rather than calling each map once per element; a pullback
 lists its agreeing pairs through the fibres of its second leg.
 ``pullback``, ``subobject``, ``image_factorize`` and ``quotient_vgroup``
 read their groups through ``FiniteGroup.derived``, so each is built once
-per parent group; the structures over them are built on every call.
+per parent group, and ``pullback`` its projections' mappings too; the
+structures over them are built on every call.
 ``validate_vgroup`` reads its right shifts (``groups.right_shifts``) and
 ``profile_matrix`` its difference table the same way.
 
@@ -35,7 +36,8 @@ from itertools import product as iproduct
 from . import groups, laws
 from .errors import CapacityError, StructuralError, TheoremCheckError
 from .groups import (FiniteGroup, difference_rows, group_homs, group_isomorphisms,
-                     pair_group, quotient_group, right_shifts, subgroup_group)
+                     pair_group, pair_projections, quotient_group, right_shifts,
+                     subgroup_group)
 from .quantale import validate_quantale
 from .reports import ValidationReport
 from .vrel import VRel
@@ -404,8 +406,8 @@ def pullback(f, g):
     pairs = tuple([(i, j) for i, z in enumerate(f.mapping) for j in fibre[z]])
     entries = pair_meets(q, x.structure.entries, w.structure.entries, pairs)
     p = VGroup(x.group.derived(pair_group, w.group, pairs), q, VRel._trusted(q, entries))
-    return (p, VHom._trusted(p, x, tuple([i for i, _ in pairs])),
-            VHom._trusted(p, w, tuple([j for _, j in pairs])))
+    to_x, to_w = x.group.derived(pair_projections, w.group, pairs)
+    return p, VHom._trusted(p, x, to_x), VHom._trusted(p, w, to_w)
 
 
 def pair_meets(q, a, b, pairs):

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from vgroups import (IntegerIndexedCover, Quantale, StructuralError, VGroup, VHom, VRel,
-                     battery,
+                     battery, factorization,
                      builtin_quantale, classify_hom, classify_morphism, classify_object,
                      image_factorize, is_isomorphism, is_regular_epi, laws,
                      monotone_light_factorize, pullback, reflective_factorize,
@@ -37,7 +37,7 @@ def test_sequence_restrictions_validate_and_compare_into_the_pullback():
     quotients exists and is a valid hom."""
     suite = standard_suite("smoke")
     assert all(obj.vgroup.size <= SMALL_CARRIER for obj in suite.objects)
-    sequences = [_exact_sequences(obj.vgroup) for obj in suite.objects]
+    sequences = [_exact_sequences(suite.cache, obj.vgroup) for obj in suite.objects]
     restrictions = 0
     for hs in suite.hom_sets:
         for b in hs.homs:
@@ -317,20 +317,21 @@ def test_torsion_check_classifies_and_builds_each_object_once(monkeypatch):
     built, classified = [], []
     sequences, classify = battery._exact_sequences, torsion.classify_object
     monkeypatch.setattr(battery, "_exact_sequences",
-                        lambda g: built.append(g) or sequences(g))
+                        lambda cache, g: built.append(g) or sequences(cache, g))
     monkeypatch.setattr(torsion, "classify_object",
                         lambda g: classified.append(g) or classify(g))
     alone = standard_suite("smoke")
     want = battery.check_torsion_theory(alone).as_dict()
-    assert alone.cache.sequences == {}
+    assert alone.cache.store[battery._exact_sequences] == {}
     assert len(classified) == len(set(classified)) == 61
     suite = standard_suite("smoke")
     built.clear()
     classified.clear()
     battery.check_ses_morphism_pullback(suite)
-    assert len(suite.cache.sequences) == len(suite.objects) == 28
+    stored = suite.cache.store[battery._exact_sequences]
+    assert len(stored) == len(suite.objects) == 28
     assert battery.check_torsion_theory(suite).as_dict() == want
-    assert suite.cache.sequences == {}
+    assert stored == {}
     assert len(built) == len(set(built)) == 28
     assert len(classified) == len(set(classified)) == 61
 
@@ -355,8 +356,8 @@ def counted_run(level, checks):
     return each object given to ``classify_object``, from whichever
     package module calls it, each radius given to
     ``IntegerIndexedCover.window_matrix``, and the (codomain, reflected
-    map's domain, its mapping) of each naturality square that
-    ``ClassCache.square`` pulls back, in call order."""
+    map's domain, its mapping) of each naturality square that the suite's
+    ``ClassCache`` pulls back, in call order."""
     classified, windows, squares = [], [], []
     window_matrix = IntegerIndexedCover.window_matrix
     with pytest.MonkeyPatch.context() as patch:
@@ -367,8 +368,8 @@ def counted_run(level, checks):
                               lambda g: classified.append(g) or classify_object(g))
         patch.setattr(IntegerIndexedCover, "window_matrix", lambda self, radius:
                       windows.append(radius) or window_matrix(self, radius))
-        # torsion.py pulls back only in ``ClassCache.square``
-        patch.setattr(torsion, "pullback", lambda f, g: squares.append(
+        # factorization.py pulls back only in its naturality-square build
+        patch.setattr(factorization, "pullback", lambda f, g: squares.append(
             (f.dom, g.dom, g.mapping)) or pullback(f, g))
         suite = standard_suite(level)
         for check in checks:

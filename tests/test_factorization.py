@@ -8,19 +8,21 @@ from collections import Counter
 import pytest
 
 import vgroups
-from vgroups import battery, factorization, torsion
+from vgroups import factorization, torsion
 from vgroups import (FiniteGroup, NonIntegralQuantaleError, StructuralError,
-                     TheoremCheckError, VHom,
+                     TheoremCheckError, VGroup, VHom, VRel,
                      classify_morphism, classify_object, discrete_vgroup,
                      enumerate_homs, enumerate_structures, identity_hom,
                      is_covering, is_isomorphism, kernel,
                      monotone_light_factorize, product, pullback,
-                     quotient_vgroup, reflective_factorize, run_battery,
-                     standard_suite, symmetric_coreflect, trivial_vgroup,
-                     validate_hom, zero_hom)
-from vgroups.factorization import ClassCache, kernel_members
-from vgroups.torsion import torsion_members
+                     reflective_factorize, run_battery, standard_suite,
+                     trivial_vgroup, validate_hom, zero_hom)
+from vgroups.factorization import (ClassCache, _class_report, _decomposition,
+                                   _stabilized_quotient, kernel_members)
+from vgroups.torsion import kernel_class, object_class, torsion_members
 from vgroups.vgroup import factorization_middle_iso
+
+from test_interning import held_objects
 
 
 class TestClassifyMorphism:
@@ -190,6 +192,18 @@ def test_failed_post_check_names_the_morphism(monkeypatch, quotient_to_z2, facto
         getattr(factorization, factorize)(quotient_to_z2)
 
 
+def _entries(cache):
+    """Each value of ``cache``'s store, by (build, key)."""
+    return {(build, key): value for build, entries in cache.store.items()
+            for key, value in entries.items()}
+
+
+def _irreflexive_z2(z2_discrete):
+    """Z2 with bottom at (1, 1): its symmetrization fails validation."""
+    q = z2_discrete.quantale
+    return VGroup(z2_discrete.group, q, VRel(q, [[q.top, q.bottom], [q.bottom, q.bottom]]))
+
+
 def _kernel_key(f):
     """(domain, kernel members), computed apart from ``kernel_members``."""
     return f.dom, tuple(x for x in range(f.dom.size) if f(x) == f.cod.group.identity)
@@ -200,9 +214,10 @@ class TestClassCache:
     def factorized_smoke(self):
         """The smoke suite's cache after both factorizations and the report
         of every morphism, each distinct morphism and leg they touched, and
-        the calls of ``kernel`` from torsion.py, where ``ClassCache`` lives,
-        and of ``quotient_vgroup`` from factorization.py while the cache
-        filled, counted per key."""
+        the calls of ``kernel`` from torsion.py, where the kernel-class build
+        lives, and of ``quotient_vgroup`` from factorization.py, where the
+        stabilized quotients are built, while the cache filled, counted per
+        key."""
         suite = standard_suite("smoke")
         touched, builds = {}, Counter()
 
@@ -228,16 +243,9 @@ class TestClassCache:
                 classify_morphism(f, suite.cache)
         return suite.cache, list(touched), builds
 
-    def test_cached_report_matches_fresh_classification(self, factorized_smoke):
-        cache, morphisms, _ = factorized_smoke
-        for f in morphisms:
-            report = classify_morphism(f, cache)
-            assert classify_morphism(f, cache) is report
-            assert report.as_dict() == classify_morphism(f).as_dict()
-
     def test_reports_are_keyed_by_morphism(self, factorized_smoke):
         cache, morphisms, _ = factorized_smoke
-        assert set(cache.reports) == set(morphisms)
+        assert set(cache.store[_class_report]) == set(morphisms)
 
     def test_kernel_classes_match_fresh_classification(self, factorized_smoke):
         cache, morphisms, _ = factorized_smoke
@@ -246,81 +254,95 @@ class TestClassCache:
             ker_obj, inclusion = kernel(f)
             assert (f.dom, kernel_members(f)) == _kernel_key(f)
             assert kernel_members(f) == inclusion.mapping
-            assert cache.kernel_classes[_kernel_key(f)] == classify_object(ker_obj)
+            assert cache.store[kernel_class][_kernel_key(f)] == classify_object(ker_obj)
             keys.add(_kernel_key(f))
-        assert set(cache.kernel_classes) == keys
-
-    def test_quotients_match_fresh_quotients(self, factorized_smoke):
-        cache, morphisms, _ = factorized_smoke
-        keys = {(f.dom, torsion_members(f.dom, kernel_members(f))) for f in morphisms}
-        assert cache.quotients and set(cache.quotients) <= keys
-        for (dom, members), (middle, e) in cache.quotients.items():
-            fresh_middle, fresh_e = quotient_vgroup(dom, members)
-            assert middle == fresh_middle and e == fresh_e
-            assert middle.group.names == fresh_middle.group.names
+        assert set(cache.store[kernel_class]) == keys
 
     def test_each_key_is_built_once(self, factorized_smoke):
-        cache, _, builds = factorized_smoke
+        cache, morphisms, builds = factorized_smoke
+        quotients = cache.store[_stabilized_quotient]
+        keys = {(f.dom, torsion_members(f.dom, kernel_members(f))) for f in morphisms}
+        assert quotients and set(quotients) <= keys
         assert max(builds.values()) == 1
-        assert {key for name, key in builds if name == "kernel"} == set(cache.kernel_classes)
-        assert {key for name, key in builds
-                if name == "quotient_vgroup"} == set(cache.quotients)
+        assert {key for name, key in builds if name == "kernel"} == \
+            set(cache.store[kernel_class])
+        assert {key for name, key in builds if name == "quotient_vgroup"} == set(quotients)
+
+    def test_an_entry_is_stored_on_pooled_objects_once_its_build_returns(
+            self, z4_bool, z2_discrete):
+        """``derived`` stores what its build returns under the key with its
+        objects moved onto the pool, and returns it to every later request
+        for an equal key; a build that raises stores and pools nothing."""
+        cache = ClassCache()
+        copy = VGroup(z4_bool.group, z4_bool.quantale, z4_bool.structure)
+        report = classify_morphism(VHom(z4_bool, z2_discrete, [0, 1, 0, 1]), cache)
+        assert classify_morphism(VHom(copy, z2_discrete, [0, 1, 0, 1]), cache) is report
+        f, = cache.store[_class_report]
+        assert cache.objects[copy] is f.dom is z4_bool and f.cod is z2_discrete
+        stored, pooled = _entries(cache), dict(cache.objects)
+        for _ in range(2):
+            with pytest.raises(TheoremCheckError):
+                cache.derived(torsion.symmetric_part, _irreflexive_z2(z2_discrete))
+        assert _entries(cache) == stored and cache.objects == pooled
 
     def test_shared_quotients_give_each_morphism_its_factorization(self, quotient_to_z2):
         cache = ClassCache()
         first = monotone_light_factorize(quotient_to_z2, cache)
         again = monotone_light_factorize(quotient_to_z2, cache)
-        assert len(cache.quotients) == 1
+        assert len(cache.store[_stabilized_quotient]) == 1
         assert (again.middle, again.e) == (first.middle, first.e)
         assert again.as_dict() == monotone_light_factorize(quotient_to_z2).as_dict()
 
-    def test_lookup_raises_like_an_uncached_call(self, non_integral_q, z2,
+    def test_lookup_raises_like_an_uncached_call(self, monkeypatch, non_integral_q, z2,
                                                  quotient_to_z2):
+        """A call that raises raises what a call with a fresh cache raises,
+        and leaves in the cache only what builds that returned stored:
+        ``classify_morphism`` and ``monotone_light_factorize`` leave it as
+        it was; ``reflective_factorize`` keeps the decomposition of a
+        codomain it decomposed before it failed, and the objects it pooled."""
         cache = ClassCache()
         classify_morphism(quotient_to_z2, cache)  # both endpoints are now decomposed
         monotone_light_factorize(quotient_to_z2, cache)
-        stored = {name: dict(getattr(cache, name)) for name in ClassCache.__slots__}
+        stored, pooled = _entries(cache), dict(cache.objects)
         not_a_hom = VHom(quotient_to_z2.dom, quotient_to_z2.cod, [0, 1, 1, 0])
         # a group hom that is not compatible: its stabilized quotient exists
         z4 = quotient_to_z2.dom
         incompatible = VHom(z4, discrete_vgroup(z4.group, z4.quantale), range(4))
         non_integral = identity_hom(discrete_vgroup(z2, non_integral_q))
+
+        def raises_alike(call, f, error):
+            with pytest.raises(error) as uncached:
+                call(f)
+            with pytest.raises(error) as cached:
+                call(f, cache)
+            assert str(cached.value) == str(uncached.value)
+
         for f, error in ((not_a_hom, StructuralError),
                          (incompatible, StructuralError),
                          (non_integral, NonIntegralQuantaleError)):
-            with pytest.raises(error) as uncached:
-                classify_morphism(f)
-            with pytest.raises(error) as cached:
-                classify_morphism(f, cache)
-            assert str(cached.value) == str(uncached.value)
+            raises_alike(classify_morphism, f, error)
         for f, error in ((not_a_hom, TheoremCheckError),
                          (incompatible, TheoremCheckError),
                          (non_integral, NonIntegralQuantaleError)):
-            with pytest.raises(error) as uncached:
-                monotone_light_factorize(f)
-            with pytest.raises(error) as cached:
-                monotone_light_factorize(f, cache)
-            assert str(cached.value) == str(uncached.value)
-        assert {name: dict(getattr(cache, name))
-                for name in ClassCache.__slots__} == stored
+            raises_alike(monotone_light_factorize, f, error)
+        assert _entries(cache) == stored and cache.objects == pooled
 
-    def test_object_stores_match_fresh_builds(self):
-        """After the smoke suite's object checks, each class, symmetric
-        part and spot-check count the suite's cache holds is what a fresh
-        build gives, and the torsion check has taken out every sequence."""
-        suite = standard_suite("smoke")
-        for check in (battery.check_objects, battery.check_ses_morphism_pullback,
-                      battery.check_torsion_theory, battery.check_pretorsion):
-            assert check(suite).ok, check.__name__
-        cache = suite.cache
-        assert cache.classes and cache.symmetric_parts and cache.spot_checks
-        for g, found in cache.classes.items():
-            assert found == classify_object(g)
-        for g, found in cache.symmetric_parts.items():
-            assert found == symmetric_coreflect(g)
-        for (t, f), count in cache.spot_checks.items():
-            assert count == len(enumerate_homs(t, f))
-        assert cache.sequences == {}
+        returned = []  # (build, key) of each entry stored, which its build returned
+        keep = ClassCache.keep
+        monkeypatch.setattr(ClassCache, "keep", lambda self, build, key, value:
+                            (self is cache and returned.append(
+                                (build, key[0] if len(key) == 1 else key)))
+                            or keep(self, build, key, value))
+        for f, error in ((not_a_hom, TheoremCheckError),
+                         (incompatible, TheoremCheckError),
+                         (non_integral, NonIntegralQuantaleError)):
+            raises_alike(reflective_factorize, f, error)
+        new = {entry: value for entry, value in _entries(cache).items() if entry not in stored}
+        assert set(new) == set(returned)
+        assert {build for build, _ in new} == {_decomposition, object_class}
+        assert set(cache.objects) - set(pooled) == \
+            {obj for (_, key), value in new.items() for obj in held_objects((key, value))} - \
+            set(pooled)
 
     def test_report_is_frozen(self, quotient_to_z2):
         report = classify_morphism(quotient_to_z2)

@@ -1,45 +1,61 @@
-"""One instance per stored object and per group in a run.
+"""One store and one instance per stored object and per group in a run.
 
-The constructions build fresh values; ``ClassCache.intern`` maps each
-object that a store keeps to the run's instance of its value as it is
-stored.  Below a run, each parent group builds each pullback, subobject
-and quotient group once, through ``FiniteGroup.derived``, so the groups
-need no pool of their own.  After a smoke battery, every object and group
-reachable from the suite or from a store is one instance per value, each
-object its pool's instance, every report key ends at the decomposed
-instances, and every pooled object equals, names included, the object it
-stands in for.  The stores ``derived`` leaves equal fresh builds.
+The constructions build fresh values; ``ClassCache.keep`` moves each
+object of a key onto the run's instance of its value as the entry is
+stored, and each build pools the objects its value holds.  Below a run,
+each parent group builds each pullback, subobject and quotient group
+once, through ``FiniteGroup.derived``, so the groups need no pool of
+their own.  After a smoke battery, every object and group reachable from
+the suite or from the store is one instance per value, each object its
+pool's instance, every report key ends at the decomposed instances, and
+every pooled object equals, names included, the object it stands in for.
+Every entry of the store equals a fresh build of its key, and the stores
+``derived`` leaves on the groups equal fresh builds.
 """
 
+import inspect
+import io
 import sys
 from collections import Counter
 
 import pytest
 
-from vgroups import battery
+from vgroups import battery, factorization, torsion
 from vgroups.builders import group_roster, standard_suite
-from vgroups.factorization import ClassCache
+from vgroups.cli import run
+from vgroups.factorization import (ClassCache, _class_report, _decomposition,
+                                   monotone_light_factorize, reflective_factorize)
 from vgroups.groups import FiniteGroup, group_homs, subgroup_group
-from vgroups.vgroup import VHom, pullback
+from vgroups.torsion import TorsionDecomposition, kernel_class
+from vgroups.vgroup import VGroup, VHom, quotient_vgroup
 
 from test_groups import check_derived_store, searched
+from test_module_state import _commands
+
+
+def held_objects(x):
+    """The objects that x holds, in order: x itself if it is an object,
+    the ends of a map, and what a tuple, a list or a torsion decomposition
+    holds."""
+    if isinstance(x, VGroup):
+        return [x]
+    if isinstance(x, VHom):
+        return [x.dom, x.cod]
+    if isinstance(x, TorsionDecomposition):
+        x = (x.object, x.torsion, x.injection, x.quotient, x.projection)
+    if isinstance(x, (tuple, list)):
+        return [obj for y in x for obj in held_objects(y)]
+    return []
 
 
 def _objects_of(suite):
     """Each object that the suite's objects, its hom-sets and its cache's
-    stores and pools hold, keys included."""
+    store and pool hold, keys included."""
     cache = suite.cache
     objects = [o.vgroup for o in suite.objects] + list(cache.objects)
     objects += [end for hs in suite.hom_sets for h in hs.homs for end in (h.dom, h.cod)]
-    for g, d in cache.decompositions.items():
-        objects += [g, d.object, d.torsion, d.quotient, d.injection.dom,
-                    d.injection.cod, d.projection.dom, d.projection.cod]
-    objects += [end for f in cache.reports for end in (f.dom, f.cod)]
-    objects += [g for g, _ in cache.kernel_classes]
-    for (g, _), (middle, e) in cache.quotients.items():
-        objects += [g, middle, e.dom, e.cod]
-    for (cod, reflected_dom, _), (to_cod, to_refl) in cache.squares.items():
-        objects += [cod, reflected_dom, to_cod.dom, to_cod.cod, to_refl.dom, to_refl.cod]
+    for entries in cache.store.values():
+        objects += held_objects(list(entries.items()))
     return objects
 
 
@@ -85,8 +101,8 @@ def test_one_instance_per_group_after_a_smoke_battery(battery_run):
 
 def test_stored_decompositions_hold_the_pooled_parts(battery_run):
     cache = battery_run[0].cache
-    assert cache.decompositions
-    for g, d in cache.decompositions.items():
+    assert cache.store[_decomposition]
+    for g, d in cache.store[_decomposition].items():
         assert d.object is g
         assert cache.objects[d.torsion] is d.torsion is d.injection.dom
         assert cache.objects[d.quotient] is d.quotient is d.projection.cod
@@ -106,27 +122,85 @@ def test_pooled_objects_equal_what_they_replace(battery_run):
 
 
 def test_report_keys_end_at_the_decomposed_instances(battery_run):
-    decompositions = battery_run[0].cache.decompositions
-    ends = [end for f in battery_run[0].cache.reports for end in (f.dom, f.cod)]
+    store = battery_run[0].cache.store
+    decompositions = store[_decomposition]
+    ends = [end for f in store[_class_report] for end in (f.dom, f.cod)]
     assert ends and all(decompositions[end].object is end for end in ends)
-    assert all(decompositions[g].object is g
-               for g, _ in battery_run[0].cache.kernel_classes)
+    assert all(decompositions[g].object is g for g, _ in store[kernel_class])
 
 
-def test_stored_squares_equal_fresh_pullbacks(battery_run):
-    """Each naturality square the run keeps is the pullback of its reflected
-    map along the codomain's projection, built afresh, names included, and
-    its P is the pool's instance, which both legs share."""
-    cache = battery_run[0].cache
-    assert cache.squares
-    for (cod, reflected_dom, mapping), (to_cod, to_refl) in cache.squares.items():
-        projection = cache.decompositions[cod].projection
-        reflected = VHom(reflected_dom, projection.cod, mapping)
-        p, fresh_to_cod, fresh_to_refl = pullback(projection, reflected)
-        assert (to_cod.dom, to_cod, to_refl) == (p, fresh_to_cod, fresh_to_refl)
-        assert to_cod.dom.group.names == p.group.names
-        assert cache.objects[p] is to_cod.dom is to_refl.dom
-        assert to_cod.cod is cod and to_refl.cod is reflected_dom
+def _fresh(build, key):
+    """What ``build`` makes of the tuple ``key`` afresh: in a new cache,
+    or, for the two dicts written by hand, as their callers build their
+    entries."""
+    if build is factorization._stabilized_quotient:
+        return quotient_vgroup(*key)
+    if build is torsion._null_spot_check:
+        return build(*key, {})
+    return build(ClassCache(), *key)
+
+
+@pytest.fixture(scope="module")
+def store_run():
+    """The smoke suite after all 13 checks, each of them passed, with the
+    number of entries each build then held, and then each leg of both
+    factorizations of every morphism classified in the suite's cache."""
+    suite = standard_suite("smoke")
+    for check in battery.ALL_CHECKS:
+        assert check(suite).ok, check.__name__
+    counts = {build.__name__: len(entries) for build, entries in suite.cache.store.items()}
+    for _, _, f in suite.all_homs():
+        for fact in (reflective_factorize(f, suite.cache),
+                     monotone_light_factorize(f, suite.cache)):
+            factorization.classify_morphism(fact.e, suite.cache)
+            factorization.classify_morphism(fact.m, suite.cache)
+    return suite.cache, counts
+
+
+def test_every_entry_is_a_fresh_build_on_pooled_objects(store_run):
+    """Each entry of the store equals what its build makes of its key
+    afresh, names included; a second request returns the stored value;
+    and every object that a key or a value holds is its pool's instance,
+    so a stored map ends at the instances that the store's objects are.
+    The torsion check has taken out every exact sequence."""
+    cache, counts = store_run
+    assert counts == {"object_class": 235, "_exact_sequences": 0, "_decomposition": 308,
+                      "_class_report": 1222, "_square": 718, "kernel_class": 161,
+                      "_stabilized_quotient": 39, "symmetric_part": 28,
+                      "_null_spot_check": 192}
+    by_hand = (factorization._stabilized_quotient, torsion._null_spot_check)
+    for build, entries in cache.store.items():
+        for key, stored in entries.items():
+            if not isinstance(key, tuple):  # a key of one argument
+                key = (key,)
+            assert stored == _fresh(build, key), (build.__name__, key)
+            if build not in by_hand:
+                assert cache.derived(build, *key) is stored
+            for obj in held_objects((key, stored)):
+                assert cache.objects[obj] is obj, (build.__name__, key)
+
+
+def test_every_build_is_a_module_level_function(monkeypatch):
+    """A build is the key of its dict in the store, so a lambda or a
+    nested function, made anew on each call, would never be found again.
+    Every build that reaches ``ClassCache.derived`` in a smoke battery and
+    in every command line command on the shipped documents is a function
+    that its module holds under its name."""
+    builds = set()
+    derived = ClassCache.derived
+    monkeypatch.setattr(ClassCache, "derived", lambda self, build, *key:
+                        builds.add(build) or derived(self, build, *key))
+    suite = standard_suite("smoke")
+    for check in battery.ALL_CHECKS:
+        assert check(suite).ok, check.__name__
+    for argv in _commands():
+        assert run(argv, io.StringIO()) == 0, argv
+    assert {build.__name__ for build in builds} == {
+        "object_class", "symmetric_part", "kernel_class", "_decomposition",
+        "_class_report", "_square", "_exact_sequences"}
+    for build in builds:
+        assert inspect.isfunction(build) and build.__qualname__ == build.__name__
+        assert getattr(sys.modules[build.__module__], build.__name__) is build
 
 
 def test_the_whole_carrier_is_the_group_itself():
@@ -201,5 +275,6 @@ def test_derived_stores_equal_fresh_builds_after_a_smoke_battery(derived_run):
     stored = sum((check_derived_store(g) for g in parents.values()), Counter())
     assert sum(stored[name] for name in CONSTRUCTIONS) == \
         sum(via == "derived" for _, _, _, via in builds)
-    # and the generators and hom searches kept beside them
+    # and the generators, hom searches and pullback projections kept beside them
     assert stored["_greedy_generators"] and stored["_search_homs"]
+    assert stored["pair_projections"] == stored["pair_group"]

@@ -274,15 +274,25 @@ def kernel_pair_first_projection(original):
     return pair_meets
 
 
-@mutant(factorization.classify_morphism)
+def _keyed_by(derived, build, short):
+    """``ClassCache.derived`` with the entries of ``build`` stored under
+    ``short(*key)``: the first key of each short key is built, and every
+    later one takes its value."""
+    def keyed(self, given, *key):
+        if given is not build:
+            return derived(self, given, *key)
+        entries, at = self.store[build], short(*key)
+        if at not in entries:
+            entries[at] = build(self, *key)
+        return entries[at]
+    return keyed
+
+
+@mutant((factorization.ClassCache, "derived"))
 def cache_key_no_mapping(original):
     """Class reports are keyed by their endpoints only, so morphisms between
     the same objects share the first one's flags."""
-    def classify_morphism(f, cache=None):
-        if cache is None:
-            return original(f)
-        return cache.reports.setdefault((f.dom, f.cod), original(f, cache))
-    return classify_morphism
+    return _keyed_by(original, factorization._class_report, lambda f: (f.dom, f.cod))
 
 
 @mutant((factorization.ClassCache, "intern"))
@@ -293,20 +303,20 @@ def group_pool_by_table(original):
     return lambda self, g: self.objects.setdefault((g.group.table, g.structure), g)
 
 
-@mutant((factorization.ClassCache, "kernel_class"))
+@mutant((factorization.ClassCache, "derived"))
 def kernel_class_by_domain(original):
     """Kernel classes are keyed by the domain only, so morphisms out of one
     object share the first one's kernel class."""
-    return lambda self, f: self.kernel_classes.setdefault(f.dom, original(self, f))
+    return _keyed_by(original, torsion.kernel_class, lambda dom, members: dom)
 
 
-@mutant((factorization.ClassCache, "square"))
+@mutant((factorization.ClassCache, "derived"))
 def square_key_drops_codomain(original):
     """Naturality squares are keyed by the reflected map's domain and mapping
     only, so morphisms into codomains with one such reflected map share the
     first one's square, and its legs end at the first codomain."""
-    return lambda self, cod_dec, reflected: self.squares.setdefault(
-        (reflected.dom, reflected.mapping), original(self, cod_dec, reflected))
+    return _keyed_by(original, factorization._square,
+                     lambda cod, reflected_dom, mapping: (reflected_dom, mapping))
 
 
 FAIL, PASS = "fail", "pass"

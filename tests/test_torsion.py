@@ -404,14 +404,15 @@ def test_shared_spot_checks_leave_every_decomposition_unchanged(monkeypatch):
             log["to"] = unshared
             alone = pretorsion_decompose(obj.vgroup, test_objects=family).as_dict()
             log["to"] = now = []
-            before = set(shared.spot_checks)
+            before = set(shared.store[torsion._null_spot_check])
             assert pretorsion_decompose(obj.vgroup, test_objects=family,
                                         cache=shared).as_dict() == alone, obj.name
             assert not before & set(now), obj.name
             checked += now
-        assert len(checked) == len(set(checked)) == len(shared.spot_checks)
+        assert len(checked) == len(set(checked)) == \
+            len(shared.store[torsion._null_spot_check])
     # the battery's families share their small objects
-    assert len(shared.spot_checks) < len(unshared)
+    assert len(shared.store[torsion._null_spot_check]) < len(unshared)
 
 
 def test_run_wide_dicts_leave_every_decomposition_unchanged(monkeypatch):
@@ -437,10 +438,10 @@ def test_run_wide_dicts_leave_every_decomposition_unchanged(monkeypatch):
             shared = pretorsion_decompose(obj.vgroup, test_objects=family,
                                           cache=cache).as_dict()
             assert shared == alone, obj.name
-        for name, store in (("classify_object", cache.classes),
-                            ("symmetric_coreflect", cache.symmetric_parts)):
+        for name, build in (("classify_object", torsion.object_class),
+                            ("symmetric_coreflect", torsion.symmetric_part)):
             calls = counted[name]
-            assert len(calls) == len(set(calls)) == len(store), name
+            assert len(calls) == len(set(calls)) == len(cache.store[build]), name
 
 
 def unshared_pretorsion_failures(suite):

@@ -18,7 +18,7 @@ from vgroups import (CapacityError, FiniteGroup, Quantale, StructuralError,
                      trivial_vgroup, validate_hom, validate_vgroup,
                      vgroup_isomorphism, zero_hom)
 from vgroups.builders import group_roster
-from vgroups.groups import ENUMERATION_CAP, difference_rows
+from vgroups.groups import ENUMERATION_CAP, difference_rows, pair_projections
 from vgroups.vgroup import (factor_through_epi, factor_through_mono, fibers,
                             final_structure, is_final, is_regular_epi,
                             profile_matrix, pullback_comparison)
@@ -184,6 +184,20 @@ class TestLimits:
         assert p.size == 4
         assert pi1.mapping == pi2.mapping
         assert vgroup_isomorphism(p, z4_bool) is not None
+
+    def test_pullbacks_on_one_pair_list_share_their_projections(self, z4_bool,
+                                                                 z2_discrete):
+        """Both projection mappings depend on the pair list alone, so
+        pullbacks on one list read them from the first group's store, as
+        they read their group."""
+        q = VHom(z4_bool, z2_discrete, [0, 1, 0, 1])
+        p, pi1, pi2 = pullback(q, q)
+        again, again1, again2 = pullback(q, VHom(z4_bool, z2_discrete, [0, 1, 0, 1]))
+        assert again.group is p.group
+        assert again1.mapping is pi1.mapping and again2.mapping is pi2.mapping
+        pairs = tuple(zip(pi1.mapping, pi2.mapping))
+        assert z4_bool.group.derived(pair_projections, z4_bool.group, pairs) == \
+            (pi1.mapping, pi2.mapping)
 
     def test_equalizer_of_equal_pair(self, z4_bool):
         ident = identity_hom(z4_bool)
