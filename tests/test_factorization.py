@@ -8,7 +8,7 @@ from collections import Counter
 import pytest
 
 import vgroups
-from vgroups import factorization, torsion
+from vgroups import battery, factorization, torsion
 from vgroups import (FiniteGroup, NonIntegralQuantaleError, StructuralError,
                      TheoremCheckError, VGroup, VHom, VRel,
                      classify_morphism, classify_object, discrete_vgroup,
@@ -16,11 +16,14 @@ from vgroups import (FiniteGroup, NonIntegralQuantaleError, StructuralError,
                      is_covering, is_isomorphism, kernel,
                      monotone_light_factorize, product, pullback,
                      reflective_factorize, run_battery, standard_suite,
+                     symmetric_coreflect,
                      trivial_vgroup, validate_hom, zero_hom)
+from vgroups.battery import _exact_sequences
 from vgroups.factorization import (ClassCache, _class_report, _decomposition,
                                    _stabilized_quotient, kernel_members)
-from vgroups.torsion import kernel_class, object_class, torsion_members
-from vgroups.vgroup import factorization_middle_iso
+from vgroups.torsion import (_null_spot_check, kernel_class, object_class,
+                             symmetric_part, torsion_members)
+from vgroups.vgroup import factorization_middle_iso, quotient_vgroup
 
 from test_interning import held_objects
 
@@ -243,6 +246,13 @@ class TestClassCache:
                 classify_morphism(f, suite.cache)
         return suite.cache, list(touched), builds
 
+    def test_cached_report_matches_fresh_classification(self, factorized_smoke):
+        cache, morphisms, _ = factorized_smoke
+        for f in morphisms:
+            report = classify_morphism(f, cache)
+            assert classify_morphism(f, cache) is report
+            assert report.as_dict() == classify_morphism(f).as_dict()
+
     def test_reports_are_keyed_by_morphism(self, factorized_smoke):
         cache, morphisms, _ = factorized_smoke
         assert set(cache.store[_class_report]) == set(morphisms)
@@ -257,6 +267,16 @@ class TestClassCache:
             assert cache.store[kernel_class][_kernel_key(f)] == classify_object(ker_obj)
             keys.add(_kernel_key(f))
         assert set(cache.store[kernel_class]) == keys
+
+    def test_quotients_match_fresh_quotients(self, factorized_smoke):
+        cache, morphisms, _ = factorized_smoke
+        quotients = cache.store[_stabilized_quotient]
+        keys = {(f.dom, torsion_members(f.dom, kernel_members(f))) for f in morphisms}
+        assert quotients and set(quotients) <= keys
+        for (dom, members), (middle, e) in quotients.items():
+            fresh_middle, fresh_e = quotient_vgroup(dom, members)
+            assert middle == fresh_middle and e == fresh_e
+            assert middle.group.names == fresh_middle.group.names
 
     def test_each_key_is_built_once(self, factorized_smoke):
         cache, morphisms, builds = factorized_smoke
@@ -343,6 +363,26 @@ class TestClassCache:
         assert set(cache.objects) - set(pooled) == \
             {obj for (_, key), value in new.items() for obj in held_objects((key, value))} - \
             set(pooled)
+
+    def test_object_stores_match_fresh_builds(self):
+        """After the smoke suite's object checks, each class, symmetric
+        part and spot-check count the suite's cache holds is what a fresh
+        build gives, and the torsion check has taken out every sequence."""
+        suite = standard_suite("smoke")
+        for check in (battery.check_objects, battery.check_ses_morphism_pullback,
+                      battery.check_torsion_theory, battery.check_pretorsion):
+            assert check(suite).ok, check.__name__
+        store = suite.cache.store
+        classes, symmetric_parts, spot_checks = (
+            store[object_class], store[symmetric_part], store[_null_spot_check])
+        assert classes and symmetric_parts and spot_checks
+        for g, found in classes.items():
+            assert found == classify_object(g)
+        for g, found in symmetric_parts.items():
+            assert found == symmetric_coreflect(g)
+        for (t, f), count in spot_checks.items():
+            assert count == len(enumerate_homs(t, f))
+        assert store[_exact_sequences] == {}
 
     def test_report_is_frozen(self, quotient_to_z2):
         report = classify_morphism(quotient_to_z2)

@@ -24,10 +24,11 @@ from vgroups import battery, factorization, torsion
 from vgroups.builders import group_roster, standard_suite
 from vgroups.cli import run
 from vgroups.factorization import (ClassCache, _class_report, _decomposition,
-                                   monotone_light_factorize, reflective_factorize)
+                                   _square, monotone_light_factorize,
+                                   reflective_factorize)
 from vgroups.groups import FiniteGroup, group_homs, subgroup_group
 from vgroups.torsion import TorsionDecomposition, kernel_class
-from vgroups.vgroup import VGroup, VHom, quotient_vgroup
+from vgroups.vgroup import VGroup, VHom, pullback, quotient_vgroup
 
 from test_groups import check_derived_store, searched
 from test_module_state import _commands
@@ -127,6 +128,23 @@ def test_report_keys_end_at_the_decomposed_instances(battery_run):
     ends = [end for f in store[_class_report] for end in (f.dom, f.cod)]
     assert ends and all(decompositions[end].object is end for end in ends)
     assert all(decompositions[g].object is g for g, _ in store[kernel_class])
+
+
+def test_stored_squares_equal_fresh_pullbacks(battery_run):
+    """Each naturality square the run keeps is the pullback of its reflected
+    map along the codomain's projection, built afresh, names included, and
+    its P is the pool's instance, which both legs share."""
+    cache = battery_run[0].cache
+    squares = cache.store[_square]
+    assert squares
+    for (cod, reflected_dom, mapping), (to_cod, to_refl) in squares.items():
+        projection = cache.store[_decomposition][cod].projection
+        reflected = VHom(reflected_dom, projection.cod, mapping)
+        p, fresh_to_cod, fresh_to_refl = pullback(projection, reflected)
+        assert (to_cod.dom, to_cod, to_refl) == (p, fresh_to_cod, fresh_to_refl)
+        assert to_cod.dom.group.names == p.group.names
+        assert cache.objects[p] is to_cod.dom is to_refl.dom
+        assert to_cod.cod is cod and to_refl.cod is reflected_dom
 
 
 def _fresh(build, key):
