@@ -224,10 +224,9 @@ def check_kernel_cokernel_roundtrips(suite):
 def _exact_sequences(cache, g):
     """(normal subgroup, its inclusion, the projection onto the quotient by
     it) for each normal subgroup of g, the maps pooled: a ``ClassCache``
-    build.  ``check_ses_morphism_pullback`` stores each small object's,
-    and ``check_torsion_theory``, which runs after it, takes them out, so
-    a battery builds them once per object and holds them only between the
-    two checks; the torsion check run alone keeps none."""
+    build, which ``check_ses_morphism_pullback`` and
+    ``check_torsion_theory`` read for each small object, so a battery
+    builds them once per object."""
     return [(n, cache.leg(subobject(g, n)[1]), cache.leg(quotient_vgroup(g, n)[1]))
             for n in g.group.all_normal_subgroups()]
 
@@ -368,9 +367,9 @@ def check_torsion_theory(suite):
     ``SMALL_CARRIER`` elements no other normal subgroup gives an
     indiscrete kernel with a separated quotient; and on every enumerated
     hom-set the only map from an indiscrete to a separated object is the
-    zero map.  Each distinct object, suite object, kernel or quotient, is
-    classified once per run, through ``suite.cache``; the exact sequences
-    are taken out of it when the ses check has stored them."""
+    zero map.  Through ``suite.cache``, each distinct object, suite
+    object, kernel or quotient, is classified once per run, and each small
+    object's exact sequences are built once per run."""
     failures = []
     cache = suite.cache
     classes = {}  # by object index, for the objects that classify
@@ -380,10 +379,8 @@ def check_torsion_theory(suite):
             dec = cached_decomposition(obj.vgroup, cache)
             if obj.vgroup.size <= SMALL_CARRIER:
                 canonical = set(dec.injection.mapping)
-                sequences = cache.store[_exact_sequences].pop(obj.vgroup, None)
-                if sequences is None:  # not stored by the ses check
-                    sequences = _exact_sequences(cache, obj.vgroup)
-                for alt, inclusion, projection in sequences:
+                for alt, inclusion, projection in cache.derived(_exact_sequences,
+                                                                obj.vgroup):
                     if cache.derived(object_class, inclusion.dom).indiscrete and \
                             cache.derived(object_class, projection.cod).separated and \
                             set(alt) != canonical:

@@ -3,9 +3,12 @@ group, a structure matrix and optional named morphisms.
 
 Quantale and group elements are referenced by string label, with an
 explicit ordering array, so documents are diff-friendly.  Entries may
-also be given as integer indices; the canonical emitted form always uses
-labels, sorted keys and two-space indentation, and a document already in
-canonical form round-trips byte-identically through parse then emit.
+also be given as integer indices; an integral float such as 1.0, which
+JSON Schema's ``integer`` admits, is read as the integer it equals, here
+and in a builtin chain length ``m``.  The canonical emitted form always
+uses labels, sorted keys and two-space indentation, and a document
+already in canonical form round-trips byte-identically through parse
+then emit.
 
 A morphism's target is either a path to another document (resolved
 relative to the referencing file; its quantale must coincide) or an
@@ -200,9 +203,16 @@ class WorkbenchDocument:
         raise StructuralError(f"document has no morphism named {name!r}")
 
 
+def _integral(value):
+    """An integral float as the int it equals, as Draft 2020-12's
+    ``integer`` reads it; any other value unchanged."""
+    return int(value) if isinstance(value, float) and value.is_integer() else value
+
+
 def _resolve(value, labels, what):
     if isinstance(value, bool):
         raise StructuralError(f"{what} entry must be a label or index, not a boolean")
+    value = _integral(value)
     if isinstance(value, int):
         if not 0 <= value < len(labels):
             raise StructuralError(f"{what} index out of range: {value}")
@@ -216,7 +226,7 @@ def _resolve(value, labels, what):
 def _parse_quantale(spec):
     if "builtin" in spec:
         kind = spec["builtin"]
-        return builtin_quantale(kind, spec.get("m"))
+        return builtin_quantale(kind, _integral(spec.get("m")))
     labels = [str(x) for x in spec["elements"]]
     tensor = [[_resolve(v, labels, "quantale") for v in row] for row in spec["tensor"]]
     return Quantale(labels=labels, leq=spec["leq"], tensor=tensor,
@@ -321,7 +331,7 @@ def _emit_quantale(doc):
     if "builtin" in spec:
         out = {"builtin": spec["builtin"]}
         if "m" in spec:
-            out["m"] = spec["m"]
+            out["m"] = _integral(spec["m"])
         return out
     return _quantale_tables(doc.quantale)
 

@@ -226,14 +226,10 @@ def reflective_factorize(f, cache=None):
     return Factorization(e=e, middle=p, m=m, system="reflective")
 
 
-def _stabilized_quotient(f, members):
-    """The quotient of f's domain by ``members``, its kernel's torsion part."""
-    witness = f.dom.group.normality_witness(members)
-    if witness is not None:
-        raise TheoremCheckError(
-            f"torsion part of the kernel of {f!r} is not normal in the domain, "
-            f"witness {witness}")
-    return quotient_vgroup(f.dom, members)
+def _stabilized_quotient(cache, dom, members):
+    """The projection of ``dom`` onto its quotient by the normal subgroup
+    ``members``, pooled: a ``ClassCache`` build."""
+    return cache.leg(quotient_vgroup(dom, members)[1])
 
 
 def monotone_light_factorize(f, cache=None):
@@ -245,19 +241,25 @@ def monotone_light_factorize(f, cache=None):
     codomain is well-defined because the quotiented subgroup sits inside
     the kernel, and e then m is f by the contract of ``factor_through_epi``.
     m is a covering because the torsion part of the kernel is quotiented
-    away.  Post-verifies m's validity and e's class; a failure here would
-    be a finding about the construction, not a tolerated state, so it
-    raises.  The quotient and e's report come from ``cache``, a fresh one
-    when omitted: morphisms with one domain and one torsion part of the
-    kernel share their middle and left leg.
+    away.  Checks normality, then post-verifies m's validity and e's class
+    on every call; a failure here would be a finding about the
+    construction, not a tolerated state, so it raises.  The quotient (the
+    ``_stabilized_quotient`` build, by domain and torsion part of the
+    kernel) and e's report come from ``cache``, a fresh one when omitted:
+    morphisms with one domain and one torsion part of the kernel share
+    their middle and left leg.
     """
     if not f.dom.quantale.is_integral:
         raise NonIntegralQuantaleError("stabilized factorization needs an integral quantale")
     if cache is None:
         cache = ClassCache()
     members = torsion_members(f.dom, kernel_members(f))
-    stored = cache.store[_stabilized_quotient].get((f.dom, members))
-    _, e = stored or _stabilized_quotient(f, members)
+    witness = f.dom.group.normality_witness(members)
+    if witness is not None:
+        raise TheoremCheckError(
+            f"torsion part of the kernel of {f!r} is not normal in the domain, "
+            f"witness {witness}")
+    e = cache.derived(_stabilized_quotient, f.dom, members)
     m = factor_through_epi(e, f)
     if m is None:
         raise TheoremCheckError(
@@ -268,7 +270,4 @@ def monotone_light_factorize(f, cache=None):
     if not classify_morphism(e, cache).stably_inverted:
         raise TheoremCheckError(
             f"left leg {e!r} of {f!r} is not a normal epi with indiscrete kernel")
-    if stored is None:
-        e = cache.leg(e)
-        cache.keep(_stabilized_quotient, (f.dom, members), (e.cod, e))
     return Factorization(e=e, middle=e.cod, m=m, system="monotone_light")

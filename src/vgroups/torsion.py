@@ -37,13 +37,11 @@ class ClassCache:
     """What one run derives from its objects and morphisms: a battery's
     suite holds one, and each command line call makes its own.
 
-    One store: ``store`` holds a dict per build, a module-level function,
-    and ``derived(build, *key)`` keeps ``build(cache, *key)`` there under
-    its key (a key of one argument stands for itself), built on the first
-    request.  Two dicts are written by hand, through ``keep``, because
-    their entries depend on more than their keys: the stabilized
-    quotients, kept once their factorization has post-verified, and the
-    null spot checks, which enumerate through the caller's hom-sets.
+    One storing rule: ``store`` holds a dict per build, a module-level
+    function, and ``derived(build, *key)`` keeps ``build(cache, *key)``
+    there under its key (a key of one argument stands for itself), built
+    on the first request.  Nothing else writes to ``store``, and nothing
+    outside this class reads it.
 
     One pooling rule: an entry's key is stored with its objects moved onto
     the pool ``objects`` (``intern``, or ``leg`` for a map), and a build
@@ -62,18 +60,16 @@ class ClassCache:
         self.objects = {}
 
     def derived(self, build, *key):
-        """``build(self, *key)``, kept in ``store[build]`` from the first request."""
-        found = self.store[build].get(key[0] if len(key) == 1 else key)
+        """``build(self, *key)``, kept in ``store[build]`` from the first
+        request under ``key`` with its objects pooled."""
+        entries = self.store[build]
+        found = entries.get(key[0] if len(key) == 1 else key)
         if found is None:
-            found = self.keep(build, key, build(self, *key))
+            found = build(self, *key)
+            key = [self.intern(x) if isinstance(x, VGroup) else
+                   self.leg(x) if isinstance(x, VHom) else x for x in key]
+            entries[key[0] if len(key) == 1 else tuple(key)] = found
         return found
-
-    def keep(self, build, key, value):
-        """Store ``value`` in ``store[build]`` under the tuple ``key``, pooled."""
-        key = [self.intern(x) if isinstance(x, VGroup) else
-               self.leg(x) if isinstance(x, VHom) else x for x in key]
-        self.store[build][key[0] if len(key) == 1 else tuple(key)] = value
-        return value
 
     def intern(self, g):
         """The run's first instance of g's value."""
@@ -298,15 +294,6 @@ def default_test_family(*objects, cache=None):
     return list(dict.fromkeys(candidates))  # the first of each value, in order
 
 
-def _hom_set(hom_sets, dom, cod):
-    """``enumerate_homs(dom, cod)``, enumerated once per ``hom_sets``, a
-    dict by (dom, cod)."""
-    found = hom_sets.get((dom, cod))
-    if found is None:
-        found = hom_sets[dom, cod] = enumerate_homs(dom, cod)
-    return found
-
-
 def verify_pretorsion_kernel(candidate, of, test_objects=None, hom_sets=None):
     """Check the kernel-relative-to-null universal property of ``candidate``.
 
@@ -349,7 +336,11 @@ def _verify_relative(candidate, of, dual, test_objects, family, hom_sets):
         return v.then(u) if dual else u.then(v)
 
     def homs(w, x):
-        return _hom_set(hom_sets, x, w) if dual else _hom_set(hom_sets, w, x)
+        pair = (x, w) if dual else (w, x)
+        found = hom_sets.get(pair)
+        if found is None:
+            found = hom_sets[pair] = enumerate_homs(*pair)
+        return found
 
     report = ValidationReport(
         subject="pretorsion-cokernel" if dual else "pretorsion-kernel")
@@ -405,11 +396,11 @@ class PretorsionDecomposition:
         }
 
 
-def _null_spot_check(t, f_obj, hom_sets):
+def _null_spot_check(cache, t, f_obj):
     """The number of morphisms from ``t`` to ``f_obj``, each checked to be
-    null; the first that is not raises."""
+    null (the first that is not raises): a ``ClassCache`` build."""
     checked = 0
-    for hom in _hom_set(hom_sets, t, f_obj):
+    for hom in enumerate_homs(t, f_obj):
         checked += 1
         if not is_null_morphism(hom)["is_null"]:
             raise TheoremCheckError(
@@ -426,13 +417,14 @@ def pretorsion_decompose(g, test_objects=None, cache=None):
     verifiers on the sequence and spot-checks that every enumerated
     morphism from a symmetric test object to a separated one is null.
 
-    The symmetric parts, the classes and the null spot checks come from
+    The symmetric parts, the classes and the null spot checks (the
+    ``_null_spot_check`` build, by pair of test objects) come from
     ``cache`` (a fresh one when omitted), so decompositions that share it
     check each pair of test objects once; ``notes["null_spot_checks"]``
     counts the morphisms of every pair, checked now or before.
 
-    Within one call, each hom-set is enumerated once, for both verifiers
-    and the spot checks; the hom-sets do not outlive the call.
+    Within one call, both verifiers enumerate each hom-set once; those
+    hom-sets do not outlive the call.
     """
     if cache is None:
         cache = ClassCache()
@@ -456,19 +448,13 @@ def pretorsion_decompose(g, test_objects=None, cache=None):
             f"{kernel_report.laws_violated() + cokernel_report.laws_violated()}")
 
     checked = 0
-    spot_checks = cache.store[_null_spot_check]  # by (t, f): the morphisms checked
     family = [(t, cache.derived(object_class, t)) for t in test_objects]
     for t, t_class in family:
         if not t_class.symmetric:
             continue
         for f_obj, f_class in family:
-            if not f_class.separated:
-                continue
-            found = spot_checks.get((t, f_obj))
-            if found is None:
-                found = cache.keep(_null_spot_check, (t, f_obj),
-                                   _null_spot_check(t, f_obj, hom_sets))
-            checked += found
+            if f_class.separated:
+                checked += cache.derived(_null_spot_check, t, f_obj)
     return PretorsionDecomposition(
         object=g, symmetric_part=sym, comparison=comparison,
         quotient=quotient, projection=projection,

@@ -310,10 +310,11 @@ def test_a_uniqueness_cap_is_tested_once_per_morphism(monkeypatch):
 
 def test_torsion_check_classifies_and_builds_each_object_once(monkeypatch):
     """One smoke run of the ses check, then the torsion check, builds each
-    small object's exact sequences once and leaves none stored, and the
-    torsion check classifies each distinct object, suite object, kernel or
-    quotient, once; run alone, the torsion check stores no sequences, and
-    its result is the same either way."""
+    small object's exact sequences once, in the suite's cache, where both
+    checks read them, and the torsion check classifies each distinct
+    object, suite object, kernel or quotient, once; run alone, the torsion
+    check builds the same sequences once, and its result is the same
+    either way."""
     built, classified = [], []
     sequences, classify = battery._exact_sequences, torsion.classify_object
     monkeypatch.setattr(battery, "_exact_sequences",
@@ -322,18 +323,29 @@ def test_torsion_check_classifies_and_builds_each_object_once(monkeypatch):
                         lambda g: classified.append(g) or classify(g))
     alone = standard_suite("smoke")
     want = battery.check_torsion_theory(alone).as_dict()
-    assert alone.cache.store[battery._exact_sequences] == {}
+    assert len(built) == len(set(built)) == \
+        len(alone.cache.store[battery._exact_sequences]) == 28
     assert len(classified) == len(set(classified)) == 61
     suite = standard_suite("smoke")
     built.clear()
     classified.clear()
     battery.check_ses_morphism_pullback(suite)
-    stored = suite.cache.store[battery._exact_sequences]
+    stored = dict(suite.cache.store[battery._exact_sequences])
     assert len(stored) == len(suite.objects) == 28
     assert battery.check_torsion_theory(suite).as_dict() == want
-    assert stored == {}
+    assert all(suite.cache.store[battery._exact_sequences][g] is found
+               for g, found in stored.items())
     assert len(built) == len(set(built)) == 28
     assert len(classified) == len(set(classified)) == 61
+
+
+def test_each_check_run_alone_reports_what_it_reports_in_a_battery():
+    """No check depends on what an earlier one left in the suite's cache:
+    each, run alone on a fresh smoke suite, reports what it reports in one
+    battery run."""
+    in_battery = [result.as_dict() for result in battery.run_battery("smoke")]
+    alone = [check(standard_suite("smoke")).as_dict() for check in battery.ALL_CHECKS]
+    assert alone == in_battery
 
 
 # The object-level checks of the full suite, the ones the benchmark's

@@ -125,14 +125,18 @@ class TestValidate:
         assert "a.json is part of a document reference cycle" in err
         assert "b.json ->" in err
 
-    def test_fractional_chain_length_exits_two(self, tmp_path, capsys):
-        # JSON Schema's "integer" admits 2.0
-        path = tmp_path / "doc.json"
-        path.write_text(canonical_json(cyclic_document(
-            2, {"builtin": "lawvere_chain", "m": 2.0})), encoding="utf-8")
-        assert invoke("validate", "--input", str(path)) == (2, "")
-        assert "input error: lawvere_chain length m must be an integer, not 2.0" in \
-            capsys.readouterr().err
+    def test_integral_float_chain_length_reads_as_its_integer(self, tmp_path, capsys):
+        # JSON Schema's "integer" admits 2.0, and 2.0 is read as 2; 2.5 is
+        # no integer, and the schema refuses it
+        outputs = {}
+        for m in (2, 2.0, 2.5):
+            path = tmp_path / f"doc_{m}.json"
+            path.write_text(canonical_json(cyclic_document(
+                2, {"builtin": "lawvere_chain", "m": m})), encoding="utf-8")
+            outputs[m] = invoke("validate", "--input", str(path), "--format", "json")
+        assert outputs[2.0] == outputs[2] and outputs[2][0] == 0
+        assert outputs[2.5] == (2, "")
+        assert "input error: document does not match the schema" in capsys.readouterr().err
 
     def test_deeply_nested_document_exits_two(self, tmp_path, capsys):
         # Near the recursion limit the parser gives up, then (a few levels

@@ -1,5 +1,6 @@
 import copy
 import importlib
+import io
 import json
 import math
 from pathlib import Path
@@ -10,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from vgroups import StructuralError, VHom, boolean, document, lawvere_chain
 from vgroups.builders import standard_suite
+from vgroups.cli import run
 from vgroups.document import (SCHEMA, _VALIDATOR, WorkbenchDocument, _accepts, _compile,
                               canonical_json, document_text, emit_document, load_document,
                               parse_document)
@@ -209,6 +211,63 @@ class TestRoundTrip:
             emit_document(built)
         with pytest.raises(StructuralError, match="morphism 'q' is named twice"):
             document_text(built)
+
+
+def float_indices(data, base_dir):
+    """``data`` emitted with every label it references written as its
+    index, a float such as 1.0, and a chain length as a float: values that
+    Draft 2020-12's ``integer`` admits."""
+    doc = parse_document(data, base_dir=base_dir)
+    out = emit_document(doc)
+    labels = list(doc.quantale.labels)
+
+    def indices(rows, names):
+        return [[float(names.index(v)) for v in row] for row in rows]
+
+    def encode(group, structure):
+        group["table"] = indices(group["table"], group["elements"])
+        return indices(structure, labels)
+
+    spec = out["quantale"]
+    if "m" in spec:
+        spec["m"] = float(spec["m"])
+    if "tensor" in spec:
+        spec["tensor"] = indices(spec["tensor"], labels)
+        spec.update({k: float(labels.index(spec[k])) for k in ("unit", "bottom", "top")})
+    out["structure"] = encode(out["group"], out["structure"])
+    for spec, hom in zip(out.get("morphisms", ()), doc.morphisms):
+        spec["map"] = [float(v) for v in hom.mapping]
+        if isinstance(spec["target"], dict):
+            target = spec["target"]
+            target["structure"] = encode(target["group"], target["structure"])
+    return out
+
+
+@pytest.mark.parametrize("name", sorted(p.name for p in DOCS.glob("*.json")) +
+                         ["lawless_z4.json", "s3_lawvere.json", "tables"])
+def test_float_indices_read_as_their_integers(tmp_path, name):
+    """A copy of a shipped document whose entries and chain length are
+    integral floats is the same document: it emits the same text, and the
+    validate, classify and decompose commands print the same bytes on it."""
+    if name == "tables":  # the boolean quantale given by its tables
+        data = json.loads((DOCS / "z4_boolean.json").read_text(encoding="utf-8"))
+        data["quantale"] = _TABLES
+    else:
+        path = DOCS / name if (DOCS / name).exists() else TEST_DOCS / name
+        data = json.loads(path.read_text(encoding="utf-8"))
+    original, copy_ = tmp_path / "original.json", tmp_path / "copy.json"
+    original.write_text(canonical_json(data), encoding="utf-8")
+    copy_.write_text(canonical_json(float_indices(data, DOCS)), encoding="utf-8")
+    assert "1.0" in copy_.read_text(encoding="utf-8")
+    assert document_text(load_document(copy_)) == document_text(load_document(original))
+    for command in ("validate", "classify", "decompose"):
+        for fmt in ("text", "json"):
+            printed = []
+            for path in (original, copy_):
+                out = io.StringIO()
+                printed.append((run([command, "--input", str(path), "--format", fmt], out),
+                                out.getvalue()))
+            assert printed[0] == printed[1], (command, fmt)
 
 
 class TestFileTargets:

@@ -273,10 +273,10 @@ class TestClassCache:
         quotients = cache.store[_stabilized_quotient]
         keys = {(f.dom, torsion_members(f.dom, kernel_members(f))) for f in morphisms}
         assert quotients and set(quotients) <= keys
-        for (dom, members), (middle, e) in quotients.items():
+        for (dom, members), e in quotients.items():
             fresh_middle, fresh_e = quotient_vgroup(dom, members)
-            assert middle == fresh_middle and e == fresh_e
-            assert middle.group.names == fresh_middle.group.names
+            assert e.cod == fresh_middle and e == fresh_e
+            assert e.cod.group.names == fresh_middle.group.names
 
     def test_each_key_is_built_once(self, factorized_smoke):
         cache, morphisms, builds = factorized_smoke
@@ -317,13 +317,13 @@ class TestClassCache:
                                                  quotient_to_z2):
         """A call that raises raises what a call with a fresh cache raises,
         and leaves in the cache only what builds that returned stored:
-        ``classify_morphism`` and ``monotone_light_factorize`` leave it as
-        it was; ``reflective_factorize`` keeps the decomposition of a
-        codomain it decomposed before it failed, and the objects it pooled."""
+        ``classify_morphism`` leaves it as it was; ``reflective_factorize``
+        keeps the decomposition of a codomain it decomposed before it
+        failed, ``monotone_light_factorize`` the quotient it split through,
+        and each the objects it pooled."""
         cache = ClassCache()
         classify_morphism(quotient_to_z2, cache)  # both endpoints are now decomposed
         monotone_light_factorize(quotient_to_z2, cache)
-        stored, pooled = _entries(cache), dict(cache.objects)
         not_a_hom = VHom(quotient_to_z2.dom, quotient_to_z2.cod, [0, 1, 1, 0])
         # a group hom that is not compatible: its stabilized quotient exists
         z4 = quotient_to_z2.dom
@@ -337,37 +337,43 @@ class TestClassCache:
                 call(f, cache)
             assert str(cached.value) == str(uncached.value)
 
+        stored, pooled = _entries(cache), dict(cache.objects)
         for f, error in ((not_a_hom, StructuralError),
                          (incompatible, StructuralError),
                          (non_integral, NonIntegralQuantaleError)):
             raises_alike(classify_morphism, f, error)
-        for f, error in ((not_a_hom, TheoremCheckError),
-                         (incompatible, TheoremCheckError),
-                         (non_integral, NonIntegralQuantaleError)):
-            raises_alike(monotone_light_factorize, f, error)
         assert _entries(cache) == stored and cache.objects == pooled
 
-        returned = []  # (build, key) of each entry stored, which its build returned
-        keep = ClassCache.keep
-        monkeypatch.setattr(ClassCache, "keep", lambda self, build, key, value:
-                            (self is cache and returned.append(
-                                (build, key[0] if len(key) == 1 else key)))
-                            or keep(self, build, key, value))
-        for f, error in ((not_a_hom, TheoremCheckError),
-                         (incompatible, TheoremCheckError),
-                         (non_integral, NonIntegralQuantaleError)):
-            raises_alike(reflective_factorize, f, error)
-        new = {entry: value for entry, value in _entries(cache).items() if entry not in stored}
-        assert set(new) == set(returned)
-        assert {build for build, _ in new} == {_decomposition, object_class}
-        assert set(cache.objects) - set(pooled) == \
-            {obj for (_, key), value in new.items() for obj in held_objects((key, value))} - \
-            set(pooled)
+        returned = []  # (build, key) of each entry that its build returned
+        derived = ClassCache.derived
+
+        def recorded(self, build, *key):
+            value = derived(self, build, *key)
+            if self is cache:
+                returned.append((build, key[0] if len(key) == 1 else key))
+            return value
+        monkeypatch.setattr(ClassCache, "derived", recorded)
+        for call, kept in ((reflective_factorize, {_decomposition, object_class}),
+                           (monotone_light_factorize, {_stabilized_quotient})):
+            stored, pooled = _entries(cache), dict(cache.objects)
+            returned.clear()
+            for f, error in ((not_a_hom, TheoremCheckError),
+                             (incompatible, TheoremCheckError),
+                             (non_integral, NonIntegralQuantaleError)):
+                raises_alike(call, f, error)
+            new = {entry: value for entry, value in _entries(cache).items()
+                   if entry not in stored}
+            assert set(new) == set(returned) - set(stored), call.__name__
+            assert {build for build, _ in new} == kept, call.__name__
+            assert set(cache.objects) - set(pooled) == \
+                {obj for (_, key), value in new.items()
+                 for obj in held_objects((key, value))} - set(pooled)
 
     def test_object_stores_match_fresh_builds(self):
         """After the smoke suite's object checks, each class, symmetric
-        part and spot-check count the suite's cache holds is what a fresh
-        build gives, and the torsion check has taken out every sequence."""
+        part, spot-check count and list of exact sequences the suite's
+        cache holds is what a fresh build gives, and the ses and torsion
+        checks have left one list of sequences per suite object."""
         suite = standard_suite("smoke")
         for check in (battery.check_objects, battery.check_ses_morphism_pullback,
                       battery.check_torsion_theory, battery.check_pretorsion):
@@ -382,7 +388,9 @@ class TestClassCache:
             assert found == symmetric_coreflect(g)
         for (t, f), count in spot_checks.items():
             assert count == len(enumerate_homs(t, f))
-        assert store[_exact_sequences] == {}
+        assert len(store[_exact_sequences]) == len(suite.objects) == 28
+        for g, sequences in store[_exact_sequences].items():
+            assert sequences == _exact_sequences(ClassCache(), g)
 
     def test_report_is_frozen(self, quotient_to_z2):
         report = classify_morphism(quotient_to_z2)

@@ -1,6 +1,6 @@
 """One store and one instance per stored object and per group in a run.
 
-The constructions build fresh values; ``ClassCache.keep`` moves each
+The constructions build fresh values; ``ClassCache.derived`` moves each
 object of a key onto the run's instance of its value as the entry is
 stored, and each build pools the objects its value holds.  Below a run,
 each parent group builds each pullback, subobject and quotient group
@@ -20,7 +20,7 @@ from collections import Counter
 
 import pytest
 
-from vgroups import battery, factorization, torsion
+from vgroups import battery, factorization
 from vgroups.builders import group_roster, standard_suite
 from vgroups.cli import run
 from vgroups.factorization import (ClassCache, _class_report, _decomposition,
@@ -28,7 +28,7 @@ from vgroups.factorization import (ClassCache, _class_report, _decomposition,
                                    reflective_factorize)
 from vgroups.groups import FiniteGroup, group_homs, subgroup_group
 from vgroups.torsion import TorsionDecomposition, kernel_class
-from vgroups.vgroup import VGroup, VHom, pullback, quotient_vgroup
+from vgroups.vgroup import VGroup, VHom, pullback
 
 from test_groups import check_derived_store, searched
 from test_module_state import _commands
@@ -147,17 +147,6 @@ def test_stored_squares_equal_fresh_pullbacks(battery_run):
         assert to_cod.cod is cod and to_refl.cod is reflected_dom
 
 
-def _fresh(build, key):
-    """What ``build`` makes of the tuple ``key`` afresh: in a new cache,
-    or, for the two dicts written by hand, as their callers build their
-    entries."""
-    if build is factorization._stabilized_quotient:
-        return quotient_vgroup(*key)
-    if build is torsion._null_spot_check:
-        return build(*key, {})
-    return build(ClassCache(), *key)
-
-
 @pytest.fixture(scope="module")
 def store_run():
     """The smoke suite after all 13 checks, each of them passed, with the
@@ -179,21 +168,18 @@ def test_every_entry_is_a_fresh_build_on_pooled_objects(store_run):
     """Each entry of the store equals what its build makes of its key
     afresh, names included; a second request returns the stored value;
     and every object that a key or a value holds is its pool's instance,
-    so a stored map ends at the instances that the store's objects are.
-    The torsion check has taken out every exact sequence."""
+    so a stored map ends at the instances that the store's objects are."""
     cache, counts = store_run
-    assert counts == {"object_class": 235, "_exact_sequences": 0, "_decomposition": 308,
+    assert counts == {"object_class": 235, "_exact_sequences": 28, "_decomposition": 308,
                       "_class_report": 1222, "_square": 718, "kernel_class": 161,
                       "_stabilized_quotient": 39, "symmetric_part": 28,
                       "_null_spot_check": 192}
-    by_hand = (factorization._stabilized_quotient, torsion._null_spot_check)
     for build, entries in cache.store.items():
         for key, stored in entries.items():
             if not isinstance(key, tuple):  # a key of one argument
                 key = (key,)
-            assert stored == _fresh(build, key), (build.__name__, key)
-            if build not in by_hand:
-                assert cache.derived(build, *key) is stored
+            assert stored == build(ClassCache(), *key), (build.__name__, key)
+            assert cache.derived(build, *key) is stored
             for obj in held_objects((key, stored)):
                 assert cache.objects[obj] is obj, (build.__name__, key)
 
@@ -203,7 +189,9 @@ def test_every_build_is_a_module_level_function(monkeypatch):
     nested function, made anew on each call, would never be found again.
     Every build that reaches ``ClassCache.derived`` in a smoke battery and
     in every command line command on the shipped documents is a function
-    that its module holds under its name."""
+    that its module holds under its name, and every dict of the suite's
+    store belongs to one of them: nothing writes to the store but
+    ``derived``."""
     builds = set()
     derived = ClassCache.derived
     monkeypatch.setattr(ClassCache, "derived", lambda self, build, *key:
@@ -215,7 +203,9 @@ def test_every_build_is_a_module_level_function(monkeypatch):
         assert run(argv, io.StringIO()) == 0, argv
     assert {build.__name__ for build in builds} == {
         "object_class", "symmetric_part", "kernel_class", "_decomposition",
-        "_class_report", "_square", "_exact_sequences"}
+        "_class_report", "_square", "_exact_sequences", "_stabilized_quotient",
+        "_null_spot_check"}
+    assert set(suite.cache.store) <= builds
     for build in builds:
         assert inspect.isfunction(build) and build.__qualname__ == build.__name__
         assert getattr(sys.modules[build.__module__], build.__name__) is build

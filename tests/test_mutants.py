@@ -319,6 +319,22 @@ def square_key_drops_codomain(original):
                      lambda cod, reflected_dom, mapping: (reflected_dom, mapping))
 
 
+@mutant((factorization.ClassCache, "derived"))
+def stabilized_quotient_by_domain(original):
+    """Stabilized quotients are keyed by the domain only, so morphisms out
+    of one object split through the first one's quotient, whatever the
+    torsion part of their kernels."""
+    return _keyed_by(original, factorization._stabilized_quotient,
+                     lambda dom, members: dom)
+
+
+@mutant((factorization.ClassCache, "derived"))
+def spot_check_by_test_object(original):
+    """Null spot checks are keyed by their symmetric test object only, so
+    each pair out of one test object takes the first pair's count."""
+    return _keyed_by(original, torsion._null_spot_check, lambda t, f_obj: t)
+
+
 FAIL, PASS = "fail", "pass"
 
 # The frozen outputs a MATRIX row may name, each with the command that
@@ -328,6 +344,10 @@ FROZEN = {
         "factorize", "--input",
         str(Path(__file__).parent.parent / "documents" / "z4_boolean_morphism.json"),
         "--morphism", "q", "--format", "json"],
+    "expected/pretorsion_z4_lawvere.json": [
+        "pretorsion", "--input",
+        str(Path(__file__).parent.parent / "documents" / "z4_lawvere.json"),
+        "--format", "json"],
 }
 
 MATRIX = {
@@ -375,6 +395,10 @@ MATRIX = {
     # q the command exits 2.
     "group_pool_by_table": {"check_factorizations": FAIL,
                             "expected/factorize_q.json": FAIL},
+    "stabilized_quotient_by_domain": {"check_factorizations": FAIL},
+    # Every spot check passes, so no check fails; the command prints the
+    # wrong null_spot_checks count.
+    "spot_check_by_test_object": {"expected/pretorsion_z4_lawvere.json": FAIL},
 }
 
 

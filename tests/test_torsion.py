@@ -396,8 +396,8 @@ def test_shared_spot_checks_leave_every_decomposition_unchanged(monkeypatch):
     original = torsion._null_spot_check
     log = {}  # "to": the list each spot check is recorded in
     monkeypatch.setattr(torsion, "_null_spot_check",
-                        lambda t, f, *rest: log["to"].append((t, f))
-                        or original(t, f, *rest))
+                        lambda cache, t, f: log["to"].append((t, f))
+                        or original(cache, t, f))
     for families in ([None] * len(objects), [battery_family(suite, o) for o in objects]):
         shared, unshared, checked = ClassCache(), [], []
         for obj, family in zip(objects, families):
