@@ -503,10 +503,11 @@ def check_pretorsion(suite):
     part lies below the object and above every symmetric suite structure
     on its carrier that lies below it.  The families share their small
     objects, so the decompositions share ``suite.cache``: the null spot
-    checks of each pair of test objects run once per run, and each
-    distinct object is classified once and symmetrized once, in the
-    families and in the greatest-part search alike; the symmetric
-    structures of each carrier are found once."""
+    checks of each pair of test objects run once per run, each null
+    verdict is decided once per (domain, kernel), and each distinct
+    object is classified once and symmetrized once, in the families and
+    in the greatest-part search alike; the symmetric structures of each
+    carrier are found once."""
     failures = []
     checked = 0
     cache = suite.cache
@@ -517,8 +518,10 @@ def check_pretorsion(suite):
             checked += 1
             try:
                 family = default_test_family(obj.vgroup, cache=cache)
+                in_family = set(family)  # the list keeps the order of w_index
                 for extra in small:
-                    if extra not in family:
+                    if extra not in in_family:
+                        in_family.add(extra)
                         family.append(extra)
                 pretorsion_decompose(obj.vgroup, test_objects=family, cache=cache)
             except THEOREM_FAILURES as exc:

@@ -13,10 +13,13 @@ The pretorsion side works over any quantale.  Its kernels and cokernels
 are taken relative to the null class (the symmetric separated objects);
 membership of a morphism in the null ideal is decided via its image,
 which is sound but not known to be complete, so ``is_null_morphism``
-returns the method label beside its verdict.  Universal properties are
-verified by exhaustive
-quantification over enumerated hom-sets from a finite family of test
-objects: a finite-model check, not a symbolic proof.
+returns the method label beside its verdict.  The image of a
+homomorphism, with its final structure, is its domain over its kernel
+relabelled, so ``pretorsion_decompose`` decides each null verdict once
+per (domain, kernel) in its ``ClassCache``.  Universal properties are
+verified by exhaustive quantification over enumerated hom-sets from a
+finite family of test objects: a finite-model check, not a symbolic
+proof.
 """
 
 from collections import Counter, defaultdict
@@ -270,6 +273,10 @@ def is_null_morphism(f):
     Sound: if the image (with final structure) is null, the morphism is
     null; only that structure is computed.  Completeness of the negative
     answer is not claimed, so the verdict comes with its method label.
+    Any map is taken: one whose image is not a subgroup raises, and one
+    that is no homomorphism is joined over its own fibres.  Nothing is
+    stored; ``_is_null_hom`` decides a homomorphism once per (domain,
+    kernel) of a run.
     """
     image = f.image_set()
     if not f.cod.group.is_subgroup(image):
@@ -277,6 +284,31 @@ def is_null_morphism(f):
     verdict = _is_null_structure(
         f.dom.quantale, final_structure(f.dom, fibers(f, image)))
     return {"is_null": verdict, "method": "via-image"}
+
+
+def _null_image(cache, dom, members):
+    """Whether the image of a homomorphism out of ``dom`` with kernel
+    ``members``, with its final structure, is null: a ``ClassCache`` build.
+
+    That image is dom / members relabelled: its fibres are the cosets of
+    the kernel, each in ascending order as ``fibers`` lists them, and
+    neither symmetry nor separation reads labels."""
+    return _is_null_structure(dom.quantale,
+                              final_structure(dom, dom.group.cosets(members)))
+
+
+def _is_null_hom(cache, f):
+    """``is_null_morphism(f)["is_null"]`` for a homomorphism f, decided
+    once per (domain, kernel) in ``cache`` (the ``_null_image`` build).
+
+    The image-subgroup guard is not re-run, just as ``VHom._trusted``
+    skips the checks its parents passed: the image of a homomorphism is a
+    subgroup, and every map the pretorsion verifiers and spot checks
+    decide is one, a composite of enumerated homomorphisms with the
+    constructed comparison and projection.  On a map that is no
+    homomorphism the kernel's cosets are not its fibres, so the verdict
+    may differ from ``is_null_morphism``'s."""
+    return cache.derived(_null_image, f.dom, kernel_members(f))
 
 
 def default_test_family(*objects, cache=None):
@@ -294,7 +326,8 @@ def default_test_family(*objects, cache=None):
     return list(dict.fromkeys(candidates))  # the first of each value, in order
 
 
-def verify_pretorsion_kernel(candidate, of, test_objects=None, hom_sets=None):
+def verify_pretorsion_kernel(candidate, of, test_objects=None, hom_sets=None,
+                             cache=None):
     """Check the kernel-relative-to-null universal property of ``candidate``.
 
     ``candidate``: K -> A must compose with ``of``: A -> B into the null
@@ -302,23 +335,26 @@ def verify_pretorsion_kernel(candidate, of, test_objects=None, hom_sets=None):
     null must factor through ``candidate`` uniquely.  Both quantifiers
     run over enumerated hom-sets from the test family, each enumerated
     once per ``hom_sets`` (a dict by (domain, codomain); a fresh one when
-    omitted).
+    omitted).  Each composite is decided by ``is_null_morphism``; with a
+    ``cache``, by ``_is_null_hom`` in it, which takes ``candidate`` and
+    ``of`` to be homomorphisms.
     """
     if candidate.cod != of.dom:
         raise StructuralError("candidate kernel must land in the domain of 'of'")
     return _verify_relative(candidate, of, False, test_objects,
-                            (candidate.dom, of.dom, of.cod), hom_sets)
+                            (candidate.dom, of.dom, of.cod), hom_sets, cache)
 
 
-def verify_pretorsion_cokernel(candidate, of, test_objects=None, hom_sets=None):
+def verify_pretorsion_cokernel(candidate, of, test_objects=None, hom_sets=None,
+                               cache=None):
     """Dual check: ``candidate``: B -> C as cokernel of ``of``: A -> B."""
     if of.cod != candidate.dom:
         raise StructuralError("candidate cokernel must start at the codomain of 'of'")
     return _verify_relative(candidate, of, True, test_objects,
-                            (of.dom, of.cod, candidate.cod), hom_sets)
+                            (of.dom, of.cod, candidate.cod), hom_sets, cache)
 
 
-def _verify_relative(candidate, of, dual, test_objects, family, hom_sets):
+def _verify_relative(candidate, of, dual, test_objects, family, hom_sets, cache):
     """The kernel property of ``candidate``, read in the opposite category
     when ``dual`` (which makes it the cokernel property).
 
@@ -332,6 +368,11 @@ def _verify_relative(candidate, of, dual, test_objects, family, hom_sets):
     if hom_sets is None:
         hom_sets = {}
 
+    def is_null(f):
+        if cache is None:
+            return is_null_morphism(f)["is_null"]
+        return _is_null_hom(cache, f)
+
     def then(u, v):
         return v.then(u) if dual else u.then(v)
 
@@ -344,11 +385,11 @@ def _verify_relative(candidate, of, dual, test_objects, family, hom_sets):
 
     report = ValidationReport(
         subject="pretorsion-cokernel" if dual else "pretorsion-kernel")
-    if not is_null_morphism(then(candidate, of))["is_null"]:
+    if not is_null(then(candidate, of)):
         report.add("composite-in-null-ideal", ())
         return report
     if test_objects is None:
-        test_objects = default_test_family(*family)
+        test_objects = default_test_family(*family, cache=cache)
     total = sum(groups.hom_search_size(x.group, w.group) if dual
                 else groups.hom_search_size(w.group, x.group)
                 for w in test_objects for x in (near, far))
@@ -359,7 +400,7 @@ def _verify_relative(candidate, of, dual, test_objects, family, hom_sets):
     for w_index, w in enumerate(test_objects):
         through = None
         for alpha in homs(w, near):
-            if not is_null_morphism(then(alpha, of))["is_null"]:
+            if not is_null(then(alpha, of)):
                 continue
             if through is None:
                 through = Counter([then(phi, candidate).mapping for phi in homs(w, far)])
@@ -402,7 +443,7 @@ def _null_spot_check(cache, t, f_obj):
     checked = 0
     for hom in enumerate_homs(t, f_obj):
         checked += 1
-        if not is_null_morphism(hom)["is_null"]:
+        if not _is_null_hom(cache, hom):
             raise TheoremCheckError(
                 f"found a non-null morphism {hom!r} from a symmetric "
                 f"object {t!r} to a separated one {f_obj!r}")
@@ -417,11 +458,13 @@ def pretorsion_decompose(g, test_objects=None, cache=None):
     verifiers on the sequence and spot-checks that every enumerated
     morphism from a symmetric test object to a separated one is null.
 
-    The symmetric parts, the classes and the null spot checks (the
-    ``_null_spot_check`` build, by pair of test objects) come from
-    ``cache`` (a fresh one when omitted), so decompositions that share it
-    check each pair of test objects once; ``notes["null_spot_checks"]``
-    counts the morphisms of every pair, checked now or before.
+    The symmetric parts, the classes, the null spot checks (the
+    ``_null_spot_check`` build, by pair of test objects) and the null
+    verdicts of both verifiers and the spot checks (``_is_null_hom``, by
+    domain and kernel) come from ``cache`` (a fresh one when omitted), so
+    decompositions that share it check each pair of test objects once and
+    decide each null verdict once; ``notes["null_spot_checks"]`` counts
+    the morphisms of every pair, checked now or before.
 
     Within one call, both verifiers enumerate each hom-set once; those
     hom-sets do not outlive the call.
@@ -439,9 +482,11 @@ def pretorsion_decompose(g, test_objects=None, cache=None):
         test_objects = default_test_family(g, quotient, cache=cache)
     hom_sets = {}
     kernel_report = verify_pretorsion_kernel(
-        comparison, projection, test_objects=test_objects, hom_sets=hom_sets)
+        comparison, projection, test_objects=test_objects, hom_sets=hom_sets,
+        cache=cache)
     cokernel_report = verify_pretorsion_cokernel(
-        projection, comparison, test_objects=test_objects, hom_sets=hom_sets)
+        projection, comparison, test_objects=test_objects, hom_sets=hom_sets,
+        cache=cache)
     if not kernel_report.ok or not cokernel_report.ok:
         raise TheoremCheckError(
             f"pretorsion sequence of {g!r} failed a relative universal property: "

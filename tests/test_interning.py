@@ -173,7 +173,7 @@ def test_every_entry_is_a_fresh_build_on_pooled_objects(store_run):
     assert counts == {"object_class": 235, "_exact_sequences": 28, "_decomposition": 308,
                       "_class_report": 1222, "_square": 718, "kernel_class": 161,
                       "_stabilized_quotient": 39, "symmetric_part": 28,
-                      "_null_spot_check": 192}
+                      "_null_spot_check": 192, "_null_image": 66}
     for build, entries in cache.store.items():
         for key, stored in entries.items():
             if not isinstance(key, tuple):  # a key of one argument
@@ -204,7 +204,7 @@ def test_every_build_is_a_module_level_function(monkeypatch):
     assert {build.__name__ for build in builds} == {
         "object_class", "symmetric_part", "kernel_class", "_decomposition",
         "_class_report", "_square", "_exact_sequences", "_stabilized_quotient",
-        "_null_spot_check"}
+        "_null_spot_check", "_null_image"}
     assert set(suite.cache.store) <= builds
     for build in builds:
         assert inspect.isfunction(build) and build.__qualname__ == build.__name__

@@ -335,6 +335,13 @@ def spot_check_by_test_object(original):
     return _keyed_by(original, torsion._null_spot_check, lambda t, f_obj: t)
 
 
+@mutant((factorization.ClassCache, "derived"))
+def null_decision_by_domain(original):
+    """Null verdicts are keyed by the domain only, so homomorphisms out of
+    one object take the first one's verdict, whatever their kernel."""
+    return _keyed_by(original, torsion._null_image, lambda dom, members: dom)
+
+
 FAIL, PASS = "fail", "pass"
 
 # The frozen outputs a MATRIX row may name, each with the command that
@@ -399,6 +406,11 @@ MATRIX = {
     # Every spot check passes, so no check fails; the command prints the
     # wrong null_spot_checks count.
     "spot_check_by_test_object": {"expected/pretorsion_z4_lawvere.json": FAIL},
+    # a composite out of a test object takes the verdict of the first one
+    # decided there, so non-null composites count as null and find no
+    # factorization through the candidate kernel
+    "null_decision_by_domain": {"check_pretorsion": FAIL,
+                                "expected/pretorsion_z4_lawvere.json": FAIL},
 }
 
 

@@ -1,4 +1,5 @@
 import itertools
+import sys
 
 import pytest
 
@@ -17,7 +18,7 @@ from vgroups import (CapacityError, FiniteGroup, NonIntegralQuantaleError,
                      vgroup_isomorphism, zero_hom)
 from vgroups.builders import (FULL_EXTRA_GROUPS, FULL_EXTRA_QUANTALES,
                               SMOKE_GROUPS, SMOKE_QUANTALES, group_roster)
-from vgroups import torsion
+from vgroups import laws, torsion
 from vgroups.battery import (PRETORSION_FAMILY_MAX_CARRIER, PRETORSION_QUANTALES,
                              THEOREM_FAILURES, check_pretorsion)
 from vgroups.torsion import ClassCache, default_test_family
@@ -189,6 +190,28 @@ class TestRelativeUniversalProperties:
         assert dec.kernel_report.ok
         assert dec.cokernel_report.ok
 
+    def test_over_a_non_integral_quantale(self, non_integral_q):
+        """The pretorsion side works over any quantale: over the chain
+        0 < 1 < 2 with unit 1, every structure on Z2 and Z3 has a verified
+        pretorsion sequence, its family holding the top-valued point, and
+        each null verdict the run keeps is that of a homomorphism with its
+        domain and kernel."""
+        q, cache = non_integral_q, ClassCache()
+        assert validate_quantale(q).ok and not q.is_integral
+        checked = []
+        for n in (2, 3):
+            for g in enumerate_structures(FiniteGroup.cyclic(n), q):
+                dec = pretorsion_decompose(g, cache=cache)
+                assert dec.kernel_report.ok and dec.cokernel_report.ok
+                assert trivial_vgroup(q, value=q.top) in default_test_family(g)
+                checked.append(dec.notes["null_spot_checks"])
+        assert checked == [17, 10, 17, 9, 21, 10, 21, 9]
+        verdicts = cache.store[torsion._null_image]
+        for (dom, members), verdict in verdicts.items():
+            projection = quotient_vgroup(dom, members)[1]
+            assert verdict == is_null_morphism(projection)["is_null"], (dom, members)
+        assert set(verdicts.values()) == {True, False}
+
     def test_zero_candidate_fails(self, z4_bool, bool_q):
         members = torsion_part(z4_bool)
         quotient, projection = quotient_vgroup(z4_bool, members)
@@ -320,8 +343,12 @@ class TestNullMorphismRoute:
         assert seen == {True, False}
 
     def test_every_map_over_lawless_quantales(self):
+        """Every map agrees with the middle object's null test; on every
+        homomorphism, so does the run store's verdict, one store for the
+        whole grid, so a verdict may come from another map with the same
+        domain and kernel."""
         groups = (FiniteGroup.cyclic(2), FiniteGroup.cyclic(3), FiniteGroup.cyclic(4))
-        seen = set()
+        seen, cache, homs = set(), ClassCache(), 0
         for q in lawless_quantales():
             assert not validate_quantale(q).ok
             for grp in groups[:2]:
@@ -331,10 +358,37 @@ class TestNullMorphismRoute:
                         dom = structure_from_delta(src, q, delta)
                         for mapping in itertools.product(range(grp.size),
                                                          repeat=src.size):
-                            direct, via_middle = self.verdicts(VHom(dom, cod, mapping))
+                            f = VHom(dom, cod, mapping)
+                            direct, via_middle = self.verdicts(f)
                             assert direct == via_middle, (q, delta, mapping)
                             seen.add(direct)
+                            if laws.homomorphism(src.table, grp.table, mapping) is None:
+                                homs += 1
+                                assert torsion._is_null_hom(cache, f) == direct, \
+                                    (q, delta, mapping)
         assert seen == {True, False, "subset is not a subgroup"}
+        assert homs > len(cache.store[torsion._null_image]) > 0
+
+    @pytest.mark.parametrize("level", ["smoke", "full"])
+    def test_the_run_store_decides_as_is_null_morphism(self, monkeypatch, level):
+        """Every map that ``check_pretorsion`` decides, in the verifiers and
+        in the spot checks, gets from the run store the verdict
+        ``is_null_morphism`` gives it."""
+        original = torsion._is_null_hom
+        callers, maps = set(), set()
+
+        def compared(cache, f):
+            verdict = original(cache, f)
+            assert verdict == is_null_morphism(f)["is_null"], f
+            callers.add(sys._getframe(1).f_code.co_name)
+            maps.add(f)
+            return verdict
+
+        monkeypatch.setattr(torsion, "_is_null_hom", compared)
+        suite = standard_suite(level)
+        assert check_pretorsion(suite).ok
+        assert callers == {"is_null", "_null_spot_check"}
+        assert len(maps) > len(suite.cache.store[torsion._null_image])
 
     def test_non_subgroup_image_raises(self, bool_q, z3):
         obj = discrete_vgroup(z3, bool_q)
@@ -444,6 +498,20 @@ def test_run_wide_dicts_leave_every_decomposition_unchanged(monkeypatch):
             assert len(calls) == len(set(calls)) == len(cache.store[build]), name
 
 
+def test_each_null_verdict_is_decided_once(monkeypatch):
+    """One smoke ``check_pretorsion`` computes the null test of at most one
+    final structure per (domain, kernel) of the maps it decides."""
+    calls, keys = [], set()
+    null_structure, null_hom = torsion._is_null_structure, torsion._is_null_hom
+    monkeypatch.setattr(torsion, "_is_null_structure",
+                        lambda q, a: calls.append(a) or null_structure(q, a))
+    monkeypatch.setattr(torsion, "_is_null_hom",
+                        lambda cache, f: keys.add((f.dom, torsion.kernel_members(f)))
+                        or null_hom(cache, f))
+    assert check_pretorsion(standard_suite("smoke")).ok
+    assert len(calls) <= len(keys) == 66
+
+
 def unshared_pretorsion_failures(suite):
     """The decomposition loop of ``check_pretorsion``, each call with its
     own spot checks."""
@@ -458,18 +526,14 @@ def unshared_pretorsion_failures(suite):
 
 
 def test_a_failing_spot_pair_is_recorded_by_every_object(monkeypatch, z2_discrete):
-    """A small-by-small morphism that is not null fails the spot check of
+    """A small-by-small morphism that is not null, where the verifiers and
+    the spot checks decide (``_is_null_hom``), fails the spot check of
     every object whose family meets its pair, as it does unshared."""
     suite = standard_suite("smoke")
     bad = identity_hom(z2_discrete)
-    original = torsion.is_null_morphism
-
-    def is_null_morphism(f):
-        if f == bad:
-            return {"is_null": False, "method": "via-image"}
-        return original(f)
-
-    monkeypatch.setattr(torsion, "is_null_morphism", is_null_morphism)
+    original = torsion._is_null_hom
+    monkeypatch.setattr(torsion, "_is_null_hom",
+                        lambda cache, f: f != bad and original(cache, f))
     failures = check_pretorsion(suite).failures
     assert failures == unshared_pretorsion_failures(suite)
     # Z2 discrete is small, so every boolean object's family meets the pair
