@@ -303,11 +303,11 @@ def _is_null_hom(cache, f):
 
     The image-subgroup guard is not re-run, just as ``VHom._trusted``
     skips the checks its parents passed: the image of a homomorphism is a
-    subgroup, and every map the pretorsion verifiers and spot checks
-    decide is one, a composite of enumerated homomorphisms with the
-    constructed comparison and projection.  On a map that is no
-    homomorphism the kernel's cosets are not its fibres, so the verdict
-    may differ from ``is_null_morphism``'s."""
+    subgroup, and every map the spot checks decide, or the verifiers
+    decide on homomorphic ``candidate`` and ``of``, is one: a composite
+    of homomorphisms.  On a map that is no homomorphism the kernel's
+    cosets are not its fibres, so the verdict may differ from
+    ``is_null_morphism``'s; the verifiers send no such map here."""
     return cache.derived(_null_image, f.dom, kernel_members(f))
 
 
@@ -335,9 +335,11 @@ def verify_pretorsion_kernel(candidate, of, test_objects=None, hom_sets=None,
     null must factor through ``candidate`` uniquely.  Both quantifiers
     run over enumerated hom-sets from the test family, each enumerated
     once per ``hom_sets`` (a dict by (domain, codomain); a fresh one when
-    omitted).  Each composite is decided by ``is_null_morphism``; with a
-    ``cache``, by ``_is_null_hom`` in it, which takes ``candidate`` and
-    ``of`` to be homomorphisms.
+    omitted).  When ``candidate`` and ``of`` are homomorphisms, so is
+    every composite, and each is decided by ``_is_null_hom`` in ``cache``
+    (a fresh one when omitted); otherwise each is decided by
+    ``is_null_morphism``.  ``cache`` only sets how long verdicts are
+    shared.
     """
     if candidate.cod != of.dom:
         raise StructuralError("candidate kernel must land in the domain of 'of'")
@@ -367,11 +369,15 @@ def _verify_relative(candidate, of, dual, test_objects, family, hom_sets, cache)
     near, far = (candidate.dom, candidate.cod) if dual else (candidate.cod, candidate.dom)
     if hom_sets is None:
         hom_sets = {}
+    if cache is None:
+        cache = ClassCache()
+    homomorphic = all(laws.homomorphism(f.dom.group.table, f.cod.group.table,
+                                        f.mapping) is None for f in (candidate, of))
 
     def is_null(f):
-        if cache is None:
-            return is_null_morphism(f)["is_null"]
-        return _is_null_hom(cache, f)
+        if homomorphic:
+            return _is_null_hom(cache, f)
+        return is_null_morphism(f)["is_null"]
 
     def then(u, v):
         return v.then(u) if dual else u.then(v)

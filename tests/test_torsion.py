@@ -190,27 +190,22 @@ class TestRelativeUniversalProperties:
         assert dec.kernel_report.ok
         assert dec.cokernel_report.ok
 
-    def test_over_a_non_integral_quantale(self, non_integral_q):
-        """The pretorsion side works over any quantale: over the chain
-        0 < 1 < 2 with unit 1, every structure on Z2 and Z3 has a verified
-        pretorsion sequence, its family holding the top-valued point, and
-        each null verdict the run keeps is that of a homomorphism with its
-        domain and kernel."""
-        q, cache = non_integral_q, ClassCache()
-        assert validate_quantale(q).ok and not q.is_integral
-        checked = []
-        for n in (2, 3):
-            for g in enumerate_structures(FiniteGroup.cyclic(n), q):
-                dec = pretorsion_decompose(g, cache=cache)
-                assert dec.kernel_report.ok and dec.cokernel_report.ok
-                assert trivial_vgroup(q, value=q.top) in default_test_family(g)
-                checked.append(dec.notes["null_spot_checks"])
-        assert checked == [17, 10, 17, 9, 21, 10, 21, 9]
-        verdicts = cache.store[torsion._null_image]
-        for (dom, members), verdict in verdicts.items():
-            projection = quotient_vgroup(dom, members)[1]
-            assert verdict == is_null_morphism(projection)["is_null"], (dom, members)
-        assert set(verdicts.values()) == {True, False}
+    def test_a_map_that_is_no_homomorphism_is_decided_on_its_fibres(
+            self, bool_q, z4, z2_discrete):
+        """[0, 1, 1, 0] from discrete Z4 is null on its fibres but not on
+        the cosets of {0, 3}; both verifiers decide such a map by
+        ``is_null_morphism``, with a run store given or not."""
+        obj = discrete_vgroup(z4, bool_q)
+        of = VHom(obj, z2_discrete, [0, 1, 1, 0])
+        assert laws.homomorphism(z4.table, z2_discrete.group.table, of.mapping)
+        assert is_null_morphism(of)["is_null"]
+        assert not torsion._is_null_hom(ClassCache(), of)
+        ident = identity_hom(obj)
+        for verify, args in ((verify_pretorsion_kernel, (ident, of)),
+                             (verify_pretorsion_cokernel, (identity_hom(z2_discrete), of))):
+            alone = verify(*args)
+            assert alone.as_dict() == verify(*args, cache=ClassCache()).as_dict()
+            assert "composite-in-null-ideal" not in alone.laws_violated()
 
     def test_zero_candidate_fails(self, z4_bool, bool_q):
         members = torsion_part(z4_bool)
@@ -254,10 +249,27 @@ class TestPretorsionDecompose:
         assert dec.symmetric_part.delta() == (0, 2, 2, 2)
         assert dec.quotient.size == 4
 
-    def test_works_over_non_integral(self, non_integral_q, z2):
-        obj = discrete_vgroup(z2, non_integral_q)
-        dec = pretorsion_decompose(obj)
-        assert dec.kernel_report.ok and dec.cokernel_report.ok
+    def test_works_over_non_integral(self, non_integral_q):
+        """The pretorsion side works over any quantale: over the chain
+        0 < 1 < 2 with unit 1, every structure on Z2 and Z3 has a verified
+        pretorsion sequence, its family holding the top-valued point, and
+        each null verdict the run keeps is that of a homomorphism with its
+        domain and kernel."""
+        q, cache = non_integral_q, ClassCache()
+        assert validate_quantale(q).ok and not q.is_integral
+        checked = []
+        for n in (2, 3):
+            for g in enumerate_structures(FiniteGroup.cyclic(n), q):
+                dec = pretorsion_decompose(g, cache=cache)
+                assert dec.kernel_report.ok and dec.cokernel_report.ok
+                assert trivial_vgroup(q, value=q.top) in default_test_family(g)
+                checked.append(dec.notes["null_spot_checks"])
+        assert checked == [17, 10, 17, 9, 21, 10, 21, 9]
+        verdicts = cache.store[torsion._null_image]
+        for (dom, members), verdict in verdicts.items():
+            projection = quotient_vgroup(dom, members)[1]
+            assert verdict == is_null_morphism(projection)["is_null"], (dom, members)
+        assert set(verdicts.values()) == {True, False}
 
     def test_family_includes_symmetrization(self, z4_law):
         family = default_test_family(z4_law)
