@@ -11,15 +11,15 @@ and both kernel/cokernel structure equations hold on the nose.
 
 The pretorsion side works over any quantale.  Its kernels and cokernels
 are taken relative to the null class (the symmetric separated objects);
-membership of a morphism in the null ideal is decided via its image,
+membership of a homomorphism in the null ideal is decided via its image,
 which is sound but not known to be complete, so ``is_null_morphism``
 returns the method label beside its verdict.  The image of a
 homomorphism, with its final structure, is its domain over its kernel
-relabelled, so ``pretorsion_decompose`` decides each null verdict once
-per (domain, kernel) in its ``ClassCache``.  Universal properties are
-verified by exhaustive quantification over enumerated hom-sets from a
-finite family of test objects: a finite-model check, not a symbolic
-proof.
+relabelled, so every null verdict is decided once per (domain, kernel)
+of a ``ClassCache``; a map that is no homomorphism is refused.
+Universal properties are verified by exhaustive quantification over
+enumerated hom-sets from a finite family of test objects: a finite-model
+check, not a symbolic proof.
 """
 
 from collections import Counter, defaultdict
@@ -30,9 +30,9 @@ from .errors import (CapacityError, NonIntegralQuantaleError, StructuralError,
                      TheoremCheckError)
 from .reports import ValidationReport
 from .vgroup import (VGroup, VHom, classify_object, enumerate_homs,
-                     factor_through_epi, factor_through_mono, fibers,
-                     final_structure, kernel, quotient_vgroup,
-                     subobject, trivial_vgroup, validate_vgroup)
+                     factor_through_epi, factor_through_mono, final_structure,
+                     kernel, quotient_vgroup, subobject, trivial_vgroup,
+                     validate_vgroup)
 from .vrel import VRel
 
 
@@ -267,23 +267,29 @@ def is_null_object(g):
     return _is_null_structure(g.quantale, g.structure.entries)
 
 
+def _require_homomorphism(f):
+    """Refuse a map that is no group homomorphism, naming the first pair
+    of its domain that breaks the law."""
+    witness = laws.homomorphism(f.dom.group.table, f.cod.group.table, f.mapping)
+    if witness is not None:
+        x, y = (f.dom.group.names[w] for w in witness)
+        raise StructuralError(
+            f"{f!r} is no homomorphism: the group-homomorphism law fails at ({x}, {y})")
+
+
 def is_null_morphism(f):
-    """Whether a morphism factors through a null object, decided via its image.
+    """Whether a homomorphism factors through a null object, decided via
+    its image.
 
     Sound: if the image (with final structure) is null, the morphism is
     null; only that structure is computed.  Completeness of the negative
     answer is not claimed, so the verdict comes with its method label.
-    Any map is taken: one whose image is not a subgroup raises, and one
-    that is no homomorphism is joined over its own fibres.  Nothing is
-    stored; ``_is_null_hom`` decides a homomorphism once per (domain,
-    kernel) of a run.
+    A map that is no homomorphism is refused with a ``StructuralError``.
+    Decided by ``_is_null_hom`` in a fresh ``ClassCache``, so nothing
+    outlives the call.
     """
-    image = f.image_set()
-    if not f.cod.group.is_subgroup(image):
-        raise StructuralError("subset is not a subgroup")
-    verdict = _is_null_structure(
-        f.dom.quantale, final_structure(f.dom, fibers(f, image)))
-    return {"is_null": verdict, "method": "via-image"}
+    _require_homomorphism(f)
+    return {"is_null": _is_null_hom(ClassCache(), f), "method": "via-image"}
 
 
 def _null_image(cache, dom, members):
@@ -298,16 +304,16 @@ def _null_image(cache, dom, members):
 
 
 def _is_null_hom(cache, f):
-    """``is_null_morphism(f)["is_null"]`` for a homomorphism f, decided
-    once per (domain, kernel) in ``cache`` (the ``_null_image`` build).
+    """Whether the homomorphism f is null, decided once per (domain,
+    kernel) in ``cache`` (the ``_null_image`` build): the one route of
+    every null verdict.
 
-    The image-subgroup guard is not re-run, just as ``VHom._trusted``
-    skips the checks its parents passed: the image of a homomorphism is a
-    subgroup, and every map the spot checks decide, or the verifiers
-    decide on homomorphic ``candidate`` and ``of``, is one: a composite
-    of homomorphisms.  On a map that is no homomorphism the kernel's
-    cosets are not its fibres, so the verdict may differ from
-    ``is_null_morphism``'s; the verifiers send no such map here."""
+    The homomorphism law is not re-checked, just as ``VHom._trusted``
+    skips the checks its parents passed: ``is_null_morphism`` and both
+    verifiers refuse a map that is no homomorphism, and every other map
+    decided here, in the verifiers or the spot checks, is a composite of
+    homomorphisms.  On a map that is no homomorphism the kernel's cosets
+    are not its fibres."""
     return cache.derived(_null_image, f.dom, kernel_members(f))
 
 
@@ -326,37 +332,35 @@ def default_test_family(*objects, cache=None):
     return list(dict.fromkeys(candidates))  # the first of each value, in order
 
 
-def verify_pretorsion_kernel(candidate, of, test_objects=None, hom_sets=None,
-                             cache=None):
+def verify_pretorsion_kernel(candidate, of, test_objects=None, cache=None):
     """Check the kernel-relative-to-null universal property of ``candidate``.
 
     ``candidate``: K -> A must compose with ``of``: A -> B into the null
     ideal, and every test morphism into A whose composite with ``of`` is
     null must factor through ``candidate`` uniquely.  Both quantifiers
     run over enumerated hom-sets from the test family, each enumerated
-    once per ``hom_sets`` (a dict by (domain, codomain); a fresh one when
-    omitted).  When ``candidate`` and ``of`` are homomorphisms, so is
-    every composite, and each is decided by ``_is_null_hom`` in ``cache``
-    (a fresh one when omitted); otherwise each is decided by
-    ``is_null_morphism``.  ``cache`` only sets how long verdicts are
-    shared.
+    once per call.  ``candidate`` and ``of`` must be homomorphisms (a map
+    that is not is refused with a ``StructuralError``), so every
+    composite is one, and each is decided by ``_is_null_hom`` in
+    ``cache`` (a fresh one when omitted), which sets only how long
+    verdicts are shared.
     """
     if candidate.cod != of.dom:
         raise StructuralError("candidate kernel must land in the domain of 'of'")
     return _verify_relative(candidate, of, False, test_objects,
-                            (candidate.dom, of.dom, of.cod), hom_sets, cache)
+                            (candidate.dom, of.dom, of.cod), cache)
 
 
-def verify_pretorsion_cokernel(candidate, of, test_objects=None, hom_sets=None,
-                               cache=None):
-    """Dual check: ``candidate``: B -> C as cokernel of ``of``: A -> B."""
+def verify_pretorsion_cokernel(candidate, of, test_objects=None, cache=None):
+    """Dual check: ``candidate``: B -> C as cokernel of ``of``: A -> B,
+    both homomorphisms, as ``verify_pretorsion_kernel`` requires."""
     if of.cod != candidate.dom:
         raise StructuralError("candidate cokernel must start at the codomain of 'of'")
     return _verify_relative(candidate, of, True, test_objects,
-                            (of.dom, of.cod, candidate.cod), hom_sets, cache)
+                            (of.dom, of.cod, candidate.cod), cache)
 
 
-def _verify_relative(candidate, of, dual, test_objects, family, hom_sets, cache):
+def _verify_relative(candidate, of, dual, test_objects, family, cache):
     """The kernel property of ``candidate``, read in the opposite category
     when ``dual`` (which makes it the cokernel property).
 
@@ -367,17 +371,11 @@ def _verify_relative(candidate, of, dual, test_objects, family, hom_sets, cache)
     factorizations of alpha are counted by its mapping.
     """
     near, far = (candidate.dom, candidate.cod) if dual else (candidate.cod, candidate.dom)
-    if hom_sets is None:
-        hom_sets = {}
+    _require_homomorphism(candidate)
+    _require_homomorphism(of)
     if cache is None:
         cache = ClassCache()
-    homomorphic = all(laws.homomorphism(f.dom.group.table, f.cod.group.table,
-                                        f.mapping) is None for f in (candidate, of))
-
-    def is_null(f):
-        if homomorphic:
-            return _is_null_hom(cache, f)
-        return is_null_morphism(f)["is_null"]
+    hom_sets = {}
 
     def then(u, v):
         return v.then(u) if dual else u.then(v)
@@ -391,7 +389,7 @@ def _verify_relative(candidate, of, dual, test_objects, family, hom_sets, cache)
 
     report = ValidationReport(
         subject="pretorsion-cokernel" if dual else "pretorsion-kernel")
-    if not is_null(then(candidate, of)):
+    if not _is_null_hom(cache, then(candidate, of)):
         report.add("composite-in-null-ideal", ())
         return report
     if test_objects is None:
@@ -406,7 +404,7 @@ def _verify_relative(candidate, of, dual, test_objects, family, hom_sets, cache)
     for w_index, w in enumerate(test_objects):
         through = None
         for alpha in homs(w, near):
-            if not is_null(then(alpha, of)):
+            if not _is_null_hom(cache, then(alpha, of)):
                 continue
             if through is None:
                 through = Counter([then(phi, candidate).mapping for phi in homs(w, far)])
@@ -472,7 +470,7 @@ def pretorsion_decompose(g, test_objects=None, cache=None):
     decide each null verdict once; ``notes["null_spot_checks"]`` counts
     the morphisms of every pair, checked now or before.
 
-    Within one call, both verifiers enumerate each hom-set once; those
+    Within one call, each verifier enumerates each hom-set once; those
     hom-sets do not outlive the call.
     """
     if cache is None:
@@ -486,13 +484,10 @@ def pretorsion_decompose(g, test_objects=None, cache=None):
 
     if test_objects is None:
         test_objects = default_test_family(g, quotient, cache=cache)
-    hom_sets = {}
     kernel_report = verify_pretorsion_kernel(
-        comparison, projection, test_objects=test_objects, hom_sets=hom_sets,
-        cache=cache)
+        comparison, projection, test_objects=test_objects, cache=cache)
     cokernel_report = verify_pretorsion_cokernel(
-        projection, comparison, test_objects=test_objects, hom_sets=hom_sets,
-        cache=cache)
+        projection, comparison, test_objects=test_objects, cache=cache)
     if not kernel_report.ok or not cokernel_report.ok:
         raise TheoremCheckError(
             f"pretorsion sequence of {g!r} failed a relative universal property: "

@@ -190,22 +190,27 @@ class TestRelativeUniversalProperties:
         assert dec.kernel_report.ok
         assert dec.cokernel_report.ok
 
-    def test_a_map_that_is_no_homomorphism_is_decided_on_its_fibres(
-            self, bool_q, z4, z2_discrete):
-        """[0, 1, 1, 0] from discrete Z4 is null on its fibres but not on
-        the cosets of {0, 3}; both verifiers decide such a map by
-        ``is_null_morphism``, with a run store given or not."""
+    def test_a_map_that_is_no_homomorphism_is_refused(self, bool_q, z3, z4, z2_discrete):
+        """[0, 1, 1, 0] from discrete Z4 to Z2 is no homomorphism (it is
+        null on its fibres but not on the cosets of {0, 3}), nor is
+        [0, 1, 1] on Z3, whose image is no subgroup either:
+        ``is_null_morphism`` refuses both, and each verifier refuses the
+        first as ``candidate`` or as ``of``, with a run store given or not,
+        naming the broken law."""
         obj = discrete_vgroup(z4, bool_q)
         of = VHom(obj, z2_discrete, [0, 1, 1, 0])
-        assert laws.homomorphism(z4.table, z2_discrete.group.table, of.mapping)
-        assert is_null_morphism(of)["is_null"]
-        assert not torsion._is_null_hom(ClassCache(), of)
-        ident = identity_hom(obj)
-        for verify, args in ((verify_pretorsion_kernel, (ident, of)),
-                             (verify_pretorsion_cokernel, (identity_hom(z2_discrete), of))):
-            alone = verify(*args)
-            assert alone.as_dict() == verify(*args, cache=ClassCache()).as_dict()
-            assert "composite-in-null-ideal" not in alone.laws_violated()
+        on_z3 = discrete_vgroup(z3, bool_q)
+        for f in (of, VHom(on_z3, on_z3, [0, 1, 1])):
+            with pytest.raises(StructuralError, match="group-homomorphism law"):
+                is_null_morphism(f)
+        ident, ident_z2 = identity_hom(obj), identity_hom(z2_discrete)
+        for verify, candidate, other in ((verify_pretorsion_kernel, ident, of),
+                                         (verify_pretorsion_kernel, of, ident_z2),
+                                         (verify_pretorsion_cokernel, ident_z2, of),
+                                         (verify_pretorsion_cokernel, of, ident)):
+            for cache in (None, ClassCache()):
+                with pytest.raises(StructuralError, match="group-homomorphism law"):
+                    verify(candidate, other, cache=cache)
 
     def test_zero_candidate_fails(self, z4_bool, bool_q):
         members = torsion_part(z4_bool)
@@ -253,8 +258,8 @@ class TestPretorsionDecompose:
         """The pretorsion side works over any quantale: over the chain
         0 < 1 < 2 with unit 1, every structure on Z2 and Z3 has a verified
         pretorsion sequence, its family holding the top-valued point, and
-        each null verdict the run keeps is that of a homomorphism with its
-        domain and kernel."""
+        each null verdict the run keeps is that of the image route on the
+        projection with its domain and kernel."""
         q, cache = non_integral_q, ClassCache()
         assert validate_quantale(q).ok and not q.is_integral
         checked = []
@@ -268,7 +273,7 @@ class TestPretorsionDecompose:
         verdicts = cache.store[torsion._null_image]
         for (dom, members), verdict in verdicts.items():
             projection = quotient_vgroup(dom, members)[1]
-            assert verdict == is_null_morphism(projection)["is_null"], (dom, members)
+            assert verdict == image_route(projection), (dom, members)
         assert set(verdicts.values()) == {True, False}
 
     def test_family_includes_symmetrization(self, z4_law):
@@ -330,37 +335,31 @@ def lawless_quantales():
     ]
 
 
-class TestNullMorphismRoute:
-    """``is_null_morphism`` reads the final structure on the image; it must
-    agree with the null test of ``image_factorize``'s middle object."""
+def image_route(f):
+    """The null test of ``image_factorize``'s middle object: the final
+    structure on f's own fibres, apart from the run store's cosets."""
+    return is_null_object(image_factorize(f)[1])
 
-    @staticmethod
-    def verdicts(f):
-        try:
-            via_middle = is_null_object(image_factorize(f)[1])
-        except StructuralError as exc:
-            via_middle = str(exc)
-        try:
-            direct = is_null_morphism(f)["is_null"]
-        except StructuralError as exc:
-            direct = str(exc)
-        return direct, via_middle
+
+class TestNullMorphismRoute:
+    """``is_null_morphism`` reads the final structure on the cosets of the
+    kernel; it must agree with the image route."""
 
     def test_every_smoke_morphism(self):
         seen = set()
         for _, _, f in standard_suite("smoke").all_homs():
-            direct, via_middle = self.verdicts(f)
-            assert direct == via_middle, f
+            direct = is_null_morphism(f)["is_null"]
+            assert direct == image_route(f), f
             seen.add(direct)
         assert seen == {True, False}
 
     def test_every_map_over_lawless_quantales(self):
-        """Every map agrees with the middle object's null test; on every
-        homomorphism, so does the run store's verdict, one store for the
-        whole grid, so a verdict may come from another map with the same
-        domain and kernel."""
+        """On every homomorphism, ``is_null_morphism`` and the run store's
+        verdict agree with the image route, one store for the whole grid,
+        so a verdict may come from another map with the same domain and
+        kernel; every other map is refused."""
         groups = (FiniteGroup.cyclic(2), FiniteGroup.cyclic(3), FiniteGroup.cyclic(4))
-        seen, cache, homs = set(), ClassCache(), 0
+        seen, cache, homs, refused = set(), ClassCache(), 0, 0
         for q in lawless_quantales():
             assert not validate_quantale(q).ok
             for grp in groups[:2]:
@@ -371,27 +370,32 @@ class TestNullMorphismRoute:
                         for mapping in itertools.product(range(grp.size),
                                                          repeat=src.size):
                             f = VHom(dom, cod, mapping)
-                            direct, via_middle = self.verdicts(f)
-                            assert direct == via_middle, (q, delta, mapping)
-                            seen.add(direct)
-                            if laws.homomorphism(src.table, grp.table, mapping) is None:
-                                homs += 1
-                                assert torsion._is_null_hom(cache, f) == direct, \
-                                    (q, delta, mapping)
-        assert seen == {True, False, "subset is not a subgroup"}
+                            if laws.homomorphism(src.table, grp.table, mapping) is not None:
+                                refused += 1
+                                with pytest.raises(StructuralError,
+                                                   match="group-homomorphism law"):
+                                    is_null_morphism(f)
+                                continue
+                            homs += 1
+                            via_image = image_route(f)
+                            assert is_null_morphism(f)["is_null"] == via_image == \
+                                torsion._is_null_hom(cache, f), (q, delta, mapping)
+                            seen.add(via_image)
+        assert seen == {True, False}
+        assert refused > 0
         assert homs > len(cache.store[torsion._null_image]) > 0
 
     @pytest.mark.parametrize("level", ["smoke", "full"])
     def test_the_run_store_decides_as_is_null_morphism(self, monkeypatch, level):
         """Every map that ``check_pretorsion`` decides, in the verifiers and
-        in the spot checks, gets from the run store the verdict
-        ``is_null_morphism`` gives it."""
+        in the spot checks, gets from the run store the verdict of the
+        image route."""
         original = torsion._is_null_hom
         callers, maps = set(), set()
 
         def compared(cache, f):
             verdict = original(cache, f)
-            assert verdict == is_null_morphism(f)["is_null"], f
+            assert verdict == image_route(f), f
             callers.add(sys._getframe(1).f_code.co_name)
             maps.add(f)
             return verdict
@@ -399,13 +403,8 @@ class TestNullMorphismRoute:
         monkeypatch.setattr(torsion, "_is_null_hom", compared)
         suite = standard_suite(level)
         assert check_pretorsion(suite).ok
-        assert callers == {"is_null", "_null_spot_check"}
+        assert callers == {"_verify_relative", "_null_spot_check"}
         assert len(maps) > len(suite.cache.store[torsion._null_image])
-
-    def test_non_subgroup_image_raises(self, bool_q, z3):
-        obj = discrete_vgroup(z3, bool_q)
-        with pytest.raises(StructuralError, match="subset is not a subgroup"):
-            is_null_morphism(VHom(obj, obj, [0, 1, 1]))
 
 
 # -- the null class against the one-sided formula it replaced -----------------
@@ -419,8 +418,10 @@ def reference_is_null_structure(q, a):
 
 def test_null_class_matches_the_one_sided_formula(monkeypatch):
     """On every smoke structure, and on every final structure that
-    ``is_null_morphism`` builds on a smoke morphism or in the smoke
-    pretorsion check."""
+    ``is_null_morphism`` builds on a smoke morphism or the smoke
+    pretorsion check builds; each reached through one of the two routes,
+    ``is_null_object`` for an object and ``_null_image`` for a
+    homomorphism."""
     suite = standard_suite("smoke")
     original = torsion._is_null_structure
     verdicts = []
@@ -428,6 +429,7 @@ def test_null_class_matches_the_one_sided_formula(monkeypatch):
     def compared(q, a):
         verdict = original(q, a)
         assert verdict == reference_is_null_structure(q, a), a
+        assert sys._getframe(1).f_code.co_name in {"is_null_object", "_null_image"}
         verdicts.append(verdict)
         return verdict
 
