@@ -38,12 +38,13 @@ the builder of every pullback's meet structure, reads off the window
 matrix.  The finality check folds the levels once per distinct (base
 value, same point) pair, on which alone the folded values depend.  What
 the scans read that depends on the base group alone, the radius-1
-window's right shifts (``window_shifts``) and the kernel pair's carrier,
-window index pairs and diagonal positions (``kernel_pair_index``), is
-built once per group and read through ``FiniteGroup.derived``, so a
-suite's objects on one group share it.  The radius-1 window itself is
-built once per cover and kept on it (``IntegerIndexedCover.window``),
-for the window scans, the kernel pair and a covering's action alike.
+window's right shifts by level -1 (``window_shifts``) and the kernel
+pair's carrier, window index pairs and diagonal positions
+(``kernel_pair_index``), is built once per group and read through
+``FiniteGroup.derived``, so a suite's objects on one group share it.
+The radius-1 window itself is built once per cover and kept on it
+(``IntegerIndexedCover.window``), for the window scans, the kernel pair
+and a covering's action alike.
 
 The lemma behind the window scans: a window value at ((z, x), (z', y))
 depends on the two levels only through their order (<, = or >), and a
@@ -55,14 +56,50 @@ order of the two levels it moves.  The levels -1..1 realize every order
 pattern of three levels, and the radius-1 window is a sub-window of the
 radius-r window with the same entries, so each law holds at radius r
 iff it holds at radius 1, for any tables, lawful or not.  The checks
-therefore build and scan the radius-1 window, kernel pair and action
-carrier only, at every radius: a witness found there is a witness at
-radius r too, with the same entries.  The radius names a report's
-subject and sizes its notes and the window's capacity guard, and the
-descent command prints the window of that radius.  Finality folds the
-levels -1..1 as well: with a lawful join, a fold over the levels of any
-radius r >= 1 joins the same three values (the base value, the diagonal
-value and bottom), each at least once, so it does not move with r.
+therefore build and scan radius-1 data only, at every radius: a witness
+found there is a witness at radius r too, with the same entries.  The
+radius names a report's subject and sizes its notes and the window's
+capacity guard, and the descent command prints the window of that
+radius.  Finality folds the levels -1..1 as well: with a lawful join, a
+fold over the levels of any radius r >= 1 joins the same three values
+(the base value, the diagonal value and bottom), each at least once, so
+it does not move with r.
+
+Each law is scanned on the fewest levels it reads.  Transitivity reads
+three and scans the whole radius-1 window.  Every other law reads at
+most two, so it is scanned on the levels -1 and 0 (``PAIR_LEVELS``):
+reflexivity on the window's first n rows; window separation, projection
+compatibility and the diagonal embedding on the window's 2n x 2n
+prefix, the elements on those levels; the kernel pair on its 4n
+elements (z1, z2, x) over them; the action map and carrier separation
+on the 2m elements (z, a) of the action carrier and its 4m composable
+pairs; and shift invariance on the n right shifts by level -1.  Each
+scan still returns the first witness of the scan over the full
+radius-1 data, and a missing meet raises on the same entry, for any
+tables, lawful or not:
+
+- The two-level data is the part of the three-level data on the levels
+  -1 and 0, with the same entries and in the same order, since every
+  scan walks its witnesses in lexicographic order of their (level, ...,
+  point) tuples.  So each witness of a two-level scan is a witness of
+  the three-level scan.
+- Map each level pair (z, z') of a witness to the lexicographically
+  least pair with the same order: = to (-1, -1), < to (-1, 0) and > to
+  (0, -1).  No level goes up under this map, and no entry the law reads
+  changes, so a witness on the three levels has an equal witness at or
+  before it in scan order on the two.  A separation witness keeps its
+  two elements distinct (two elements over one point differ in a level
+  pair, whose order is then < or >), and the law is symmetric, so the
+  two can be put back in scan order.  Hence the first witness of the
+  two-level scan is that of the three-level scan.  A missing meet
+  depends on its two values alone, so the first one is found alike.
+- A right shift by (z, t) moves a pair of levels to a pair with the
+  same order, so a shift witness depends on that order, its two points
+  and t alone.  The shift by (-1, t) moves the levels 0 and 1 onto -1
+  and 0 and so realizes every order, and the shifts by level -1 come
+  first in ``window_shifts`` order.  The three-level scan therefore
+  finds its first witness among them, as the scan of those n shifts
+  does.
 """
 
 from dataclasses import dataclass
@@ -76,13 +113,17 @@ from .vgroup import pair_meets
 
 DEFAULT_WINDOW_RADIUS = 3
 # The levels of the radius-1 window, on which every law is scanned
-# whatever the radius (the module's lemma).  So the scans do not grow
-# with the radius: they are cubic in the 3n window elements and quadratic
-# in the 9n kernel-pair elements of an n-point base.  The radius sizes
-# only the window that the descent command prints, capped at 48 elements
-# (radius 3 on six points is 42).  The acting arrows of a covering's
-# action, nine per element of its domain, are capped by what is built.
+# whatever the radius (the module's lemma), and the two of them on which
+# every law but transitivity is scanned.  So the scans do not grow with
+# the radius: transitivity is cubic in the 3n window elements of an
+# n-point base, and the kernel pair's scans are quadratic in its 4n
+# elements.  The radius sizes only the window that the descent command
+# prints, capped at 48 elements (radius 3 on six points is 42).  The cap
+# on the acting arrows of a covering's action counts the radius-1 ones,
+# nine per element of its domain, though only the four on PAIR_LEVELS
+# are built.
 LEVELS = range(-1, 2)
+PAIR_LEVELS = range(-1, 1)
 WINDOW_ELEMENT_CAP = 48
 ACTING_ARROW_CAP = 7 * WINDOW_ELEMENT_CAP
 
@@ -153,36 +194,41 @@ def _window_index(z, x, width):
 
 
 def window_shifts(group):
-    """The right shifts of the radius-1 window over ``group``, as
-    ``laws.shift_invariance`` reads them: entry s holds the window index
-    pairs (i, i + s), in i order, for the i whose sum stays on the
-    levels -1..1.  The sums are read off the Cayley table; the table
-    depends on the group alone, so it is read through
+    """The right shifts of the radius-1 window over ``group`` by level -1,
+    the first n in (level, point) order, which decide the law (the
+    module's lemma), as ``laws.shift_invariance`` reads them: entry t
+    holds the window index pairs (i, i + (-1, t)), in i order, for the i
+    on the levels 0 and 1.  The sums are read off the Cayley table; the
+    table depends on the group alone, so it is read through
     ``group.derived(window_shifts)``, built once per group."""
     width, table = group.size, group.table
-    shifts = []
-    for zs in LEVELS:
-        for t in range(width):
-            shifts.append(tuple([
-                (_window_index(z, x, width), _window_index(z + zs, row[t], width))
-                for z in LEVELS if z + zs in LEVELS for x, row in enumerate(table)]))
-    return tuple(shifts)
+    return tuple([tuple([(_window_index(z, x, width), _window_index(z - 1, row[t], width))
+                         for z in LEVELS[1:] for x, row in enumerate(table)])
+                  for t in range(width)])
 
 
 def kernel_pair_index(group):
-    """The radius-1 kernel pair's index data over ``group``: its carrier
-    (z1, z2, x), level-major; each element as the pair of window indices
-    ((z1, x), (z2, x)) whose values it meets; and the carrier position of
-    the diagonal (z, z, x) of each window element (z, x).  None of it
-    reads a structure, so it is read through
-    ``group.derived(kernel_pair_index)``, built once per group."""
+    """The index data over ``group`` of the kernel pair on ``PAIR_LEVELS``:
+    its carrier (z1, z2, x), level-major; each element as the pair of
+    radius-1 window indices ((z1, x), (z2, x)) whose values it meets; and
+    the carrier position of the diagonal (z, z, x) of each window element
+    (z, x) on those levels.  None of it reads a structure, so it is read
+    through ``group.derived(kernel_pair_index)``, built once per group."""
     points = range(group.size)
-    carrier = tuple([(z1, z2, x) for z1 in LEVELS for z2 in LEVELS for x in points])
+    carrier = tuple([(z1, z2, x) for z1 in PAIR_LEVELS for z2 in PAIR_LEVELS
+                     for x in points])
     pairs = tuple([(_window_index(z1, x, group.size), _window_index(z2, x, group.size))
                    for z1, z2, x in carrier])
     position = {e: i for i, e in enumerate(carrier)}
-    diagonal = tuple([position[(z, z, x)] for z in LEVELS for x in points])
+    diagonal = tuple([position[(z, z, x)] for z in PAIR_LEVELS for x in points])
     return carrier, pairs, diagonal
+
+
+def _pair_prefix(window):
+    """The radius-1 ``window``'s matrix on its leading 2n elements, those
+    on ``PAIR_LEVELS``."""
+    n = len(PAIR_LEVELS) * window.width
+    return [row[:n] for row in window.matrix[:n]]
 
 
 def _guard(what, count, cap):
@@ -262,7 +308,8 @@ def verify_cover_window(cover, radius):
 
     By the module's lemma each law holds at ``radius`` iff it holds at
     radius 1, so every law is scanned and folded on the radius-1 window
-    alone; a witness found there is a witness at ``radius`` too.
+    alone, transitivity on all of it and the other scans on the levels
+    they read; a witness found there is a witness at ``radius`` too.
     ``radius`` names the subject and sizes the window's note and its
     capacity guard.
 
@@ -277,19 +324,19 @@ def verify_cover_window(cover, radius):
     base = cover.base
     q = base.quantale
     window = cover.window
-    elements, matrix = window.elements, window.matrix
+    elements, matrix, prefix = window.elements, window.matrix, _pair_prefix(window)
 
     # integral quantale (descent_cover): unit-reflexive means top on the diagonal
-    witness = laws.reflexivity(q, matrix)
+    witness = laws.reflexivity(q, matrix[:base.size])
     if witness is not None:
         report.add("window-reflexivity", elements[witness[0]])
 
     _add(report, "window-transitivity", elements, laws.transitivity(q, matrix))
     _add(report, "window-shift-invariance", elements, laws.shift_invariance(
         matrix, base.group.derived(window_shifts)))
-    _add(report, "window-separation", elements, laws.separation(q, matrix))
+    _add(report, "window-separation", elements, laws.separation(q, prefix))
     _add(report, "projection-compatibility", elements, laws.compatibility(
-        q, matrix, base.structure.entries, [cover.projection(p) for p in elements]))
+        q, prefix, base.structure.entries, [cover.projection(p) for p in elements]))
 
     join = q.join_table
 
@@ -333,10 +380,11 @@ def kernel_pair_groupoid(cover, radius):
     separated on the window.
 
     An entry at ((z1, z2, x), (z1', z2', x')) depends on the levels only
-    through the orders of (z1, z1') and (z2, z2'), so both laws are
-    scanned on the radius-1 kernel pair alone (the module's lemma), whose
-    9n elements fit in any window the guard of ``radius`` lets through.
-    ``radius`` names the subject and sizes the carrier's note.
+    through the orders of (z1, z1') and (z2, z2'), and each law reads two
+    levels per coordinate, so both are scanned on the kernel pair over
+    ``PAIR_LEVELS`` alone (the module's lemma), whose 4n elements fit in
+    any window the guard of ``radius`` lets through.  ``radius`` names
+    the subject and sizes the carrier's note.
     """
     report = ValidationReport(subject=f"kernel-pair-groupoid-r{radius}")
     _guard_window(cover, radius)
@@ -345,7 +393,7 @@ def kernel_pair_groupoid(cover, radius):
     carrier, pairs, diagonal = base.group.derived(kernel_pair_index)
     matrix = pair_meets(base.quantale, window.matrix, window.matrix, pairs)
     _add(report, "diagonal-embedding", window.elements,
-         laws.reflection(window.matrix, matrix, diagonal))
+         laws.reflection(_pair_prefix(window), matrix, diagonal))
     _add(report, "groupoid-separation", carrier, laws.separation(base.quantale, matrix))
     report.notes["carrier_size"] = (2 * radius + 1) ** 2 * base.size
     return report
@@ -359,9 +407,10 @@ def action_of_covering(alpha, cover, radius):
     the pullback structure; the action map drops the acting pair onto
     its first level.  Verifies the compatibility of the action map on
     all in-window composable pairs and separation of the carrier on the
-    window, both scanned on the radius-1 window alone (the module's
-    lemma).  ``radius`` names the subject and sizes the carrier's note
-    and the window's capacity guard.
+    window, both scanned on ``PAIR_LEVELS`` alone, the two levels per
+    coordinate that each reads (the module's lemma).  ``radius`` names
+    the subject and sizes the carrier's note and the window's capacity
+    guard.
     """
     if alpha.cod != cover.base:
         raise StructuralError("the covering must land in the cover's base")
@@ -371,15 +420,17 @@ def action_of_covering(alpha, cover, radius):
     _guard_window(cover, radius)
     dom = alpha.dom
     q = cover.quantale
+    # counts the acting arrows on the radius-1 levels; the four per element
+    # of dom on PAIR_LEVELS are built
     _guard("carrier of acting arrows", len(LEVELS) ** 2 * dom.size, ACTING_ARROW_CAP)
 
     window = cover.window
-    carrier = [(z, a) for z in LEVELS for a in range(dom.size)]
+    carrier = [(z, a) for z in PAIR_LEVELS for a in range(dom.size)]
     # each (z, a) as the index pair (window index of (z, alpha a), a)
     matrix = pair_meets(q, window.matrix, dom.structure.entries,
                         [(window.index(z, alpha(a)), a) for z, a in carrier])
     composable = [((z1, z2, alpha(a)), (z2, a))
-                  for z1 in LEVELS for z2 in LEVELS for a in range(dom.size)]
+                  for z1 in PAIR_LEVELS for z2 in PAIR_LEVELS for a in range(dom.size)]
     arrows = pair_meets(q, window.matrix, window.matrix,
                         [(window.index(z1, x), window.index(z2, x))
                          for (z1, z2, x), _ in composable])

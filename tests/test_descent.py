@@ -12,7 +12,7 @@ from vgroups import (FiniteGroup, IntegerIndexedCover, NonIntegralQuantaleError,
                      identity_hom, kernel_pair_groupoid, lawvere_chain, laws,
                      product, standard_suite, structure_from_delta,
                      verify_cover_window)
-from vgroups import descent
+from vgroups import descent, is_covering
 from vgroups.builders import group_roster
 from vgroups.reports import ValidationReport
 from vgroups.vgroup import pair_meets
@@ -198,7 +198,7 @@ def reference_kernel_pair_matrix(cover, radius):
 
 
 def built_kernel_pair(cover, radius=1):
-    """The radius-1 kernel-pair matrix of every base point, as
+    """The kernel-pair matrix of every base point, as
     ``kernel_pair_groupoid`` builds it through ``descent.pair_meets``;
     ``radius`` is ignored, so that ``outcome`` can call it like a check."""
     built = []
@@ -209,13 +209,25 @@ def built_kernel_pair(cover, radius=1):
     return built[0]
 
 
-def on_levels(matrix, radius, n):
-    """The sub-matrix of a kernel-pair matrix at ``radius`` over n points
-    on the elements whose two levels lie in -1..1."""
-    levels = range(-radius, radius + 1)
-    carrier = [(z1, z2, x) for z1 in levels for z2 in levels for x in range(n)]
-    keep = [i for i, (z1, z2, _) in enumerate(carrier) if abs(z1) <= 1 and abs(z2) <= 1]
+def on_levels(matrix, levels):
+    """The sub-matrix of ``matrix`` on the rows and columns whose levels,
+    the tuple ``levels[i]`` for row i, all lie in -1..0."""
+    keep = [i for i, zs in enumerate(levels) if all(z in (-1, 0) for z in zs)]
     return tuple([tuple([matrix[i][j] for j in keep]) for i in keep])
+
+
+def pair_levels(radius, n):
+    """The levels (z1, z2) of the kernel-pair elements at ``radius`` over n
+    points, in carrier order; also those of the acting arrows of a
+    covering whose domain has n points."""
+    levels = range(-radius, radius + 1)
+    return [(z1, z2) for z1 in levels for z2 in levels for _ in range(n)]
+
+
+def reference_on_pair_levels(cover, radius):
+    """The per-entry kernel pair at ``radius`` on the levels -1..0."""
+    return on_levels(reference_kernel_pair_matrix(cover, radius),
+                     pair_levels(radius, cover.base.size))
 
 
 def outcome(build, cover, radius):
@@ -241,15 +253,14 @@ def decided(check, cover, radius):
 
 class TestKernelPairMatrix:
     def test_rows_match_pair_structure(self):
-        # the radius-1 kernel pair is the per-entry one, and the sub-matrix
-        # of every larger one on the levels -1..1 (the module's lemma)
+        # the kernel pair built is the sub-matrix of the per-entry one of
+        # every radius on the levels -1..0 (the module's lemma)
         bases = [obj.vgroup for obj in standard_suite("smoke").objects] + formula_bases()
         for base in bases:
             cover, _ = descent_cover(base)
             built = built_kernel_pair(cover)
             for radius in (1, 2, 3):
-                assert built == on_levels(reference_kernel_pair_matrix(cover, radius),
-                                          radius, base.size), (base, radius)
+                assert built == reference_on_pair_levels(cover, radius), (base, radius)
 
     @settings(max_examples=300, deadline=None)
     @given(leq=st.lists(st.booleans(), min_size=9, max_size=9),
@@ -263,7 +274,7 @@ class TestKernelPairMatrix:
                       *integral_order([leq[i:i + 3] for i in (0, 3, 6)], rows))
         cover, _ = descent_cover(base)
         assert outcome(built_kernel_pair, cover, 1) == \
-            outcome(reference_kernel_pair_matrix, cover, 1)
+            outcome(reference_on_pair_levels, cover, 1)
         # at every radius the groupoid raises that message or reports what
         # the scans of the radius-1 reference kernel pair report
         assert decided(kernel_pair_groupoid, cover, radius) == \
@@ -322,12 +333,13 @@ class TestAction:
                                        z4_law, law2):
         # the composable-pair and carrier matrices, caught on their way to
         # the action-map compatibility scan (the function's last one): at
-        # every radius they are those of the radius-1 window
+        # every radius they are those of the radius-1 window on the levels
+        # -1..0
         compatibility = laws.compatibility
         scanned, carriers = [], []
 
         def caught(q, a, b, m):
-            scanned.append([list(row) for row in a])
+            scanned.append(tuple([tuple(row) for row in a]))
             carriers.append(b)
             return compatibility(q, scanned[-1], b, m)
 
@@ -338,11 +350,13 @@ class TestAction:
         monkeypatch.setattr(laws, "compatibility", caught)
         for alpha in coverings:
             cover, _ = descent_cover(alpha.cod)
+            m = alpha.dom.size
             for radius in (1, 2):
                 action_of_covering(alpha, cover, radius)
-                assert scanned.pop() == reference_action_matrix(alpha, cover, 1), \
-                    (alpha.cod, radius)
-                assert carriers.pop() == reference_action_carrier(alpha, cover, 1), \
+                assert scanned.pop() == on_levels(reference_action_matrix(alpha, cover, 1),
+                                                  pair_levels(1, m)), (alpha.cod, radius)
+                assert carriers.pop() == on_levels(reference_action_carrier(alpha, cover, 1),
+                                                   [(z,) for z in (-1, 0, 1) for _ in range(m)]), \
                     (alpha.cod, radius)
 
     def test_identity_covering(self, z4_bool):
@@ -611,13 +625,109 @@ def reference_groupoid(cover, radius):
     return report
 
 
+def reference_action(alpha, cover, radius):
+    """``action_of_covering`` with both laws scanned on the action carrier
+    and the composable pairs of the radius-``radius`` window itself, each
+    entry read off the formula.  The meets are taken in the check's
+    order, so that a missing one raises where the check's does: the
+    carrier's, then those of the acting arrows, then each of the action
+    map's, lazily, as its scan reaches it."""
+    if not is_covering(alpha):
+        raise StructuralError("not a covering: the kernel is not separated")
+    report = ValidationReport(subject=f"action-r{radius}")
+    window = Window(cover, radius)
+    dom, q = alpha.dom, cover.quantale
+    levels = range(-radius, radius + 1)
+    carrier = [(z, a) for z in levels for a in range(dom.size)]
+    position = {w: i for i, w in enumerate(carrier)}
+    matrix = reference_action_carrier(alpha, cover, radius)
+    composable = [((z1, z2, alpha(a)), (z2, a))
+                  for z1 in levels for z2 in levels for a in range(dom.size)]
+    arrows = [[_pair_structure(window, arrow1, arrow2) for arrow2, _ in composable]
+              for arrow1, _ in composable]
+    before = ((q.meet(v, matrix[position[w1]][position[w2]])
+               for v, (_, w2) in zip(row, composable))
+              for row, (_, w1) in zip(arrows, composable))
+    witness = laws.compatibility(q, before, matrix,
+                                 [position[(arrow[0], w[1])] for arrow, w in composable])
+    if witness is not None:
+        report.add("action-map-compatibility", composable[witness[0]] + composable[witness[1]])
+    witness = laws.separation(q, matrix)
+    if witness is not None:
+        report.add("carrier-separation", (carrier[i] for i in witness))
+    report.notes["carrier_size"] = len(carrier)
+    return report
+
+
+def decides_as_the_references(base):
+    """Whether, at radii 1-3, the checks on ``base``'s cover decide what
+    the scans of the three-level radius-1 references decide:
+    ``verify_cover_window`` as ``reference_cover_window``,
+    ``kernel_pair_groupoid`` as ``reference_groupoid`` and
+    ``action_of_covering`` on the identity of ``base`` as
+    ``reference_action``."""
+    alpha = identity_hom(base)
+
+    def act(cover, radius):
+        return action_of_covering(alpha, cover, radius)
+
+    def reference(cover, radius):
+        return reference_action(alpha, cover, radius)
+
+    cover, _ = descent_cover(base)
+    return all(decided(check, cover, radius) == decided(want, cover, 1)
+               for check, want in ((verify_cover_window, reference_cover_window),
+                                   (kernel_pair_groupoid, reference_groupoid),
+                                   (act, reference))
+               for radius in (1, 2, 3))
+
+
+@settings(max_examples=200, deadline=None)
+@given(leq=st.lists(st.booleans(), min_size=9, max_size=9),
+       size=st.sampled_from([2, 3]), data=st.data())
+def test_random_orders_decide_as_the_three_level_references(leq, size, data):
+    # each law but transitivity is scanned on the levels -1..0, and the
+    # shifts by level -1 alone; over any order on three elements, with
+    # bottom 0 and unit = top 2, the first witness, or the missing meet or
+    # join raised, is that of the scans over all three levels
+    rows = data.draw(st.lists(st.lists(st.integers(0, 2), min_size=size, max_size=size),
+                              min_size=size, max_size=size))
+    base = VGroup(FiniteGroup.cyclic(size),
+                  *integral_order([leq[i:i + 3] for i in (0, 3, 6)], rows))
+    assert decides_as_the_references(base)
+
+
+def level_one_shifts(group):
+    """The right shifts of the radius-1 window by level +1, in the place
+    of those by level -1: they realize every order too, but the scan
+    names each by the shift index of level -1."""
+    n = group.size
+    return tuple([tuple([((z + 1) * n + x, (z + 2) * n + row[t])
+                         for z in (-1, 0) for x, row in enumerate(group.table)])
+                  for t in range(n)])
+
+
+def test_the_references_catch_too_few_levels_and_the_wrong_shifts(monkeypatch):
+    # the oracle has teeth: the laws scanned on one level, or the shifts
+    # by level +1, decide otherwise than the three-level references on
+    # some base.  Each patch runs on fresh bases, whose groups have not
+    # stored the index data of the unpatched module.
+    assert all(decides_as_the_references(base) for base in formula_bases() + shift_bases())
+    for name, value in (("PAIR_LEVELS", range(-1, 0)), ("window_shifts", level_one_shifts)):
+        with monkeypatch.context() as patch:
+            patch.setattr(descent, name, value)
+            assert not all(decides_as_the_references(base)
+                           for base in formula_bases() + shift_bases()), name
+
+
 def test_window_index_data_match_the_per_object_construction():
     """``window_shifts`` and ``kernel_pair_index``, built once per group,
-    equal what the scans built per object from the cover itself: the
-    shifts of the radius-1 window that ``cover.op`` keeps on it, and the
-    kernel pair's carrier, window index pairs and diagonal positions read
-    off its ``Window``.  On every roster group and on the moved-identity
-    Z4; both scans read the tables from the group's store."""
+    equal what is built per object from the cover itself: the shifts of
+    the radius-1 window that ``cover.op`` keeps on it, by level -1 (the
+    first n), and the carrier of the kernel pair on the levels -1..0,
+    its window index pairs and diagonal positions read off the radius-1
+    ``Window``.  On every roster group and on the moved-identity Z4; both
+    scans read the tables from the group's store."""
     for group in [*group_roster().values(), moved_z4()]:
         cover, _ = descent_cover(discrete_vgroup(group, lawvere_chain(2)))
         window = Window(cover, 1)
@@ -628,14 +738,15 @@ def test_window_index_data_match_the_per_object_construction():
             return window.index(level, x) if abs(level) <= 1 else None
 
         shifts = descent.window_shifts(group)
-        assert [list(pairs) for pairs in shifts] == shift_pairs(shifted, len(elems))
-        carrier = [(z1, z2, x) for z1 in (-1, 0, 1) for z2 in (-1, 0, 1)
+        assert [list(pairs) for pairs in shifts] == \
+            shift_pairs(shifted, len(elems))[:group.size]
+        carrier = [(z1, z2, x) for z1 in (-1, 0) for z2 in (-1, 0)
                    for x in range(group.size)]
         index = descent.kernel_pair_index(group)
         assert index == (tuple(carrier),
                          tuple((window.index(z1, x), window.index(z2, x))
                                for z1, z2, x in carrier),
-                         tuple(carrier.index((z, z, x)) for z, x in elems))
+                         tuple(carrier.index((z, z, x)) for z, x in elems if z < 1))
         assert verify_cover_window(cover, 2).ok and kernel_pair_groupoid(cover, 2).ok
         assert group._derived[(descent.window_shifts,)] == shifts
         assert group._derived[(descent.kernel_pair_index,)] == index
@@ -740,8 +851,8 @@ def test_every_witness_violates_its_law_at_its_radius():
 def test_lawful_windows_build_nothing_beyond_radius_one(monkeypatch):
     # the laws are scanned on radius-1 data only, on lawful and lawless
     # bases alike: no window of a larger radius is built, and each kernel
-    # pair (the meets of the window with itself) and action carrier has
-    # the radius-1 window's levels, 9 and 3 per point
+    # pair (the meets of the window with itself: the acting arrows too)
+    # and action carrier has the levels -1..0, 4 and 2 per point
     built, scanned = [], []
     window_matrix = IntegerIndexedCover.window_matrix
     monkeypatch.setattr(IntegerIndexedCover, "window_matrix", lambda self, radius:
@@ -767,7 +878,7 @@ def test_lawful_windows_build_nothing_beyond_radius_one(monkeypatch):
                            kernel_pair_groupoid(cover, radius),
                            action_of_covering(identity_hom(base), cover, radius)):
                 assert report.ok or base not in lawful, (base, radius)
-    assert set(built) == {("window", 1), ("kernel pair", 9), ("action carrier", 3)}
+    assert set(built) == {("window", 1), ("kernel pair", 4), ("action carrier", 2)}
     assert set(scanned) == {"reflexivity", "transitivity", "shift_invariance",
                             "separation", "compatibility", "reflection"}
 
