@@ -8,7 +8,7 @@ as exit code 1.  A check records each ``THEOREM_FAILURES`` error against
 the object or morphism it was working on and goes on with the next one.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import partial
 from itertools import islice, product as iproduct
 
@@ -25,9 +25,9 @@ from .torsion import (default_test_family, matches_final_composite, object_class
 from .vgroup import (classify_hom, cokernel, factor_through_epi,
                      factor_through_mono, factorization_middle_iso,
                      image_factorize, is_isomorphism, is_regular_epi, kernel,
-                     mono_positions, profile_matrix, pullback, pullback_comparison,
-                     pullback_index, quotient_vgroup, subobject, validate_hom,
-                     validate_vgroup, zero_hom)
+                     profile_matrix, pullback, pullback_comparison,
+                     quotient_vgroup, subobject, validate_hom, validate_vgroup,
+                     zero_hom)
 
 MATRIX_ENUMERATION_CAP = 200_000  # past it, route checks spread shift profiles
 SMALL_CARRIER = 4  # the largest objects the subgroup and alternative searches visit
@@ -46,8 +46,8 @@ THEOREM_FAILURES = (TheoremCheckError, StructuralError)
 class CheckResult:
     name: str
     ok: bool
-    details: dict = field(default_factory=dict)
-    failures: list = field(default_factory=list)
+    details: dict
+    failures: list
 
     def as_dict(self):
         return {"name": self.name, "ok": self.ok,
@@ -250,22 +250,18 @@ def check_ses_morphism_pullback(suite):
     sequences = {i: suite.cache.derived(_exact_sequences, obj.vgroup)
                  for i, obj in enumerate(suite.objects)
                  if obj.vgroup.size <= SMALL_CARRIER}
-    # the position map of each inclusion, once per (object, normal subgroup)
-    positions = {i: [mono_positions(inc) for _, inc, _ in seqs]
-                 for i, seqs in sequences.items()}
     for i, j in iproduct(sequences, repeat=2):
         hs = suite.homs_between(i, j)
         if hs is None:
             continue
         for b in hs.homs:
-            # pullback(inc_y, b) and its pair index by ny; neither depends on nx
+            # pullback(inc_y, b) by ny; it does not depend on nx
             pulled = {}
             onto_quotients = [b.then(proj_y) for _, _, proj_y in sequences[j]]
             for nx, inc_x, proj_x in sequences[i]:
                 restricted = inc_x.then(b)
-                for (ny, inc_y, _), onto, pos_y in zip(sequences[j], onto_quotients,
-                                                       positions[j]):
-                    a_vert = factor_through_mono(restricted, inc_y, pos_y)
+                for (ny, inc_y, _), onto in zip(sequences[j], onto_quotients):
+                    a_vert = factor_through_mono(restricted, inc_y)
                     if a_vert is None:
                         continue
                     c_vert = factor_through_epi(proj_x, onto)
@@ -274,11 +270,10 @@ def check_ses_morphism_pullback(suite):
                                b.mapping, nx, ny)
                     try:
                         if ny not in pulled:
-                            p, to_ty, to_x = pullback(inc_y, b)
-                            pulled[ny] = p, to_ty, to_x, pullback_index(to_ty, to_x)
-                        p, to_ty, to_x, index = pulled[ny]
+                            pulled[ny] = pullback(inc_y, b)
+                        p, to_ty, to_x = pulled[ny]
                         left_is_pullback = is_isomorphism(
-                            pullback_comparison(p, to_ty, to_x, a_vert, inc_x, index))
+                            pullback_comparison(p, to_ty, to_x, a_vert, inc_x))
                     except THEOREM_FAILURES as exc:
                         failures.append(witness + (str(exc),))
                         continue

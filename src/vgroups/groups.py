@@ -26,9 +26,12 @@ The constructions of vgroup.py read their pullback, subobject and
 quotient groups from it, and a pullback its projections' mappings
 (``pair_projections``), so one run builds each once per parent;
 ``direct_product`` and every other direct call still build a fresh
-group.  ``_derived`` holds group data only (groups, a quotient's
-projection, index tuples), never a structure or a structured object,
-and a construction that raises stores nothing.
+group.  A pullback carrier also keeps the index of its points by their
+pair of projections (``pair_index``), keyed by the two mapping tuples,
+so ``pullback_comparison`` builds it once per carrier and pair of legs.
+``_derived`` holds group data only (groups, a quotient's projection,
+index tuples and tables), never a structure or a structured object, and
+a construction that raises stores nothing.
 
 Homomorphisms g -> h are found from generator images (Holt, Eick and
 O'Brien, *Handbook of Computational Group Theory*, 2005): a greedy
@@ -54,8 +57,9 @@ class FiniteGroup:
     Beside its fields a group carries what it derives, found on first use
     and kept in ``_derived``, keyed by the construction and its other
     arguments: its generators, its difference and shift tables, each
-    homomorphism search out of it, each group built from it and the index
-    data of its descent windows.
+    homomorphism search out of it, each group built from it, the index
+    data of its descent windows and, on a pullback carrier, the index of
+    its points by their pair of projections.
     """
 
     __slots__ = ("names", "table", "identity", "inverse", "size", "_derived", "_hash")
@@ -329,6 +333,18 @@ def pair_group(a, b, pairs):
 def pair_projections(a, b, pairs):
     """The mappings of the two projections of ``pair_group(a, b, pairs)``."""
     return tuple([i for i, _ in pairs]), tuple([j for _, j in pairs])
+
+
+def pair_index(group, first, second):
+    """The elements of ``group`` by their pair of images under two
+    mappings: each pair (first[k], second[k]) to the list of its k, in
+    index order.  A pullback carrier keeps it for its projections'
+    mappings (``vgroup.pullback_comparison``), read through
+    ``group.derived(pair_index, first, second)``."""
+    hits = {}
+    for k, pair in enumerate(zip(first, second)):
+        hits.setdefault(pair, []).append(k)
+    return hits
 
 
 def quotient_group(group, normal_subset):

@@ -29,7 +29,7 @@ class ValidationReport:
     def ok(self):
         return not self.violations
 
-    def add(self, law, witness=()):
+    def add(self, law, witness):
         self.violations.append(Violation(law, tuple(witness)))
 
     def laws_violated(self):

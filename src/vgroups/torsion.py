@@ -23,7 +23,7 @@ check, not a symbolic proof.
 """
 
 from collections import Counter, defaultdict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from . import groups, laws
 from .errors import (CapacityError, NonIntegralQuantaleError, StructuralError,
@@ -141,7 +141,7 @@ class TorsionDecomposition:
     injection: VHom
     quotient: VGroup
     projection: VHom
-    notes: dict = field(default_factory=dict)
+    notes: dict
 
     def as_dict(self):
         names = self.object.group.names
@@ -425,7 +425,7 @@ class PretorsionDecomposition:
     projection: VHom
     kernel_report: ValidationReport
     cokernel_report: ValidationReport
-    notes: dict = field(default_factory=dict)
+    notes: dict
 
     def as_dict(self):
         q = self.object.quantale

@@ -22,7 +22,10 @@ lists its agreeing pairs through the fibres of its second leg.
 ``pullback``, ``subobject``, ``image_factorize`` and ``quotient_vgroup``
 read their groups through ``FiniteGroup.derived``, so each is built once
 per parent group, and ``pullback`` its projections' mappings too; the
-structures over them are built on every call.
+structures over them are built on every call.  ``pullback_comparison``
+reads the index of a pullback's points by their pair of projections
+(``groups.pair_index``) the same way, from the pullback's group, so it
+is built once per carrier and pair of legs.
 ``validate_vgroup`` reads its right shifts (``groups.right_shifts``) and
 ``profile_matrix`` its difference table the same way.
 
@@ -46,7 +49,7 @@ from .vrel import VRel
 class VGroup:
     __slots__ = ("group", "quantale", "structure", "name", "size", "_hash")
 
-    def __init__(self, group, quantale, structure, name=None):
+    def __init__(self, group, quantale, structure):
         if not isinstance(structure, VRel):
             raise StructuralError("structure must be a VRel")
         if structure.quantale is not quantale and structure.quantale != quantale:
@@ -57,7 +60,7 @@ class VGroup:
         self.group = group
         self.quantale = quantale
         self.structure = structure
-        self.name = name
+        self.name = None
         self.size = group.size
         self._hash = None
 
@@ -168,21 +171,19 @@ class HomClassification:
 
 # -- constructors ----------------------------------------------------------
 
-def indiscrete_vgroup(group, quantale, name=None):
+def indiscrete_vgroup(group, quantale):
     return VGroup(group, quantale,
-                  VRel.constant(quantale, group.size, group.size, quantale.top),
-                  name=name)
+                  VRel.constant(quantale, group.size, group.size, quantale.top))
 
 
-def discrete_vgroup(group, quantale, name=None):
-    return VGroup(group, quantale, VRel.identity(quantale, group.size), name=name)
+def discrete_vgroup(group, quantale):
+    return VGroup(group, quantale, VRel.identity(quantale, group.size))
 
 
-def trivial_vgroup(quantale, value=None, name=None):
+def trivial_vgroup(quantale, value=None):
     """One-element object; the structure value defaults to the unit."""
     v = quantale.unit if value is None else value
-    return VGroup(FiniteGroup.trivial(), quantale,
-                  VRel(quantale, [[v]]), name=name)
+    return VGroup(FiniteGroup.trivial(), quantale, VRel(quantale, [[v]]))
 
 
 def profile_matrix(group, delta):
@@ -425,22 +426,12 @@ def pair_meets(q, a, b, pairs):
     return tuple(rows)
 
 
-def pullback_index(pi1, pi2):
-    """The points of a pullback by their pair of images under its
-    projections pi1 and pi2: each pair to the list of its points, in index
-    order.  ``pullback_comparison`` reads it."""
-    hits = {}
-    for i, pair in enumerate(zip(pi1.mapping, pi2.mapping)):
-        hits.setdefault(pair, []).append(i)
-    return hits
-
-
-def pullback_comparison(p, pi1, pi2, u1, u2, index=None):
+def pullback_comparison(p, pi1, pi2, u1, u2):
     """The universal map into a pullback p with projections pi1 and pi2,
-    given a commuting cone (u1, u2).  ``index`` is
-    ``pullback_index(pi1, pi2)``, built here when omitted; a caller that
-    compares many cones into one pullback builds it once."""
-    hits = pullback_index(pi1, pi2) if index is None else index
+    given a commuting cone (u1, u2).  The points of p by their pair of
+    projections (``groups.pair_index``) are kept on p's group, keyed by
+    the projections' mappings, so each pullback builds them once."""
+    hits = p.group.derived(groups.pair_index, pi1.mapping, pi2.mapping)
     mapping, second = [], u2.mapping
     for x, y in enumerate(u1.mapping):
         found = hits.get((y, second[x]), ())
@@ -459,18 +450,10 @@ def _shared_quantale(g, h):
         raise StructuralError("homomorphisms need a shared quantale")
 
 
-def mono_positions(m):
-    """Each point of the image of the monomorphism m, mapped to its one
-    preimage.  ``factor_through_mono`` reads it."""
-    return {y: i for i, y in enumerate(m.mapping)}
-
-
-def factor_through_mono(f, m, positions=None):
+def factor_through_mono(f, m):
     """The map h with h.then(m) == f, or None when f does not land in the
-    image of the monomorphism m.  ``positions`` is ``mono_positions(m)``,
-    built here when omitted; a caller that factors many maps through one
-    mono builds it once."""
-    pos = mono_positions(m) if positions is None else positions
+    image of the monomorphism m."""
+    pos = {y: i for i, y in enumerate(m.mapping)}
     mapping = [pos.get(y) for y in f.mapping]
     if None in mapping:
         return None

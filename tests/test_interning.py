@@ -13,14 +13,17 @@ Every entry of the store equals a fresh build of its key, and the stores
 ``derived`` leaves on the groups equal fresh builds.
 """
 
+import importlib
 import inspect
 import io
+import pkgutil
 import sys
 from collections import Counter
 
 import pytest
 
-from vgroups import battery, factorization
+import vgroups
+from vgroups import battery, factorization, groups, vgroup
 from vgroups.builders import group_roster, standard_suite
 from vgroups.cli import run
 from vgroups.factorization import (ClassCache, _class_report, _decomposition,
@@ -283,6 +286,39 @@ def test_derived_stores_equal_fresh_builds_after_a_smoke_battery(derived_run):
     stored = sum((check_derived_store(g) for g in parents.values()), Counter())
     assert sum(stored[name] for name in CONSTRUCTIONS) == \
         sum(via == "derived" for _, _, _, via in builds)
-    # and the generators, hom searches and pullback projections kept beside them
+    # and the generators, hom searches, pullback projections and pair indexes
+    # kept beside them
     assert stored["_greedy_generators"] and stored["_search_homs"]
     assert stored["pair_projections"] == stored["pair_group"]
+    assert stored["pair_index"] > 0
+
+
+def test_each_pair_index_is_built_once_per_pullback_carrier_and_legs(monkeypatch):
+    """``pullback_comparison`` reads its index from the pullback's group,
+    keyed by the two mapping tuples: a smoke battery builds each key once,
+    and far fewer indexes than it makes comparisons (122 for 6,647, where
+    an index built per call made 3,978)."""
+    builds, carriers, comparisons = Counter(), [], [0]
+    build, compare = groups.pair_index, vgroup.pullback_comparison
+
+    def pair_index(group, first, second):
+        carriers.append(group)  # kept, so that no other group takes its id
+        builds[id(group), first, second] += 1
+        return build(group, first, second)
+
+    def pullback_comparison(*args):
+        comparisons[0] += 1
+        return compare(*args)
+
+    monkeypatch.setattr(groups, "pair_index", pair_index)
+    for info in pkgutil.iter_modules(vgroups.__path__):
+        if info.name == "__main__":  # importing it runs the command line
+            continue
+        module = importlib.import_module(f"vgroups.{info.name}")
+        if getattr(module, "pullback_comparison", None) is compare:
+            monkeypatch.setattr(module, "pullback_comparison", pullback_comparison)
+    suite = standard_suite("smoke")
+    for check in battery.ALL_CHECKS:
+        assert check(suite).ok, check.__name__
+    assert builds and max(builds.values()) == 1
+    assert sum(builds.values()) < comparisons[0]

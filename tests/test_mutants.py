@@ -166,8 +166,8 @@ def epi_factor_rejects_repeats(original):
 @mutant(vgroup.factor_through_mono)
 def mono_factor_shift(original):
     """Factoring through a mono sends the last element one too far."""
-    def factor_through_mono(f, m, positions=None):
-        h = original(f, m, positions)
+    def factor_through_mono(f, m):
+        h = original(f, m)
         return None if h is None else _shift_last(h)
     return factor_through_mono
 

@@ -24,8 +24,8 @@ from vgroups import (FiniteGroup, StructuralError, TheoremCheckError, VGroup, VH
 from vgroups.builders import group_roster, standard_suite
 from vgroups.groups import _distinct, pair_group, quotient_group, subgroup_group
 from vgroups.vgroup import (discrete_vgroup, equalizer, fibers, identity_hom, is_regular_epi,
-                            pair_meets, pullback, pullback_comparison, pullback_index,
-                            subobject, zero_hom)
+                            pair_meets, pullback, pullback_comparison, subobject,
+                            zero_hom)
 
 
 # -- the per-element versions ----------------------------------------------
@@ -249,7 +249,6 @@ def test_morphism_constructions_match_on_smoke_morphisms():
             got = pullback(*cospan)
             _same_pullback(got, reference_pullback(*cospan))
             assert pullback_comparison(*got, *cone) == \
-                pullback_comparison(*got, *cone, pullback_index(*got[1:])) == \
                 reference_pullback_comparison(*got, *cone)
         checked += 1
     assert checked == 769
@@ -299,12 +298,10 @@ def test_pullback_comparison_raises_as_the_reference(z4_bool, z2_discrete, quoti
     cone = identity_hom(z2_discrete)
     for args, hits in (((p, pi1, pi2, ident, zero), "0 hits"),
                        ((z4_bool, quotient_to_z2, quotient_to_z2, cone, cone), "2 hits")):
-        indexed = args + (pullback_index(*args[1:3]),)
-        for got in (args, indexed):
-            _same_error(lambda: pullback_comparison(*got),
-                        lambda: reference_pullback_comparison(*args))
-            with pytest.raises(TheoremCheckError, match=hits):
-                pullback_comparison(*got)
+        _same_error(lambda: pullback_comparison(*args),
+                    lambda: reference_pullback_comparison(*args))
+        with pytest.raises(TheoremCheckError, match=hits):
+            pullback_comparison(*args)
 
 
 def test_zero_hom_across_quantales_raises_as_the_reference(z2_discrete, law2, z2):
