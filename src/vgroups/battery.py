@@ -200,24 +200,28 @@ def check_kernel_cokernel_roundtrips(suite):
     failures = []
     checked = 0
     for dom, cod, f in suite.all_homs():
-        cls = classify_hom(f)
-        canonicals = []
-        if cls.regular_epi:
-            _, projection = cokernel(kernel(f)[1])
-            canonicals.append((factor_through_epi(projection, f), projection,
-                               "cokernel-of-kernel"))
-        if cls.normal_mono:
-            _, projection = cokernel(f)
-            _, inclusion = kernel(projection)
-            canonicals.append((factor_through_mono(f, inclusion), projection,
-                               "kernel-of-cokernel"))
-        for canonical, projection, roundtrip in canonicals:
-            if not matches_final_composite(projection):
-                failures.append((dom.name, cod.name, f.mapping, "cokernel-structure"))
-            checked += 1
-            if canonical is None or not (validate_hom(canonical).ok
-                                         and is_isomorphism(canonical)):
-                failures.append((dom.name, cod.name, f.mapping, roundtrip))
+        try:
+            cls = classify_hom(f)
+            canonicals = []
+            if cls.regular_epi:
+                _, projection = cokernel(kernel(f)[1])
+                canonicals.append((factor_through_epi(projection, f), projection,
+                                   "cokernel-of-kernel"))
+            if cls.normal_mono:
+                _, projection = cokernel(f)
+                _, inclusion = kernel(projection)
+                canonicals.append((factor_through_mono(f, inclusion), projection,
+                                   "kernel-of-cokernel"))
+            for canonical, projection, roundtrip in canonicals:
+                if not matches_final_composite(projection):
+                    failures.append((dom.name, cod.name, f.mapping,
+                                     "cokernel-structure"))
+                checked += 1
+                if canonical is None or not (validate_hom(canonical).ok
+                                             and is_isomorphism(canonical)):
+                    failures.append((dom.name, cod.name, f.mapping, roundtrip))
+        except THEOREM_FAILURES as exc:
+            failures.append((dom.name, cod.name, f.mapping, str(exc)))
     return _result("kernel_cokernel_roundtrips", failures, checked=checked)
 
 
@@ -317,40 +321,48 @@ def check_image_factorization(suite):
         checked += 1
         if dom.vgroup.size > SMALL_CARRIER or uniqueness_checked >= IMAGE_UNIQUENESS_CAP:
             continue
-        e, mid, m = image_factorize(f)
-        for alt, e2, m2 in _alternative_factorizations(suite, dom, cod, f, mid.size):
-            if not (is_regular_epi(e2) and m2.is_injective()):
-                continue
-            uniqueness_checked += 1
-            if factorization_middle_iso(e, m, e2, m2) is None:
-                failures.append((dom.name, cod.name, f.mapping,
-                                 "image-uniqueness", alt.name))
+        try:
+            e, mid, m = image_factorize(f)
+            for alt, e2, m2 in _alternative_factorizations(suite, dom, cod, f,
+                                                           mid.size):
+                if not (is_regular_epi(e2) and m2.is_injective()):
+                    continue
+                uniqueness_checked += 1
+                if factorization_middle_iso(e, m, e2, m2) is None:
+                    failures.append((dom.name, cod.name, f.mapping,
+                                     "image-uniqueness", alt.name))
+        except THEOREM_FAILURES as exc:
+            failures.append((dom.name, cod.name, f.mapping, str(exc)))
     return _result("image_factorization", failures, checked=checked,
                    uniqueness_checked=uniqueness_checked)
 
 
 # -- pullback stability -------------------------------------------------------
 
-def _pulled_back(suite, keep, cap):
-    """(f, g, the pullback of f along g) for each morphism f that ``keep``
-    accepts and each morphism g into the codomain of f, in suite order,
-    for the first ``cap`` such cospans."""
+def _cospans(suite, keep, cap):
+    """(f, g) for each morphism f that ``keep`` accepts and each morphism g
+    into the codomain of f, in suite order, for the first ``cap`` such
+    cospans.  The callers pull f back along g, so that a pullback that
+    raises ends only its own cospan."""
     homs = [f for _, _, f in suite.all_homs()]
     into = {}  # the homs into each codomain, in suite order
     for g in homs:
         into.setdefault(g.cod, []).append(g)
     cospans = ((f, g) for f in homs if keep(f) for g in into[f.cod])
-    for f, g in islice(cospans, cap):
-        yield f, g, pullback(f, g)[2]
+    return islice(cospans, cap)
 
 
 def check_regular_epi_stability(suite):
     failures = []
     checked = 0
-    for f, g, pulled in _pulled_back(suite, is_regular_epi, REGULAR_EPI_COSPAN_CAP):
+    for f, g in _cospans(suite, is_regular_epi, REGULAR_EPI_COSPAN_CAP):
         checked += 1
-        if not is_regular_epi(pulled):
-            failures.append((f.dom.name, f.cod.name, f.mapping, g.mapping))
+        witness = (f.dom.name, f.cod.name, f.mapping, g.mapping)
+        try:
+            if not is_regular_epi(pullback(f, g)[2]):
+                failures.append(witness)
+        except THEOREM_FAILURES as exc:
+            failures.append(witness + (str(exc),))
     return _result("regular_epi_pullback_stability", failures, cospans=checked)
 
 
@@ -477,10 +489,11 @@ def check_stable_class_pullbacks(suite):
             failures.append((f.dom.name, f.mapping, str(exc)))
             return False
 
-    for f, g, pulled in _pulled_back(suite, stably_inverted, STABLE_CLASS_CAP):
+    for f, g in _cospans(suite, stably_inverted, STABLE_CLASS_CAP):
         checked += 1
         witness = (f.dom.name, f.mapping, g.dom.name, g.mapping)
         try:
+            pulled = pullback(f, g)[2]
             if not classify_morphism(pulled, suite.cache).reflector_inverted:
                 failures.append(witness)
         except THEOREM_FAILURES as exc:

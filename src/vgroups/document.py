@@ -209,7 +209,17 @@ def _integral(value):
     return int(value) if isinstance(value, float) and value.is_integer() else value
 
 
-def _resolve(value, labels, what):
+def _label_index(labels):
+    """Each label's first position, as ``list.index`` finds it."""
+    index = {}
+    for i, label in enumerate(labels):
+        index.setdefault(label, i)
+    return index
+
+
+def _resolve(value, labels, index, what):
+    """One entry as an index into ``labels``, whose ``_label_index`` is
+    ``index``: a label, an index in range or an integral float."""
     if isinstance(value, bool):
         raise StructuralError(f"{what} entry must be a label or index, not a boolean")
     value = _integral(value)
@@ -217,10 +227,23 @@ def _resolve(value, labels, what):
         if not 0 <= value < len(labels):
             raise StructuralError(f"{what} index out of range: {value}")
         return value
-    try:
-        return labels.index(str(value))
-    except ValueError:
-        raise StructuralError(f"unknown {what} label: {value!r}") from None
+    found = index.get(str(value))
+    if found is None:
+        raise StructuralError(f"unknown {what} label: {value!r}")
+    return found
+
+
+def _resolve_rows(rows, labels, what):
+    """Each row's entries as ``_resolve`` reads them, in row-major order:
+    a row of labels by one lookup each, any other row entry by entry."""
+    index = _label_index(labels)
+    resolved = []
+    for row in rows:
+        try:
+            resolved.append([index[v] for v in row])
+        except (KeyError, TypeError):
+            resolved.append([_resolve(v, labels, index, what) for v in row])
+    return resolved
 
 
 def _parse_quantale(spec):
@@ -228,27 +251,24 @@ def _parse_quantale(spec):
         kind = spec["builtin"]
         return builtin_quantale(kind, _integral(spec.get("m")))
     labels = [str(x) for x in spec["elements"]]
-    tensor = [[_resolve(v, labels, "quantale") for v in row] for row in spec["tensor"]]
+    tensor = _resolve_rows(spec["tensor"], labels, "quantale")
+    unit, bottom, top = _resolve_rows(
+        [[spec["unit"], spec["bottom"], spec["top"]]], labels, "quantale")[0]
     return Quantale(labels=labels, leq=spec["leq"], tensor=tensor,
-                    unit=_resolve(spec["unit"], labels, "quantale"),
-                    bottom=_resolve(spec["bottom"], labels, "quantale"),
-                    top=_resolve(spec["top"], labels, "quantale"))
+                    unit=unit, bottom=bottom, top=top)
 
 
 def _parse_group(spec):
     names = [str(x) for x in spec["elements"]]
-    table = [[_resolve(v, names, "group") for v in row] for row in spec["table"]]
-    return FiniteGroup(table, names=names)
+    return FiniteGroup(_resolve_rows(spec["table"], names, "group"), names=names)
 
 
 def _parse_object(group_spec, structure_spec, quantale):
     group = _parse_group(group_spec)
-    labels = list(quantale.labels)
     if len(structure_spec) != group.size or \
             any(len(row) != group.size for row in structure_spec):
         raise StructuralError("structure matrix must be square, one row per element")
-    entries = [[_resolve(v, labels, "quantale") for v in row]
-               for row in structure_spec]
+    entries = _resolve_rows(structure_spec, quantale.labels, "quantale")
     return VGroup(group, quantale, VRel(quantale, entries))
 
 
@@ -256,9 +276,9 @@ def parse_document(data, base_dir=None, loading=()):
     """Build the in-memory objects from a parsed JSON value.
 
     Cross-references and index ranges are checked here; algebraic laws
-    are not (run the validators for those).  ``loading`` holds the
-    resolved paths of the documents that reference this one, so that a
-    reference cycle is reported instead of followed.
+    are not (run the validators for those).  ``loading`` holds the paths
+    of the documents that reference this one, outermost first, so that
+    ``load_document`` reports a reference cycle instead of following it.
     """
     if not _accepts(data):
         try:
@@ -293,7 +313,7 @@ def parse_document(data, base_dir=None, loading=()):
             cod = ref.vgroup
         else:
             cod = _parse_object(target["group"], target["structure"], quantale)
-        mapping = [_resolve(v, list(cod.group.names), "group") for v in spec["map"]]
+        mapping = _resolve_rows([spec["map"]], cod.group.names, "group")[0]
         if len(mapping) != vg.size:
             raise StructuralError(
                 f"morphism {spec['name']!r}: map must list one target element "
@@ -305,11 +325,22 @@ def parse_document(data, base_dir=None, loading=()):
 
 
 def load_document(path, loading=()):
+    """The document at ``path``, with the documents its path targets name.
+
+    ``loading`` holds the paths of the documents that reference this one,
+    outermost first.  Paths are resolved only to follow a reference, when
+    ``loading`` is not empty: then the whole chain is, and a document that
+    resolves to one before it in the chain is reported as a reference
+    cycle, with the resolved chain, instead of followed.  A document read
+    on its own, or whose targets are all inline, resolves no path.
+    """
     path = Path(path)
-    resolved = path.resolve()
-    if resolved in loading:
-        chain = " -> ".join(str(p) for p in (*loading, resolved))
-        raise StructuralError(f"{path} is part of a document reference cycle: {chain}")
+    if loading:
+        chain = [Path(p).resolve() for p in (*loading, path)]
+        if chain[-1] in chain[:-1]:
+            raise StructuralError(
+                f"{path} is part of a document reference cycle: "
+                + " -> ".join(str(p) for p in chain))
     try:
         text = path.read_text(encoding="utf-8")
     except OSError as exc:
@@ -322,8 +353,7 @@ def load_document(path, loading=()):
         raise StructuralError(f"{path} is not valid JSON: {exc}") from exc
     except RecursionError as exc:
         raise StructuralError(f"{path} is nested too deeply to parse") from exc
-    return parse_document(data, base_dir=path.parent,
-                          loading=(*loading, resolved))
+    return parse_document(data, base_dir=path.parent, loading=(*loading, path))
 
 
 def _emit_quantale(doc):

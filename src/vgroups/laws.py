@@ -5,7 +5,8 @@ Each scanner walks a square matrix ``a`` of quantale indices (``a[x][y]``
 is the value from x to y) in lexicographic order of its witness tuple and
 returns the first index tuple that violates its law, or None when the law
 holds.  ``symmetry`` reads ``a`` alone, so it also serves Cayley and
-tensor tables.  The shift scanner also takes a table of shifts, the
+tensor tables; ``associativity`` reads only such a table, whose entries
+index its own rows.  The shift scanner also takes a table of shifts, the
 pairs (x, x + s) of each shift s, listing only the x whose shift is
 defined (``groups.right_shifts`` of a group, ``descent.window_shifts``
 of a descent window), so it makes no call per entry;
@@ -23,6 +24,8 @@ a left value that ``Quantale.annihilating`` marks: its tensor with any
 value is below every value, so no witness starts there, lawful tables or
 not, and the first witness is the one the full scan finds.
 """
+
+from operator import itemgetter
 
 
 def reflexivity(q, a):
@@ -56,6 +59,23 @@ def symmetry(a):
         for y in range(x + 1, len(ax)):
             if ax[y] != a[y][x]:
                 return (x, y)
+    return None
+
+
+def associativity(a):
+    """First (x, y, z) with a(a(x, y), z) != a(x, a(y, z)), for a table
+    of indices into its own rows (a Cayley or tensor table).  For each
+    (x, y) the row a(x, y) is compared whole with row x read along row y,
+    and z is looked for only in a row that differs."""
+    if len(a) == 1:
+        return None  # the one table on one element, ((0,),), is associative
+    along = [itemgetter(*ay) for ay in a]
+    for x, ax in enumerate(a):
+        for y, read in enumerate(along):
+            left = a[ax[y]]
+            if left != read(ax):
+                return next((x, y, z) for z, yz in enumerate(a[y])
+                            if left[z] != ax[yz])
     return None
 
 

@@ -2,16 +2,19 @@
 
 Elements are opaque indices 0..n-1 with display labels.  All algebra is a
 table lookup: the order is a boolean matrix, the tensor an index matrix,
-and binary joins/meets are computed once at construction by scanning for
-least upper / greatest lower bounds, as is which values annihilate: their
-tensor with anything is below everything.  Instances are immutable and safe
-for unrestricted concurrent reads.
+and binary joins/meets are computed once at construction from each
+element's up-set and down-set as a bitmask, each distinct set of common
+bounds searched once for its least (greatest) member, as is which values
+annihilate: their tensor with anything is below everything.  Instances
+are immutable and safe for unrestricted concurrent reads.
 
 Construction checks well-formedness only (square tables, indices in
 range, at least two elements).  Whether the tables satisfy the quantale
 laws is the job of :func:`validate_quantale`, which names each violated
 law together with a witness tuple.
 """
+
+from itertools import compress
 
 from . import laws
 from .errors import CapacityError, StructuralError
@@ -42,18 +45,44 @@ def _index_table(rows, n, what):
     return table
 
 
-def _bound(leq, u, v, upper):
-    """Least upper (or greatest lower) bound of {u, v}, or None if absent."""
+def _bound_tables(leq):
+    """The join and meet tables of an order table, None where a pair has
+    no least upper (greatest lower) bound, as on a lawless table.
+
+    Each element's up-set and down-set is a bitmask.  A pair's common
+    upper bounds c have a least member when exactly one w in c has all of
+    c in its up-set, and dually for meets.  A pair and its mirror share c,
+    as do many pairs of a chain, so each distinct c is read once."""
     n = len(leq)
-    if upper:
-        candidates = [w for w in range(n) if leq[u][w] and leq[v][w]]
-        best = [w for w in candidates if all(leq[w][c] for c in candidates)]
-    else:
-        candidates = [w for w in range(n) if leq[w][u] and leq[w][v]]
-        best = [w for w in candidates if all(leq[c][w] for c in candidates)]
-    if len(best) == 1:
-        return best[0]
-    return None
+    rng = range(n)
+    bits = [1 << w for w in rng]
+    up = [sum(compress(bits, row)) for row in leq]
+    down = [sum(compress(bits, column)) for column in zip(*leq)]
+
+    def least(common, sets):
+        found, rest = None, common
+        while rest:
+            w = (rest & -rest).bit_length() - 1
+            rest &= rest - 1
+            if not common & ~sets[w]:
+                if found is not None:
+                    return None
+                found = w
+        return found
+
+    def table(sets):
+        bounds = {}
+        rows = [[None] * n for _ in rng]
+        for u in rng:
+            su, row = sets[u], rows[u]
+            for v in range(u, n):
+                common = su & sets[v]
+                if common not in bounds:
+                    bounds[common] = least(common, sets)
+                row[v] = rows[v][u] = bounds[common]
+        return tuple(map(tuple, rows))
+
+    return table(up), table(down)
 
 
 class Quantale:
@@ -79,17 +108,12 @@ class Quantale:
         self.unit = unit
         self.bottom = bottom
         self.top = top
-        self.join_table = tuple(
-            tuple(_bound(self.leq_table, u, v, upper=True) for v in range(n))
-            for u in range(n))
-        self.meet_table = tuple(
-            tuple(_bound(self.leq_table, u, v, upper=False) for v in range(n))
-            for u in range(n))
+        self.join_table, self.meet_table = _bound_tables(self.leq_table)
         # v annihilates when v (x) u is below every element, for every u:
         # such a v never makes a tensor fail to be below anything
-        self.annihilating = tuple(
-            all(self.leq_table[t][w] for t in set(row) for w in range(n))
-            for row in self.tensor_table)
+        least = [all(row) for row in self.leq_table]
+        self.annihilating = tuple(all(least[t] for t in row)
+                                  for row in self.tensor_table)
         self._hash = None
 
     @property
@@ -194,7 +218,9 @@ def ultrametric_chain(m):
 
 
 BUILTIN_KINDS = ("boolean", "lawvere_chain", "ultrametric_chain")
-# Building a chain is quartic in its length; the suites use m <= 3.
+# Building a chain is quadratic in its length (an order with a distinct
+# bound set for each pair, cubic), validating one cubic; the suites use
+# m <= 3.
 BUILTIN_CHAIN_CAP = 16
 
 
@@ -256,37 +282,37 @@ def validate_quantale(q):
     witness = laws.symmetry(ten)
     if witness is not None:
         report.add("tensor-commutative", tuple(lab[i] for i in witness))
-    first("tensor-associative",
-          ((u, v, w) for u in rng for v in rng for w in rng
-           if ten[ten[u][v]][w] != ten[u][ten[v][w]]))
+    witness = laws.associativity(ten)
+    if witness is not None:
+        report.add("tensor-associative", tuple(lab[i] for i in witness))
     first("tensor-unit", ((u,) for u in rng if ten[u][q.unit] != u))
     first("tensor-annihilates-bottom",
           ((u,) for u in rng if ten[u][q.bottom] != q.bottom))
 
+    join, meet = q.join_table, q.meet_table
+
     def distributivity_failures():
-        for u in rng:
-            for v in rng:
-                for w in rng:
-                    j = q.join_table[v][w]
-                    if j is None:
-                        continue
-                    rhs = q.join_table[ten[u][v]][ten[u][w]]
-                    if rhs is None or ten[u][j] != rhs:
+        for u, tu in enumerate(ten):
+            for v, jv in enumerate(join):
+                right = join[tu[v]]
+                for w, j in enumerate(jv):
+                    # a missing v v w is skipped, a missing right side fails
+                    if j is not None and tu[j] != right[tu[w]]:
                         yield (u, v, w)
 
     first("tensor-distributes-over-joins", distributivity_failures())
 
     def frame_failures():
-        for u in rng:
-            for v in rng:
-                for w in rng:
-                    j = q.join_table[v][w]
-                    mv, mw = q.meet_table[u][v], q.meet_table[u][w]
-                    if j is None or mv is None or mw is None:
-                        continue
-                    lhs = q.meet_table[u][j]
-                    rhs = q.join_table[mv][mw]
-                    if lhs is None or rhs is None or lhs != rhs:
+        for u, mu in enumerate(meet):
+            for v, mv in enumerate(mu):
+                if mv is None:
+                    continue
+                right = join[mv]
+                for w, j in enumerate(join[v]):
+                    mw = mu[w]
+                    # skipped unless v v w, u ^ v and u ^ w all exist
+                    if j is not None and mw is not None and \
+                            (mu[j] is None or mu[j] != right[mw]):
                         yield (u, v, w)
 
     first("frame-meets-distribute-over-joins", frame_failures())

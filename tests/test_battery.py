@@ -7,8 +7,8 @@ from pathlib import Path
 
 import pytest
 
-from vgroups import (IntegerIndexedCover, Quantale, StructuralError, VGroup, VHom, VRel,
-                     battery, factorization,
+from vgroups import (FiniteGroup, IntegerIndexedCover, Quantale, StructuralError, VGroup,
+                     VHom, VRel, battery, factorization,
                      builtin_quantale, classify_hom, classify_morphism, classify_object,
                      image_factorize, is_isomorphism, is_regular_epi, laws,
                      monotone_light_factorize, pullback, reflective_factorize,
@@ -161,7 +161,7 @@ def test_stability_pullbacks_match_the_reference():
               (lambda f: classify_morphism(f, suite.cache).stably_inverted, battery.STABLE_CLASS_CAP))
     cospans = 0
     for keep, cap in visits:
-        for f, g, _ in battery._pulled_back(suite, keep, cap):
+        for f, g in battery._cospans(suite, keep, cap):
             cospans += 1
             assert pullback(f, g)[0].structure.entries == reference_pullback_entries(f, g)
     # the cospans and pullbacks the two checks count at smoke
@@ -409,3 +409,40 @@ def test_a_smoke_battery_builds_each_naturality_square_once():
     pullbacks, one per key.  Built on every call, the squares took 1,991."""
     _, _, squares = counted_run("smoke", battery.ALL_CHECKS)
     assert len(squares) == len(set(squares)) == 718
+
+
+def test_a_cokernel_refusal_is_recorded_against_its_morphism(monkeypatch):
+    """With ``is_normal_subgroup`` reading ``or`` for ``and``, every mono
+    is a normal mono to ``classify_hom``, and ``cokernel`` refuses each
+    full-level mono into S3 whose image is not normal.  The roundtrip
+    check records each refusal against its morphism and goes on."""
+    monkeypatch.setattr(FiniteGroup, "is_normal_subgroup", lambda self, subset:
+                        self.is_subgroup(subset) or self.normality_witness(subset) is None)
+    suite = standard_suite("full")
+    result = battery.check_kernel_cokernel_roundtrips(suite)
+    assert not result.ok and result.failures
+    by_name = {obj.name: obj.vgroup for obj in suite.objects}
+    for dom, cod, mapping, message in result.failures:
+        assert "/S3/" in cod and len(set(mapping)) == by_name[dom].size
+        assert message.startswith("image is not a normal subgroup")
+
+
+def test_a_pullback_that_raises_ends_only_its_cospan(monkeypatch):
+    """The regular-epi stability check pulls each cospan back itself, so a
+    pullback that raises is recorded against its cospan, and the check
+    still visits all the cospans it visits when none raises."""
+    suite = standard_suite("smoke")
+    clean = battery.check_regular_epi_stability(suite)
+    calls = []
+
+    def first_raises(f, g):
+        calls.append((f, g))
+        if len(calls) == 1:
+            raise StructuralError("refused")
+        return pullback(f, g)
+
+    monkeypatch.setattr(battery, "pullback", first_raises)
+    result = battery.check_regular_epi_stability(standard_suite("smoke"))
+    f, g = calls[0]
+    assert result.details == clean.details
+    assert result.failures == [(f.dom.name, f.cod.name, f.mapping, g.mapping, "refused")]

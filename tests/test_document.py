@@ -293,6 +293,22 @@ class TestFileTargets:
         with pytest.raises(StructuralError, match="different quantale"):
             load_document(tmp_path / "main.json")
 
+    def test_only_a_followed_reference_resolves_paths(self, tmp_path, monkeypatch):
+        """Loading a shipped document or a document of the ``cli_documents``
+        benchmark, whose targets are inline, resolves no path; following a
+        path target resolves the chain, the root document included."""
+        paths = (sorted(DOCS.glob("*.json")) + sorted(TEST_DOCS.glob("*.json"))
+                 + perfbench_paths(tmp_path, monkeypatch))
+        resolved = []
+        resolve = Path.resolve
+        monkeypatch.setattr(Path, "resolve", lambda self, *args, **kwargs:
+                            resolved.append(self) or resolve(self, *args, **kwargs))
+        for path in paths:
+            load_document(path)
+        assert len(paths) == 117 and resolved == []
+        self.test_path_target_resolved(tmp_path)
+        assert resolved == [tmp_path / "main.json", tmp_path / "codomain.json"]
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(StructuralError, match="cannot read"):
             load_document(tmp_path / "missing.json")
@@ -390,13 +406,18 @@ def mutated_documents(draw):
     return doc
 
 
-def perfbench_documents(tmp_path, monkeypatch):
-    """The object and morphism documents the ``cli_documents`` benchmark
-    workload parses, written by its own set-up code."""
+def perfbench_paths(tmp_path, monkeypatch):
+    """The paths of the object and morphism documents the ``cli_documents``
+    benchmark workload parses, written by its own set-up code."""
     monkeypatch.syspath_prepend(str(PERFBENCH))
     workloads = importlib.import_module("workloads")
-    _, written = workloads.write_documents(tmp_path / "pool", workloads.DOCUMENT_DRAW)
-    return [json.loads(path.read_text(encoding="utf-8")) for path in written]
+    return workloads.write_documents(tmp_path / "pool", workloads.DOCUMENT_DRAW)[1]
+
+
+def perfbench_documents(tmp_path, monkeypatch):
+    """The documents at ``perfbench_paths``, parsed as JSON."""
+    return [json.loads(path.read_text(encoding="utf-8"))
+            for path in perfbench_paths(tmp_path, monkeypatch)]
 
 
 class TestAcceptor:
