@@ -234,16 +234,10 @@ def _resolve(value, labels, index, what):
 
 
 def _resolve_rows(rows, labels, what):
-    """Each row's entries as ``_resolve`` reads them, in row-major order:
-    a row of labels by one lookup each, any other row entry by entry."""
+    """Each row's entries as ``_resolve`` reads them, in row-major order,
+    through one label index for all of them."""
     index = _label_index(labels)
-    resolved = []
-    for row in rows:
-        try:
-            resolved.append([index[v] for v in row])
-        except (KeyError, TypeError):
-            resolved.append([_resolve(v, labels, index, what) for v in row])
-    return resolved
+    return [[_resolve(v, labels, index, what) for v in row] for row in rows]
 
 
 def _parse_quantale(spec):

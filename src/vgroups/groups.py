@@ -2,18 +2,14 @@
 categorical constructions need: normality tests with conjugation
 witnesses, closures, cosets, and the homomorphism and isomorphism search.
 
-``FiniteGroup(table, names)`` checks every group law exhaustively, by
-rows: the identity row and column are compared whole, each inverse is
-read off the places of the identity in its row, and associativity
-(``laws.associativity``) compares one row per pair of elements, so the
-scan stays cubic in the order but runs as n^2 row comparisons; each
-error names the first witness in lexicographic order.  Documents, the
-class builders (``trivial``, ``cyclic``, ``symmetric3``) and every other
-direct call go through it.  ``pair_group`` (so ``direct_product``),
-``subgroup_group`` and ``quotient_group`` instead build through
-``FiniteGroup._trusted``, which stores its fields with no re-check: each
-first tests closure, subgroup-ness or normality in a group that already
-passed, and then reads the identity and the inverses off its parents.
+``FiniteGroup(table, names)`` checks every group law exhaustively, the
+associativity scan cubic in the order.  Documents, the class builders
+(``trivial``, ``cyclic``, ``symmetric3``) and every other direct call go
+through it.  ``pair_group`` (so ``direct_product``), ``subgroup_group``
+and ``quotient_group`` instead build through ``FiniteGroup._trusted``,
+which stores its fields with no re-check: each first tests closure,
+subgroup-ness or normality in a group that already passed, and then
+reads the identity and the inverses off its parents.
 
 Those three constructions, and ``is_subgroup``, ``normality_witness``
 and ``cosets``, read the rows of the parents' Cayley tables and their
@@ -85,20 +81,17 @@ class FiniteGroup:
             names = tuple([str(x) for x in names])
             if len(names) != n or len(set(names)) != n:
                 raise StructuralError("element names must be distinct, one per element")
-        # each law compares whole rows and columns, and looks for the
-        # element that breaks one only in a row that differs
-        ordered = tuple(range(n))
-        columns = tuple(zip(*table))
-        identity = next((e for e, row in enumerate(table)
-                         if row == ordered and columns[e] == ordered), None)
+        identity = None
+        for e in range(n):
+            if all(table[e][x] == x == table[x][e] for x in range(n)):
+                identity = e
+                break
         if identity is None:
             raise StructuralError("Cayley table has no identity element")
         inverse = []
-        for x, row in enumerate(table):
-            # the y with x + y the identity; y + x must be it too
-            ones = [row.index(identity)] if row.count(identity) == 1 else \
-                [y for y, v in enumerate(row) if v == identity]
-            inv = [y for y in ones if columns[x][y] == identity]
+        for x in range(n):
+            inv = [y for y in range(n)
+                   if table[x][y] == identity and table[y][x] == identity]
             if len(inv) != 1:
                 raise StructuralError(f"element {names[x]} has no unique inverse")
             inverse.append(inv[0])

@@ -25,8 +25,6 @@ value is below every value, so no witness starts there, lawful tables or
 not, and the first witness is the one the full scan finds.
 """
 
-from operator import itemgetter
-
 
 def reflexivity(q, a):
     """First (x,) with the unit not below a(x, x)."""
@@ -64,18 +62,14 @@ def symmetry(a):
 
 def associativity(a):
     """First (x, y, z) with a(a(x, y), z) != a(x, a(y, z)), for a table
-    of indices into its own rows (a Cayley or tensor table).  For each
-    (x, y) the row a(x, y) is compared whole with row x read along row y,
-    and z is looked for only in a row that differs."""
-    if len(a) == 1:
-        return None  # the one table on one element, ((0,),), is associative
-    along = [itemgetter(*ay) for ay in a]
+    of indices into its own rows (a Cayley or tensor table)."""
+    rng = range(len(a))
     for x, ax in enumerate(a):
-        for y, read in enumerate(along):
-            left = a[ax[y]]
-            if left != read(ax):
-                return next((x, y, z) for z, yz in enumerate(a[y])
-                            if left[z] != ax[yz])
+        for y, xy in enumerate(ax):
+            left, ay = a[xy], a[y]
+            for z in rng:
+                if left[z] != ax[ay[z]]:
+                    return (x, y, z)
     return None
 
 

@@ -289,30 +289,30 @@ def validate_quantale(q):
     first("tensor-annihilates-bottom",
           ((u,) for u in rng if ten[u][q.bottom] != q.bottom))
 
-    join, meet = q.join_table, q.meet_table
-
     def distributivity_failures():
-        for u, tu in enumerate(ten):
-            for v, jv in enumerate(join):
-                right = join[tu[v]]
-                for w, j in enumerate(jv):
-                    # a missing v v w is skipped, a missing right side fails
-                    if j is not None and tu[j] != right[tu[w]]:
+        for u in rng:
+            for v in rng:
+                for w in rng:
+                    j = q.join_table[v][w]
+                    if j is None:
+                        continue
+                    rhs = q.join_table[ten[u][v]][ten[u][w]]
+                    if rhs is None or ten[u][j] != rhs:
                         yield (u, v, w)
 
     first("tensor-distributes-over-joins", distributivity_failures())
 
     def frame_failures():
-        for u, mu in enumerate(meet):
-            for v, mv in enumerate(mu):
-                if mv is None:
-                    continue
-                right = join[mv]
-                for w, j in enumerate(join[v]):
-                    mw = mu[w]
-                    # skipped unless v v w, u ^ v and u ^ w all exist
-                    if j is not None and mw is not None and \
-                            (mu[j] is None or mu[j] != right[mw]):
+        for u in rng:
+            for v in rng:
+                for w in rng:
+                    j = q.join_table[v][w]
+                    mv, mw = q.meet_table[u][v], q.meet_table[u][w]
+                    if j is None or mv is None or mw is None:
+                        continue
+                    lhs = q.meet_table[u][j]
+                    rhs = q.join_table[mv][mw]
+                    if lhs is None or rhs is None or lhs != rhs:
                         yield (u, v, w)
 
     first("frame-meets-distribute-over-joins", frame_failures())

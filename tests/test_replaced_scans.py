@@ -1,8 +1,9 @@
-"""Each row-wise construction and scan against a copy of the per-entry
-code it replaced, on random lawful and lawless inputs: the quantale's
-join, meet and annihilation tables, the group law checks of
-``FiniteGroup``, ``validate_quantale`` and the document entry reader.
-The reference copies below are the replaced code, kept here only."""
+"""Each rewritten construction and scan against a copy of the code it
+replaced, on random lawful and lawless inputs: the quantale's join, meet
+and annihilation tables, the group law checks of ``FiniteGroup`` and
+``validate_quantale`` (whose associativity scans are now
+``laws.associativity``) and the document entry reader.  The reference
+copies below are the replaced code, kept here only."""
 
 import json
 from itertools import permutations, product as iproduct
