@@ -22,12 +22,11 @@ class VRel:
     def __init__(self, quantale, entries):
         entries = tuple([tuple(row) for row in entries])
         width = len(entries[0]) if entries else 0
-        n = quantale.size
         for row in entries:
             if len(row) != width:
                 raise StructuralError("ragged relation matrix")
             for v in row:
-                if not isinstance(v, int) or not 0 <= v < n:
+                if not isinstance(v, int) or not 0 <= v < quantale.size:
                     raise StructuralError(f"relation entry out of range: {v!r}")
         self.quantale = quantale
         self.entries = entries
