@@ -385,6 +385,7 @@ def test_associativity_finds_the_first_witness_on_every_latin_square_of_four():
             want = next(((x, y, z) for x, y, z in iproduct(range(4), repeat=3)
                          if table[table[x][y]][z] != table[x][table[y][z]]), None)
             assert laws.associativity(table) == want
+            assert laws.associativity([list(row) for row in table]) == want
 
 
 @settings(max_examples=400, deadline=None)
