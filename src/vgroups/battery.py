@@ -13,7 +13,7 @@ from functools import partial
 from itertools import islice, product as iproduct
 
 from . import laws
-from .builders import SMOKE_QUANTALES, standard_suite
+from .builders import SUITE_LEVELS, standard_suite
 from .descent import descent_cover, kernel_pair_groupoid, verify_cover_window
 from .errors import StructuralError, TheoremCheckError
 from .factorization import (cached_decomposition, classify_morphism,
@@ -35,7 +35,7 @@ IMAGE_UNIQUENESS_CAP = 300
 FACTORIZATION_UNIQUENESS_CAP = 200
 REGULAR_EPI_COSPAN_CAP = 400
 STABLE_CLASS_CAP = 250
-PRETORSION_QUANTALES = tuple(name for name, _ in SMOKE_QUANTALES)
+PRETORSION_QUANTALES = tuple(name for name, _ in SUITE_LEVELS["smoke"].quantales)
 PRETORSION_FAMILY_MAX_CARRIER = 3
 # The suite's data are valid, so a structural error raised on them is a
 # failed theorem check too.
@@ -177,15 +177,22 @@ def check_structure_routes(suite):
 # -- object-level checks -----------------------------------------------------
 
 def check_objects(suite):
+    """Every object validates, and one over a quantale with idempotent
+    tensor is symmetric, as the laws force: d != 0 of order m has
+    -d = (m - 1)d, so delta(-d) >= delta(d)^(m-1) = delta(d), since
+    delta(x + y) >= delta(x) (x) delta(y); -d in place of d gives <=."""
+    idempotent = {qname for qname, q in suite.quantales
+                  if all(row[u] == u for u, row in enumerate(q.tensor_table))}
     failures = []
     for obj in suite.objects:
         try:
             report = validate_vgroup(obj.vgroup)
             if not report.ok:
                 failures.append((obj.name, report.laws_violated()))
-            elif obj.quantale_name == "boolean" and \
+            elif obj.quantale_name in idempotent and \
                     not suite.cache.derived(object_class, obj.vgroup).symmetric:
-                failures.append((obj.name, "boolean object not symmetric"))
+                failures.append((obj.name,
+                                 "object over an idempotent quantale not symmetric"))
         except THEOREM_FAILURES as exc:
             failures.append((obj.name, str(exc)))
     return _result("object_validation", failures, objects=len(suite.objects))

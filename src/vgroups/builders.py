@@ -1,18 +1,19 @@
 """Canonical object and morphism suites feeding the property batteries.
 
-Generation is pure and deterministic: quantales and groups in a fixed
-roster order, structures in lexicographic profile order, homomorphisms
-in lexicographic mapping order.  In suite order, a hom-set A -> B is
-enumerated if |B|^|A| (a coverage rule, not the search's cost, which is
-``groups.hom_search_size``) fits in what is left of the total budget,
-and marked truncated otherwise (20,309 of 22,959 at full, none at smoke).
-Each hom-set is a ``HomSet``, an immutable named tuple built
-positionally, so the full level's 22,959 records, most of them empty
-truncated ones, cost a tuple each.
+Generation is pure and deterministic: the quantales and groups of a
+``SUITE_LEVELS`` entry in its order, structures in lexicographic
+profile order, homomorphisms in lexicographic mapping order.  In suite
+order, a hom-set A -> B is enumerated if |B|^|A| (a coverage rule, not
+the search's cost, which is ``groups.hom_search_size``) fits in what is
+left of the total budget, and marked truncated otherwise (20,309 of
+22,959 at full, none at smoke).  Each hom-set is a ``HomSet``, an
+immutable named tuple built positionally, so the full level's 22,959
+records, most of them empty truncated ones, cost a tuple each.
 """
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from types import MappingProxyType
 from typing import NamedTuple
 
 from .groups import FiniteGroup
@@ -38,14 +39,22 @@ def group_roster():
     }
 
 
-# Each suite quantale by name, with the builtin document spec it is built
-# from (through ``builtin_quantale``) and exported with.
-SMOKE_QUANTALES = (("boolean", {"builtin": "boolean"}),
-                   ("lawvere_chain_2", {"builtin": "lawvere_chain", "m": 2}))
-FULL_EXTRA_QUANTALES = (("ultrametric_chain_3", {"builtin": "ultrametric_chain", "m": 3}),
-                        ("lawvere_chain_3", {"builtin": "lawvere_chain", "m": 3}))
-SMOKE_GROUPS = ("Z1", "Z2", "Z3", "Z4")
-FULL_EXTRA_GROUPS = ("Z2xZ2", "Z5", "S3")
+class Level(NamedTuple):
+    """A level of ``SUITE_LEVELS``, the one table of what each covers: its
+    quantales as (name, builtin document spec) pairs, each built and
+    exported from its spec, and its ``group_roster`` names, in suite order."""
+    quantales: tuple
+    groups: tuple
+
+
+_SMOKE = Level(quantales=(("boolean", {"builtin": "boolean"}),
+                          ("lawvere_chain_2", {"builtin": "lawvere_chain", "m": 2})),
+               groups=("Z1", "Z2", "Z3", "Z4"))
+SUITE_LEVELS = MappingProxyType({"smoke": _SMOKE, "full": Level(
+    quantales=_SMOKE.quantales + (
+        ("ultrametric_chain_3", {"builtin": "ultrametric_chain", "m": 3}),
+        ("lawvere_chain_3", {"builtin": "lawvere_chain", "m": 3})),
+    groups=_SMOKE.groups + ("Z2xZ2", "Z5", "S3"))})
 
 
 @dataclass(frozen=True)
@@ -111,42 +120,26 @@ class Suite:
 
     def all_homs(self):
         """Every enumerated morphism with its endpoint objects."""
-        out = []
-        for hs in self.hom_sets:
-            if hs.truncated:
-                continue
-            for h in hs.homs:
-                out.append((self.objects[hs.dom], self.objects[hs.cod], h))
-        return out
+        return [(self.objects[hs.dom], self.objects[hs.cod], h)
+                for hs in self.hom_sets if not hs.truncated for h in hs.homs]
 
     def export_documents(self):
         """Every suite object as a workbench document value, keyed by name."""
         from .document import document_from_vgroup
-        specs = dict(SMOKE_QUANTALES + FULL_EXTRA_QUANTALES)
+        specs = dict(SUITE_LEVELS[self.level].quantales)
         return {obj.name: document_from_vgroup(obj.vgroup, specs[obj.quantale_name])
                 for obj in self.objects}
 
 
 def standard_suite(level="smoke"):
-    """The fixture battery: builtin quantales x small groups x all structures.
-
-    smoke: boolean and the 3-element truncated-sum chain, over the
-    trivial group and the cyclic groups of order 2, 3, 4.  full: adds
-    the 4-element chains (truncated sum and maximum) and the Klein
-    four-group, the cyclic group of order 5 and the nonabelian group of
-    order 6.
-    """
-    if level not in ("smoke", "full"):
+    """Every structure on each (quantale, group) pair of ``SUITE_LEVELS[level]``."""
+    if not isinstance(level, str) or level not in SUITE_LEVELS:
         raise ValueError(f"unknown suite level: {level!r}")
     roster = group_roster()
-    quantale_specs = list(SMOKE_QUANTALES)
-    group_names = list(SMOKE_GROUPS)
-    if level == "full":
-        quantale_specs += list(FULL_EXTRA_QUANTALES)
-        group_names += list(FULL_EXTRA_GROUPS)
+    chosen = SUITE_LEVELS[level]
     quantales = [(name, builtin_quantale(spec["builtin"], spec.get("m")))
-                 for name, spec in quantale_specs]
-    groups = [(name, roster[name]) for name in group_names]
+                 for name, spec in chosen.quantales]
+    groups = [(name, roster[name]) for name in chosen.groups]
 
     objects = []
     for qname, q in quantales:

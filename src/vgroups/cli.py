@@ -14,6 +14,7 @@ import argparse
 import sys
 
 from .battery import run_battery
+from .builders import SUITE_LEVELS
 from .descent import (DEFAULT_WINDOW_RADIUS, Window, descent_cover,
                       kernel_pair_groupoid, verify_cover_window)
 from .document import canonical_json, load_document
@@ -41,7 +42,7 @@ def _build_parser():
     parser.add_argument("--morphism", help="name of a morphism in the inputs")
     parser.add_argument("--window", type=int, default=DEFAULT_WINDOW_RADIUS,
                         help="window radius for descent checks")
-    parser.add_argument("--suite-level", choices=["smoke", "full"], default="smoke")
+    parser.add_argument("--suite-level", choices=list(SUITE_LEVELS), default="smoke")
     parser.add_argument("--format", choices=["text", "json"], default="text")
     return parser
 

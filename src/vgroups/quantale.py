@@ -217,7 +217,6 @@ def ultrametric_chain(m):
         unit=0, bottom=m, top=0)
 
 
-BUILTIN_KINDS = ("boolean", "lawvere_chain", "ultrametric_chain")
 # Building a chain is quadratic in its length (an order with a distinct
 # bound set for each pair, cubic), validating one cubic; the suites use
 # m <= 3.

@@ -14,8 +14,7 @@ from vgroups import (FiniteGroup, IntegerIndexedCover, Quantale, StructuralError
                      monotone_light_factorize, pullback, reflective_factorize,
                      standard_suite, torsion, trivial_vgroup, validate_hom, zero_hom)
 from vgroups.battery import SMALL_CARRIER, _alternative_factorizations, _exact_sequences
-from vgroups.builders import (FULL_EXTRA_GROUPS, FULL_EXTRA_QUANTALES, SMOKE_GROUPS,
-                              SMOKE_QUANTALES, group_roster)
+from vgroups.builders import SUITE_LEVELS, group_roster
 from vgroups.document import canonical_json
 from vgroups.factorization import ClassCache, cached_decomposition
 from vgroups.torsion import reflected_map
@@ -229,8 +228,8 @@ def test_route_oracle_matches_the_full_family_scan(non_integral_q):
     disagreements between the blocks it steps past."""
     roster = group_roster()
     cases = [(builtin_quantale(spec["builtin"], spec.get("m")), roster[name])
-             for _, spec in SMOKE_QUANTALES + FULL_EXTRA_QUANTALES
-             for name in SMOKE_GROUPS + FULL_EXTRA_GROUPS]
+             for _, spec in SUITE_LEVELS["full"].quantales
+             for name in SUITE_LEVELS["full"].groups]
     # the cyclic order 1 <= 0 <= 2 <= 1 with unit = top = 2 and tensor min
     cyclic = Quantale(labels=["0", "1", "2"], leq=[[1, 0, 1], [1, 1, 0], [0, 1, 1]],
                       tensor=[[min(u, v) for v in range(3)] for u in range(3)],
@@ -446,3 +445,27 @@ def test_a_pullback_that_raises_ends_only_its_cospan(monkeypatch):
     f, g = calls[0]
     assert result.details == clean.details
     assert result.failures == [(f.dom.name, f.cod.name, f.mapping, g.mapping, "refused")]
+
+
+@pytest.mark.parametrize("level, checked", [("smoke", 8), ("full", 73)])
+def test_objects_over_idempotent_quantales_are_checked_for_symmetry(monkeypatch, level,
+                                                                    checked):
+    # boolean at smoke; boolean and the max chain ultrametric_chain_3 at full
+    suite = standard_suite(level)
+    idempotent = ("boolean", "ultrametric_chain_3")
+    asked = []
+
+    class Asymmetric:
+        symmetric = False
+
+    def recording(cache, g):
+        asked.append(g)
+        return Asymmetric
+
+    monkeypatch.setattr(battery, "object_class", recording)
+    result = battery.check_objects(suite)
+    over = [o for o in suite.objects if o.quantale_name in idempotent]
+    assert len(over) == checked
+    assert asked == [o.vgroup for o in over]
+    assert result.failures == [
+        (o.name, "object over an idempotent quantale not symmetric") for o in over]

@@ -8,9 +8,10 @@ from pathlib import Path
 
 import pytest
 
-from vgroups import (classify_object, enumerate_structures, standard_suite,
-                     validate_vgroup)
-from vgroups.builders import HomSet, group_roster
+from vgroups import (builtin_quantale, classify_object, enumerate_structures,
+                     standard_suite, trivial_vgroup, validate_quantale, validate_vgroup)
+from vgroups.builders import SUITE_LEVELS, HomSet, group_roster
+from vgroups.document import SCHEMA, document_from_vgroup, parse_document
 
 SRC = Path(__file__).parent.parent / "src"
 # suite_digest of each level, pinned: a changed object or hom-set moves it.
@@ -133,8 +134,9 @@ class TestSmokeSuite:
         assert left >= 0
 
     def test_bad_level(self):
-        with pytest.raises(ValueError):
-            standard_suite("enormous")
+        for level in ("enormous", "Smoke", None, ["smoke"]):
+            with pytest.raises(ValueError, match="unknown suite level"):
+                standard_suite(level)
 
     def test_export_documents_round_trip(self, suite):
         from vgroups.document import document_text, parse_document
@@ -171,3 +173,32 @@ def test_full_suite_generates():
     s3_bool = [o for o in suite.objects
                if o.group_name == "S3" and o.quantale_name == "boolean"]
     assert len(s3_bool) == 3
+
+
+def test_full_level_extends_smoke():
+    smoke, full = SUITE_LEVELS["smoke"], SUITE_LEVELS["full"]
+    assert list(SUITE_LEVELS) == ["smoke", "full"]
+    assert full.quantales[:len(smoke.quantales)] == smoke.quantales
+    assert full.groups[:len(smoke.groups)] == smoke.groups
+
+
+def schema_builtin_kinds():
+    """The builtin quantale kinds the shipped document schema admits."""
+    (kinds,) = [alt["properties"]["builtin"]["enum"]
+                for alt in SCHEMA["properties"]["quantale"]["oneOf"]
+                if "builtin" in alt.get("properties", {})]
+    return kinds
+
+
+def test_every_schema_builtin_kind_builds():
+    for kind in schema_builtin_kinds():
+        assert validate_quantale(builtin_quantale(kind, 2)).ok, kind
+
+
+@pytest.mark.parametrize("level", list(SUITE_LEVELS))
+def test_every_level_quantale_exports_a_document_that_parses(level):
+    for name, spec in SUITE_LEVELS[level].quantales:
+        assert spec["builtin"] in schema_builtin_kinds(), name
+        q = builtin_quantale(spec["builtin"], spec.get("m"))
+        doc = parse_document(document_from_vgroup(trivial_vgroup(q), spec))
+        assert doc.quantale == q, name

@@ -8,7 +8,8 @@ from hypothesis import HealthCheck, given, settings
 
 from vgroups import (FiniteGroup, boolean, discrete_vgroup, enumerate_structures, laws,
                      lawvere_chain, validate_vgroup)
-from vgroups.cli import run
+from vgroups.builders import SUITE_LEVELS
+from vgroups.cli import _PARSER, run
 from vgroups.document import _VALIDATOR, canonical_json, document_from_vgroup
 from vgroups.errors import TheoremCheckError
 
@@ -369,6 +370,18 @@ class TestSuiteCommand:
         report = json.loads(text)
         assert report["ok"] is True
         assert len(report["checks"]) == 13
+
+    def test_levels_come_from_the_suite_table(self):
+        (action,) = [a for a in _PARSER._actions if a.dest == "suite_level"]
+        assert action.choices == list(SUITE_LEVELS)
+        assert "[--suite-level {smoke,full}]" in _PARSER.format_usage()
+
+    def test_unknown_level_exits_two_without_a_traceback(self, capsys):
+        code, text = invoke("suite", "--suite-level", "enormous")
+        err = capsys.readouterr().err
+        assert (code, text) == (2, "")
+        assert "argument --suite-level: invalid choice" in err and "enormous" in err
+        assert "Traceback" not in err
 
 
 class TestMorphismLookup:

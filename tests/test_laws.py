@@ -6,8 +6,7 @@ import random
 from vgroups import (Quantale, boolean, builtin_quantale, enumerate_structures,
                      lawvere_chain, ultrametric_chain)
 from vgroups import laws
-from vgroups.builders import (FULL_EXTRA_GROUPS, FULL_EXTRA_QUANTALES, SMOKE_GROUPS,
-                              SMOKE_QUANTALES, group_roster)
+from vgroups.builders import SUITE_LEVELS, group_roster
 
 from test_acceptance import builtin_quantales, corrupted_quantales
 
@@ -244,9 +243,9 @@ def symmetry_tables():
     chains, one of them noncommutative."""
     roster = group_roster()
     yield from (group.table for group in roster.values())
-    for _, spec in SMOKE_QUANTALES + FULL_EXTRA_QUANTALES:
+    for _, spec in SUITE_LEVELS["full"].quantales:
         q = builtin_quantale(spec["builtin"], spec.get("m"))
-        for name in SMOKE_GROUPS + FULL_EXTRA_GROUPS:
+        for name in SUITE_LEVELS["full"].groups:
             yield from (g.structure.entries for g in enumerate_structures(roster[name], q))
     quantales = builtin_quantales() + [q for q, _ in corrupted_quantales()]
     quantales += [chain_quantale(max), chain_quantale(lambda u, v: (u + 2 * v) % 3)]

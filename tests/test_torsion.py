@@ -16,8 +16,7 @@ from vgroups import (CapacityError, FiniteGroup, NonIntegralQuantaleError,
                      trivial_vgroup, validate_hom, validate_quantale,
                      verify_pretorsion_cokernel, verify_pretorsion_kernel,
                      vgroup_isomorphism, zero_hom)
-from vgroups.builders import (FULL_EXTRA_GROUPS, FULL_EXTRA_QUANTALES,
-                              SMOKE_GROUPS, SMOKE_QUANTALES, group_roster)
+from vgroups.builders import SUITE_LEVELS, group_roster
 from vgroups import laws, torsion
 from vgroups.battery import (PRETORSION_FAMILY_MAX_CARRIER, PRETORSION_QUANTALES,
                              THEOREM_FAILURES, check_pretorsion)
@@ -114,7 +113,7 @@ class TestReflection:
         # every morphism of the smoke suite
         roster = group_roster()
         for q in (bool_q, law2):
-            objs = [vg for name in SMOKE_GROUPS
+            objs = [vg for name in SUITE_LEVELS["smoke"].groups
                     for vg in enumerate_structures(roster[name], q)]
             for dom, cod in itertools.product(objs, repeat=2):
                 for f in enumerate_homs(dom, cod):
@@ -286,8 +285,8 @@ def full_level_objects():
     """The objects of the full suite (a superset of the smoke suite's),
     without its hom-sets."""
     roster = group_roster()
-    return [vg for _, spec in SMOKE_QUANTALES + FULL_EXTRA_QUANTALES
-            for name in SMOKE_GROUPS + FULL_EXTRA_GROUPS
+    return [vg for _, spec in SUITE_LEVELS["full"].quantales
+            for name in SUITE_LEVELS["full"].groups
             for vg in enumerate_structures(
                 roster[name], builtin_quantale(spec["builtin"], spec.get("m")))]
 

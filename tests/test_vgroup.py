@@ -578,10 +578,10 @@ class TestEnumerationDifferential:
                 assert got == want, (group.names, q.labels)
 
     def test_roster_over_suite_quantales(self):
-        from vgroups.builders import FULL_EXTRA_QUANTALES, SMOKE_QUANTALES
+        from vgroups.builders import SUITE_LEVELS
         self.assert_same(group_roster().values(),
                          [builtin_quantale(spec["builtin"], spec.get("m"))
-                          for _, spec in SMOKE_QUANTALES + FULL_EXTRA_QUANTALES])
+                          for _, spec in SUITE_LEVELS["full"].quantales])
 
     def test_roster_over_lawless_quantales(self, non_integral_q):
         # a chain whose tensor is neither commutative nor unital
